@@ -10,29 +10,21 @@ __version__ = "0.1.0"
 
 from .linalg import (
     DEFAULT_TOL,
-    RankDeficiencyError,
     Tolerance,
-    characteristic_polynomial,
     matrix_exponential,
     numerical_rank,
-    pseudo_right_inverse,
 )
 from .plant import (
-    ArxModel,
     ContinuousStateSpace,
-    ExtendedStateSpace,
     StateSpace,
     discretize_zoh,
-    extended_state_space,
     is_controllable,
     is_observable,
     load_state_space,
     msd_benchmark,
-    q_sensor_observable,
     relative_degree,
     save_state_space,
     simulate,
-    ss_to_arx,
 )
 from .datamat import (
     ExcitationError,
@@ -42,6 +34,7 @@ from .datamat import (
     TrajectoryLengthError,
     WindowError,
     build_subset_matrices,
+    excitation_rank,
     generate_pe_input,
     hankel,
     is_persistently_exciting,
@@ -57,14 +50,12 @@ from .attacks import (
     apply_attack,
     enumerate_subsets,
     load_scenario,
-    project_outputs,
     save_scenario,
     seeded_injection_signal,
 )
 from .ddmodel import (
     DataDrivenModel,
     LearningError,
-    RankOracleReport,
     RankReport,
     SubsetPredictor,
     certifying_rank,
@@ -73,7 +64,6 @@ from .ddmodel import (
     load_learned_model,
     predict,
     rank_condition,
-    rank_obsv_oracle,
     save_learned_model,
 )
 from .identify import (
@@ -85,5 +75,6 @@ from .identify import (
     identify_replay,
     injection_bootstrap,
     injection_step,
+    run_injection,
     verdict_to_dict,
 )

@@ -51,15 +51,6 @@ def enumerate_subsets(n_sensors: int, max_attacked: int) -> list[SensorSubset]:
     return [SensorSubset(j + 1, combo) for j, combo in enumerate(combos)]
 
 
-def project_outputs(y, subset: SensorSubset) -> np.ndarray:
-    """Select the subset's rows of a p x L output record."""
-    y_arr = as_matrix(y, "y")
-    if subset.indices[-1] > y_arr.shape[0]:
-        raise ValueError(
-            f"subset {subset.indices} out of range for {y_arr.shape[0]} outputs")
-    return y_arr[[i - 1 for i in subset.indices], :]
-
-
 @dataclass(frozen=True)
 class InjectionAttack:
     """Additive corruption on selected sensors from an onset time.

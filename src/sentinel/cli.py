@@ -32,7 +32,6 @@ from .attacks import (
     InjectionAttack,
     ReplayAttack,
     apply_attack,
-    enumerate_subsets,
     load_scenario,
     save_scenario,
     seeded_injection_signal,
@@ -41,29 +40,21 @@ from .datamat import (
     ExcitationError,
     Trajectory,
     TrajectoryLengthError,
-    build_subset_matrices,
+    excitation_rank,
     generate_pe_input,
-    hankel,
     load_trajectory,
     save_trajectory,
 )
-from .ddmodel import (
-    DataDrivenModel,
-    LearningError,
-    learn_lambda,
-    load_learned_model,
-    rank_condition,
-    save_learned_model,
-)
+from .ddmodel import LearningError, learn_model, load_learned_model, save_learned_model
 from .identify import (
     NoResponseError,
     identify_delay,
     identify_replay,
     injection_bootstrap,
-    injection_step,
+    run_injection,
     verdict_to_dict,
 )
-from .linalg import DEFAULT_TOL, Tolerance, numerical_rank
+from .linalg import DEFAULT_TOL, Tolerance
 from .plant import (
     ContinuousStateSpace,
     StateSpace,
@@ -123,30 +114,6 @@ def excited_run(ss: StateSpace, n: int, columns: int, order: int, seed: int,
     return Trajectory(u_full, y), pe.seed
 
 
-def _learn_with_reports(traj: Trajectory, n_sensors: int, max_attacked: int,
-                        n: int, columns: int, tol: Tolerance,
-                        pe_seed) -> tuple[DataDrivenModel | None, list[dict]]:
-    """Learn every subset predictor, collecting rank reports for all subsets."""
-    reports = []
-    predictors = []
-    ok = True
-    for subset in enumerate_subsets(n_sensors, max_attacked):
-        mats = build_subset_matrices(traj, subset, n, columns)
-        report = rank_condition(mats, tol)
-        reports.append({"id": subset.id, "indices": list(subset.indices),
-                        "observed": report.observed, "required": report.required,
-                        "rows": report.rows, "holds": report.holds})
-        if report.holds:
-            predictors.append(learn_lambda(mats, tol))
-        else:
-            ok = False
-    model = None
-    if ok:
-        model = DataDrivenModel(tuple(predictors), n, traj.input_dim, n_sensors,
-                                max_attacked, columns, pe_seed)
-    return model, reports
-
-
 def benchmark_plant(output_scale: float = 1.0) -> StateSpace:
     """Discretized benchmark plant, optionally with rescaled outputs."""
     css = msd_benchmark()
@@ -161,11 +128,11 @@ def _demo_learn(ss: StateSpace, seed: int, tol: Tolerance, out: Path):
     traj, pe_seed = excited_run(ss, BENCH_ORDER, BENCH_COLUMNS, order, seed,
                                 seed + OFF_FILL, tol)
     save_trajectory(traj, out / "offline.csv")
-    model, reports = _learn_with_reports(traj, BENCH_SENSORS, BENCH_MAX_ATTACKED,
-                                         BENCH_ORDER, BENCH_COLUMNS, tol, pe_seed)
-    if model is None:
-        print("learning failed; rank reports:")
-        print(json.dumps(reports, indent=2, sort_keys=True))
+    try:
+        model = learn_model(traj, BENCH_SENSORS, BENCH_MAX_ATTACKED, BENCH_ORDER,
+                            BENCH_COLUMNS, tol, pe_seed)
+    except LearningError as exc:
+        print(f"learning failed: {exc}")
         return None
     save_learned_model(model, out / "model.json")
     return model
@@ -186,25 +153,15 @@ def demo_injection(seed: int, tol: Tolerance, out: Path) -> int:
     states, boot_y = simulate(ss, np.zeros(ss.state_dim), boot_u)
     monitor = injection_bootstrap(model, boot_u, boot_y, tol=tol)
 
-    test_rng = np.random.default_rng(seed + OFF_TEST)
-    x = states[:, -1]
-    u_cols, y_cols = [boot_u], [boot_y]
-    verdict = None
-    detection_steps = None
-    for k in range(n, n + INJECTION_STEP_BUDGET):
-        y_k = ss.C @ x
-        if k >= onset:
-            y_k = y_k.copy()
-            y_k[INJECTION_TARGET - 1] += signal(INJECTION_TARGET, k)
-        u_k = test_rng.uniform(-1.0, 1.0, model.m)
-        u_cols.append(u_k.reshape(-1, 1))
-        y_cols.append(y_k.reshape(-1, 1))
-        verdict = injection_step(monitor, u_k, y_k)
-        x = ss.A @ x + ss.B @ u_k
-        if not verdict.all_clear:
-            detection_steps = verdict.k - onset
-            break
-    online = Trajectory(np.hstack(u_cols), np.hstack(y_cols))
+    test_u = np.random.default_rng(seed + OFF_TEST).uniform(
+        -1.0, 1.0, (INJECTION_STEP_BUDGET, model.m)).T
+    _, test_y = simulate(ss, states[:, -1], test_u)
+    test = apply_attack(Trajectory(test_u, test_y, start_index=n), scenario)
+    verdict = run_injection(monitor, test.u, test.y)
+    consumed = verdict.k - n
+    detection_steps = None if verdict.all_clear else verdict.k - onset
+    online = Trajectory(np.hstack([boot_u, test.u[:, :consumed]]),
+                        np.hstack([boot_y, test.y[:, :consumed]]))
     save_trajectory(online, out / "online.csv")
     payload = {
         "mode": "injection",
@@ -295,8 +252,7 @@ def cmd_learn(args) -> int:
     if args.sensors is None:
         args.sensors = traj.output_dim
     try:
-        model, reports = _learn_with_reports(traj, args.sensors, args.max_attacked,
-                                             args.n, args.horizon, tol, None)
+        model = learn_model(traj, args.sensors, args.max_attacked, args.n, args.horizon, tol)
     except TrajectoryLengthError as exc:
         print(f"trajectory too short: {exc}", file=sys.stderr)
         return 1
@@ -306,11 +262,6 @@ def cmd_learn(args) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
-    if model is None:
-        failing = [r for r in reports if not r["holds"]]
-        print("rank certificate failed for subsets:", file=sys.stderr)
-        print(json.dumps(failing, indent=2, sort_keys=True), file=sys.stderr)
-        return 2
     save_learned_model(model, args.out)
     print(f"learned {len(model.predictors)} subset predictors -> {args.out}")
     return 0
@@ -331,13 +282,7 @@ def cmd_identify(args) -> int:
                 raise TrajectoryLengthError(stream.length, n + 1)
             monitor = injection_bootstrap(model, stream.u[:, :n], stream.y[:, :n],
                                           tol=tol)
-            verdict = None
-            for k in range(n, stream.length):
-                verdict = injection_step(monitor, stream.u[:, k], stream.y[:, k])
-                if not verdict.all_clear:
-                    break
-            if verdict is None:
-                raise TrajectoryLengthError(stream.length, n + 1)
+            verdict = run_injection(monitor, stream.u[:, n:], stream.y[:, n:])
         elif args.mode == "replay":
             verdict = identify_replay(stream, args.sensors or stream.output_dim,
                                       args.max_attacked, args.n, args.test_len, tol)
@@ -363,8 +308,7 @@ def cmd_check_pe(args) -> int:
     if length < args.order:
         print(f"fail: {length} samples cannot be exciting of order {args.order}")
         return 2
-    window = hankel(u, 0, args.order, length - args.order + 1)
-    observed = numerical_rank(window, tol)
+    observed = excitation_rank(u, args.order, tol)
     ok = observed == args.order * m
     print(f"{'pass' if ok else 'fail'}: order {args.order}, observed rank "
           f"{observed} of {args.order * m}")

@@ -94,14 +94,20 @@ def hankel(signal, start: int, depth: int, cols: int) -> np.ndarray:
     return np.vstack([sig[:, start + r: start + r + cols] for r in range(depth)])
 
 
+def excitation_rank(u, order: int, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Numerical rank of the depth-`order` Hankel of u (full rank: order * m).
+
+    Raises WindowError when u has fewer than `order` samples.
+    """
+    u_arr = as_matrix(u, "u")
+    return numerical_rank(hankel(u_arr, 0, order, u_arr.shape[1] - order + 1), tol)
+
+
 def is_persistently_exciting(u, order: int, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the depth-`order` Hankel of u has full row rank order * m."""
     u_arr = as_matrix(u, "u")
     m, length = u_arr.shape
-    if length < order:
-        return False
-    window = hankel(u_arr, 0, order, length - order + 1)
-    return numerical_rank(window, tol) == order * m
+    return length >= order and excitation_rank(u_arr, order, tol) == order * m
 
 
 @dataclass(frozen=True)

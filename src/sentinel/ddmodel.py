@@ -22,9 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .attacks import SensorSubset, enumerate_subsets
-from .datamat import SubsetDataMatrices, Trajectory, build_subset_matrices, hankel
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, numerical_rank
-from .plant import StateSpace
+from .datamat import SubsetDataMatrices, Trajectory, build_subset_matrices
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, numerical_rank, rank_cutoff
 
 
 @dataclass(frozen=True)
@@ -45,14 +44,17 @@ class RankReport:
 
 
 class LearningError(RuntimeError):
-    """Raised when data does not certify an exact predictor."""
+    """Raised when data does not certify an exact predictor.
 
-    def __init__(self, subset: SensorSubset, report: RankReport):
-        self.subset = subset
-        self.report = report
-        super().__init__(
-            f"subset {subset.indices}: data rank {report.observed} does not reach "
-            f"the certifying rank {report.required} (stacked rows: {report.rows})")
+    failures holds one (subset, report, reason) triple per failing subset;
+    subset and report name the first of them.
+    """
+
+    def __init__(self, failures):
+        self.failures = tuple(failures)
+        self.subset, self.report = self.failures[0][:2]
+        super().__init__("\n".join(
+            f"subset {subset.indices}: {reason}" for subset, _, reason in self.failures))
 
 
 def stacked_data(mats: SubsetDataMatrices) -> np.ndarray:
@@ -65,13 +67,15 @@ def certifying_rank(m: int, n: int) -> int:
     return m * (n + 1) + n
 
 
-def rank_condition(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL) -> RankReport:
-    """Rank certificate of the stacked data matrix for one subset."""
-    stacked = stacked_data(mats)
+def _rank_report(mats: SubsetDataMatrices, observed: int) -> RankReport:
     m, n, q = mats.input_dim, mats.order, mats.output_dim
-    observed = numerical_rank(stacked, tol)
     required = certifying_rank(m, n)
     return RankReport(observed, required, m * (n + 1) + q * n, observed == required)
+
+
+def rank_condition(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL) -> RankReport:
+    """Rank certificate of the stacked data matrix for one subset."""
+    return _rank_report(mats, numerical_rank(stacked_data(mats), tol))
 
 
 @dataclass(frozen=True)
@@ -93,18 +97,32 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL) -> Subs
 
     Uses the Moore-Penrose pseudo-inverse of the stacked data: with the
     certifying rank this is exact on everything the plant can produce and
-    unique over informative recordings. Raises LearningError (embedding the
-    rank report) when the certificate fails.
+    unique over informative recordings. One SVD gives both the rank report
+    and the pseudo-inverse, built as np.linalg.pinv builds it, so lam is
+    bit-identical to states_next @ pinv(stacked, rank_rel * max(shape)).
+    Raises LearningError (embedding the rank report) when the certificate
+    fails or the training misfit exceeds the residual slack.
     """
-    report = rank_condition(mats, tol)
-    if not report.holds:
-        raise LearningError(mats.subset, report)
     stacked = stacked_data(mats)
-    lam = mats.states_next @ np.linalg.pinv(stacked, rcond=tol.rank_rel * max(stacked.shape))
+    u, sigma, vt = np.linalg.svd(stacked, full_matrices=False)
+    large = sigma > rank_cutoff(sigma, stacked.shape, tol)
+    report = _rank_report(mats, int(np.sum(large)))
+    if not report.holds:
+        side = "above" if report.observed > report.required else "below"
+        raise LearningError([(mats.subset, report,
+                              f"rank certificate failed: data rank {report.observed} is "
+                              f"{side} the certifying rank {report.required} "
+                              f"(stacked rows: {report.rows})")])
+    inverse = np.divide(1, sigma, where=large, out=sigma)
+    inverse[~large] = 0
+    lam = mats.states_next @ (vt.T @ (inverse[:, None] * u.T))
     residual = float(np.max(np.abs(mats.states_next - lam @ stacked)))
-    scale = 1.0 + float(np.max(np.abs(mats.states_next)))
-    if residual > tol.residual_abs * scale:
-        raise LearningError(mats.subset, report)
+    slack = tol.residual_abs * (1.0 + float(np.max(np.abs(mats.states_next))))
+    if residual > slack:
+        raise LearningError([(mats.subset, report,
+                              f"data rank {report.observed} meets the certifying rank, "
+                              f"but the training misfit {residual:.3g} exceeds the "
+                              f"slack {slack:.3g}")])
     return SubsetPredictor(mats.subset, lam, residual, report)
 
 
@@ -141,14 +159,21 @@ class DataDrivenModel:
 def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
                 columns: int, tol: Tolerance = DEFAULT_TOL,
                 pe_seed: Optional[int] = None) -> DataDrivenModel:
-    """Learn predictors for every cardinality-(N - M) subset from one recording."""
+    """Learn predictors for every cardinality-(N - M) subset from one recording.
+
+    Every subset is tried; one LearningError lists all that fail.
+    """
     if traj.output_dim != n_sensors:
         raise ValueError(
             f"trajectory has {traj.output_dim} outputs, expected {n_sensors}")
-    predictors = []
+    predictors, failures = [], []
     for subset in enumerate_subsets(n_sensors, max_attacked):
-        mats = build_subset_matrices(traj, subset, n, columns)
-        predictors.append(learn_lambda(mats, tol))
+        try:
+            predictors.append(learn_lambda(build_subset_matrices(traj, subset, n, columns), tol))
+        except LearningError as exc:
+            failures += exc.failures
+    if failures:
+        raise LearningError(failures)
     return DataDrivenModel(tuple(predictors), n, traj.input_dim, n_sensors,
                            max_attacked, columns, pe_seed)
 
@@ -193,59 +218,3 @@ def load_learned_model(path) -> DataDrivenModel:
     return DataDrivenModel(predictors, int(payload["n"]), int(payload["m"]),
                            int(payload["N"]), int(payload["M"]), int(payload["T"]),
                            None if pe_seed is None else int(pe_seed))
-
-
-@dataclass(frozen=True)
-class RankOracleReport:
-    """Model-based factorization of one subset's output-Hankel rank.
-
-    The depth-n output Hankel factors through [obs_matrix, toeplitz] acting
-    on states and input histories, so its rank is bounded by
-    rank(obs_matrix) + rank(toeplitz). Used only in tests, where the plant
-    is known.
-    """
-
-    obs_matrix: np.ndarray
-    toeplitz: np.ndarray
-    rank_obs: int
-    rank_toeplitz: int
-    predicted_max_rank: int
-    observed_rank: int
-    bound_holds: bool
-
-
-def rank_obsv_oracle(ss: StateSpace, subset: SensorSubset, n: int, traj: Trajectory,
-                     columns: Optional[int] = None,
-                     tol: Tolerance = DEFAULT_TOL) -> RankOracleReport:
-    """Build the observability/Toeplitz factors of the depth-n output Hankel
-    and compare their rank sum against the rank observed in the data.
-
-    obs_matrix stacks C_sub A^i (i = 0..n-1); toeplitz block (i, l) is
-    C_sub A^{i-l-1} B for l < i and zero otherwise (first block row and
-    last block column are zero).
-    """
-    rows = [i - 1 for i in subset.indices]
-    c_sub = ss.C[rows, :]
-    q = len(rows)
-    if columns is None:
-        columns = traj.length - n
-    obs_blocks = []
-    row = c_sub
-    for _ in range(n):
-        obs_blocks.append(row)
-        row = row @ ss.A
-    obs_matrix = np.vstack(obs_blocks)
-    m = ss.input_dim
-    toeplitz = np.zeros((q * n, n * m))
-    markov = [c_sub @ np.linalg.matrix_power(ss.A, i) @ ss.B for i in range(max(n - 1, 0))]
-    for i in range(n):
-        for l in range(i):
-            toeplitz[i * q:(i + 1) * q, l * m:(l + 1) * m] = markov[i - l - 1]
-    z = traj.y[rows, :]
-    z_hankel = hankel(z, 0, n, columns)
-    rank_obs = numerical_rank(obs_matrix, tol)
-    rank_toe = numerical_rank(toeplitz, tol) if np.any(toeplitz) else 0
-    observed = numerical_rank(z_hankel, tol) if np.any(z_hankel) else 0
-    predicted = rank_obs + rank_toe
-    return RankOracleReport(obs_matrix, toeplitz, rank_obs, rank_toe,
-                            predicted, observed, observed <= predicted)

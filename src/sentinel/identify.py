@@ -28,7 +28,7 @@ from .datamat import (
     stack_history,
 )
 from .ddmodel import DataDrivenModel, predict, rank_condition
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector
 
 
 class NoResponseError(RuntimeError):
@@ -127,12 +127,8 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     if mon.terminal:
         raise RuntimeError("monitor is terminal; no further steps accepted")
     model = mon.model
-    u_vec = np.asarray(u_k, dtype=float).reshape(-1)
-    y_vec = np.asarray(y_new, dtype=float).reshape(-1)
-    if u_vec.size != model.m:
-        raise ValueError(f"u_k must have {model.m} entries, got {u_vec.size}")
-    if y_vec.size != model.n_sensors:
-        raise ValueError(f"y_new must have {model.n_sensors} entries, got {y_vec.size}")
+    u_vec = as_vector(u_k, model.m, "u_k")
+    y_vec = as_vector(y_new, model.n_sensors, "y_new")
     n, m = model.n, model.m
     scores = []
     observed_states = {}
@@ -161,6 +157,24 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
         mon.k += 1
     else:
         mon.terminal = True
+    return verdict
+
+
+def run_injection(mon: InjectionMonitor, u, y) -> IdentificationVerdict:
+    """Feed the columns of u (m x L) and y (N x L) to injection_step in order.
+
+    Stops at the first verdict that is not all-clear and returns it;
+    otherwise returns the verdict of the last column.
+    """
+    u_arr = as_matrix(u, "u")
+    y_arr = as_matrix(y, "y")
+    if u_arr.shape[1] != y_arr.shape[1]:
+        raise ValueError(
+            f"u and y must share the time axis, got {u_arr.shape[1]} vs {y_arr.shape[1]} columns")
+    for k in range(u_arr.shape[1]):
+        verdict = injection_step(mon, u_arr[:, k], y_arr[:, k])
+        if not verdict.all_clear:
+            break
     return verdict
 
 

@@ -11,18 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class RankDeficiencyError(ValueError):
-    """A matrix required to have full row rank does not have it."""
-
-    def __init__(self, observed: int, required: int, context: str = ""):
-        self.observed = observed
-        self.required = required
-        msg = f"rank deficiency: observed rank {observed}, required {required}"
-        if context:
-            msg = f"{context}: {msg}"
-        super().__init__(msg)
-
-
 @dataclass(frozen=True)
 class Tolerance:
     """Numeric thresholds used across the package.
@@ -64,7 +52,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if m.size == 0:
         raise ValueError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -74,32 +62,26 @@ def as_vector(a, dim: int, name: str = "vector") -> np.ndarray:
     v = np.asarray(a, dtype=float).reshape(-1)
     if v.shape[0] != dim:
         raise ValueError(f"{name} must have length {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
 
 def numerical_rank(mat, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above rank_rel * sigma_max * max(rows, cols)."""
+    """Number of singular values above rank_cutoff."""
     m = as_matrix(mat)
     sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma[0] == 0.0:
-        return 0
-    cutoff = tol.rank_rel * sigma[0] * max(m.shape)
-    return int(np.sum(sigma > cutoff))
+    return int(np.sum(sigma > rank_cutoff(sigma, m.shape, tol)))
 
 
-def pseudo_right_inverse(mat, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose right inverse R with mat @ R = I.
+def rank_cutoff(sigma, shape, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Singular-value cutoff rank_rel * max(rows, cols) * sigma_max.
 
-    Raises RankDeficiencyError when mat does not have full row rank at the
-    given tolerance (no right inverse exists then).
+    sigma is sorted descending, as an SVD returns it. The product is
+    formed in np.linalg.pinv's order (rcond first), so a rank read off
+    these singular values and a pseudo-inverse built from them agree.
     """
-    m = as_matrix(mat)
-    rank = numerical_rank(m, tol)
-    if rank < m.shape[0]:
-        raise RankDeficiencyError(rank, m.shape[0], "pseudo_right_inverse")
-    return np.linalg.pinv(m, rcond=tol.rank_rel * max(m.shape))
+    return tol.rank_rel * max(shape) * sigma[0]
 
 
 def matrix_exponential(mat) -> np.ndarray:
@@ -125,25 +107,3 @@ def matrix_exponential(mat) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
-
-
-def characteristic_polynomial(mat) -> np.ndarray:
-    """Monic characteristic polynomial coefficients a_0..a_{n-1}.
-
-    p(x) = x^n + a_{n-1} x^{n-1} + ... + a_0, computed with the
-    Faddeev-LeVerrier recursion (division-free except by integers), so the
-    result is deterministic and needs no eigendecomposition.
-    """
-    a = as_matrix(mat)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"characteristic_polynomial needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    work = a.copy()
-    coeffs[n - 1] = -np.trace(work)
-    eye = np.eye(n)
-    for k in range(2, n + 1):
-        work = a @ (work + coeffs[n - k + 1] * eye)
-        coeffs[n - k] = -np.trace(work) / k
-    return coeffs[:n]

@@ -1,9 +1,8 @@
 """LTI plant models: ZOH discretization, simulation, structural analysis.
 
 Also hosts the benchmark plant (three interconnected mass-spring-damper
-carts driven by a force on the first cart) and two model-equivalence
-oracles used throughout the tests: the lag-n input-output recursion of an
-observable/controllable plant and its stacked-history companion form.
+carts driven by a force on the first cart) and the seeded random-plant
+generator the tests and the benchmark share.
 
 Sensors are 1-based everywhere in the public API; each sensor is one row
 of C.
@@ -20,10 +19,23 @@ from .linalg import (
     Tolerance,
     as_matrix,
     as_vector,
-    characteristic_polynomial,
     matrix_exponential,
     numerical_rank,
 )
+
+
+def _freeze_abc(model) -> None:
+    """Validate a model's (A, B, C) and store read-only float copies."""
+    a = as_matrix(model.A, "A").copy()
+    b = as_matrix(model.B, "B").copy()
+    c = as_matrix(model.C, "C").copy()
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"A must be square, got {a.shape}")
+    if b.shape[0] != a.shape[0] or c.shape[1] != a.shape[0]:
+        raise ValueError("inconsistent state dimensions in (A, B, C)")
+    for name, arr in (("A", a), ("B", b), ("C", c)):
+        arr.setflags(write=False)
+        object.__setattr__(model, name, arr)
 
 
 @dataclass(frozen=True)
@@ -34,17 +46,7 @@ class ContinuousStateSpace:
     B: np.ndarray
     C: np.ndarray
 
-    def __post_init__(self):
-        a = as_matrix(self.A, "A").copy()
-        b = as_matrix(self.B, "B").copy()
-        c = as_matrix(self.C, "C").copy()
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"A must be square, got {a.shape}")
-        if b.shape[0] != a.shape[0] or c.shape[1] != a.shape[0]:
-            raise ValueError("inconsistent state dimensions in (A, B, C)")
-        for name, arr in (("A", a), ("B", b), ("C", c)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    __post_init__ = _freeze_abc
 
 
 @dataclass(frozen=True)
@@ -58,17 +60,7 @@ class StateSpace:
     B: np.ndarray
     C: np.ndarray
 
-    def __post_init__(self):
-        a = as_matrix(self.A, "A").copy()
-        b = as_matrix(self.B, "B").copy()
-        c = as_matrix(self.C, "C").copy()
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"A must be square, got {a.shape}")
-        if b.shape[0] != a.shape[0] or c.shape[1] != a.shape[0]:
-            raise ValueError("inconsistent state dimensions in (A, B, C)")
-        for name, arr in (("A", a), ("B", b), ("C", c)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    __post_init__ = _freeze_abc
 
     @property
     def state_dim(self) -> int:
@@ -188,23 +180,6 @@ def is_controllable(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     return numerical_rank(np.hstack(blocks), tol) == n
 
 
-def q_sensor_observable(ss: StateSpace, q: int,
-                        tol: Tolerance = DEFAULT_TOL) -> tuple[bool, list[tuple[int, ...]]]:
-    """Check observability of every cardinality-q sensor subset.
-
-    Returns (all_observable, failing_subsets) with subsets as sorted
-    1-based index tuples.
-    """
-    if not 0 < q <= ss.sensor_count:
-        raise ValueError(f"subset size {q} out of range 1..{ss.sensor_count}")
-    failing = []
-    for combo in itertools.combinations(range(1, ss.sensor_count + 1), q):
-        c_sub = ss.C[[i - 1 for i in combo], :]
-        if not is_observable(ss.A, c_sub, tol):
-            failing.append(combo)
-    return (len(failing) == 0, failing)
-
-
 def msd_benchmark() -> ContinuousStateSpace:
     """Three interconnected mass-spring-damper carts, force input on cart 1.
 
@@ -230,106 +205,6 @@ def msd_benchmark() -> ContinuousStateSpace:
         [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
     ])
     return ContinuousStateSpace(a, b, c)
-
-
-@dataclass(frozen=True)
-class ArxModel:
-    """Lag-n recursion equivalent to an observable/controllable plant.
-
-    With histories ordered oldest first, the recursion is
-
-        z[k] = sum_i out_coeffs[i] @ z[k-n+i] + in_coeffs[i] @ u[k-n+i]
-
-    for i = 0..n-1, where out_coeffs[i] = -a_i * I (a_i the characteristic
-    polynomial coefficients of A, a_n = 1) and
-    in_coeffs[i] = sum_{j=i+1..n} a_j * C A^{j-i-1} B.
-    """
-
-    order: int
-    output_dim: int
-    input_dim: int
-    out_coeffs: tuple
-    in_coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.out_coeffs) != self.order or len(self.in_coeffs) != self.order:
-            raise ValueError("coefficient count must equal the model order")
-        q, m = self.output_dim, self.input_dim
-        for blk in self.out_coeffs:
-            if blk.shape != (q, q):
-                raise ValueError(f"output coefficient blocks must be {q}x{q}")
-        for blk in self.in_coeffs:
-            if blk.shape != (q, m):
-                raise ValueError(f"input coefficient blocks must be {q}x{m}")
-
-
-@dataclass(frozen=True)
-class ExtendedStateSpace:
-    """Companion form of an ArxModel over the stacked-history state.
-
-    The state stacks z[k-n..k-1] then u[k-n..k-1] (oldest first, outputs
-    first). Rows are shifts except the newest-output row, which carries the
-    recursion coefficients; the input matrix is zero except for an identity
-    in the newest-input row.
-    """
-
-    A_ext: np.ndarray
-    B_ext: np.ndarray
-    order: int
-    output_dim: int
-    input_dim: int
-
-
-def ss_to_arx(ss: StateSpace, tol: Tolerance = DEFAULT_TOL) -> ArxModel:
-    """Equivalent lag-n recursion of an observable, controllable plant.
-
-    The output (stacked sensors of ss.C) must make (A, C) observable and
-    (A, B) controllable; otherwise a lag-n recursion need not exist and a
-    ValueError is raised.
-    """
-    if not is_observable(ss.A, ss.C, tol):
-        raise ValueError("ss_to_arx requires an observable (A, C) pair")
-    if not is_controllable(ss.A, ss.B, tol):
-        raise ValueError("ss_to_arx requires a controllable (A, B) pair")
-    n = ss.state_dim
-    q = ss.sensor_count
-    m = ss.input_dim
-    coeffs = characteristic_polynomial(ss.A)  # a_0..a_{n-1}, a_n = 1
-    eye_q = np.eye(q)
-    out_coeffs = tuple(-coeffs[i] * eye_q for i in range(n))
-    powers = [np.eye(n)]
-    for _ in range(n - 1):
-        powers.append(ss.A @ powers[-1])
-    in_coeffs = []
-    for i in range(n):
-        blk = np.zeros((q, m))
-        for j in range(i + 1, n + 1):
-            a_j = 1.0 if j == n else coeffs[j]
-            blk += a_j * (ss.C @ powers[j - i - 1] @ ss.B)
-        in_coeffs.append(blk)
-    return ArxModel(n, q, m, out_coeffs, tuple(in_coeffs))
-
-
-def extended_state_space(arx: ArxModel) -> ExtendedStateSpace:
-    """Assemble the companion form of the lag-n recursion."""
-    n, q, m = arx.order, arx.output_dim, arx.input_dim
-    dim = (q + m) * n
-    a_ext = np.zeros((dim, dim))
-    b_ext = np.zeros((dim, m))
-    # output-history shifts
-    for i in range(n - 1):
-        a_ext[i * q:(i + 1) * q, (i + 1) * q:(i + 2) * q] = np.eye(q)
-    # newest-output row: recursion over the full stacked history
-    row = slice((n - 1) * q, n * q)
-    for i in range(n):
-        a_ext[row, i * q:(i + 1) * q] = arx.out_coeffs[i]
-        a_ext[row, n * q + i * m: n * q + (i + 1) * m] = arx.in_coeffs[i]
-    # input-history shifts
-    for i in range(n - 1):
-        a_ext[n * q + i * m: n * q + (i + 1) * m,
-              n * q + (i + 1) * m: n * q + (i + 2) * m] = np.eye(m)
-    b_ext[n * q + (n - 1) * m:, :] = np.eye(m)
-    return ExtendedStateSpace(a_ext, b_ext, n, q, m)
 
 
 def save_state_space(ss: StateSpace, path) -> None:

@@ -49,14 +49,9 @@ from sentinel.identify import (
     injection_step,
 )
 from sentinel.linalg import DEFAULT_TOL
-from sentinel.plant import (
-    StateSpace,
-    extended_state_space,
-    random_test_system,
-    relative_degree,
-    simulate,
-    ss_to_arx,
-)
+from sentinel.plant import StateSpace, random_test_system, relative_degree, simulate
+
+from oracles import extended_state_space, ss_to_arx
 
 SEED = 7
 N_STATES = 6

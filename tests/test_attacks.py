@@ -10,12 +10,11 @@ from sentinel.attacks import (
     apply_attack,
     enumerate_subsets,
     load_scenario,
-    project_outputs,
     save_scenario,
     seeded_injection_signal,
 )
 from sentinel.datamat import Trajectory
-from sentinel.plant import StateSpace, discretize_zoh, msd_benchmark, relative_degree, simulate
+from sentinel.plant import discretize_zoh, msd_benchmark, relative_degree, simulate
 
 
 def benchmark_run(seed=7, length=30):
@@ -56,28 +55,6 @@ class TestEnumerateSubsets:
             enumerate_subsets(3, 3)
         with pytest.raises(ValueError):
             enumerate_subsets(3, -1)
-
-
-class TestProjectOutputs:
-    def test_full_subset_identity(self):
-        y = np.arange(12.0).reshape(3, 4)
-        out = project_outputs(y, SensorSubset(1, (1, 2, 3)))
-        np.testing.assert_array_equal(out, y)
-
-    def test_single_row(self):
-        y = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        np.testing.assert_array_equal(project_outputs(y, SensorSubset(1, (2,))), [[2.0, 2.0]])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            project_outputs(np.ones((2, 3)), SensorSubset(1, (3,)))
-
-    def test_commutes_with_simulation(self):
-        ss, traj = benchmark_run()
-        subset = SensorSubset(1, (1, 3))
-        stacked = StateSpace(ss.A, ss.B, np.asarray(ss.C)[[0, 2]])
-        _, z_direct = simulate(stacked, np.zeros(6), traj.u)
-        np.testing.assert_allclose(project_outputs(traj.y, subset), z_direct, atol=1e-14)
 
 
 class TestInjection:

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from sentinel.attacks import seeded_injection_signal
 from sentinel.cli import benchmark_plant, build_parser, main
 from sentinel.datamat import Trajectory, load_trajectory, save_trajectory
-from sentinel.plant import save_state_space
+from sentinel.ddmodel import load_learned_model
+from sentinel.identify import injection_bootstrap, injection_step
+from sentinel.plant import save_state_space, simulate
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +34,38 @@ class TestDemos:
         assert payload["detection_steps"] == 2
         assert payload["verdict"]["winners"] == [1]
         assert payload["verdict"]["attack_free_sensors"] == [1, 2]
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_injection_demo_matches_interleaved_loop(self, seed, tmp_path):
+        # the demo's seeded draws (offsets 202, 303, 404 of the seed), fed
+        # one sample at a time: measure, step the monitor, advance the plant
+        out = tmp_path / "demo"
+        assert main(["demo", "injection", "--seed", str(seed), "--out", str(out)]) == 0
+        ss, model = benchmark_plant(), load_learned_model(out / "model.json")
+        onset = 16
+        signal = seeded_injection_signal(seed + 404, onset)
+        boot_u = np.random.default_rng(seed + 202).uniform(-1.0, 1.0, (1, 6))
+        states, boot_y = simulate(ss, np.zeros(6), boot_u)
+        monitor = injection_bootstrap(model, boot_u, boot_y)
+        rng, x = np.random.default_rng(seed + 303), states[:, -1]
+        u_cols, y_cols, detection_steps = [boot_u], [boot_y], None
+        for k in range(6, 46):
+            y_k = ss.C @ x
+            if k >= onset:
+                y_k[2] += signal(3, k)
+            u_k = rng.uniform(-1.0, 1.0, 1)
+            u_cols.append(u_k.reshape(-1, 1))
+            y_cols.append(y_k.reshape(-1, 1))
+            verdict = injection_step(monitor, u_k, y_k)
+            x = ss.A @ x + ss.B @ u_k
+            if not verdict.all_clear:
+                detection_steps = verdict.k - onset
+                break
+        save_trajectory(Trajectory(np.hstack(u_cols), np.hstack(y_cols)), tmp_path / "loop.csv")
+        assert (out / "online.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        payload = json.loads((out / "verdict.json").read_text())
+        assert payload["detection_steps"] == detection_steps
+        assert payload["verdict"]["winners"] == list(verdict.winners)
 
     def test_delay_demo(self, tmp_path):
         assert main(["demo", "delay", "--seed", "7", "--out", str(tmp_path)]) == 0

@@ -8,6 +8,7 @@ from sentinel.datamat import (
     TrajectoryLengthError,
     WindowError,
     build_subset_matrices,
+    excitation_rank,
     generate_pe_input,
     hankel,
     is_persistently_exciting,
@@ -76,6 +77,13 @@ class TestPersistencyOfExcitation:
     def test_seeded_signal_passes(self):
         u = np.random.default_rng(4).uniform(-1, 1, (1, 50))
         assert is_persistently_exciting(u, 5)
+
+    def test_excitation_rank_counts_hankel_rank(self):
+        assert excitation_rank(np.ones((1, 30)), 2) == 1
+        assert excitation_rank(np.zeros((1, 30)), 3) == 0
+        assert excitation_rank(np.random.default_rng(4).uniform(-1, 1, (2, 50)), 5) == 10
+        with pytest.raises(WindowError):
+            excitation_rank(np.ones((1, 3)), 4)
 
     def test_monotonic_in_order(self):
         for i in range(10):

@@ -11,18 +11,12 @@ from sentinel.ddmodel import (
     load_learned_model,
     predict,
     rank_condition,
-    rank_obsv_oracle,
     save_learned_model,
 )
-from sentinel.plant import (
-    StateSpace,
-    discretize_zoh,
-    extended_state_space,
-    msd_benchmark,
-    random_test_system,
-    simulate,
-    ss_to_arx,
-)
+from sentinel.linalg import DEFAULT_TOL, Tolerance
+from sentinel.plant import StateSpace, discretize_zoh, msd_benchmark, random_test_system, simulate
+
+from oracles import extended_state_space, rank_obsv_oracle, ss_to_arx
 
 
 def benchmark_plant():
@@ -109,6 +103,25 @@ class TestLearnLambda:
             learn_lambda(mats)
         assert err.value.report.observed == 0
         assert err.value.subset.indices == (1, 2)
+
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4"])
+    def test_one_svd_matches_pinv_and_rank_condition(self, plant):
+        if plant == "benchmark":
+            _, traj = excited_benchmark_run()
+            n_sensors, max_attacked, columns = 3, 1, 41
+        else:
+            n_sensors, max_attacked, columns = 10, 4, 86
+            ss = random_test_system(np.random.default_rng(0), 6, 1, n_sensors, 6)
+            sig = generate_pe_input(1, columns, 43, 3)
+            u = np.hstack([np.full((1, 6), 0.5), sig.u, np.full((1, 1), -0.5)])
+            traj = Trajectory(u, simulate(ss, np.zeros(6), u)[1])
+        for subset in enumerate_subsets(n_sensors, max_attacked):
+            mats = build_subset_matrices(traj, subset, 6, columns)
+            stacked = np.vstack([mats.u_now, mats.states])
+            entry = learn_lambda(mats)
+            pinv = np.linalg.pinv(stacked, rcond=DEFAULT_TOL.rank_rel * max(stacked.shape))
+            assert np.array_equal(entry.lam, mats.states_next @ pinv)
+            assert entry.report == rank_condition(mats)
 
     def test_benchmark_fit_and_validation(self):
         ss, traj = excited_benchmark_run()
@@ -198,6 +211,32 @@ class TestLearnModel:
         assert len(model.predictors) == 3
         assert all(entry.report.holds for entry in model.predictors)
         assert model.pe_seed == 7
+
+    def test_zero_input_error_lists_every_subset_below_rank(self):
+        traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
+        with pytest.raises(LearningError) as err:
+            learn_model(traj, 3, 1, 6, 41)
+        assert [s.indices for s, _, _ in err.value.failures] == [(1, 2), (1, 3), (2, 3)]
+        assert err.value.subset.indices == (1, 2) and err.value.report.observed == 0
+        assert str(err.value).count("data rank 0 is below the certifying rank 13") == 3
+
+    def test_output_noise_error_says_rank_is_above(self):
+        _, traj = excited_benchmark_run()
+        noise = 1e-8 * np.random.default_rng(0).standard_normal(traj.y.shape)
+        with pytest.raises(LearningError) as err:
+            learn_model(Trajectory(traj.u, traj.y + noise), 3, 1, 6, 41)
+        assert err.value.report.observed == 19
+        for subset, report, _ in err.value.failures:
+            assert report.observed > report.required == 13
+            assert f"subset {subset.indices}: rank certificate failed: data rank " \
+                f"{report.observed} is above the certifying rank 13" in str(err.value)
+
+    def test_misfit_error_says_rank_holds(self):
+        _, traj = excited_benchmark_run()
+        with pytest.raises(LearningError) as err:
+            learn_model(traj, 3, 1, 6, 41, tol=Tolerance(residual_abs=1e-30))
+        assert len(err.value.failures) == 3 and err.value.report.holds
+        assert str(err.value).count("meets the certifying rank, but the training misfit") == 3
 
     def test_sensor_count_mismatch(self):
         _, traj = excited_benchmark_run()

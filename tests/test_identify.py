@@ -16,6 +16,7 @@ from sentinel.identify import (
     identify_replay,
     injection_bootstrap,
     injection_step,
+    run_injection,
     verdict_to_dict,
 )
 from sentinel.plant import (
@@ -171,6 +172,57 @@ class TestInjectionStep:
             injection_step(monitor, [0.1, 0.2], ss.C @ x)
         with pytest.raises(ValueError):
             injection_step(monitor, [0.1], np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channel", ["u_k", "y_new"])
+    def test_non_finite_sample_rejected_without_advancing(self, bad, channel):
+        ss, model = benchmark_model()
+        monitor, x = online_setup(ss, model)
+        u_k, y_k = np.array([0.2]), ss.C @ x
+        if channel == "u_k":
+            u_k[0] = bad
+        else:
+            y_k[0] = bad
+        states = {j: v.copy() for j, v in monitor.states.items()}
+        with pytest.raises(ValueError, match=channel):
+            injection_step(monitor, u_k, y_k)
+        assert not monitor.terminal and monitor.k == 6
+        for j, state in monitor.states.items():
+            np.testing.assert_array_equal(state, states[j])
+
+
+def closed_loop_stream(ss, x, steps, seed, attack_at=None):
+    """Online samples from state x, with sensor 3 offset by 0.9 from attack_at on."""
+    u = np.random.default_rng(seed).uniform(-1, 1, (1, steps))
+    _, y = simulate(ss, x, u)
+    if attack_at is not None:
+        y[2, attack_at:] += 0.9
+    return u, y
+
+
+class TestRunInjection:
+    @pytest.mark.parametrize("attack_at", [None, 7])
+    def test_matches_explicit_step_loop(self, attack_at):
+        ss, model = benchmark_model()
+        u, y = closed_loop_stream(ss, online_setup(ss, model)[1], 20, 5, attack_at)
+        explicit, _ = online_setup(ss, model)
+        for k in range(u.shape[1]):
+            expected = injection_step(explicit, u[:, k], y[:, k])
+            if not expected.all_clear:
+                break
+        looped, _ = online_setup(ss, model)
+        verdict = run_injection(looped, u, y)
+        assert verdict == expected
+        assert looped.k == explicit.k and looped.terminal == explicit.terminal
+        assert verdict.all_clear == (attack_at is None)
+
+    def test_mismatched_lengths_rejected(self):
+        ss, model = benchmark_model()
+        monitor, x = online_setup(ss, model)
+        u, y = closed_loop_stream(ss, x, 5, 5)
+        with pytest.raises(ValueError):
+            run_injection(monitor, u[:, :4], y)
+        assert monitor.k == 6 and not monitor.terminal
 
 
 class TestIdentifyReplay:

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from sentinel.linalg import (
-    DEFAULT_TOL,
-    RankDeficiencyError,
-    Tolerance,
-    characteristic_polynomial,
-    matrix_exponential,
-    numerical_rank,
-    pseudo_right_inverse,
-)
+from sentinel.linalg import Tolerance, matrix_exponential, numerical_rank
 from sentinel.plant import msd_benchmark
+
+from oracles import characteristic_polynomial
 
 
 def taylor_expm(m, terms=60):
@@ -61,36 +55,6 @@ class TestNumericalRank:
             assert numerical_rank(m[perm]) == r
             scale = rng.uniform(0.1, 10.0) * (1 if rng.uniform() < 0.5 else -1)
             assert numerical_rank(scale * m) == r
-
-
-class TestPseudoRightInverse:
-    def test_identity(self):
-        np.testing.assert_allclose(pseudo_right_inverse(np.eye(2)), np.eye(2), atol=1e-12)
-
-    def test_diagonal(self):
-        r = pseudo_right_inverse(np.diag([2.0, 4.0]))
-        np.testing.assert_allclose(r, np.diag([0.5, 0.25]), atol=1e-12)
-
-    def test_wide_full_row_rank(self):
-        m = np.random.default_rng(3).uniform(-1, 1, (3, 7))
-        r = pseudo_right_inverse(m)
-        assert np.max(np.abs(m @ r - np.eye(3))) < 1e-10
-
-    def test_rank_deficient_raises_with_ranks(self):
-        with pytest.raises(RankDeficiencyError) as err:
-            pseudo_right_inverse([[1.0, 2.0], [2.0, 4.0]])
-        assert err.value.observed == 1
-        assert err.value.required == 2
-
-    def test_full_row_rank_property(self):
-        rng = np.random.default_rng(20)
-        for _ in range(20):
-            rows = int(rng.integers(1, 5))
-            cols = rows + int(rng.integers(0, 5))
-            m = rng.uniform(-1, 1, (rows, cols))
-            assert numerical_rank(m) == rows
-            r = pseudo_right_inverse(m)
-            assert np.max(np.abs(m @ r - np.eye(rows))) < DEFAULT_TOL.residual_abs
 
 
 class TestMatrixExponential:

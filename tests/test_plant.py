@@ -5,23 +5,21 @@ import pytest
 
 from sentinel.linalg import DEFAULT_TOL
 from sentinel.plant import (
-    ArxModel,
     ContinuousStateSpace,
     StateSpace,
     discretize_zoh,
-    extended_state_space,
     is_controllable,
     is_observable,
     load_state_space,
     msd_benchmark,
-    q_sensor_observable,
     random_test_system,
     relative_degree,
     save_state_space,
     simulate,
     spectral_radius,
-    ss_to_arx,
 )
+
+from oracles import ArxModel, extended_state_space, ss_to_arx
 
 
 def benchmark_dt(scale_c=1.0):
@@ -164,28 +162,6 @@ class TestStructuralChecks:
         assert not is_controllable(np.eye(2), np.zeros((2, 1)))
         ss = benchmark_dt()
         assert is_controllable(ss.A, ss.B)
-
-    def test_q_sensor_observable_benchmark(self):
-        ok, failing = q_sensor_observable(benchmark_dt(), 2)
-        assert ok and failing == []
-
-    def test_q_sensor_observable_duplicate_sensor(self):
-        # shift chain observable only from the head; sensors 1 and 2 both
-        # read the tail, so the pair {1, 2} cannot reconstruct the state
-        a = np.diag([1.0, 1.0, 1.0], k=1)
-        c = np.array([[0.0, 0.0, 0.0, 1.0],
-                      [0.0, 0.0, 0.0, 1.0],
-                      [1.0, 0.0, 0.0, 0.0]])
-        ss = StateSpace(a, np.ones((4, 1)), c)
-        ok, failing = q_sensor_observable(ss, 2)
-        assert not ok
-        assert (1, 2) in failing
-        assert (1, 3) not in failing and (2, 3) not in failing
-
-    def test_q_equals_n_degenerates_to_full_check(self):
-        ss = benchmark_dt()
-        ok, failing = q_sensor_observable(ss, 3)
-        assert ok == is_observable(ss.A, ss.C) and failing == []
 
 
 class TestBenchmarkBuilder:
@@ -347,5 +323,5 @@ class TestRandomTestSystem:
         np.testing.assert_array_equal(ss1.A, ss2.A)
         assert spectral_radius(ss1.A) <= 0.95 + 1e-12
         assert is_controllable(ss1.A, ss1.B)
-        ok, _ = q_sensor_observable(ss1, 2)
-        assert ok
+        for combo in itertools.combinations(range(3), 2):
+            assert is_observable(ss1.A, np.asarray(ss1.C)[list(combo)])
