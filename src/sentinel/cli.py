@@ -303,6 +303,9 @@ def cmd_check_pe(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 1
+    if args.order < 1:
+        print(f"excitation order must be positive, got {args.order}", file=sys.stderr)
+        return 1
     u = traj.u
     m, length = u.shape
     if length < args.order:

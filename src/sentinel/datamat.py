@@ -224,7 +224,9 @@ def load_trajectory(path) -> Trajectory:
     """Read a trajectory written by save_trajectory."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("trajectory file is empty")
         m = sum(1 for name in header if name.startswith("u_"))
         p = sum(1 for name in header if name.startswith("y_"))
         if header[0] != "k" or m == 0 or p == 0 or len(header) != 1 + m + p:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .attacks import SensorSubset, enumerate_subsets
 from .datamat import SubsetDataMatrices, Trajectory, build_subset_matrices
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, numerical_rank, rank_cutoff
+from .linalg import DEFAULT_TOL, Tolerance, numerical_rank, rank_cutoff
 
 
 @dataclass(frozen=True)
@@ -127,19 +127,30 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL) -> Subs
 
 
 def predict(lam, u_k, state) -> np.ndarray:
-    """One-step prediction: lam @ [u_k; state]."""
-    lam_arr = as_matrix(lam, "lam")
+    """One-step prediction lam @ [u_k; state] for one predictor (d x (d+m))
+    and history (d), or a stack of S of each, sharing u_k. Only shapes are
+    checked: DataDrivenModel checks its lambdas once, when it is built.
+    """
+    lam_arr = np.asarray(lam, dtype=float)
     u_vec = np.asarray(u_k, dtype=float).reshape(-1)
-    x_vec = np.asarray(state, dtype=float).reshape(-1)
-    if u_vec.size + x_vec.size != lam_arr.shape[1]:
-        raise ValueError(
-            f"predictor expects {lam_arr.shape[1]} entries, got {u_vec.size + x_vec.size}")
-    return lam_arr @ np.concatenate([u_vec, x_vec])
+    x = np.asarray(state, dtype=float)
+    if (x.ndim < 1 or lam_arr.ndim != x.ndim + 1 or lam_arr.shape[:-2] != x.shape[:-1]
+            or lam_arr.shape[-1] != u_vec.size + x.shape[-1]):
+        raise ValueError(f"predictor of shape {lam_arr.shape} cannot take an input of "
+                         f"length {u_vec.size} and a history of shape {x.shape}")
+    regressor = np.concatenate([np.broadcast_to(u_vec, x.shape[:-1] + u_vec.shape), x],
+                               axis=-1)
+    return np.matmul(lam_arr, regressor[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
 class DataDrivenModel:
-    """Per-subset predictors plus the learning metadata."""
+    """Per-subset predictors plus the learning metadata.
+
+    The predictors belong to enumerate_subsets(N, M), in order, and each
+    lam is a finite d x (d + m) matrix, d = (N - M + m) n; otherwise a
+    ValueError names the first subset that breaks this.
+    """
 
     predictors: tuple[SubsetPredictor, ...]
     n: int
@@ -148,6 +159,21 @@ class DataDrivenModel:
     max_attacked: int
     columns: int
     pe_seed: Optional[int] = None
+
+    def __post_init__(self):
+        expected = enumerate_subsets(self.n_sensors, self.max_attacked)
+        if len(self.predictors) != len(expected):
+            raise ValueError(f"model holds {len(self.predictors)} subsets, N={self.n_sensors} "
+                             f"and M={self.max_attacked} give {len(expected)}")
+        d = (self.n_sensors - self.max_attacked + self.m) * self.n
+        for entry, subset in zip(self.predictors, expected):
+            if entry.subset != subset:
+                raise ValueError(f"subset id {entry.subset.id} lists sensors "
+                                 f"{list(entry.subset.indices)}, expected id {subset.id} "
+                                 f"with sensors {list(subset.indices)}")
+            if np.shape(entry.lam) != (d, d + self.m) or not np.isfinite(entry.lam).all():
+                raise ValueError(f"subset id {subset.id}: lambda must be a finite "
+                                 f"{d} x {d + self.m} matrix")
 
     def predictor(self, subset_id: int) -> SubsetPredictor:
         for entry in self.predictors:
@@ -203,18 +229,20 @@ def save_learned_model(model: DataDrivenModel, path) -> None:
 
 
 def load_learned_model(path) -> DataDrivenModel:
-    """Read a learned model written by save_learned_model."""
+    """Read a learned model written by save_learned_model; a file that
+    breaks DataDrivenModel's conditions raises ValueError naming the subset.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    predictors = tuple(
-        SubsetPredictor(
-            SensorSubset(int(entry["id"]), tuple(int(i) for i in entry["indices"])),
-            np.array(entry["lambda"], dtype=float),
-            float(entry["residual"]),
-        )
-        for entry in payload["subsets"]
-    )
+    predictors = []
+    for entry in payload["subsets"]:
+        subset = SensorSubset(int(entry["id"]), tuple(int(i) for i in entry["indices"]))
+        try:
+            lam = np.array(entry["lambda"], dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"subset id {subset.id}: lambda is not a matrix") from exc
+        predictors.append(SubsetPredictor(subset, lam, float(entry["residual"])))
     pe_seed = payload.get("pe_seed")
-    return DataDrivenModel(predictors, int(payload["n"]), int(payload["m"]),
+    return DataDrivenModel(tuple(predictors), int(payload["n"]), int(payload["m"]),
                            int(payload["N"]), int(payload["M"]), int(payload["T"]),
                            None if pe_seed is None else int(pe_seed))

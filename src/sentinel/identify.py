@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attacks import enumerate_subsets
+from .attacks import SensorSubset, enumerate_subsets
 from .datamat import (
     ExcitationError,
     Trajectory,
@@ -76,15 +76,18 @@ def _verdict(k: int, mode: str, scores: list[SubsetScore],
 class InjectionMonitor:
     """Moving-horizon state of the injection detector.
 
-    Holds one stacked history vector per subset, all derived from the same
-    input/output window. The monitor only advances on all-clear steps; the
-    first non-clear verdict is terminal and freezes the histories. The
-    bootstrap window must be attack-free; behavior under an attacked
-    bootstrap is undefined.
+    history is the stack_history vector of all N sensors; history[index[j]]
+    is that of subsets[j], whose predictor is lam[j] (lam is S x d x (d+m)).
+    The monitor only advances on all-clear steps; the first non-clear
+    verdict is terminal and freezes the history. The bootstrap window must
+    be attack-free; behavior under an attacked bootstrap is undefined.
     """
 
     model: DataDrivenModel
-    states: dict
+    subsets: tuple[SensorSubset, ...]
+    lam: np.ndarray
+    history: np.ndarray
+    index: np.ndarray
     k: int
     tol: Tolerance = field(default_factory=lambda: DEFAULT_TOL)
     terminal: bool = False
@@ -93,7 +96,7 @@ class InjectionMonitor:
 def injection_bootstrap(model: DataDrivenModel, u_history, y_history,
                         k: Optional[int] = None,
                         tol: Tolerance = DEFAULT_TOL) -> InjectionMonitor:
-    """Build per-subset history states from n attack-free samples.
+    """Build the monitor state from n attack-free samples.
 
     u_history is m x n and y_history N x n, columns oldest first; k tags
     the time at which the monitor starts (defaults to n, i.e. histories
@@ -101,17 +104,20 @@ def injection_bootstrap(model: DataDrivenModel, u_history, y_history,
     """
     u_hist = as_matrix(u_history, "u_history")
     y_hist = as_matrix(y_history, "y_history")
-    n = model.n
-    if u_hist.shape != (model.m, n):
-        raise ValueError(f"u_history must be {model.m} x {n}, got {u_hist.shape}")
-    if y_hist.shape != (model.n_sensors, n):
-        raise ValueError(
-            f"y_history must be {model.n_sensors} x {n}, got {y_hist.shape}")
-    states = {}
-    for entry in model.predictors:
-        z_hist = y_hist[[i - 1 for i in entry.subset.indices], :]
-        states[entry.subset.id] = stack_history(z_hist, u_hist)
-    return InjectionMonitor(model, states, n if k is None else k, tol)
+    n, m, n_sensors = model.n, model.m, model.n_sensors
+    if u_hist.shape != (m, n):
+        raise ValueError(f"u_history must be {m} x {n}, got {u_hist.shape}")
+    if y_hist.shape != (n_sensors, n):
+        raise ValueError(f"y_history must be {n_sensors} x {n}, got {y_hist.shape}")
+    subsets = tuple(entry.subset for entry in model.predictors)
+    lam = np.stack([entry.lam for entry in model.predictors])
+    # time-major: sample t of sensor i sits at t * N + i - 1, inputs follow
+    steps = n_sensors * np.arange(n)[:, None]
+    inputs = n_sensors * n + np.arange(n * m)
+    index = np.array([np.concatenate([(steps + np.array(s.indices) - 1).reshape(-1), inputs])
+                      for s in subsets])
+    return InjectionMonitor(model, subsets, lam, stack_history(y_hist, u_hist), index,
+                            n if k is None else k, tol)
 
 
 def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
@@ -121,39 +127,32 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     received measurement is shifted in to form the observed history; the
     score is the 2-norm of their difference. Candidates within
     residual_abs + residual_rel * ||observed|| of the smallest score win.
-    On all-clear the observed histories become the new monitor state;
-    otherwise the verdict is terminal and the monitor freezes.
+    On all-clear the shifted history becomes the new monitor state;
+    otherwise the verdict is terminal and the monitor freezes. All subsets
+    are scored at once: one gather, one stacked product, one shift.
     """
     if mon.terminal:
         raise RuntimeError("monitor is terminal; no further steps accepted")
     model = mon.model
     u_vec = as_vector(u_k, model.m, "u_k")
     y_vec = as_vector(y_new, model.n_sensors, "y_new")
-    n, m = model.n, model.m
-    scores = []
-    observed_states = {}
-    slack = {}
-    for entry in model.predictors:
-        subset = entry.subset
-        q = subset.size
-        state = mon.states[subset.id]
-        predicted = predict(entry.lam, u_vec, state)
-        observed = np.empty_like(state)
-        # shift the output block and append the newest subset measurement
-        observed[: (n - 1) * q] = state[q: n * q]
-        observed[(n - 1) * q: n * q] = y_vec[[i - 1 for i in subset.indices]]
-        observed[n * q: n * q + (n - 1) * m] = state[n * q + m:]
-        observed[n * q + (n - 1) * m:] = u_vec
-        residual = float(np.linalg.norm(observed - predicted))
-        scores.append(SubsetScore(subset.id, subset.indices, residual))
-        observed_states[subset.id] = observed
-        slack[subset.id] = mon.tol.residual_abs + mon.tol.residual_rel * float(
-            np.linalg.norm(observed))
-    best = min(s.value for s in scores)
-    winner_ids = [s.id for s in scores if s.value <= best + slack[s.id]]
+    n_sensors, outputs = model.n_sensors, model.n_sensors * model.n
+    history = mon.history
+    predicted = predict(mon.lam, u_vec, history[mon.index])
+    shifted = np.concatenate([history[n_sensors:outputs], y_vec,
+                              history[outputs + model.m:], u_vec])
+    observed = shifted[mon.index]
+    # row norms as one dot product per row: bit-equal to np.linalg.norm of a row
+    rows = np.stack([observed - predicted, observed])[..., None]
+    residuals, norms = np.sqrt(np.swapaxes(rows, -1, -2) @ rows)[..., 0, 0]
+    slack = mon.tol.residual_abs + mon.tol.residual_rel * norms
+    wins = residuals <= residuals.min() + slack
+    scores = [SubsetScore(s.id, s.indices, value)
+              for s, value in zip(mon.subsets, residuals.tolist())]
+    winner_ids = [s.id for s, won in zip(mon.subsets, wins.tolist()) if won]
     verdict = _verdict(mon.k + 1, "injection", scores, winner_ids)
     if verdict.all_clear:
-        mon.states = observed_states
+        mon.history = shifted
         mon.k += 1
     else:
         mon.terminal = True
@@ -216,9 +215,9 @@ def first_response(signal, tol: Tolerance = DEFAULT_TOL) -> Optional[int]:
 
     The cutoff is nonzero_rel times the signal's own peak over k >= 1
     (floored by nonzero_abs), making the answer invariant to input and
-    output scaling.
+    output scaling. Non-finite samples raise ValueError.
     """
-    values = np.abs(np.asarray(signal, dtype=float).reshape(-1))
+    values = np.abs(as_vector(signal, np.size(signal), "signal"))
     if values.size < 2:
         return None
     peak = float(values[1:].max())

@@ -9,17 +9,23 @@ plant's (A, B, C), which the data-driven pipeline never sees.
 * ExtendedStateSpace / extended_state_space: its stacked-history
   companion form, the generator a learned predictor must reproduce;
 * RankOracleReport / rank_obsv_oracle: the observability/Toeplitz
-  factorization that bounds a subset's output-Hankel rank.
+  factorization that bounds a subset's output-Hankel rank;
+* ReferenceMonitor / reference_injection_bootstrap /
+  reference_injection_step: the injection monitor written one subset at a
+  time, which the package's batched step must match bit for bit. It needs
+  no plant, only the learned model.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from sentinel.attacks import SensorSubset
-from sentinel.datamat import Trajectory, hankel
-from sentinel.linalg import DEFAULT_TOL, Tolerance, as_matrix, numerical_rank
+from sentinel.datamat import Trajectory, hankel, stack_history
+from sentinel.ddmodel import DataDrivenModel
+from sentinel.identify import IdentificationVerdict, SubsetScore, _verdict
+from sentinel.linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, numerical_rank
 from sentinel.plant import StateSpace, is_controllable, is_observable
 
 
@@ -199,3 +205,65 @@ def rank_obsv_oracle(ss: StateSpace, subset: SensorSubset, n: int, traj: Traject
     predicted = rank_obs + rank_toe
     return RankOracleReport(obs_matrix, toeplitz, rank_obs, rank_toe,
                             predicted, observed, observed <= predicted)
+
+
+@dataclass
+class ReferenceMonitor:
+    """Per-subset injection monitor state: one stacked history per subset id."""
+
+    model: DataDrivenModel
+    states: dict
+    k: int
+    tol: Tolerance = field(default_factory=lambda: DEFAULT_TOL)
+    terminal: bool = False
+
+
+def reference_injection_bootstrap(model: DataDrivenModel, u_history, y_history,
+                                  tol: Tolerance = DEFAULT_TOL) -> ReferenceMonitor:
+    """One stack_history vector per subset from n attack-free samples."""
+    u_hist = as_matrix(u_history, "u_history")
+    y_hist = as_matrix(y_history, "y_history")
+    states = {}
+    for entry in model.predictors:
+        z_hist = y_hist[[i - 1 for i in entry.subset.indices], :]
+        states[entry.subset.id] = stack_history(z_hist, u_hist)
+    return ReferenceMonitor(model, states, model.n, tol)
+
+
+def reference_injection_step(mon: ReferenceMonitor, u_k, y_new) -> IdentificationVerdict:
+    """The injection step subset by subset: lam @ [u_k; state] and a
+    hand-written shift of each subset's history."""
+    if mon.terminal:
+        raise RuntimeError("monitor is terminal; no further steps accepted")
+    model = mon.model
+    u_vec = as_vector(u_k, model.m, "u_k")
+    y_vec = as_vector(y_new, model.n_sensors, "y_new")
+    n, m = model.n, model.m
+    scores = []
+    observed_states = {}
+    slack = {}
+    for entry in model.predictors:
+        subset = entry.subset
+        q = len(subset.indices)
+        state = mon.states[subset.id]
+        predicted = as_matrix(entry.lam, "lam") @ np.concatenate([u_vec, state])
+        observed = np.empty_like(state)
+        # shift the output block and append the newest subset measurement
+        observed[: (n - 1) * q] = state[q: n * q]
+        observed[(n - 1) * q: n * q] = y_vec[[i - 1 for i in subset.indices]]
+        observed[n * q: n * q + (n - 1) * m] = state[n * q + m:]
+        observed[n * q + (n - 1) * m:] = u_vec
+        residual = float(np.linalg.norm(observed - predicted))
+        scores.append(SubsetScore(subset.id, subset.indices, residual))
+        observed_states[subset.id] = observed
+        slack[subset.id] = mon.tol.residual_abs + mon.tol.residual_rel * float(
+            np.linalg.norm(observed))
+    best = min(s.value for s in scores)
+    winner_ids = [s.id for s in scores if s.value <= best + slack[s.id]]
+    verdict = _verdict(mon.k + 1, "injection", scores, winner_ids)
+    if verdict.all_clear:
+        mon.states = observed_states
+        mon.k += 1
+    else:
+        mon.terminal = True
+    return verdict

@@ -124,6 +124,26 @@ class TestIdentify:
         assert payload["winners"] == [1]
         assert payload["all_clear"] is False
 
+    @pytest.mark.parametrize("tamper", ["indices", "truncated", "nan"])
+    def test_inconsistent_model_is_precondition_failure(self, injection_demo, tmp_path,
+                                                        capsys, tamper):
+        payload = json.loads((injection_demo / "model.json").read_text())
+        entry = payload["subsets"][0]
+        if tamper == "indices":
+            entry["indices"] = [2, 3]
+        elif tamper == "truncated":
+            entry["lambda"] = entry["lambda"][:-1]
+        else:
+            entry["lambda"][3][5] = float("nan")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        code = main(["identify", "injection", str(injection_demo / "online.csv"),
+                     "--model", str(model)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "subset id 1" in captured.err
+
     def test_injection_requires_model(self, injection_demo):
         assert main(["identify", "injection", str(injection_demo / "online.csv")]) == 1
 
@@ -174,11 +194,30 @@ class TestCheckPE:
         assert main(["check-pe", str(path), "--order", "2"]) == 2
         assert "fail" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("order", ["0", "-2"])
+    def test_non_positive_order_is_usage_error(self, injection_demo, capsys, order):
+        assert main(["check-pe", str(injection_demo / "offline.csv"), "--order", order]) == 1
+        assert "order must be positive" in capsys.readouterr().err
+
     def test_order_one_nonzero_passes(self, tmp_path):
         traj = Trajectory(np.ones((1, 30)), np.zeros((2, 30)))
         path = tmp_path / "const.csv"
         save_trajectory(traj, path)
         assert main(["check-pe", str(path), "--order", "1"]) == 0
+
+
+class TestEmptyTrajectoryFile:
+    @pytest.mark.parametrize("argv", [
+        ["learn", "{csv}", "--n", "6", "--max-attacked", "1", "--horizon", "41",
+         "--out", "{dir}/m.json"],
+        ["identify", "delay", "{csv}", "--rel-deg", "1,2,1"],
+        ["check-pe", "{csv}", "--order", "19"],
+    ], ids=["learn", "identify", "check-pe"])
+    def test_exit_one_with_message(self, tmp_path, capsys, argv):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert main([a.format(csv=path, dir=tmp_path) for a in argv]) == 1
+        assert "trajectory file is empty" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -197,6 +197,12 @@ class TestTrajectoryFile:
         with pytest.raises(ValueError):
             load_trajectory(path)
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="trajectory file is empty"):
+            load_trajectory(path)
+
     def test_gap_in_time_column_rejected(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("k,u_1,y_1\n0,1.0,2.0\n2,1.0,2.0\n")

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -192,6 +195,20 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(np.zeros((4, 5)), [1.0, 2.0], np.ones(4))
 
+    def test_stacked_predictors_match_one_at_a_time(self):
+        rng = np.random.default_rng(3)
+        lam, u_k, states = rng.standard_normal((5, 4, 6)), rng.standard_normal(2), \
+            rng.standard_normal((5, 4))
+        stacked = predict(lam, u_k, states)
+        assert stacked.shape == (5, 4)
+        for j in range(5):
+            np.testing.assert_array_equal(stacked[j], predict(lam[j], u_k, states[j]))
+            np.testing.assert_array_equal(stacked[j], lam[j] @ np.concatenate([u_k, states[j]]))
+        with pytest.raises(ValueError):
+            predict(lam, u_k, states[:4])
+        with pytest.raises(ValueError):
+            predict(lam, u_k, states[0])
+
     def test_prediction_tail_carries_input(self):
         # bottom input-block of a learned one-step prediction is u[k]
         ss, traj = excited_benchmark_run()
@@ -258,6 +275,36 @@ class TestModelFile:
             assert back.subset == orig.subset
             np.testing.assert_array_equal(back.lam, orig.lam)
             assert back.residual == orig.residual
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda subsets: subsets[0].update(indices=[2, 3]), "subset id 1 lists sensors"),
+        (lambda subsets: subsets[1]["lambda"][4].pop(), "subset id 2: lambda is not a matrix"),
+        (lambda subsets: subsets[1]["lambda"].pop(), "subset id 2: lambda must be"),
+        (lambda subsets: subsets[2]["lambda"][0].__setitem__(0, float("nan")),
+         "subset id 3: lambda must be a finite"),
+        (lambda subsets: subsets.pop(), "holds 2 subsets"),
+    ], ids=["tampered-indices", "short-row", "missing-row", "nan", "missing-subset"])
+    def test_inconsistent_file_rejected(self, tmp_path, tamper, message):
+        _, traj = excited_benchmark_run()
+        path = tmp_path / "model.json"
+        save_learned_model(learn_model(traj, 3, 1, 6, 41), path)
+        payload = json.loads(path.read_text())
+        tamper(payload["subsets"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_learned_model(path)
+
+    def test_in_memory_model_checks_its_predictors(self):
+        _, traj = excited_benchmark_run()
+        model = learn_model(traj, 3, 1, 6, 41)
+        bad = model.predictors[1].lam.copy()
+        bad[0, 0] = np.nan
+        predictors = list(model.predictors)
+        predictors[1] = dataclasses.replace(predictors[1], lam=bad)
+        with pytest.raises(ValueError, match="subset id 2: lambda must be a finite"):
+            dataclasses.replace(model, predictors=tuple(predictors))
+        with pytest.raises(ValueError, match="model holds 2 subsets"):
+            dataclasses.replace(model, predictors=model.predictors[:2])
 
     def test_predictor_lookup(self, tmp_path):
         _, traj = excited_benchmark_run()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import reference_injection_bootstrap, reference_injection_step
 
 from sentinel.attacks import DelayAttack, ReplayAttack, apply_attack
 from sentinel.datamat import (
@@ -7,6 +8,7 @@ from sentinel.datamat import (
     Trajectory,
     build_subset_matrices,
     generate_pe_input,
+    stack_history,
 )
 from sentinel.ddmodel import learn_model
 from sentinel.identify import (
@@ -23,6 +25,7 @@ from sentinel.plant import (
     StateSpace,
     discretize_zoh,
     msd_benchmark,
+    random_test_system,
     relative_degree,
     simulate,
 )
@@ -63,14 +66,13 @@ class TestInjectionBootstrap:
         _, y = simulate(ss, np.zeros(1), u)
         model = learn_model(Trajectory(u, y), 1, 0, 1, 8)
         monitor = injection_bootstrap(model, [[3.0]], [[4.0]])
-        np.testing.assert_array_equal(monitor.states[1], [4.0, 3.0])
+        np.testing.assert_array_equal(monitor.history[monitor.index[0]], [4.0, 3.0])
         assert monitor.k == 1
 
     def test_equilibrium_history_gives_zero_states(self):
         _, model = benchmark_model()
         monitor = injection_bootstrap(model, np.zeros((1, 6)), np.zeros((3, 6)))
-        for state in monitor.states.values():
-            assert np.all(state == 0.0)
+        assert np.all(monitor.history[monitor.index] == 0.0)
 
     def test_matches_data_matrix_columns(self):
         ss, model = benchmark_model()
@@ -78,9 +80,9 @@ class TestInjectionBootstrap:
         _, y = simulate(ss, np.zeros(6), u)
         monitor = injection_bootstrap(model, u[:, :6], y[:, :6])
         traj = Trajectory(u, y)
-        for entry in model.predictors:
+        for j, entry in enumerate(model.predictors):
             mats = build_subset_matrices(traj, entry.subset, 6, 4)
-            np.testing.assert_array_equal(monitor.states[entry.subset.id],
+            np.testing.assert_array_equal(monitor.history[monitor.index[j]],
                                           mats.states[:, 0])
 
     def test_history_shape_validation(self):
@@ -183,12 +185,11 @@ class TestInjectionStep:
             u_k[0] = bad
         else:
             y_k[0] = bad
-        states = {j: v.copy() for j, v in monitor.states.items()}
+        history = monitor.history.copy()
         with pytest.raises(ValueError, match=channel):
             injection_step(monitor, u_k, y_k)
         assert not monitor.terminal and monitor.k == 6
-        for j, state in monitor.states.items():
-            np.testing.assert_array_equal(state, states[j])
+        np.testing.assert_array_equal(monitor.history, history)
 
 
 def closed_loop_stream(ss, x, steps, seed, attack_at=None):
@@ -198,6 +199,83 @@ def closed_loop_stream(ss, x, steps, seed, attack_at=None):
     if attack_at is not None:
         y[2, attack_at:] += 0.9
     return u, y
+
+
+def plant_and_model(n_sensors, max_attacked, seed):
+    """Random 6-state plant (fixed draw per seed) and its learned model."""
+    ss = random_test_system(np.random.default_rng(seed), 6, 1, n_sensors,
+                            n_sensors - max_attacked)
+    order = (1 + n_sensors - max_attacked) * 6 + 1
+    traj = excited_run(ss, 6, 2 * order, order, seed)
+    return ss, learn_model(traj, n_sensors, max_attacked, 6, 2 * order)
+
+
+@pytest.fixture(scope="module")
+def monitored_plants():
+    return {"benchmark": benchmark_model(),
+            "random-10x4": plant_and_model(10, 4, 0),
+            "random-6x2": plant_and_model(6, 2, 1)}
+
+
+def monitor_stream(ss, model, length, seed, attacked=(), onset=None):
+    """n bootstrap samples then `length` online ones from equilibrium; the
+    attacked sensors get uniform(0.5, 1) offsets from `onset` on."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1, 1, (1, model.n + length))
+    _, y = simulate(ss, np.zeros(ss.state_dim), u)
+    for sensor in attacked:
+        y[sensor - 1, model.n + onset:] += rng.uniform(0.5, 1.0, length - onset)
+    return u, y
+
+
+class TestBatchedMonitorMatchesReference:
+    """The batched step against the per-subset reference, step by step."""
+
+    ATTACKED = {"benchmark": (3,), "random-10x4": (7, 8, 9, 10), "random-6x2": (2, 5)}
+
+    @pytest.mark.parametrize("name", ["benchmark", "random-10x4", "random-6x2"])
+    @pytest.mark.parametrize("attack", [False, True], ids=["clean", "attacked"])
+    def test_every_step_bit_equal(self, monitored_plants, name, attack):
+        ss, model = monitored_plants[name]
+        attacked = self.ATTACKED[name] if attack else ()
+        u, y = monitor_stream(ss, model, 40, 17, attacked, onset=30)
+        n = model.n
+        batched = injection_bootstrap(model, u[:, :n], y[:, :n])
+        reference = reference_injection_bootstrap(model, u[:, :n], y[:, :n])
+        for k in range(n, u.shape[1]):
+            verdict = injection_step(batched, u[:, k], y[:, k])
+            expected = reference_injection_step(reference, u[:, k], y[:, k])
+            assert np.array_equal([s.value for s in verdict.scores],
+                                  [s.value for s in expected.scores])
+            assert verdict.winners == expected.winners
+            assert (verdict.k, verdict.all_clear) == (expected.k, expected.all_clear)
+            assert verdict == expected
+            assert (batched.k, batched.terminal) == (reference.k, reference.terminal)
+            if not verdict.all_clear:
+                break
+        # a terminal verdict freezes the history, as the reference's states
+        for j, entry in enumerate(model.predictors):
+            assert np.array_equal(batched.history[batched.index[j]],
+                                  reference.states[entry.subset.id])
+        assert verdict.all_clear != attack
+        if attack:
+            assert verdict.k == n + 31
+            assert set(verdict.attack_free_sensors).isdisjoint(attacked)
+
+    def test_gather_equals_stack_history(self, monitored_plants):
+        ss, model = monitored_plants["random-10x4"]
+        u, y = monitor_stream(ss, model, 10, 23)
+        n = model.n
+        monitor = injection_bootstrap(model, u[:, :n], y[:, :n])
+        for start in (0, 10):
+            if start:
+                run_injection(monitor, u[:, n:], y[:, n:])
+            assert monitor.index.shape == (len(model.predictors), monitor.lam.shape[1])
+            for j, entry in enumerate(model.predictors):
+                rows = [i - 1 for i in entry.subset.indices]
+                window = slice(start, start + n)
+                np.testing.assert_array_equal(monitor.history[monitor.index[j]],
+                                              stack_history(y[rows, window], u[:, window]))
 
 
 class TestRunInjection:
@@ -288,6 +366,14 @@ class TestFirstResponse:
 
     def test_silent_signal(self):
         assert first_response(np.zeros(10)) is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        assert first_response([0.0, 1e-6, 0.0, 1.0]) == 3
+        with pytest.raises(ValueError, match="non-finite"):
+            first_response([0.0, 1e-6, bad, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            identify_delay([[0.0, 1e-6, bad, 1.0]], [1])
 
 
 class TestIdentifyDelay:
