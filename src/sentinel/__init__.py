@@ -57,7 +57,6 @@ from .ddmodel import (
     DataDrivenModel,
     LearningError,
     RankReport,
-    SubsetPredictor,
     certifying_rank,
     learn_lambda,
     learn_model,
@@ -70,7 +69,6 @@ from .identify import (
     IdentificationVerdict,
     InjectionMonitor,
     NoResponseError,
-    SubsetScore,
     identify_delay,
     identify_replay,
     injection_bootstrap,

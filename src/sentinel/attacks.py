@@ -197,13 +197,16 @@ def load_scenario(path) -> AttackScenario:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     kind = payload.get("type")
-    if kind == "injection":
-        seed = int(payload["seed"])
-        onset = int(payload["onset"])
-        return InjectionAttack(tuple(int(t) for t in payload["targets"]), onset,
-                               seeded_injection_signal(seed, onset), seed)
-    if kind == "delay":
-        return DelayAttack(tuple(int(d) for d in payload["tau"]))
-    if kind == "replay":
-        return ReplayAttack({int(k): float(v) for k, v in payload["constants"].items()})
+    try:
+        if kind == "injection":
+            seed = int(payload["seed"])
+            onset = int(payload["onset"])
+            return InjectionAttack(tuple(int(t) for t in payload["targets"]), onset,
+                                   seeded_injection_signal(seed, onset), seed)
+        if kind == "delay":
+            return DelayAttack(tuple(int(d) for d in payload["tau"]))
+        if kind == "replay":
+            return ReplayAttack({int(k): float(v) for k, v in payload["constants"].items()})
+    except KeyError as exc:
+        raise ValueError(f"{kind} scenario has no field {exc}") from exc
     raise ValueError(f"unknown scenario type {kind!r}")

@@ -226,7 +226,7 @@ def demo_replay(seed: int, tol: Tolerance, out: Path) -> int:
     payload = {"mode": "replay", "verdict": verdict_to_dict(verdict)}
     _write_json(payload, out / "verdict.json")
     expected = verdict.winners == (1,)
-    ranks = {s.id: int(s.value) for s in verdict.scores}
+    ranks = {s.id: int(rank) for s, rank in zip(verdict.subsets, verdict.scores)}
     print(f"replay demo: ranks={ranks} winners={verdict.winners} "
           f"attack_free={verdict.attack_free_sensors} -> "
           f"{'ok' if expected else 'UNEXPECTED'}")
@@ -263,7 +263,7 @@ def cmd_learn(args) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
     save_learned_model(model, args.out)
-    print(f"learned {len(model.predictors)} subset predictors -> {args.out}")
+    print(f"learned {len(model.subsets)} subset predictors -> {args.out}")
     return 0
 
 
@@ -289,7 +289,8 @@ def cmd_identify(args) -> int:
         else:
             degrees = [int(r) for r in args.rel_deg.split(",")]
             verdict = identify_delay(stream.y, degrees, tol)
-    except (TrajectoryLengthError, ExcitationError, NoResponseError, ValueError) as exc:
+    except (TrajectoryLengthError, ExcitationError, NoResponseError, ValueError,
+            OSError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(verdict_to_dict(verdict), indent=2, sort_keys=True))

@@ -16,7 +16,7 @@ have produced, which is what the replay test exploits.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -78,22 +78,12 @@ def rank_condition(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL) -> Ra
     return _rank_report(mats, numerical_rank(stacked_data(mats), tol))
 
 
-@dataclass(frozen=True)
-class SubsetPredictor:
-    """Learned one-step predictor of one subset's stacked history.
+def learn_lambda(mats: SubsetDataMatrices,
+                 tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float, RankReport]:
+    """Fit the one-step predictor for one subset: (lam, residual, report).
 
     lam maps [u[k]; history[k]] to history[k+1]; residual is the max-abs
-    training misfit recorded at learning time.
-    """
-
-    subset: SensorSubset
-    lam: np.ndarray
-    residual: float
-    report: Optional[RankReport] = None
-
-
-def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL) -> SubsetPredictor:
-    """Fit the one-step predictor for one subset.
+    training misfit and report the rank certificate.
 
     Uses the Moore-Penrose pseudo-inverse of the stacked data: with the
     certifying rank this is exact on everything the plant can produce and
@@ -123,7 +113,7 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL) -> Subs
                               f"data rank {report.observed} meets the certifying rank, "
                               f"but the training misfit {residual:.3g} exceeds the "
                               f"slack {slack:.3g}")])
-    return SubsetPredictor(mats.subset, lam, residual, report)
+    return lam, residual, report
 
 
 def predict(lam, u_k, state) -> np.ndarray:
@@ -145,41 +135,39 @@ def predict(lam, u_k, state) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DataDrivenModel:
-    """Per-subset predictors plus the learning metadata.
+    """Stacked per-subset predictors plus the learning metadata.
 
-    The predictors belong to enumerate_subsets(N, M), in order, and each
-    lam is a finite d x (d + m) matrix, d = (N - M + m) n; otherwise a
-    ValueError names the first subset that breaks this.
+    Position j of lam (S x d x (d + m), d = (N - M + m) n; given as one
+    stack or S matrices), residuals and reports belongs to subsets[j] =
+    enumerate_subsets(N, M)[j]: its predictor, training misfit and rank
+    certificate (reports is None after a load). A wrong subset count or a
+    lambda that is not a finite d x (d + m) matrix raises ValueError naming
+    the first subset that breaks it.
     """
 
-    predictors: tuple[SubsetPredictor, ...]
+    lam: np.ndarray
+    residuals: tuple[float, ...]
+    reports: Optional[tuple[RankReport, ...]]
     n: int
     m: int
     n_sensors: int
     max_attacked: int
     columns: int
     pe_seed: Optional[int] = None
+    subsets: tuple[SensorSubset, ...] = field(init=False)
 
     def __post_init__(self):
-        expected = enumerate_subsets(self.n_sensors, self.max_attacked)
-        if len(self.predictors) != len(expected):
-            raise ValueError(f"model holds {len(self.predictors)} subsets, N={self.n_sensors} "
-                             f"and M={self.max_attacked} give {len(expected)}")
+        subsets = tuple(enumerate_subsets(self.n_sensors, self.max_attacked))
+        if len(self.lam) != len(subsets):
+            raise ValueError(f"model holds {len(self.lam)} subsets, N={self.n_sensors} "
+                             f"and M={self.max_attacked} give {len(subsets)}")
         d = (self.n_sensors - self.max_attacked + self.m) * self.n
-        for entry, subset in zip(self.predictors, expected):
-            if entry.subset != subset:
-                raise ValueError(f"subset id {entry.subset.id} lists sensors "
-                                 f"{list(entry.subset.indices)}, expected id {subset.id} "
-                                 f"with sensors {list(subset.indices)}")
-            if np.shape(entry.lam) != (d, d + self.m) or not np.isfinite(entry.lam).all():
+        for subset, lam in zip(subsets, self.lam):
+            if np.shape(lam) != (d, d + self.m) or not np.isfinite(lam).all():
                 raise ValueError(f"subset id {subset.id}: lambda must be a finite "
                                  f"{d} x {d + self.m} matrix")
-
-    def predictor(self, subset_id: int) -> SubsetPredictor:
-        for entry in self.predictors:
-            if entry.subset.id == subset_id:
-                return entry
-        raise KeyError(f"no predictor for subset id {subset_id}")
+        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float))
+        object.__setattr__(self, "subsets", subsets)
 
 
 def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
@@ -192,15 +180,16 @@ def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
     if traj.output_dim != n_sensors:
         raise ValueError(
             f"trajectory has {traj.output_dim} outputs, expected {n_sensors}")
-    predictors, failures = [], []
+    fits, failures = [], []
     for subset in enumerate_subsets(n_sensors, max_attacked):
         try:
-            predictors.append(learn_lambda(build_subset_matrices(traj, subset, n, columns), tol))
+            fits.append(learn_lambda(build_subset_matrices(traj, subset, n, columns), tol))
         except LearningError as exc:
             failures += exc.failures
     if failures:
         raise LearningError(failures)
-    return DataDrivenModel(tuple(predictors), n, traj.input_dim, n_sensors,
+    lams, residuals, reports = zip(*fits)
+    return DataDrivenModel(lams, residuals, reports, n, traj.input_dim, n_sensors,
                            max_attacked, columns, pe_seed)
 
 
@@ -215,12 +204,12 @@ def save_learned_model(model: DataDrivenModel, path) -> None:
         "pe_seed": model.pe_seed,
         "subsets": [
             {
-                "id": entry.subset.id,
-                "indices": list(entry.subset.indices),
-                "lambda": entry.lam.tolist(),
-                "residual": entry.residual,
+                "id": subset.id,
+                "indices": list(subset.indices),
+                "lambda": lam.tolist(),
+                "residual": residual,
             }
-            for entry in model.predictors
+            for subset, lam, residual in zip(model.subsets, model.lam, model.residuals)
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -229,20 +218,32 @@ def save_learned_model(model: DataDrivenModel, path) -> None:
 
 
 def load_learned_model(path) -> DataDrivenModel:
-    """Read a learned model written by save_learned_model; a file that
-    breaks DataDrivenModel's conditions raises ValueError naming the subset.
+    """Read a learned model written by save_learned_model. A missing or
+    mistyped field, subsets other than enumerate_subsets(N, M) in order, or
+    a model that breaks DataDrivenModel's conditions raise ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    predictors = []
-    for entry in payload["subsets"]:
-        subset = SensorSubset(int(entry["id"]), tuple(int(i) for i in entry["indices"]))
-        try:
-            lam = np.array(entry["lambda"], dtype=float)
-        except ValueError as exc:
-            raise ValueError(f"subset id {subset.id}: lambda is not a matrix") from exc
-        predictors.append(SubsetPredictor(subset, lam, float(entry["residual"])))
-    pe_seed = payload.get("pe_seed")
-    return DataDrivenModel(tuple(predictors), int(payload["n"]), int(payload["m"]),
-                           int(payload["N"]), int(payload["M"]), int(payload["T"]),
-                           None if pe_seed is None else int(pe_seed))
+    try:
+        listed, lams, residuals = [], [], []
+        for entry in payload["subsets"]:
+            subset = SensorSubset(int(entry["id"]), tuple(int(i) for i in entry["indices"]))
+            try:
+                lams.append(np.array(entry["lambda"], dtype=float))
+            except ValueError as exc:
+                raise ValueError(f"subset id {subset.id}: lambda is not a matrix") from exc
+            listed.append(subset)
+            residuals.append(float(entry["residual"]))
+        pe_seed = payload.get("pe_seed")
+        model = DataDrivenModel(lams, tuple(residuals), None, int(payload["n"]),
+                                int(payload["m"]), int(payload["N"]), int(payload["M"]),
+                                int(payload["T"]), None if pe_seed is None else int(pe_seed))
+    except KeyError as exc:
+        raise ValueError(f"model file has no field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"model file has a field of the wrong type: {exc}") from exc
+    for subset, expected in zip(listed, model.subsets):
+        if subset != expected:
+            raise ValueError(f"subset id {subset.id} lists sensors {list(subset.indices)}, "
+                             f"expected id {expected.id} with sensors {list(expected.indices)}")
+    return model

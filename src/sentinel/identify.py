@@ -36,40 +36,31 @@ class NoResponseError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SubsetScore:
-    """Score of one candidate (a sensor subset, or a single sensor)."""
-
-    id: int
-    indices: tuple[int, ...]
-    value: float
-
-
-@dataclass(frozen=True)
 class IdentificationVerdict:
     """Outcome of one identification step or batch test.
 
-    winners holds the ids of the best-scoring candidates at tolerance;
-    attack_free_sensors is the union of their sensor indices. all_clear is
-    True when every candidate wins, i.e. nothing looks attacked.
+    scores[j] is the score of candidate subsets[j] (a sensor subset, or a
+    single sensor); winners holds the ids of the best-scoring candidates at
+    tolerance, attack_free_sensors the union of their sensor indices.
+    all_clear is True when every candidate wins, i.e. nothing looks attacked.
     """
 
     k: int
     mode: str
-    scores: tuple[SubsetScore, ...]
+    subsets: tuple[SensorSubset, ...]
+    scores: tuple[float, ...]
     winners: tuple[int, ...]
     attack_free_sensors: tuple[int, ...]
     all_clear: bool
 
 
-def _verdict(k: int, mode: str, scores: list[SubsetScore],
-             winner_ids: list[int]) -> IdentificationVerdict:
-    winners = tuple(sorted(winner_ids))
-    free: set[int] = set()
-    by_id = {s.id: s for s in scores}
-    for j in winners:
-        free.update(by_id[j].indices)
-    return IdentificationVerdict(k, mode, tuple(scores), winners,
-                                 tuple(sorted(free)), len(winners) == len(scores))
+def _verdict(k: int, mode: str, subsets, scores, wins) -> IdentificationVerdict:
+    """Verdict over candidates in id order; wins[j] marks subsets[j] a winner."""
+    winners = [s for s, won in zip(subsets, wins) if won]
+    free = sorted({i for s in winners for i in s.indices})
+    return IdentificationVerdict(k, mode, tuple(subsets), tuple(scores),
+                                 tuple(s.id for s in winners), tuple(free),
+                                 len(winners) == len(subsets))
 
 
 @dataclass
@@ -77,15 +68,13 @@ class InjectionMonitor:
     """Moving-horizon state of the injection detector.
 
     history is the stack_history vector of all N sensors; history[index[j]]
-    is that of subsets[j], whose predictor is lam[j] (lam is S x d x (d+m)).
-    The monitor only advances on all-clear steps; the first non-clear
-    verdict is terminal and freezes the history. The bootstrap window must
-    be attack-free; behavior under an attacked bootstrap is undefined.
+    is that of model.subsets[j], whose predictor is model.lam[j]. The
+    monitor only advances on all-clear steps; the first non-clear verdict
+    is terminal and freezes the history. The bootstrap window must be
+    attack-free; behavior under an attacked bootstrap is undefined.
     """
 
     model: DataDrivenModel
-    subsets: tuple[SensorSubset, ...]
-    lam: np.ndarray
     history: np.ndarray
     index: np.ndarray
     k: int
@@ -109,14 +98,12 @@ def injection_bootstrap(model: DataDrivenModel, u_history, y_history,
         raise ValueError(f"u_history must be {m} x {n}, got {u_hist.shape}")
     if y_hist.shape != (n_sensors, n):
         raise ValueError(f"y_history must be {n_sensors} x {n}, got {y_hist.shape}")
-    subsets = tuple(entry.subset for entry in model.predictors)
-    lam = np.stack([entry.lam for entry in model.predictors])
     # time-major: sample t of sensor i sits at t * N + i - 1, inputs follow
     steps = n_sensors * np.arange(n)[:, None]
     inputs = n_sensors * n + np.arange(n * m)
     index = np.array([np.concatenate([(steps + np.array(s.indices) - 1).reshape(-1), inputs])
-                      for s in subsets])
-    return InjectionMonitor(model, subsets, lam, stack_history(y_hist, u_hist), index,
+                      for s in model.subsets])
+    return InjectionMonitor(model, stack_history(y_hist, u_hist), index,
                             n if k is None else k, tol)
 
 
@@ -138,7 +125,7 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     y_vec = as_vector(y_new, model.n_sensors, "y_new")
     n_sensors, outputs = model.n_sensors, model.n_sensors * model.n
     history = mon.history
-    predicted = predict(mon.lam, u_vec, history[mon.index])
+    predicted = predict(model.lam, u_vec, history[mon.index])
     shifted = np.concatenate([history[n_sensors:outputs], y_vec,
                               history[outputs + model.m:], u_vec])
     observed = shifted[mon.index]
@@ -147,10 +134,8 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     residuals, norms = np.sqrt(np.swapaxes(rows, -1, -2) @ rows)[..., 0, 0]
     slack = mon.tol.residual_abs + mon.tol.residual_rel * norms
     wins = residuals <= residuals.min() + slack
-    scores = [SubsetScore(s.id, s.indices, value)
-              for s, value in zip(mon.subsets, residuals.tolist())]
-    winner_ids = [s.id for s, won in zip(mon.subsets, wins.tolist()) if won]
-    verdict = _verdict(mon.k + 1, "injection", scores, winner_ids)
+    verdict = _verdict(mon.k + 1, "injection", model.subsets, residuals.tolist(),
+                       wins.tolist())
     if verdict.all_clear:
         mon.history = shifted
         mon.k += 1
@@ -199,15 +184,11 @@ def identify_replay(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
     if not is_persistently_exciting(window, order, tol):
         raise ExcitationError(
             f"test input window is not persistently exciting of order {order}", order)
-    scores = []
-    winner_ids = []
-    for subset in enumerate_subsets(n_sensors, max_attacked):
-        mats = build_subset_matrices(traj, subset, n, t1)
-        report = rank_condition(mats, tol)
-        scores.append(SubsetScore(subset.id, subset.indices, float(report.observed)))
-        if report.holds:
-            winner_ids.append(subset.id)
-    return _verdict(traj.start_index, "replay", scores, winner_ids)
+    subsets = enumerate_subsets(n_sensors, max_attacked)
+    reports = [rank_condition(build_subset_matrices(traj, subset, n, t1), tol)
+               for subset in subsets]
+    return _verdict(traj.start_index, "replay", subsets,
+                    [float(r.observed) for r in reports], [r.holds for r in reports])
 
 
 def first_response(signal, tol: Tolerance = DEFAULT_TOL) -> Optional[int]:
@@ -251,30 +232,24 @@ def identify_delay(y_impulse, rel_degrees, tol: Tolerance = DEFAULT_TOL) -> Iden
     timings = [first_response(y_arr[j], tol) for j in range(n_sensors)]
     if all(t is None for t in timings):
         raise NoResponseError("no sensor responded to the impulse")
-    scores = []
-    slacks = []
-    for j in range(n_sensors):
-        slack = np.inf if timings[j] is None else float(timings[j] - rel_degrees[j])
-        slacks.append(slack)
-        scores.append(SubsetScore(j + 1, (j + 1,), slack))
+    slacks = [np.inf if t is None else float(t - r) for t, r in zip(timings, rel_degrees)]
+    sensors = [SensorSubset(j, (j,)) for j in range(1, n_sensors + 1)]
     best = min(slacks)
-    winner_ids = [j + 1 for j in range(n_sensors) if slacks[j] == best]
-    return _verdict(0, "delay", scores, winner_ids)
+    return _verdict(0, "delay", sensors, slacks, [s == best for s in slacks])
 
 
 def verdict_to_dict(verdict: IdentificationVerdict) -> dict:
     """JSON-ready form of a verdict."""
     key = {"injection": "residual", "replay": "rank", "delay": "slack"}[verdict.mode]
     per_subset = []
-    for score in verdict.scores:
-        value = score.value
+    for subset, value in zip(verdict.subsets, verdict.scores):
         if verdict.mode == "replay":
             value = int(value)
         elif verdict.mode == "delay" and np.isfinite(value):
             value = int(value)
         elif not np.isfinite(value):
             value = None
-        per_subset.append({"id": score.id, "indices": list(score.indices), key: value})
+        per_subset.append({"id": subset.id, "indices": list(subset.indices), key: value})
     return {
         "k": verdict.k,
         "mode": verdict.mode,

@@ -24,7 +24,7 @@ import numpy as np
 from sentinel.attacks import SensorSubset
 from sentinel.datamat import Trajectory, hankel, stack_history
 from sentinel.ddmodel import DataDrivenModel
-from sentinel.identify import IdentificationVerdict, SubsetScore, _verdict
+from sentinel.identify import IdentificationVerdict, _verdict
 from sentinel.linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, numerical_rank
 from sentinel.plant import StateSpace, is_controllable, is_observable
 
@@ -224,9 +224,9 @@ def reference_injection_bootstrap(model: DataDrivenModel, u_history, y_history,
     u_hist = as_matrix(u_history, "u_history")
     y_hist = as_matrix(y_history, "y_history")
     states = {}
-    for entry in model.predictors:
-        z_hist = y_hist[[i - 1 for i in entry.subset.indices], :]
-        states[entry.subset.id] = stack_history(z_hist, u_hist)
+    for subset in model.subsets:
+        z_hist = y_hist[[i - 1 for i in subset.indices], :]
+        states[subset.id] = stack_history(z_hist, u_hist)
     return ReferenceMonitor(model, states, model.n, tol)
 
 
@@ -241,12 +241,11 @@ def reference_injection_step(mon: ReferenceMonitor, u_k, y_new) -> Identificatio
     n, m = model.n, model.m
     scores = []
     observed_states = {}
-    slack = {}
-    for entry in model.predictors:
-        subset = entry.subset
+    slack = []
+    for subset, lam in zip(model.subsets, model.lam):
         q = len(subset.indices)
         state = mon.states[subset.id]
-        predicted = as_matrix(entry.lam, "lam") @ np.concatenate([u_vec, state])
+        predicted = as_matrix(lam, "lam") @ np.concatenate([u_vec, state])
         observed = np.empty_like(state)
         # shift the output block and append the newest subset measurement
         observed[: (n - 1) * q] = state[q: n * q]
@@ -254,13 +253,13 @@ def reference_injection_step(mon: ReferenceMonitor, u_k, y_new) -> Identificatio
         observed[n * q: n * q + (n - 1) * m] = state[n * q + m:]
         observed[n * q + (n - 1) * m:] = u_vec
         residual = float(np.linalg.norm(observed - predicted))
-        scores.append(SubsetScore(subset.id, subset.indices, residual))
+        scores.append(residual)
         observed_states[subset.id] = observed
-        slack[subset.id] = mon.tol.residual_abs + mon.tol.residual_rel * float(
-            np.linalg.norm(observed))
-    best = min(s.value for s in scores)
-    winner_ids = [s.id for s in scores if s.value <= best + slack[s.id]]
-    verdict = _verdict(mon.k + 1, "injection", scores, winner_ids)
+        slack.append(mon.tol.residual_abs + mon.tol.residual_rel * float(
+            np.linalg.norm(observed)))
+    best = min(scores)
+    wins = [score <= best + s for score, s in zip(scores, slack)]
+    verdict = _verdict(mon.k + 1, "injection", model.subsets, scores, wins)
     if verdict.all_clear:
         mon.states = observed_states
         mon.k += 1

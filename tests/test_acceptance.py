@@ -104,7 +104,7 @@ def _sampled_system(index: int):
 def test_criterion_01_injection_reproduction():
     t0 = time.perf_counter()
     ss, model, _ = _benchmark_model()
-    observed = {e.subset.indices: e.report.observed for e in model.predictors}
+    observed = {s.indices: r.observed for s, r in zip(model.subsets, model.reports)}
     attainable = {s: _attainable_rank(ss, s) for s in observed}
 
     onset = N_STATES + 10
@@ -134,7 +134,7 @@ def test_criterion_01_injection_reproduction():
             break
     u_rec = np.hstack(u_all)
     y_rec = np.hstack(y_all)
-    scores = {s.indices: s.value for s in verdict.scores}
+    scores = {s.indices: score for s, score in zip(verdict.subsets, verdict.scores)}
     clean_state = stack_history(y_rec[[0, 1], detect_k - N_STATES + 1: detect_k + 1],
                                 u_rec[:, detect_k - N_STATES + 1: detect_k + 1])
     scale = float(np.linalg.norm(clean_state))
@@ -142,7 +142,7 @@ def test_criterion_01_injection_reproduction():
 
     checks = {
         "rank certificate holds for all 3 subsets":
-            all(e.report.holds for e in model.predictors),
+            all(r.holds for r in model.reports),
         "attack sample at onset is zero (undetectable step)":
             signal(3, onset) == 0.0,
         "winners are exactly the subset {1,2}": verdict.winners == (1,),
@@ -183,7 +183,7 @@ def test_criterion_03_delay_reproduction():
     attacked = apply_attack(Trajectory(u, y), DelayAttack((0, 5, 0)), max_attacked=1)
     timings = tuple(first_response(attacked.y[j]) for j in range(3))
     verdict = identify_delay(attacked.y, degrees)
-    slacks = tuple(int(s.value) for s in verdict.scores)
+    slacks = tuple(int(s) for s in verdict.scores)
     elapsed = time.perf_counter() - t0
     checks = {
         "first responses are exactly (1, 7, 1)": timings == (1, 7, 1),
@@ -202,7 +202,7 @@ def test_criterion_04_replay_reproduction():
                           SEED + 606, DEFAULT_TOL)
     attacked = apply_attack(traj, ReplayAttack({3: 0.01}), max_attacked=1)
     verdict = identify_replay(attacked, 3, 1, N_STATES, COLUMNS)
-    ranks = {s.indices: int(s.value) for s in verdict.scores}
+    ranks = {s.indices: int(rank) for s, rank in zip(verdict.subsets, verdict.scores)}
     attainable = {s: _attainable_rank(ss, s) for s in ranks}
     elapsed = time.perf_counter() - t0
     checks = {
@@ -237,9 +237,9 @@ def test_criterion_05_representation_exactness():
         val = Trajectory(val_u, val_y)
         for subset in enumerate_subsets(n_sensors, 1):
             train = build_subset_matrices(traj, subset, n, columns)
-            entry = learn_lambda(train)
+            lam = learn_lambda(train)[0]
             mats = build_subset_matrices(val, subset, n, 40)
-            pred = entry.lam @ np.vstack([mats.u_now, mats.states])
+            pred = lam @ np.vstack([mats.u_now, mats.states])
             rel = np.max(np.abs(pred - mats.states_next)) / (
                 1.0 + np.max(np.abs(mats.states_next)))
             worst_prediction = max(worst_prediction, float(rel))
@@ -251,11 +251,11 @@ def test_criterion_05_representation_exactness():
             # orthonormal basis of the regressor subspace the data span
             regressor = np.vstack([train.u_now, train.states])
             basis = np.linalg.svd(regressor)[0][:, :_attainable_rank(ss, subset.indices)]
-            gap = float(np.max(np.abs((entry.lam - generator) @ basis))) / scale
+            gap = float(np.max(np.abs((lam - generator) @ basis))) / scale
             worst_subspace_by_q[q] = max(worst_subspace_by_q.get(q, 0.0), gap)
             if q == 1:
                 worst_entrywise_single = max(
-                    worst_entrywise_single, float(np.max(np.abs(entry.lam - generator))))
+                    worst_entrywise_single, float(np.max(np.abs(lam - generator))))
     elapsed = time.perf_counter() - t0
     checks = {
         "one-step prediction error on fresh data < 1e-8 relative, all subsets":

@@ -144,6 +144,23 @@ class TestIdentify:
         assert captured.out == ""
         assert "subset id 1" in captured.err
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file"),
+        ('{"N": 3}', "model file has no field"),
+        ("[1, 2]", "model file has a field of the wrong type"),
+    ], ids=["missing", "missing-field", "list"])
+    def test_unreadable_model_is_precondition_failure(self, injection_demo, tmp_path, capsys,
+                                                      content, message):
+        model = tmp_path / "model.json"
+        if content is not None:
+            model.write_text(content)
+        code = main(["identify", "injection", str(injection_demo / "online.csv"),
+                     "--model", str(model)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
+
     def test_injection_requires_model(self, injection_demo):
         assert main(["identify", "injection", str(injection_demo / "online.csv")]) == 1
 
@@ -241,6 +258,20 @@ class TestSimulate:
             assert main(["simulate", "--model", str(plant_path), "--length", "20",
                          "--seed", "9", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("scenario, field", [
+        ({"type": "injection", "targets": [3], "onset": 5}, "'seed'"),
+        ({"type": "delay"}, "'tau'"),
+    ], ids=["injection", "delay"])
+    def test_scenario_missing_field(self, tmp_path, capsys, scenario, field):
+        plant_path, scenario_path = tmp_path / "plant.json", tmp_path / "scenario.json"
+        save_state_space(benchmark_plant(), plant_path)
+        scenario_path.write_text(json.dumps(scenario))
+        out = tmp_path / "run.csv"
+        assert main(["simulate", "--model", str(plant_path), "--scenario", str(scenario_path),
+                     "--out", str(out)]) == 1
+        assert f"scenario has no field {field}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_plant(self, tmp_path):
         assert main(["simulate", "--model", str(tmp_path / "nope.json")]) == 1

@@ -35,6 +35,14 @@ def excited_benchmark_run(seed=7, n=6, columns=41):
     return ss, Trajectory(u, y)
 
 
+def random_10x4_run(columns=86):
+    """Recording of a fixed random 6-state plant with N = 10 sensors (M = 4)."""
+    ss = random_test_system(np.random.default_rng(0), 6, 1, 10, 6)
+    sig = generate_pe_input(1, columns, 43, 3)
+    u = np.hstack([np.full((1, 6), 0.5), sig.u, np.full((1, 1), -0.5)])
+    return Trajectory(u, simulate(ss, np.zeros(6), u)[1])
+
+
 def generator_matrices(ss, subset_rows):
     """[input matrix | transition matrix] of the stacked-history companion
     form, the model-based route the learner is checked against."""
@@ -80,11 +88,11 @@ class TestLearnLambda:
         u = np.random.default_rng(0).uniform(-1, 1, (1, 12))
         _, y = simulate(ss, np.zeros(1), u)
         mats = build_subset_matrices(Trajectory(u, y), SensorSubset(1, (1,)), 1, 10)
-        entry = learn_lambda(mats)
+        lam, _, report = learn_lambda(mats)
         expected = np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.0]])
-        np.testing.assert_allclose(entry.lam, expected, atol=1e-8)
-        np.testing.assert_allclose(entry.lam, generator_matrices(ss, [0]), atol=1e-8)
-        assert entry.report.holds and entry.report.observed == 3
+        np.testing.assert_allclose(lam, expected, atol=1e-8)
+        np.testing.assert_allclose(lam, generator_matrices(ss, [0]), atol=1e-8)
+        assert report.holds and report.observed == 3
 
     def test_generator_recovery_from_full_rank_data(self):
         # columns drawn freely in history space (not one plant run) make the
@@ -114,28 +122,25 @@ class TestLearnLambda:
             n_sensors, max_attacked, columns = 3, 1, 41
         else:
             n_sensors, max_attacked, columns = 10, 4, 86
-            ss = random_test_system(np.random.default_rng(0), 6, 1, n_sensors, 6)
-            sig = generate_pe_input(1, columns, 43, 3)
-            u = np.hstack([np.full((1, 6), 0.5), sig.u, np.full((1, 1), -0.5)])
-            traj = Trajectory(u, simulate(ss, np.zeros(6), u)[1])
+            traj = random_10x4_run(columns)
         for subset in enumerate_subsets(n_sensors, max_attacked):
             mats = build_subset_matrices(traj, subset, 6, columns)
             stacked = np.vstack([mats.u_now, mats.states])
-            entry = learn_lambda(mats)
+            lam, _, report = learn_lambda(mats)
             pinv = np.linalg.pinv(stacked, rcond=DEFAULT_TOL.rank_rel * max(stacked.shape))
-            assert np.array_equal(entry.lam, mats.states_next @ pinv)
-            assert entry.report == rank_condition(mats)
+            assert np.array_equal(lam, mats.states_next @ pinv)
+            assert report == rank_condition(mats)
 
     def test_benchmark_fit_and_validation(self):
         ss, traj = excited_benchmark_run()
         subset = SensorSubset(1, (1, 2))
-        entry = learn_lambda(build_subset_matrices(traj, subset, 6, 41))
-        assert entry.residual < 1e-9
+        lam, residual, _ = learn_lambda(build_subset_matrices(traj, subset, 6, 41))
+        assert residual < 1e-9
         # fresh run from the same plant: one-step predictions stay exact
         u2 = np.random.default_rng(1234).uniform(-1, 1, (1, 47))
         _, y2 = simulate(ss, np.zeros(6), u2)
         mats2 = build_subset_matrices(Trajectory(u2, y2), subset, 6, 40)
-        pred = entry.lam @ np.vstack([mats2.u_now, mats2.states])
+        pred = lam @ np.vstack([mats2.u_now, mats2.states])
         err = np.max(np.abs(pred - mats2.states_next))
         assert err < 1e-8 * (1 + np.max(np.abs(mats2.states_next)))
 
@@ -143,8 +148,8 @@ class TestLearnLambda:
         _, traj_a = excited_benchmark_run(seed=7)
         _, traj_b = excited_benchmark_run(seed=99)
         subset = SensorSubset(1, (1, 2))
-        lam_a = learn_lambda(build_subset_matrices(traj_a, subset, 6, 41)).lam
-        lam_b = learn_lambda(build_subset_matrices(traj_b, subset, 6, 41)).lam
+        lam_a = learn_lambda(build_subset_matrices(traj_a, subset, 6, 41))[0]
+        lam_b = learn_lambda(build_subset_matrices(traj_b, subset, 6, 41))[0]
         assert np.max(np.abs(lam_a - lam_b)) < 1e-8
 
     def test_single_sensor_subsets_match_generator(self):
@@ -160,9 +165,9 @@ class TestLearnLambda:
             for sensor in (1, 2):
                 mats = build_subset_matrices(Trajectory(u, y),
                                              SensorSubset(sensor, (sensor,)), n, columns)
-                entry = learn_lambda(mats)
+                lam = learn_lambda(mats)[0]
                 gen = generator_matrices(ss, [sensor - 1])
-                assert np.max(np.abs(entry.lam - gen)) < 1e-8
+                assert np.max(np.abs(lam - gen)) < 1e-8
 
     def test_multi_sensor_subsets_match_generator_on_regressors(self):
         # with two or more retained sensors the data cannot span the full
@@ -176,13 +181,13 @@ class TestLearnLambda:
             u = rng.uniform(-1, 1, (1, n + columns))
             _, y = simulate(ss, np.zeros(n), u)
             subset = SensorSubset(1, (1, 2))
-            entry = learn_lambda(build_subset_matrices(Trajectory(u, y), subset, n, columns))
+            lam = learn_lambda(build_subset_matrices(Trajectory(u, y), subset, n, columns))[0]
             gen = generator_matrices(ss, [0, 1])
             u2 = rng.uniform(-1, 1, (1, n + 20))
             _, y2 = simulate(ss, np.zeros(n), u2)
             mats2 = build_subset_matrices(Trajectory(u2, y2), subset, n, 20)
             regressors = np.vstack([mats2.u_now, mats2.states])
-            gap = (entry.lam - gen) @ regressors
+            gap = (lam - gen) @ regressors
             assert np.max(np.abs(gap)) < 1e-8 * (1 + np.max(np.abs(mats2.states_next)))
 
 
@@ -213,11 +218,11 @@ class TestPredict:
         # bottom input-block of a learned one-step prediction is u[k]
         ss, traj = excited_benchmark_run()
         subset = SensorSubset(1, (1, 2))
-        entry = learn_lambda(build_subset_matrices(traj, subset, 6, 41))
+        lam = learn_lambda(build_subset_matrices(traj, subset, 6, 41))[0]
         u2 = np.random.default_rng(5).uniform(-1, 1, (1, 20))
         _, y2 = simulate(ss, np.zeros(6), u2)
         mats2 = build_subset_matrices(Trajectory(u2, y2), subset, 6, 10)
-        out = predict(entry.lam, mats2.u_now[:, 0], mats2.states[:, 0])
+        out = predict(lam, mats2.u_now[:, 0], mats2.states[:, 0])
         np.testing.assert_allclose(out[-1:], mats2.u_now[:, 0], atol=1e-9)
 
 
@@ -225,8 +230,8 @@ class TestLearnModel:
     def test_benchmark_model(self):
         _, traj = excited_benchmark_run()
         model = learn_model(traj, 3, 1, 6, 41, pe_seed=7)
-        assert len(model.predictors) == 3
-        assert all(entry.report.holds for entry in model.predictors)
+        assert model.lam.shape == (3, 18, 19) and len(model.residuals) == 3
+        assert all(report.holds for report in model.reports)
         assert model.pe_seed == 7
 
     def test_zero_input_error_lists_every_subset_below_rank(self):
@@ -271,10 +276,21 @@ class TestModelFile:
         assert loaded.n == 6 and loaded.m == 1 and loaded.columns == 41
         assert loaded.n_sensors == 3 and loaded.max_attacked == 1
         assert loaded.pe_seed == 7
-        for orig, back in zip(model.predictors, loaded.predictors):
-            assert back.subset == orig.subset
-            np.testing.assert_array_equal(back.lam, orig.lam)
-            assert back.residual == orig.residual
+        assert loaded.subsets == model.subsets
+        np.testing.assert_array_equal(loaded.lam, model.lam)
+        assert loaded.residuals == model.residuals
+        assert loaded.reports is None
+
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4"])
+    def test_save_load_save_is_byte_stable(self, tmp_path, plant):
+        if plant == "benchmark":
+            model = learn_model(excited_benchmark_run()[1], 3, 1, 6, 41, pe_seed=7)
+        else:
+            model = learn_model(random_10x4_run(), 10, 4, 6, 86)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_learned_model(model, first)
+        save_learned_model(load_learned_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("tamper, message", [
         (lambda subsets: subsets[0].update(indices=[2, 3]), "subset id 1 lists sensors"),
@@ -297,21 +313,19 @@ class TestModelFile:
     def test_in_memory_model_checks_its_predictors(self):
         _, traj = excited_benchmark_run()
         model = learn_model(traj, 3, 1, 6, 41)
-        bad = model.predictors[1].lam.copy()
-        bad[0, 0] = np.nan
-        predictors = list(model.predictors)
-        predictors[1] = dataclasses.replace(predictors[1], lam=bad)
+        bad = model.lam.copy()
+        bad[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="subset id 2: lambda must be a finite"):
-            dataclasses.replace(model, predictors=tuple(predictors))
+            dataclasses.replace(model, lam=bad)
         with pytest.raises(ValueError, match="model holds 2 subsets"):
-            dataclasses.replace(model, predictors=model.predictors[:2])
+            dataclasses.replace(model, lam=model.lam[:2])
+        with pytest.raises(ValueError, match="subset id 1: lambda must be a finite 18 x 19"):
+            dataclasses.replace(model, lam=model.lam[:, 1:])
 
-    def test_predictor_lookup(self, tmp_path):
+    def test_predictor_lookup(self):
         _, traj = excited_benchmark_run()
         model = learn_model(traj, 3, 1, 6, 41)
-        assert model.predictor(2).subset.indices == (1, 3)
-        with pytest.raises(KeyError):
-            model.predictor(9)
+        assert model.subsets == tuple(enumerate_subsets(3, 1))
 
 
 class TestRankOracle:

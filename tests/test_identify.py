@@ -80,8 +80,8 @@ class TestInjectionBootstrap:
         _, y = simulate(ss, np.zeros(6), u)
         monitor = injection_bootstrap(model, u[:, :6], y[:, :6])
         traj = Trajectory(u, y)
-        for j, entry in enumerate(model.predictors):
-            mats = build_subset_matrices(traj, entry.subset, 6, 4)
+        for j, subset in enumerate(model.subsets):
+            mats = build_subset_matrices(traj, subset, 6, 4)
             np.testing.assert_array_equal(monitor.history[monitor.index[j]],
                                           mats.states[:, 0])
 
@@ -107,7 +107,7 @@ class TestInjectionStep:
             assert verdict.winners == (1, 2, 3)
             assert verdict.attack_free_sensors == (1, 2, 3)
             for score in verdict.scores:
-                assert score.value < 1e-8
+                assert score < 1e-8
 
     def test_attacked_sample_isolates_clean_subset(self):
         ss, model = benchmark_model()
@@ -125,7 +125,7 @@ class TestInjectionStep:
         assert not verdict.all_clear
         assert verdict.winners == (1,)
         assert verdict.attack_free_sensors == (1, 2)
-        by_id = {s.id: s.value for s in verdict.scores}
+        by_id = {s.id: score for s, score in zip(verdict.subsets, verdict.scores)}
         assert by_id[1] < 1e-8
         assert by_id[2] >= delta * (1 - 1e-6)
         assert by_id[3] >= delta * (1 - 1e-6)
@@ -161,11 +161,11 @@ class TestInjectionStep:
             y_k = ss.C @ x
             y_k[sensor - 1] += delta
             verdict = injection_step(monitor, rng.uniform(-1, 1, 1), y_k)
-            for score in verdict.scores:
-                if sensor in score.indices:
-                    assert score.value >= abs(delta) * (1 - 1e-6)
+            for subset, score in zip(verdict.subsets, verdict.scores):
+                if sensor in subset.indices:
+                    assert score >= abs(delta) * (1 - 1e-6)
                 else:
-                    assert score.value < 1e-8
+                    assert score < 1e-8
 
     def test_dimension_validation(self):
         ss, model = benchmark_model()
@@ -245,8 +245,7 @@ class TestBatchedMonitorMatchesReference:
         for k in range(n, u.shape[1]):
             verdict = injection_step(batched, u[:, k], y[:, k])
             expected = reference_injection_step(reference, u[:, k], y[:, k])
-            assert np.array_equal([s.value for s in verdict.scores],
-                                  [s.value for s in expected.scores])
+            assert np.array_equal(verdict.scores, expected.scores)
             assert verdict.winners == expected.winners
             assert (verdict.k, verdict.all_clear) == (expected.k, expected.all_clear)
             assert verdict == expected
@@ -254,9 +253,9 @@ class TestBatchedMonitorMatchesReference:
             if not verdict.all_clear:
                 break
         # a terminal verdict freezes the history, as the reference's states
-        for j, entry in enumerate(model.predictors):
+        for j, subset in enumerate(model.subsets):
             assert np.array_equal(batched.history[batched.index[j]],
-                                  reference.states[entry.subset.id])
+                                  reference.states[subset.id])
         assert verdict.all_clear != attack
         if attack:
             assert verdict.k == n + 31
@@ -270,9 +269,9 @@ class TestBatchedMonitorMatchesReference:
         for start in (0, 10):
             if start:
                 run_injection(monitor, u[:, n:], y[:, n:])
-            assert monitor.index.shape == (len(model.predictors), monitor.lam.shape[1])
-            for j, entry in enumerate(model.predictors):
-                rows = [i - 1 for i in entry.subset.indices]
+            assert monitor.index.shape == (len(model.subsets), model.lam.shape[1])
+            for j, subset in enumerate(model.subsets):
+                rows = [i - 1 for i in subset.indices]
                 window = slice(start, start + n)
                 np.testing.assert_array_equal(monitor.history[monitor.index[j]],
                                               stack_history(y[rows, window], u[:, window]))
@@ -310,7 +309,7 @@ class TestIdentifyReplay:
         verdict = identify_replay(traj, 3, 1, 6, 41)
         assert verdict.all_clear
         assert verdict.winners == (1, 2, 3)
-        assert all(s.value == 13 for s in verdict.scores)
+        assert all(s == 13 for s in verdict.scores)
 
     def test_benchmark_replay_attack(self):
         ss = benchmark_plant()
@@ -320,7 +319,7 @@ class TestIdentifyReplay:
         assert not verdict.all_clear
         assert verdict.winners == (1,)
         assert verdict.attack_free_sensors == (1, 2)
-        by_id = {s.id: int(s.value) for s in verdict.scores}
+        by_id = {s.id: int(score) for s, score in zip(verdict.subsets, verdict.scores)}
         assert by_id[1] == 13
         assert by_id[2] != 13 and by_id[3] != 13
 
@@ -336,11 +335,11 @@ class TestIdentifyReplay:
                 trial += 1
                 attacked = apply_attack(traj, ReplayAttack({sensor: constant}))
                 verdict = identify_replay(attacked, 3, 1, 6, 41)
-                for score in verdict.scores:
-                    if sensor in score.indices:
-                        assert score.value != 13, (sensor, constant, score)
+                for subset, score in zip(verdict.subsets, verdict.scores):
+                    if sensor in subset.indices:
+                        assert score != 13, (sensor, constant, subset)
                     else:
-                        assert score.value == 13, (sensor, constant, score)
+                        assert score == 13, (sensor, constant, subset)
 
     def test_non_exciting_input_rejected(self):
         ss = benchmark_plant()
@@ -391,7 +390,7 @@ class TestIdentifyDelay:
         verdict = identify_delay(y, degrees)
         assert verdict.all_clear
         assert verdict.winners == (1, 2, 3)
-        assert all(s.value == 0 for s in verdict.scores)
+        assert all(s == 0 for s in verdict.scores)
 
     def test_benchmark_delay_on_sensor_two(self):
         y, degrees = self.delayed_impulse((0, 5, 0))
@@ -400,14 +399,14 @@ class TestIdentifyDelay:
         verdict = identify_delay(y, degrees)
         assert verdict.winners == (1, 3)
         assert verdict.attack_free_sensors == (1, 3)
-        by_id = {s.id: s.value for s in verdict.scores}
+        by_id = {s.id: score for s, score in zip(verdict.subsets, verdict.scores)}
         assert (by_id[1], by_id[2], by_id[3]) == (0.0, 5.0, 0.0)
 
     def test_delay_on_first_sensor(self):
         y, degrees = self.delayed_impulse((1, 0, 0))
         verdict = identify_delay(y, degrees)
         assert verdict.winners == (2, 3)
-        by_id = {s.id: s.value for s in verdict.scores}
+        by_id = {s.id: score for s, score in zip(verdict.subsets, verdict.scores)}
         assert by_id[1] == 1.0
 
     def test_impulse_scale_invariance(self):
@@ -460,4 +459,5 @@ class TestVerdictSerialization:
         payload = verdict_to_dict(identify_delay(y, degrees))
         slacks = {entry["id"]: entry["slack"] for entry in payload["per_subset"]}
         assert slacks == {1: 0, 2: 5, 3: 0}
+        assert [entry["indices"] for entry in payload["per_subset"]] == [[1], [2], [3]]
         assert payload["attack_free_sensors"] == [1, 3]
