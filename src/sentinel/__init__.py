@@ -40,6 +40,7 @@ from .datamat import (
     is_persistently_exciting,
     load_trajectory,
     save_trajectory,
+    subset_rows,
 )
 from .attacks import (
     AttackBudgetError,

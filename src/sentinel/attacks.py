@@ -193,9 +193,12 @@ def save_scenario(scenario: AttackScenario, path) -> None:
 
 
 def load_scenario(path) -> AttackScenario:
-    """Read a scenario file written by save_scenario."""
+    """Read a scenario file written by save_scenario. A missing or mistyped
+    field raises ValueError naming the scenario type."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"scenario file holds a JSON {type(payload).__name__}, not an object")
     kind = payload.get("type")
     try:
         if kind == "injection":
@@ -209,4 +212,6 @@ def load_scenario(path) -> AttackScenario:
             return ReplayAttack({int(k): float(v) for k, v in payload["constants"].items()})
     except KeyError as exc:
         raise ValueError(f"{kind} scenario has no field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{kind} scenario has a field of the wrong type: {exc}") from exc
     raise ValueError(f"unknown scenario type {kind!r}")

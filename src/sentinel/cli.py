@@ -249,10 +249,8 @@ def cmd_learn(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read trajectory: {exc}", file=sys.stderr)
         return 1
-    if args.sensors is None:
-        args.sensors = traj.output_dim
     try:
-        model = learn_model(traj, args.sensors, args.max_attacked, args.n, args.horizon, tol)
+        model = learn_model(traj, traj.output_dim, args.max_attacked, args.n, args.horizon, tol)
     except TrajectoryLengthError as exc:
         print(f"trajectory too short: {exc}", file=sys.stderr)
         return 1
@@ -284,8 +282,8 @@ def cmd_identify(args) -> int:
                                           tol=tol)
             verdict = run_injection(monitor, stream.u[:, n:], stream.y[:, n:])
         elif args.mode == "replay":
-            verdict = identify_replay(stream, args.sensors or stream.output_dim,
-                                      args.max_attacked, args.n, args.test_len, tol)
+            verdict = identify_replay(stream, stream.output_dim, args.max_attacked, args.n,
+                                      args.test_len, tol)
         else:
             degrees = [int(r) for r in args.rel_deg.split(",")]
             verdict = identify_delay(stream.y, degrees, tol)
@@ -321,9 +319,12 @@ def cmd_check_pe(args) -> int:
 
 def cmd_simulate(args) -> int:
     tol = _tolerance(args)
+    if args.length < 1:
+        print(f"length must be positive, got {args.length}", file=sys.stderr)
+        return 1
     try:
         ss = load_state_space(args.model)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read plant model: {exc}", file=sys.stderr)
         return 1
     rng = np.random.default_rng(args.seed + OFF_SIM)
@@ -386,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn = sub.add_parser("learn", help="learn subset predictors from a recording")
     p_learn.add_argument("trajectory", help="attack-free recording (CSV)")
     p_learn.add_argument("--n", type=int, required=True, help="plant order")
-    p_learn.add_argument("--sensors", type=int, default=None,
-                         help="sensor count (default: from the file)")
     p_learn.add_argument("--max-attacked", type=int, required=True,
                          help="attack budget M")
     p_learn.add_argument("--horizon", type=int, required=True,
@@ -401,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("stream", help="online recording (CSV)")
     p_id.add_argument("--model", help="learned model JSON (injection mode)")
     p_id.add_argument("--n", type=int, default=None, help="plant order (replay mode)")
-    p_id.add_argument("--sensors", type=int, default=None)
     p_id.add_argument("--max-attacked", type=int, default=None)
     p_id.add_argument("--test-len", type=int, default=None,
                       help="test window length (replay mode)")

@@ -148,15 +148,16 @@ def generate_pe_input(m: int, length: int, order: int, seed: int,
 
 @dataclass(frozen=True)
 class SubsetDataMatrices:
-    """Data matrices of one sensor subset built from a single recording.
+    """Data matrices of every sensor subset built from a single recording.
 
-    u_now: inputs at the prediction instants (m x T).
-    states: stacked-history columns at times n..n+T-1 ((q+m)n x T).
+    u_now: inputs at the prediction instants (m x T), shared by all subsets.
+    states: stacked-history columns at times n..n+T-1 (S x (q+m)n x T),
+        states[j] those of subsets[j].
     states_next: the same columns one step later, times n+1..n+T.
     Column k of states_next equals column k+1 of states while they overlap.
     """
 
-    subset: SensorSubset
+    subsets: tuple[SensorSubset, ...]
     u_now: np.ndarray
     states: np.ndarray
     states_next: np.ndarray
@@ -167,19 +168,22 @@ class SubsetDataMatrices:
         for arr in (self.u_now, self.states, self.states_next):
             arr.setflags(write=False)
 
-    @property
-    def output_dim(self) -> int:
-        return len(self.subset.indices)
 
-    @property
-    def input_dim(self) -> int:
-        return self.u_now.shape[0]
+def subset_rows(n_sensors: int, subsets, n: int, m: int) -> np.ndarray:
+    """S x (q+m)n indices: row j picks subsets[j]'s stacked history out of
+    the all-sensor one. Time-major: sample t of sensor i sits at t * N + i - 1,
+    and the n * m input entries follow the N * n output entries."""
+    steps = n_sensors * np.arange(n)[:, None]
+    inputs = n_sensors * n + np.arange(n * m)
+    return np.array([np.concatenate([(steps + np.array(s.indices) - 1).reshape(-1), inputs])
+                     for s in subsets])
 
 
-def build_subset_matrices(traj: Trajectory, subset: SensorSubset, n: int,
+def build_subset_matrices(traj: Trajectory, subsets, n: int,
                           columns: int) -> SubsetDataMatrices:
-    """Assemble the per-subset data matrices with `columns` snapshots.
+    """Assemble the data matrices of every subset with `columns` snapshots.
 
+    Gathers each subset's rows of the all-sensor Hankels with subset_rows.
     Requires n + columns recorded samples so that both the current and the
     shifted history matrices come from one recording.
     """
@@ -188,11 +192,13 @@ def build_subset_matrices(traj: Trajectory, subset: SensorSubset, n: int,
     required = n + columns
     if traj.length < required:
         raise TrajectoryLengthError(traj.length, required)
-    z = traj.y[[i - 1 for i in subset.indices], :]
-    states = np.vstack([hankel(z, 0, n, columns), hankel(traj.u, 0, n, columns)])
-    states_next = np.vstack([hankel(z, 1, n, columns), hankel(traj.u, 1, n, columns)])
+    subsets = tuple(subsets)
+    if any(i > traj.output_dim for s in subsets for i in s.indices):
+        raise ValueError(f"a subset names a sensor beyond the {traj.output_dim} recorded")
+    full = np.vstack([hankel(traj.y, 0, n, columns + 1), hankel(traj.u, 0, n, columns + 1)])
+    gathered = full[subset_rows(traj.output_dim, subsets, n, traj.input_dim)]
     u_now = traj.u[:, n: n + columns].copy()
-    return SubsetDataMatrices(subset, u_now, states, states_next, n, columns)
+    return SubsetDataMatrices(subsets, u_now, gathered[..., :-1], gathered[..., 1:], n, columns)
 
 
 def stack_history(z_hist, u_hist) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .attacks import SensorSubset, enumerate_subsets
 from .datamat import SubsetDataMatrices, Trajectory, build_subset_matrices
-from .linalg import DEFAULT_TOL, Tolerance, numerical_rank, rank_cutoff
+from .linalg import DEFAULT_TOL, Tolerance, rank_cutoff
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,9 @@ class LearningError(RuntimeError):
 
 
 def stacked_data(mats: SubsetDataMatrices) -> np.ndarray:
-    """[current inputs; history columns]: the regressor matrix."""
-    return np.vstack([mats.u_now, mats.states])
+    """[current inputs; history columns] of every subset: the S regressor matrices."""
+    u_now = np.broadcast_to(mats.u_now, (len(mats.subsets),) + mats.u_now.shape)
+    return np.concatenate([u_now, mats.states], axis=1)
 
 
 def certifying_rank(m: int, n: int) -> int:
@@ -67,53 +68,62 @@ def certifying_rank(m: int, n: int) -> int:
     return m * (n + 1) + n
 
 
-def _rank_report(mats: SubsetDataMatrices, observed: int) -> RankReport:
-    m, n, q = mats.input_dim, mats.order, mats.output_dim
+def _certificate(mats: SubsetDataMatrices, sigma: np.ndarray,
+                 tol: Tolerance) -> tuple[np.ndarray, tuple[RankReport, ...]]:
+    """Mask of the S x r singular values above rank_cutoff and the S reports."""
+    m, n = mats.u_now.shape[0], mats.order
+    rows = m + mats.states.shape[1]
+    large = sigma > rank_cutoff(sigma, (rows, mats.columns), tol)
     required = certifying_rank(m, n)
-    return RankReport(observed, required, m * (n + 1) + q * n, observed == required)
+    return large, tuple(RankReport(int(observed), required, rows, int(observed) == required)
+                        for observed in large.sum(axis=1))
 
 
-def rank_condition(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL) -> RankReport:
-    """Rank certificate of the stacked data matrix for one subset."""
-    return _rank_report(mats, numerical_rank(stacked_data(mats), tol))
+def rank_condition(mats: SubsetDataMatrices,
+                   tol: Tolerance = DEFAULT_TOL) -> tuple[RankReport, ...]:
+    """Rank certificates of every subset's stacked data matrix, in position order."""
+    return _certificate(mats, np.linalg.svd(stacked_data(mats), compute_uv=False), tol)[1]
 
 
-def learn_lambda(mats: SubsetDataMatrices,
-                 tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float, RankReport]:
-    """Fit the one-step predictor for one subset: (lam, residual, report).
+def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
+                 ) -> tuple[np.ndarray, tuple[float, ...], tuple[RankReport, ...]]:
+    """Fit every subset's one-step predictor: (lam, residuals, reports).
 
-    lam maps [u[k]; history[k]] to history[k+1]; residual is the max-abs
-    training misfit and report the rank certificate.
+    lam[j] maps [u[k]; history[k]] of subsets[j] to history[k+1];
+    residuals[j] is its max-abs training misfit, reports[j] its certificate.
 
     Uses the Moore-Penrose pseudo-inverse of the stacked data: with the
     certifying rank this is exact on everything the plant can produce and
-    unique over informative recordings. One SVD gives both the rank report
-    and the pseudo-inverse, built as np.linalg.pinv builds it, so lam is
-    bit-identical to states_next @ pinv(stacked, rank_rel * max(shape)).
-    Raises LearningError (embedding the rank report) when the certificate
-    fails or the training misfit exceeds the residual slack.
+    unique over informative recordings. One batched SVD gives both the rank
+    reports and the pseudo-inverses, built as np.linalg.pinv builds them, so
+    lam[j] is bit-identical to states_next[j] @ pinv(stacked[j], rank_rel * max(shape)).
+    Raises one LearningError listing every subset whose certificate fails
+    or whose training misfit exceeds the residual slack.
     """
     stacked = stacked_data(mats)
     u, sigma, vt = np.linalg.svd(stacked, full_matrices=False)
-    large = sigma > rank_cutoff(sigma, stacked.shape, tol)
-    report = _rank_report(mats, int(np.sum(large)))
-    if not report.holds:
-        side = "above" if report.observed > report.required else "below"
-        raise LearningError([(mats.subset, report,
-                              f"rank certificate failed: data rank {report.observed} is "
-                              f"{side} the certifying rank {report.required} "
-                              f"(stacked rows: {report.rows})")])
+    large, reports = _certificate(mats, sigma, tol)
     inverse = np.divide(1, sigma, where=large, out=sigma)
     inverse[~large] = 0
-    lam = mats.states_next @ (vt.T @ (inverse[:, None] * u.T))
-    residual = float(np.max(np.abs(mats.states_next - lam @ stacked)))
-    slack = tol.residual_abs * (1.0 + float(np.max(np.abs(mats.states_next))))
-    if residual > slack:
-        raise LearningError([(mats.subset, report,
-                              f"data rank {report.observed} meets the certifying rank, "
-                              f"but the training misfit {residual:.3g} exceeds the "
-                              f"slack {slack:.3g}")])
-    return lam, residual, report
+    lam = mats.states_next @ (np.swapaxes(vt, 1, 2) @ (inverse[..., None] * np.swapaxes(u, 1, 2)))
+    residuals = np.max(np.abs(mats.states_next - lam @ stacked), axis=(1, 2))
+    slacks = tol.residual_abs * (1.0 + np.max(np.abs(mats.states_next), axis=(1, 2)))
+    failures = []
+    for subset, report, residual, slack in zip(mats.subsets, reports, residuals, slacks):
+        if not report.holds:
+            side = "above" if report.observed > report.required else "below"
+            failures.append((subset, report,
+                             f"rank certificate failed: data rank {report.observed} is "
+                             f"{side} the certifying rank {report.required} "
+                             f"(stacked rows: {report.rows})"))
+        elif residual > slack:
+            failures.append((subset, report,
+                             f"data rank {report.observed} meets the certifying rank, "
+                             f"but the training misfit {residual:.3g} exceeds the "
+                             f"slack {slack:.3g}"))
+    if failures:
+        raise LearningError(failures)
+    return lam, tuple(residuals.tolist()), reports
 
 
 def predict(lam, u_k, state) -> np.ndarray:
@@ -175,21 +185,13 @@ def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
                 pe_seed: Optional[int] = None) -> DataDrivenModel:
     """Learn predictors for every cardinality-(N - M) subset from one recording.
 
-    Every subset is tried; one LearningError lists all that fail.
+    One LearningError lists every subset that fails.
     """
     if traj.output_dim != n_sensors:
-        raise ValueError(
-            f"trajectory has {traj.output_dim} outputs, expected {n_sensors}")
-    fits, failures = [], []
-    for subset in enumerate_subsets(n_sensors, max_attacked):
-        try:
-            fits.append(learn_lambda(build_subset_matrices(traj, subset, n, columns), tol))
-        except LearningError as exc:
-            failures += exc.failures
-    if failures:
-        raise LearningError(failures)
-    lams, residuals, reports = zip(*fits)
-    return DataDrivenModel(lams, residuals, reports, n, traj.input_dim, n_sensors,
+        raise ValueError(f"trajectory has {traj.output_dim} outputs, expected {n_sensors}")
+    mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), n, columns)
+    lam, residuals, reports = learn_lambda(mats, tol)
+    return DataDrivenModel(lam, residuals, reports, n, traj.input_dim, n_sensors,
                            max_attacked, columns, pe_seed)
 
 

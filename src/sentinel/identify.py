@@ -26,6 +26,7 @@ from .datamat import (
     build_subset_matrices,
     is_persistently_exciting,
     stack_history,
+    subset_rows,
 )
 from .ddmodel import DataDrivenModel, predict, rank_condition
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector
@@ -98,12 +99,8 @@ def injection_bootstrap(model: DataDrivenModel, u_history, y_history,
         raise ValueError(f"u_history must be {m} x {n}, got {u_hist.shape}")
     if y_hist.shape != (n_sensors, n):
         raise ValueError(f"y_history must be {n_sensors} x {n}, got {y_hist.shape}")
-    # time-major: sample t of sensor i sits at t * N + i - 1, inputs follow
-    steps = n_sensors * np.arange(n)[:, None]
-    inputs = n_sensors * n + np.arange(n * m)
-    index = np.array([np.concatenate([(steps + np.array(s.indices) - 1).reshape(-1), inputs])
-                      for s in model.subsets])
-    return InjectionMonitor(model, stack_history(y_hist, u_hist), index,
+    return InjectionMonitor(model, stack_history(y_hist, u_hist),
+                            subset_rows(n_sensors, model.subsets, n, m),
                             n if k is None else k, tol)
 
 
@@ -172,6 +169,8 @@ def identify_replay(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
     cannot produce), so exactly the attack-free subsets report the
     certifying rank; those are the winners.
     """
+    if traj.output_dim != n_sensors:
+        raise ValueError(f"trajectory has {traj.output_dim} outputs, expected {n_sensors}")
     q = n_sensors - max_attacked
     m = traj.input_dim
     order = (m + q) * n + 1
@@ -185,8 +184,7 @@ def identify_replay(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
         raise ExcitationError(
             f"test input window is not persistently exciting of order {order}", order)
     subsets = enumerate_subsets(n_sensors, max_attacked)
-    reports = [rank_condition(build_subset_matrices(traj, subset, n, t1), tol)
-               for subset in subsets]
+    reports = rank_condition(build_subset_matrices(traj, subsets, n, t1), tol)
     return _verdict(traj.start_index, "replay", subsets,
                     [float(r.observed) for r in reports], [r.holds for r in reports])
 

@@ -74,14 +74,15 @@ def numerical_rank(mat, tol: Tolerance = DEFAULT_TOL) -> int:
     return int(np.sum(sigma > rank_cutoff(sigma, m.shape, tol)))
 
 
-def rank_cutoff(sigma, shape, tol: Tolerance = DEFAULT_TOL) -> float:
+def rank_cutoff(sigma, shape, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Singular-value cutoff rank_rel * max(rows, cols) * sigma_max.
 
-    sigma is sorted descending, as an SVD returns it. The product is
-    formed in np.linalg.pinv's order (rcond first), so a rank read off
-    these singular values and a pseudo-inverse built from them agree.
+    sigma is sorted descending along its last axis, as an SVD returns it,
+    so a stack of S rows gets S cutoffs. The product is formed in
+    np.linalg.pinv's order (rcond first), so a rank read off these singular
+    values and a pseudo-inverse built from them agree.
     """
-    return tol.rank_rel * max(shape) * sigma[0]
+    return tol.rank_rel * max(shape) * sigma[..., :1]
 
 
 def matrix_exponential(mat) -> np.ndarray:

@@ -223,16 +223,22 @@ def save_state_space(ss: StateSpace, path) -> None:
 
 
 def load_state_space(path) -> StateSpace:
-    """Read a discrete-time model written by save_state_space."""
+    """Read a discrete-time model written by save_state_space. A missing or
+    mistyped field raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    ss = StateSpace(np.array(payload["A"], dtype=float),
-                    np.array(payload["B"], dtype=float),
-                    np.array(payload["C"], dtype=float))
-    for key, value in (("n", ss.state_dim), ("m", ss.input_dim), ("N", ss.sensor_count)):
-        if int(payload[key]) != value:
-            raise ValueError(f"model file field {key}={payload[key]} disagrees "
-                             f"with matrix shapes ({value})")
+    try:
+        ss = StateSpace(np.array(payload["A"], dtype=float),
+                        np.array(payload["B"], dtype=float),
+                        np.array(payload["C"], dtype=float))
+        for key, value in (("n", ss.state_dim), ("m", ss.input_dim), ("N", ss.sensor_count)):
+            if int(payload[key]) != value:
+                raise ValueError(f"model file field {key}={payload[key]} disagrees "
+                                 f"with matrix shapes ({value})")
+    except KeyError as exc:
+        raise ValueError(f"plant file has no field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"plant file has a field of the wrong type: {exc}") from exc
     return ss
 
 

@@ -236,12 +236,12 @@ def test_criterion_05_representation_exactness():
         _, val_y = simulate(ss, np.zeros(n), val_u)
         val = Trajectory(val_u, val_y)
         for subset in enumerate_subsets(n_sensors, 1):
-            train = build_subset_matrices(traj, subset, n, columns)
-            lam = learn_lambda(train)[0]
-            mats = build_subset_matrices(val, subset, n, 40)
-            pred = lam @ np.vstack([mats.u_now, mats.states])
-            rel = np.max(np.abs(pred - mats.states_next)) / (
-                1.0 + np.max(np.abs(mats.states_next)))
+            train = build_subset_matrices(traj, (subset,), n, columns)
+            lam = learn_lambda(train)[0][0]
+            mats = build_subset_matrices(val, (subset,), n, 40)
+            pred = lam @ np.vstack([mats.u_now, mats.states[0]])
+            rel = np.max(np.abs(pred - mats.states_next[0])) / (
+                1.0 + np.max(np.abs(mats.states_next[0])))
             worst_prediction = max(worst_prediction, float(rel))
             sub_ss = StateSpace(ss.A, ss.B,
                                 np.asarray(ss.C)[[s - 1 for s in subset.indices]])
@@ -249,7 +249,7 @@ def test_criterion_05_representation_exactness():
             generator = np.hstack([ext.B_ext, ext.A_ext])
             scale = 1.0 + float(np.max(np.abs(generator)))
             # orthonormal basis of the regressor subspace the data span
-            regressor = np.vstack([train.u_now, train.states])
+            regressor = np.vstack([train.u_now, train.states[0]])
             basis = np.linalg.svd(regressor)[0][:, :_attainable_rank(ss, subset.indices)]
             gap = float(np.max(np.abs((lam - generator) @ basis))) / scale
             worst_subspace_by_q[q] = max(worst_subspace_by_q.get(q, 0.0), gap)
@@ -325,7 +325,7 @@ def test_criterion_07_unobservable_subset_rank_deficiency():
         _, y = simulate(ss, np.zeros(n), u)
         traj = Trajectory(u, y)
         for subset in enumerate_subsets(3, 1):
-            report = rank_condition(build_subset_matrices(traj, subset, n, columns))
+            report = rank_condition(build_subset_matrices(traj, (subset,), n, columns))[0]
             good = (report.observed == _attainable_rank(ss, subset.indices)
                     and report.holds == (subset.indices != (1, 2)))
             if not good:

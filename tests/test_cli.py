@@ -273,6 +273,42 @@ class TestSimulate:
         assert f"scenario has no field {field}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario, message", [
+        ([1, 2], "scenario file holds a JSON list"),
+        ({"type": "injection", "targets": 3, "onset": 5, "seed": 1}, "injection scenario"),
+        ({"type": "delay", "tau": None}, "delay scenario"),
+        ({"type": "replay", "constants": [1]}, "replay scenario"),
+    ], ids=["list", "injection", "delay", "replay"])
+    def test_scenario_wrong_type(self, tmp_path, capsys, scenario, message):
+        plant_path, scenario_path = tmp_path / "plant.json", tmp_path / "scenario.json"
+        save_state_space(benchmark_plant(), plant_path)
+        scenario_path.write_text(json.dumps(scenario))
+        assert main(["simulate", "--model", str(plant_path), "--scenario", str(scenario_path),
+                     "--out", str(tmp_path / "run.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot apply scenario: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("plant", ["list", "null-n"])
+    def test_mistyped_plant_file(self, tmp_path, capsys, plant):
+        plant_path = tmp_path / "plant.json"
+        save_state_space(benchmark_plant(), plant_path)
+        payload = json.loads(plant_path.read_text())
+        plant_path.write_text(json.dumps([1, 2] if plant == "list" else {**payload, "n": None}))
+        assert main(["simulate", "--model", str(plant_path),
+                     "--out", str(tmp_path / "run.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "cannot read plant model: plant file has a field of the wrong type" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("length", ["0", "-3"])
+    def test_non_positive_length_is_usage_error(self, tmp_path, capsys, length):
+        plant_path, out = tmp_path / "plant.json", tmp_path / "run.csv"
+        save_state_space(benchmark_plant(), plant_path)
+        assert main(["simulate", "--model", str(plant_path), "--length", length,
+                     "--out", str(out)]) == 1
+        assert f"length must be positive, got {length}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_plant(self, tmp_path):
         assert main(["simulate", "--model", str(tmp_path / "nope.json")]) == 1
 

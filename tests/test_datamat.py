@@ -15,6 +15,7 @@ from sentinel.datamat import (
     load_trajectory,
     save_trajectory,
     stack_history,
+    subset_rows,
 )
 from sentinel.plant import discretize_zoh, msd_benchmark, simulate
 
@@ -125,40 +126,59 @@ class TestBuildSubsetMatrices:
     def test_tiny_example_unrolled(self):
         traj = Trajectory([[10.0, 11.0, 12.0]], [[1.0, 2.0, 3.0]])
         subset = SensorSubset(1, (1,))
-        mats = build_subset_matrices(traj, subset, 1, 2)
+        mats = build_subset_matrices(traj, (subset,), 1, 2)
+        assert mats.subsets == (subset,)
         np.testing.assert_array_equal(mats.u_now, [[11.0, 12.0]])
-        np.testing.assert_array_equal(mats.states, [[1.0, 2.0], [10.0, 11.0]])
-        np.testing.assert_array_equal(mats.states_next, [[2.0, 3.0], [11.0, 12.0]])
+        np.testing.assert_array_equal(mats.states, [[[1.0, 2.0], [10.0, 11.0]]])
+        np.testing.assert_array_equal(mats.states_next, [[[2.0, 3.0], [11.0, 12.0]]])
 
     def test_shift_invariant(self):
         traj = benchmark_run()
-        subset = enumerate_subsets(3, 1)[0]
-        mats = build_subset_matrices(traj, subset, 6, 41)
-        np.testing.assert_array_equal(mats.states_next[:, :-1], mats.states[:, 1:])
+        mats = build_subset_matrices(traj, enumerate_subsets(3, 1), 6, 41)
+        np.testing.assert_array_equal(mats.states_next[..., :-1], mats.states[..., 1:])
 
     def test_benchmark_dimensions(self):
         traj = benchmark_run()
-        for subset in enumerate_subsets(3, 1):
-            mats = build_subset_matrices(traj, subset, 6, 41)
-            assert mats.u_now.shape == (1, 41)
-            assert mats.states.shape == (18, 41)
-            assert mats.states_next.shape == (18, 41)
+        mats = build_subset_matrices(traj, enumerate_subsets(3, 1), 6, 41)
+        assert mats.u_now.shape == (1, 41)
+        assert mats.states.shape == (3, 18, 41)
+        assert mats.states_next.shape == (3, 18, 41)
 
     def test_too_short_raises_with_minimum(self):
         traj = Trajectory([[1.0, 2.0]], [[1.0, 2.0]])
         with pytest.raises(TrajectoryLengthError) as err:
-            build_subset_matrices(traj, SensorSubset(1, (1,)), 1, 2)
+            build_subset_matrices(traj, (SensorSubset(1, (1,)),), 1, 2)
         assert err.value.required == 3
+
+    def test_sensor_beyond_recording_rejected(self):
+        traj = benchmark_run()
+        with pytest.raises(ValueError, match="beyond the 3 recorded"):
+            build_subset_matrices(traj, enumerate_subsets(4, 1), 6, 41)
 
     def test_matches_stack_history(self):
         traj = benchmark_run()
-        subset = SensorSubset(1, (1, 2))
         n = 6
-        mats = build_subset_matrices(traj, subset, n, 10)
-        z = traj.y[[0, 1], :]
-        for col in range(3):
-            expected = stack_history(z[:, col: col + n], traj.u[:, col: col + n])
-            np.testing.assert_array_equal(mats.states[:, col], expected)
+        subsets = enumerate_subsets(3, 1)
+        mats = build_subset_matrices(traj, subsets, n, 10)
+        for j, subset in enumerate(subsets):
+            z = traj.y[[i - 1 for i in subset.indices], :]
+            for col in range(3):
+                expected = stack_history(z[:, col: col + n], traj.u[:, col: col + n])
+                np.testing.assert_array_equal(mats.states[j, :, col], expected)
+
+
+class TestSubsetRows:
+    def test_picks_each_subset_out_of_the_all_sensor_history(self):
+        rng = np.random.default_rng(4)
+        n, m = 3, 2
+        y, u = rng.standard_normal((4, n)), rng.standard_normal((m, n))
+        full = stack_history(y, u)
+        subsets = enumerate_subsets(4, 2)
+        rows = subset_rows(4, subsets, n, m)
+        assert rows.shape == (6, (2 + m) * n)
+        for j, subset in enumerate(subsets):
+            expected = stack_history(y[[i - 1 for i in subset.indices]], u)
+            np.testing.assert_array_equal(full[rows[j]], expected)
 
 
 class TestTrajectory:

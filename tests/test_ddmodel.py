@@ -16,7 +16,7 @@ from sentinel.ddmodel import (
     rank_condition,
     save_learned_model,
 )
-from sentinel.linalg import DEFAULT_TOL, Tolerance
+from sentinel.linalg import DEFAULT_TOL, Tolerance, numerical_rank
 from sentinel.plant import StateSpace, discretize_zoh, msd_benchmark, random_test_system, simulate
 
 from oracles import extended_state_space, rank_obsv_oracle, ss_to_arx
@@ -54,8 +54,9 @@ def generator_matrices(ss, subset_rows):
 class TestRankCondition:
     def test_benchmark_clean_holds_at_certifying_rank(self):
         _, traj = excited_benchmark_run()
-        for subset in enumerate_subsets(3, 1):
-            report = rank_condition(build_subset_matrices(traj, subset, 6, 41))
+        reports = rank_condition(build_subset_matrices(traj, enumerate_subsets(3, 1), 6, 41))
+        assert len(reports) == 3
+        for report in reports:
             assert report.required == certifying_rank(1, 6) == 13
             assert report.rows == 19
             assert report.observed == 13
@@ -63,16 +64,18 @@ class TestRankCondition:
 
     def test_zero_input_fails(self):
         traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
-        report = rank_condition(build_subset_matrices(traj, SensorSubset(1, (1, 2)), 6, 41))
+        (report,) = rank_condition(
+            build_subset_matrices(traj, (SensorSubset(1, (1, 2)),), 6, 41))
         assert report.observed == 0 and not report.holds
 
     def test_replay_attacked_fails_per_subset(self):
         _, traj = excited_benchmark_run()
         attacked = apply_attack(traj, ReplayAttack({3: 0.01}))
+        mats = build_subset_matrices(attacked, enumerate_subsets(3, 1), 6, 41)
         observed = {}
-        for subset in enumerate_subsets(3, 1):
-            report = rank_condition(build_subset_matrices(attacked, subset, 6, 41))
-            observed[subset.indices] = (report.observed, report.holds)
+        for j, report in enumerate(rank_condition(mats)):
+            assert report.observed == numerical_rank(np.vstack([mats.u_now, mats.states[j]]))
+            observed[mats.subsets[j].indices] = (report.observed, report.holds)
         assert observed[(1, 2)] == (13, True)
         # constant rows both collapse directions and add one the plant
         # cannot produce, so attacked subsets miss 13 from either side
@@ -87,8 +90,8 @@ class TestLearnLambda:
         ss = StateSpace([[0.5]], [[1.0]], [[1.0]])
         u = np.random.default_rng(0).uniform(-1, 1, (1, 12))
         _, y = simulate(ss, np.zeros(1), u)
-        mats = build_subset_matrices(Trajectory(u, y), SensorSubset(1, (1,)), 1, 10)
-        lam, _, report = learn_lambda(mats)
+        mats = build_subset_matrices(Trajectory(u, y), (SensorSubset(1, (1,)),), 1, 10)
+        (lam,), _, (report,) = learn_lambda(mats)
         expected = np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.0]])
         np.testing.assert_allclose(lam, expected, atol=1e-8)
         np.testing.assert_allclose(lam, generator_matrices(ss, [0]), atol=1e-8)
@@ -109,47 +112,54 @@ class TestLearnLambda:
 
     def test_rank_failure_embeds_report(self):
         traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
-        mats = build_subset_matrices(traj, SensorSubset(1, (1, 2)), 6, 41)
+        mats = build_subset_matrices(traj, (SensorSubset(1, (1, 2)),), 6, 41)
         with pytest.raises(LearningError) as err:
             learn_lambda(mats)
         assert err.value.report.observed == 0
         assert err.value.subset.indices == (1, 2)
 
-    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4"])
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
     def test_one_svd_matches_pinv_and_rank_condition(self, plant):
         if plant == "benchmark":
             _, traj = excited_benchmark_run()
             n_sensors, max_attacked, columns = 3, 1, 41
-        else:
+        elif plant == "random-10x4":
             n_sensors, max_attacked, columns = 10, 4, 86
             traj = random_10x4_run(columns)
-        for subset in enumerate_subsets(n_sensors, max_attacked):
-            mats = build_subset_matrices(traj, subset, 6, columns)
-            stacked = np.vstack([mats.u_now, mats.states])
-            lam, _, report = learn_lambda(mats)
+        else:
+            n_sensors, max_attacked, columns = 6, 2, 40
+            ss = random_test_system(np.random.default_rng(5), 6, 1, 6, 4)
+            u = np.random.default_rng(6).uniform(-1, 1, (1, 6 + columns))
+            traj = Trajectory(u, simulate(ss, np.zeros(6), u)[1])
+        mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
+                                     columns)
+        lam, _, reports = learn_lambda(mats)
+        assert reports == rank_condition(mats)
+        for j in range(len(mats.subsets)):
+            stacked = np.vstack([mats.u_now, mats.states[j]])
             pinv = np.linalg.pinv(stacked, rcond=DEFAULT_TOL.rank_rel * max(stacked.shape))
-            assert np.array_equal(lam, mats.states_next @ pinv)
-            assert report == rank_condition(mats)
+            assert np.array_equal(lam[j], mats.states_next[j] @ pinv)
+            assert reports[j].observed == numerical_rank(stacked)
 
     def test_benchmark_fit_and_validation(self):
         ss, traj = excited_benchmark_run()
         subset = SensorSubset(1, (1, 2))
-        lam, residual, _ = learn_lambda(build_subset_matrices(traj, subset, 6, 41))
+        (lam,), (residual,), _ = learn_lambda(build_subset_matrices(traj, (subset,), 6, 41))
         assert residual < 1e-9
         # fresh run from the same plant: one-step predictions stay exact
         u2 = np.random.default_rng(1234).uniform(-1, 1, (1, 47))
         _, y2 = simulate(ss, np.zeros(6), u2)
-        mats2 = build_subset_matrices(Trajectory(u2, y2), subset, 6, 40)
-        pred = lam @ np.vstack([mats2.u_now, mats2.states])
-        err = np.max(np.abs(pred - mats2.states_next))
-        assert err < 1e-8 * (1 + np.max(np.abs(mats2.states_next)))
+        mats2 = build_subset_matrices(Trajectory(u2, y2), (subset,), 6, 40)
+        pred = lam @ np.vstack([mats2.u_now, mats2.states[0]])
+        err = np.max(np.abs(pred - mats2.states_next[0]))
+        assert err < 1e-8 * (1 + np.max(np.abs(mats2.states_next[0])))
 
     def test_relearning_gives_same_predictor(self):
         _, traj_a = excited_benchmark_run(seed=7)
         _, traj_b = excited_benchmark_run(seed=99)
         subset = SensorSubset(1, (1, 2))
-        lam_a = learn_lambda(build_subset_matrices(traj_a, subset, 6, 41))[0]
-        lam_b = learn_lambda(build_subset_matrices(traj_b, subset, 6, 41))[0]
+        lam_a = learn_lambda(build_subset_matrices(traj_a, (subset,), 6, 41))[0][0]
+        lam_b = learn_lambda(build_subset_matrices(traj_b, (subset,), 6, 41))[0][0]
         assert np.max(np.abs(lam_a - lam_b)) < 1e-8
 
     def test_single_sensor_subsets_match_generator(self):
@@ -162,11 +172,9 @@ class TestLearnLambda:
             columns = 2 * ((1 + 1) * n + 1) + 4
             u = rng.uniform(-1, 1, (1, n + columns))
             _, y = simulate(ss, np.zeros(n), u)
-            for sensor in (1, 2):
-                mats = build_subset_matrices(Trajectory(u, y),
-                                             SensorSubset(sensor, (sensor,)), n, columns)
-                lam = learn_lambda(mats)[0]
-                gen = generator_matrices(ss, [sensor - 1])
+            mats = build_subset_matrices(Trajectory(u, y), enumerate_subsets(2, 1), n, columns)
+            for lam, subset in zip(learn_lambda(mats)[0], mats.subsets):
+                gen = generator_matrices(ss, [subset.indices[0] - 1])
                 assert np.max(np.abs(lam - gen)) < 1e-8
 
     def test_multi_sensor_subsets_match_generator_on_regressors(self):
@@ -181,12 +189,13 @@ class TestLearnLambda:
             u = rng.uniform(-1, 1, (1, n + columns))
             _, y = simulate(ss, np.zeros(n), u)
             subset = SensorSubset(1, (1, 2))
-            lam = learn_lambda(build_subset_matrices(Trajectory(u, y), subset, n, columns))[0]
+            lam = learn_lambda(build_subset_matrices(Trajectory(u, y), (subset,), n,
+                                                     columns))[0][0]
             gen = generator_matrices(ss, [0, 1])
             u2 = rng.uniform(-1, 1, (1, n + 20))
             _, y2 = simulate(ss, np.zeros(n), u2)
-            mats2 = build_subset_matrices(Trajectory(u2, y2), subset, n, 20)
-            regressors = np.vstack([mats2.u_now, mats2.states])
+            mats2 = build_subset_matrices(Trajectory(u2, y2), (subset,), n, 20)
+            regressors = np.vstack([mats2.u_now, mats2.states[0]])
             gap = (lam - gen) @ regressors
             assert np.max(np.abs(gap)) < 1e-8 * (1 + np.max(np.abs(mats2.states_next)))
 
@@ -218,11 +227,11 @@ class TestPredict:
         # bottom input-block of a learned one-step prediction is u[k]
         ss, traj = excited_benchmark_run()
         subset = SensorSubset(1, (1, 2))
-        lam = learn_lambda(build_subset_matrices(traj, subset, 6, 41))[0]
+        lam = learn_lambda(build_subset_matrices(traj, (subset,), 6, 41))[0][0]
         u2 = np.random.default_rng(5).uniform(-1, 1, (1, 20))
         _, y2 = simulate(ss, np.zeros(6), u2)
-        mats2 = build_subset_matrices(Trajectory(u2, y2), subset, 6, 10)
-        out = predict(lam, mats2.u_now[:, 0], mats2.states[:, 0])
+        mats2 = build_subset_matrices(Trajectory(u2, y2), (subset,), 6, 10)
+        out = predict(lam, mats2.u_now[:, 0], mats2.states[0, :, 0])
         np.testing.assert_allclose(out[-1:], mats2.u_now[:, 0], atol=1e-9)
 
 

@@ -9,6 +9,7 @@ from sentinel.datamat import (
     build_subset_matrices,
     generate_pe_input,
     stack_history,
+    subset_rows,
 )
 from sentinel.ddmodel import learn_model
 from sentinel.identify import (
@@ -79,11 +80,9 @@ class TestInjectionBootstrap:
         u = np.random.default_rng(2).uniform(-1, 1, (1, 10))
         _, y = simulate(ss, np.zeros(6), u)
         monitor = injection_bootstrap(model, u[:, :6], y[:, :6])
-        traj = Trajectory(u, y)
-        for j, subset in enumerate(model.subsets):
-            mats = build_subset_matrices(traj, subset, 6, 4)
-            np.testing.assert_array_equal(monitor.history[monitor.index[j]],
-                                          mats.states[:, 0])
+        np.testing.assert_array_equal(monitor.index, subset_rows(3, model.subsets, 6, 1))
+        mats = build_subset_matrices(Trajectory(u, y), model.subsets, 6, 4)
+        np.testing.assert_array_equal(monitor.history[monitor.index], mats.states[..., 0])
 
     def test_history_shape_validation(self):
         _, model = benchmark_model()
@@ -354,6 +353,12 @@ class TestIdentifyReplay:
         traj = excited_run(ss, 6, 41, 19, 21)
         with pytest.raises(ExcitationError):
             identify_replay(traj, 3, 1, 6, 30)
+
+    @pytest.mark.parametrize("n_sensors, max_attacked", [(4, 2), (2, 1)])
+    def test_sensor_count_mismatch_rejected(self, n_sensors, max_attacked):
+        traj = excited_run(benchmark_plant(), 6, 41, 19, 21)
+        with pytest.raises(ValueError, match=f"3 outputs, expected {n_sensors}"):
+            identify_replay(traj, n_sensors, max_attacked, 6, 41)
 
 
 class TestFirstResponse:
