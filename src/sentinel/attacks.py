@@ -192,9 +192,18 @@ def save_scenario(scenario: AttackScenario, path) -> None:
         fh.write("\n")
 
 
+def _integer(value) -> int:
+    """An int from an integer, an integral float or a digit string, else TypeError."""
+    if isinstance(value, str) and value.isdecimal():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def load_scenario(path) -> AttackScenario:
-    """Read a scenario file written by save_scenario. A missing or mistyped
-    field raises ValueError naming the scenario type."""
+    """Read a scenario file written by save_scenario. A missing or mistyped field
+    (a bool or fraction where an integer belongs too) raises ValueError naming the type."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -202,14 +211,14 @@ def load_scenario(path) -> AttackScenario:
     kind = payload.get("type")
     try:
         if kind == "injection":
-            seed = int(payload["seed"])
-            onset = int(payload["onset"])
-            return InjectionAttack(tuple(int(t) for t in payload["targets"]), onset,
+            seed = _integer(payload["seed"])
+            onset = _integer(payload["onset"])
+            return InjectionAttack(tuple(_integer(t) for t in payload["targets"]), onset,
                                    seeded_injection_signal(seed, onset), seed)
         if kind == "delay":
-            return DelayAttack(tuple(int(d) for d in payload["tau"]))
+            return DelayAttack(tuple(_integer(d) for d in payload["tau"]))
         if kind == "replay":
-            return ReplayAttack({int(k): float(v) for k, v in payload["constants"].items()})
+            return ReplayAttack({_integer(k): float(v) for k, v in payload["constants"].items()})
     except KeyError as exc:
         raise ValueError(f"{kind} scenario has no field {exc}") from exc
     except (TypeError, AttributeError) as exc:

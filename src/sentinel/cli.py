@@ -236,21 +236,20 @@ def demo_replay(seed: int, tol: Tolerance, out: Path) -> int:
 def cmd_demo(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tol = _tolerance(args)
     runner = {"injection": demo_injection, "delay": demo_delay,
               "replay": demo_replay}[args.attack]
-    return runner(args.seed, tol, out)
+    return runner(args.seed, args.tol, out)
 
 
 def cmd_learn(args) -> int:
-    tol = _tolerance(args)
     try:
         traj = load_trajectory(args.trajectory)
     except (OSError, ValueError) as exc:
         print(f"cannot read trajectory: {exc}", file=sys.stderr)
         return 1
     try:
-        model = learn_model(traj, traj.output_dim, args.max_attacked, args.n, args.horizon, tol)
+        model = learn_model(traj, traj.output_dim, args.max_attacked, args.n, args.horizon,
+                            args.tol)
     except TrajectoryLengthError as exc:
         print(f"trajectory too short: {exc}", file=sys.stderr)
         return 1
@@ -266,7 +265,6 @@ def cmd_learn(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    tol = _tolerance(args)
     try:
         stream = load_trajectory(args.stream)
     except (OSError, ValueError) as exc:
@@ -279,14 +277,14 @@ def cmd_identify(args) -> int:
             if stream.length < n + 1:
                 raise TrajectoryLengthError(stream.length, n + 1)
             monitor = injection_bootstrap(model, stream.u[:, :n], stream.y[:, :n],
-                                          tol=tol)
+                                          tol=args.tol)
             verdict = run_injection(monitor, stream.u[:, n:], stream.y[:, n:])
         elif args.mode == "replay":
             verdict = identify_replay(stream, stream.output_dim, args.max_attacked, args.n,
-                                      args.test_len, tol)
+                                      args.test_len, args.tol)
         else:
             degrees = [int(r) for r in args.rel_deg.split(",")]
-            verdict = identify_delay(stream.y, degrees, tol)
+            verdict = identify_delay(stream.y, degrees, args.tol)
     except (TrajectoryLengthError, ExcitationError, NoResponseError, ValueError,
             OSError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
@@ -296,7 +294,6 @@ def cmd_identify(args) -> int:
 
 
 def cmd_check_pe(args) -> int:
-    tol = _tolerance(args)
     try:
         traj = load_trajectory(args.input)
     except (OSError, ValueError) as exc:
@@ -310,7 +307,7 @@ def cmd_check_pe(args) -> int:
     if length < args.order:
         print(f"fail: {length} samples cannot be exciting of order {args.order}")
         return 2
-    observed = excitation_rank(u, args.order, tol)
+    observed = excitation_rank(u, args.order, args.tol)
     ok = observed == args.order * m
     print(f"{'pass' if ok else 'fail'}: order {args.order}, observed rank "
           f"{observed} of {args.order * m}")
@@ -318,7 +315,6 @@ def cmd_check_pe(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    tol = _tolerance(args)
     if args.length < 1:
         print(f"length must be positive, got {args.length}", file=sys.stderr)
         return 1
@@ -429,6 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        args.tol = _tolerance(args)
+    except ValueError as exc:
+        print(f"invalid tolerance: {exc}", file=sys.stderr)
+        return 1
     if args.command == "identify":
         if args.mode == "injection" and not args.model:
             print("identify injection requires --model", file=sys.stderr)

@@ -15,6 +15,7 @@ the certifying value - in either direction - marks data the plant cannot
 have produced, which is what the replay test exploits.
 """
 
+import base64
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -150,14 +151,13 @@ class DataDrivenModel:
     Position j of lam (S x d x (d + m), d = (N - M + m) n; given as one
     stack or S matrices), residuals and reports belongs to subsets[j] =
     enumerate_subsets(N, M)[j]: its predictor, training misfit and rank
-    certificate (reports is None after a load). A wrong subset count or a
-    lambda that is not a finite d x (d + m) matrix raises ValueError naming
-    the first subset that breaks it.
+    certificate. A wrong subset count or a lambda that is not a finite
+    d x (d + m) matrix raises ValueError naming the first subset that breaks it.
     """
 
     lam: np.ndarray
     residuals: tuple[float, ...]
-    reports: Optional[tuple[RankReport, ...]]
+    reports: tuple[RankReport, ...]
     n: int
     m: int
     n_sensors: int
@@ -196,7 +196,8 @@ def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
 
 
 def save_learned_model(model: DataDrivenModel, path) -> None:
-    """Write a learned model as JSON."""
+    """Write a learned model as JSON; each lambda is base64 of its row-major
+    little-endian float64 bytes, so a load gives it back bit for bit."""
     payload = {
         "N": model.n_sensors,
         "M": model.max_attacked,
@@ -208,10 +209,12 @@ def save_learned_model(model: DataDrivenModel, path) -> None:
             {
                 "id": subset.id,
                 "indices": list(subset.indices),
-                "lambda": lam.tolist(),
+                "lambda": base64.b64encode(lam.astype("<f8").tobytes()).decode("ascii"),
+                "rank": report.observed,
                 "residual": residual,
             }
-            for subset, lam, residual in zip(model.subsets, model.lam, model.residuals)
+            for subset, lam, residual, report in zip(model.subsets, model.lam,
+                                                     model.residuals, model.reports)
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -221,25 +224,34 @@ def save_learned_model(model: DataDrivenModel, path) -> None:
 
 def load_learned_model(path) -> DataDrivenModel:
     """Read a learned model written by save_learned_model. A missing or
-    mistyped field, subsets other than enumerate_subsets(N, M) in order, or
-    a model that breaks DataDrivenModel's conditions raise ValueError.
-    """
+    mistyped field, a lambda that is not base64 float64 of d rows, a rank other
+    than the certifying one (every saved subset holds it), subsets other than
+    enumerate_subsets(N, M) in order, or a model that breaks DataDrivenModel's
+    conditions raise ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
+        n, m, n_sensors, max_attacked = (int(payload[key]) for key in ("n", "m", "N", "M"))
+        d, required = (n_sensors - max_attacked + m) * n, certifying_rank(m, n)
         listed, lams, residuals = [], [], []
         for entry in payload["subsets"]:
             subset = SensorSubset(int(entry["id"]), tuple(int(i) for i in entry["indices"]))
             try:
-                lams.append(np.array(entry["lambda"], dtype=float))
-            except ValueError as exc:
-                raise ValueError(f"subset id {subset.id}: lambda is not a matrix") from exc
+                lams.append(np.frombuffer(base64.b64decode(entry["lambda"], validate=True),
+                                          "<f8").reshape(d, -1))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"subset id {subset.id}: lambda is not a matrix; it must be a "
+                                 "base64 float64 string (re-learn decimal-format models)") from exc
+            if type(entry["rank"]) is not int or entry["rank"] != required:
+                raise ValueError(f"subset id {subset.id}: stored rank {entry['rank']!r} is "
+                                 f"not the certifying rank {required}")
             listed.append(subset)
             residuals.append(float(entry["residual"]))
         pe_seed = payload.get("pe_seed")
-        model = DataDrivenModel(lams, tuple(residuals), None, int(payload["n"]),
-                                int(payload["m"]), int(payload["N"]), int(payload["M"]),
-                                int(payload["T"]), None if pe_seed is None else int(pe_seed))
+        reports = (RankReport(required, required, m + d, True),) * len(lams)
+        model = DataDrivenModel(lams, tuple(residuals), reports, n, m, n_sensors,
+                                max_attacked, int(payload["T"]),
+                                None if pe_seed is None else int(pe_seed))
     except KeyError as exc:
         raise ValueError(f"model file has no field {exc}") from exc
     except TypeError as exc:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,35 @@ class TestScenarioFiles:
         save_scenario(ReplayAttack({3: 0.01}), path)
         loaded = load_scenario(path)
         assert isinstance(loaded, ReplayAttack) and loaded.constants == {3: 0.01}
+
+    @pytest.mark.parametrize("payload", [
+        {"type": "injection", "targets": [1.5], "onset": 5, "seed": 1},
+        {"type": "injection", "targets": [True], "onset": 5, "seed": 1},
+        {"type": "injection", "targets": [3], "onset": 5.7, "seed": 1},
+        {"type": "injection", "targets": [3], "onset": 5, "seed": 1.5},
+        {"type": "injection", "targets": [3], "onset": 5, "seed": True},
+        {"type": "delay", "tau": [0, 1.5, 0]},
+        {"type": "delay", "tau": [0, True, 0]},
+        {"type": "replay", "constants": {"1.5": 0.01}},
+        {"type": "replay", "constants": {"true": 0.01}},
+    ], ids=["targets-fraction", "targets-bool", "onset-fraction", "seed-fraction", "seed-bool",
+            "tau-fraction", "tau-bool", "constants-key-fraction", "constants-key-bool"])
+    def test_non_integral_integer_field_rejected(self, tmp_path, payload):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"{payload['type']} scenario has a field of the "
+                                             "wrong type: .* is not an integer"):
+            load_scenario(path)
+
+    def test_integral_floats_accepted(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"type": "delay", "tau": [0, 2.0, 0]}))
+        assert load_scenario(path).delays == (0, 2, 0)
+        path.write_text(json.dumps({"type": "injection", "targets": [3.0], "onset": 5.0,
+                                    "seed": 1.0}))
+        loaded = load_scenario(path)
+        assert (loaded.targets, loaded.onset, loaded.seed) == ((3,), 5, 1)
+        assert all(type(v) is int for v in (*loaded.targets, loaded.onset, loaded.seed))
 
     def test_unknown_type_rejected(self, tmp_path):
         path = tmp_path / "odd.json"

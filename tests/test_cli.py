@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -114,6 +115,16 @@ class TestLearn:
                      "--max-attacked", "1", "--horizon", "41"])
         assert code == 1
 
+    def test_non_positive_rank_tol_is_usage_error(self, injection_demo, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = main(["learn", str(injection_demo / "offline.csv"), "--n", "6",
+                     "--max-attacked", "1", "--horizon", "41", "--out", str(out),
+                     "--rank-tol", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "rank_rel must be strictly positive" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestIdentify:
     def test_injection_stream(self, injection_demo, capsys):
@@ -124,17 +135,26 @@ class TestIdentify:
         assert payload["winners"] == [1]
         assert payload["all_clear"] is False
 
-    @pytest.mark.parametrize("tamper", ["indices", "truncated", "nan"])
+    @pytest.mark.parametrize("tamper", ["indices", "truncated", "nan", "not-base64",
+                                        "decimal-format", "rank"])
     def test_inconsistent_model_is_precondition_failure(self, injection_demo, tmp_path,
                                                         capsys, tamper):
         payload = json.loads((injection_demo / "model.json").read_text())
         entry = payload["subsets"][0]
+        lam = np.frombuffer(base64.b64decode(entry["lambda"]), "<f8").reshape(18, 19).copy()
         if tamper == "indices":
             entry["indices"] = [2, 3]
         elif tamper == "truncated":
             entry["lambda"] = entry["lambda"][:-1]
+        elif tamper == "nan":
+            lam[3, 5] = np.nan
+            entry["lambda"] = base64.b64encode(lam.tobytes()).decode()
+        elif tamper == "not-base64":
+            entry["lambda"] = "not base64!"
+        elif tamper == "decimal-format":
+            entry["lambda"] = lam.tolist()
         else:
-            entry["lambda"][3][5] = float("nan")
+            entry["rank"] = 14
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload))
         code = main(["identify", "injection", str(injection_demo / "online.csv"),
@@ -160,6 +180,15 @@ class TestIdentify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err and "Traceback" not in captured.err
+
+    def test_non_positive_res_tol_is_usage_error(self, injection_demo, capsys):
+        code = main(["identify", "injection", str(injection_demo / "online.csv"),
+                     "--model", str(injection_demo / "model.json"), "--res-tol", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "residual_abs must be strictly positive" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_injection_requires_model(self, injection_demo):
         assert main(["identify", "injection", str(injection_demo / "online.csv")]) == 1

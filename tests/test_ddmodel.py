@@ -1,5 +1,7 @@
+import base64
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -275,6 +277,21 @@ class TestLearnModel:
             learn_model(traj, 4, 1, 6, 41)
 
 
+def recode_lambda(entry, edit):
+    """Store edit(lambda) in a benchmark model-file entry, lambda decoded as its
+    18 x 19 float64 matrix; an edit that drops entries changes the byte count."""
+    lam = np.frombuffer(base64.b64decode(entry["lambda"]), "<f8").reshape(18, 19)
+    entry["lambda"] = base64.b64encode(np.ascontiguousarray(edit(lam)).tobytes()).decode()
+
+
+def to_decimal_format(subsets):
+    """Rewrite benchmark model-file entries in the decimal format: nested lists, no rank."""
+    for entry in subsets:
+        entry["lambda"] = np.frombuffer(base64.b64decode(entry["lambda"]),
+                                        "<f8").reshape(18, 19).tolist()
+        del entry["rank"]
+
+
 class TestModelFile:
     def test_roundtrip(self, tmp_path):
         _, traj = excited_benchmark_run()
@@ -288,7 +305,7 @@ class TestModelFile:
         assert loaded.subsets == model.subsets
         np.testing.assert_array_equal(loaded.lam, model.lam)
         assert loaded.residuals == model.residuals
-        assert loaded.reports is None
+        assert loaded.reports == model.reports
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4"])
     def test_save_load_save_is_byte_stable(self, tmp_path, plant):
@@ -301,14 +318,34 @@ class TestModelFile:
         save_learned_model(load_learned_model(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_file_is_about_the_base64_lambda_size(self, tmp_path):
+        # the decimal lambdas this replaced took 12.4 MB here, against 4.1 MB
+        model = learn_model(random_10x4_run(), 10, 4, 6, 86)
+        path = tmp_path / "model.json"
+        save_learned_model(model, path)
+        assert path.stat().st_size <= 1.05 * math.ceil(model.lam.nbytes / 3) * 4 + 64 * 1024
+
     @pytest.mark.parametrize("tamper, message", [
         (lambda subsets: subsets[0].update(indices=[2, 3]), "subset id 1 lists sensors"),
-        (lambda subsets: subsets[1]["lambda"][4].pop(), "subset id 2: lambda is not a matrix"),
-        (lambda subsets: subsets[1]["lambda"].pop(), "subset id 2: lambda must be"),
-        (lambda subsets: subsets[2]["lambda"][0].__setitem__(0, float("nan")),
+        (lambda subsets: recode_lambda(subsets[1], lambda lam: lam.ravel()[:-1]),
+         "subset id 2: lambda is not a matrix"),
+        (lambda subsets: recode_lambda(subsets[1], lambda lam: lam[:-1]),
+         "subset id 2: lambda is not a matrix"),
+        (lambda subsets: recode_lambda(
+            subsets[2], lambda lam: np.concatenate([[np.nan], lam.ravel()[1:]])),
          "subset id 3: lambda must be a finite"),
         (lambda subsets: subsets.pop(), "holds 2 subsets"),
-    ], ids=["tampered-indices", "short-row", "missing-row", "nan", "missing-subset"])
+        (lambda subsets: recode_lambda(subsets[2], lambda lam: lam[:, :-1]),
+         "subset id 3: lambda must be a finite 18 x 19"),
+        (lambda subsets: subsets[1].update({"lambda": "not base64!"}),
+         "subset id 2: lambda is not a matrix"),
+        (to_decimal_format, r"subset id 1: lambda is not a matrix; it must be a base64 float64 "
+                            r"string \(re-learn"),
+        (lambda subsets: subsets[1].update(rank=12),
+         "subset id 2: stored rank 12 is not the certifying rank 13"),
+        (lambda subsets: subsets[1].update(rank=13.0), "subset id 2: stored rank 13.0 is not"),
+    ], ids=["tampered-indices", "short-row", "missing-row", "nan", "missing-subset",
+            "missing-column", "not-base64", "decimal-format", "wrong-rank", "float-rank"])
     def test_inconsistent_file_rejected(self, tmp_path, tamper, message):
         _, traj = excited_benchmark_run()
         path = tmp_path / "model.json"
