@@ -13,8 +13,12 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .datamat import Trajectory
-from .linalg import as_matrix
+from .datamat import Trajectory, write_json
+from .linalg import as_integer
+
+# magnitude range of seeded injection values
+INJECTION_LOW = 0.25
+INJECTION_HIGH = 1.25
 
 
 class AttackBudgetError(ValueError):
@@ -36,10 +40,6 @@ class SensorSubset:
             raise ValueError(f"subset indices must be strictly increasing and >= 1, got {idx}")
         object.__setattr__(self, "indices", idx)
 
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
 
 def enumerate_subsets(n_sensors: int, max_attacked: int) -> list[SensorSubset]:
     """All cardinality-(N - M) sensor subsets in lexicographic order, ids 1-based."""
@@ -56,13 +56,18 @@ class InjectionAttack:
     """Additive corruption on selected sensors from an onset time.
 
     signal(sensor, k) gives the value added to that sensor at absolute
-    time k; nothing is added before the onset.
+    time k; nothing is added before the onset. A sensor may be targeted
+    only once.
     """
 
     targets: tuple[int, ...]
     onset: int
     signal: Callable[[int, int], float]
     seed: Optional[int] = None
+
+    def __post_init__(self):
+        if len(set(self.targets)) != len(self.targets):
+            raise ValueError(f"injection targets must be distinct, got {self.targets}")
 
     def attacked_sensors(self) -> tuple[int, ...]:
         return tuple(sorted(self.targets))
@@ -95,19 +100,19 @@ class ReplayAttack:
 AttackScenario = Union[InjectionAttack, DelayAttack, ReplayAttack]
 
 
-def seeded_injection_signal(seed: int, onset: int, low: float = 0.25,
-                            high: float = 1.25) -> Callable[[int, int], float]:
+def seeded_injection_signal(seed: int, onset: int) -> Callable[[int, int], float]:
     """Deterministic per-(sensor, k) injection values, zero at the onset step.
 
-    Magnitudes are uniform in [low, high] with a random sign; each value is
-    derived from (seed, sensor, k) alone, so evaluation order never matters.
+    Magnitudes are uniform in [INJECTION_LOW, INJECTION_HIGH] with a random
+    sign; each value is derived from (seed, sensor, k) alone, so evaluation
+    order never matters.
     """
 
     def signal(sensor: int, k: int) -> float:
         if k == onset:
             return 0.0
         rng = np.random.default_rng([seed, sensor, k])
-        magnitude = rng.uniform(low, high)
+        magnitude = rng.uniform(INJECTION_LOW, INJECTION_HIGH)
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
         return sign * magnitude
 
@@ -115,16 +120,14 @@ def seeded_injection_signal(seed: int, onset: int, low: float = 0.25,
 
 
 def apply_attack(traj: Trajectory, scenario: AttackScenario,
-                 prehistory: Optional[np.ndarray] = None,
                  max_attacked: Optional[int] = None) -> Trajectory:
     """Return the trajectory an operator would receive under the scenario.
 
     Injection adds signal(i, k) to targeted rows for k >= onset (absolute
     time, honoring traj.start_index). Delay shifts row i right by its
-    delay, filling from `prehistory` (p x max-delay, newest sample last)
-    or zeros, which is exact for a run started at equilibrium. Replay
-    overwrites rows with their constants. The input record is carried
-    over unchanged.
+    delay, filling with zeros, which is exact for a run started at
+    equilibrium. Replay overwrites rows with their constants. The input
+    record is carried over unchanged.
     """
     attacked = scenario.attacked_sensors()
     if any(not 1 <= i <= traj.output_dim for i in attacked):
@@ -148,22 +151,9 @@ def apply_attack(traj: Trajectory, scenario: AttackScenario,
         if len(scenario.delays) != traj.output_dim:
             raise ValueError(
                 f"need one delay per sensor ({traj.output_dim}), got {len(scenario.delays)}")
-        max_delay = max(scenario.delays, default=0)
-        if prehistory is None:
-            pre = np.zeros((traj.output_dim, max_delay))
-        else:
-            pre = as_matrix(prehistory, "prehistory") if max_delay else np.zeros((traj.output_dim, 0))
-            if max_delay and (pre.shape[0] != traj.output_dim or pre.shape[1] < max_delay):
-                raise ValueError(
-                    f"prehistory must be {traj.output_dim} x >= {max_delay}, got {pre.shape}")
         for sensor, delay in enumerate(scenario.delays, start=1):
-            if delay == 0:
-                continue
-            row = traj.y[sensor - 1, :]
-            shifted = np.empty_like(row)
-            shifted[delay:] = row[: traj.length - delay]
-            shifted[:delay] = pre[sensor - 1, pre.shape[1] - delay:]
-            y[sensor - 1, :] = shifted
+            y[sensor - 1, :delay] = 0.0
+            y[sensor - 1, delay:] = traj.y[sensor - 1, : traj.length - delay]
     elif isinstance(scenario, ReplayAttack):
         for sensor, value in scenario.constants.items():
             y[int(sensor) - 1, :] = float(value)
@@ -187,18 +177,7 @@ def save_scenario(scenario: AttackScenario, path) -> None:
                    "constants": {str(k): float(v) for k, v in scenario.constants.items()}}
     else:
         raise TypeError(f"unknown attack scenario {type(scenario).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _integer(value) -> int:
-    """An int from an integer, an integral float or a digit string, else TypeError."""
-    if isinstance(value, str) and value.isdecimal():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
-        raise TypeError(f"{value!r} is not an integer")
-    return int(value)
+    write_json(payload, path)
 
 
 def load_scenario(path) -> AttackScenario:
@@ -211,14 +190,14 @@ def load_scenario(path) -> AttackScenario:
     kind = payload.get("type")
     try:
         if kind == "injection":
-            seed = _integer(payload["seed"])
-            onset = _integer(payload["onset"])
-            return InjectionAttack(tuple(_integer(t) for t in payload["targets"]), onset,
+            seed = as_integer(payload["seed"])
+            onset = as_integer(payload["onset"])
+            return InjectionAttack(tuple(as_integer(t) for t in payload["targets"]), onset,
                                    seeded_injection_signal(seed, onset), seed)
         if kind == "delay":
-            return DelayAttack(tuple(_integer(d) for d in payload["tau"]))
+            return DelayAttack(tuple(as_integer(d) for d in payload["tau"]))
         if kind == "replay":
-            return ReplayAttack({_integer(k): float(v) for k, v in payload["constants"].items()})
+            return ReplayAttack({as_integer(k): float(v) for k, v in payload["constants"].items()})
     except KeyError as exc:
         raise ValueError(f"{kind} scenario has no field {exc}") from exc
     except (TypeError, AttributeError) as exc:

@@ -44,6 +44,7 @@ from .datamat import (
     generate_pe_input,
     load_trajectory,
     save_trajectory,
+    write_json,
 )
 from .ddmodel import LearningError, learn_model, load_learned_model, save_learned_model
 from .identify import (
@@ -89,12 +90,6 @@ OFF_REPLAY_PE, OFF_REPLAY_FILL, OFF_SIM = 505, 606, 707
 
 def _excitation_order(m: int, q: int, n: int) -> int:
     return (m + q) * n + 1
-
-
-def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def excited_run(ss: StateSpace, n: int, columns: int, order: int, seed: int,
@@ -169,7 +164,7 @@ def demo_injection(seed: int, tol: Tolerance, out: Path) -> int:
         "detection_steps": detection_steps,
         "verdict": verdict_to_dict(verdict),
     }
-    _write_json(payload, out / "verdict.json")
+    write_json(payload, out / "verdict.json")
     expected = (not verdict.all_clear and verdict.winners == (1,)
                 and detection_steps is not None and detection_steps <= 2)
     print(f"injection demo: winners={verdict.winners} "
@@ -183,7 +178,7 @@ def demo_delay(seed: int, tol: Tolerance, out: Path) -> int:
     model = _demo_learn(ss, seed, tol, out)
     if model is None:
         return 2
-    degrees = [relative_degree(ss, j, tol) for j in range(1, BENCH_SENSORS + 1)]
+    degrees = [relative_degree(ss, j) for j in range(1, BENCH_SENSORS + 1)]
     if any(d is None for d in degrees):
         print(f"benchmark sensor never responds: relative degrees {degrees}")
         return 2
@@ -195,13 +190,13 @@ def demo_delay(seed: int, tol: Tolerance, out: Path) -> int:
     attacked = apply_attack(Trajectory(u, y), scenario,
                             max_attacked=BENCH_MAX_ATTACKED)
     save_trajectory(attacked, out / "online.csv")
-    verdict = identify_delay(attacked.y, degrees, tol)
+    verdict = identify_delay(attacked.y, degrees)
     payload = {
         "mode": "delay",
         "relative_degrees": degrees,
         "verdict": verdict_to_dict(verdict),
     }
-    _write_json(payload, out / "verdict.json")
+    write_json(payload, out / "verdict.json")
     expected = verdict.attack_free_sensors == (1, 3)
     print(f"delay demo: relative degrees={tuple(degrees)} "
           f"attack_free={verdict.attack_free_sensors} -> "
@@ -224,7 +219,7 @@ def demo_replay(seed: int, tol: Tolerance, out: Path) -> int:
     verdict = identify_replay(attacked, BENCH_SENSORS, BENCH_MAX_ATTACKED,
                               model.n, BENCH_COLUMNS, tol)
     payload = {"mode": "replay", "verdict": verdict_to_dict(verdict)}
-    _write_json(payload, out / "verdict.json")
+    write_json(payload, out / "verdict.json")
     expected = verdict.winners == (1,)
     ranks = {s.id: int(rank) for s, rank in zip(verdict.subsets, verdict.scores)}
     print(f"replay demo: ranks={ranks} winners={verdict.winners} "
@@ -284,7 +279,7 @@ def cmd_identify(args) -> int:
                                       args.test_len, args.tol)
         else:
             degrees = [int(r) for r in args.rel_deg.split(",")]
-            verdict = identify_delay(stream.y, degrees, args.tol)
+            verdict = identify_delay(stream.y, degrees)
     except (TrajectoryLengthError, ExcitationError, NoResponseError, ValueError,
             OSError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
@@ -344,8 +339,7 @@ def _tolerance(args) -> Tolerance:
     if getattr(args, "rank_tol", None) is not None:
         kwargs["rank_rel"] = args.rank_tol
     if getattr(args, "res_tol", None) is not None:
-        kwargs["residual_abs"] = args.res_tol
-        kwargs["residual_rel"] = args.res_tol
+        kwargs["residual"] = args.res_tol
     return Tolerance(**kwargs) if kwargs else DEFAULT_TOL
 
 
@@ -359,11 +353,14 @@ def _seed_default() -> int:
     return DEFAULT_SEED
 
 
-def _add_tol_flags(parser) -> None:
-    parser.add_argument("--rank-tol", type=float, default=None,
-                        help="relative singular-value cutoff for rank decisions")
-    parser.add_argument("--res-tol", type=float, default=None,
-                        help="residual slack (absolute and relative) for verdicts")
+TOL_FLAGS = {"--rank-tol": "relative singular-value cutoff for rank decisions",
+             "--res-tol": "residual slack (absolute and relative) for verdicts"}
+
+
+def _add_tol_flags(parser, *flags) -> None:
+    """Add the given tolerance flags; each subcommand takes only those it reads."""
+    for flag in flags:
+        parser.add_argument(flag, type=float, default=None, help=TOL_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("attack", choices=["injection", "delay", "replay"])
     p_demo.add_argument("--seed", type=int, default=_seed_default())
     p_demo.add_argument("--out", default="demo-out", help="output directory")
-    _add_tol_flags(p_demo)
+    _add_tol_flags(p_demo, "--rank-tol", "--res-tol")
     p_demo.set_defaults(func=cmd_demo)
 
     p_learn = sub.add_parser("learn", help="learn subset predictors from a recording")
@@ -388,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--horizon", type=int, required=True,
                          help="data-matrix column count")
     p_learn.add_argument("--out", default="model.json")
-    _add_tol_flags(p_learn)
+    _add_tol_flags(p_learn, "--rank-tol", "--res-tol")
     p_learn.set_defaults(func=cmd_learn)
 
     p_id = sub.add_parser("identify", help="run an identifier over a recorded stream")
@@ -401,13 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="test window length (replay mode)")
     p_id.add_argument("--rel-deg", default=None,
                       help="comma-separated per-sensor delays, e.g. 1,2,1 (delay mode)")
-    _add_tol_flags(p_id)
+    _add_tol_flags(p_id, "--rank-tol", "--res-tol")
     p_id.set_defaults(func=cmd_identify)
 
     p_pe = sub.add_parser("check-pe", help="certify persistency of excitation")
     p_pe.add_argument("input", help="recording (CSV); the input columns are checked")
     p_pe.add_argument("--order", type=int, required=True)
-    _add_tol_flags(p_pe)
+    _add_tol_flags(p_pe, "--rank-tol")
     p_pe.set_defaults(func=cmd_check_pe)
 
     p_sim = sub.add_parser("simulate",
@@ -418,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=_seed_default())
     p_sim.add_argument("--max-attacked", type=int, default=None)
     p_sim.add_argument("--out", default="trajectory.csv")
-    _add_tol_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

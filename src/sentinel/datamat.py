@@ -10,6 +10,7 @@ step.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -19,6 +20,9 @@ from .linalg import DEFAULT_TOL, Tolerance, as_matrix, numerical_rank
 
 if TYPE_CHECKING:
     from .attacks import SensorSubset
+
+# seeded draws generate_pe_input makes before giving up
+PE_MAX_ATTEMPTS = 16
 
 
 class WindowError(ValueError):
@@ -116,19 +120,17 @@ class ExcitationSignal:
 
     u: np.ndarray
     seed: int
-    order: int
 
     def __post_init__(self):
         self.u.setflags(write=False)
 
 
 def generate_pe_input(m: int, length: int, order: int, seed: int,
-                      tol: Tolerance = DEFAULT_TOL,
-                      max_attempts: int = 16) -> ExcitationSignal:
+                      tol: Tolerance = DEFAULT_TOL) -> ExcitationSignal:
     """Seeded uniform(-1, 1) input, certified persistently exciting.
 
     Regenerates with an incremented seed until the excitation check passes
-    (at most max_attempts draws) and records the seed actually used.
+    (at most PE_MAX_ATTEMPTS draws) and records the seed actually used.
     """
     if order < 1:
         raise ValueError(f"excitation order must be positive, got {order}")
@@ -137,13 +139,13 @@ def generate_pe_input(m: int, length: int, order: int, seed: int,
         raise ExcitationError(
             f"length {length} cannot be exciting of order {order} for {m} inputs "
             f"(needs at least {feasible} samples)", order)
-    for attempt in range(max_attempts):
+    for attempt in range(PE_MAX_ATTEMPTS):
         used = seed + attempt
         u = np.random.default_rng(used).uniform(-1.0, 1.0, (m, length))
         if is_persistently_exciting(u, order, tol):
-            return ExcitationSignal(u, used, order)
+            return ExcitationSignal(u, used)
     raise ExcitationError(
-        f"no exciting input of order {order} found in {max_attempts} seeded draws", order)
+        f"no exciting input of order {order} found in {PE_MAX_ATTEMPTS} seeded draws", order)
 
 
 @dataclass(frozen=True)
@@ -210,6 +212,13 @@ def stack_history(z_hist, u_hist) -> np.ndarray:
     if z.shape[1] != u.shape[1]:
         raise ValueError("output and input histories must cover the same window")
     return np.concatenate([z.T.reshape(-1), u.T.reshape(-1)])
+
+
+def write_json(payload, path) -> None:
+    """Write payload as indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_trajectory(traj: Trajectory, path) -> None:

@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .attacks import SensorSubset, enumerate_subsets
-from .datamat import SubsetDataMatrices, Trajectory, build_subset_matrices
-from .linalg import DEFAULT_TOL, Tolerance, rank_cutoff
+from .datamat import SubsetDataMatrices, Trajectory, build_subset_matrices, write_json
+from .linalg import DEFAULT_TOL, Tolerance, as_integer, rank_cutoff
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
     inverse[~large] = 0
     lam = mats.states_next @ (np.swapaxes(vt, 1, 2) @ (inverse[..., None] * np.swapaxes(u, 1, 2)))
     residuals = np.max(np.abs(mats.states_next - lam @ stacked), axis=(1, 2))
-    slacks = tol.residual_abs * (1.0 + np.max(np.abs(mats.states_next), axis=(1, 2)))
+    slacks = tol.residual * (1.0 + np.max(np.abs(mats.states_next), axis=(1, 2)))
     failures = []
     for subset, report, residual, slack in zip(mats.subsets, reports, residuals, slacks):
         if not report.holds:
@@ -217,25 +217,25 @@ def save_learned_model(model: DataDrivenModel, path) -> None:
                                                      model.residuals, model.reports)
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def load_learned_model(path) -> DataDrivenModel:
     """Read a learned model written by save_learned_model. A missing or
-    mistyped field, a lambda that is not base64 float64 of d rows, a rank other
-    than the certifying one (every saved subset holds it), subsets other than
+    mistyped field (a bool or fraction where an integer belongs too), a
+    lambda that is not base64 float64 of d rows, a rank other than the
+    certifying one (every saved subset holds it), subsets other than
     enumerate_subsets(N, M) in order, or a model that breaks DataDrivenModel's
     conditions raise ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
-        n, m, n_sensors, max_attacked = (int(payload[key]) for key in ("n", "m", "N", "M"))
+        n, m, n_sensors, max_attacked = (as_integer(payload[key]) for key in ("n", "m", "N", "M"))
         d, required = (n_sensors - max_attacked + m) * n, certifying_rank(m, n)
         listed, lams, residuals = [], [], []
         for entry in payload["subsets"]:
-            subset = SensorSubset(int(entry["id"]), tuple(int(i) for i in entry["indices"]))
+            subset = SensorSubset(as_integer(entry["id"]),
+                                  tuple(as_integer(i) for i in entry["indices"]))
             try:
                 lams.append(np.frombuffer(base64.b64decode(entry["lambda"], validate=True),
                                           "<f8").reshape(d, -1))
@@ -250,8 +250,8 @@ def load_learned_model(path) -> DataDrivenModel:
         pe_seed = payload.get("pe_seed")
         reports = (RankReport(required, required, m + d, True),) * len(lams)
         model = DataDrivenModel(lams, tuple(residuals), reports, n, m, n_sensors,
-                                max_attacked, int(payload["T"]),
-                                None if pe_seed is None else int(pe_seed))
+                                max_attacked, as_integer(payload["T"]),
+                                None if pe_seed is None else as_integer(pe_seed))
     except KeyError as exc:
         raise ValueError(f"model file has no field {exc}") from exc
     except TypeError as exc:

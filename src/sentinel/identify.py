@@ -29,7 +29,7 @@ from .datamat import (
     subset_rows,
 )
 from .ddmodel import DataDrivenModel, predict, rank_condition
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, first_nonzero
 
 
 class NoResponseError(RuntimeError):
@@ -84,13 +84,11 @@ class InjectionMonitor:
 
 
 def injection_bootstrap(model: DataDrivenModel, u_history, y_history,
-                        k: Optional[int] = None,
                         tol: Tolerance = DEFAULT_TOL) -> InjectionMonitor:
     """Build the monitor state from n attack-free samples.
 
-    u_history is m x n and y_history N x n, columns oldest first; k tags
-    the time at which the monitor starts (defaults to n, i.e. histories
-    covering times 0..n-1).
+    u_history is m x n and y_history N x n, columns oldest first; the
+    monitor starts at time n, i.e. the histories cover times 0..n-1.
     """
     u_hist = as_matrix(u_history, "u_history")
     y_hist = as_matrix(y_history, "y_history")
@@ -101,7 +99,7 @@ def injection_bootstrap(model: DataDrivenModel, u_history, y_history,
         raise ValueError(f"y_history must be {n_sensors} x {n}, got {y_hist.shape}")
     return InjectionMonitor(model, stack_history(y_hist, u_hist),
                             subset_rows(n_sensors, model.subsets, n, m),
-                            n if k is None else k, tol)
+                            n, tol)
 
 
 def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
@@ -110,7 +108,7 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     For each subset the predictor advances the stored history and the
     received measurement is shifted in to form the observed history; the
     score is the 2-norm of their difference. Candidates within
-    residual_abs + residual_rel * ||observed|| of the smallest score win.
+    residual + residual * ||observed|| of the smallest score win.
     On all-clear the shifted history becomes the new monitor state;
     otherwise the verdict is terminal and the monitor freezes. All subsets
     are scored at once: one gather, one stacked product, one shift.
@@ -129,7 +127,7 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     # row norms as one dot product per row: bit-equal to np.linalg.norm of a row
     rows = np.stack([observed - predicted, observed])[..., None]
     residuals, norms = np.sqrt(np.swapaxes(rows, -1, -2) @ rows)[..., 0, 0]
-    slack = mon.tol.residual_abs + mon.tol.residual_rel * norms
+    slack = mon.tol.residual + mon.tol.residual * norms
     wins = residuals <= residuals.min() + slack
     verdict = _verdict(mon.k + 1, "injection", model.subsets, residuals.tolist(),
                        wins.tolist())
@@ -189,25 +187,19 @@ def identify_replay(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
                     [float(r.observed) for r in reports], [r.holds for r in reports])
 
 
-def first_response(signal, tol: Tolerance = DEFAULT_TOL) -> Optional[int]:
+def first_response(signal) -> Optional[int]:
     """Index k >= 1 of the first sample that reads nonzero, else None.
 
-    The cutoff is nonzero_rel times the signal's own peak over k >= 1
-    (floored by nonzero_abs), making the answer invariant to input and
-    output scaling. Non-finite samples raise ValueError.
+    "Nonzero" is linalg.first_nonzero's rule over k >= 1, the rule
+    relative_degree applies to Markov parameters, so the answer is
+    invariant to input and output scaling. Non-finite samples raise
+    ValueError.
     """
-    values = np.abs(as_vector(signal, np.size(signal), "signal"))
-    if values.size < 2:
-        return None
-    peak = float(values[1:].max())
-    threshold = max(tol.nonzero_abs, tol.nonzero_rel * peak)
-    for k in range(1, values.size):
-        if values[k] > threshold:
-            return k
-    return None
+    first = first_nonzero(as_vector(signal, np.size(signal), "signal")[1:])
+    return None if first is None else first + 1
 
 
-def identify_delay(y_impulse, rel_degrees, tol: Tolerance = DEFAULT_TOL) -> IdentificationVerdict:
+def identify_delay(y_impulse, rel_degrees) -> IdentificationVerdict:
     """Timing test after an impulse from equilibrium.
 
     y_impulse is N x T (T at least the largest expected delay); entry j-1
@@ -227,7 +219,7 @@ def identify_delay(y_impulse, rel_degrees, tol: Tolerance = DEFAULT_TOL) -> Iden
         raise ValueError(
             f"impulse record of {y_arr.shape[1]} samples cannot cover a delay of "
             f"{max(rel_degrees)}")
-    timings = [first_response(y_arr[j], tol) for j in range(n_sensors)]
+    timings = [first_response(y_arr[j]) for j in range(n_sensors)]
     if all(t is None for t in timings):
         raise NoResponseError("no sensor responded to the impulse")
     slacks = [np.inf if t is None else float(t - r) for t, r in zip(timings, rel_degrees)]

@@ -1,14 +1,22 @@
 """Dense real-matrix primitives shared by every other module.
 
 All functions are pure and operate on float64 numpy arrays; inputs are
-validated to be finite 2-D matrices. Thresholded decisions (rank, nonzero
-tests) are driven by a single Tolerance record so the whole pipeline can be
-re-tuned from one place.
+validated to be finite 2-D matrices. Rank and residual decisions are
+driven by a single Tolerance record so the whole pipeline can be re-tuned
+from one place; the nonzero test of the delay detector is fixed by
+NONZERO_ABS and NONZERO_REL.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+# A sample counts as nonzero only if it exceeds NONZERO_REL times its
+# signal's peak as well as NONZERO_ABS. Sampling smears impulse responses,
+# so leading samples a few orders of magnitude below the peak must read as
+# zero for timing tests to be scale-invariant.
+NONZERO_ABS = 1e-12
+NONZERO_REL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -19,25 +27,15 @@ class Tolerance:
         observable directions of the benchmark sit near 1e-7 of the top
         singular value while round-off noise sits near 1e-16, so the
         default separates the two by several decades on each side.
-    residual_abs / residual_rel: absolute / scale-relative slack when
-        comparing prediction residuals.
-    nonzero_abs: absolute floor below which a sample is considered zero.
-    nonzero_rel: cutoff relative to a signal's peak magnitude; a sample
-        counts as nonzero only if it exceeds nonzero_rel * peak as well as
-        nonzero_abs. Sampling smears impulse responses, so leading samples
-        a few orders of magnitude below the peak must read as zero for
-        timing tests to be scale-invariant.
+    residual: absolute and scale-relative slack when comparing prediction
+        residuals.
     """
 
     rank_rel: float = 1e-11
-    residual_abs: float = 1e-9
-    residual_rel: float = 1e-9
-    nonzero_abs: float = 1e-12
-    nonzero_rel: float = 1e-2
+    residual: float = 1e-9
 
     def __post_init__(self):
-        for name in ("rank_rel", "residual_abs", "residual_rel",
-                     "nonzero_abs", "nonzero_rel"):
+        for name in ("rank_rel", "residual"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"Tolerance.{name} must be strictly positive")
 
@@ -65,6 +63,23 @@ def as_vector(a, dim: int, name: str = "vector") -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def as_integer(value) -> int:
+    """An int from an integer, an integral float or a digit string, else TypeError."""
+    if isinstance(value, str) and value.isdecimal():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def first_nonzero(values) -> int | None:
+    """Index of the first entry above max(NONZERO_ABS, NONZERO_REL * peak),
+    peak being the largest magnitude in `values`, else None."""
+    magnitudes = np.abs(np.asarray(values, dtype=float))
+    above = magnitudes > max(NONZERO_ABS, NONZERO_REL * magnitudes.max(initial=0.0))
+    return int(above.argmax()) if above.any() else None
 
 
 def numerical_rank(mat, tol: Tolerance = DEFAULT_TOL) -> int:

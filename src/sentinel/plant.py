@@ -14,14 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datamat import write_json
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    as_integer,
     as_matrix,
     as_vector,
+    first_nonzero,
     matrix_exponential,
     numerical_rank,
 )
+
+# random_test_system: spectral-radius bound and number of draws
+RANDOM_RADIUS = 0.95
+RANDOM_MAX_TRIES = 64
 
 
 def _freeze_abc(model) -> None:
@@ -128,26 +135,19 @@ def markov_parameters(ss: StateSpace, sensor: int, count: int) -> np.ndarray:
     return out
 
 
-def relative_degree(ss: StateSpace, sensor: int, tol: Tolerance = DEFAULT_TOL):
+def relative_degree(ss: StateSpace, sensor: int):
     """Input-to-output delay of one sensor: 1 + index of its first nonzero
     Markov parameter.
 
-    "Nonzero" is judged against the sensor's own Markov-parameter peak
-    (nonzero_rel * peak, floored by nonzero_abs) so the answer is invariant
-    under rescaling C or B. The search stops at i = 2n; if every parameter
-    up to there reads as zero the sensor never responds and None is
-    returned.
+    "Nonzero" is linalg.first_nonzero's rule, judged against the sensor's
+    own Markov-parameter peak, so the answer is invariant under rescaling
+    C or B. The search stops at i = 2n; if every parameter up to there
+    reads as zero the sensor never responds and None is returned.
     """
     if ss.input_dim != 1:
         raise ValueError("relative_degree supports single-input systems only")
-    count = 2 * ss.state_dim + 1
-    params = np.abs(markov_parameters(ss, sensor, count))
-    peak = params.max()
-    threshold = max(tol.nonzero_abs, tol.nonzero_rel * peak)
-    for i in range(count):
-        if params[i] > threshold:
-            return i + 1
-    return None
+    first = first_nonzero(markov_parameters(ss, sensor, 2 * ss.state_dim + 1))
+    return None if first is None else first + 1
 
 
 def is_observable(a, c_sub, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -217,14 +217,13 @@ def save_state_space(ss: StateSpace, path) -> None:
         "B": ss.B.tolist(),
         "C": ss.C.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def load_state_space(path) -> StateSpace:
     """Read a discrete-time model written by save_state_space. A missing or
-    mistyped field raises ValueError."""
+    mistyped field (a bool or fraction where an integer belongs too) raises
+    ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
@@ -232,7 +231,7 @@ def load_state_space(path) -> StateSpace:
                         np.array(payload["B"], dtype=float),
                         np.array(payload["C"], dtype=float))
         for key, value in (("n", ss.state_dim), ("m", ss.input_dim), ("N", ss.sensor_count)):
-            if int(payload[key]) != value:
+            if as_integer(payload[key]) != value:
                 raise ValueError(f"model file field {key}={payload[key]} disagrees "
                                  f"with matrix shapes ({value})")
     except KeyError as exc:
@@ -248,30 +247,29 @@ def spectral_radius(a) -> float:
 
 
 def random_test_system(rng: np.random.Generator, n: int, m: int, n_sensors: int,
-                       subset_size: int, radius: float = 0.95,
-                       tol: Tolerance = DEFAULT_TOL, max_tries: int = 64) -> StateSpace:
+                       subset_size: int) -> StateSpace:
     """Seeded random plant, controllable and observable from every
-    cardinality-`subset_size` sensor subset, spectral radius <= radius.
+    cardinality-`subset_size` sensor subset, spectral radius <= RANDOM_RADIUS.
 
     Entries are uniform(-1, 1); A is rescaled when its spectral radius
-    exceeds `radius` and the draw is repeated until the structural checks
-    pass (generic, so a handful of tries suffices).
+    exceeds RANDOM_RADIUS and the draw is repeated until the structural
+    checks pass (generic, so a handful of tries suffices).
     """
-    for _ in range(max_tries):
+    for _ in range(RANDOM_MAX_TRIES):
         a = rng.uniform(-1.0, 1.0, (n, n))
         rho = spectral_radius(a)
-        if rho > radius:
-            a *= radius / rho
+        if rho > RANDOM_RADIUS:
+            a *= RANDOM_RADIUS / rho
         b = rng.uniform(-1.0, 1.0, (n, m))
         c = rng.uniform(-1.0, 1.0, (n_sensors, n))
-        if not is_controllable(a, b, tol):
+        if not is_controllable(a, b):
             continue
         ok = all(
-            is_observable(a, c[list(combo), :], tol)
+            is_observable(a, c[list(combo), :])
             for combo in itertools.combinations(range(n_sensors), subset_size)
         )
         if ok:
             return StateSpace(a, b, c)
     raise RuntimeError(
-        f"no admissible random system found in {max_tries} draws "
+        f"no admissible random system found in {RANDOM_MAX_TRIES} draws "
         f"(n={n}, m={m}, sensors={n_sensors}, subset={subset_size})")

@@ -255,7 +255,7 @@ def reference_injection_step(mon: ReferenceMonitor, u_k, y_new) -> Identificatio
         residual = float(np.linalg.norm(observed - predicted))
         scores.append(residual)
         observed_states[subset.id] = observed
-        slack.append(mon.tol.residual_abs + mon.tol.residual_rel * float(
+        slack.append(mon.tol.residual + mon.tol.residual * float(
             np.linalg.norm(observed)))
     best = min(scores)
     wins = [score <= best + s for score, s in zip(scores, slack)]

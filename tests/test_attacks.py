@@ -35,9 +35,6 @@ class TestSensorSubset:
         with pytest.raises(ValueError):
             SensorSubset(1, (0, 1))
 
-    def test_size(self):
-        assert SensorSubset(2, (1, 3)).size == 2
-
 
 class TestEnumerateSubsets:
     def test_three_choose_two(self):
@@ -87,6 +84,10 @@ class TestInjection:
         with pytest.raises(ValueError):
             apply_attack(traj, scenario)
 
+    def test_repeated_target_rejected(self):
+        with pytest.raises(ValueError, match=r"targets must be distinct, got \(3, 3\)"):
+            InjectionAttack((3, 3), onset=5, signal=lambda sensor, k: 1.0)
+
 
 class TestDelay:
     def test_shift_with_zero_fill(self):
@@ -100,17 +101,6 @@ class TestDelay:
         _, traj = benchmark_run()
         attacked = apply_attack(traj, DelayAttack((0, 0, 0)))
         np.testing.assert_array_equal(attacked.y, traj.y)
-
-    def test_prehistory_fill(self):
-        traj = Trajectory(np.zeros((1, 4)), np.arange(4.0).reshape(1, 4))
-        pre = np.array([[10.0, 11.0]])
-        attacked = apply_attack(traj, DelayAttack((2,)), prehistory=pre)
-        np.testing.assert_array_equal(attacked.y, [[10.0, 11.0, 0.0, 1.0]])
-
-    def test_short_prehistory_rejected(self):
-        traj = Trajectory(np.zeros((1, 4)), np.arange(4.0).reshape(1, 4))
-        with pytest.raises(ValueError):
-            apply_attack(traj, DelayAttack((3,)), prehistory=np.ones((1, 2)))
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):

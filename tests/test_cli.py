@@ -187,7 +187,7 @@ class TestIdentify:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "residual_abs must be strictly positive" in captured.err
+        assert "Tolerance.residual must be strictly positive" in captured.err
         assert "Traceback" not in captured.err
 
     def test_injection_requires_model(self, injection_demo):
@@ -307,7 +307,9 @@ class TestSimulate:
         ({"type": "injection", "targets": 3, "onset": 5, "seed": 1}, "injection scenario"),
         ({"type": "delay", "tau": None}, "delay scenario"),
         ({"type": "replay", "constants": [1]}, "replay scenario"),
-    ], ids=["list", "injection", "delay", "replay"])
+        ({"type": "injection", "targets": [3, 3], "onset": 5, "seed": 1},
+         "injection targets must be distinct"),
+    ], ids=["list", "injection", "delay", "replay", "repeated-target"])
     def test_scenario_wrong_type(self, tmp_path, capsys, scenario, message):
         plant_path, scenario_path = tmp_path / "plant.json", tmp_path / "scenario.json"
         save_state_space(benchmark_plant(), plant_path)
@@ -317,12 +319,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"cannot apply scenario: {message}" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("plant", ["list", "null-n"])
+    @pytest.mark.parametrize("plant", [[1, 2], {"n": None}, {"n": 6.4}, {"m": True},
+                                       {"N": 3.5}],
+                             ids=["list", "null-n", "n-fraction", "m-bool", "N-fraction"])
     def test_mistyped_plant_file(self, tmp_path, capsys, plant):
         plant_path = tmp_path / "plant.json"
         save_state_space(benchmark_plant(), plant_path)
         payload = json.loads(plant_path.read_text())
-        plant_path.write_text(json.dumps([1, 2] if plant == "list" else {**payload, "n": None}))
+        plant_path.write_text(json.dumps(plant if isinstance(plant, list)
+                                         else {**payload, **plant}))
         assert main(["simulate", "--model", str(plant_path),
                      "--out", str(tmp_path / "run.csv")]) == 1
         err = capsys.readouterr().err
@@ -340,6 +345,40 @@ class TestSimulate:
 
     def test_missing_plant(self, tmp_path):
         assert main(["simulate", "--model", str(tmp_path / "nope.json")]) == 1
+
+
+class TestToleranceFlags:
+    """Each tolerance flag a subcommand accepts is read: an extreme value changes the outcome."""
+
+    @pytest.mark.parametrize("argv, extreme, before, after", [
+        (["check-pe", "{inj}/offline.csv", "--order", "19"], ["--rank-tol", "0.5"],
+         (0, "pass"), (2, "fail")),
+        (["learn", "{inj}/offline.csv", "--n", "6", "--max-attacked", "1", "--horizon", "41",
+          "--out", "{tmp}/m.json"], ["--res-tol", "1e-30"], (0, "learned"), (2, "")),
+        (["identify", "replay", "{rep}/online.csv", "--n", "6", "--max-attacked", "1",
+          "--test-len", "41"], ["--rank-tol", "0.5"], (0, '"winners"'), (1, "")),
+        (["identify", "injection", "{inj}/online.csv", "--model", "{inj}/model.json"],
+         ["--res-tol", "1e3"], (0, '"all_clear": false'), (0, '"all_clear": true')),
+        (["demo", "injection", "--seed", "7", "--out", "{tmp}/demo"], ["--res-tol", "1e-30"],
+         (0, "-> ok"), (2, "learning failed")),
+    ], ids=["check-pe-rank", "learn-res", "identify-replay-rank", "identify-injection-res",
+            "demo-res"])
+    def test_extreme_value_changes_outcome(self, injection_demo, replay_demo, tmp_path, capsys,
+                                           argv, extreme, before, after):
+        argv = [a.format(inj=injection_demo, rep=replay_demo, tmp=tmp_path) for a in argv]
+        for extra, (code, text) in (([], before), (extreme, after)):
+            assert main(argv + extra) == code
+            assert text in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "plant.json", "--rank-tol", "1e-9"],
+        ["simulate", "--model", "plant.json", "--res-tol", "1e-9"],
+        ["check-pe", "run.csv", "--order", "2", "--res-tol", "1e-9"],
+    ], ids=["simulate-rank", "simulate-res", "check-pe-res"])
+    def test_unread_flag_is_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 class TestSeedPlumbing:

@@ -117,10 +117,6 @@ class TestGeneratePEInput:
         with pytest.raises(ExcitationError):
             generate_pe_input(1, 10, 19, 0)
 
-    def test_records_order(self):
-        sig = generate_pe_input(2, 30, 4, 11)
-        assert sig.order == 4 and sig.u.shape == (2, 30)
-
 
 class TestBuildSubsetMatrices:
     def test_tiny_example_unrolled(self):

@@ -267,7 +267,7 @@ class TestLearnModel:
     def test_misfit_error_says_rank_holds(self):
         _, traj = excited_benchmark_run()
         with pytest.raises(LearningError) as err:
-            learn_model(traj, 3, 1, 6, 41, tol=Tolerance(residual_abs=1e-30))
+            learn_model(traj, 3, 1, 6, 41, tol=Tolerance(residual=1e-30))
         assert len(err.value.failures) == 3 and err.value.report.holds
         assert str(err.value).count("meets the certifying rank, but the training misfit") == 3
 
@@ -354,6 +354,22 @@ class TestModelFile:
         tamper(payload["subsets"])
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=message):
+            load_learned_model(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("N", 3.5), ("M", True), ("n", 6.5), ("m", 1.5), ("T", True), ("pe_seed", 7.9),
+        ("id", 1.5), ("indices", [1.9, 2]),
+    ], ids=["N-fraction", "M-bool", "n-fraction", "m-fraction", "T-bool", "pe_seed-fraction",
+            "id-fraction", "indices-fraction"])
+    def test_non_integral_integer_field_rejected(self, tmp_path, field, value):
+        _, traj = excited_benchmark_run()
+        path = tmp_path / "model.json"
+        save_learned_model(learn_model(traj, 3, 1, 6, 41, pe_seed=7), path)
+        payload = json.loads(path.read_text())
+        (payload["subsets"][0] if field in ("id", "indices") else payload)[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="model file has a field of the wrong type: "
+                                             ".* is not an integer"):
             load_learned_model(path)
 
     def test_in_memory_model_checks_its_predictors(self):

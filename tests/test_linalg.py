@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from sentinel.linalg import Tolerance, matrix_exponential, numerical_rank
+from sentinel.linalg import (
+    NONZERO_ABS,
+    Tolerance,
+    first_nonzero,
+    matrix_exponential,
+    numerical_rank,
+)
 from sentinel.plant import msd_benchmark
 
 from oracles import characteristic_polynomial
@@ -22,14 +28,27 @@ class TestTolerance:
     def test_defaults_positive(self):
         tol = Tolerance()
         assert tol.rank_rel == 1e-11
-        assert tol.residual_abs > 0 and tol.residual_rel > 0
-        assert tol.nonzero_abs > 0 and tol.nonzero_rel > 0
+        assert tol.residual > 0
 
-    @pytest.mark.parametrize("field", ["rank_rel", "residual_abs", "residual_rel",
-                                       "nonzero_abs", "nonzero_rel"])
+    @pytest.mark.parametrize("field", ["rank_rel", "residual"])
     def test_rejects_nonpositive(self, field):
         with pytest.raises(ValueError):
             Tolerance(**{field: 0.0})
+
+
+class TestFirstNonzero:
+    def test_relative_cutoff_is_scale_invariant(self):
+        values = np.array([0.0, 0.009, 0.011, 1.0])
+        for scale in (1e-6, 1.0, 1e6, -3.0):
+            assert first_nonzero(scale * values) == 2
+
+    def test_absolute_floor(self):
+        assert first_nonzero([0.0, 0.9 * NONZERO_ABS, 2 * NONZERO_ABS]) == 2
+        assert first_nonzero([0.5 * NONZERO_ABS, 0.9 * NONZERO_ABS]) is None
+
+    def test_all_zero_is_none(self):
+        assert first_nonzero(np.zeros(8)) is None
+        assert first_nonzero([]) is None
 
 
 class TestNumericalRank:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sentinel.linalg import DEFAULT_TOL
+from sentinel.linalg import NONZERO_ABS, NONZERO_REL
 from sentinel.plant import (
     ContinuousStateSpace,
     StateSpace,
@@ -284,15 +284,14 @@ class TestExtendedStateSpace:
 
 class TestImpulseTiming:
     def test_first_nonzero_output_at_relative_degree(self):
-        tol = DEFAULT_TOL
         ss = benchmark_dt(0.1)
         u = np.zeros((1, 20))
         u[0, 0] = 0.1
         _, y = simulate(ss, np.zeros(6), u)
         for j in (1, 2, 3):
-            r = relative_degree(ss, j, tol)
+            r = relative_degree(ss, j)
             row = np.abs(y[j - 1])
-            threshold = max(tol.nonzero_abs, tol.nonzero_rel * row[1:].max())
+            threshold = max(NONZERO_ABS, NONZERO_REL * row[1:].max())
             assert np.all(row[:r] <= threshold)
             assert row[r] > threshold
 
