@@ -71,6 +71,7 @@ from .identify import (
     InjectionMonitor,
     NoResponseError,
     identify_delay,
+    identify_injection,
     identify_replay,
     injection_bootstrap,
     injection_step,

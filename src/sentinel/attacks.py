@@ -152,6 +152,9 @@ def apply_attack(traj: Trajectory, scenario: AttackScenario,
             raise ValueError(
                 f"need one delay per sensor ({traj.output_dim}), got {len(scenario.delays)}")
         for sensor, delay in enumerate(scenario.delays, start=1):
+            if delay > traj.length:
+                raise ValueError(f"sensor {sensor}: delay {delay} exceeds the "
+                                 f"{traj.length}-sample record")
             y[sensor - 1, :delay] = 0.0
             y[sensor - 1, delay:] = traj.y[sensor - 1, : traj.length - delay]
     elif isinstance(scenario, ReplayAttack):

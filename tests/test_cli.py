@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from sentinel.attacks import seeded_injection_signal
 from sentinel.cli import benchmark_plant, build_parser, main
 from sentinel.datamat import Trajectory, load_trajectory, save_trajectory
 from sentinel.ddmodel import load_learned_model
-from sentinel.identify import injection_bootstrap, injection_step
+from sentinel.identify import injection_bootstrap, injection_step, verdict_to_dict
 from sentinel.plant import save_state_space, simulate
 
 
@@ -189,6 +190,27 @@ class TestIdentify:
         assert captured.out == ""
         assert "Tolerance.residual must be strictly positive" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_injection_stdout_equals_step_loop(self, injection_demo, capsys):
+        stream = load_trajectory(injection_demo / "online.csv")
+        model = load_learned_model(injection_demo / "model.json")
+        monitor = injection_bootstrap(model, stream.u[:, :6], stream.y[:, :6])
+        for k in range(6, stream.length):
+            expected = injection_step(monitor, stream.u[:, k], stream.y[:, k])
+            if not expected.all_clear:
+                break
+        assert main(["identify", "injection", str(injection_demo / "online.csv"),
+                     "--model", str(injection_demo / "model.json")]) == 0
+        assert capsys.readouterr().out == json.dumps(verdict_to_dict(expected), indent=2,
+                                                     sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("name, digest", [
+        ("verdict.json", "48583b68f860a6265e66faa5579a92093345b8c9cf9cf63c45e6a51d82b7fecc"),
+        ("online.csv", "c7855cb6dfbc1ffe690ca866fb68665ea6b4ec4a74810821e566655847ec388b"),
+    ])
+    def test_injection_demo_bytes(self, injection_demo, name, digest):
+        # sha256 of the seed-7 demo files as the per-sample step loop wrote them
+        assert hashlib.sha256((injection_demo / name).read_bytes()).hexdigest() == digest
 
     def test_injection_requires_model(self, injection_demo):
         assert main(["identify", "injection", str(injection_demo / "online.csv")]) == 1
@@ -374,10 +396,16 @@ class TestToleranceFlags:
         ["simulate", "--model", "plant.json", "--rank-tol", "1e-9"],
         ["simulate", "--model", "plant.json", "--res-tol", "1e-9"],
         ["check-pe", "run.csv", "--order", "2", "--res-tol", "1e-9"],
-    ], ids=["simulate-rank", "simulate-res", "check-pe-res"])
+        ["identify", "injection", "run.csv", "--model", "m.json", "--rank-tol", "1e-300"],
+        ["identify", "replay", "run.csv", "--n", "6", "--max-attacked", "1", "--test-len", "41",
+         "--res-tol", "1e3"],
+        ["identify", "delay", "run.csv", "--rel-deg", "1,2,1", "--rank-tol", "0.5"],
+        ["identify", "delay", "run.csv", "--rel-deg", "1,2,1", "--res-tol", "1e3"],
+    ], ids=["simulate-rank", "simulate-res", "check-pe-res", "identify-injection-rank",
+            "identify-replay-res", "identify-delay-rank", "identify-delay-res"])
     def test_unread_flag_is_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv)
+            main(argv)
         assert exc.value.code == 2
 
 

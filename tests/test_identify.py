@@ -1,27 +1,36 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import reference_injection_bootstrap, reference_injection_step
 
 from sentinel.attacks import DelayAttack, ReplayAttack, apply_attack
 from sentinel.datamat import (
     ExcitationError,
     Trajectory,
+    TrajectoryLengthError,
     build_subset_matrices,
     generate_pe_input,
     stack_history,
     subset_rows,
 )
+from sentinel import identify
 from sentinel.ddmodel import learn_model
 from sentinel.identify import (
     NoResponseError,
     first_response,
     identify_delay,
+    identify_injection,
     identify_replay,
     injection_bootstrap,
     injection_step,
     run_injection,
     verdict_to_dict,
 )
+from sentinel.linalg import DEFAULT_TOL, Tolerance
 from sentinel.plant import (
     StateSpace,
     discretize_zoh,
@@ -299,6 +308,105 @@ class TestRunInjection:
         with pytest.raises(ValueError):
             run_injection(monitor, u[:, :4], y)
         assert monitor.k == 6 and not monitor.terminal
+
+
+def step_loop_verdict(model, traj, tol=DEFAULT_TOL):
+    """The explicit path: bootstrap on the first n samples, then run_injection."""
+    n = model.n
+    monitor = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n], tol)
+    return run_injection(monitor, traj.u[:, n:], traj.y[:, n:])
+
+
+def offset_stream(ss, model, length, seed, sensor=None, at=None, amplitude=0.0):
+    """n + length samples from equilibrium; from column `at` on, `sensor`
+    reads `amplitude` above the plant."""
+    u = np.random.default_rng(seed).uniform(-1, 1, (1, model.n + length))
+    _, y = simulate(ss, np.zeros(ss.state_dim), u)
+    if sensor is not None:
+        y[sensor - 1, at:] += amplitude
+    return Trajectory(u, y)
+
+
+class TestIdentifyInjection:
+    """identify_injection against the step loop it stands in for."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["benchmark", "random-10x4"]),
+           block=st.sampled_from([1, 5, 16, None]),
+           where=st.sampled_from(["first", "inside", "boundary", "last", "none"]))
+    def test_equals_step_loop(self, monitored_plants, data, name, block, where):
+        ss, model = monitored_plants[name]
+        n = model.n
+        length = data.draw(st.integers(1, 120), label="steps")
+        column_bytes = len(model.subsets) * model.lam.shape[1] * 8
+        block = block or identify.SCREEN_BLOCK_BYTES // column_bytes
+        onset = {"first": 0, "inside": block // 2 + 1, "boundary": block,
+                 "last": length - 1, "none": None}[where]
+        if onset is not None:
+            onset = min(onset, length - 1)
+        # dense around the win bound, tol.residual * (1 + ||observed||), a few 1e-9
+        amplitude = 10.0 ** data.draw(st.one_of(st.floats(-9.5, -7.5), st.floats(-10.0, 0.0)),
+                                      label="log10 amplitude")
+        sensor = data.draw(st.sampled_from([1, model.n_sensors]), label="sensor")
+        traj = offset_stream(ss, model, length, data.draw(st.integers(0, 2**16), label="seed"),
+                             None if onset is None else sensor,
+                             None if onset is None else n + onset, amplitude)
+        with mock.patch.object(identify, "SCREEN_BLOCK_BYTES", block * column_bytes):
+            verdict = identify_injection(model, traj)
+        expected = step_loop_verdict(model, traj)
+        assert verdict == expected
+        assert type(verdict.k) is int
+        assert (json.dumps(verdict_to_dict(verdict), sort_keys=True)
+                == json.dumps(verdict_to_dict(expected), sort_keys=True))
+
+    @pytest.mark.parametrize("factor", [0.75, 1.5])
+    def test_step_near_the_slack(self, monitored_plants, factor):
+        # an offset of 0.75 slack: the screen stops at a step it cannot clear
+        # by half the slack, the exact step calls it clear and the stream goes
+        # on; an offset of 1.5 slack ends the stream there
+        ss, model = monitored_plants["benchmark"]
+        n, at = model.n, model.n + 20
+        clean = offset_stream(ss, model, 40, 5)
+        probe = injection_bootstrap(model, clean.u[:, at - n: at], clean.y[:, at - n: at])
+        assert injection_step(probe, clean.u[:, at], clean.y[:, at]).all_clear
+        # the offset leaves the observed norms, hence the slack, as they are
+        slack = DEFAULT_TOL.residual * (1 + np.linalg.norm(probe.history[probe.index], axis=1))
+        attacked = [s.id - 1 for s in model.subsets if 3 in s.indices]
+        traj = offset_stream(ss, model, 40, 5, 3, at, factor * slack[attacked].min())
+        assert identify._screen_clear_steps(model, traj, DEFAULT_TOL) == at
+        monitor = injection_bootstrap(model, traj.u[:, at - n: at], traj.y[:, at - n: at])
+        monitor.k = at
+        step = injection_step(monitor, traj.u[:, at], traj.y[:, at])
+        ratio = (np.array(step.scores) / slack)[attacked].max()
+        verdict = identify_injection(model, traj)
+        assert verdict == step_loop_verdict(model, traj)
+        if factor < 1:
+            assert step.all_clear and 0.5 < ratio <= 1
+            assert verdict.k > at + 1
+        else:
+            assert not step.all_clear and ratio > 1
+            assert verdict == step
+
+    @pytest.mark.parametrize("residual", [1e-300, 1e3])
+    @pytest.mark.parametrize("name", ["benchmark", "random-10x4"])
+    @pytest.mark.parametrize("attack", [False, True], ids=["clean", "attacked"])
+    def test_extreme_tolerance_equals_step_loop(self, monitored_plants, residual, name, attack):
+        ss, model = monitored_plants[name]
+        tol = Tolerance(residual=residual)
+        traj = offset_stream(ss, model, 60, 9, model.n_sensors if attack else None,
+                             model.n + 30, 0.9)
+        verdict = identify_injection(model, traj, tol)
+        assert verdict == step_loop_verdict(model, traj, tol)
+        if residual == 1e3:
+            assert verdict.all_clear and verdict.k == traj.length
+
+    def test_validation(self, monitored_plants):
+        ss, model = monitored_plants["benchmark"]
+        traj = offset_stream(ss, model, 4, 1)
+        with pytest.raises(TrajectoryLengthError):
+            identify_injection(model, Trajectory(traj.u[:, :6], traj.y[:, :6]))
+        with pytest.raises(ValueError, match="outputs"):
+            identify_injection(model, Trajectory(traj.u, traj.y[:2]))
 
 
 class TestIdentifyReplay:
