@@ -19,6 +19,7 @@ or an unexpected demo verdict).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -230,7 +231,7 @@ def cmd_demo(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     runner = {"injection": demo_injection, "delay": demo_delay,
               "replay": demo_replay}[args.attack]
-    return runner(args.seed, args.tol, out)
+    return runner(_seed(args), args.tol, out)
 
 
 def cmd_learn(args) -> int:
@@ -309,7 +310,7 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read plant model: {exc}", file=sys.stderr)
         return 1
-    rng = np.random.default_rng(args.seed + OFF_SIM)
+    rng = np.random.default_rng(_seed(args) + OFF_SIM)
     u = rng.uniform(-1.0, 1.0, (ss.input_dim, args.length))
     _, y = simulate(ss, np.zeros(ss.state_dim), u)
     traj = Trajectory(u, y)
@@ -334,23 +335,22 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(**kwargs) if kwargs else DEFAULT_TOL
 
 
-def _seed_default() -> int:
-    env = os.environ.get("SENTINEL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise SystemExit(f"SENTINEL_SEED must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+def _seed(args) -> int:
+    """--seed, else SENTINEL_SEED read as the command runs, else DEFAULT_SEED."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("SENTINEL_SEED", str(DEFAULT_SEED))
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise SystemExit(f"SENTINEL_SEED must be an integer, got {env!r}") from exc
 
 
 TOL_FLAGS = {"--rank-tol": "relative singular-value cutoff for rank decisions",
              "--res-tol": "residual slack (absolute and relative) for verdicts"}
 
 
-# The tolerance flag each identify mode reads; main() rejects the other. The
-# modes share one parser: a parser per mode would cost every CLI call its
-# construction, about 0.3 ms.
+# The tolerance flag each identify mode reads; main() rejects the other.
 IDENTIFY_TOL_FLAG = {"injection": "--res-tol", "replay": "--rank-tol", "delay": None}
 
 
@@ -360,7 +360,9 @@ def _add_tol_flags(parser, *flags) -> None:
         parser.add_argument(flag, type=float, default=None, help=TOL_FLAGS[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (about 1 ms) and only read after."""
     parser = argparse.ArgumentParser(
         prog="sentinel",
         description="Identify attack-free sensors of an LTI plant from data.")
@@ -369,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run a benchmark attack scenario end to end")
     p_demo.add_argument("attack", choices=["injection", "delay", "replay"])
-    p_demo.add_argument("--seed", type=int, default=_seed_default())
+    p_demo.add_argument("--seed", type=int, default=None)
     p_demo.add_argument("--out", default="demo-out", help="output directory")
     _add_tol_flags(p_demo, "--rank-tol", "--res-tol")
     p_demo.set_defaults(func=cmd_demo)
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--model", required=True, help="plant model JSON")
     p_sim.add_argument("--scenario", default=None, help="attack scenario JSON")
     p_sim.add_argument("--length", type=int, default=64)
-    p_sim.add_argument("--seed", type=int, default=_seed_default())
+    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--max-attacked", type=int, default=None)
     p_sim.add_argument("--out", default="trajectory.csv")
     p_sim.set_defaults(func=cmd_simulate)

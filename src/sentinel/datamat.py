@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -222,40 +223,36 @@ def write_json(payload, path) -> None:
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    """Write a trajectory as CSV with header k,u_1..u_m,y_1..y_N."""
+    """Write a trajectory as CSV with header k,u_1..u_m,y_1..y_N: repr floats
+    and CRLF line ends, the bytes csv.writer writes, so a load is bit-exact."""
     m, p = traj.input_dim, traj.output_dim
     header = ["k"] + [f"u_{i}" for i in range(1, m + 1)] + [f"y_{i}" for i in range(1, p + 1)]
+    rows = np.vstack([traj.u, traj.y]).T.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(traj.length):
-            row = [str(traj.start_index + k)]
-            row += [repr(float(v)) for v in traj.u[:, k]]
-            row += [repr(float(v)) for v in traj.y[:, k]]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(f"{k},{','.join(map(repr, row))}\r\n"
+                      for k, row in enumerate(rows, traj.start_index))
 
 
 def load_trajectory(path) -> Trajectory:
-    """Read a trajectory written by save_trajectory."""
+    """Read a trajectory written by save_trajectory. A row without exactly the
+    header's fields, or a k that is not a consecutive int64, raises ValueError."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError("trajectory file is empty")
         m = sum(1 for name in header if name.startswith("u_"))
         p = sum(1 for name in header if name.startswith("y_"))
-        if header[0] != "k" or m == 0 or p == 0 or len(header) != 1 + m + p:
+        if header[:1] != ["k"] or m == 0 or p == 0 or len(header) != 1 + m + p:
             raise ValueError(f"unrecognized trajectory header {header}")
-        ks, us, ys = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            ks.append(int(row[0]))
-            us.append([float(v) for v in row[1:1 + m]])
-            ys.append([float(v) for v in row[1 + m:1 + m + p]])
-    if not ks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # header only: "no samples" below
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                              dtype=[("k", "<i8"), ("v", "<f8", (m + p,))])
+    if rows.size == 0:
         raise ValueError("trajectory file has no samples")
-    start = ks[0]
-    if ks != list(range(start, start + len(ks))):
+    k = rows["k"]
+    # int64 differences wrap, so also check the span in Python integers
+    if (np.diff(k) != 1).any() or int(k[-1]) - int(k[0]) != k.size - 1:
         raise ValueError("trajectory time column must be consecutive")
-    return Trajectory(np.array(us, dtype=float).T, np.array(ys, dtype=float).T, start)
+    return Trajectory(rows["v"][:, :m].T, rows["v"][:, m:].T, int(k[0]))

@@ -113,15 +113,15 @@ def simulate(ss: StateSpace, x0, u) -> tuple[np.ndarray, np.ndarray]:
     u_arr = as_matrix(u, "u")
     if u_arr.shape[0] != ss.input_dim:
         raise ValueError(f"u must have {ss.input_dim} rows, got {u_arr.shape[0]}")
-    x = as_vector(x0, ss.state_dim, "x0")
     steps = u_arr.shape[1]
-    states = np.zeros((ss.state_dim, steps + 1))
-    outputs = np.zeros((ss.sensor_count, steps))
-    states[:, 0] = x
-    for k in range(steps):
-        outputs[:, k] = ss.C @ states[:, k]
-        states[:, k + 1] = ss.A @ states[:, k] + ss.B @ u_arr[:, k]
-    return states, outputs
+    # row-major buffers: each step's products land straight in contiguous rows
+    states = np.zeros((steps + 1, ss.state_dim))
+    outputs = np.zeros((steps, ss.sensor_count))
+    states[0] = as_vector(x0, ss.state_dim, "x0")
+    for x, x_next, y, u_k in zip(states, states[1:], outputs, np.ascontiguousarray(u_arr.T)):
+        np.matmul(ss.C, x, out=y)
+        np.add(ss.A @ x, ss.B @ u_k, out=x_next)
+    return states.T.copy(), outputs.T.copy()
 
 
 def markov_parameters(ss: StateSpace, sensor: int, count: int) -> np.ndarray:

@@ -13,9 +13,13 @@ plant's (A, B, C), which the data-driven pipeline never sees.
 * ReferenceMonitor / reference_injection_bootstrap /
   reference_injection_step: the injection monitor written one subset at a
   time, which the package's batched step must match bit for bit. It needs
-  no plant, only the learned model.
+  no plant, only the learned model;
+* reference_save_trajectory / reference_simulate: the row-at-a-time CSV
+  writer and column-at-a-time simulation loop, which the package's
+  whole-array versions must match byte for byte.
 """
 
+import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -266,3 +270,37 @@ def reference_injection_step(mon: ReferenceMonitor, u_k, y_new) -> Identificatio
     else:
         mon.terminal = True
     return verdict
+
+
+def reference_save_trajectory(traj: Trajectory, path) -> None:
+    """Write a trajectory as CSV with header k,u_1..u_m,y_1..y_N."""
+    m, p = traj.input_dim, traj.output_dim
+    header = ["k"] + [f"u_{i}" for i in range(1, m + 1)] + [f"y_{i}" for i in range(1, p + 1)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(traj.length):
+            row = [str(traj.start_index + k)]
+            row += [repr(float(v)) for v in traj.u[:, k]]
+            row += [repr(float(v)) for v in traj.y[:, k]]
+            writer.writerow(row)
+
+
+def reference_simulate(ss: StateSpace, x0, u) -> tuple[np.ndarray, np.ndarray]:
+    """Roll the plant forward under the input sequence u (m x L).
+
+    Returns (states, outputs): states is n x (L+1) including the final
+    state, outputs is N x L with y[k] = C x[k].
+    """
+    u_arr = as_matrix(u, "u")
+    if u_arr.shape[0] != ss.input_dim:
+        raise ValueError(f"u must have {ss.input_dim} rows, got {u_arr.shape[0]}")
+    x = as_vector(x0, ss.state_dim, "x0")
+    steps = u_arr.shape[1]
+    states = np.zeros((ss.state_dim, steps + 1))
+    outputs = np.zeros((ss.sensor_count, steps))
+    states[:, 0] = x
+    for k in range(steps):
+        outputs[:, k] = ss.C @ states[:, k]
+        states[:, k + 1] = ss.A @ states[:, k] + ss.B @ u_arr[:, k]
+    return states, outputs

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from sentinel.attacks import seeded_injection_signal
-from sentinel.cli import benchmark_plant, build_parser, main
+from sentinel import cli
+from sentinel.cli import benchmark_plant, main
 from sentinel.datamat import Trajectory, load_trajectory, save_trajectory
 from sentinel.ddmodel import load_learned_model
 from sentinel.identify import injection_bootstrap, injection_step, verdict_to_dict
@@ -288,6 +289,22 @@ class TestEmptyTrajectoryFile:
         assert "trajectory file is empty" in capsys.readouterr().err
 
 
+class TestMalformedTrajectoryFile:
+    @pytest.mark.parametrize("row", ["0,0.1,0.2,0.3,9.9", "0,0.1,0.2"],
+                             ids=["extra-field", "missing-field"])
+    @pytest.mark.parametrize("argv", [
+        ["learn", "{csv}", "--n", "6", "--max-attacked", "1", "--horizon", "41",
+         "--out", "{dir}/m.json"],
+        ["identify", "delay", "{csv}", "--rel-deg", "1,2"],
+        ["check-pe", "{csv}", "--order", "1"],
+    ], ids=["learn", "identify", "check-pe"])
+    def test_field_count_mismatch_exits_one(self, tmp_path, capsys, argv, row):
+        path = tmp_path / "fields.csv"
+        path.write_text(f"k,u_1,y_1,y_2\n{row}\n")
+        assert main([a.format(csv=path, dir=tmp_path) for a in argv]) == 1
+        assert "cannot read" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_simulate_with_scenario(self, tmp_path, injection_demo):
         plant_path = tmp_path / "plant.json"
@@ -410,14 +427,62 @@ class TestToleranceFlags:
 
 
 class TestSeedPlumbing:
-    def test_env_seed_fallback(self, monkeypatch):
-        monkeypatch.setenv("SENTINEL_SEED", "123")
-        parser = build_parser()
-        args = parser.parse_args(["demo", "injection"])
-        assert args.seed == 123
+    """--seed, else SENTINEL_SEED read when demo or simulate runs, else 7."""
+
+    @staticmethod
+    def demo_seeds(monkeypatch, tmp_path, runs):
+        """Run `demo injection` once per (env, argv) pair with the demo itself
+        stubbed out; return the seed each run handed it."""
+        seen = []
+        monkeypatch.setattr(cli, "demo_injection", lambda seed, tol, out: seen.append(seed) or 0)
+        for env, argv in runs:
+            if env is None:
+                monkeypatch.delenv("SENTINEL_SEED", raising=False)
+            else:
+                monkeypatch.setenv("SENTINEL_SEED", env)
+            assert main(["demo", "injection", "--out", str(tmp_path), *argv]) == 0
+        return seen
+
+    def test_env_seed_fallback(self, monkeypatch, tmp_path):
+        assert self.demo_seeds(monkeypatch, tmp_path, [("123", []), (None, [])]) == [123, 7]
 
     def test_flag_overrides_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("SENTINEL_SEED", "123")
-        parser = build_parser()
-        args = parser.parse_args(["demo", "injection", "--seed", "4"])
-        assert args.seed == 4
+        assert self.demo_seeds(monkeypatch, tmp_path, [("123", ["--seed", "4"])]) == [4]
+
+    def test_env_change_between_calls_is_honoured(self, monkeypatch, tmp_path):
+        assert self.demo_seeds(monkeypatch, tmp_path, [("1", []), ("2", [])]) == [1, 2]
+        plant_path = tmp_path / "plant.json"
+        save_state_space(benchmark_plant(), plant_path)
+
+        def simulate_bytes(name, *argv):
+            out = tmp_path / name
+            assert main(["simulate", "--model", str(plant_path), "--length", "8",
+                         "--out", str(out), *argv]) == 0
+            return out.read_bytes()
+
+        monkeypatch.setenv("SENTINEL_SEED", "1")
+        first = simulate_bytes("env1.csv")
+        monkeypatch.setenv("SENTINEL_SEED", "2")
+        second = simulate_bytes("env2.csv")
+        assert first == simulate_bytes("flag1.csv", "--seed", "1")
+        assert second == simulate_bytes("flag2.csv", "--seed", "2")
+        assert first != second
+
+    def test_bad_env_rejected_by_seeded_commands(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("SENTINEL_SEED", "abc")
+        plant_path = tmp_path / "plant.json"
+        save_state_space(benchmark_plant(), plant_path)
+        for argv in (["demo", "injection", "--out", str(tmp_path / "demo")],
+                     ["simulate", "--model", str(plant_path), "--out", str(tmp_path / "r.csv")]):
+            with pytest.raises(SystemExit, match="SENTINEL_SEED must be an integer"):
+                main(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["learn", "{inj}/offline.csv", "--n", "6", "--max-attacked", "1", "--horizon", "41",
+         "--out", "{tmp}/m.json"],
+        ["identify", "injection", "{inj}/online.csv", "--model", "{inj}/model.json"],
+        ["check-pe", "{inj}/offline.csv", "--order", "19"],
+    ], ids=["learn", "identify", "check-pe"])
+    def test_bad_env_ignored_without_seed(self, monkeypatch, tmp_path, injection_demo, argv):
+        monkeypatch.setenv("SENTINEL_SEED", "abc")
+        assert main([a.format(inj=injection_demo, tmp=tmp_path) for a in argv]) == 0

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sentinel.attacks import SensorSubset, enumerate_subsets
 from sentinel.datamat import (
@@ -18,6 +21,12 @@ from sentinel.datamat import (
     subset_rows,
 )
 from sentinel.plant import discretize_zoh, msd_benchmark, simulate
+
+from oracles import reference_save_trajectory
+
+# subnormal, signed-zero and extreme float64 values a round trip must keep
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1e-05]
 
 
 def naive_hankel(sig, start, depth, cols):
@@ -188,6 +197,11 @@ class TestTrajectory:
             traj.u[0, 0] = 2.0
 
 
+@pytest.fixture(scope="module")
+def roundtrip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip")
+
+
 class TestTrajectoryFile:
     def test_roundtrip_exact(self, tmp_path):
         traj = benchmark_run(seed=5, length=20)
@@ -224,3 +238,56 @@ class TestTrajectoryFile:
         path.write_text("k,u_1,y_1\n0,1.0,2.0\n2,1.0,2.0\n")
         with pytest.raises(ValueError):
             load_trajectory(path)
+
+    def test_time_column_wrapping_int64_rejected(self, tmp_path):
+        # consecutive modulo 2**64 only: the int64 difference wraps to 1
+        path = tmp_path / "wrap.csv"
+        path.write_text("k,u_1,y_1\n9223372036854775807,1.0,2.0\n-9223372036854775808,1.0,2.0\n")
+        with pytest.raises(ValueError, match="time column must be consecutive"):
+            load_trajectory(path)
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("k,u_1,y_1\r\n")
+        with pytest.raises(ValueError, match="trajectory file has no samples"):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("fields", ["0.1,0.2,0.3,9.9", "0.1,0.2", "0.1,0.2,0.3,"],
+                             ids=["extra-field", "missing-field", "trailing-comma"])
+    @pytest.mark.parametrize("bad_row", [0, 1], ids=["first-row", "second-row"])
+    def test_row_field_count_must_match_header(self, tmp_path, fields, bad_row):
+        rows = [f"{k},0.1,0.2,0.3" for k in range(2)]
+        rows[bad_row] = f"{bad_row},{fields}"
+        path = tmp_path / "fields.csv"
+        path.write_text("k,u_1,y_1,y_2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("k", ["1.0", "1.5", "1e0", "9223372036854775808", ""])
+    def test_time_column_must_be_int64(self, tmp_path, k):
+        path = tmp_path / "k.csv"
+        path.write_text(f"k,u_1,y_1\n{k},1.0,2.0\n")
+        with pytest.raises(ValueError):
+            load_trajectory(path)
+
+    def test_blank_first_line_is_a_bad_header(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\nk,u_1,y_1\n0,1.0,2.0\n")
+        with pytest.raises(ValueError, match="unrecognized trajectory header"):
+            load_trajectory(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4), p=st.integers(1, 4), length=st.integers(1, 50),
+           start=st.integers(-2 ** 63, 2 ** 63 - 50))
+    def test_roundtrip_property(self, roundtrip_dir, data, m, p, length, start):
+        values = data.draw(arrays(np.float64, (m + p, length), elements=st.one_of(
+            st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))))
+        traj = Trajectory(values[:m], values[m:], start_index=start)
+        path, reference = roundtrip_dir / "run.csv", roundtrip_dir / "reference.csv"
+        save_trajectory(traj, path)
+        reference_save_trajectory(traj, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        loaded = load_trajectory(path)
+        assert loaded.start_index == start and type(loaded.start_index) is int
+        assert loaded.u.tobytes() == traj.u.tobytes()
+        assert loaded.y.tobytes() == traj.y.tobytes()

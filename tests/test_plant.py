@@ -19,7 +19,7 @@ from sentinel.plant import (
     spectral_radius,
 )
 
-from oracles import ArxModel, extended_state_space, ss_to_arx
+from oracles import ArxModel, extended_state_space, reference_simulate, ss_to_arx
 
 
 def benchmark_dt(scale_c=1.0):
@@ -111,6 +111,16 @@ class TestSimulate:
             simulate(ss, [0.0, 0.0], [[1.0]])
         with pytest.raises(ValueError):
             simulate(ss, [0.0], np.ones((2, 3)))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_column_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m, n_sensors = int(rng.integers(2, 9)), int(rng.integers(1, 4)), int(rng.integers(2, 8))
+        ss = random_test_system(rng, n, m, n_sensors, 1)
+        x0 = rng.uniform(-1.0, 1.0, n)
+        u = rng.uniform(-1.0, 1.0, (m, int(rng.integers(1, 200))))
+        for got, want in zip(simulate(ss, x0, u), reference_simulate(ss, x0, u)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestRelativeDegree:
