@@ -234,6 +234,17 @@ def save_trajectory(traj: Trajectory, path) -> None:
                       for k, row in enumerate(rows, traj.start_index))
 
 
+def _check_field_counts(lines, fields: int) -> None:
+    """Raise ValueError naming the first non-empty line after the header
+    whose comma-separated field count is not `fields`."""
+    for number, line in enumerate(lines, 1):
+        line = line.rstrip("\r\n")
+        count = line.count(",") + 1
+        if number > 1 and line and count != fields:
+            raise ValueError(f"trajectory line {number} has {count} fields, "
+                             f"the header has {fields}")
+
+
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory written by save_trajectory. A row without exactly the
     header's fields, or a k that is not a consecutive int64, raises ValueError."""
@@ -247,8 +258,13 @@ def load_trajectory(path) -> Trajectory:
             raise ValueError(f"unrecognized trajectory header {header}")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # header only: "no samples" below
-            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
-                              dtype=[("k", "<i8"), ("v", "<f8", (m + p,))])
+            try:
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                                  dtype=[("k", "<i8"), ("v", "<f8", (m + p,))])
+            except ValueError:
+                fh.seek(0)
+                _check_field_counts(fh, len(header))
+                raise
     if rows.size == 0:
         raise ValueError("trajectory file has no samples")
     k = rows["k"]

@@ -139,8 +139,9 @@ def predict(lam, u_k, state) -> np.ndarray:
             or lam_arr.shape[-1] != u_vec.size + x.shape[-1]):
         raise ValueError(f"predictor of shape {lam_arr.shape} cannot take an input of "
                          f"length {u_vec.size} and a history of shape {x.shape}")
-    regressor = np.concatenate([np.broadcast_to(u_vec, x.shape[:-1] + u_vec.shape), x],
-                               axis=-1)
+    regressor = np.empty(x.shape[:-1] + (u_vec.size + x.shape[-1],))
+    regressor[..., :u_vec.size] = u_vec
+    regressor[..., u_vec.size:] = x
     return np.matmul(lam_arr, regressor[..., None])[..., 0]
 
 

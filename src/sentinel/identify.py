@@ -78,6 +78,9 @@ class InjectionMonitor:
     monitor only advances on all-clear steps; the first non-clear verdict
     is terminal and freezes the history. The bootstrap window must be
     attack-free; behavior under an attacked bootstrap is undefined.
+    clear_winners and clear_sensors, the winners and attack_free_sensors
+    of every all-clear verdict, are worked out from model.subsets when the
+    monitor is built.
     """
 
     model: DataDrivenModel
@@ -86,6 +89,13 @@ class InjectionMonitor:
     k: int
     tol: Tolerance = field(default_factory=lambda: DEFAULT_TOL)
     terminal: bool = False
+    clear_winners: tuple[int, ...] = field(init=False, repr=False)
+    clear_sensors: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        subsets = self.model.subsets
+        self.clear_winners = tuple(s.id for s in subsets)
+        self.clear_sensors = tuple(sorted({i for s in subsets for i in s.indices}))
 
 
 def injection_bootstrap(model: DataDrivenModel, u_history, y_history,
@@ -116,7 +126,9 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     residual + residual * ||observed|| of the smallest score win.
     On all-clear the shifted history becomes the new monitor state;
     otherwise the verdict is terminal and the monitor freezes. All subsets
-    are scored at once: one gather, one stacked product, one shift.
+    are scored at once: one gather, one stacked product, one shift, one
+    dot product per row; an all-clear verdict takes the monitor's
+    precomputed winners and sensors.
     """
     if mon.terminal:
         raise RuntimeError("monitor is terminal; no further steps accepted")
@@ -129,19 +141,19 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     shifted = np.concatenate([history[n_sensors:outputs], y_vec,
                               history[outputs + model.m:], u_vec])
     observed = shifted[mon.index]
+    diff = observed - predicted
     # row norms as one dot product per row: bit-equal to np.linalg.norm of a row
-    rows = np.stack([observed - predicted, observed])[..., None]
-    residuals, norms = np.sqrt(np.swapaxes(rows, -1, -2) @ rows)[..., 0, 0]
-    slack = mon.tol.residual + mon.tol.residual * norms
-    wins = residuals <= residuals.min() + slack
-    verdict = _verdict(mon.k + 1, "injection", model.subsets, residuals.tolist(),
-                       wins.tolist())
-    if verdict.all_clear:
+    residuals = np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+    norms = np.sqrt(observed[:, None, :] @ observed[:, :, None])[:, 0, 0]
+    wins = residuals <= residuals.min() + (mon.tol.residual + mon.tol.residual * norms)
+    scores = tuple(residuals.tolist())
+    if wins.all():
         mon.history = shifted
         mon.k += 1
-    else:
-        mon.terminal = True
-    return verdict
+        return IdentificationVerdict(mon.k, "injection", model.subsets, scores,
+                                     mon.clear_winners, mon.clear_sensors, True)
+    mon.terminal = True
+    return _verdict(mon.k + 1, "injection", model.subsets, scores, wins.tolist())
 
 
 def run_injection(mon: InjectionMonitor, u, y) -> IdentificationVerdict:

@@ -302,7 +302,10 @@ class TestMalformedTrajectoryFile:
         path = tmp_path / "fields.csv"
         path.write_text(f"k,u_1,y_1,y_2\n{row}\n")
         assert main([a.format(csv=path, dir=tmp_path) for a in argv]) == 1
-        assert "cannot read" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot read" in err
+        assert f"trajectory line 2 has {row.count(',') + 1} fields, the header has 4" in err
+        assert "usecols" not in err
 
 
 class TestSimulate:

@@ -260,8 +260,11 @@ class TestTrajectoryFile:
         rows[bad_row] = f"{bad_row},{fields}"
         path = tmp_path / "fields.csv"
         path.write_text("k,u_1,y_1,y_2\n" + "\n".join(rows) + "\n")
-        with pytest.raises(ValueError):
+        count = fields.count(",") + 2
+        with pytest.raises(ValueError, match=f"^trajectory line {bad_row + 2} has {count} "
+                                             "fields, the header has 4$") as err:
             load_trajectory(path)
+        assert "usecols" not in str(err.value)
 
     @pytest.mark.parametrize("k", ["1.0", "1.5", "1e0", "9223372036854775808", ""])
     def test_time_column_must_be_int64(self, tmp_path, k):

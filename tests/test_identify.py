@@ -18,8 +18,9 @@ from sentinel.datamat import (
     subset_rows,
 )
 from sentinel import identify
-from sentinel.ddmodel import learn_model
+from sentinel.ddmodel import learn_model, predict
 from sentinel.identify import (
+    InjectionMonitor,
     NoResponseError,
     first_response,
     identify_delay,
@@ -99,6 +100,24 @@ class TestInjectionBootstrap:
             injection_bootstrap(model, np.zeros((1, 5)), np.zeros((3, 6)))
         with pytest.raises(ValueError):
             injection_bootstrap(model, np.zeros((1, 6)), np.zeros((2, 6)))
+
+    @pytest.mark.parametrize("attack", [False, True], ids=["clean", "attacked"])
+    def test_directly_built_monitor_equals_bootstrapped(self, monitored_plants, attack):
+        ss, model = monitored_plants["random-6x2"]
+        attacked = (2, 5) if attack else ()
+        u, y = monitor_stream(ss, model, 40, 19, attacked, onset=30)
+        n = model.n
+        direct = InjectionMonitor(model, stack_history(y[:, :n], u[:, :n]),
+                                  subset_rows(model.n_sensors, model.subsets, n, model.m), n)
+        booted = injection_bootstrap(model, u[:, :n], y[:, :n])
+        for k in range(n, u.shape[1]):
+            verdict = injection_step(direct, u[:, k], y[:, k])
+            assert verdict == injection_step(booted, u[:, k], y[:, k])
+            if not verdict.all_clear:
+                break
+        assert (direct.k, direct.terminal) == (booted.k, booted.terminal)
+        assert verdict.all_clear != attack
+        assert np.array_equal(direct.history, booted.history)
 
 
 class TestInjectionStep:
@@ -187,17 +206,44 @@ class TestInjectionStep:
     @pytest.mark.parametrize("channel", ["u_k", "y_new"])
     def test_non_finite_sample_rejected_without_advancing(self, bad, channel):
         ss, model = benchmark_model()
-        monitor, x = online_setup(ss, model)
+        booted, x = online_setup(ss, model)
+        direct = InjectionMonitor(model, booted.history.copy(), booted.index, booted.k)
         u_k, y_k = np.array([0.2]), ss.C @ x
         if channel == "u_k":
             u_k[0] = bad
         else:
             y_k[0] = bad
-        history = monitor.history.copy()
-        with pytest.raises(ValueError, match=channel):
-            injection_step(monitor, u_k, y_k)
-        assert not monitor.terminal and monitor.k == 6
-        np.testing.assert_array_equal(monitor.history, history)
+        for monitor in (booted, direct):
+            history = monitor.history.copy()
+            with pytest.raises(ValueError, match=channel):
+                injection_step(monitor, u_k, y_k)
+            assert not monitor.terminal and monitor.k == 6
+            np.testing.assert_array_equal(monitor.history, history)
+            # nothing of the rejected sample stays: a clean one scores as on a fresh monitor
+            fresh, _ = online_setup(ss, model)
+            assert (injection_step(monitor, [0.2], ss.C @ x)
+                    == injection_step(fresh, [0.2], ss.C @ x))
+
+    def test_step_calls_module_predict_once(self, monkeypatch):
+        # perfbench's tracer wraps sentinel.identify.predict to time the stacked
+        # product; a step that bound predict elsewhere, or skipped it, would
+        # leave that span empty
+        ss, model = benchmark_model()
+        monitor, x = online_setup(ss, model)
+        u, y = closed_loop_stream(ss, x, 10, 5, attack_at=7)
+        calls = []
+
+        def counting_predict(*args):
+            calls.append(args)
+            return predict(*args)
+
+        monkeypatch.setattr(identify, "predict", counting_predict)
+        for k in range(u.shape[1]):
+            verdict = injection_step(monitor, u[:, k], y[:, k])
+            assert len(calls) == k + 1
+            if not verdict.all_clear:
+                break
+        assert verdict.k == 6 + 8 and monitor.terminal
 
 
 def closed_loop_stream(ss, x, steps, seed, attack_at=None):
@@ -209,13 +255,13 @@ def closed_loop_stream(ss, x, steps, seed, attack_at=None):
     return u, y
 
 
-def plant_and_model(n_sensors, max_attacked, seed):
-    """Random 6-state plant (fixed draw per seed) and its learned model."""
-    ss = random_test_system(np.random.default_rng(seed), 6, 1, n_sensors,
+def plant_and_model(n_sensors, max_attacked, seed, n=6, m=1):
+    """Random n-state, m-input plant (fixed draw per seed) and its learned model."""
+    ss = random_test_system(np.random.default_rng(seed), n, m, n_sensors,
                             n_sensors - max_attacked)
-    order = (1 + n_sensors - max_attacked) * 6 + 1
-    traj = excited_run(ss, 6, 2 * order, order, seed)
-    return ss, learn_model(traj, n_sensors, max_attacked, 6, 2 * order)
+    order = (m + n_sensors - max_attacked) * n + 1
+    traj = excited_run(ss, n, (m + 1) * order, order, seed)
+    return ss, learn_model(traj, n_sensors, max_attacked, n, (m + 1) * order)
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +329,50 @@ class TestBatchedMonitorMatchesReference:
                 window = slice(start, start + n)
                 np.testing.assert_array_equal(monitor.history[monitor.index[j]],
                                               stack_history(y[rows, window], u[:, window]))
+
+
+class TestStepMatchesReferenceProperty:
+    """The batched step against the per-subset reference over drawn plants,
+    attacks and tolerances, step by step up to the terminal one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_step_bit_equal(self, data):
+        n_sensors = data.draw(st.integers(2, 7), label="N")
+        max_attacked = data.draw(st.integers(0, n_sensors - 1), label="M")
+        n, m = data.draw(st.integers(1, 4), label="n"), data.draw(st.integers(1, 2), label="m")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        ss, model = plant_and_model(n_sensors, max_attacked, seed, n, m)
+        length = data.draw(st.integers(1, 30), label="steps")
+        u = np.random.default_rng(seed).uniform(-1, 1, (m, n + length))
+        _, y = simulate(ss, np.zeros(n), u)
+        targets = data.draw(st.lists(st.integers(1, n_sensors), unique=True), label="targets")
+        onset = data.draw(st.integers(0, length - 1), label="onset")
+        for sensor in targets:
+            # zero, near the slack tol.residual * (1 + ||observed||), or plainly visible
+            size = data.draw(st.one_of(st.just(0.0),
+                                       st.floats(-12.0, 3.0).map(lambda e: 10.0 ** e)),
+                             label="amplitude")
+            y[sensor - 1, n + onset:] += data.draw(st.sampled_from([-1.0, 1.0])) * size
+        # over the whole range, and dense around the default, where clean steps clear
+        tol = Tolerance(residual=10.0 ** data.draw(
+            st.one_of(st.floats(-300.0, 3.0), st.floats(-11.0, -7.0)), label="log10 tol"))
+        batched = injection_bootstrap(model, u[:, :n], y[:, :n], tol)
+        reference = reference_injection_bootstrap(model, u[:, :n], y[:, :n], tol)
+        for k in range(n, n + length):
+            verdict = injection_step(batched, u[:, k], y[:, k])
+            expected = reference_injection_step(reference, u[:, k], y[:, k])
+            assert verdict == expected
+            assert np.array(verdict.scores).tobytes() == np.array(expected.scores).tobytes()
+            assert (batched.k, batched.terminal) == (reference.k, reference.terminal)
+            if not expected.all_clear:
+                break
+        if batched.terminal:
+            with pytest.raises(RuntimeError):
+                injection_step(batched, u[:, -1], y[:, -1])
+        # all-clear steps advance the history as the reference does; the terminal one freezes it
+        for j, subset in enumerate(model.subsets):
+            assert np.array_equal(batched.history[batched.index[j]], reference.states[subset.id])
 
 
 class TestRunInjection:
