@@ -176,10 +176,10 @@ def subset_rows(n_sensors: int, subsets, n: int, m: int) -> np.ndarray:
     """S x (q+m)n indices: row j picks subsets[j]'s stacked history out of
     the all-sensor one. Time-major: sample t of sensor i sits at t * N + i - 1,
     and the n * m input entries follow the N * n output entries."""
-    steps = n_sensors * np.arange(n)[:, None]
-    inputs = n_sensors * n + np.arange(n * m)
-    return np.array([np.concatenate([(steps + np.array(s.indices) - 1).reshape(-1), inputs])
-                     for s in subsets])
+    sensors = np.array([s.indices for s in subsets]) - 1
+    outputs = (n_sensors * np.arange(n)[:, None] + sensors[:, None, :]).reshape(len(sensors), -1)
+    inputs = np.broadcast_to(n_sensors * n + np.arange(n * m), (len(sensors), n * m))
+    return np.concatenate([outputs, inputs], axis=1)
 
 
 def build_subset_matrices(traj: Trajectory, subsets, n: int,

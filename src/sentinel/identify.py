@@ -197,40 +197,97 @@ def identify_injection(model: DataDrivenModel, traj: Trajectory,
     return run_injection(monitor, traj.u[:, k:], traj.y[:, k:])
 
 
+def _residual_operator(model: DataDrivenModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The screen's residual operator E (S x d x W) and its S x W observed
+    and regressor pick matrices, W = (N + m)(n + 1).
+
+    Column c of the depth-(n + 1) all-sensor Hankel H = [hankel(y, s, n + 1, .);
+    hankel(u, s, n + 1, .)] holds samples s + c .. s + c + n of every channel.
+    Row (j, i) of E @ H[:, c] is entry i of subset j's next history minus
+    lam[j][i] @ [u_k; history_j] at step k = s + c + n: E holds -lam[j] at
+    the regressor's rows (subset_rows mapped into H's layout, and the u_k
+    rows) and +1 at the next-history row, so 1 - lam where the two meet
+    (every entry but the newest output samples). The pick matrices times
+    H * H give the squared norms of the next histories and the regressors.
+    """
+    n, m, n_sensors = model.n, model.m, model.n_sensors
+    n_subsets, d = model.lam.shape[:2]
+    width = (n_sensors + m) * (n + 1)
+    rows = subset_rows(n_sensors, model.subsets, n, m)
+    # H has n + 1 output samples, so its input rows start N rows further down
+    inputs = rows >= n_sensors * n
+    history = rows + n_sensors * inputs
+    following = rows + n_sensors + m * inputs
+    u_now = np.broadcast_to(n_sensors * (n + 1) + n * m + np.arange(m), (n_subsets, m))
+    regressor = np.concatenate([u_now, history], axis=1)
+    operator = np.zeros((n_subsets, d, width))
+    starts = width * np.arange(n_subsets * d).reshape(n_subsets, d, 1)
+    flat = operator.reshape(-1)
+    flat[(starts + regressor[:, None, :]).reshape(-1)] = -model.lam.reshape(-1)
+    flat[(starts[..., 0] + following).reshape(-1)] += 1.0
+    picks = np.zeros((2, n_subsets, width))
+    np.put_along_axis(picks[0], following, 1.0, axis=1)
+    np.put_along_axis(picks[1], regressor, 1.0, axis=1)
+    return operator, picks[0], picks[1]
+
+
 def _screen_clear_steps(model: DataDrivenModel, traj: Trajectory, tol: Tolerance) -> int:
     """Column of the first step from n on that the screen cannot clear, at
     most the last column, so run_injection always makes the final verdict.
 
-    A block of steps takes one stacked lam @ regressor product over the
-    all-sensor Hankel columns gathered with subset_rows; blocks hold about
-    SCREEN_BLOCK_BYTES of product, so memory stays bounded on long streams.
+    A block of B steps is one product E @ H of the residual operator
+    (_residual_operator) with B Hankel columns, then one row norm per
+    subset; blocks hold about SCREEN_BLOCK_BYTES of S x d x B product, so
+    memory stays bounded on long streams. E itself takes (N + m)(n + 1) /
+    (d + m) times the bytes of model.lam (1.5-1.8x on the benchmark
+    workloads, 5.4 MB at N = 10, M = 4, n = 6) and is freed on return.
+
     A step is cleared only if every subset's residual sits below
     min + slack by at least half its slack, and by more than its own
     rounding bound plus the largest one (the minimum may be any subset's).
-    A bound is 16 (d + m + 2) ulps of ||lam||_F ||regressor|| + ||observed||,
-    over twice what block and per-step arithmetic can differ by, so
-    injection_step would call every cleared step clear too.
+    The bound is b = 16 (d + m + 2) eps A, A = ||lam_j||_F ||x|| + ||o||
+    for regressor x and next history o, and it is over twice what the two
+    scores can differ by. With u = eps / 2, g(k) = k u / (1 - k u) and r
+    the exact o - lam_j x:
+    * a row e of E has at most d + m + 1 nonzeros, and zeros leave a sum
+      exact in any order, so the product is within g(d + m + 1) |e| |H| of
+      the rounded row's; the rounded 1 - lam entry adds u |e| |H|, and
+      |e| |H| <= |o_i| + |lam_ji| |x|, so the screen's vector is within
+      g(d + m + 2) A of r;
+    * injection_step's o - lam_j x, a (d + m)-term product and one
+      subtraction, is within g(d + m + 1) A of r;
+    * each side's norm, a d-term sum of squares in its own order and a
+      square root, is within g(d + 3) / 2 of its vector's norm, and
+      both vectors' norms are at most A (1 + g(d + m + 2)).
+    So the scores differ by at most about (3d + 2m + 6) u A, under
+    1.5 (d + m + 2) eps A. The screen's A (the two norms as pick-matrix
+    sums of H * H) falls short of the exact by a relative
+    g(d (d + m) + 4) at most, under 1e-9 for d < 3000. The computed
+    slacks differ by about g(d + 3) tol ||o||, and the margins, minima
+    and sums carry a few u of rounding; the cleared margin, at least
+    slack / 4 + (b_j + max b) / 2, covers both with room to spare, and
+    covers underflow too for any normal tol.residual. A non-finite
+    value clears nothing. So injection_step calls every cleared step
+    clear too.
     """
     n, m = model.n, model.m
     lam = model.lam
     n_subsets, d = lam.shape[:2]
-    rows = subset_rows(model.n_sensors, model.subsets, n, m)
-    lam_norms = np.sqrt((lam * lam).sum(axis=(1, 2)))[:, None]
+    operator, pick_observed, pick_regressor = _residual_operator(model)
+    operator = operator.reshape(n_subsets * d, -1)
+    lam_norms = np.sqrt(np.einsum("sij,sij->s", lam, lam))[:, None]
     ulps = 16 * (d + m + 2) * np.finfo(float).eps
     block = max(1, SCREEN_BLOCK_BYTES // (n_subsets * d * 8))
     last = traj.length - 1
     for start in range(n, last, block):
         cols = min(block, last - start)
-        window = np.vstack([hankel(traj.y, start - n, n, cols + 1),
-                            hankel(traj.u, start - n, n, cols + 1)])[rows]
-        u_now = traj.u[:, start: start + cols]
-        regressor = np.concatenate(
-            [np.broadcast_to(u_now, (n_subsets, m, cols)), window[..., :-1]], axis=1)
-        residuals = np.linalg.norm(window[..., 1:] - lam @ regressor, axis=1)
-        squares = (window * window).sum(axis=1)
-        observed = np.sqrt(squares[:, 1:])
-        rounding = ulps * (lam_norms * np.sqrt(squares[:, :-1] + (u_now * u_now).sum(axis=0))
-                           + observed)
+        window = np.vstack([hankel(traj.y, start - n, n + 1, cols),
+                            hankel(traj.u, start - n, n + 1, cols)])
+        diff = (operator @ window).reshape(n_subsets, d, cols)
+        residuals = np.sqrt(np.einsum("sdc,sdc->sc", diff, diff))
+        squares = window * window
+        observed = np.sqrt(pick_observed @ squares)
+        rounding = ulps * (lam_norms * np.sqrt(pick_regressor @ squares) + observed)
         slack = tol.residual + tol.residual * observed
         margin = residuals.min(axis=0) + slack - residuals
         clear = (margin >= slack / 2) & (margin > rounding + rounding.max(axis=0))

@@ -16,7 +16,9 @@ plant's (A, B, C), which the data-driven pipeline never sees.
   no plant, only the learned model;
 * reference_save_trajectory / reference_simulate: the row-at-a-time CSV
   writer and column-at-a-time simulation loop, which the package's
-  whole-array versions must match byte for byte.
+  whole-array versions must match byte for byte;
+* reference_subset_rows: the subset-at-a-time gather index, which the
+  package's broadcast subset_rows must match entry and dtype.
 """
 
 import csv
@@ -304,3 +306,11 @@ def reference_simulate(ss: StateSpace, x0, u) -> tuple[np.ndarray, np.ndarray]:
         outputs[:, k] = ss.C @ states[:, k]
         states[:, k + 1] = ss.A @ states[:, k] + ss.B @ u_arr[:, k]
     return states, outputs
+
+
+def reference_subset_rows(n_sensors: int, subsets, n: int, m: int) -> np.ndarray:
+    """subset_rows built one np.concatenate per subset."""
+    steps = n_sensors * np.arange(n)[:, None]
+    inputs = n_sensors * n + np.arange(n * m)
+    return np.array([np.concatenate([(steps + np.array(s.indices) - 1).reshape(-1), inputs])
+                     for s in subsets])

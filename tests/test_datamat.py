@@ -22,7 +22,7 @@ from sentinel.datamat import (
 )
 from sentinel.plant import discretize_zoh, msd_benchmark, simulate
 
-from oracles import reference_save_trajectory
+from oracles import reference_save_trajectory, reference_subset_rows
 
 # subnormal, signed-zero and extreme float64 values a round trip must keep
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
@@ -184,6 +184,18 @@ class TestSubsetRows:
         for j, subset in enumerate(subsets):
             expected = stack_history(y[[i - 1 for i in subset.indices]], u)
             np.testing.assert_array_equal(full[rows[j]], expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_subset_at_a_time_reference(self, data):
+        n_sensors = data.draw(st.integers(2, 10), label="N")
+        max_attacked = data.draw(st.integers(0, n_sensors - 1), label="M")
+        n, m = data.draw(st.integers(1, 6), label="n"), data.draw(st.integers(1, 3), label="m")
+        subsets = enumerate_subsets(n_sensors, max_attacked)
+        rows = subset_rows(n_sensors, subsets, n, m)
+        expected = reference_subset_rows(n_sensors, subsets, n, m)
+        assert rows.dtype == expected.dtype
+        assert np.array_equal(rows, expected)
 
 
 class TestTrajectory:

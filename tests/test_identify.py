@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from unittest import mock
 
@@ -14,6 +15,7 @@ from sentinel.datamat import (
     TrajectoryLengthError,
     build_subset_matrices,
     generate_pe_input,
+    hankel,
     stack_history,
     subset_rows,
 )
@@ -268,7 +270,8 @@ def plant_and_model(n_sensors, max_attacked, seed, n=6, m=1):
 def monitored_plants():
     return {"benchmark": benchmark_model(),
             "random-10x4": plant_and_model(10, 4, 0),
-            "random-6x2": plant_and_model(6, 2, 1)}
+            "random-6x2": plant_and_model(6, 2, 1),
+            "random-5x2-m2": plant_and_model(5, 2, 2, n=3, m=2)}
 
 
 def monitor_stream(ss, model, length, seed, attacked=(), onset=None):
@@ -410,7 +413,7 @@ def step_loop_verdict(model, traj, tol=DEFAULT_TOL):
 def offset_stream(ss, model, length, seed, sensor=None, at=None, amplitude=0.0):
     """n + length samples from equilibrium; from column `at` on, `sensor`
     reads `amplitude` above the plant."""
-    u = np.random.default_rng(seed).uniform(-1, 1, (1, model.n + length))
+    u = np.random.default_rng(seed).uniform(-1, 1, (model.m, model.n + length))
     _, y = simulate(ss, np.zeros(ss.state_dim), u)
     if sensor is not None:
         y[sensor - 1, at:] += amplitude
@@ -420,34 +423,46 @@ def offset_stream(ss, model, length, seed, sensor=None, at=None, amplitude=0.0):
 class TestIdentifyInjection:
     """identify_injection against the step loop it stands in for."""
 
+    SCREENED = ["benchmark", "random-10x4", "random-5x2-m2"]
+
+    @staticmethod
+    def column_bytes(model):
+        return len(model.subsets) * model.lam.shape[1] * 8
+
+    def block_sizes(self, model):
+        """Screen block sizes in steps: small ones, then the SCREEN_BLOCK_BYTES default."""
+        return [1, 5, 16, identify.SCREEN_BLOCK_BYTES // self.column_bytes(model)]
+
+    def screened(self, model, traj, block, tol=DEFAULT_TOL):
+        """identify_injection with screen blocks of `block` steps."""
+        with mock.patch.object(identify, "SCREEN_BLOCK_BYTES", block * self.column_bytes(model)):
+            return identify_injection(model, traj, tol)
+
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), name=st.sampled_from(["benchmark", "random-10x4"]),
-           block=st.sampled_from([1, 5, 16, None]),
+    @given(data=st.data(), name=st.sampled_from(SCREENED),
            where=st.sampled_from(["first", "inside", "boundary", "last", "none"]))
-    def test_equals_step_loop(self, monitored_plants, data, name, block, where):
+    def test_equals_step_loop(self, monitored_plants, data, name, where):
         ss, model = monitored_plants[name]
         n = model.n
         length = data.draw(st.integers(1, 120), label="steps")
-        column_bytes = len(model.subsets) * model.lam.shape[1] * 8
-        block = block or identify.SCREEN_BLOCK_BYTES // column_bytes
-        onset = {"first": 0, "inside": block // 2 + 1, "boundary": block,
-                 "last": length - 1, "none": None}[where]
-        if onset is not None:
-            onset = min(onset, length - 1)
         # dense around the win bound, tol.residual * (1 + ||observed||), a few 1e-9
         amplitude = 10.0 ** data.draw(st.one_of(st.floats(-9.5, -7.5), st.floats(-10.0, 0.0)),
                                       label="log10 amplitude")
         sensor = data.draw(st.sampled_from([1, model.n_sensors]), label="sensor")
-        traj = offset_stream(ss, model, length, data.draw(st.integers(0, 2**16), label="seed"),
-                             None if onset is None else sensor,
-                             None if onset is None else n + onset, amplitude)
-        with mock.patch.object(identify, "SCREEN_BLOCK_BYTES", block * column_bytes):
-            verdict = identify_injection(model, traj)
-        expected = step_loop_verdict(model, traj)
-        assert verdict == expected
-        assert type(verdict.k) is int
-        assert (json.dumps(verdict_to_dict(verdict), sort_keys=True)
-                == json.dumps(verdict_to_dict(expected), sort_keys=True))
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        for block in self.block_sizes(model):
+            onset = {"first": 0, "inside": block // 2 + 1, "boundary": block,
+                     "last": length - 1, "none": None}[where]
+            if onset is not None:
+                onset = min(onset, length - 1)
+            traj = offset_stream(ss, model, length, seed, None if onset is None else sensor,
+                                 None if onset is None else n + onset, amplitude)
+            verdict = self.screened(model, traj, block)
+            expected = step_loop_verdict(model, traj)
+            assert verdict == expected
+            assert type(verdict.k) is int
+            assert (json.dumps(verdict_to_dict(verdict), sort_keys=True)
+                    == json.dumps(verdict_to_dict(expected), sort_keys=True))
 
     @pytest.mark.parametrize("factor", [0.75, 1.5])
     def test_step_near_the_slack(self, monitored_plants, factor):
@@ -477,18 +492,32 @@ class TestIdentifyInjection:
             assert not step.all_clear and ratio > 1
             assert verdict == step
 
+    @pytest.mark.parametrize("name", ["random-10x4", "random-5x2-m2"])
+    def test_slack_under_the_rounding_bound_clears_nothing(self, monitored_plants, name):
+        # a slack of 1e-13 (1 + ||observed||) holds the clean residuals' spread
+        # but not the screen's rounding bound: the step loop clears every
+        # step, the screen vouches for none and leaves them all to it
+        ss, model = monitored_plants[name]
+        tol = Tolerance(residual=1e-13)
+        traj = offset_stream(ss, model, 60, 4)
+        expected = step_loop_verdict(model, traj, tol)
+        assert expected.all_clear and expected.k == traj.length
+        assert identify._screen_clear_steps(model, traj, tol) == model.n
+        assert identify_injection(model, traj, tol) == expected
+
     @pytest.mark.parametrize("residual", [1e-300, 1e3])
-    @pytest.mark.parametrize("name", ["benchmark", "random-10x4"])
+    @pytest.mark.parametrize("name", SCREENED)
     @pytest.mark.parametrize("attack", [False, True], ids=["clean", "attacked"])
     def test_extreme_tolerance_equals_step_loop(self, monitored_plants, residual, name, attack):
         ss, model = monitored_plants[name]
         tol = Tolerance(residual=residual)
         traj = offset_stream(ss, model, 60, 9, model.n_sensors if attack else None,
                              model.n + 30, 0.9)
-        verdict = identify_injection(model, traj, tol)
-        assert verdict == step_loop_verdict(model, traj, tol)
+        expected = step_loop_verdict(model, traj, tol)
+        for block in self.block_sizes(model):
+            assert self.screened(model, traj, block, tol) == expected
         if residual == 1e3:
-            assert verdict.all_clear and verdict.k == traj.length
+            assert expected.all_clear and expected.k == traj.length
 
     def test_validation(self, monitored_plants):
         ss, model = monitored_plants["benchmark"]
@@ -497,6 +526,64 @@ class TestIdentifyInjection:
             identify_injection(model, Trajectory(traj.u[:, :6], traj.y[:, :6]))
         with pytest.raises(ValueError, match="outputs"):
             identify_injection(model, Trajectory(traj.u, traj.y[:2]))
+
+
+class TestResidualOperator:
+    """The screen's operator E against the gather and the step it stands in for."""
+
+    @staticmethod
+    def product(model, traj):
+        """E @ H over every step n .. L-1 of traj, as S x d x (L - n), and H."""
+        n, cols = model.n, traj.length - model.n
+        window = np.vstack([hankel(traj.y, 0, n + 1, cols), hankel(traj.u, 0, n + 1, cols)])
+        operator, _, _ = identify._residual_operator(model)
+        n_subsets, d, width = operator.shape
+        return (operator.reshape(-1, width) @ window).reshape(n_subsets, d, cols), window
+
+    @pytest.mark.parametrize("name", TestIdentifyInjection.SCREENED)
+    def test_zero_lambda_picks_the_next_histories(self, monitored_plants, name):
+        ss, model = monitored_plants[name]
+        n, m = model.n, model.m
+        traj = offset_stream(ss, model, 30, 3)
+        zero = dataclasses.replace(model, lam=np.zeros_like(model.lam))
+        moved, window = self.product(zero, traj)
+        # each row of E holds a single 1, so the product is the gather itself
+        rows = subset_rows(model.n_sensors, model.subsets, n, m)
+        following = np.vstack([hankel(traj.y, 1, n, 30), hankel(traj.u, 1, n, 30)])[rows]
+        assert moved.tobytes() == following.tobytes()
+        _, pick_observed, pick_regressor = identify._residual_operator(model)
+        assert set(np.unique(pick_observed)) == set(np.unique(pick_regressor)) == {0.0, 1.0}
+        d = model.lam.shape[1]
+        assert (pick_observed.sum(axis=1) == d).all()
+        assert (pick_regressor.sum(axis=1) == d + m).all()
+        current = np.vstack([hankel(traj.y, 0, n, 30), hankel(traj.u, 0, n, 30)])[rows]
+        squares = window * window
+        np.testing.assert_allclose(pick_observed @ squares, (following ** 2).sum(axis=1),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(pick_regressor @ squares,
+                                   (current ** 2).sum(axis=1) + (traj.u[:, n:] ** 2).sum(axis=0),
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("name", TestIdentifyInjection.SCREENED)
+    def test_residuals_within_the_rounding_bound_of_the_step(self, monitored_plants, name):
+        ss, model = monitored_plants[name]
+        n, m = model.n, model.m
+        d = model.lam.shape[1]
+        traj = offset_stream(ss, model, 40, 8)
+        diff, window = self.product(model, traj)
+        residuals = np.sqrt(np.einsum("sdc,sdc->sc", diff, diff))
+        monitor = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n])
+        scores = np.array([injection_step(monitor, traj.u[:, k], traj.y[:, k]).scores
+                           for k in range(n, traj.length)]).T
+        assert monitor.k == traj.length
+        _, pick_observed, pick_regressor = identify._residual_operator(model)
+        squares = window * window
+        lam_norms = np.linalg.norm(model.lam, axis=(1, 2))[:, None]
+        bound = 16 * (d + m + 2) * np.finfo(float).eps * (
+            lam_norms * np.sqrt(pick_regressor @ squares) + np.sqrt(pick_observed @ squares))
+        assert (np.abs(residuals - scores) <= bound / 2).all()
+        # the screen's arithmetic differs from the step's, so the check is not vacuous
+        assert (residuals != scores).any()
 
 
 class TestIdentifyReplay:
