@@ -154,22 +154,35 @@ class SubsetDataMatrices:
     """Data matrices of every sensor subset built from a single recording.
 
     u_now: inputs at the prediction instants (m x T), shared by all subsets.
-    states: stacked-history columns at times n..n+T-1 (S x (q+m)n x T),
-        states[j] those of subsets[j].
-    states_next: the same columns one step later, times n+1..n+T.
-    Column k of states_next equals column k+1 of states while they overlap.
+    full: the all-sensor stacked-history columns at times n..n+T
+        ((N+m)n x (T+1)), built once.
+    rows: S x (q+m)n subset_rows index; full[rows[j]] is subsets[j]'s
+        history block, so full[rows[j], :-1] are its columns at times
+        n..n+T-1 and full[rows[j], 1:] the same columns one step later.
+    The S gathered stacks are not held: learning gathers a few subsets at a
+    time. states and states_next gather all of them when read (S x (q+m)n x T).
     """
 
     subsets: tuple[SensorSubset, ...]
     u_now: np.ndarray
-    states: np.ndarray
-    states_next: np.ndarray
+    full: np.ndarray
+    rows: np.ndarray
     order: int
     columns: int
 
     def __post_init__(self):
-        for arr in (self.u_now, self.states, self.states_next):
+        for arr in (self.u_now, self.full, self.rows):
             arr.setflags(write=False)
+
+    @property
+    def states(self) -> np.ndarray:
+        """Every subset's history columns at times n..n+T-1, gathered now."""
+        return self.full[self.rows, :-1]
+
+    @property
+    def states_next(self) -> np.ndarray:
+        """The same columns one step later, times n+1..n+T, gathered now."""
+        return self.full[self.rows, 1:]
 
 
 def subset_rows(n_sensors: int, subsets, n: int, m: int) -> np.ndarray:
@@ -184,9 +197,9 @@ def subset_rows(n_sensors: int, subsets, n: int, m: int) -> np.ndarray:
 
 def build_subset_matrices(traj: Trajectory, subsets, n: int,
                           columns: int) -> SubsetDataMatrices:
-    """Assemble the data matrices of every subset with `columns` snapshots.
+    """Assemble the all-sensor Hankel and the subset_rows index of every
+    subset with `columns` snapshots.
 
-    Gathers each subset's rows of the all-sensor Hankels with subset_rows.
     Requires n + columns recorded samples so that both the current and the
     shifted history matrices come from one recording.
     """
@@ -199,9 +212,9 @@ def build_subset_matrices(traj: Trajectory, subsets, n: int,
     if any(i > traj.output_dim for s in subsets for i in s.indices):
         raise ValueError(f"a subset names a sensor beyond the {traj.output_dim} recorded")
     full = np.vstack([hankel(traj.y, 0, n, columns + 1), hankel(traj.u, 0, n, columns + 1)])
-    gathered = full[subset_rows(traj.output_dim, subsets, n, traj.input_dim)]
+    rows = subset_rows(traj.output_dim, subsets, n, traj.input_dim)
     u_now = traj.u[:, n: n + columns].copy()
-    return SubsetDataMatrices(subsets, u_now, gathered[..., :-1], gathered[..., 1:], n, columns)
+    return SubsetDataMatrices(subsets, u_now, full, rows, n, columns)
 
 
 def stack_history(z_hist, u_hist) -> np.ndarray:

@@ -17,6 +17,7 @@ have produced, which is what the replay test exploits.
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,10 +59,30 @@ class LearningError(RuntimeError):
             f"subset {subset.indices}: {reason}" for subset, _, reason in self.failures))
 
 
-def stacked_data(mats: SubsetDataMatrices) -> np.ndarray:
-    """[current inputs; history columns] of every subset: the S regressor matrices."""
-    u_now = np.broadcast_to(mats.u_now, (len(mats.subsets),) + mats.u_now.shape)
-    return np.concatenate([u_now, mats.states], axis=1)
+# Bytes of stacked data [u_now; history] that learning and the rank test
+# gather, factor and fit at a time: a chunk of consecutive subset positions
+# stays near the cache and bounds memory, and since numpy's batched SVD and
+# matmul treat each matrix on its own, no chunking changes a bit.
+CHUNK_BYTES = 8 << 20
+
+
+def _chunks(mats: SubsetDataMatrices) -> list[slice]:
+    """Consecutive subset positions, each slice at least one subset and else
+    at most CHUNK_BYTES of stacked data."""
+    rows = mats.u_now.shape[0] + mats.rows.shape[1]
+    step = max(1, CHUNK_BYTES // (rows * mats.columns * 8))
+    return [slice(start, start + step) for start in range(0, len(mats.subsets), step)]
+
+
+def stacked_data(mats: SubsetDataMatrices, chunk: slice) -> np.ndarray:
+    """[current inputs; history columns] of the subsets at positions `chunk`:
+    their regressor matrices, gathered from mats.full into one new array."""
+    rows = mats.rows[chunk]
+    m = mats.u_now.shape[0]
+    out = np.empty((len(rows), m + rows.shape[1], mats.columns))
+    out[:, :m] = mats.u_now
+    out[:, m:] = mats.full[rows, :-1]
+    return out
 
 
 def certifying_rank(m: int, n: int) -> int:
@@ -71,9 +92,9 @@ def certifying_rank(m: int, n: int) -> int:
 
 def _certificate(mats: SubsetDataMatrices, sigma: np.ndarray,
                  tol: Tolerance) -> tuple[np.ndarray, tuple[RankReport, ...]]:
-    """Mask of the S x r singular values above rank_cutoff and the S reports."""
+    """Mask of the singular values above rank_cutoff and one report per row of sigma."""
     m, n = mats.u_now.shape[0], mats.order
-    rows = m + mats.states.shape[1]
+    rows = m + mats.rows.shape[1]
     large = sigma > rank_cutoff(sigma, (rows, mats.columns), tol)
     required = certifying_rank(m, n)
     return large, tuple(RankReport(int(observed), required, rows, int(observed) == required)
@@ -82,8 +103,10 @@ def _certificate(mats: SubsetDataMatrices, sigma: np.ndarray,
 
 def rank_condition(mats: SubsetDataMatrices,
                    tol: Tolerance = DEFAULT_TOL) -> tuple[RankReport, ...]:
-    """Rank certificates of every subset's stacked data matrix, in position order."""
-    return _certificate(mats, np.linalg.svd(stacked_data(mats), compute_uv=False), tol)[1]
+    """Rank certificates of every subset's stacked data matrix, in position
+    order, a chunk of CHUNK_BYTES at a time."""
+    return tuple(report for chunk in _chunks(mats) for report in _certificate(
+        mats, np.linalg.svd(stacked_data(mats, chunk), compute_uv=False), tol)[1])
 
 
 def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
@@ -95,20 +118,33 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
 
     Uses the Moore-Penrose pseudo-inverse of the stacked data: with the
     certifying rank this is exact on everything the plant can produce and
-    unique over informative recordings. One batched SVD gives both the rank
-    reports and the pseudo-inverses, built as np.linalg.pinv builds them, so
-    lam[j] is bit-identical to states_next[j] @ pinv(stacked[j], rank_rel * max(shape)).
+    unique over informative recordings. The subsets are gathered and fitted
+    a chunk of CHUNK_BYTES at a time. One batched SVD per chunk gives both
+    the rank reports and the pseudo-inverses, built as np.linalg.pinv builds
+    them, so lam[j] is bit-identical to
+    states_next[j] @ pinv(stacked[j], rank_rel * max(shape)) for any chunking.
     Raises one LearningError listing every subset whose certificate fails
     or whose training misfit exceeds the residual slack.
     """
-    stacked = stacked_data(mats)
-    u, sigma, vt = np.linalg.svd(stacked, full_matrices=False)
-    large, reports = _certificate(mats, sigma, tol)
-    inverse = np.divide(1, sigma, where=large, out=sigma)
-    inverse[~large] = 0
-    lam = mats.states_next @ (np.swapaxes(vt, 1, 2) @ (inverse[..., None] * np.swapaxes(u, 1, 2)))
-    residuals = np.max(np.abs(mats.states_next - lam @ stacked), axis=(1, 2))
-    slacks = tol.residual * (1.0 + np.max(np.abs(mats.states_next), axis=(1, 2)))
+    m, d = mats.u_now.shape[0], mats.rows.shape[1]
+    lam = np.empty((len(mats.subsets), d, m + d))
+    residuals, slacks = np.empty(len(mats.subsets)), np.empty(len(mats.subsets))
+    reports = []
+    for chunk in _chunks(mats):
+        stacked = stacked_data(mats, chunk)
+        target = mats.full[mats.rows[chunk], 1:]
+        u, sigma, vt = np.linalg.svd(stacked, full_matrices=False)
+        large, chunk_reports = _certificate(mats, sigma, tol)
+        reports.extend(chunk_reports)
+        inverse = np.divide(1, sigma, where=large, out=sigma)
+        inverse[~large] = 0
+        lam[chunk] = target @ (np.swapaxes(vt, 1, 2) @ (inverse[..., None] * np.swapaxes(u, 1, 2)))
+        del u, vt  # V^T is chunk-sized: free it before the misfit's buffer
+        misfit = lam[chunk] @ stacked
+        np.abs(np.subtract(target, misfit, out=misfit), out=misfit)
+        residuals[chunk] = misfit.max(axis=(1, 2))
+        slacks[chunk] = tol.residual * (
+            1.0 + np.maximum(target.max(axis=(1, 2)), -target.min(axis=(1, 2))))
     failures = []
     for subset, report, residual, slack in zip(mats.subsets, reports, residuals, slacks):
         if not report.holds:
@@ -124,7 +160,7 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
                              f"slack {slack:.3g}"))
     if failures:
         raise LearningError(failures)
-    return lam, tuple(residuals.tolist()), reports
+    return lam, tuple(residuals.tolist()), tuple(reports)
 
 
 def predict(lam, u_k, state) -> np.ndarray:
@@ -152,8 +188,9 @@ class DataDrivenModel:
     Position j of lam (S x d x (d + m), d = (N - M + m) n; given as one
     stack or S matrices), residuals and reports belongs to subsets[j] =
     enumerate_subsets(N, M)[j]: its predictor, training misfit and rank
-    certificate. A wrong subset count or a lambda that is not a finite
-    d x (d + m) matrix raises ValueError naming the first subset that breaks it.
+    certificate. A wrong subset count, residuals or reports not aligned
+    with lam, or a lambda that is not a finite d x (d + m) matrix raise
+    ValueError, the last naming the first subset that breaks it.
     """
 
     lam: np.ndarray
@@ -172,6 +209,9 @@ class DataDrivenModel:
         if len(self.lam) != len(subsets):
             raise ValueError(f"model holds {len(self.lam)} subsets, N={self.n_sensors} "
                              f"and M={self.max_attacked} give {len(subsets)}")
+        if not len(self.residuals) == len(self.reports) == len(subsets):
+            raise ValueError(f"model holds {len(subsets)} predictors but "
+                             f"{len(self.residuals)} residuals and {len(self.reports)} reports")
         d = (self.n_sensors - self.max_attacked + self.m) * self.n
         for subset, lam in zip(subsets, self.lam):
             if np.shape(lam) != (d, d + self.m) or not np.isfinite(lam).all():
@@ -225,7 +265,8 @@ def load_learned_model(path) -> DataDrivenModel:
     """Read a learned model written by save_learned_model. A missing or
     mistyped field (a bool or fraction where an integer belongs too), a
     lambda that is not base64 float64 of d rows, a rank other than the
-    certifying one (every saved subset holds it), subsets other than
+    certifying one (every saved subset holds it), a residual that is
+    negative or not finite, a T below 1, subsets other than
     enumerate_subsets(N, M) in order, or a model that breaks DataDrivenModel's
     conditions raise ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -246,12 +287,19 @@ def load_learned_model(path) -> DataDrivenModel:
             if type(entry["rank"]) is not int or entry["rank"] != required:
                 raise ValueError(f"subset id {subset.id}: stored rank {entry['rank']!r} is "
                                  f"not the certifying rank {required}")
+            residual = float(entry["residual"])
+            if not 0.0 <= residual < math.inf:
+                raise ValueError(f"subset id {subset.id}: stored residual {entry['residual']!r} "
+                                 "is not a finite non-negative number")
             listed.append(subset)
-            residuals.append(float(entry["residual"]))
+            residuals.append(residual)
+        columns = as_integer(payload["T"])
+        if columns < 1:
+            raise ValueError(f"model file field T is {columns}; it must be at least 1")
         pe_seed = payload.get("pe_seed")
         reports = (RankReport(required, required, m + d, True),) * len(lams)
         model = DataDrivenModel(lams, tuple(residuals), reports, n, m, n_sensors,
-                                max_attacked, as_integer(payload["T"]),
+                                max_attacked, columns,
                                 None if pe_seed is None else as_integer(pe_seed))
     except KeyError as exc:
         raise ValueError(f"model file has no field {exc}") from exc

@@ -2,12 +2,19 @@ import base64
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sentinel import ddmodel
 from sentinel.attacks import ReplayAttack, SensorSubset, apply_attack, enumerate_subsets
-from sentinel.datamat import Trajectory, build_subset_matrices, generate_pe_input
+from sentinel.datamat import (
+    SubsetDataMatrices,
+    Trajectory,
+    build_subset_matrices,
+    generate_pe_input,
+)
 from sentinel.ddmodel import (
     LearningError,
     certifying_rank,
@@ -18,6 +25,7 @@ from sentinel.ddmodel import (
     rank_condition,
     save_learned_model,
 )
+from sentinel.identify import identify_replay
 from sentinel.linalg import DEFAULT_TOL, Tolerance, numerical_rank
 from sentinel.plant import StateSpace, discretize_zoh, msd_benchmark, random_test_system, simulate
 
@@ -43,6 +51,17 @@ def random_10x4_run(columns=86):
     sig = generate_pe_input(1, columns, 43, 3)
     u = np.hstack([np.full((1, 6), 0.5), sig.u, np.full((1, 1), -0.5)])
     return Trajectory(u, simulate(ss, np.zeros(6), u)[1])
+
+
+def subset_run(plant):
+    """(recording, N, M, columns) of the benchmark, random-10x4 or random-6x2 plant."""
+    if plant == "benchmark":
+        return excited_benchmark_run()[1], 3, 1, 41
+    if plant == "random-10x4":
+        return random_10x4_run(86), 10, 4, 86
+    ss = random_test_system(np.random.default_rng(5), 6, 1, 6, 4)
+    u = np.random.default_rng(6).uniform(-1, 1, (1, 6 + 40))
+    return Trajectory(u, simulate(ss, np.zeros(6), u)[1]), 6, 2, 40
 
 
 def generator_matrices(ss, subset_rows):
@@ -202,6 +221,79 @@ class TestLearnLambda:
             assert np.max(np.abs(gap)) < 1e-8 * (1 + np.max(np.abs(mats2.states_next)))
 
 
+class TestChunking:
+    """Learning and the rank test gather, factor and fit ddmodel.CHUNK_BYTES of
+    stacked data at a time; no chunking may change a bit."""
+
+    @staticmethod
+    def chunk_bytes(mats, per_chunk):
+        """A CHUNK_BYTES that puts per_chunk subsets in each chunk."""
+        return per_chunk * (mats.u_now.shape[0] + mats.rows.shape[1]) * mats.columns * 8
+
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
+    def test_chunking_cannot_change_bits(self, plant, monkeypatch):
+        traj, n_sensors, max_attacked, columns = subset_run(plant)
+        mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
+                                     columns)
+        assert len(ddmodel._chunks(mats)) == 1
+        lam, residuals, reports = learn_lambda(mats)
+        replay = rank_condition(mats)
+        for per_chunk in (1, 2, 4):
+            monkeypatch.setattr(ddmodel, "CHUNK_BYTES", self.chunk_bytes(mats, per_chunk))
+            assert len(ddmodel._chunks(mats)) == -(-len(mats.subsets) // per_chunk)
+            chunked_lam, chunked_residuals, chunked_reports = learn_lambda(mats)
+            assert chunked_lam.tobytes() == lam.tobytes()
+            assert chunked_residuals == residuals and chunked_reports == reports
+            assert rank_condition(mats) == replay
+
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
+    def test_chunking_keeps_failures_in_order(self, plant, monkeypatch):
+        traj, n_sensors, max_attacked, columns = subset_run(plant)
+        attacked = apply_attack(traj, ReplayAttack({2: 0.01}), max_attacked=max_attacked)
+        mats = build_subset_matrices(attacked, enumerate_subsets(n_sensors, max_attacked), 6,
+                                     columns)
+        with pytest.raises(LearningError) as whole:
+            learn_lambda(mats)
+        assert 0 < len(whole.value.failures) < len(mats.subsets)
+        for per_chunk in (1, 2, 4):
+            monkeypatch.setattr(ddmodel, "CHUNK_BYTES", self.chunk_bytes(mats, per_chunk))
+            with pytest.raises(LearningError) as chunked:
+                learn_lambda(mats)
+            assert chunked.value.failures == whole.value.failures
+
+    def test_learning_memory_is_bounded(self):
+        # 6 sensors, M = 2, n = 6, T = 10,000: each S-stack of the data is about
+        # 37 MB, and learning them all at once peaked at about 180 MB here
+        ss = random_test_system(np.random.default_rng(0), 6, 1, 6, 4)
+        columns = 10_000
+        u = np.hstack([np.full((1, 6), 0.5), generate_pe_input(1, columns, 31, 1).u,
+                       np.full((1, 1), -0.5)])
+        traj = Trajectory(u, simulate(ss, np.zeros(6), u)[1])
+        tracemalloc.start()
+        try:
+            mats = build_subset_matrices(traj, enumerate_subsets(6, 2), 6, columns)
+            learn_lambda(mats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a chunk keeps at most four chunk-sized arrays alive at once (stacked
+        # data, shifted histories, V^T and the pinv product) beside the Hankel
+        assert peak < 6 * ddmodel.CHUNK_BYTES + mats.full.nbytes
+
+    def test_pipeline_never_gathers_every_stack(self, monkeypatch):
+        _, traj = excited_benchmark_run()
+        replayed = apply_attack(traj, ReplayAttack({3: 0.01}), max_attacked=1)
+        expected = identify_replay(replayed, 3, 1, 6, 41)
+
+        def gathered(mats):
+            raise AssertionError("a pipeline path gathered every subset's stack")
+
+        monkeypatch.setattr(SubsetDataMatrices, "states", property(gathered))
+        monkeypatch.setattr(SubsetDataMatrices, "states_next", property(gathered))
+        assert all(report.holds for report in learn_model(traj, 3, 1, 6, 41).reports)
+        assert identify_replay(replayed, 3, 1, 6, 41) == expected
+
+
 class TestPredict:
     def test_zero_map(self):
         np.testing.assert_array_equal(predict(np.zeros((4, 5)), [1.0], np.ones(4)),
@@ -344,8 +436,15 @@ class TestModelFile:
         (lambda subsets: subsets[1].update(rank=12),
          "subset id 2: stored rank 12 is not the certifying rank 13"),
         (lambda subsets: subsets[1].update(rank=13.0), "subset id 2: stored rank 13.0 is not"),
+        (lambda subsets: subsets[0].update(residual=float("nan")),
+         "subset id 1: stored residual nan is not a finite non-negative number"),
+        (lambda subsets: subsets[2].update(residual=-1e-12),
+         "subset id 3: stored residual -1e-12 is not a finite non-negative number"),
+        (lambda subsets: subsets[1].update(residual=float("inf")),
+         "subset id 2: stored residual inf is not a finite"),
     ], ids=["tampered-indices", "short-row", "missing-row", "nan", "missing-subset",
-            "missing-column", "not-base64", "decimal-format", "wrong-rank", "float-rank"])
+            "missing-column", "not-base64", "decimal-format", "wrong-rank", "float-rank",
+            "nan-residual", "negative-residual", "infinite-residual"])
     def test_inconsistent_file_rejected(self, tmp_path, tamper, message):
         _, traj = excited_benchmark_run()
         path = tmp_path / "model.json"
@@ -383,6 +482,28 @@ class TestModelFile:
             dataclasses.replace(model, lam=model.lam[:2])
         with pytest.raises(ValueError, match="subset id 1: lambda must be a finite 18 x 19"):
             dataclasses.replace(model, lam=model.lam[:, 1:])
+
+    def test_in_memory_model_rejects_misaligned_tuples(self):
+        _, traj = excited_benchmark_run()
+        model = learn_model(traj, 3, 1, 6, 41)
+        with pytest.raises(ValueError, match="model holds 3 predictors but 1 residuals "
+                                             "and 3 reports"):
+            dataclasses.replace(model, residuals=model.residuals[:1])
+        with pytest.raises(ValueError, match="model holds 3 predictors but 3 residuals "
+                                             "and 2 reports"):
+            dataclasses.replace(model, reports=model.reports[:2])
+
+    @pytest.mark.parametrize("columns", [-5, 0])
+    def test_column_count_below_one_rejected(self, tmp_path, columns):
+        _, traj = excited_benchmark_run()
+        path = tmp_path / "model.json"
+        save_learned_model(learn_model(traj, 3, 1, 6, 41), path)
+        payload = json.loads(path.read_text())
+        payload["T"] = columns
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"model file field T is {columns}; it must be "
+                                             "at least 1"):
+            load_learned_model(path)
 
     def test_predictor_lookup(self):
         _, traj = excited_benchmark_run()
