@@ -2,9 +2,9 @@
 
 Conventions: signals are 2-D arrays whose columns are time steps, oldest
 first. A stacked history vector for a sensor subset holds the previous n
-subset outputs followed by the previous n inputs, each block oldest first;
-the data matrices place those vectors side by side, one column per time
-step.
+subset outputs followed by the previous n inputs, each block oldest first.
+Every subset's data matrices are row selections of one all-sensor
+block-Hankel, one column per time step.
 """
 
 from __future__ import annotations
@@ -24,6 +24,14 @@ if TYPE_CHECKING:
 
 # seeded draws generate_pe_input makes before giving up
 PE_MAX_ATTEMPTS = 16
+
+# Bytes of an S-stacked product over a block of Hankel columns, the unit in
+# which learning's training misfit and the injection screen walk long
+# recordings, so their memory stays bounded however many columns there are.
+# At 4 MiB, glibc malloc returned the heap learning had freed, so a screen
+# run after a learn in the same process page-faulted its product back in
+# (about 1,200 faults, +30% identify_injection_s on longrec-6x2).
+BLOCK_BYTES = 8 << 20
 
 
 class WindowError(ValueError):
@@ -153,36 +161,25 @@ def generate_pe_input(m: int, length: int, order: int, seed: int,
 class SubsetDataMatrices:
     """Data matrices of every sensor subset built from a single recording.
 
-    u_now: inputs at the prediction instants (m x T), shared by all subsets.
-    full: the all-sensor stacked-history columns at times n..n+T
-        ((N+m)n x (T+1)), built once.
-    rows: S x (q+m)n subset_rows index; full[rows[j]] is subsets[j]'s
-        history block, so full[rows[j], :-1] are its columns at times
-        n..n+T-1 and full[rows[j], 1:] the same columns one step later.
-    The S gathered stacks are not held: learning gathers a few subsets at a
-    time. states and states_next gather all of them when read (S x (q+m)n x T).
+    hankel: the all-sensor Hankel G of depth n + 1 (trajectory_hankel),
+        W x T with W = (N + m)(n + 1); column c holds samples c .. c + n.
+    regressor, target: S x (d + m) and S x d rows of G (hankel_rows).
+        G[regressor[j]] is subsets[j]'s stacked data [u_now; history] at
+        times n .. n + T - 1 and G[target[j]] its history one step later.
+    Every subset's data are row selections of G, so one factorization of
+    G serves them all; the S gathered stacks are never built.
     """
 
     subsets: tuple[SensorSubset, ...]
-    u_now: np.ndarray
-    full: np.ndarray
-    rows: np.ndarray
+    hankel: np.ndarray
+    regressor: np.ndarray
+    target: np.ndarray
     order: int
     columns: int
 
     def __post_init__(self):
-        for arr in (self.u_now, self.full, self.rows):
+        for arr in (self.hankel, self.regressor, self.target):
             arr.setflags(write=False)
-
-    @property
-    def states(self) -> np.ndarray:
-        """Every subset's history columns at times n..n+T-1, gathered now."""
-        return self.full[self.rows, :-1]
-
-    @property
-    def states_next(self) -> np.ndarray:
-        """The same columns one step later, times n+1..n+T, gathered now."""
-        return self.full[self.rows, 1:]
 
 
 def subset_rows(n_sensors: int, subsets, n: int, m: int) -> np.ndarray:
@@ -195,10 +192,29 @@ def subset_rows(n_sensors: int, subsets, n: int, m: int) -> np.ndarray:
     return np.concatenate([outputs, inputs], axis=1)
 
 
+def trajectory_hankel(traj: Trajectory, start: int, depth: int, cols: int) -> np.ndarray:
+    """The all-sensor block-Hankel [hankel(y, ...); hankel(u, ...)]: sample t
+    of sensor i sits at row t * N + i - 1, of input k at N depth + t m + k - 1."""
+    return np.vstack([hankel(traj.y, start, depth, cols), hankel(traj.u, start, depth, cols)])
+
+
+def hankel_rows(n_sensors: int, subsets, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """S x (d + m) regressor and S x d target rows of the depth-(n + 1)
+    trajectory_hankel: regressor[j] picks input sample n, then subsets[j]'s
+    subset_rows history of samples 0 .. n - 1; target[j] the same history
+    one sample later."""
+    rows = subset_rows(n_sensors, subsets, n, m)
+    # depth n + 1 holds n + 1 output samples, so the input rows start N rows further down
+    inputs = rows >= n_sensors * n
+    u_now = np.broadcast_to(n_sensors * (n + 1) + n * m + np.arange(m), (len(rows), m))
+    return (np.concatenate([u_now, rows + n_sensors * inputs], axis=1),
+            rows + n_sensors + m * inputs)
+
+
 def build_subset_matrices(traj: Trajectory, subsets, n: int,
                           columns: int) -> SubsetDataMatrices:
-    """Assemble the all-sensor Hankel and the subset_rows index of every
-    subset with `columns` snapshots.
+    """Assemble the all-sensor Hankel and the hankel_rows of every subset
+    with `columns` snapshots.
 
     Requires n + columns recorded samples so that both the current and the
     shifted history matrices come from one recording.
@@ -209,12 +225,13 @@ def build_subset_matrices(traj: Trajectory, subsets, n: int,
     if traj.length < required:
         raise TrajectoryLengthError(traj.length, required)
     subsets = tuple(subsets)
+    if not subsets:
+        raise ValueError("no sensor subsets given")
     if any(i > traj.output_dim for s in subsets for i in s.indices):
         raise ValueError(f"a subset names a sensor beyond the {traj.output_dim} recorded")
-    full = np.vstack([hankel(traj.y, 0, n, columns + 1), hankel(traj.u, 0, n, columns + 1)])
-    rows = subset_rows(traj.output_dim, subsets, n, traj.input_dim)
-    u_now = traj.u[:, n: n + columns].copy()
-    return SubsetDataMatrices(subsets, u_now, full, rows, n, columns)
+    regressor, target = hankel_rows(traj.output_dim, subsets, n, traj.input_dim)
+    return SubsetDataMatrices(subsets, trajectory_hankel(traj, 0, n + 1, columns),
+                              regressor, target, n, columns)
 
 
 def stack_history(z_hist, u_hist) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .attacks import SensorSubset, enumerate_subsets
-from .datamat import SubsetDataMatrices, Trajectory, build_subset_matrices, write_json
+from .datamat import BLOCK_BYTES, SubsetDataMatrices, Trajectory, build_subset_matrices, write_json
 from .linalg import DEFAULT_TOL, Tolerance, as_integer, rank_cutoff
 
 
@@ -59,44 +59,29 @@ class LearningError(RuntimeError):
             f"subset {subset.indices}: {reason}" for subset, _, reason in self.failures))
 
 
-# Bytes of stacked data [u_now; history] that learning and the rank test
-# gather, factor and fit at a time: a chunk of consecutive subset positions
-# stays near the cache and bounds memory, and since numpy's batched SVD and
-# matmul treat each matrix on its own, no chunking changes a bit.
-CHUNK_BYTES = 8 << 20
-
-
-def _chunks(mats: SubsetDataMatrices) -> list[slice]:
-    """Consecutive subset positions, each slice at least one subset and else
-    at most CHUNK_BYTES of stacked data."""
-    rows = mats.u_now.shape[0] + mats.rows.shape[1]
-    step = max(1, CHUNK_BYTES // (rows * mats.columns * 8))
-    return [slice(start, start + step) for start in range(0, len(mats.subsets), step)]
-
-
-def stacked_data(mats: SubsetDataMatrices, chunk: slice) -> np.ndarray:
-    """[current inputs; history columns] of the subsets at positions `chunk`:
-    their regressor matrices, gathered from mats.full into one new array."""
-    rows = mats.rows[chunk]
-    m = mats.u_now.shape[0]
-    out = np.empty((len(rows), m + rows.shape[1], mats.columns))
-    out[:, :m] = mats.u_now
-    out[:, m:] = mats.full[rows, :-1]
-    return out
-
-
 def certifying_rank(m: int, n: int) -> int:
     """Largest rank attack-free data can attain: m(n+1) + n."""
     return m * (n + 1) + n
 
 
+def _reduced(mats: SubsetDataMatrices) -> tuple[np.ndarray, np.ndarray]:
+    """Every subset's regressor and target rows of R^T, S x (d + m) x k and
+    S x d x k, from one QR mats.hankel = R^T Q^T, k = min(W, T).
+
+    Q^T has orthonormal rows, so a row selection A G of the Hankel has the
+    singular values of A R^T, and B G pinv(A G) = (B R^T) pinv(A R^T).
+    """
+    factor = np.linalg.qr(mats.hankel.T, mode="r").T
+    return factor[mats.regressor], factor[mats.target]
+
+
 def _certificate(mats: SubsetDataMatrices, sigma: np.ndarray,
                  tol: Tolerance) -> tuple[np.ndarray, tuple[RankReport, ...]]:
-    """Mask of the singular values above rank_cutoff and one report per row of sigma."""
-    m, n = mats.u_now.shape[0], mats.order
-    rows = m + mats.rows.shape[1]
+    """Mask of the singular values above rank_cutoff and one report per row
+    of sigma; the cutoff takes the data matrix's shape, (d + m) x T."""
+    rows = mats.regressor.shape[1]
     large = sigma > rank_cutoff(sigma, (rows, mats.columns), tol)
-    required = certifying_rank(m, n)
+    required = certifying_rank(rows - mats.target.shape[1], mats.order)
     return large, tuple(RankReport(int(observed), required, rows, int(observed) == required)
                         for observed in large.sum(axis=1))
 
@@ -104,9 +89,8 @@ def _certificate(mats: SubsetDataMatrices, sigma: np.ndarray,
 def rank_condition(mats: SubsetDataMatrices,
                    tol: Tolerance = DEFAULT_TOL) -> tuple[RankReport, ...]:
     """Rank certificates of every subset's stacked data matrix, in position
-    order, a chunk of CHUNK_BYTES at a time."""
-    return tuple(report for chunk in _chunks(mats) for report in _certificate(
-        mats, np.linalg.svd(stacked_data(mats, chunk), compute_uv=False), tol)[1])
+    order, from one QR of the Hankel and one batched SVD of the small factors."""
+    return _certificate(mats, np.linalg.svd(_reduced(mats)[0], compute_uv=False), tol)[1]
 
 
 def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
@@ -118,33 +102,31 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
 
     Uses the Moore-Penrose pseudo-inverse of the stacked data: with the
     certifying rank this is exact on everything the plant can produce and
-    unique over informative recordings. The subsets are gathered and fitted
-    a chunk of CHUNK_BYTES at a time. One batched SVD per chunk gives both
-    the rank reports and the pseudo-inverses, built as np.linalg.pinv builds
-    them, so lam[j] is bit-identical to
-    states_next[j] @ pinv(stacked[j], rank_rel * max(shape)) for any chunking.
+    unique over informative recordings. One QR of the Hankel and one
+    batched SVD of the small factors (_reduced) give both the rank reports
+    and lam[j] = (B R^T) pinv(A R^T), the pseudo-inverse built as
+    np.linalg.pinv builds it but cut at the data matrix's rank_cutoff. The
+    misfit is taken on the data themselves, in column blocks of about
+    BLOCK_BYTES of S-stacked regressors.
     Raises one LearningError listing every subset whose certificate fails
     or whose training misfit exceeds the residual slack.
     """
-    m, d = mats.u_now.shape[0], mats.rows.shape[1]
-    lam = np.empty((len(mats.subsets), d, m + d))
-    residuals, slacks = np.empty(len(mats.subsets)), np.empty(len(mats.subsets))
-    reports = []
-    for chunk in _chunks(mats):
-        stacked = stacked_data(mats, chunk)
-        target = mats.full[mats.rows[chunk], 1:]
-        u, sigma, vt = np.linalg.svd(stacked, full_matrices=False)
-        large, chunk_reports = _certificate(mats, sigma, tol)
-        reports.extend(chunk_reports)
-        inverse = np.divide(1, sigma, where=large, out=sigma)
-        inverse[~large] = 0
-        lam[chunk] = target @ (np.swapaxes(vt, 1, 2) @ (inverse[..., None] * np.swapaxes(u, 1, 2)))
-        del u, vt  # V^T is chunk-sized: free it before the misfit's buffer
-        misfit = lam[chunk] @ stacked
-        np.abs(np.subtract(target, misfit, out=misfit), out=misfit)
-        residuals[chunk] = misfit.max(axis=(1, 2))
-        slacks[chunk] = tol.residual * (
-            1.0 + np.maximum(target.max(axis=(1, 2)), -target.min(axis=(1, 2))))
+    n_subsets, width = mats.regressor.shape
+    stacked, target = _reduced(mats)
+    u, sigma, vt = np.linalg.svd(stacked, full_matrices=False)
+    large, reports = _certificate(mats, sigma, tol)
+    inverse = np.divide(1, sigma, where=large, out=sigma)
+    inverse[~large] = 0
+    lam = target @ (np.swapaxes(vt, 1, 2) @ (inverse[..., None] * np.swapaxes(u, 1, 2)))
+    residuals = np.zeros(n_subsets)
+    block = max(1, BLOCK_BYTES // (n_subsets * width * 8))
+    for start in range(0, mats.columns, block):
+        window = mats.hankel[:, start: start + block]
+        misfit = lam @ window[mats.regressor]
+        np.abs(np.subtract(window[mats.target], misfit, out=misfit), out=misfit)
+        np.maximum(residuals, misfit.max(axis=(1, 2)), out=residuals)
+    peaks = np.maximum(mats.hankel.max(axis=1), -mats.hankel.min(axis=1))
+    slacks = tol.residual * (1.0 + peaks[mats.target].max(axis=1))
     failures = []
     for subset, report, residual, slack in zip(mats.subsets, reports, residuals, slacks):
         if not report.holds:

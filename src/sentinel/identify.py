@@ -20,21 +20,19 @@ import numpy as np
 
 from .attacks import SensorSubset, enumerate_subsets
 from .datamat import (
+    BLOCK_BYTES,
     ExcitationError,
     Trajectory,
     TrajectoryLengthError,
     build_subset_matrices,
-    hankel,
+    hankel_rows,
     is_persistently_exciting,
     stack_history,
     subset_rows,
+    trajectory_hankel,
 )
 from .ddmodel import DataDrivenModel, predict, rank_condition
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, first_nonzero
-
-
-# Bytes of the S x d x B stacked product one screening block of B steps may take.
-SCREEN_BLOCK_BYTES = 4 << 20
 
 
 class NoResponseError(RuntimeError):
@@ -201,32 +199,26 @@ def _residual_operator(model: DataDrivenModel) -> tuple[np.ndarray, np.ndarray, 
     """The screen's residual operator E (S x d x W) and its S x W observed
     and regressor pick matrices, W = (N + m)(n + 1).
 
-    Column c of the depth-(n + 1) all-sensor Hankel H = [hankel(y, s, n + 1, .);
-    hankel(u, s, n + 1, .)] holds samples s + c .. s + c + n of every channel.
+    Column c of the depth-(n + 1) all-sensor Hankel H (trajectory_hankel
+    from sample s) holds samples s + c .. s + c + n of every channel.
     Row (j, i) of E @ H[:, c] is entry i of subset j's next history minus
     lam[j][i] @ [u_k; history_j] at step k = s + c + n: E holds -lam[j] at
-    the regressor's rows (subset_rows mapped into H's layout, and the u_k
-    rows) and +1 at the next-history row, so 1 - lam where the two meet
-    (every entry but the newest output samples). The pick matrices times
-    H * H give the squared norms of the next histories and the regressors.
+    subset j's regressor rows of H and +1 at its target rows (hankel_rows),
+    so 1 - lam where the two meet (every entry but the newest output
+    samples). The pick matrices times H * H give the squared norms of the
+    next histories and the regressors.
     """
     n, m, n_sensors = model.n, model.m, model.n_sensors
     n_subsets, d = model.lam.shape[:2]
     width = (n_sensors + m) * (n + 1)
-    rows = subset_rows(n_sensors, model.subsets, n, m)
-    # H has n + 1 output samples, so its input rows start N rows further down
-    inputs = rows >= n_sensors * n
-    history = rows + n_sensors * inputs
-    following = rows + n_sensors + m * inputs
-    u_now = np.broadcast_to(n_sensors * (n + 1) + n * m + np.arange(m), (n_subsets, m))
-    regressor = np.concatenate([u_now, history], axis=1)
+    regressor, target = hankel_rows(n_sensors, model.subsets, n, m)
     operator = np.zeros((n_subsets, d, width))
     starts = width * np.arange(n_subsets * d).reshape(n_subsets, d, 1)
     flat = operator.reshape(-1)
     flat[(starts + regressor[:, None, :]).reshape(-1)] = -model.lam.reshape(-1)
-    flat[(starts[..., 0] + following).reshape(-1)] += 1.0
+    flat[(starts[..., 0] + target).reshape(-1)] += 1.0
     picks = np.zeros((2, n_subsets, width))
-    np.put_along_axis(picks[0], following, 1.0, axis=1)
+    np.put_along_axis(picks[0], target, 1.0, axis=1)
     np.put_along_axis(picks[1], regressor, 1.0, axis=1)
     return operator, picks[0], picks[1]
 
@@ -237,7 +229,7 @@ def _screen_clear_steps(model: DataDrivenModel, traj: Trajectory, tol: Tolerance
 
     A block of B steps is one product E @ H of the residual operator
     (_residual_operator) with B Hankel columns, then one row norm per
-    subset; blocks hold about SCREEN_BLOCK_BYTES of S x d x B product, so
+    subset; blocks hold about BLOCK_BYTES of S x d x B product, so
     memory stays bounded on long streams. E itself takes (N + m)(n + 1) /
     (d + m) times the bytes of model.lam (1.5-1.8x on the benchmark
     workloads, 5.4 MB at N = 10, M = 4, n = 6) and is freed on return.
@@ -277,12 +269,11 @@ def _screen_clear_steps(model: DataDrivenModel, traj: Trajectory, tol: Tolerance
     operator = operator.reshape(n_subsets * d, -1)
     lam_norms = np.sqrt(np.einsum("sij,sij->s", lam, lam))[:, None]
     ulps = 16 * (d + m + 2) * np.finfo(float).eps
-    block = max(1, SCREEN_BLOCK_BYTES // (n_subsets * d * 8))
+    block = max(1, BLOCK_BYTES // (n_subsets * d * 8))
     last = traj.length - 1
     for start in range(n, last, block):
         cols = min(block, last - start)
-        window = np.vstack([hankel(traj.y, start - n, n + 1, cols),
-                            hankel(traj.u, start - n, n + 1, cols)])
+        window = trajectory_hankel(traj, start - n, n + 1, cols)
         diff = (operator @ window).reshape(n_subsets, d, cols)
         residuals = np.sqrt(np.einsum("sdc,sdc->sc", diff, diff))
         squares = window * window

@@ -18,7 +18,10 @@ plant's (A, B, C), which the data-driven pipeline never sees.
   writer and column-at-a-time simulation loop, which the package's
   whole-array versions must match byte for byte;
 * reference_subset_rows: the subset-at-a-time gather index, which the
-  package's broadcast subset_rows must match entry and dtype.
+  package's broadcast subset_rows must match entry and dtype;
+* gathered_stacks: every subset's stacked data and next histories as
+  whole arrays, which the package never builds: it factors the all-sensor
+  Hankel once instead.
 """
 
 import csv
@@ -28,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from sentinel.attacks import SensorSubset
-from sentinel.datamat import Trajectory, hankel, stack_history
+from sentinel.datamat import SubsetDataMatrices, Trajectory, hankel, stack_history
 from sentinel.ddmodel import DataDrivenModel
 from sentinel.identify import IdentificationVerdict, _verdict
 from sentinel.linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, numerical_rank
@@ -314,3 +317,9 @@ def reference_subset_rows(n_sensors: int, subsets, n: int, m: int) -> np.ndarray
     inputs = n_sensors * n + np.arange(n * m)
     return np.array([np.concatenate([(steps + np.array(s.indices) - 1).reshape(-1), inputs])
                      for s in subsets])
+
+
+def gathered_stacks(mats: SubsetDataMatrices) -> tuple[np.ndarray, np.ndarray]:
+    """Every subset's stacked data [u_now; history] (S x (d + m) x T) and its
+    history one step later (S x d x T), gathered from the all-sensor Hankel."""
+    return mats.hankel[mats.regressor], mats.hankel[mats.target]

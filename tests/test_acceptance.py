@@ -51,7 +51,7 @@ from sentinel.identify import (
 from sentinel.linalg import DEFAULT_TOL
 from sentinel.plant import StateSpace, random_test_system, relative_degree, simulate
 
-from oracles import extended_state_space, ss_to_arx
+from oracles import extended_state_space, gathered_stacks, ss_to_arx
 
 SEED = 7
 N_STATES = 6
@@ -239,9 +239,8 @@ def test_criterion_05_representation_exactness():
             train = build_subset_matrices(traj, (subset,), n, columns)
             lam = learn_lambda(train)[0][0]
             mats = build_subset_matrices(val, (subset,), n, 40)
-            pred = lam @ np.vstack([mats.u_now, mats.states[0]])
-            rel = np.max(np.abs(pred - mats.states_next[0])) / (
-                1.0 + np.max(np.abs(mats.states_next[0])))
+            (regressors,), (targets,) = gathered_stacks(mats)
+            rel = np.max(np.abs(lam @ regressors - targets)) / (1.0 + np.max(np.abs(targets)))
             worst_prediction = max(worst_prediction, float(rel))
             sub_ss = StateSpace(ss.A, ss.B,
                                 np.asarray(ss.C)[[s - 1 for s in subset.indices]])
@@ -249,7 +248,7 @@ def test_criterion_05_representation_exactness():
             generator = np.hstack([ext.B_ext, ext.A_ext])
             scale = 1.0 + float(np.max(np.abs(generator)))
             # orthonormal basis of the regressor subspace the data span
-            regressor = np.vstack([train.u_now, train.states[0]])
+            regressor = gathered_stacks(train)[0][0]
             basis = np.linalg.svd(regressor)[0][:, :_attainable_rank(ss, subset.indices)]
             gap = float(np.max(np.abs((lam - generator) @ basis))) / scale
             worst_subspace_by_q[q] = max(worst_subspace_by_q.get(q, 0.0), gap)

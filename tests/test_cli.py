@@ -206,7 +206,7 @@ class TestIdentify:
                                                      sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("name, digest", [
-        ("verdict.json", "48583b68f860a6265e66faa5579a92093345b8c9cf9cf63c45e6a51d82b7fecc"),
+        ("verdict.json", "5fe515b9f0f377a211c8ea9ad0b80a5a21c1ef30e55a29f2283ba9cd6eaaa359"),
         ("online.csv", "c7855cb6dfbc1ffe690ca866fb68665ea6b4ec4a74810821e566655847ec388b"),
     ])
     def test_injection_demo_bytes(self, injection_demo, name, digest):

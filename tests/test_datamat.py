@@ -22,7 +22,7 @@ from sentinel.datamat import (
 )
 from sentinel.plant import discretize_zoh, msd_benchmark, simulate
 
-from oracles import reference_save_trajectory, reference_subset_rows
+from oracles import gathered_stacks, reference_save_trajectory, reference_subset_rows
 
 # subnormal, signed-zero and extreme float64 values a round trip must keep
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
@@ -133,27 +133,33 @@ class TestBuildSubsetMatrices:
         subset = SensorSubset(1, (1,))
         mats = build_subset_matrices(traj, (subset,), 1, 2)
         assert mats.subsets == (subset,)
-        np.testing.assert_array_equal(mats.u_now, [[11.0, 12.0]])
-        np.testing.assert_array_equal(mats.states, [[[1.0, 2.0], [10.0, 11.0]]])
-        np.testing.assert_array_equal(mats.states_next, [[[2.0, 3.0], [11.0, 12.0]]])
+        regressors, targets = gathered_stacks(mats)
+        np.testing.assert_array_equal(regressors, [[[11.0, 12.0], [1.0, 2.0], [10.0, 11.0]]])
+        np.testing.assert_array_equal(targets, [[[2.0, 3.0], [11.0, 12.0]]])
 
     def test_shift_invariant(self):
         traj = benchmark_run()
         mats = build_subset_matrices(traj, enumerate_subsets(3, 1), 6, 41)
-        np.testing.assert_array_equal(mats.states_next[..., :-1], mats.states[..., 1:])
+        regressors, targets = gathered_stacks(mats)
+        np.testing.assert_array_equal(targets[..., :-1], regressors[:, 1:, 1:])
 
     def test_benchmark_dimensions(self):
         traj = benchmark_run()
         mats = build_subset_matrices(traj, enumerate_subsets(3, 1), 6, 41)
-        assert mats.u_now.shape == (1, 41)
-        assert mats.states.shape == (3, 18, 41)
-        assert mats.states_next.shape == (3, 18, 41)
+        assert mats.hankel.shape == ((3 + 1) * (6 + 1), 41)
+        assert mats.regressor.shape == (3, 1 + 18) and mats.target.shape == (3, 18)
+        regressors, targets = gathered_stacks(mats)
+        np.testing.assert_array_equal(regressors[:, 0], np.broadcast_to(traj.u[:, 6:47], (3, 41)))
 
     def test_too_short_raises_with_minimum(self):
         traj = Trajectory([[1.0, 2.0]], [[1.0, 2.0]])
         with pytest.raises(TrajectoryLengthError) as err:
             build_subset_matrices(traj, (SensorSubset(1, (1,)),), 1, 2)
         assert err.value.required == 3
+
+    def test_no_subsets_rejected(self):
+        with pytest.raises(ValueError, match="no sensor subsets"):
+            build_subset_matrices(benchmark_run(), (), 6, 41)
 
     def test_sensor_beyond_recording_rejected(self):
         traj = benchmark_run()
@@ -169,7 +175,7 @@ class TestBuildSubsetMatrices:
             z = traj.y[[i - 1 for i in subset.indices], :]
             for col in range(3):
                 expected = stack_history(z[:, col: col + n], traj.u[:, col: col + n])
-                np.testing.assert_array_equal(mats.states[j, :, col], expected)
+                np.testing.assert_array_equal(gathered_stacks(mats)[0][j, 1:, col], expected)
 
 
 class TestSubsetRows:

@@ -6,11 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sentinel import ddmodel
 from sentinel.attacks import ReplayAttack, SensorSubset, apply_attack, enumerate_subsets
 from sentinel.datamat import (
-    SubsetDataMatrices,
+    BLOCK_BYTES,
     Trajectory,
     build_subset_matrices,
     generate_pe_input,
@@ -25,11 +26,10 @@ from sentinel.ddmodel import (
     rank_condition,
     save_learned_model,
 )
-from sentinel.identify import identify_replay
 from sentinel.linalg import DEFAULT_TOL, Tolerance, numerical_rank
 from sentinel.plant import StateSpace, discretize_zoh, msd_benchmark, random_test_system, simulate
 
-from oracles import extended_state_space, rank_obsv_oracle, ss_to_arx
+from oracles import extended_state_space, gathered_stacks, rank_obsv_oracle, ss_to_arx
 
 
 def benchmark_plant():
@@ -95,13 +95,37 @@ class TestRankCondition:
         mats = build_subset_matrices(attacked, enumerate_subsets(3, 1), 6, 41)
         observed = {}
         for j, report in enumerate(rank_condition(mats)):
-            assert report.observed == numerical_rank(np.vstack([mats.u_now, mats.states[j]]))
+            assert report.observed == numerical_rank(gathered_stacks(mats)[0][j])
             observed[mats.subsets[j].indices] = (report.observed, report.holds)
         assert observed[(1, 2)] == (13, True)
         # constant rows both collapse directions and add one the plant
         # cannot produce, so attacked subsets miss 13 from either side
         assert observed[(1, 3)][0] < 13 and not observed[(1, 3)][1]
         assert observed[(2, 3)][0] != 13 and not observed[(2, 3)][1]
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["T<W", "T>=W"])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_reports_equal_per_subset_svd(self, wide, data):
+        # the ranks read off one QR of the all-sensor Hankel are those of each
+        # subset's own gathered stack, with fewer or more columns than the
+        # Hankel has rows W, on clean data and with one sensor pinned
+        n_sensors = data.draw(st.integers(2, 5), label="N")
+        max_attacked = data.draw(st.integers(1, n_sensors - 1), label="M")
+        n = data.draw(st.integers(1, 4), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        ss = random_test_system(rng, n, 1, n_sensors, n_sensors - max_attacked)
+        width = (n_sensors + 1) * (n + 1)
+        columns = data.draw(st.integers(width, 2 * width) if wide else
+                            st.integers(1, width - 1), label="T")
+        u = rng.uniform(-1, 1, (1, n + columns))
+        clean = Trajectory(u, simulate(ss, np.zeros(n), u)[1])
+        pinned = ReplayAttack({data.draw(st.integers(1, n_sensors), label="pinned"): 0.01})
+        subsets = enumerate_subsets(n_sensors, max_attacked)
+        for traj in (clean, apply_attack(clean, pinned, max_attacked=max_attacked)):
+            mats = build_subset_matrices(traj, subsets, n, columns)
+            assert [report.observed for report in rank_condition(mats)] == [
+                numerical_rank(stacked) for stacked in gathered_stacks(mats)[0]]
 
 
 class TestLearnLambda:
@@ -141,25 +165,26 @@ class TestLearnLambda:
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
     def test_one_svd_matches_pinv_and_rank_condition(self, plant):
-        if plant == "benchmark":
-            _, traj = excited_benchmark_run()
-            n_sensors, max_attacked, columns = 3, 1, 41
-        elif plant == "random-10x4":
-            n_sensors, max_attacked, columns = 10, 4, 86
-            traj = random_10x4_run(columns)
-        else:
-            n_sensors, max_attacked, columns = 6, 2, 40
-            ss = random_test_system(np.random.default_rng(5), 6, 1, 6, 4)
-            u = np.random.default_rng(6).uniform(-1, 1, (1, 6 + columns))
-            traj = Trajectory(u, simulate(ss, np.zeros(6), u)[1])
+        # lam and the per-subset pinv solution agree on the data: since
+        # (lam - lam_p) A = (lam A - B) - (lam_p A - B), the gap is at most
+        # the two training misfits. Each of the three computed products (lam A
+        # in learn_lambda, lam_p A and (lam - lam_p) A here) is within
+        # g(d + m) |.| |A| of the exact one, g(k) = k u / (1 - k u), and each
+        # subtraction adds a relative u, which the eps terms below cover.
+        traj, n_sensors, max_attacked, columns = subset_run(plant)
         mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
-        lam, _, reports = learn_lambda(mats)
+        lam, residuals, reports = learn_lambda(mats)
         assert reports == rank_condition(mats)
-        for j in range(len(mats.subsets)):
-            stacked = np.vstack([mats.u_now, mats.states[j]])
+        eps = np.finfo(float).eps
+        for j, (stacked, target) in enumerate(zip(*gathered_stacks(mats))):
             pinv = np.linalg.pinv(stacked, rcond=DEFAULT_TOL.rank_rel * max(stacked.shape))
-            assert np.array_equal(lam[j], mats.states_next[j] @ pinv)
+            lam_p = target @ pinv
+            misfit_p = np.max(np.abs(target - lam_p @ stacked))
+            rounding = (stacked.shape[0] + 2) * eps * np.max(
+                (np.abs(lam[j]) + np.abs(lam_p)) @ np.abs(stacked))
+            gap = np.max(np.abs((lam[j] - lam_p) @ stacked))
+            assert gap <= (residuals[j] + misfit_p) * (1 + eps) + rounding
             assert reports[j].observed == numerical_rank(stacked)
 
     def test_benchmark_fit_and_validation(self):
@@ -170,10 +195,10 @@ class TestLearnLambda:
         # fresh run from the same plant: one-step predictions stay exact
         u2 = np.random.default_rng(1234).uniform(-1, 1, (1, 47))
         _, y2 = simulate(ss, np.zeros(6), u2)
-        mats2 = build_subset_matrices(Trajectory(u2, y2), (subset,), 6, 40)
-        pred = lam @ np.vstack([mats2.u_now, mats2.states[0]])
-        err = np.max(np.abs(pred - mats2.states_next[0]))
-        assert err < 1e-8 * (1 + np.max(np.abs(mats2.states_next[0])))
+        (regressors,), (targets,) = gathered_stacks(
+            build_subset_matrices(Trajectory(u2, y2), (subset,), 6, 40))
+        err = np.max(np.abs(lam @ regressors - targets))
+        assert err < 1e-8 * (1 + np.max(np.abs(targets)))
 
     def test_relearning_gives_same_predictor(self):
         _, traj_a = excited_benchmark_run(seed=7)
@@ -215,51 +240,30 @@ class TestLearnLambda:
             gen = generator_matrices(ss, [0, 1])
             u2 = rng.uniform(-1, 1, (1, n + 20))
             _, y2 = simulate(ss, np.zeros(n), u2)
-            mats2 = build_subset_matrices(Trajectory(u2, y2), (subset,), n, 20)
-            regressors = np.vstack([mats2.u_now, mats2.states[0]])
+            (regressors,), (targets,) = gathered_stacks(
+                build_subset_matrices(Trajectory(u2, y2), (subset,), n, 20))
             gap = (lam - gen) @ regressors
-            assert np.max(np.abs(gap)) < 1e-8 * (1 + np.max(np.abs(mats2.states_next)))
+            assert np.max(np.abs(gap)) < 1e-8 * (1 + np.max(np.abs(targets)))
 
 
-class TestChunking:
-    """Learning and the rank test gather, factor and fit ddmodel.CHUNK_BYTES of
-    stacked data at a time; no chunking may change a bit."""
-
-    @staticmethod
-    def chunk_bytes(mats, per_chunk):
-        """A CHUNK_BYTES that puts per_chunk subsets in each chunk."""
-        return per_chunk * (mats.u_now.shape[0] + mats.rows.shape[1]) * mats.columns * 8
+class TestLearningAtScale:
+    """Learning and the rank test factor the all-sensor Hankel once and take
+    the training misfit in column blocks of datamat.BLOCK_BYTES."""
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
-    def test_chunking_cannot_change_bits(self, plant, monkeypatch):
-        traj, n_sensors, max_attacked, columns = subset_run(plant)
-        mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
-                                     columns)
-        assert len(ddmodel._chunks(mats)) == 1
-        lam, residuals, reports = learn_lambda(mats)
-        replay = rank_condition(mats)
-        for per_chunk in (1, 2, 4):
-            monkeypatch.setattr(ddmodel, "CHUNK_BYTES", self.chunk_bytes(mats, per_chunk))
-            assert len(ddmodel._chunks(mats)) == -(-len(mats.subsets) // per_chunk)
-            chunked_lam, chunked_residuals, chunked_reports = learn_lambda(mats)
-            assert chunked_lam.tobytes() == lam.tobytes()
-            assert chunked_residuals == residuals and chunked_reports == reports
-            assert rank_condition(mats) == replay
-
-    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
-    def test_chunking_keeps_failures_in_order(self, plant, monkeypatch):
+    def test_failures_follow_subset_order(self, plant):
         traj, n_sensors, max_attacked, columns = subset_run(plant)
         attacked = apply_attack(traj, ReplayAttack({2: 0.01}), max_attacked=max_attacked)
         mats = build_subset_matrices(attacked, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
-        with pytest.raises(LearningError) as whole:
+        reports = rank_condition(mats)
+        with pytest.raises(LearningError) as err:
             learn_lambda(mats)
-        assert 0 < len(whole.value.failures) < len(mats.subsets)
-        for per_chunk in (1, 2, 4):
-            monkeypatch.setattr(ddmodel, "CHUNK_BYTES", self.chunk_bytes(mats, per_chunk))
-            with pytest.raises(LearningError) as chunked:
-                learn_lambda(mats)
-            assert chunked.value.failures == whole.value.failures
+        failures = err.value.failures
+        assert 0 < len(failures) < len(mats.subsets)
+        positions = [mats.subsets.index(subset) for subset, _, _ in failures]
+        assert positions == sorted(positions)
+        assert [report for _, report, _ in failures] == [reports[j] for j in positions]
 
     def test_learning_memory_is_bounded(self):
         # 6 sensors, M = 2, n = 6, T = 10,000: each S-stack of the data is about
@@ -276,22 +280,11 @@ class TestChunking:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a chunk keeps at most four chunk-sized arrays alive at once (stacked
-        # data, shifted histories, V^T and the pinv product) beside the Hankel
-        assert peak < 6 * ddmodel.CHUNK_BYTES + mats.full.nbytes
-
-    def test_pipeline_never_gathers_every_stack(self, monkeypatch):
-        _, traj = excited_benchmark_run()
-        replayed = apply_attack(traj, ReplayAttack({3: 0.01}), max_attacked=1)
-        expected = identify_replay(replayed, 3, 1, 6, 41)
-
-        def gathered(mats):
-            raise AssertionError("a pipeline path gathered every subset's stack")
-
-        monkeypatch.setattr(SubsetDataMatrices, "states", property(gathered))
-        monkeypatch.setattr(SubsetDataMatrices, "states_next", property(gathered))
-        assert all(report.holds for report in learn_model(traj, 3, 1, 6, 41).reports)
-        assert identify_replay(replayed, 3, 1, 6, 41) == expected
+        # beside the Hankel: its two halves while it is assembled, or the copy
+        # the QR factors, or one misfit block: the gathered regressors, at most
+        # BLOCK_BYTES, and two S x d blocks, each smaller (the new misfit and
+        # the last one, or the misfit and the gathered targets)
+        assert peak < 2 * mats.hankel.nbytes + 3 * BLOCK_BYTES
 
 
 class TestPredict:
@@ -324,9 +317,10 @@ class TestPredict:
         lam = learn_lambda(build_subset_matrices(traj, (subset,), 6, 41))[0][0]
         u2 = np.random.default_rng(5).uniform(-1, 1, (1, 20))
         _, y2 = simulate(ss, np.zeros(6), u2)
-        mats2 = build_subset_matrices(Trajectory(u2, y2), (subset,), 6, 10)
-        out = predict(lam, mats2.u_now[:, 0], mats2.states[0, :, 0])
-        np.testing.assert_allclose(out[-1:], mats2.u_now[:, 0], atol=1e-9)
+        (regressors,), _ = gathered_stacks(
+            build_subset_matrices(Trajectory(u2, y2), (subset,), 6, 10))
+        out = predict(lam, regressors[:1, 0], regressors[1:, 0])
+        np.testing.assert_allclose(out[-1:], regressors[:1, 0], atol=1e-9)
 
 
 class TestLearnModel:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_injection_bootstrap, reference_injection_step
+from oracles import gathered_stacks, reference_injection_bootstrap, reference_injection_step
 
 from sentinel.attacks import DelayAttack, ReplayAttack, apply_attack
 from sentinel.datamat import (
@@ -94,7 +94,8 @@ class TestInjectionBootstrap:
         monitor = injection_bootstrap(model, u[:, :6], y[:, :6])
         np.testing.assert_array_equal(monitor.index, subset_rows(3, model.subsets, 6, 1))
         mats = build_subset_matrices(Trajectory(u, y), model.subsets, 6, 4)
-        np.testing.assert_array_equal(monitor.history[monitor.index], mats.states[..., 0])
+        np.testing.assert_array_equal(monitor.history[monitor.index],
+                                      gathered_stacks(mats)[0][:, 1:, 0])
 
     def test_history_shape_validation(self):
         _, model = benchmark_model()
@@ -430,12 +431,12 @@ class TestIdentifyInjection:
         return len(model.subsets) * model.lam.shape[1] * 8
 
     def block_sizes(self, model):
-        """Screen block sizes in steps: small ones, then the SCREEN_BLOCK_BYTES default."""
-        return [1, 5, 16, identify.SCREEN_BLOCK_BYTES // self.column_bytes(model)]
+        """Screen block sizes in steps: small ones, then the BLOCK_BYTES default."""
+        return [1, 5, 16, identify.BLOCK_BYTES // self.column_bytes(model)]
 
     def screened(self, model, traj, block, tol=DEFAULT_TOL):
         """identify_injection with screen blocks of `block` steps."""
-        with mock.patch.object(identify, "SCREEN_BLOCK_BYTES", block * self.column_bytes(model)):
+        with mock.patch.object(identify, "BLOCK_BYTES", block * self.column_bytes(model)):
             return identify_injection(model, traj, tol)
 
     @settings(max_examples=100, deadline=None)
