@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sentinel import ddmodel
 from sentinel.attacks import ReplayAttack, SensorSubset, apply_attack, enumerate_subsets
 from sentinel.datamat import (
     BLOCK_BYTES,
@@ -264,6 +265,30 @@ class TestLearningAtScale:
         positions = [mats.subsets.index(subset) for subset, _, _ in failures]
         assert positions == sorted(positions)
         assert [report for _, report, _ in failures] == [reports[j] for j in positions]
+
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
+    def test_misfit_blocks_cover_every_column(self, plant, monkeypatch):
+        # 1e-9 noise on every output makes each column's misfit differ far
+        # above rounding, so a block that skipped or repeated columns would
+        # move the largest one; rank_rel 1e-8 still cuts the noise directions
+        traj, n_sensors, max_attacked, columns = subset_run(plant)
+        noisy = traj.y + 1e-9 * np.random.default_rng(3).standard_normal(traj.y.shape)
+        mats = build_subset_matrices(Trajectory(traj.u, noisy),
+                                     enumerate_subsets(n_sensors, max_attacked), 6, columns)
+        tol = Tolerance(rank_rel=1e-8, residual=1e-3)
+        lam, residuals, reports = learn_lambda(mats, tol)
+        regressors, targets = gathered_stacks(mats)
+        misfit = np.abs(targets - lam @ regressors).max(axis=(1, 2))
+        # both products are within g(d + m) |lam| |regressors| of the exact one
+        rounding = ((regressors.shape[1] + 2) * np.finfo(float).eps
+                    * np.max(np.abs(lam) @ np.abs(regressors), axis=(1, 2)))
+        column_bytes = len(mats.subsets) * regressors.shape[1] * 8
+        for block in (1, 5, 16, columns - 1, columns):
+            monkeypatch.setattr(ddmodel, "BLOCK_BYTES", block * column_bytes)
+            blocked_lam, blocked_residuals, blocked_reports = learn_lambda(mats, tol)
+            assert blocked_lam.tobytes() == lam.tobytes() and blocked_reports == reports
+            assert np.all(np.abs(np.array(blocked_residuals) - misfit) <= 2 * rounding)
+        assert np.all(np.abs(np.array(residuals) - misfit) <= 2 * rounding)
 
     def test_learning_memory_is_bounded(self):
         # 6 sensors, M = 2, n = 6, T = 10,000: each S-stack of the data is about
