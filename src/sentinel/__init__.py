@@ -40,7 +40,6 @@ from .datamat import (
     is_persistently_exciting,
     load_trajectory,
     save_trajectory,
-    subset_rows,
 )
 from .attacks import (
     AttackBudgetError,

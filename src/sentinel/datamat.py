@@ -1,10 +1,10 @@
 """Trajectory records, block-Hankel windows and per-subset data matrices.
 
 Conventions: signals are 2-D arrays whose columns are time steps, oldest
-first. A stacked history vector for a sensor subset holds the previous n
-subset outputs followed by the previous n inputs, each block oldest first.
-Every subset's data matrices are row selections of one all-sensor
-block-Hankel, one column per time step.
+first. A sensor subset's history holds its previous n outputs, time-major,
+followed by the previous n inputs, each block oldest first. Every subset's
+data matrices, and the injection monitor's state, are row selections of
+one depth-(n + 1) all-sensor block-Hankel (hankel_rows).
 """
 
 from __future__ import annotations
@@ -182,16 +182,6 @@ class SubsetDataMatrices:
             arr.setflags(write=False)
 
 
-def subset_rows(n_sensors: int, subsets, n: int, m: int) -> np.ndarray:
-    """S x (q+m)n indices: row j picks subsets[j]'s stacked history out of
-    the all-sensor one. Time-major: sample t of sensor i sits at t * N + i - 1,
-    and the n * m input entries follow the N * n output entries."""
-    sensors = np.array([s.indices for s in subsets]) - 1
-    outputs = (n_sensors * np.arange(n)[:, None] + sensors[:, None, :]).reshape(len(sensors), -1)
-    inputs = np.broadcast_to(n_sensors * n + np.arange(n * m), (len(sensors), n * m))
-    return np.concatenate([outputs, inputs], axis=1)
-
-
 def trajectory_hankel(traj: Trajectory, start: int, depth: int, cols: int) -> np.ndarray:
     """The all-sensor block-Hankel [hankel(y, ...); hankel(u, ...)]: sample t
     of sensor i sits at row t * N + i - 1, of input k at N depth + t m + k - 1."""
@@ -200,15 +190,15 @@ def trajectory_hankel(traj: Trajectory, start: int, depth: int, cols: int) -> np
 
 def hankel_rows(n_sensors: int, subsets, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """S x (d + m) regressor and S x d target rows of the depth-(n + 1)
-    trajectory_hankel: regressor[j] picks input sample n, then subsets[j]'s
-    subset_rows history of samples 0 .. n - 1; target[j] the same history
-    one sample later."""
-    rows = subset_rows(n_sensors, subsets, n, m)
-    # depth n + 1 holds n + 1 output samples, so the input rows start N rows further down
-    inputs = rows >= n_sensors * n
-    u_now = np.broadcast_to(n_sensors * (n + 1) + n * m + np.arange(m), (len(rows), m))
-    return (np.concatenate([u_now, rows + n_sensors * inputs], axis=1),
-            rows + n_sensors + m * inputs)
+    trajectory_hankel. regressor[j] picks input sample n, then subsets[j]'s
+    history: its sensors' samples 0 .. n - 1, time-major, then the inputs'
+    samples 0 .. n - 1. target[j] picks the same history one sample later."""
+    sensors = np.array([s.indices for s in subsets]) - 1
+    count, q = sensors.shape
+    outputs = (n_sensors * np.arange(n + 1)[:, None] + sensors[:, None, :]).reshape(count, -1)
+    inputs = np.broadcast_to(n_sensors * (n + 1) + np.arange((n + 1) * m), (count, (n + 1) * m))
+    return (np.concatenate([inputs[:, n * m:], outputs[:, :q * n], inputs[:, :n * m]], axis=1),
+            np.concatenate([outputs[:, q:], inputs[:, m:]], axis=1))
 
 
 def build_subset_matrices(traj: Trajectory, subsets, n: int,
@@ -232,17 +222,6 @@ def build_subset_matrices(traj: Trajectory, subsets, n: int,
     regressor, target = hankel_rows(traj.output_dim, subsets, n, traj.input_dim)
     return SubsetDataMatrices(subsets, trajectory_hankel(traj, 0, n + 1, columns),
                               regressor, target, n, columns)
-
-
-def stack_history(z_hist, u_hist) -> np.ndarray:
-    """Stacked history vector from q x n outputs and m x n inputs
-    (columns oldest first): outputs block first, then inputs.
-    """
-    z = as_matrix(z_hist, "z_hist")
-    u = as_matrix(u_hist, "u_hist")
-    if z.shape[1] != u.shape[1]:
-        raise ValueError("output and input histories must cover the same window")
-    return np.concatenate([z.T.reshape(-1), u.T.reshape(-1)])
 
 
 def write_json(payload, path) -> None:

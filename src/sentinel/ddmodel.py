@@ -145,22 +145,17 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
     return lam, tuple(residuals.tolist()), tuple(reports)
 
 
-def predict(lam, u_k, state) -> np.ndarray:
-    """One-step prediction lam @ [u_k; state] for one predictor (d x (d+m))
-    and history (d), or a stack of S of each, sharing u_k. Only shapes are
-    checked: DataDrivenModel checks its lambdas once, when it is built.
+def predict(lam, regressor) -> np.ndarray:
+    """One-step prediction lam @ regressor for one predictor (d x (d+m)) and
+    regressor [u_k; history] (d + m), or a stack of S of each. Only shapes
+    are checked: DataDrivenModel checks its lambdas once, when it is built.
     """
     lam_arr = np.asarray(lam, dtype=float)
-    u_vec = np.asarray(u_k, dtype=float).reshape(-1)
-    x = np.asarray(state, dtype=float)
-    if (x.ndim < 1 or lam_arr.ndim != x.ndim + 1 or lam_arr.shape[:-2] != x.shape[:-1]
-            or lam_arr.shape[-1] != u_vec.size + x.shape[-1]):
-        raise ValueError(f"predictor of shape {lam_arr.shape} cannot take an input of "
-                         f"length {u_vec.size} and a history of shape {x.shape}")
-    regressor = np.empty(x.shape[:-1] + (u_vec.size + x.shape[-1],))
-    regressor[..., :u_vec.size] = u_vec
-    regressor[..., u_vec.size:] = x
-    return np.matmul(lam_arr, regressor[..., None])[..., 0]
+    x = np.asarray(regressor, dtype=float)
+    if lam_arr.ndim < 2 or lam_arr.shape[:-2] + lam_arr.shape[-1:] != x.shape:
+        raise ValueError(f"predictor of shape {lam_arr.shape} cannot take a regressor "
+                         f"of shape {x.shape}")
+    return np.matmul(lam_arr, x[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -245,12 +240,12 @@ def save_learned_model(model: DataDrivenModel, path) -> None:
 
 def load_learned_model(path) -> DataDrivenModel:
     """Read a learned model written by save_learned_model. A missing or
-    mistyped field (a bool or fraction where an integer belongs too), a
-    lambda that is not base64 float64 of d rows, a rank other than the
-    certifying one (every saved subset holds it), a residual that is
-    negative or not finite, a T below 1, subsets other than
-    enumerate_subsets(N, M) in order, or a model that breaks DataDrivenModel's
-    conditions raise ValueError."""
+    mistyped field (a bool or fraction where an integer belongs, indices
+    that are not a list), a lambda that is not base64 float64 of d rows, a
+    rank other than the certifying one (every saved subset holds it), a
+    residual that is not a finite non-negative number, a T below 1, subsets
+    other than enumerate_subsets(N, M) in order, or a model that breaks
+    DataDrivenModel's conditions raise ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
@@ -258,8 +253,11 @@ def load_learned_model(path) -> DataDrivenModel:
         d, required = (n_sensors - max_attacked + m) * n, certifying_rank(m, n)
         listed, lams, residuals = [], [], []
         for entry in payload["subsets"]:
-            subset = SensorSubset(as_integer(entry["id"]),
-                                  tuple(as_integer(i) for i in entry["indices"]))
+            indices, residual = entry["indices"], entry["residual"]
+            if type(indices) is not list or type(residual) not in (int, float):
+                raise ValueError(f"subset id {entry['id']}: indices must be a list and residual "
+                                 f"a number, got {indices!r} and {residual!r}")
+            subset = SensorSubset(as_integer(entry["id"]), tuple(as_integer(i) for i in indices))
             try:
                 lams.append(np.frombuffer(base64.b64decode(entry["lambda"], validate=True),
                                           "<f8").reshape(d, -1))
@@ -269,12 +267,11 @@ def load_learned_model(path) -> DataDrivenModel:
             if type(entry["rank"]) is not int or entry["rank"] != required:
                 raise ValueError(f"subset id {subset.id}: stored rank {entry['rank']!r} is "
                                  f"not the certifying rank {required}")
-            residual = float(entry["residual"])
             if not 0.0 <= residual < math.inf:
-                raise ValueError(f"subset id {subset.id}: stored residual {entry['residual']!r} "
+                raise ValueError(f"subset id {subset.id}: stored residual {residual!r} "
                                  "is not a finite non-negative number")
             listed.append(subset)
-            residuals.append(residual)
+            residuals.append(float(residual))
         columns = as_integer(payload["T"])
         if columns < 1:
             raise ValueError(f"model file field T is {columns}; it must be at least 1")

@@ -27,8 +27,6 @@ from .datamat import (
     build_subset_matrices,
     hankel_rows,
     is_persistently_exciting,
-    stack_history,
-    subset_rows,
     trajectory_hankel,
 )
 from .ddmodel import DataDrivenModel, predict, rank_condition
@@ -71,27 +69,34 @@ def _verdict(k: int, mode: str, subsets, scores, wins) -> IdentificationVerdict:
 class InjectionMonitor:
     """Moving-horizon state of the injection detector.
 
-    history is the stack_history vector of all N sensors; history[index[j]]
-    is that of model.subsets[j], whose predictor is model.lam[j]. The
-    monitor only advances on all-clear steps; the first non-clear verdict
-    is terminal and freezes the history. The bootstrap window must be
-    attack-free; behavior under an attacked bootstrap is undefined.
-    clear_winners and clear_sensors, the winners and attack_free_sensors
-    of every all-clear verdict, are worked out from model.subsets when the
-    monitor is built.
+    column is a column of the depth-(n + 1) all-sensor Hankel, laid out as
+    trajectory_hankel(traj, k - n, n + 1, 1)[:, 0]; its oldest n samples
+    are the history, and each step writes y_k and u_k into its newest
+    sample. With hankel_rows' regressor and target, column[regressor[j]]
+    is model.subsets[j]'s [u_k; history] and column[target[j]] its next
+    history. The monitor keeps its own copy of column and only advances on
+    all-clear steps; the first non-clear verdict is terminal and freezes
+    the history. The bootstrap window must be attack-free; behavior under
+    an attacked bootstrap is undefined. regressor, target, clear_winners
+    and clear_sensors (the winners and attack_free_sensors of every
+    all-clear verdict) are worked out when the monitor is built.
     """
 
     model: DataDrivenModel
-    history: np.ndarray
-    index: np.ndarray
+    column: np.ndarray
     k: int
     tol: Tolerance = field(default_factory=lambda: DEFAULT_TOL)
     terminal: bool = False
+    regressor: np.ndarray = field(init=False, repr=False)
+    target: np.ndarray = field(init=False, repr=False)
     clear_winners: tuple[int, ...] = field(init=False, repr=False)
     clear_sensors: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        subsets = self.model.subsets
+        model, subsets = self.model, self.model.subsets
+        width = (model.n_sensors + model.m) * (model.n + 1)
+        self.column = as_vector(self.column, width, "column").copy()
+        self.regressor, self.target = hankel_rows(model.n_sensors, subsets, model.n, model.m)
         self.clear_winners = tuple(s.id for s in subsets)
         self.clear_sensors = tuple(sorted({i for s in subsets for i in s.indices}))
 
@@ -110,35 +115,35 @@ def injection_bootstrap(model: DataDrivenModel, u_history, y_history,
         raise ValueError(f"u_history must be {m} x {n}, got {u_hist.shape}")
     if y_hist.shape != (n_sensors, n):
         raise ValueError(f"y_history must be {n_sensors} x {n}, got {y_hist.shape}")
-    return InjectionMonitor(model, stack_history(y_hist, u_hist),
-                            subset_rows(n_sensors, model.subsets, n, m),
-                            n, tol)
+    # the newest sample's slots stay zero until the first step writes them
+    return InjectionMonitor(model, np.concatenate([y_hist.T.reshape(-1), np.zeros(n_sensors),
+                                                   u_hist.T.reshape(-1), np.zeros(m)]), n, tol)
 
 
 def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     """Process one online sample pair (current input, newest measurement).
 
-    For each subset the predictor advances the stored history and the
-    received measurement is shifted in to form the observed history; the
-    score is the 2-norm of their difference. Candidates within
-    residual + residual * ||observed|| of the smallest score win.
-    On all-clear the shifted history becomes the new monitor state;
-    otherwise the verdict is terminal and the monitor freezes. All subsets
-    are scored at once: one gather, one stacked product, one shift, one
-    dot product per row; an all-clear verdict takes the monitor's
-    precomputed winners and sensors.
+    y_new and u_k go into the newest sample's slots of the monitor column;
+    then, for each subset, the predictor advances [u_k; history] and the
+    score is the 2-norm of its difference from the observed next history.
+    Candidates within residual + residual * ||observed|| of the smallest
+    score win. On all-clear the column drops its oldest sample, so the
+    observed histories become the new state; otherwise the verdict is
+    terminal and the monitor freezes. All subsets are scored at once: two
+    gathers, one stacked product, one dot product per row; an all-clear
+    verdict takes the monitor's precomputed winners and sensors.
     """
     if mon.terminal:
         raise RuntimeError("monitor is terminal; no further steps accepted")
     model = mon.model
     u_vec = as_vector(u_k, model.m, "u_k")
     y_vec = as_vector(y_new, model.n_sensors, "y_new")
-    n_sensors, outputs = model.n_sensors, model.n_sensors * model.n
-    history = mon.history
-    predicted = predict(model.lam, u_vec, history[mon.index])
-    shifted = np.concatenate([history[n_sensors:outputs], y_vec,
-                              history[outputs + model.m:], u_vec])
-    observed = shifted[mon.index]
+    column, n_sensors, m = mon.column, model.n_sensors, model.m
+    outputs, inputs = n_sensors * model.n, n_sensors * (model.n + 1)
+    column[outputs:inputs] = y_vec
+    column[-m:] = u_vec
+    predicted = predict(model.lam, column[mon.regressor])
+    observed = column[mon.target]
     diff = observed - predicted
     # row norms as one dot product per row: bit-equal to np.linalg.norm of a row
     residuals = np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
@@ -146,7 +151,8 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     wins = residuals <= residuals.min() + (mon.tol.residual + mon.tol.residual * norms)
     scores = tuple(residuals.tolist())
     if wins.all():
-        mon.history = shifted
+        column[:outputs] = column[n_sensors:inputs]
+        column[inputs:-m] = column[inputs + m:]
         mon.k += 1
         return IdentificationVerdict(mon.k, "injection", model.subsets, scores,
                                      mon.clear_winners, mon.clear_sensors, True)
@@ -177,11 +183,11 @@ def identify_injection(model: DataDrivenModel, traj: Trajectory,
     """The verdict of run_injection over a recorded stream, bootstrapped on
     its first n samples, without one Python-level step per sample.
 
-    A screen runs the all-clear prefix in column blocks; the monitor is
-    then bootstrapped on the n samples before the first step the screen
-    could not clear, which is exactly the history the step loop holds
-    there, and run_injection finishes the stream. k counts samples from
-    the stream's first column, as with a bootstrap at k = n.
+    A screen runs the all-clear prefix in column blocks; at the first step
+    k the screen could not clear, a monitor is built on Hankel column k - n
+    of the stream, whose oldest n samples are exactly the history the step
+    loop holds there, and run_injection finishes the stream. k counts
+    samples from the stream's first column, as with a bootstrap at k = n.
     """
     n = model.n
     if (traj.input_dim, traj.output_dim) != (model.m, model.n_sensors):
@@ -190,8 +196,7 @@ def identify_injection(model: DataDrivenModel, traj: Trajectory,
     if traj.length < n + 1:
         raise TrajectoryLengthError(traj.length, n + 1)
     k = _screen_clear_steps(model, traj, tol)
-    monitor = injection_bootstrap(model, traj.u[:, k - n: k], traj.y[:, k - n: k], tol)
-    monitor.k = k
+    monitor = InjectionMonitor(model, trajectory_hankel(traj, k - n, n + 1, 1)[:, 0], k, tol)
     return run_injection(monitor, traj.u[:, k:], traj.y[:, k:])
 
 
@@ -344,7 +349,7 @@ def identify_delay(y_impulse, rel_degrees) -> IdentificationVerdict:
     if len(rel_degrees) != n_sensors:
         raise ValueError(
             f"need one relative degree per sensor ({n_sensors}), got {len(rel_degrees)}")
-    if any(r is None or r < 1 for r in rel_degrees):
+    if any(type(r) is not int and not isinstance(r, np.integer) or r < 1 for r in rel_degrees):
         raise ValueError(f"relative degrees must be positive integers, got {rel_degrees}")
     if y_arr.shape[1] <= max(rel_degrees):
         raise ValueError(

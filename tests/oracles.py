@@ -10,6 +10,8 @@ plant's (A, B, C), which the data-driven pipeline never sees.
   companion form, the generator a learned predictor must reproduce;
 * RankOracleReport / rank_obsv_oracle: the observability/Toeplitz
   factorization that bounds a subset's output-Hankel rank;
+* reference_history: one subset's stacked history built from its raw
+  signals, the vector every monitor and data-matrix layout must reproduce;
 * ReferenceMonitor / reference_injection_bootstrap /
   reference_injection_step: the injection monitor written one subset at a
   time, which the package's batched step must match bit for bit. It needs
@@ -17,8 +19,9 @@ plant's (A, B, C), which the data-driven pipeline never sees.
 * reference_save_trajectory / reference_simulate: the row-at-a-time CSV
   writer and column-at-a-time simulation loop, which the package's
   whole-array versions must match byte for byte;
-* reference_subset_rows: the subset-at-a-time gather index, which the
-  package's broadcast subset_rows must match entry and dtype;
+* reference_hankel_rows: the subset-at-a-time regressor and target rows
+  of the all-sensor Hankel, which the package's broadcast hankel_rows must
+  match entry and dtype;
 * gathered_stacks: every subset's stacked data and next histories as
   whole arrays, which the package never builds: it factors the all-sensor
   Hankel once instead.
@@ -31,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from sentinel.attacks import SensorSubset
-from sentinel.datamat import SubsetDataMatrices, Trajectory, hankel, stack_history
+from sentinel.datamat import SubsetDataMatrices, Trajectory, hankel
 from sentinel.ddmodel import DataDrivenModel
 from sentinel.identify import IdentificationVerdict, _verdict
 from sentinel.linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, numerical_rank
@@ -216,6 +219,16 @@ def rank_obsv_oracle(ss: StateSpace, subset: SensorSubset, n: int, traj: Traject
                             predicted, observed, observed <= predicted)
 
 
+def reference_history(z_hist, u_hist) -> np.ndarray:
+    """Stacked history of q x n outputs and m x n inputs (columns oldest
+    first): the outputs sample by sample, then the inputs sample by sample."""
+    z = as_matrix(z_hist, "z_hist")
+    u = as_matrix(u_hist, "u_hist")
+    if z.shape[1] != u.shape[1]:
+        raise ValueError("output and input histories must cover the same window")
+    return np.concatenate([z.T.reshape(-1), u.T.reshape(-1)])
+
+
 @dataclass
 class ReferenceMonitor:
     """Per-subset injection monitor state: one stacked history per subset id."""
@@ -229,13 +242,13 @@ class ReferenceMonitor:
 
 def reference_injection_bootstrap(model: DataDrivenModel, u_history, y_history,
                                   tol: Tolerance = DEFAULT_TOL) -> ReferenceMonitor:
-    """One stack_history vector per subset from n attack-free samples."""
+    """One reference_history vector per subset from n attack-free samples."""
     u_hist = as_matrix(u_history, "u_history")
     y_hist = as_matrix(y_history, "y_history")
     states = {}
     for subset in model.subsets:
         z_hist = y_hist[[i - 1 for i in subset.indices], :]
-        states[subset.id] = stack_history(z_hist, u_hist)
+        states[subset.id] = reference_history(z_hist, u_hist)
     return ReferenceMonitor(model, states, model.n, tol)
 
 
@@ -311,12 +324,19 @@ def reference_simulate(ss: StateSpace, x0, u) -> tuple[np.ndarray, np.ndarray]:
     return states, outputs
 
 
-def reference_subset_rows(n_sensors: int, subsets, n: int, m: int) -> np.ndarray:
-    """subset_rows built one np.concatenate per subset."""
-    steps = n_sensors * np.arange(n)[:, None]
-    inputs = n_sensors * n + np.arange(n * m)
-    return np.array([np.concatenate([(steps + np.array(s.indices) - 1).reshape(-1), inputs])
-                     for s in subsets])
+def reference_hankel_rows(n_sensors: int, subsets, n: int,
+                          m: int) -> tuple[np.ndarray, np.ndarray]:
+    """hankel_rows built one np.concatenate per subset: sample t of sensor i
+    is row t N + i - 1 of the depth-(n + 1) Hankel, sample t of input k row
+    N (n + 1) + t m + k - 1."""
+    regressor, target = [], []
+    for subset in subsets:
+        sensors = np.array(subset.indices) - 1
+        outputs = [n_sensors * t + sensors for t in range(n + 1)]
+        inputs = [n_sensors * (n + 1) + t * m + np.arange(m) for t in range(n + 1)]
+        regressor.append(np.concatenate([inputs[n]] + outputs[:n] + inputs[:n]))
+        target.append(np.concatenate(outputs[1:] + inputs[1:]))
+    return np.array(regressor), np.array(target)
 
 
 def gathered_stacks(mats: SubsetDataMatrices) -> tuple[np.ndarray, np.ndarray]:

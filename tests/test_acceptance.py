@@ -38,7 +38,6 @@ from sentinel.datamat import (
     build_subset_matrices,
     generate_pe_input,
     is_persistently_exciting,
-    stack_history,
 )
 from sentinel.ddmodel import learn_lambda, learn_model, rank_condition
 from sentinel.identify import (
@@ -135,8 +134,10 @@ def test_criterion_01_injection_reproduction():
     u_rec = np.hstack(u_all)
     y_rec = np.hstack(y_all)
     scores = {s.indices: score for s, score in zip(verdict.subsets, verdict.scores)}
-    clean_state = stack_history(y_rec[[0, 1], detect_k - N_STATES + 1: detect_k + 1],
-                                u_rec[:, detect_k - N_STATES + 1: detect_k + 1])
+    window = slice(detect_k - N_STATES + 1, detect_k + 1)
+    # subset {1, 2}'s next history: its outputs, time-major, then the inputs
+    clean_state = np.concatenate([y_rec[[0, 1], window].T.reshape(-1),
+                                  u_rec[:, window].T.reshape(-1)])
     scale = float(np.linalg.norm(clean_state))
     elapsed = time.perf_counter() - t0
 

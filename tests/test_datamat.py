@@ -14,15 +14,20 @@ from sentinel.datamat import (
     excitation_rank,
     generate_pe_input,
     hankel,
+    hankel_rows,
     is_persistently_exciting,
     load_trajectory,
     save_trajectory,
-    stack_history,
-    subset_rows,
+    trajectory_hankel,
 )
 from sentinel.plant import discretize_zoh, msd_benchmark, simulate
 
-from oracles import gathered_stacks, reference_save_trajectory, reference_subset_rows
+from oracles import (
+    gathered_stacks,
+    reference_hankel_rows,
+    reference_history,
+    reference_save_trajectory,
+)
 
 # subnormal, signed-zero and extreme float64 values a round trip must keep
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
@@ -170,26 +175,37 @@ class TestBuildSubsetMatrices:
         traj = benchmark_run()
         n = 6
         subsets = enumerate_subsets(3, 1)
-        mats = build_subset_matrices(traj, subsets, n, 10)
+        regressors, targets = gathered_stacks(build_subset_matrices(traj, subsets, n, 10))
         for j, subset in enumerate(subsets):
             z = traj.y[[i - 1 for i in subset.indices], :]
             for col in range(3):
-                expected = stack_history(z[:, col: col + n], traj.u[:, col: col + n])
-                np.testing.assert_array_equal(gathered_stacks(mats)[0][j, 1:, col], expected)
+                expected = reference_history(z[:, col: col + n], traj.u[:, col: col + n])
+                np.testing.assert_array_equal(regressors[j, 1:, col], expected)
+                following = reference_history(z[:, col + 1: col + n + 1],
+                                              traj.u[:, col + 1: col + n + 1])
+                np.testing.assert_array_equal(targets[j, :, col], following)
 
 
-class TestSubsetRows:
-    def test_picks_each_subset_out_of_the_all_sensor_history(self):
+class TestHankelRows:
+    def test_picks_each_subset_out_of_the_all_sensor_hankel(self):
         rng = np.random.default_rng(4)
-        n, m = 3, 2
-        y, u = rng.standard_normal((4, n)), rng.standard_normal((m, n))
-        full = stack_history(y, u)
-        subsets = enumerate_subsets(4, 2)
-        rows = subset_rows(4, subsets, n, m)
-        assert rows.shape == (6, (2 + m) * n)
-        for j, subset in enumerate(subsets):
-            expected = stack_history(y[[i - 1 for i in subset.indices]], u)
-            np.testing.assert_array_equal(full[rows[j]], expected)
+        n, cols = 3, 5
+        for m in (1, 2):
+            traj = Trajectory(rng.standard_normal((m, n + cols)),
+                              rng.standard_normal((4, n + cols)))
+            hankel_all = trajectory_hankel(traj, 0, n + 1, cols)
+            subsets = enumerate_subsets(4, 2)
+            regressor, target = hankel_rows(4, subsets, n, m)
+            assert regressor.shape == (6, m + (2 + m) * n) and target.shape == (6, (2 + m) * n)
+            for j, subset in enumerate(subsets):
+                z = traj.y[[i - 1 for i in subset.indices]]
+                for c in range(cols):
+                    history = reference_history(z[:, c: c + n], traj.u[:, c: c + n])
+                    np.testing.assert_array_equal(hankel_all[regressor[j], c],
+                                                  np.concatenate([traj.u[:, c + n], history]))
+                    np.testing.assert_array_equal(
+                        hankel_all[target[j], c],
+                        reference_history(z[:, c + 1: c + n + 1], traj.u[:, c + 1: c + n + 1]))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -198,10 +214,10 @@ class TestSubsetRows:
         max_attacked = data.draw(st.integers(0, n_sensors - 1), label="M")
         n, m = data.draw(st.integers(1, 6), label="n"), data.draw(st.integers(1, 3), label="m")
         subsets = enumerate_subsets(n_sensors, max_attacked)
-        rows = subset_rows(n_sensors, subsets, n, m)
-        expected = reference_subset_rows(n_sensors, subsets, n, m)
-        assert rows.dtype == expected.dtype
-        assert np.array_equal(rows, expected)
+        for rows, expected in zip(hankel_rows(n_sensors, subsets, n, m),
+                                  reference_hankel_rows(n_sensors, subsets, n, m)):
+            assert rows.dtype == expected.dtype
+            assert np.array_equal(rows, expected)
 
 
 class TestTrajectory:

@@ -314,26 +314,24 @@ class TestLearningAtScale:
 
 class TestPredict:
     def test_zero_map(self):
-        np.testing.assert_array_equal(predict(np.zeros((4, 5)), [1.0], np.ones(4)),
-                                      np.zeros(4))
+        np.testing.assert_array_equal(predict(np.zeros((4, 5)), np.ones(5)), np.zeros(4))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            predict(np.zeros((4, 5)), [1.0, 2.0], np.ones(4))
+            predict(np.zeros((4, 5)), np.ones(6))
 
     def test_stacked_predictors_match_one_at_a_time(self):
         rng = np.random.default_rng(3)
-        lam, u_k, states = rng.standard_normal((5, 4, 6)), rng.standard_normal(2), \
-            rng.standard_normal((5, 4))
-        stacked = predict(lam, u_k, states)
+        lam, regressors = rng.standard_normal((5, 4, 6)), rng.standard_normal((5, 6))
+        stacked = predict(lam, regressors)
         assert stacked.shape == (5, 4)
         for j in range(5):
-            np.testing.assert_array_equal(stacked[j], predict(lam[j], u_k, states[j]))
-            np.testing.assert_array_equal(stacked[j], lam[j] @ np.concatenate([u_k, states[j]]))
+            np.testing.assert_array_equal(stacked[j], predict(lam[j], regressors[j]))
+            np.testing.assert_array_equal(stacked[j], lam[j] @ regressors[j])
         with pytest.raises(ValueError):
-            predict(lam, u_k, states[:4])
+            predict(lam, regressors[:4])
         with pytest.raises(ValueError):
-            predict(lam, u_k, states[0])
+            predict(lam, regressors[0])
 
     def test_prediction_tail_carries_input(self):
         # bottom input-block of a learned one-step prediction is u[k]
@@ -344,7 +342,7 @@ class TestPredict:
         _, y2 = simulate(ss, np.zeros(6), u2)
         (regressors,), _ = gathered_stacks(
             build_subset_matrices(Trajectory(u2, y2), (subset,), 6, 10))
-        out = predict(lam, regressors[:1, 0], regressors[1:, 0])
+        out = predict(lam, regressors[:, 0])
         np.testing.assert_allclose(out[-1:], regressors[:1, 0], atol=1e-9)
 
 
@@ -461,9 +459,16 @@ class TestModelFile:
          "subset id 3: stored residual -1e-12 is not a finite non-negative number"),
         (lambda subsets: subsets[1].update(residual=float("inf")),
          "subset id 2: stored residual inf is not a finite"),
+        (lambda subsets: subsets[0].update(indices="12"),
+         "subset id 1: indices must be a list and residual a number, got '12'"),
+        (lambda subsets: subsets[1].update(residual=True),
+         "subset id 2: indices must be a list and residual a number, got .* and True"),
+        (lambda subsets: subsets[2].update(residual="1e-12"),
+         "subset id 3: indices must be a list and residual a number, got .* and '1e-12'"),
     ], ids=["tampered-indices", "short-row", "missing-row", "nan", "missing-subset",
             "missing-column", "not-base64", "decimal-format", "wrong-rank", "float-rank",
-            "nan-residual", "negative-residual", "infinite-residual"])
+            "nan-residual", "negative-residual", "infinite-residual", "string-indices",
+            "bool-residual", "string-residual"])
     def test_inconsistent_file_rejected(self, tmp_path, tamper, message):
         _, traj = excited_benchmark_run()
         path = tmp_path / "model.json"

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gathered_stacks, reference_injection_bootstrap, reference_injection_step
+from oracles import (
+    gathered_stacks,
+    reference_history,
+    reference_injection_bootstrap,
+    reference_injection_step,
+)
 
 from sentinel.attacks import DelayAttack, ReplayAttack, apply_attack
 from sentinel.datamat import (
@@ -16,8 +21,7 @@ from sentinel.datamat import (
     build_subset_matrices,
     generate_pe_input,
     hankel,
-    stack_history,
-    subset_rows,
+    trajectory_hankel,
 )
 from sentinel import identify
 from sentinel.ddmodel import learn_model, predict
@@ -65,6 +69,11 @@ def benchmark_model(seed=7):
     return ss, learn_model(traj, 3, 1, 6, 41, pe_seed=seed)
 
 
+def histories(monitor):
+    """Every subset's stacked history in the monitor column, S x d."""
+    return monitor.column[monitor.regressor][:, monitor.model.m:]
+
+
 def online_setup(ss, model, seed=11):
     boot_u = np.random.default_rng(seed).uniform(-1, 1, (1, model.n))
     states, boot_y = simulate(ss, np.zeros(ss.state_dim), boot_u)
@@ -79,23 +88,23 @@ class TestInjectionBootstrap:
         _, y = simulate(ss, np.zeros(1), u)
         model = learn_model(Trajectory(u, y), 1, 0, 1, 8)
         monitor = injection_bootstrap(model, [[3.0]], [[4.0]])
-        np.testing.assert_array_equal(monitor.history[monitor.index[0]], [4.0, 3.0])
+        np.testing.assert_array_equal(histories(monitor)[0], [4.0, 3.0])
         assert monitor.k == 1
 
     def test_equilibrium_history_gives_zero_states(self):
         _, model = benchmark_model()
         monitor = injection_bootstrap(model, np.zeros((1, 6)), np.zeros((3, 6)))
-        assert np.all(monitor.history[monitor.index] == 0.0)
+        assert np.all(histories(monitor) == 0.0)
 
     def test_matches_data_matrix_columns(self):
         ss, model = benchmark_model()
         u = np.random.default_rng(2).uniform(-1, 1, (1, 10))
         _, y = simulate(ss, np.zeros(6), u)
         monitor = injection_bootstrap(model, u[:, :6], y[:, :6])
-        np.testing.assert_array_equal(monitor.index, subset_rows(3, model.subsets, 6, 1))
         mats = build_subset_matrices(Trajectory(u, y), model.subsets, 6, 4)
-        np.testing.assert_array_equal(monitor.history[monitor.index],
-                                      gathered_stacks(mats)[0][:, 1:, 0])
+        np.testing.assert_array_equal(monitor.regressor, mats.regressor)
+        np.testing.assert_array_equal(monitor.target, mats.target)
+        np.testing.assert_array_equal(histories(monitor), gathered_stacks(mats)[0][:, 1:, 0])
 
     def test_history_shape_validation(self):
         _, model = benchmark_model()
@@ -110,8 +119,7 @@ class TestInjectionBootstrap:
         attacked = (2, 5) if attack else ()
         u, y = monitor_stream(ss, model, 40, 19, attacked, onset=30)
         n = model.n
-        direct = InjectionMonitor(model, stack_history(y[:, :n], u[:, :n]),
-                                  subset_rows(model.n_sensors, model.subsets, n, model.m), n)
+        direct = InjectionMonitor(model, trajectory_hankel(Trajectory(u, y), 0, n + 1, 1)[:, 0], n)
         booted = injection_bootstrap(model, u[:, :n], y[:, :n])
         for k in range(n, u.shape[1]):
             verdict = injection_step(direct, u[:, k], y[:, k])
@@ -120,7 +128,22 @@ class TestInjectionBootstrap:
                 break
         assert (direct.k, direct.terminal) == (booted.k, booted.terminal)
         assert verdict.all_clear != attack
-        assert np.array_equal(direct.history, booted.history)
+        assert np.array_equal(direct.column, booted.column)
+
+    def test_direct_monitor_keeps_its_own_column(self, monitored_plants):
+        ss, model = monitored_plants["random-5x2-m2"]
+        traj, n = offset_stream(ss, model, 10, 3), model.n
+        column = trajectory_hankel(traj, 0, n + 1, 1)[:, 0]
+        given_column = column.copy()
+        monitor = InjectionMonitor(model, column, n)
+        assert run_injection(monitor, traj.u[:, n:], traj.y[:, n:]).all_clear
+        assert np.array_equal(column, given_column)
+        assert not np.array_equal(monitor.column, given_column)
+
+    def test_column_length_validation(self):
+        _, model = benchmark_model()
+        with pytest.raises(ValueError, match="column must have length 28"):
+            InjectionMonitor(model, np.zeros(27), 6)
 
 
 class TestInjectionStep:
@@ -210,18 +233,18 @@ class TestInjectionStep:
     def test_non_finite_sample_rejected_without_advancing(self, bad, channel):
         ss, model = benchmark_model()
         booted, x = online_setup(ss, model)
-        direct = InjectionMonitor(model, booted.history.copy(), booted.index, booted.k)
+        direct = InjectionMonitor(model, booted.column, booted.k)
         u_k, y_k = np.array([0.2]), ss.C @ x
         if channel == "u_k":
             u_k[0] = bad
         else:
             y_k[0] = bad
         for monitor in (booted, direct):
-            history = monitor.history.copy()
+            column = monitor.column.copy()
             with pytest.raises(ValueError, match=channel):
                 injection_step(monitor, u_k, y_k)
             assert not monitor.terminal and monitor.k == 6
-            np.testing.assert_array_equal(monitor.history, history)
+            np.testing.assert_array_equal(monitor.column, column)
             # nothing of the rejected sample stays: a clean one scores as on a fresh monitor
             fresh, _ = online_setup(ss, model)
             assert (injection_step(monitor, [0.2], ss.C @ x)
@@ -312,8 +335,7 @@ class TestBatchedMonitorMatchesReference:
                 break
         # a terminal verdict freezes the history, as the reference's states
         for j, subset in enumerate(model.subsets):
-            assert np.array_equal(batched.history[batched.index[j]],
-                                  reference.states[subset.id])
+            assert np.array_equal(histories(batched)[j], reference.states[subset.id])
         assert verdict.all_clear != attack
         if attack:
             assert verdict.k == n + 31
@@ -327,12 +349,24 @@ class TestBatchedMonitorMatchesReference:
         for start in (0, 10):
             if start:
                 run_injection(monitor, u[:, n:], y[:, n:])
-            assert monitor.index.shape == (len(model.subsets), model.lam.shape[1])
+            assert monitor.regressor.shape == (len(model.subsets), model.lam.shape[2])
             for j, subset in enumerate(model.subsets):
                 rows = [i - 1 for i in subset.indices]
                 window = slice(start, start + n)
-                np.testing.assert_array_equal(monitor.history[monitor.index[j]],
-                                              stack_history(y[rows, window], u[:, window]))
+                np.testing.assert_array_equal(histories(monitor)[j],
+                                              reference_history(y[rows, window], u[:, window]))
+
+    @pytest.mark.parametrize("name", ["benchmark", "random-6x2", "random-5x2-m2"])
+    def test_all_clear_history_is_the_hankel_column(self, monitored_plants, name):
+        # after each all-clear step the monitor's histories are the regressor
+        # rows of the stream's Hankel column at the step it now awaits
+        ss, model = monitored_plants[name]
+        traj, n, m = offset_stream(ss, model, 25, 29), model.n, model.m
+        monitor = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n])
+        for k in range(n, traj.length - 1):
+            assert injection_step(monitor, traj.u[:, k], traj.y[:, k]).all_clear
+            column = trajectory_hankel(traj, monitor.k - n, n + 1, 1)[:, 0]
+            assert np.array_equal(histories(monitor), column[monitor.regressor][:, m:])
 
 
 class TestStepMatchesReferenceProperty:
@@ -376,7 +410,7 @@ class TestStepMatchesReferenceProperty:
                 injection_step(batched, u[:, -1], y[:, -1])
         # all-clear steps advance the history as the reference does; the terminal one freezes it
         for j, subset in enumerate(model.subsets):
-            assert np.array_equal(batched.history[batched.index[j]], reference.states[subset.id])
+            assert np.array_equal(histories(batched)[j], reference.states[subset.id])
 
 
 class TestRunInjection:
@@ -476,12 +510,11 @@ class TestIdentifyInjection:
         probe = injection_bootstrap(model, clean.u[:, at - n: at], clean.y[:, at - n: at])
         assert injection_step(probe, clean.u[:, at], clean.y[:, at]).all_clear
         # the offset leaves the observed norms, hence the slack, as they are
-        slack = DEFAULT_TOL.residual * (1 + np.linalg.norm(probe.history[probe.index], axis=1))
+        slack = DEFAULT_TOL.residual * (1 + np.linalg.norm(histories(probe), axis=1))
         attacked = [s.id - 1 for s in model.subsets if 3 in s.indices]
         traj = offset_stream(ss, model, 40, 5, 3, at, factor * slack[attacked].min())
         assert identify._screen_clear_steps(model, traj, DEFAULT_TOL) == at
-        monitor = injection_bootstrap(model, traj.u[:, at - n: at], traj.y[:, at - n: at])
-        monitor.k = at
+        monitor = InjectionMonitor(model, trajectory_hankel(traj, at - n, n + 1, 1)[:, 0], at)
         step = injection_step(monitor, traj.u[:, at], traj.y[:, at])
         ratio = (np.array(step.scores) / slack)[attacked].max()
         verdict = identify_injection(model, traj)
@@ -549,15 +582,18 @@ class TestResidualOperator:
         zero = dataclasses.replace(model, lam=np.zeros_like(model.lam))
         moved, window = self.product(zero, traj)
         # each row of E holds a single 1, so the product is the gather itself
-        rows = subset_rows(model.n_sensors, model.subsets, n, m)
-        following = np.vstack([hankel(traj.y, 1, n, 30), hankel(traj.u, 1, n, 30)])[rows]
+        def stacks(start):
+            """Every subset's stacked history over the 30 steps, from sample start."""
+            return np.array([np.vstack([hankel(traj.y[[i - 1 for i in s.indices]], start, n, 30),
+                                        hankel(traj.u, start, n, 30)]) for s in model.subsets])
+
+        following, current = stacks(1), stacks(0)
         assert moved.tobytes() == following.tobytes()
         _, pick_observed, pick_regressor = identify._residual_operator(model)
         assert set(np.unique(pick_observed)) == set(np.unique(pick_regressor)) == {0.0, 1.0}
         d = model.lam.shape[1]
         assert (pick_observed.sum(axis=1) == d).all()
         assert (pick_regressor.sum(axis=1) == d + m).all()
-        current = np.vstack([hankel(traj.y, 0, n, 30), hankel(traj.u, 0, n, 30)])[rows]
         squares = window * window
         np.testing.assert_allclose(pick_observed @ squares, (following ** 2).sum(axis=1),
                                    rtol=1e-14)
@@ -723,6 +759,13 @@ class TestIdentifyDelay:
             identify_delay(y, [1, 2])
         with pytest.raises(ValueError):
             identify_delay(y, [1, 0, 1])
+
+    @pytest.mark.parametrize("degrees", [[1.5, 2, 1], [True, 2, 1], [1, 2.0, 1], [1, None, 1]])
+    def test_non_integer_degrees_rejected(self, degrees):
+        y, _ = self.delayed_impulse((0, 0, 0))
+        with pytest.raises(ValueError, match="positive integers"):
+            identify_delay(y, degrees)
+        assert identify_delay(y, np.array([1, 2, 1])).all_clear
         with pytest.raises(ValueError):
             identify_delay(y[:, :2], [1, 2, 1])
 

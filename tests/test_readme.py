@@ -1,0 +1,23 @@
+"""The README's library example runs as written and prints its verdict."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import sentinel
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_prints_the_attack_free_sensors():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert len(blocks) == 1
+    # the package this suite imports, wherever it lives, comes first on the path
+    paths = [str(Path(sentinel.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True,
+                            env=env, timeout=300, check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "attack-free sensors: (1, 2)\n"
