@@ -62,6 +62,7 @@ from .ddmodel import (
     learn_model,
     load_learned_model,
     predict,
+    predictors,
     rank_condition,
     save_learned_model,
 )

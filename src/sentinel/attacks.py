@@ -183,9 +183,17 @@ def save_scenario(scenario: AttackScenario, path) -> None:
     write_json(payload, path)
 
 
+def _sensor_key(key: str) -> int:
+    """The sensor number a replay constants key names, else TypeError."""
+    if not key.isdecimal():
+        raise TypeError(f"{key!r} is not an integer")
+    return int(key)
+
+
 def load_scenario(path) -> AttackScenario:
     """Read a scenario file written by save_scenario. A missing or mistyped field
-    (a bool or fraction where an integer belongs too) raises ValueError naming the type."""
+    (a string, bool or fraction where an integer belongs too) raises ValueError
+    naming the type."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -200,7 +208,9 @@ def load_scenario(path) -> AttackScenario:
         if kind == "delay":
             return DelayAttack(tuple(as_integer(d) for d in payload["tau"]))
         if kind == "replay":
-            return ReplayAttack({as_integer(k): float(v) for k, v in payload["constants"].items()})
+            # JSON object keys are strings, so the sensor numbers are read as decimals
+            constants = payload["constants"]
+            return ReplayAttack({_sensor_key(k): float(v) for k, v in constants.items()})
     except KeyError as exc:
         raise ValueError(f"{kind} scenario has no field {exc}") from exc
     except (TypeError, AttributeError) as exc:

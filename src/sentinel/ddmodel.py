@@ -13,6 +13,10 @@ attack-free data can attain (and does attain, given an exciting input, a
 controllable plant and an observable subset). Observed rank differing from
 the certifying value - in either direction - marks data the plant cannot
 have produced, which is what the replay test exploits.
+
+Certified data of every subset share one rank-(m(n+1) + n) column space,
+so one basis of it fixes every subset's predictor (predictors); a learned
+model stores that basis and derives its predictors from it.
 """
 
 import base64
@@ -24,7 +28,14 @@ from typing import Optional
 import numpy as np
 
 from .attacks import SensorSubset, enumerate_subsets
-from .datamat import BLOCK_BYTES, SubsetDataMatrices, Trajectory, build_subset_matrices, write_json
+from .datamat import (
+    BLOCK_BYTES,
+    SubsetDataMatrices,
+    Trajectory,
+    build_subset_matrices,
+    hankel_rows,
+    write_json,
+)
 from .linalg import DEFAULT_TOL, Tolerance, as_integer, rank_cutoff
 
 
@@ -64,60 +75,93 @@ def certifying_rank(m: int, n: int) -> int:
     return m * (n + 1) + n
 
 
-def _reduced(mats: SubsetDataMatrices) -> tuple[np.ndarray, np.ndarray]:
-    """Every subset's regressor and target rows of R^T, S x (d + m) x k and
-    S x d x k, from one QR mats.hankel = R^T Q^T, k = min(W, T).
+def _factor(mats: SubsetDataMatrices) -> np.ndarray:
+    """R^T of one QR mats.hankel = R^T Q^T, W x k with k = min(W, T).
 
     Q^T has orthonormal rows, so a row selection A G of the Hankel has the
-    singular values of A R^T, and B G pinv(A G) = (B R^T) pinv(A R^T).
+    singular values of A R^T, and G and R^T share their column space.
     """
-    factor = np.linalg.qr(mats.hankel.T, mode="r").T
-    return factor[mats.regressor], factor[mats.target]
+    return np.linalg.qr(mats.hankel.T, mode="r").T
 
 
-def _certificate(mats: SubsetDataMatrices, sigma: np.ndarray,
-                 tol: Tolerance) -> tuple[np.ndarray, tuple[RankReport, ...]]:
-    """Mask of the singular values above rank_cutoff and one report per row
-    of sigma; the cutoff takes the data matrix's shape, (d + m) x T."""
+def _certificate(mats: SubsetDataMatrices, factor: np.ndarray,
+                 tol: Tolerance) -> tuple[RankReport, ...]:
+    """One report per subset from the singular values alone of its regressor
+    rows of the factor, cut at rank_cutoff of the data matrix's shape,
+    (d + m) x T."""
+    sigma = np.linalg.svd(factor[mats.regressor], compute_uv=False)
     rows = mats.regressor.shape[1]
-    large = sigma > rank_cutoff(sigma, (rows, mats.columns), tol)
+    observed = (sigma > rank_cutoff(sigma, (rows, mats.columns), tol)).sum(axis=1)
     required = certifying_rank(rows - mats.target.shape[1], mats.order)
-    return large, tuple(RankReport(int(observed), required, rows, int(observed) == required)
-                        for observed in large.sum(axis=1))
+    return tuple(RankReport(count, required, rows, count == required)
+                 for count in observed.tolist())
 
 
 def rank_condition(mats: SubsetDataMatrices,
                    tol: Tolerance = DEFAULT_TOL) -> tuple[RankReport, ...]:
     """Rank certificates of every subset's stacked data matrix, in position
     order, from one QR of the Hankel and one batched SVD of the small factors."""
-    return _certificate(mats, np.linalg.svd(_reduced(mats)[0], compute_uv=False), tol)[1]
+    return _certificate(mats, _factor(mats), tol)
+
+
+def predictors(basis: np.ndarray, regressor: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Every subset's one-step predictor U[target[j]] pinv(U[regressor[j]]),
+    S x d x (d + m), from a W x r basis U of the all-sensor Hankel's column
+    space and hankel_rows' S x (d + m) regressor and S x d target rows.
+
+    If G = U C with C of full row rank, a U[regressor[j]] of full column
+    rank gives G[target[j]] pinv(G[regressor[j]]) = U[target[j]]
+    pinv(U[regressor[j]]): the minimum-norm fit of the subset's data,
+    whichever basis of that column space U is. The pseudo-inverse is
+    R^-1 Q^T from one batched QR of the regressor rows and one batched
+    inverse of the r x r triangular factors. A subset whose R has a
+    diagonal entry within (d + m) eps of its largest, so that its rows of
+    U are numerically rank-deficient, gets a NaN predictor.
+    """
+    q, r = np.linalg.qr(basis[regressor])
+    diagonal = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    deficient = (diagonal.min(axis=1)
+                 <= regressor.shape[1] * np.finfo(float).eps * diagonal.max(axis=1))
+    r[deficient] = np.eye(r.shape[1])
+    lam = basis[target] @ np.linalg.inv(r) @ np.swapaxes(q, 1, 2)
+    lam[deficient] = np.nan
+    return lam
 
 
 def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
-                 ) -> tuple[np.ndarray, tuple[float, ...], tuple[RankReport, ...]]:
-    """Fit every subset's one-step predictor: (lam, residuals, reports).
+                 ) -> tuple[np.ndarray, tuple[float, ...], tuple[RankReport, ...], np.ndarray]:
+    """Fit every subset's one-step predictor: (lam, residuals, reports, basis).
 
     lam[j] maps [u[k]; history[k]] of subsets[j] to history[k+1];
     residuals[j] is its max-abs training misfit, reports[j] its certificate.
 
-    Uses the Moore-Penrose pseudo-inverse of the stacked data: with the
-    certifying rank this is exact on everything the plant can produce and
-    unique over informative recordings. One QR of the Hankel and one
-    batched SVD of the small factors (_reduced) give both the rank reports
-    and lam[j] = (B R^T) pinv(A R^T), the pseudo-inverse built as
-    np.linalg.pinv builds it but cut at the data matrix's rank_cutoff. The
-    misfit is taken on the data themselves, in column blocks of about
-    BLOCK_BYTES of S-stacked regressors.
-    Raises one LearningError listing every subset whose certificate fails
-    or whose training misfit exceeds the residual slack.
+    The predictors are the minimum-norm fits of the stacked data: with the
+    certifying rank they are exact on everything the plant can produce and
+    unique over informative recordings. One QR of the Hankel (_factor) and
+    the singular values of every subset's rows of R^T give the rank
+    reports. Data an n-state plant produced have rank r = m(n + 1) + n in
+    G and in every certified subset's rows of it, so once every subset
+    certifies, the top r left singular vectors of R^T are a basis of the
+    one column space they share, and predictors(basis, ...) gives every
+    lam[j]. The misfit is taken on the data themselves, in column blocks
+    of about BLOCK_BYTES of S-stacked regressors.
+    Raises one LearningError listing every subset whose certificate fails,
+    or else every subset whose training misfit exceeds the residual slack
+    (or is not a number). A shared basis fits only data on which every
+    subset certifies, so misfits are taken only then.
     """
+    factor = _factor(mats)
+    reports = _certificate(mats, factor, tol)
+    failures = [(subset, report,
+                 f"rank certificate failed: data rank {report.observed} is "
+                 f"{'above' if report.observed > report.required else 'below'} the "
+                 f"certifying rank {report.required} (stacked rows: {report.rows})")
+                for subset, report in zip(mats.subsets, reports) if not report.holds]
+    if failures:
+        raise LearningError(failures)
     n_subsets, width = mats.regressor.shape
-    stacked, target = _reduced(mats)
-    u, sigma, vt = np.linalg.svd(stacked, full_matrices=False)
-    large, reports = _certificate(mats, sigma, tol)
-    inverse = np.divide(1, sigma, where=large, out=sigma)
-    inverse[~large] = 0
-    lam = target @ (np.swapaxes(vt, 1, 2) @ (inverse[..., None] * np.swapaxes(u, 1, 2)))
+    basis = np.linalg.svd(factor, full_matrices=False)[0][:, :reports[0].required]
+    lam = predictors(basis, mats.regressor, mats.target)
     residuals = np.zeros(n_subsets)
     block = max(1, BLOCK_BYTES // (n_subsets * width * 8))
     for start in range(0, mats.columns, block):
@@ -127,28 +171,21 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
         np.maximum(residuals, misfit.max(axis=(1, 2)), out=residuals)
     peaks = np.maximum(mats.hankel.max(axis=1), -mats.hankel.min(axis=1))
     slacks = tol.residual * (1.0 + peaks[mats.target].max(axis=1))
-    failures = []
-    for subset, report, residual, slack in zip(mats.subsets, reports, residuals, slacks):
-        if not report.holds:
-            side = "above" if report.observed > report.required else "below"
-            failures.append((subset, report,
-                             f"rank certificate failed: data rank {report.observed} is "
-                             f"{side} the certifying rank {report.required} "
-                             f"(stacked rows: {report.rows})"))
-        elif residual > slack:
-            failures.append((subset, report,
-                             f"data rank {report.observed} meets the certifying rank, "
-                             f"but the training misfit {residual:.3g} exceeds the "
-                             f"slack {slack:.3g}"))
+    failures = [(subset, report,
+                 f"data rank {report.observed} meets the certifying rank, but the training "
+                 f"misfit {residual:.3g} exceeds the slack {slack:.3g}")
+                for subset, report, residual, slack in zip(mats.subsets, reports, residuals,
+                                                           slacks)
+                if not residual <= slack]
     if failures:
         raise LearningError(failures)
-    return lam, tuple(residuals.tolist()), tuple(reports)
+    return lam, tuple(residuals.tolist()), reports, basis
 
 
 def predict(lam, regressor) -> np.ndarray:
     """One-step prediction lam @ regressor for one predictor (d x (d+m)) and
     regressor [u_k; history] (d + m), or a stack of S of each. Only shapes
-    are checked: DataDrivenModel checks its lambdas once, when it is built.
+    are checked: DataDrivenModel derives its lambdas from a checked basis.
     """
     lam_arr = np.asarray(lam, dtype=float)
     x = np.asarray(regressor, dtype=float)
@@ -160,17 +197,22 @@ def predict(lam, regressor) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DataDrivenModel:
-    """Stacked per-subset predictors plus the learning metadata.
+    """Per-subset predictors derived from one shared data basis, plus the
+    learning metadata.
 
-    Position j of lam (S x d x (d + m), d = (N - M + m) n; given as one
-    stack or S matrices), residuals and reports belongs to subsets[j] =
-    enumerate_subsets(N, M)[j]: its predictor, training misfit and rank
-    certificate. A wrong subset count, residuals or reports not aligned
-    with lam, or a lambda that is not a finite d x (d + m) matrix raise
-    ValueError, the last naming the first subset that breaks it.
+    basis, W x r with W = (N + m)(n + 1) and r = m(n + 1) + n, spans the
+    column space of the all-sensor Hankel the model was learned from; it
+    is the model's one source of truth. subsets = enumerate_subsets(N, M),
+    regressor and target are their hankel_rows, and lam (S x d x (d + m),
+    d = (N - M + m) n) is derived from the basis on first use (a learned
+    model starts with the lam its learning derived). Position j of lam,
+    regressor, target, residuals and reports belongs to subsets[j]: its
+    predictor, Hankel rows, training misfit and rank certificate. A basis
+    that is not a finite W x r matrix, or residuals or reports not one per
+    subset, raise ValueError.
     """
 
-    lam: np.ndarray
+    basis: np.ndarray
     residuals: tuple[float, ...]
     reports: tuple[RankReport, ...]
     n: int
@@ -180,22 +222,41 @@ class DataDrivenModel:
     columns: int
     pe_seed: Optional[int] = None
     subsets: tuple[SensorSubset, ...] = field(init=False)
+    regressor: np.ndarray = field(init=False, repr=False)
+    target: np.ndarray = field(init=False, repr=False)
+    # lam's store: a field, not a functools.cached_property, whose write into
+    # the instance __dict__ slows every attribute read of a monitor step
+    _lam: Optional[np.ndarray] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         subsets = tuple(enumerate_subsets(self.n_sensors, self.max_attacked))
-        if len(self.lam) != len(subsets):
-            raise ValueError(f"model holds {len(self.lam)} subsets, N={self.n_sensors} "
-                             f"and M={self.max_attacked} give {len(subsets)}")
         if not len(self.residuals) == len(self.reports) == len(subsets):
-            raise ValueError(f"model holds {len(subsets)} predictors but "
+            raise ValueError(f"N={self.n_sensors} and M={self.max_attacked} give "
+                             f"{len(subsets)} subsets, but the model holds "
                              f"{len(self.residuals)} residuals and {len(self.reports)} reports")
-        d = (self.n_sensors - self.max_attacked + self.m) * self.n
-        for subset, lam in zip(subsets, self.lam):
-            if np.shape(lam) != (d, d + self.m) or not np.isfinite(lam).all():
-                raise ValueError(f"subset id {subset.id}: lambda must be a finite "
-                                 f"{d} x {d + self.m} matrix")
-        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float))
-        object.__setattr__(self, "subsets", subsets)
+        shape = ((self.n_sensors + self.m) * (self.n + 1), certifying_rank(self.m, self.n))
+        basis = np.ascontiguousarray(self.basis, dtype=float)
+        if basis.shape != shape or not np.isfinite(basis).all():
+            raise ValueError(f"basis must be a finite {shape[0]} x {shape[1]} matrix, "
+                             f"got shape {basis.shape}")
+        regressor, target = hankel_rows(self.n_sensors, subsets, self.n, self.m)
+        for name, value in (("basis", basis), ("subsets", subsets), ("regressor", regressor),
+                            ("target", target)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def lam(self) -> np.ndarray:
+        """predictors(basis, regressor, target), derived on first use. A basis
+        that is rank-deficient on a subset's regressor rows raises ValueError
+        naming the first such subset."""
+        if self._lam is None:
+            lam = predictors(self.basis, self.regressor, self.target)
+            finite = np.isfinite(lam).all(axis=(1, 2))
+            if not finite.all():
+                raise ValueError(f"subset id {self.subsets[finite.argmin()].id}: the basis "
+                                 "is rank-deficient on its regressor rows")
+            object.__setattr__(self, "_lam", lam)
+        return self._lam
 
 
 def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
@@ -208,14 +269,19 @@ def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
     if traj.output_dim != n_sensors:
         raise ValueError(f"trajectory has {traj.output_dim} outputs, expected {n_sensors}")
     mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), n, columns)
-    lam, residuals, reports = learn_lambda(mats, tol)
-    return DataDrivenModel(lam, residuals, reports, n, traj.input_dim, n_sensors,
-                           max_attacked, columns, pe_seed)
+    lam, residuals, reports, basis = learn_lambda(mats, tol)
+    model = DataDrivenModel(basis, residuals, reports, n, traj.input_dim, n_sensors,
+                            max_attacked, columns, pe_seed)
+    # learn_lambda's lam is predictors of this basis and these rows, the value
+    # model.lam would derive on first use
+    object.__setattr__(model, "_lam", lam)
+    return model
 
 
 def save_learned_model(model: DataDrivenModel, path) -> None:
-    """Write a learned model as JSON; each lambda is base64 of its row-major
-    little-endian float64 bytes, so a load gives it back bit for bit."""
+    """Write a learned model as JSON. The basis is base64 of its row-major
+    little-endian float64 bytes, so a load gives it back bit for bit and
+    rebuilds the same predictors with the same numpy and BLAS."""
     payload = {
         "N": model.n_sensors,
         "M": model.max_attacked,
@@ -223,16 +289,15 @@ def save_learned_model(model: DataDrivenModel, path) -> None:
         "m": model.m,
         "T": model.columns,
         "pe_seed": model.pe_seed,
+        "basis": base64.b64encode(model.basis.astype("<f8").tobytes()).decode("ascii"),
         "subsets": [
             {
                 "id": subset.id,
                 "indices": list(subset.indices),
-                "lambda": base64.b64encode(lam.astype("<f8").tobytes()).decode("ascii"),
                 "rank": report.observed,
                 "residual": residual,
             }
-            for subset, lam, residual, report in zip(model.subsets, model.lam,
-                                                     model.residuals, model.reports)
+            for subset, residual, report in zip(model.subsets, model.residuals, model.reports)
         ],
     }
     write_json(payload, path)
@@ -240,35 +305,39 @@ def save_learned_model(model: DataDrivenModel, path) -> None:
 
 def load_learned_model(path) -> DataDrivenModel:
     """Read a learned model written by save_learned_model. A missing or
-    mistyped field (a bool or fraction where an integer belongs, indices
-    that are not a list), a lambda that is not base64 float64 of d rows, a
-    rank other than the certifying one (every saved subset holds it), a
-    residual that is not a finite non-negative number, a T below 1, subsets
-    other than enumerate_subsets(N, M) in order, or a model that breaks
+    mistyped field (a string, bool or fraction where an integer belongs,
+    indices that are not a list), a basis that is not base64 float64 of
+    W x r, a rank other than the certifying one (every saved subset holds
+    it), a residual that is not a finite non-negative number, a T below 1,
+    subsets other than enumerate_subsets(N, M) in order, a file in the
+    older format with one lambda per subset, or a model that breaks
     DataDrivenModel's conditions raise ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
         n, m, n_sensors, max_attacked = (as_integer(payload[key]) for key in ("n", "m", "N", "M"))
-        d, required = (n_sensors - max_attacked + m) * n, certifying_rank(m, n)
-        listed, lams, residuals = [], [], []
+        if "basis" not in payload and any("lambda" in entry for entry in payload["subsets"]):
+            raise ValueError("model file holds one lambda per subset, an older format that "
+                             "is no longer read: re-learn the model")
+        shape = ((n_sensors + m) * (n + 1), certifying_rank(m, n))
+        try:
+            basis = np.frombuffer(base64.b64decode(payload["basis"], validate=True),
+                                  "<f8").reshape(shape)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"model file field basis is not a {shape[0]} x {shape[1]} "
+                             "matrix of base64 float64") from exc
+        listed, residuals = [], []
         for entry in payload["subsets"]:
             indices, residual = entry["indices"], entry["residual"]
             if type(indices) is not list or type(residual) not in (int, float):
                 raise ValueError(f"subset id {entry['id']}: indices must be a list and residual "
                                  f"a number, got {indices!r} and {residual!r}")
-            subset = SensorSubset(as_integer(entry["id"]), tuple(as_integer(i) for i in indices))
-            try:
-                lams.append(np.frombuffer(base64.b64decode(entry["lambda"], validate=True),
-                                          "<f8").reshape(d, -1))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"subset id {subset.id}: lambda is not a matrix; it must be a "
-                                 "base64 float64 string (re-learn decimal-format models)") from exc
-            if type(entry["rank"]) is not int or entry["rank"] != required:
-                raise ValueError(f"subset id {subset.id}: stored rank {entry['rank']!r} is "
-                                 f"not the certifying rank {required}")
+            subset = as_integer(entry["id"]), tuple(as_integer(i) for i in indices)
+            if type(entry["rank"]) is not int or entry["rank"] != shape[1]:
+                raise ValueError(f"subset id {subset[0]}: stored rank {entry['rank']!r} is "
+                                 f"not the certifying rank {shape[1]}")
             if not 0.0 <= residual < math.inf:
-                raise ValueError(f"subset id {subset.id}: stored residual {residual!r} "
+                raise ValueError(f"subset id {subset[0]}: stored residual {residual!r} "
                                  "is not a finite non-negative number")
             listed.append(subset)
             residuals.append(float(residual))
@@ -276,16 +345,18 @@ def load_learned_model(path) -> DataDrivenModel:
         if columns < 1:
             raise ValueError(f"model file field T is {columns}; it must be at least 1")
         pe_seed = payload.get("pe_seed")
-        reports = (RankReport(required, required, m + d, True),) * len(lams)
-        model = DataDrivenModel(lams, tuple(residuals), reports, n, m, n_sensors,
+        rows = m + (n_sensors - max_attacked + m) * n
+        reports = (RankReport(shape[1], shape[1], rows, True),) * len(listed)
+        model = DataDrivenModel(basis, tuple(residuals), reports, n, m, n_sensors,
                                 max_attacked, columns,
                                 None if pe_seed is None else as_integer(pe_seed))
     except KeyError as exc:
         raise ValueError(f"model file has no field {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"model file has a field of the wrong type: {exc}") from exc
-    for subset, expected in zip(listed, model.subsets):
-        if subset != expected:
-            raise ValueError(f"subset id {subset.id} lists sensors {list(subset.indices)}, "
-                             f"expected id {expected.id} with sensors {list(expected.indices)}")
+    for (subset_id, indices), expected in zip(listed, model.subsets):
+        if (subset_id, indices) != (expected.id, expected.indices):
+            raise ValueError(f"subset id {subset_id} lists sensors {list(indices)}, expected "
+                             f"id {expected.id} with sensors {list(expected.indices)}")
+    model.lam  # derived now, so a basis rank-deficient on some subset fails the load
     return model

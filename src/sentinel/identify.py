@@ -25,7 +25,6 @@ from .datamat import (
     Trajectory,
     TrajectoryLengthError,
     build_subset_matrices,
-    hankel_rows,
     is_persistently_exciting,
     trajectory_hankel,
 )
@@ -72,14 +71,14 @@ class InjectionMonitor:
     column is a column of the depth-(n + 1) all-sensor Hankel, laid out as
     trajectory_hankel(traj, k - n, n + 1, 1)[:, 0]; its oldest n samples
     are the history, and each step writes y_k and u_k into its newest
-    sample. With hankel_rows' regressor and target, column[regressor[j]]
-    is model.subsets[j]'s [u_k; history] and column[target[j]] its next
+    sample. With the model's hankel_rows, column[model.regressor[j]] is
+    model.subsets[j]'s [u_k; history] and column[model.target[j]] its next
     history. The monitor keeps its own copy of column and only advances on
     all-clear steps; the first non-clear verdict is terminal and freezes
     the history. The bootstrap window must be attack-free; behavior under
-    an attacked bootstrap is undefined. regressor, target, clear_winners
-    and clear_sensors (the winners and attack_free_sensors of every
-    all-clear verdict) are worked out when the monitor is built.
+    an attacked bootstrap is undefined. clear_winners and clear_sensors
+    (the winners and attack_free_sensors of every all-clear verdict) are
+    worked out when the monitor is built.
     """
 
     model: DataDrivenModel
@@ -87,8 +86,6 @@ class InjectionMonitor:
     k: int
     tol: Tolerance = field(default_factory=lambda: DEFAULT_TOL)
     terminal: bool = False
-    regressor: np.ndarray = field(init=False, repr=False)
-    target: np.ndarray = field(init=False, repr=False)
     clear_winners: tuple[int, ...] = field(init=False, repr=False)
     clear_sensors: tuple[int, ...] = field(init=False, repr=False)
 
@@ -96,7 +93,6 @@ class InjectionMonitor:
         model, subsets = self.model, self.model.subsets
         width = (model.n_sensors + model.m) * (model.n + 1)
         self.column = as_vector(self.column, width, "column").copy()
-        self.regressor, self.target = hankel_rows(model.n_sensors, subsets, model.n, model.m)
         self.clear_winners = tuple(s.id for s in subsets)
         self.clear_sensors = tuple(sorted({i for s in subsets for i in s.indices}))
 
@@ -142,8 +138,8 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     outputs, inputs = n_sensors * model.n, n_sensors * (model.n + 1)
     column[outputs:inputs] = y_vec
     column[-m:] = u_vec
-    predicted = predict(model.lam, column[mon.regressor])
-    observed = column[mon.target]
+    predicted = predict(model.lam, column[model.regressor])
+    observed = column[model.target]
     diff = observed - predicted
     # row norms as one dot product per row: bit-equal to np.linalg.norm of a row
     residuals = np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
@@ -208,15 +204,14 @@ def _residual_operator(model: DataDrivenModel) -> tuple[np.ndarray, np.ndarray, 
     from sample s) holds samples s + c .. s + c + n of every channel.
     Row (j, i) of E @ H[:, c] is entry i of subset j's next history minus
     lam[j][i] @ [u_k; history_j] at step k = s + c + n: E holds -lam[j] at
-    subset j's regressor rows of H and +1 at its target rows (hankel_rows),
-    so 1 - lam where the two meet (every entry but the newest output
-    samples). The pick matrices times H * H give the squared norms of the
-    next histories and the regressors.
+    subset j's regressor rows of H and +1 at its target rows (the model's
+    hankel_rows), so 1 - lam where the two meet (every entry but the newest
+    output samples). The pick matrices times H * H give the squared norms
+    of the next histories and the regressors.
     """
-    n, m, n_sensors = model.n, model.m, model.n_sensors
     n_subsets, d = model.lam.shape[:2]
-    width = (n_sensors + m) * (n + 1)
-    regressor, target = hankel_rows(n_sensors, model.subsets, n, m)
+    width = (model.n_sensors + model.m) * (model.n + 1)
+    regressor, target = model.regressor, model.target
     operator = np.zeros((n_subsets, d, width))
     starts = width * np.arange(n_subsets * d).reshape(n_subsets, d, 1)
     flat = operator.reshape(-1)

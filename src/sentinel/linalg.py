@@ -66,9 +66,8 @@ def as_vector(a, dim: int, name: str = "vector") -> np.ndarray:
 
 
 def as_integer(value) -> int:
-    """An int from an integer, an integral float or a digit string, else TypeError."""
-    if isinstance(value, str) and value.isdecimal():
-        value = int(value)
+    """An int from an integer or an integral float, else TypeError: a
+    string, even one of digits, a bool or a fraction is not an integer."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
         raise TypeError(f"{value!r} is not an integer")
     return int(value)

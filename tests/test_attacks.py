@@ -218,14 +218,27 @@ class TestScenarioFiles:
         {"type": "delay", "tau": [0, True, 0]},
         {"type": "replay", "constants": {"1.5": 0.01}},
         {"type": "replay", "constants": {"true": 0.01}},
+        {"type": "injection", "targets": ["3"], "onset": 5, "seed": 1},
+        {"type": "injection", "targets": [3], "onset": "16", "seed": 1},
+        {"type": "injection", "targets": [3], "onset": 5, "seed": "1"},
+        {"type": "delay", "tau": [0, "1", 0]},
+        {"type": "replay", "constants": {" 3": 0.01}},
     ], ids=["targets-fraction", "targets-bool", "onset-fraction", "seed-fraction", "seed-bool",
-            "tau-fraction", "tau-bool", "constants-key-fraction", "constants-key-bool"])
+            "tau-fraction", "tau-bool", "constants-key-fraction", "constants-key-bool",
+            "targets-string", "onset-string", "seed-string", "tau-string",
+            "constants-key-space"])
     def test_non_integral_integer_field_rejected(self, tmp_path, payload):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"{payload['type']} scenario has a field of the "
                                              "wrong type: .* is not an integer"):
             load_scenario(path)
+
+    def test_constants_keys_are_decimal_sensor_numbers(self, tmp_path):
+        # JSON object keys are always strings, so these alone are read as decimals
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"type": "replay", "constants": {"3": 0.01, "12": -2.0}}))
+        assert load_scenario(path).constants == {3: 0.01, 12: -2.0}
 
     def test_integral_floats_accepted(self, tmp_path):
         path = tmp_path / "scenario.json"

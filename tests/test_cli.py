@@ -137,24 +137,38 @@ class TestIdentify:
         assert payload["winners"] == [1]
         assert payload["all_clear"] is False
 
-    @pytest.mark.parametrize("tamper", ["indices", "truncated", "nan", "not-base64",
-                                        "decimal-format", "rank"])
+    @pytest.mark.parametrize("tamper, message", [
+        ("indices", "subset id 1 lists sensors"),
+        ("truncated", "model file field basis is not a 28 x 13 matrix"),
+        ("nan", "basis must be a finite 28 x 13 matrix"),
+        ("not-base64", "model file field basis is not a 28 x 13 matrix"),
+        ("wrong-shape", "model file field basis is not a 28 x 13 matrix"),
+        ("rank-deficient", "subset id 1: the basis is rank-deficient"),
+        ("lambda-format", "an older format that is no longer read: re-learn the model"),
+        ("rank", "subset id 1: stored rank 14"),
+    ])
     def test_inconsistent_model_is_precondition_failure(self, injection_demo, tmp_path,
-                                                        capsys, tamper):
+                                                        capsys, tamper, message):
         payload = json.loads((injection_demo / "model.json").read_text())
         entry = payload["subsets"][0]
-        lam = np.frombuffer(base64.b64decode(entry["lambda"]), "<f8").reshape(18, 19).copy()
+        basis = np.frombuffer(base64.b64decode(payload["basis"]), "<f8").reshape(28, 13).copy()
         if tamper == "indices":
             entry["indices"] = [2, 3]
         elif tamper == "truncated":
-            entry["lambda"] = entry["lambda"][:-1]
+            payload["basis"] = payload["basis"][:-1]
         elif tamper == "nan":
-            lam[3, 5] = np.nan
-            entry["lambda"] = base64.b64encode(lam.tobytes()).decode()
+            basis[3, 5] = np.nan
+            payload["basis"] = base64.b64encode(basis.tobytes()).decode()
         elif tamper == "not-base64":
-            entry["lambda"] = "not base64!"
-        elif tamper == "decimal-format":
-            entry["lambda"] = lam.tolist()
+            payload["basis"] = "not base64!"
+        elif tamper == "wrong-shape":
+            payload["basis"] = base64.b64encode(basis[:, :-1].tobytes()).decode()
+        elif tamper == "rank-deficient":
+            basis[:, -1] = basis[:, 0]
+            payload["basis"] = base64.b64encode(basis.tobytes()).decode()
+        elif tamper == "lambda-format":
+            del payload["basis"]
+            entry["lambda"] = base64.b64encode(np.zeros((18, 19)).tobytes()).decode()
         else:
             entry["rank"] = 14
         model = tmp_path / "model.json"
@@ -164,7 +178,7 @@ class TestIdentify:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "subset id 1" in captured.err
+        assert message in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("content, message", [
         (None, "No such file"),
@@ -206,7 +220,7 @@ class TestIdentify:
                                                      sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("name, digest", [
-        ("verdict.json", "5fe515b9f0f377a211c8ea9ad0b80a5a21c1ef30e55a29f2283ba9cd6eaaa359"),
+        ("verdict.json", "4e35999c0a9a041a2fe51d6208801dc52b34b9495e6e49e6bcfd767b76277d13"),
         ("online.csv", "c7855cb6dfbc1ffe690ca866fb68665ea6b4ec4a74810821e566655847ec388b"),
     ])
     def test_injection_demo_bytes(self, injection_demo, name, digest):

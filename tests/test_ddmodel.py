@@ -1,7 +1,6 @@
 import base64
 import dataclasses
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -16,6 +15,7 @@ from sentinel.datamat import (
     Trajectory,
     build_subset_matrices,
     generate_pe_input,
+    hankel_rows,
 )
 from sentinel.ddmodel import (
     LearningError,
@@ -24,6 +24,7 @@ from sentinel.ddmodel import (
     learn_model,
     load_learned_model,
     predict,
+    predictors,
     rank_condition,
     save_learned_model,
 )
@@ -137,7 +138,7 @@ class TestLearnLambda:
         u = np.random.default_rng(0).uniform(-1, 1, (1, 12))
         _, y = simulate(ss, np.zeros(1), u)
         mats = build_subset_matrices(Trajectory(u, y), (SensorSubset(1, (1,)),), 1, 10)
-        (lam,), _, (report,) = learn_lambda(mats)
+        (lam,), _, (report,), _ = learn_lambda(mats)
         expected = np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.0]])
         np.testing.assert_allclose(lam, expected, atol=1e-8)
         np.testing.assert_allclose(lam, generator_matrices(ss, [0]), atol=1e-8)
@@ -175,7 +176,7 @@ class TestLearnLambda:
         traj, n_sensors, max_attacked, columns = subset_run(plant)
         mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
-        lam, residuals, reports = learn_lambda(mats)
+        lam, residuals, reports, _ = learn_lambda(mats)
         assert reports == rank_condition(mats)
         eps = np.finfo(float).eps
         for j, (stacked, target) in enumerate(zip(*gathered_stacks(mats))):
@@ -191,7 +192,7 @@ class TestLearnLambda:
     def test_benchmark_fit_and_validation(self):
         ss, traj = excited_benchmark_run()
         subset = SensorSubset(1, (1, 2))
-        (lam,), (residual,), _ = learn_lambda(build_subset_matrices(traj, (subset,), 6, 41))
+        (lam,), (residual,), _, _ = learn_lambda(build_subset_matrices(traj, (subset,), 6, 41))
         assert residual < 1e-9
         # fresh run from the same plant: one-step predictions stay exact
         u2 = np.random.default_rng(1234).uniform(-1, 1, (1, 47))
@@ -276,7 +277,7 @@ class TestLearningAtScale:
         mats = build_subset_matrices(Trajectory(traj.u, noisy),
                                      enumerate_subsets(n_sensors, max_attacked), 6, columns)
         tol = Tolerance(rank_rel=1e-8, residual=1e-3)
-        lam, residuals, reports = learn_lambda(mats, tol)
+        lam, residuals, reports, _ = learn_lambda(mats, tol)
         regressors, targets = gathered_stacks(mats)
         misfit = np.abs(targets - lam @ regressors).max(axis=(1, 2))
         # both products are within g(d + m) |lam| |regressors| of the exact one
@@ -285,7 +286,7 @@ class TestLearningAtScale:
         column_bytes = len(mats.subsets) * regressors.shape[1] * 8
         for block in (1, 5, 16, columns - 1, columns):
             monkeypatch.setattr(ddmodel, "BLOCK_BYTES", block * column_bytes)
-            blocked_lam, blocked_residuals, blocked_reports = learn_lambda(mats, tol)
+            blocked_lam, blocked_residuals, blocked_reports, _ = learn_lambda(mats, tol)
             assert blocked_lam.tobytes() == lam.tobytes() and blocked_reports == reports
             assert np.all(np.abs(np.array(blocked_residuals) - misfit) <= 2 * rounding)
         assert np.all(np.abs(np.array(residuals) - misfit) <= 2 * rounding)
@@ -386,95 +387,156 @@ class TestLearnModel:
             learn_model(traj, 4, 1, 6, 41)
 
 
-def recode_lambda(entry, edit):
-    """Store edit(lambda) in a benchmark model-file entry, lambda decoded as its
-    18 x 19 float64 matrix; an edit that drops entries changes the byte count."""
-    lam = np.frombuffer(base64.b64decode(entry["lambda"]), "<f8").reshape(18, 19)
-    entry["lambda"] = base64.b64encode(np.ascontiguousarray(edit(lam)).tobytes()).decode()
+def recode_basis(payload, edit):
+    """Store edit(basis) in a benchmark model file, the basis decoded as its
+    28 x 13 float64 matrix; an edit that drops entries changes the byte count."""
+    basis = np.frombuffer(base64.b64decode(payload["basis"]), "<f8").reshape(28, 13)
+    payload["basis"] = base64.b64encode(np.ascontiguousarray(edit(basis)).tobytes()).decode()
 
 
-def to_decimal_format(subsets):
-    """Rewrite benchmark model-file entries in the decimal format: nested lists, no rank."""
-    for entry in subsets:
-        entry["lambda"] = np.frombuffer(base64.b64decode(entry["lambda"]),
-                                        "<f8").reshape(18, 19).tolist()
-        del entry["rank"]
+def to_lambda_format(payload):
+    """Rewrite a benchmark model file in the older format: one base64 lambda
+    per subset and no basis."""
+    basis = np.frombuffer(base64.b64decode(payload.pop("basis")), "<f8").reshape(28, 13)
+    lam = predictors(basis, *hankel_rows(3, enumerate_subsets(3, 1), 6, 1))
+    for entry, matrix in zip(payload["subsets"], lam):
+        entry["lambda"] = base64.b64encode(matrix.tobytes()).decode()
+
+
+def without_sensors(basis, sensors, n_sensors=3, n=6):
+    """basis with the Hankel rows of the given sensors zeroed."""
+    cut = basis.copy()
+    cut[[t * n_sensors + i - 1 for t in range(n + 1) for i in sensors]] = 0.0
+    return cut
+
+
+def learned(plant):
+    """The model learned from subset_run(plant)."""
+    traj, n_sensors, max_attacked, columns = subset_run(plant)
+    return learn_model(traj, n_sensors, max_attacked, 6, columns, pe_seed=7)
+
+
+@pytest.fixture(scope="module")
+def models():
+    return {plant: learned(plant) for plant in ("benchmark", "random-10x4", "random-6x2")}
 
 
 class TestModelFile:
-    def test_roundtrip(self, tmp_path):
-        _, traj = excited_benchmark_run()
-        model = learn_model(traj, 3, 1, 6, 41, pe_seed=7)
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4"])
+    def test_roundtrip(self, tmp_path, plant):
+        model = learned(plant)
         path = tmp_path / "model.json"
         save_learned_model(model, path)
         loaded = load_learned_model(path)
-        assert loaded.n == 6 and loaded.m == 1 and loaded.columns == 41
-        assert loaded.n_sensors == 3 and loaded.max_attacked == 1
-        assert loaded.pe_seed == 7
+        assert (loaded.n, loaded.m, loaded.columns, loaded.pe_seed) == (6, 1, model.columns, 7)
+        assert (loaded.n_sensors, loaded.max_attacked) == (model.n_sensors, model.max_attacked)
         assert loaded.subsets == model.subsets
+        np.testing.assert_array_equal(loaded.basis, model.basis)
         np.testing.assert_array_equal(loaded.lam, model.lam)
         assert loaded.residuals == model.residuals
         assert loaded.reports == model.reports
 
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
+    def test_model_lambda_is_the_learned_lambda(self, plant):
+        # learning and the model derive lambda from the basis with one function
+        traj, n_sensors, max_attacked, columns = subset_run(plant)
+        mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
+                                     columns)
+        lam, _, _, basis = learn_lambda(mats)
+        model = learn_model(traj, n_sensors, max_attacked, 6, columns)
+        assert model.basis.tobytes() == np.ascontiguousarray(basis).tobytes()
+        assert (model.regressor == mats.regressor).all() and (model.target == mats.target).all()
+        # learn_model hands learn_lambda's lam to the model; a copy derives its own
+        assert model.lam.tobytes() == lam.tobytes()
+        assert dataclasses.replace(model).lam.tobytes() == lam.tobytes()
+
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_basis_of_the_column_space_gives_lambda(self, models, plant, data):
+        # lambda depends on the column space alone: U M, M invertible, gives
+        # it back within (d + m) eps cond(U[regressor_j]) cond(M) ||lam_j||_F
+        # per entry, the first-order error of a minimum-norm solution with
+        # the QR's and the products' accumulation folded into d + m
+        model = models[plant]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        rank = model.basis.shape[1]
+        left, right = (np.linalg.qr(rng.standard_normal((rank, rank)))[0] for _ in range(2))
+        spread = np.geomspace(1, data.draw(st.floats(1, 1e3), label="cond"), rank)
+        mixing = left @ np.diag(spread) @ right * data.draw(st.floats(1e-3, 1e3), label="scale")
+        moved = dataclasses.replace(model, basis=model.basis @ mixing)
+        width = model.lam.shape[2]
+        bound = (width * np.finfo(float).eps * np.linalg.cond(mixing)
+                 * np.linalg.cond(model.basis[model.regressor])
+                 * np.linalg.norm(model.lam, axis=(1, 2)))
+        assert (np.abs(moved.lam - model.lam).max(axis=(1, 2)) <= bound).all()
+
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4"])
     def test_save_load_save_is_byte_stable(self, tmp_path, plant):
-        if plant == "benchmark":
-            model = learn_model(excited_benchmark_run()[1], 3, 1, 6, 41, pe_seed=7)
-        else:
-            model = learn_model(random_10x4_run(), 10, 4, 6, 86)
+        model = learned(plant)
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         save_learned_model(model, first)
         save_learned_model(load_learned_model(first), second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_file_is_about_the_base64_lambda_size(self, tmp_path):
-        # the decimal lambdas this replaced took 12.4 MB here, against 4.1 MB
-        model = learn_model(random_10x4_run(), 10, 4, 6, 86)
+    def test_file_stays_under_64_kb(self, tmp_path):
+        # one W x r basis instead of 210 base64 lambdas (4.1 MB here)
         path = tmp_path / "model.json"
-        save_learned_model(model, path)
-        assert path.stat().st_size <= 1.05 * math.ceil(model.lam.nbytes / 3) * 4 + 64 * 1024
+        save_learned_model(learned("random-10x4"), path)
+        assert path.stat().st_size < 64 * 1024
 
     @pytest.mark.parametrize("tamper, message", [
-        (lambda subsets: subsets[0].update(indices=[2, 3]), "subset id 1 lists sensors"),
-        (lambda subsets: recode_lambda(subsets[1], lambda lam: lam.ravel()[:-1]),
-         "subset id 2: lambda is not a matrix"),
-        (lambda subsets: recode_lambda(subsets[1], lambda lam: lam[:-1]),
-         "subset id 2: lambda is not a matrix"),
-        (lambda subsets: recode_lambda(
-            subsets[2], lambda lam: np.concatenate([[np.nan], lam.ravel()[1:]])),
-         "subset id 3: lambda must be a finite"),
-        (lambda subsets: subsets.pop(), "holds 2 subsets"),
-        (lambda subsets: recode_lambda(subsets[2], lambda lam: lam[:, :-1]),
-         "subset id 3: lambda must be a finite 18 x 19"),
-        (lambda subsets: subsets[1].update({"lambda": "not base64!"}),
-         "subset id 2: lambda is not a matrix"),
-        (to_decimal_format, r"subset id 1: lambda is not a matrix; it must be a base64 float64 "
-                            r"string \(re-learn"),
-        (lambda subsets: subsets[1].update(rank=12),
+        (lambda payload: payload["subsets"][0].update(indices=[2, 3]),
+         "subset id 1 lists sensors"),
+        (lambda payload: recode_basis(payload, lambda basis: basis.ravel()[:-1]),
+         "field basis is not a 28 x 13 matrix"),
+        (lambda payload: recode_basis(payload, lambda basis: basis[:-1]),
+         "field basis is not a 28 x 13 matrix"),
+        (lambda payload: recode_basis(
+            payload, lambda basis: np.concatenate([[np.nan], basis.ravel()[1:]])),
+         "basis must be a finite 28 x 13 matrix"),
+        (lambda payload: payload["subsets"].pop(),
+         "give 3 subsets, but the model holds 2 residuals and 2 reports"),
+        (lambda payload: recode_basis(payload, lambda basis: basis[:, :-1]),
+         "field basis is not a 28 x 13 matrix"),
+        (lambda payload: payload.update(basis=payload["basis"][:-1]),
+         "field basis is not a 28 x 13 matrix"),
+        (lambda payload: payload.update(basis="not base64!"),
+         "field basis is not a 28 x 13 matrix of base64 float64"),
+        (lambda payload: payload.update(basis=[[0.0] * 13] * 28),
+         "field basis is not a 28 x 13 matrix of base64 float64"),
+        (lambda payload: recode_basis(payload, lambda basis: without_sensors(basis, (2, 3))),
+         "subset id 3: the basis is rank-deficient on its regressor rows"),
+        (to_lambda_format, "one lambda per subset, an older format that is no longer read: "
+                           "re-learn the model"),
+        (lambda payload: payload.pop("basis"), "model file has no field 'basis'"),
+        (lambda payload: payload["subsets"][1].update(rank=12),
          "subset id 2: stored rank 12 is not the certifying rank 13"),
-        (lambda subsets: subsets[1].update(rank=13.0), "subset id 2: stored rank 13.0 is not"),
-        (lambda subsets: subsets[0].update(residual=float("nan")),
+        (lambda payload: payload["subsets"][1].update(rank=13.0),
+         "subset id 2: stored rank 13.0 is not"),
+        (lambda payload: payload["subsets"][0].update(residual=float("nan")),
          "subset id 1: stored residual nan is not a finite non-negative number"),
-        (lambda subsets: subsets[2].update(residual=-1e-12),
+        (lambda payload: payload["subsets"][2].update(residual=-1e-12),
          "subset id 3: stored residual -1e-12 is not a finite non-negative number"),
-        (lambda subsets: subsets[1].update(residual=float("inf")),
+        (lambda payload: payload["subsets"][1].update(residual=float("inf")),
          "subset id 2: stored residual inf is not a finite"),
-        (lambda subsets: subsets[0].update(indices="12"),
+        (lambda payload: payload["subsets"][0].update(indices="12"),
          "subset id 1: indices must be a list and residual a number, got '12'"),
-        (lambda subsets: subsets[1].update(residual=True),
+        (lambda payload: payload["subsets"][1].update(residual=True),
          "subset id 2: indices must be a list and residual a number, got .* and True"),
-        (lambda subsets: subsets[2].update(residual="1e-12"),
+        (lambda payload: payload["subsets"][2].update(residual="1e-12"),
          "subset id 3: indices must be a list and residual a number, got .* and '1e-12'"),
-    ], ids=["tampered-indices", "short-row", "missing-row", "nan", "missing-subset",
-            "missing-column", "not-base64", "decimal-format", "wrong-rank", "float-rank",
-            "nan-residual", "negative-residual", "infinite-residual", "string-indices",
-            "bool-residual", "string-residual"])
+    ], ids=["tampered-indices", "short-basis", "missing-row", "nan", "missing-subset",
+            "missing-column", "truncated", "not-base64", "nested-lists", "rank-deficient",
+            "lambda-format", "no-basis", "wrong-rank", "float-rank", "nan-residual",
+            "negative-residual", "infinite-residual", "string-indices", "bool-residual",
+            "string-residual"])
     def test_inconsistent_file_rejected(self, tmp_path, tamper, message):
         _, traj = excited_benchmark_run()
         path = tmp_path / "model.json"
         save_learned_model(learn_model(traj, 3, 1, 6, 41), path)
         payload = json.loads(path.read_text())
-        tamper(payload["subsets"])
+        tamper(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=message):
             load_learned_model(path)
@@ -482,8 +544,11 @@ class TestModelFile:
     @pytest.mark.parametrize("field, value", [
         ("N", 3.5), ("M", True), ("n", 6.5), ("m", 1.5), ("T", True), ("pe_seed", 7.9),
         ("id", 1.5), ("indices", [1.9, 2]),
+        ("N", "3"), ("M", "1"), ("n", "6"), ("m", "1"), ("T", "41"), ("pe_seed", "7"),
+        ("id", "1"), ("indices", ["1", "2"]),
     ], ids=["N-fraction", "M-bool", "n-fraction", "m-fraction", "T-bool", "pe_seed-fraction",
-            "id-fraction", "indices-fraction"])
+            "id-fraction", "indices-fraction", "N-string", "M-string", "n-string", "m-string",
+            "T-string", "pe_seed-string", "id-string", "indices-string"])
     def test_non_integral_integer_field_rejected(self, tmp_path, field, value):
         _, traj = excited_benchmark_run()
         path = tmp_path / "model.json"
@@ -495,26 +560,27 @@ class TestModelFile:
                                              ".* is not an integer"):
             load_learned_model(path)
 
-    def test_in_memory_model_checks_its_predictors(self):
-        _, traj = excited_benchmark_run()
-        model = learn_model(traj, 3, 1, 6, 41)
-        bad = model.lam.copy()
-        bad[1, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="subset id 2: lambda must be a finite"):
-            dataclasses.replace(model, lam=bad)
-        with pytest.raises(ValueError, match="model holds 2 subsets"):
-            dataclasses.replace(model, lam=model.lam[:2])
-        with pytest.raises(ValueError, match="subset id 1: lambda must be a finite 18 x 19"):
-            dataclasses.replace(model, lam=model.lam[:, 1:])
+    def test_in_memory_model_checks_its_basis(self, models):
+        model = models["benchmark"]
+        bad = model.basis.copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match="basis must be a finite 28 x 13 matrix"):
+            dataclasses.replace(model, basis=bad)
+        with pytest.raises(ValueError, match=r"basis must be a finite 28 x 13 matrix, "
+                                             r"got shape \(28, 12\)"):
+            dataclasses.replace(model, basis=model.basis[:, 1:])
+        # lam is derived on first use, so that is where a rank-deficient basis fails
+        deficient = dataclasses.replace(model, basis=without_sensors(model.basis, (1, 3)))
+        with pytest.raises(ValueError, match="subset id 2: the basis is rank-deficient"):
+            deficient.lam
 
-    def test_in_memory_model_rejects_misaligned_tuples(self):
-        _, traj = excited_benchmark_run()
-        model = learn_model(traj, 3, 1, 6, 41)
-        with pytest.raises(ValueError, match="model holds 3 predictors but 1 residuals "
-                                             "and 3 reports"):
+    def test_in_memory_model_rejects_misaligned_tuples(self, models):
+        model = models["benchmark"]
+        with pytest.raises(ValueError, match="N=3 and M=1 give 3 subsets, but the model "
+                                             "holds 1 residuals and 3 reports"):
             dataclasses.replace(model, residuals=model.residuals[:1])
-        with pytest.raises(ValueError, match="model holds 3 predictors but 3 residuals "
-                                             "and 2 reports"):
+        with pytest.raises(ValueError, match="give 3 subsets, but the model holds 3 "
+                                             "residuals and 2 reports"):
             dataclasses.replace(model, reports=model.reports[:2])
 
     @pytest.mark.parametrize("columns", [-5, 0])

@@ -4,6 +4,7 @@ import pytest
 from sentinel.linalg import (
     NONZERO_ABS,
     Tolerance,
+    as_integer,
     first_nonzero,
     matrix_exponential,
     numerical_rank,
@@ -34,6 +35,17 @@ class TestTolerance:
     def test_rejects_nonpositive(self, field):
         with pytest.raises(ValueError):
             Tolerance(**{field: 0.0})
+
+
+class TestAsInteger:
+    @pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), (-2, -2)])
+    def test_integers_and_integral_floats(self, value, expected):
+        assert as_integer(value) == expected and type(as_integer(value)) is int
+
+    @pytest.mark.parametrize("value", ["3", "-2", "", 1.5, True, None, [3], float("nan")])
+    def test_everything_else_is_a_type_error(self, value):
+        with pytest.raises(TypeError, match="is not an integer"):
+            as_integer(value)
 
 
 class TestFirstNonzero:

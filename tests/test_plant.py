@@ -316,6 +316,17 @@ class TestModelFile:
         np.testing.assert_array_equal(loaded.B, ss.B)
         np.testing.assert_array_equal(loaded.C, ss.C)
 
+    @pytest.mark.parametrize("field", ["n", "m", "N"])
+    def test_string_integer_field_rejected(self, tmp_path, field):
+        import json
+        path = tmp_path / "plant.json"
+        payload = {"n": 1, "m": 1, "N": 1, "A": [[0.5]], "B": [[1.0]], "C": [[1.0]]}
+        payload[field] = "1"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="plant file has a field of the wrong type: "
+                                             "'1' is not an integer"):
+            load_state_space(path)
+
     def test_shape_mismatch_rejected(self, tmp_path):
         import json
         path = tmp_path / "bad.json"
