@@ -25,12 +25,10 @@ if TYPE_CHECKING:
 # seeded draws generate_pe_input makes before giving up
 PE_MAX_ATTEMPTS = 16
 
-# Bytes of an S-stacked product over a block of Hankel columns, the unit in
-# which learning's training misfit and the injection screen walk long
-# recordings, so their memory stays bounded however many columns there are.
-# At 4 MiB, glibc malloc returned the heap learning had freed, so a screen
-# run after a learn in the same process page-faulted its product back in
-# (about 1,200 faults, +30% identify_injection_s on longrec-6x2).
+# Bytes of the arrays over a block of Hankel columns (an S-stacked product in
+# learning's training misfit, (W + S)-row columns in the injection screen),
+# the unit in which both walk long recordings, so their memory stays bounded
+# however many columns there are.
 BLOCK_BYTES = 8 << 20
 
 

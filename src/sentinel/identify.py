@@ -196,96 +196,86 @@ def identify_injection(model: DataDrivenModel, traj: Trajectory,
     return run_injection(monitor, traj.u[:, k:], traj.y[:, k:])
 
 
-def _residual_operator(model: DataDrivenModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The screen's residual operator E (S x d x W) and its S x W observed
-    and regressor pick matrices, W = (N + m)(n + 1).
-
-    Column c of the depth-(n + 1) all-sensor Hankel H (trajectory_hankel
-    from sample s) holds samples s + c .. s + c + n of every channel.
-    Row (j, i) of E @ H[:, c] is entry i of subset j's next history minus
-    lam[j][i] @ [u_k; history_j] at step k = s + c + n: E holds -lam[j] at
-    subset j's regressor rows of H and +1 at its target rows (the model's
-    hankel_rows), so 1 - lam where the two meet (every entry but the newest
-    output samples). The pick matrices times H * H give the squared norms
-    of the next histories and the regressors.
-    """
-    n_subsets, d = model.lam.shape[:2]
-    width = (model.n_sensors + model.m) * (model.n + 1)
-    regressor, target = model.regressor, model.target
-    operator = np.zeros((n_subsets, d, width))
-    starts = width * np.arange(n_subsets * d).reshape(n_subsets, d, 1)
-    flat = operator.reshape(-1)
-    flat[(starts + regressor[:, None, :]).reshape(-1)] = -model.lam.reshape(-1)
-    flat[(starts[..., 0] + target).reshape(-1)] += 1.0
-    picks = np.zeros((2, n_subsets, width))
-    np.put_along_axis(picks[0], target, 1.0, axis=1)
-    np.put_along_axis(picks[1], regressor, 1.0, axis=1)
-    return operator, picks[0], picks[1]
-
-
 def _screen_clear_steps(model: DataDrivenModel, traj: Trajectory, tol: Tolerance) -> int:
     """Column of the first step from n on that the screen cannot clear, at
     most the last column, so run_injection always makes the final verdict.
 
-    A block of B steps is one product E @ H of the residual operator
-    (_residual_operator) with B Hankel columns, then one row norm per
-    subset; blocks hold about BLOCK_BYTES of S x d x B product, so
-    memory stays bounded on long streams. E itself takes (N + m)(n + 1) /
-    (d + m) times the bytes of model.lam (1.5-1.8x on the benchmark
-    workloads, 5.4 MB at N = 10, M = 4, n = 6) and is freed on return.
-
-    A step is cleared only if every subset's residual sits below
-    min + slack by at least half its slack, and by more than its own
-    rounding bound plus the largest one (the minimum may be any subset's).
-    The bound is b = 16 (d + m + 2) eps A, A = ||lam_j||_F ||x|| + ||o||
-    for regressor x and next history o, and it is over twice what the two
-    scores can differ by. With u = eps / 2, g(k) = k u / (1 - k u) and r
-    the exact o - lam_j x:
-    * a row e of E has at most d + m + 1 nonzeros, and zeros leave a sum
-      exact in any order, so the product is within g(d + m + 1) |e| |H| of
-      the rounded row's; the rounded 1 - lam entry adds u |e| |H|, and
-      |e| |H| <= |o_i| + |lam_ji| |x|, so the screen's vector is within
-      g(d + m + 2) A of r;
-    * injection_step's o - lam_j x, a (d + m)-term product and one
-      subtraction, is within g(d + m + 1) A of r;
-    * each side's norm, a d-term sum of squares in its own order and a
-      square root, is within g(d + 3) / 2 of its vector's norm, and
-      both vectors' norms are at most A (1 + g(d + m + 2)).
-    So the scores differ by at most about (3d + 2m + 6) u A, under
-    1.5 (d + m + 2) eps A. The screen's A (the two norms as pick-matrix
-    sums of H * H) falls short of the exact by a relative
-    g(d (d + m) + 4) at most, under 1e-9 for d < 3000. The computed
-    slacks differ by about g(d + 3) tol ||o||, and the margins, minima
-    and sums carry a few u of rounding; the cleared margin, at least
-    slack / 4 + (b_j + max b) / 2, covers both with room to spare, and
-    covers underflow too for any normal tol.residual. A non-finite
-    value clears nothing. So injection_step calls every cleared step
-    clear too.
+    A step is cleared when 2 D + b <= slack = tol.residual (1 + ||o||) for
+    every subset, with _residual_bounds' D, b and ||o||; a non-finite slack
+    clears nothing. D is looser than the exact residual, so a deviation
+    just under the slack goes to the step loop sooner than an exact screen
+    would send it; the verdict is the step loop's either way.
     """
-    n, m = model.n, model.m
-    lam = model.lam
-    n_subsets, d = lam.shape[:2]
-    operator, pick_observed, pick_regressor = _residual_operator(model)
-    operator = operator.reshape(n_subsets * d, -1)
-    lam_norms = np.sqrt(np.einsum("sij,sij->s", lam, lam))[:, None]
-    ulps = 16 * (d + m + 2) * np.finfo(float).eps
-    block = max(1, BLOCK_BYTES // (n_subsets * d * 8))
-    last = traj.length - 1
-    for start in range(n, last, block):
-        cols = min(block, last - start)
-        window = trajectory_hankel(traj, start - n, n + 1, cols)
-        diff = (operator @ window).reshape(n_subsets, d, cols)
-        residuals = np.sqrt(np.einsum("sdc,sdc->sc", diff, diff))
-        squares = window * window
-        observed = np.sqrt(pick_observed @ squares)
-        rounding = ulps * (lam_norms * np.sqrt(pick_regressor @ squares) + observed)
+    for start, bound, rounding, observed in _residual_bounds(model, traj):
         slack = tol.residual + tol.residual * observed
-        margin = residuals.min(axis=0) + slack - residuals
-        clear = (margin >= slack / 2) & (margin > rounding + rounding.max(axis=0))
-        unclear = ~clear.all(axis=0)
+        unclear = ~((2 * bound + rounding <= slack) & np.isfinite(slack)).all(axis=0)
         if unclear.any():
             return start + int(unclear.argmax())
-    return last
+    return traj.length - 1
+
+
+def _residual_bounds(model: DataDrivenModel, traj: Trajectory):
+    """Bounds on every subset's step residual at steps n .. L - 2 of traj,
+    in blocks of about BLOCK_BYTES of (W + S)-row columns: yields (start, D,
+    b, ||o||), each S x B, for the B steps from start on.
+
+    Column h of the depth-(n + 1) all-sensor Hankel holds one step; o =
+    h[target_j] and x = h[regressor_j] are subset j's next history and
+    [u_k; history]. For the model's W x r basis U, any c and p = h - U c,
+    o - lam_j x = (U[target_j] - lam_j U[regressor_j]) c + p[target_j] -
+    lam_j p[regressor_j], so its norm is at most delta_j ||c|| +
+    ||p[target_j]|| + ||lam_j||_F ||p[regressor_j]||, with delta_j =
+    ||lam_j U[regressor_j] - U[target_j]||_F, whatever the basis. With
+    c = U^T h and an orthonormal U, data the plant can produce leave p and
+    delta_j at rounding level and a deviation from the plant shows in p;
+    another basis leaves p large, and little is cleared. The norms are 0/1
+    pick matrices times h * h and p * p.
+
+    D adds the rounding of p and delta_j. With u = eps / 2, g(k) = k u /
+    (1 - k u), A = ||lam_j||_F ||x|| + ||o|| and K = ||lam_j||_F
+    ||U[regressor_j]||_F + ||U[target_j]||_F: the bound holds for the
+    computed c itself; the computed p is within g(r + 1) (|U| |c| + |h|)
+    of h - U c entrywise, which moves the p terms by g(r + 1) (K ||c|| + A)
+    at most; the computed delta_j is within g(d + m + 1) K. D carries
+    e (2 K ||c|| + A), e = (d + m + r + 2) eps, for both, and
+    (3 + ||lam_j||_F + delta_j) sqrt(W 2^-1074) for what underflow can take
+    off the screen's norms and the step's score.
+
+    b = 16 (d + m + 2) eps A. injection_step's o - lam_j x is within
+    g(d + m + 1) A of the exact, so its score exceeds the exact residual by
+    under b / 8 beyond the relative rounding of a norm. Each norm, product
+    and sum of non-negative terms here and in the slacks is within a
+    relative g(d (d + m) + W) < 1e-9 (d < 3000) of exact. So where
+    2 D + b <= slack, every score is under (slack - b) (1 + 1e-9) / 2 + b / 8,
+    within the step's slack, and as the smallest score is at least 0,
+    every subset wins.
+    """
+    n, m, basis, lam = model.n, model.m, model.basis, model.lam
+    n_subsets, d = lam.shape[:2]
+    width, rank = basis.shape
+    eps = np.finfo(float).eps
+    picks = np.zeros((2, n_subsets, width))
+    np.put_along_axis(picks[0], model.target, 1.0, axis=1)
+    np.put_along_axis(picks[1], model.regressor, 1.0, axis=1)
+    lam_norms = np.sqrt(np.einsum("sij,sij->s", lam, lam))[:, None]
+    misfit = lam @ basis[model.regressor] - basis[model.target]
+    deltas = np.sqrt(np.einsum("sij,sij->s", misfit, misfit))[:, None]
+    target_norms, regressor_norms = np.sqrt(picks @ np.einsum("ij,ij->i", basis, basis))[..., None]
+    ulps = (d + m + rank + 2) * eps
+    slope = deltas + 2 * ulps * (lam_norms * regressor_norms + target_norms)
+    floor = (3 + lam_norms + deltas) * np.sqrt(width * np.finfo(float).smallest_subnormal)
+    block = max(1, BLOCK_BYTES // ((width + n_subsets) * 8))
+    last = traj.length - 1
+    for start in range(n, last, block):
+        window = trajectory_hankel(traj, start - n, n + 1, min(block, last - start))
+        coords = basis.T @ window
+        distance = window - basis @ coords
+        observed, regressors = np.sqrt(picks @ (window * window))
+        far_target, far_regressor = np.sqrt(picks @ (distance * distance))
+        scale = lam_norms * regressors + observed
+        bound = (slope * np.sqrt(np.einsum("ic,ic->c", coords, coords)) + far_target
+                 + lam_norms * far_regressor + ulps * scale + floor)
+        yield start, bound, 16 * (d + m + 2) * eps * scale, observed
 
 
 def identify_replay(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,

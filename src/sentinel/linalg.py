@@ -36,8 +36,9 @@ class Tolerance:
 
     def __post_init__(self):
         for name in ("rank_rel", "residual"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"Tolerance.{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"Tolerance.{name} must be strictly positive and finite, "
+                                 f"got {getattr(self, name)!r}")
 
 
 DEFAULT_TOL = Tolerance()

@@ -442,6 +442,21 @@ class TestToleranceFlags:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["identify", "injection", "{inj}/online.csv", "--model", "{inj}/model.json",
+         "--res-tol", "inf"],
+        ["learn", "{inj}/offline.csv", "--n", "6", "--max-attacked", "1", "--horizon", "41",
+         "--out", "{tmp}/m.json", "--rank-tol", "1e400"],
+    ], ids=["identify-injection-res-inf", "learn-rank-1e400"])
+    def test_infinite_tolerance_is_usage_error(self, injection_demo, tmp_path, capsys, argv):
+        # an infinite slack called the attacked demo stream all-clear, and an
+        # infinite rank cutoff failed learning as if the data had rank 0
+        assert main([a.format(inj=injection_demo, tmp=tmp_path) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid tolerance" in captured.err and "finite" in captured.err
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestSeedPlumbing:
     """--seed, else SENTINEL_SEED read when demo or simulate runs, else 7."""

@@ -20,11 +20,10 @@ from sentinel.datamat import (
     TrajectoryLengthError,
     build_subset_matrices,
     generate_pe_input,
-    hankel,
     trajectory_hankel,
 )
 from sentinel import identify
-from sentinel.ddmodel import learn_model, predict
+from sentinel.ddmodel import learn_model, load_learned_model, predict, save_learned_model
 from sentinel.identify import (
     InjectionMonitor,
     NoResponseError,
@@ -462,7 +461,7 @@ class TestIdentifyInjection:
 
     @staticmethod
     def column_bytes(model):
-        return len(model.subsets) * model.lam.shape[1] * 8
+        return (model.basis.shape[0] + len(model.subsets)) * 8
 
     def block_sizes(self, model):
         """Screen block sizes in steps: small ones, then the BLOCK_BYTES default."""
@@ -562,67 +561,89 @@ class TestIdentifyInjection:
             identify_injection(model, Trajectory(traj.u, traj.y[:2]))
 
 
-class TestResidualOperator:
-    """The screen's operator E against the gather and the step it stands in for."""
+class TestResidualBounds:
+    """The screen's bound on each step residual against the step it stands in for."""
 
     @staticmethod
-    def product(model, traj):
-        """E @ H over every step n .. L-1 of traj, as S x d x (L - n), and H."""
-        n, cols = model.n, traj.length - model.n
-        window = np.vstack([hankel(traj.y, 0, n + 1, cols), hankel(traj.u, 0, n + 1, cols)])
-        operator, _, _ = identify._residual_operator(model)
-        n_subsets, d, width = operator.shape
-        return (operator.reshape(-1, width) @ window).reshape(n_subsets, d, cols), window
+    def step_scores(model, traj):
+        """injection_step's scores at every step n .. L - 2, S x (L - 1 - n),
+        each from a monitor on the step's Hankel column, so attacked steps
+        are scored too."""
+        n = model.n
+        scores = []
+        for k in range(n, traj.length - 1):
+            monitor = InjectionMonitor(model, trajectory_hankel(traj, k - n, n + 1, 1)[:, 0], k)
+            scores.append(injection_step(monitor, traj.u[:, k], traj.y[:, k]).scores)
+        return np.array(scores).T
 
     @pytest.mark.parametrize("name", TestIdentifyInjection.SCREENED)
-    def test_zero_lambda_picks_the_next_histories(self, monitored_plants, name):
+    @pytest.mark.parametrize("attack", [False, True], ids=["clean", "attacked"])
+    def test_scores_within_the_bound(self, monitored_plants, name, attack):
         ss, model = monitored_plants[name]
-        n, m = model.n, model.m
-        traj = offset_stream(ss, model, 30, 3)
-        # lam derives from the basis, so the zero map is set on a copy directly
-        zero = dataclasses.replace(model)
-        object.__setattr__(zero, "_lam", np.zeros_like(model.lam))
-        moved, window = self.product(zero, traj)
-        # each row of E holds a single 1, so the product is the gather itself
-        def stacks(start):
-            """Every subset's stacked history over the 30 steps, from sample start."""
-            return np.array([np.vstack([hankel(traj.y[[i - 1 for i in s.indices]], start, n, 30),
-                                        hankel(traj.u, start, n, 30)]) for s in model.subsets])
+        onset = model.n + 25
+        traj = offset_stream(ss, model, 40, 8, model.n_sensors if attack else None, onset, 0.9)
+        blocks = list(identify._residual_bounds(model, traj))
+        assert [start for start, *_ in blocks] == [model.n]
+        _, bound, rounding, observed = blocks[0]
+        scores = self.step_scores(model, traj)
+        assert bound.shape == scores.shape
+        columns = trajectory_hankel(traj, 0, model.n + 1, traj.length - 1 - model.n)
+        np.testing.assert_allclose(observed, np.linalg.norm(columns[model.target], axis=1),
+                                   rtol=1e-14)
+        assert (scores <= bound + rounding / 8).all()
+        # not vacuous: the bound clears every clean step and stops at the attack
+        expected = onset if attack else traj.length - 1
+        assert identify._screen_clear_steps(model, traj, DEFAULT_TOL) == expected
 
-        following, current = stacks(1), stacks(0)
-        assert moved.tobytes() == following.tobytes()
-        _, pick_observed, pick_regressor = identify._residual_operator(model)
-        assert set(np.unique(pick_observed)) == set(np.unique(pick_regressor)) == {0.0, 1.0}
-        d = model.lam.shape[1]
-        assert (pick_observed.sum(axis=1) == d).all()
-        assert (pick_regressor.sum(axis=1) == d + m).all()
-        squares = window * window
-        np.testing.assert_allclose(pick_observed @ squares, (following ** 2).sum(axis=1),
-                                   rtol=1e-14)
-        np.testing.assert_allclose(pick_regressor @ squares,
-                                   (current ** 2).sum(axis=1) + (traj.u[:, n:] ** 2).sum(axis=0),
-                                   rtol=1e-14)
+    @pytest.mark.parametrize("factor", [0.8, 1.25])
+    def test_clears_where_twice_the_bound_fits_the_slack(self, monitored_plants, factor):
+        # the bound grows with an offset's size: scaled so that 2 D + b is
+        # 0.8 of the slack the step is cleared, at 1.25 it is handed over
+        ss, model = monitored_plants["benchmark"]
+        at = model.n + 20
+
+        def stream(amplitude):
+            return offset_stream(ss, model, 40, 5, 3, at, amplitude)
+
+        (_, bound, rounding, observed), = identify._residual_bounds(model, stream(1e-3))
+        column = at - model.n
+        ratio = ((2 * bound + rounding) / (DEFAULT_TOL.residual * (1 + observed)))[:, column]
+        traj = stream(1e-3 * factor / ratio.max())
+        handover = identify._screen_clear_steps(model, traj, DEFAULT_TOL)
+        assert handover > at if factor < 1 else handover == at
+        assert identify_injection(model, traj) == step_loop_verdict(model, traj)
 
     @pytest.mark.parametrize("name", TestIdentifyInjection.SCREENED)
-    def test_residuals_within_the_rounding_bound_of_the_step(self, monitored_plants, name):
+    @pytest.mark.parametrize("loaded", [False, True], ids=["in-memory", "loaded"])
+    def test_non_orthonormal_basis_equals_step_loop(self, monitored_plants, tmp_path, name,
+                                                    loaded):
+        # the bound holds for any basis of the column space: U M with
+        # cond(M) = 1e3 leaves the verdicts to the step loop's
         ss, model = monitored_plants[name]
-        n, m = model.n, model.m
-        d = model.lam.shape[1]
-        traj = offset_stream(ss, model, 40, 8)
-        diff, window = self.product(model, traj)
-        residuals = np.sqrt(np.einsum("sdc,sdc->sc", diff, diff))
-        monitor = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n])
-        scores = np.array([injection_step(monitor, traj.u[:, k], traj.y[:, k]).scores
-                           for k in range(n, traj.length)]).T
-        assert monitor.k == traj.length
-        _, pick_observed, pick_regressor = identify._residual_operator(model)
-        squares = window * window
-        lam_norms = np.linalg.norm(model.lam, axis=(1, 2))[:, None]
-        bound = 16 * (d + m + 2) * np.finfo(float).eps * (
-            lam_norms * np.sqrt(pick_regressor @ squares) + np.sqrt(pick_observed @ squares))
-        assert (np.abs(residuals - scores) <= bound / 2).all()
-        # the screen's arithmetic differs from the step's, so the check is not vacuous
-        assert (residuals != scores).any()
+        rng = np.random.default_rng(3)
+        rank = model.basis.shape[1]
+        left, right = (np.linalg.qr(rng.standard_normal((rank, rank)))[0] for _ in range(2))
+        mixing = left @ np.diag(np.geomspace(1, 1e3, rank)) @ right
+        moved = dataclasses.replace(model, basis=model.basis @ mixing)
+        if loaded:
+            save_learned_model(moved, tmp_path / "model.json")
+            moved = load_learned_model(tmp_path / "model.json")
+        for sensor in (None, model.n_sensors):
+            traj = offset_stream(ss, moved, 60, 12, sensor, moved.n + 30, 0.9)
+            assert identify_injection(moved, traj) == step_loop_verdict(moved, traj)
+
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2])
+    def test_output_scales(self, monitored_plants, plant, scale):
+        ss, model = monitored_plants[plant]
+        ss = StateSpace(ss.A, ss.B, np.asarray(ss.C) * scale)
+        order = (model.m + model.n_sensors - model.max_attacked) * model.n + 1
+        model = learn_model(excited_run(ss, model.n, 2 * order, order, 7), model.n_sensors,
+                            model.max_attacked, model.n, 2 * order)
+        clean = offset_stream(ss, model, 80, 13)
+        assert identify._screen_clear_steps(model, clean, DEFAULT_TOL) == clean.length - 1
+        for traj in (clean, offset_stream(ss, model, 80, 13, 1, model.n + 40, 0.5 * scale)):
+            assert identify_injection(model, traj) == step_loop_verdict(model, traj)
 
 
 class TestIdentifyReplay:

@@ -33,8 +33,11 @@ class TestTolerance:
 
     @pytest.mark.parametrize("field", ["rank_rel", "residual"])
     def test_rejects_nonpositive(self, field):
-        with pytest.raises(ValueError):
-            Tolerance(**{field: 0.0})
+        # an infinite slack would clear every step and an infinite rank
+        # cutoff would read every matrix as rank 0
+        for value in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                Tolerance(**{field: value})
 
 
 class TestAsInteger:
