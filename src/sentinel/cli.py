@@ -228,10 +228,15 @@ def demo_replay(seed: int, tol: Tolerance, out: Path) -> int:
 
 def cmd_demo(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     runner = {"injection": demo_injection, "delay": demo_delay,
               "replay": demo_replay}[args.attack]
-    return runner(_seed(args), args.tol, out)
+    # a demo reads no file, so every OSError is a failed write
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        return runner(_seed(args), args.tol, out)
+    except OSError as exc:
+        print(f"cannot write demo output: {exc}", file=sys.stderr)
+        return 1
 
 
 def cmd_learn(args) -> int:
@@ -252,7 +257,11 @@ def cmd_learn(args) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
-    save_learned_model(model, args.out)
+    try:
+        save_learned_model(model, args.out)
+    except OSError as exc:
+        print(f"cannot write model: {exc}", file=sys.stderr)
+        return 1
     print(f"learned {len(model.subsets)} subset predictors -> {args.out}")
     return 0
 
@@ -321,7 +330,11 @@ def cmd_simulate(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"cannot apply scenario: {exc}", file=sys.stderr)
             return 1
-    save_trajectory(traj, args.out)
+    try:
+        save_trajectory(traj, args.out)
+    except OSError as exc:
+        print(f"cannot write trajectory: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {traj.length} samples -> {args.out}")
     return 0
 

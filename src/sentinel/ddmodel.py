@@ -279,7 +279,9 @@ def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
 
 
 def save_learned_model(model: DataDrivenModel, path) -> None:
-    """Write a learned model as JSON. The basis is base64 of its row-major
+    """Write a learned model as JSON: N, M, n, m, T, pe_seed, the basis and
+    the residuals, residuals[j] being the training misfit of
+    enumerate_subsets(N, M)[j]. The basis is base64 of its row-major
     little-endian float64 bytes, so a load gives it back bit for bit and
     rebuilds the same predictors with the same numpy and BLAS."""
     payload = {
@@ -290,35 +292,26 @@ def save_learned_model(model: DataDrivenModel, path) -> None:
         "T": model.columns,
         "pe_seed": model.pe_seed,
         "basis": base64.b64encode(model.basis.astype("<f8").tobytes()).decode("ascii"),
-        "subsets": [
-            {
-                "id": subset.id,
-                "indices": list(subset.indices),
-                "rank": report.observed,
-                "residual": residual,
-            }
-            for subset, residual, report in zip(model.subsets, model.residuals, model.reports)
-        ],
+        "residuals": list(model.residuals),
     }
     write_json(payload, path)
 
 
 def load_learned_model(path) -> DataDrivenModel:
     """Read a learned model written by save_learned_model. A missing or
-    mistyped field (a string, bool or fraction where an integer belongs,
-    indices that are not a list), a basis that is not base64 float64 of
-    W x r, a rank other than the certifying one (every saved subset holds
-    it), a residual that is not a finite non-negative number, a T below 1,
-    subsets other than enumerate_subsets(N, M) in order, a file in the
-    older format with one lambda per subset, or a model that breaks
-    DataDrivenModel's conditions raise ValueError."""
+    mistyped field (a string, bool or fraction where an integer belongs),
+    a basis that is not base64 float64 of W x r, residuals that are not a
+    list of finite non-negative numbers, a T below 1, a file in an older
+    layout (one with a subsets list), or a model that breaks
+    DataDrivenModel's conditions raise ValueError. Every saved subset holds
+    the certifying rank, so the load rebuilds the reports from n, m, N, M."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
+        if "subsets" in payload:
+            raise ValueError("model file lists its subsets, an older format that is no longer "
+                             "read: re-learn the model")
         n, m, n_sensors, max_attacked = (as_integer(payload[key]) for key in ("n", "m", "N", "M"))
-        if "basis" not in payload and any("lambda" in entry for entry in payload["subsets"]):
-            raise ValueError("model file holds one lambda per subset, an older format that "
-                             "is no longer read: re-learn the model")
         shape = ((n_sensors + m) * (n + 1), certifying_rank(m, n))
         try:
             basis = np.frombuffer(base64.b64decode(payload["basis"], validate=True),
@@ -326,37 +319,26 @@ def load_learned_model(path) -> DataDrivenModel:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"model file field basis is not a {shape[0]} x {shape[1]} "
                              "matrix of base64 float64") from exc
-        listed, residuals = [], []
-        for entry in payload["subsets"]:
-            indices, residual = entry["indices"], entry["residual"]
-            if type(indices) is not list or type(residual) not in (int, float):
-                raise ValueError(f"subset id {entry['id']}: indices must be a list and residual "
-                                 f"a number, got {indices!r} and {residual!r}")
-            subset = as_integer(entry["id"]), tuple(as_integer(i) for i in indices)
-            if type(entry["rank"]) is not int or entry["rank"] != shape[1]:
-                raise ValueError(f"subset id {subset[0]}: stored rank {entry['rank']!r} is "
-                                 f"not the certifying rank {shape[1]}")
-            if not 0.0 <= residual < math.inf:
-                raise ValueError(f"subset id {subset[0]}: stored residual {residual!r} "
-                                 "is not a finite non-negative number")
-            listed.append(subset)
-            residuals.append(float(residual))
+        residuals = payload["residuals"]
+        if type(residuals) is not list:
+            raise ValueError(f"model file field residuals is not a list: {residuals!r}")
+        bad = [(j, value) for j, value in enumerate(residuals)
+               if type(value) not in (int, float) or not 0.0 <= value < math.inf]
+        if bad:
+            raise ValueError(f"model file field residuals[{bad[0][0]}] is {bad[0][1]!r}, not "
+                             "a finite non-negative number")
         columns = as_integer(payload["T"])
         if columns < 1:
             raise ValueError(f"model file field T is {columns}; it must be at least 1")
         pe_seed = payload.get("pe_seed")
         rows = m + (n_sensors - max_attacked + m) * n
-        reports = (RankReport(shape[1], shape[1], rows, True),) * len(listed)
-        model = DataDrivenModel(basis, tuple(residuals), reports, n, m, n_sensors,
+        reports = (RankReport(shape[1], shape[1], rows, True),) * len(residuals)
+        model = DataDrivenModel(basis, tuple(map(float, residuals)), reports, n, m, n_sensors,
                                 max_attacked, columns,
                                 None if pe_seed is None else as_integer(pe_seed))
     except KeyError as exc:
         raise ValueError(f"model file has no field {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"model file has a field of the wrong type: {exc}") from exc
-    for (subset_id, indices), expected in zip(listed, model.subsets):
-        if (subset_id, indices) != (expected.id, expected.indices):
-            raise ValueError(f"subset id {subset_id} lists sensors {list(indices)}, expected "
-                             f"id {expected.id} with sensors {list(expected.indices)}")
     model.lam  # derived now, so a basis rank-deficient on some subset fails the load
     return model

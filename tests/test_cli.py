@@ -93,7 +93,7 @@ class TestLearn:
                      "--max-attacked", "1", "--horizon", "41", "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert len(payload["subsets"]) == 3
+        assert len(payload["residuals"]) == 3
 
     def test_zero_input_recording_fails_rank(self, tmp_path, capsys):
         traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
@@ -138,23 +138,25 @@ class TestIdentify:
         assert payload["all_clear"] is False
 
     @pytest.mark.parametrize("tamper, message", [
-        ("indices", "subset id 1 lists sensors"),
         ("truncated", "model file field basis is not a 28 x 13 matrix"),
         ("nan", "basis must be a finite 28 x 13 matrix"),
         ("not-base64", "model file field basis is not a 28 x 13 matrix"),
         ("wrong-shape", "model file field basis is not a 28 x 13 matrix"),
         ("rank-deficient", "subset id 1: the basis is rank-deficient"),
         ("lambda-format", "an older format that is no longer read: re-learn the model"),
-        ("rank", "subset id 1: stored rank 14"),
+        ("records-format", "an older format that is no longer read: re-learn the model"),
+        ("residuals-not-list", "model file field residuals is not a list"),
+        ("wrong-length", "N=3 and M=1 give 3 subsets, but the model holds 2 residuals"),
     ])
     def test_inconsistent_model_is_precondition_failure(self, injection_demo, tmp_path,
                                                         capsys, tamper, message):
         payload = json.loads((injection_demo / "model.json").read_text())
-        entry = payload["subsets"][0]
         basis = np.frombuffer(base64.b64decode(payload["basis"]), "<f8").reshape(28, 13).copy()
-        if tamper == "indices":
-            entry["indices"] = [2, 3]
-        elif tamper == "truncated":
+        # the layout that stored a rank and residual record per subset next to the basis
+        records = [{"id": 1, "indices": [1, 2], "rank": 13, "residual": 0.0},
+                   {"id": 2, "indices": [1, 3], "rank": 13, "residual": 0.0},
+                   {"id": 3, "indices": [2, 3], "rank": 13, "residual": 0.0}]
+        if tamper == "truncated":
             payload["basis"] = payload["basis"][:-1]
         elif tamper == "nan":
             basis[3, 5] = np.nan
@@ -167,10 +169,16 @@ class TestIdentify:
             basis[:, -1] = basis[:, 0]
             payload["basis"] = base64.b64encode(basis.tobytes()).decode()
         elif tamper == "lambda-format":
-            del payload["basis"]
-            entry["lambda"] = base64.b64encode(np.zeros((18, 19)).tobytes()).decode()
+            del payload["basis"], payload["residuals"]
+            lam = base64.b64encode(np.zeros((18, 19)).tobytes()).decode()
+            payload["subsets"] = [dict(entry, **{"lambda": lam}) for entry in records]
+        elif tamper == "records-format":
+            del payload["residuals"]
+            payload["subsets"] = records
+        elif tamper == "residuals-not-list":
+            payload["residuals"] = 0.0
         else:
-            entry["rank"] = 14
+            payload["residuals"].pop()
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload))
         code = main(["identify", "injection", str(injection_demo / "online.csv"),
@@ -401,6 +409,22 @@ class TestSimulate:
 
     def test_missing_plant(self, tmp_path):
         assert main(["simulate", "--model", str(tmp_path / "nope.json")]) == 1
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["learn", "simulate", "demo"])
+    def test_exit_one_with_message(self, injection_demo, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing" / "out")
+        save_state_space(benchmark_plant(), tmp_path / "plant.json")
+        (tmp_path / "file").write_text("")
+        argv = {"learn": ["learn", str(injection_demo / "offline.csv"), "--n", "6",
+                          "--max-attacked", "1", "--horizon", "41", "--out", missing],
+                "simulate": ["simulate", "--model", str(tmp_path / "plant.json"),
+                             "--out", missing],
+                "demo": ["demo", "injection", "--out", str(tmp_path / "file")]}[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "Traceback" not in err
 
 
 class TestToleranceFlags:

@@ -394,13 +394,30 @@ def recode_basis(payload, edit):
     payload["basis"] = base64.b64encode(np.ascontiguousarray(edit(basis)).tobytes()).decode()
 
 
+# the per-subset records of the benchmark model file in the layout that stored
+# one shared basis plus each subset's id, indices, rank and residual
+SUBSET_RECORDS = [
+    {"id": 1, "indices": [1, 2], "rank": 13, "residual": 0.0},
+    {"id": 2, "indices": [1, 3], "rank": 13, "residual": 0.0},
+    {"id": 3, "indices": [2, 3], "rank": 13, "residual": 0.0},
+]
+
+
+def to_records_format(payload):
+    """Rewrite a benchmark model file in the older layout with one rank and
+    residual record per subset next to the basis."""
+    del payload["residuals"]
+    payload["subsets"] = SUBSET_RECORDS
+
+
 def to_lambda_format(payload):
     """Rewrite a benchmark model file in the older format: one base64 lambda
     per subset and no basis."""
     basis = np.frombuffer(base64.b64decode(payload.pop("basis")), "<f8").reshape(28, 13)
     lam = predictors(basis, *hankel_rows(3, enumerate_subsets(3, 1), 6, 1))
-    for entry, matrix in zip(payload["subsets"], lam):
-        entry["lambda"] = base64.b64encode(matrix.tobytes()).decode()
+    to_records_format(payload)
+    payload["subsets"] = [dict(entry, **{"lambda": base64.b64encode(matrix.tobytes()).decode()})
+                          for entry, matrix in zip(SUBSET_RECORDS, lam)]
 
 
 def without_sensors(basis, sensors, n_sensors=3, n=6):
@@ -479,15 +496,16 @@ class TestModelFile:
         save_learned_model(load_learned_model(first), second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_file_stays_under_64_kb(self, tmp_path):
-        # one W x r basis instead of 210 base64 lambdas (4.1 MB here)
+    def test_file_holds_eight_fields_under_24_kb(self, tmp_path):
+        # one W x r basis and one residual per subset; the 210 base64 lambdas
+        # took 4.1 MB, the per-subset records on top of the basis 49 kB
         path = tmp_path / "model.json"
         save_learned_model(learned("random-10x4"), path)
-        assert path.stat().st_size < 64 * 1024
+        assert set(json.loads(path.read_text())) == {"N", "M", "n", "m", "T", "pe_seed",
+                                                     "basis", "residuals"}
+        assert path.stat().st_size < 24 * 1024
 
     @pytest.mark.parametrize("tamper, message", [
-        (lambda payload: payload["subsets"][0].update(indices=[2, 3]),
-         "subset id 1 lists sensors"),
         (lambda payload: recode_basis(payload, lambda basis: basis.ravel()[:-1]),
          "field basis is not a 28 x 13 matrix"),
         (lambda payload: recode_basis(payload, lambda basis: basis[:-1]),
@@ -495,8 +513,10 @@ class TestModelFile:
         (lambda payload: recode_basis(
             payload, lambda basis: np.concatenate([[np.nan], basis.ravel()[1:]])),
          "basis must be a finite 28 x 13 matrix"),
-        (lambda payload: payload["subsets"].pop(),
+        (lambda payload: payload["residuals"].pop(),
          "give 3 subsets, but the model holds 2 residuals and 2 reports"),
+        (lambda payload: payload["residuals"].append(0.0),
+         "give 3 subsets, but the model holds 4 residuals and 4 reports"),
         (lambda payload: recode_basis(payload, lambda basis: basis[:, :-1]),
          "field basis is not a 28 x 13 matrix"),
         (lambda payload: payload.update(basis=payload["basis"][:-1]),
@@ -507,30 +527,31 @@ class TestModelFile:
          "field basis is not a 28 x 13 matrix of base64 float64"),
         (lambda payload: recode_basis(payload, lambda basis: without_sensors(basis, (2, 3))),
          "subset id 3: the basis is rank-deficient on its regressor rows"),
-        (to_lambda_format, "one lambda per subset, an older format that is no longer read: "
-                           "re-learn the model"),
+        (to_lambda_format, "model file lists its subsets, an older format that is no longer "
+                           "read: re-learn the model"),
+        (to_records_format, "model file lists its subsets, an older format that is no longer "
+                            "read: re-learn the model"),
         (lambda payload: payload.pop("basis"), "model file has no field 'basis'"),
-        (lambda payload: payload["subsets"][1].update(rank=12),
-         "subset id 2: stored rank 12 is not the certifying rank 13"),
-        (lambda payload: payload["subsets"][1].update(rank=13.0),
-         "subset id 2: stored rank 13.0 is not"),
-        (lambda payload: payload["subsets"][0].update(residual=float("nan")),
-         "subset id 1: stored residual nan is not a finite non-negative number"),
-        (lambda payload: payload["subsets"][2].update(residual=-1e-12),
-         "subset id 3: stored residual -1e-12 is not a finite non-negative number"),
-        (lambda payload: payload["subsets"][1].update(residual=float("inf")),
-         "subset id 2: stored residual inf is not a finite"),
-        (lambda payload: payload["subsets"][0].update(indices="12"),
-         "subset id 1: indices must be a list and residual a number, got '12'"),
-        (lambda payload: payload["subsets"][1].update(residual=True),
-         "subset id 2: indices must be a list and residual a number, got .* and True"),
-        (lambda payload: payload["subsets"][2].update(residual="1e-12"),
-         "subset id 3: indices must be a list and residual a number, got .* and '1e-12'"),
-    ], ids=["tampered-indices", "short-basis", "missing-row", "nan", "missing-subset",
+        (lambda payload: payload.pop("residuals"), "model file has no field 'residuals'"),
+        (lambda payload: payload.update(residuals={"1": 0.0}),
+         r"model file field residuals is not a list: \{'1': 0.0\}"),
+        (lambda payload: payload["residuals"].__setitem__(0, float("nan")),
+         r"model file field residuals\[0\] is nan, not a finite non-negative number"),
+        (lambda payload: payload["residuals"].__setitem__(2, -1e-12),
+         r"model file field residuals\[2\] is -1e-12, not a finite non-negative number"),
+        (lambda payload: payload["residuals"].__setitem__(1, float("inf")),
+         r"model file field residuals\[1\] is inf, not a finite"),
+        (lambda payload: payload["residuals"].__setitem__(1, True),
+         r"model file field residuals\[1\] is True, not a finite"),
+        (lambda payload: payload["residuals"].__setitem__(2, "1e-12"),
+         r"model file field residuals\[2\] is '1e-12', not a finite"),
+        (lambda payload: payload["residuals"].__setitem__(0, None),
+         r"model file field residuals\[0\] is None, not a finite"),
+    ], ids=["short-basis", "missing-row", "nan", "missing-subset", "extra-residual",
             "missing-column", "truncated", "not-base64", "nested-lists", "rank-deficient",
-            "lambda-format", "no-basis", "wrong-rank", "float-rank", "nan-residual",
-            "negative-residual", "infinite-residual", "string-indices", "bool-residual",
-            "string-residual"])
+            "lambda-format", "records-format", "no-basis", "no-residuals", "residuals-not-list",
+            "nan-residual", "negative-residual", "infinite-residual", "bool-residual",
+            "string-residual", "null-residual"])
     def test_inconsistent_file_rejected(self, tmp_path, tamper, message):
         _, traj = excited_benchmark_run()
         path = tmp_path / "model.json"
@@ -543,18 +564,15 @@ class TestModelFile:
 
     @pytest.mark.parametrize("field, value", [
         ("N", 3.5), ("M", True), ("n", 6.5), ("m", 1.5), ("T", True), ("pe_seed", 7.9),
-        ("id", 1.5), ("indices", [1.9, 2]),
         ("N", "3"), ("M", "1"), ("n", "6"), ("m", "1"), ("T", "41"), ("pe_seed", "7"),
-        ("id", "1"), ("indices", ["1", "2"]),
     ], ids=["N-fraction", "M-bool", "n-fraction", "m-fraction", "T-bool", "pe_seed-fraction",
-            "id-fraction", "indices-fraction", "N-string", "M-string", "n-string", "m-string",
-            "T-string", "pe_seed-string", "id-string", "indices-string"])
+            "N-string", "M-string", "n-string", "m-string", "T-string", "pe_seed-string"])
     def test_non_integral_integer_field_rejected(self, tmp_path, field, value):
         _, traj = excited_benchmark_run()
         path = tmp_path / "model.json"
         save_learned_model(learn_model(traj, 3, 1, 6, 41, pe_seed=7), path)
         payload = json.loads(path.read_text())
-        (payload["subsets"][0] if field in ("id", "indices") else payload)[field] = value
+        payload[field] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="model file has a field of the wrong type: "
                                              ".* is not an integer"):

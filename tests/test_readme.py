@@ -1,5 +1,7 @@
-"""The README's library example runs as written and prints its verdict."""
+"""The README's library example runs as written and prints its verdict, and
+its model-file format names the fields a save writes."""
 
+import json
 import os
 import re
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import sentinel
+from sentinel.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,3 +24,11 @@ def test_library_example_prints_the_attack_free_sensors():
                             env=env, timeout=300, check=False)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "attack-free sensors: (1, 2)\n"
+
+
+def test_model_file_bullet_names_the_saved_fields(tmp_path):
+    bullet = re.search(r"\* \*\*Learned model JSON\*\*: `\{(.*?)\}`",
+                       README.read_text(encoding="utf-8"), re.DOTALL)
+    assert main(["demo", "injection", "--seed", "7", "--out", str(tmp_path)]) == 0
+    saved = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+    assert sorted(re.findall(r'"(\w+)"', bullet.group(1))) == sorted(saved)
