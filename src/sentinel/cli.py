@@ -123,120 +123,94 @@ def _demo_learn(ss: StateSpace, seed: int, tol: Tolerance, out: Path):
     traj, pe_seed = excited_run(ss, BENCH_ORDER, BENCH_COLUMNS, order, seed,
                                 seed + OFF_FILL, tol)
     save_trajectory(traj, out / "offline.csv")
-    try:
-        model = learn_model(traj, BENCH_SENSORS, BENCH_MAX_ATTACKED, BENCH_ORDER,
-                            BENCH_COLUMNS, tol, pe_seed)
-    except LearningError as exc:
-        print(f"learning failed: {exc}")
-        return None
+    model = learn_model(traj, BENCH_SENSORS, BENCH_MAX_ATTACKED, BENCH_ORDER,
+                        BENCH_COLUMNS, tol, pe_seed)
     save_learned_model(model, out / "model.json")
     return model
 
 
-def demo_injection(seed: int, tol: Tolerance, out: Path) -> int:
-    ss = benchmark_plant()
-    model = _demo_learn(ss, seed, tol, out)
-    if model is None:
-        return 2
-    n = model.n
-    onset = n + INJECTION_ONSET_OFFSET
+def demo_injection(ss: StateSpace, model, seed: int, tol: Tolerance):
+    onset = model.n + INJECTION_ONSET_OFFSET
     signal = seeded_injection_signal(seed + OFF_ATTACK, onset)
     scenario = InjectionAttack((INJECTION_TARGET,), onset, signal, seed + OFF_ATTACK)
-    save_scenario(scenario, out / "scenario.json")
-
-    boot_u = np.random.default_rng(seed + OFF_BOOT).uniform(-1.0, 1.0, (model.m, n))
-    states, boot_y = simulate(ss, np.zeros(ss.state_dim), boot_u)
+    boot_u = np.random.default_rng(seed + OFF_BOOT).uniform(-1.0, 1.0, (model.m, model.n))
     test_u = np.random.default_rng(seed + OFF_TEST).uniform(
         -1.0, 1.0, (INJECTION_STEP_BUDGET, model.m)).T
-    _, test_y = simulate(ss, states[:, -1], test_u)
-    test = apply_attack(Trajectory(test_u, test_y, start_index=n), scenario)
-    stream = Trajectory(np.hstack([boot_u, test.u]), np.hstack([boot_y, test.y]))
+    u = np.hstack([boot_u, test_u])
+    _, y = simulate(ss, np.zeros(ss.state_dim), u)
+    stream = apply_attack(Trajectory(u, y), scenario)
     verdict = identify_injection(model, stream, tol)
     detection_steps = None if verdict.all_clear else verdict.k - onset
     # the samples the monitor consumed: bootstrap window and steps up to k
-    save_trajectory(Trajectory(stream.u[:, :verdict.k], stream.y[:, :verdict.k]),
-                    out / "online.csv")
-    payload = {
-        "mode": "injection",
-        "onset": onset,
-        "detection_steps": detection_steps,
-        "verdict": verdict_to_dict(verdict),
-    }
-    write_json(payload, out / "verdict.json")
-    expected = (not verdict.all_clear and verdict.winners == (1,)
-                and detection_steps is not None and detection_steps <= 2)
-    print(f"injection demo: winners={verdict.winners} "
-          f"attack_free={verdict.attack_free_sensors} "
-          f"detection_steps={detection_steps} -> {'ok' if expected else 'UNEXPECTED'}")
-    return 0 if expected else 2
+    online = Trajectory(stream.u[:, :verdict.k], stream.y[:, :verdict.k])
+    expected = not verdict.all_clear and verdict.winners == (1,) and detection_steps <= 2
+    return (scenario, online, verdict, {"onset": onset, "detection_steps": detection_steps},
+            expected, f"winners={verdict.winners} attack_free={verdict.attack_free_sensors} "
+                      f"detection_steps={detection_steps}")
 
 
-def demo_delay(seed: int, tol: Tolerance, out: Path) -> int:
-    ss = benchmark_plant(DELAY_OUTPUT_SCALE)
-    model = _demo_learn(ss, seed, tol, out)
-    if model is None:
-        return 2
+def demo_delay(ss: StateSpace, model, seed: int, tol: Tolerance):
+    # the benchmark's relative degrees are (1, 2, 1): every sensor responds
     degrees = [relative_degree(ss, j) for j in range(1, BENCH_SENSORS + 1)]
-    if any(d is None for d in degrees):
-        print(f"benchmark sensor never responds: relative degrees {degrees}")
-        return 2
     scenario = DelayAttack(DELAY_SAMPLES)
-    save_scenario(scenario, out / "scenario.json")
     u = np.zeros((1, DELAY_WINDOW))
     u[0, 0] = DELAY_IMPULSE
     _, y = simulate(ss, np.zeros(ss.state_dim), u)
     attacked = apply_attack(Trajectory(u, y), scenario,
                             max_attacked=BENCH_MAX_ATTACKED)
-    save_trajectory(attacked, out / "online.csv")
     verdict = identify_delay(attacked.y, degrees)
-    payload = {
-        "mode": "delay",
-        "relative_degrees": degrees,
-        "verdict": verdict_to_dict(verdict),
-    }
-    write_json(payload, out / "verdict.json")
-    expected = verdict.attack_free_sensors == (1, 3)
-    print(f"delay demo: relative degrees={tuple(degrees)} "
-          f"attack_free={verdict.attack_free_sensors} -> "
-          f"{'ok' if expected else 'UNEXPECTED'}")
-    return 0 if expected else 2
+    return (scenario, attacked, verdict, {"relative_degrees": degrees},
+            verdict.attack_free_sensors == (1, 3),
+            f"relative degrees={tuple(degrees)} attack_free={verdict.attack_free_sensors}")
 
 
-def demo_replay(seed: int, tol: Tolerance, out: Path) -> int:
-    ss = benchmark_plant()
-    model = _demo_learn(ss, seed, tol, out)
-    if model is None:
-        return 2
+def demo_replay(ss: StateSpace, model, seed: int, tol: Tolerance):
     scenario = ReplayAttack({INJECTION_TARGET: REPLAY_CONSTANT})
-    save_scenario(scenario, out / "scenario.json")
     order = _excitation_order(model.m, BENCH_SENSORS - BENCH_MAX_ATTACKED, model.n)
     clean, _ = excited_run(ss, model.n, BENCH_COLUMNS, order, seed + OFF_REPLAY_PE,
                            seed + OFF_REPLAY_FILL, tol)
     attacked = apply_attack(clean, scenario, max_attacked=BENCH_MAX_ATTACKED)
-    save_trajectory(attacked, out / "online.csv")
     verdict = identify_replay(attacked, BENCH_SENSORS, BENCH_MAX_ATTACKED,
                               model.n, BENCH_COLUMNS, tol)
-    payload = {"mode": "replay", "verdict": verdict_to_dict(verdict)}
-    write_json(payload, out / "verdict.json")
-    expected = verdict.winners == (1,)
     ranks = {s.id: int(rank) for s, rank in zip(verdict.subsets, verdict.scores)}
-    print(f"replay demo: ranks={ranks} winners={verdict.winners} "
-          f"attack_free={verdict.attack_free_sensors} -> "
-          f"{'ok' if expected else 'UNEXPECTED'}")
+    return (scenario, attacked, verdict, {}, verdict.winners == (1,),
+            f"ranks={ranks} winners={verdict.winners} "
+            f"attack_free={verdict.attack_free_sensors}")
+
+
+def _run_demo(attack: str, seed: int, tol: Tolerance, out: Path) -> int:
+    """Learn on the attack's benchmark plant, run demo_<attack>, write its
+    files into out and print its summary line. A demo returns (scenario,
+    online trajectory, verdict, further verdict.json fields, whether the
+    verdict is the expected one, summary details) and writes nothing."""
+    demo, output_scale = {"injection": (demo_injection, 1.0),
+                          "delay": (demo_delay, DELAY_OUTPUT_SCALE),
+                          "replay": (demo_replay, 1.0)}[attack]
+    ss = benchmark_plant(output_scale)
+    # a demo reads no file, so every OSError is a failed write
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        model = _demo_learn(ss, seed, tol, out)
+        scenario, online, verdict, fields, expected, details = demo(ss, model, seed, tol)
+        save_scenario(scenario, out / "scenario.json")
+        save_trajectory(online, out / "online.csv")
+        write_json({"mode": attack, **fields, "verdict": verdict_to_dict(verdict)},
+                   out / "verdict.json")
+    except OSError as exc:
+        print(f"cannot write demo output: {exc}", file=sys.stderr)
+        return 1
+    except LearningError as exc:
+        print(f"learning failed: {exc}")
+        return 2
+    except ExcitationError as exc:
+        print(f"excitation failed: {exc}")
+        return 2
+    print(f"{attack} demo: {details} -> {'ok' if expected else 'UNEXPECTED'}")
     return 0 if expected else 2
 
 
 def cmd_demo(args) -> int:
-    out = Path(args.out)
-    runner = {"injection": demo_injection, "delay": demo_delay,
-              "replay": demo_replay}[args.attack]
-    # a demo reads no file, so every OSError is a failed write
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        return runner(_seed(args), args.tol, out)
-    except OSError as exc:
-        print(f"cannot write demo output: {exc}", file=sys.stderr)
-        return 1
+    return _run_demo(args.attack, _seed(args), args.tol, Path(args.out))
 
 
 def cmd_learn(args) -> int:

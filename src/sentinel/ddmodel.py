@@ -302,9 +302,11 @@ def load_learned_model(path) -> DataDrivenModel:
     mistyped field (a string, bool or fraction where an integer belongs),
     a basis that is not base64 float64 of W x r, residuals that are not a
     list of finite non-negative numbers, a T below 1, a file in an older
-    layout (one with a subsets list), or a model that breaks
-    DataDrivenModel's conditions raise ValueError. Every saved subset holds
-    the certifying rank, so the load rebuilds the reports from n, m, N, M."""
+    layout (one with a subsets list), a model that breaks
+    DataDrivenModel's conditions, or a basis with max |U^T U - I| above
+    10 W eps (checked after the rank) raise ValueError. Every saved subset
+    holds the certifying rank, so the load rebuilds the reports from n, m,
+    N, M."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
@@ -341,4 +343,12 @@ def load_learned_model(path) -> DataDrivenModel:
     except TypeError as exc:
         raise ValueError(f"model file has a field of the wrong type: {exc}") from exc
     model.lam  # derived now, so a basis rank-deficient on some subset fails the load
+    # learning saves left singular vectors, orthonormal to O(W eps) (Householder
+    # SVD; measured at most 13 eps for W <= 77); the injection screen's c = U^T h
+    # is the projection only for an orthonormal basis
+    bound = 10 * shape[0] * np.finfo(float).eps
+    error = np.abs(basis.T @ basis - np.eye(shape[1])).max()
+    if not error <= bound:
+        raise ValueError(f"model file field basis is not orthonormal: max |U^T U - I| is "
+                         f"{error:.3g}, above 10 W eps = {bound:.3g}")
     return model

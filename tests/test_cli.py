@@ -28,6 +28,13 @@ def replay_demo(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def delay_demo(tmp_path_factory):
+    out = tmp_path_factory.mktemp("demo_delay")
+    assert main(["demo", "delay", "--seed", "7", "--out", str(out)]) == 0
+    return out
+
+
 class TestDemos:
     def test_injection_outputs(self, injection_demo):
         for name in ("offline.csv", "online.csv", "model.json", "verdict.json",
@@ -69,6 +76,25 @@ class TestDemos:
         payload = json.loads((out / "verdict.json").read_text())
         assert payload["detection_steps"] == detection_steps
         assert payload["verdict"]["winners"] == list(verdict.winners)
+
+    @pytest.mark.parametrize("attack, line", [
+        ("injection", "injection demo: winners=(1,) attack_free=(1, 2) detection_steps=2"),
+        ("delay", "delay demo: relative degrees=(1, 2, 1) attack_free=(1, 3)"),
+        ("replay", "replay demo: ranks={1: 13, 2: 12, 3: 14} winners=(1,) attack_free=(1, 2)"),
+    ])
+    def test_summary_line_and_files(self, tmp_path, capsys, attack, line):
+        assert main(["demo", attack, "--seed", "7", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == line + " -> ok\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "model.json", "offline.csv", "online.csv", "scenario.json", "verdict.json"]
+
+    def test_unexpected_verdict_exits_two(self, tmp_path, capsys):
+        # a slack of 1e3 hides the injection: the monitor never fires
+        assert main(["demo", "injection", "--seed", "7", "--out", str(tmp_path),
+                     "--res-tol", "1e3"]) == 2
+        assert capsys.readouterr().out.endswith(" detection_steps=None -> UNEXPECTED\n")
+        payload = json.loads((tmp_path / "verdict.json").read_text())
+        assert payload["detection_steps"] is None and payload["verdict"]["all_clear"]
 
     def test_delay_demo(self, tmp_path):
         assert main(["demo", "delay", "--seed", "7", "--out", str(tmp_path)]) == 0
@@ -143,6 +169,7 @@ class TestIdentify:
         ("not-base64", "model file field basis is not a 28 x 13 matrix"),
         ("wrong-shape", "model file field basis is not a 28 x 13 matrix"),
         ("rank-deficient", "subset id 1: the basis is rank-deficient"),
+        ("non-orthonormal", "model file field basis is not orthonormal"),
         ("lambda-format", "an older format that is no longer read: re-learn the model"),
         ("records-format", "an older format that is no longer read: re-learn the model"),
         ("residuals-not-list", "model file field residuals is not a list"),
@@ -167,6 +194,9 @@ class TestIdentify:
             payload["basis"] = base64.b64encode(basis[:, :-1].tobytes()).decode()
         elif tamper == "rank-deficient":
             basis[:, -1] = basis[:, 0]
+            payload["basis"] = base64.b64encode(basis.tobytes()).decode()
+        elif tamper == "non-orthonormal":
+            basis[:, -1] *= 2.0
             payload["basis"] = base64.b64encode(basis.tobytes()).decode()
         elif tamper == "lambda-format":
             del payload["basis"], payload["residuals"]
@@ -230,10 +260,25 @@ class TestIdentify:
     @pytest.mark.parametrize("name, digest", [
         ("verdict.json", "4e35999c0a9a041a2fe51d6208801dc52b34b9495e6e49e6bcfd767b76277d13"),
         ("online.csv", "c7855cb6dfbc1ffe690ca866fb68665ea6b4ec4a74810821e566655847ec388b"),
+        ("delay/verdict.json",
+         "a6b7b1c39ff241f806a2092a4d246caf35c12b83d7c293db234ddffadc91a1da"),
+        ("delay/online.csv", "fc83c283cb4bb5c051fd92c457e4e0a83fbc50b01efbcefdfdfa21bc138e30ae"),
+        ("delay/scenario.json",
+         "ca9449766e790155be6ee863a9f4ea50802cd8c1b498e0eafdd19484bcc8326d"),
+        ("replay/verdict.json",
+         "e8a5a3f76cde1487a1ce0b8121744119d1d485660182b3b22cf2adaf69d9a83f"),
+        ("replay/online.csv",
+         "2b20c80cbfae14a3d11b7b0329463708dc751c9519ccbcc2a720ff4c3bdada94"),
+        ("replay/scenario.json",
+         "dd9cc138d087b3dcfcfb3c122049a58e3aabcdf0a4da812cc7319c1293b5d20b"),
     ])
-    def test_injection_demo_bytes(self, injection_demo, name, digest):
-        # sha256 of the seed-7 demo files as the per-sample step loop wrote them
-        assert hashlib.sha256((injection_demo / name).read_bytes()).hexdigest() == digest
+    def test_injection_demo_bytes(self, request, name, digest):
+        # sha256 of the seed-7 demo files: the injection demo's as the
+        # per-sample step loop wrote them, the delay and replay demos' (named
+        # "<demo>/<file>") as the per-demo functions wrote them
+        demo, _, file = name.rpartition("/")
+        out = request.getfixturevalue(f"{demo or 'injection'}_demo")
+        assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest
 
     def test_injection_requires_model(self, injection_demo):
         assert main(["identify", "injection", str(injection_demo / "online.csv")]) == 1
@@ -441,8 +486,11 @@ class TestToleranceFlags:
          ["--res-tol", "1e3"], (0, '"all_clear": false'), (0, '"all_clear": true')),
         (["demo", "injection", "--seed", "7", "--out", "{tmp}/demo"], ["--res-tol", "1e-30"],
          (0, "-> ok"), (2, "learning failed")),
+        *((["demo", attack, "--seed", "7", "--out", "{tmp}/demo"], ["--rank-tol", "0.5"],
+           (0, "-> ok"), (2, "excitation failed: no exciting input of order 19"))
+          for attack in ("injection", "delay", "replay")),
     ], ids=["check-pe-rank", "learn-res", "identify-replay-rank", "identify-injection-res",
-            "demo-res"])
+            "demo-res", "demo-injection-rank", "demo-delay-rank", "demo-replay-rank"])
     def test_extreme_value_changes_outcome(self, injection_demo, replay_demo, tmp_path, capsys,
                                            argv, extreme, before, after):
         argv = [a.format(inj=injection_demo, rep=replay_demo, tmp=tmp_path) for a in argv]
@@ -490,7 +538,8 @@ class TestSeedPlumbing:
         """Run `demo injection` once per (env, argv) pair with the demo itself
         stubbed out; return the seed each run handed it."""
         seen = []
-        monkeypatch.setattr(cli, "demo_injection", lambda seed, tol, out: seen.append(seed) or 0)
+        monkeypatch.setattr(cli, "_run_demo",
+                            lambda attack, seed, tol, out: seen.append(seed) or 0)
         for env, argv in runs:
             if env is None:
                 monkeypatch.delenv("SENTINEL_SEED", raising=False)

@@ -488,6 +488,14 @@ class TestModelFile:
                  * np.linalg.norm(model.lam, axis=(1, 2)))
         assert (np.abs(moved.lam - model.lam).max(axis=(1, 2)) <= bound).all()
 
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
+    def test_learned_basis_is_orthonormal_well_within_the_load_bound(self, models, plant):
+        # a load rejects max |U^T U - I| above 10 W eps; a learned basis sits
+        # at least ten times below that
+        basis = models[plant].basis
+        error = np.abs(basis.T @ basis - np.eye(basis.shape[1])).max()
+        assert error <= basis.shape[0] * np.finfo(float).eps
+
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4"])
     def test_save_load_save_is_byte_stable(self, tmp_path, plant):
         model = learned(plant)
@@ -527,6 +535,9 @@ class TestModelFile:
          "field basis is not a 28 x 13 matrix of base64 float64"),
         (lambda payload: recode_basis(payload, lambda basis: without_sensors(basis, (2, 3))),
          "subset id 3: the basis is rank-deficient on its regressor rows"),
+        (lambda payload: recode_basis(payload, lambda basis: basis * (1 + 1e-12)),
+         r"model file field basis is not orthonormal: max \|U\^T U - I\| is 2e-12, above "
+         r"10 W eps = 6\.22e-14"),
         (to_lambda_format, "model file lists its subsets, an older format that is no longer "
                            "read: re-learn the model"),
         (to_records_format, "model file lists its subsets, an older format that is no longer "
@@ -549,6 +560,7 @@ class TestModelFile:
          r"model file field residuals\[0\] is None, not a finite"),
     ], ids=["short-basis", "missing-row", "nan", "missing-subset", "extra-residual",
             "missing-column", "truncated", "not-base64", "nested-lists", "rank-deficient",
+            "scaled-basis",
             "lambda-format", "records-format", "no-basis", "no-residuals", "residuals-not-list",
             "nan-residual", "negative-residual", "infinite-residual", "bool-residual",
             "string-residual", "null-residual"])

@@ -618,7 +618,8 @@ class TestResidualBounds:
     def test_non_orthonormal_basis_equals_step_loop(self, monitored_plants, tmp_path, name,
                                                     loaded):
         # the bound holds for any basis of the column space: U M with
-        # cond(M) = 1e3 leaves the verdicts to the step loop's
+        # cond(M) = 1e3 leaves the verdicts to the step loop's; a model file
+        # must hold an orthonormal basis, so its load rejects U M
         ss, model = monitored_plants[name]
         rng = np.random.default_rng(3)
         rank = model.basis.shape[1]
@@ -627,7 +628,9 @@ class TestResidualBounds:
         moved = dataclasses.replace(model, basis=model.basis @ mixing)
         if loaded:
             save_learned_model(moved, tmp_path / "model.json")
-            moved = load_learned_model(tmp_path / "model.json")
+            with pytest.raises(ValueError, match="model file field basis is not orthonormal"):
+                load_learned_model(tmp_path / "model.json")
+            return
         for sensor in (None, model.n_sensors):
             traj = offset_stream(ss, moved, 60, 12, sensor, moved.n + 30, 0.9)
             assert identify_injection(moved, traj) == step_loop_verdict(moved, traj)
