@@ -15,10 +15,13 @@ that seed so every file a command writes is byte-reproducible:
 
 Exit codes: 0 success (demos: the expected verdict), 1 usage or
 precondition failure, 2 mathematical failure (rank certificate, learning,
-or an unexpected demo verdict).
+or an unexpected demo verdict). A failing command raises _Failure, and
+main() alone prints it on stderr and returns its code; verdicts, including
+an unexpected one, go to stdout.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -41,6 +44,7 @@ from .datamat import (
     ExcitationError,
     Trajectory,
     TrajectoryLengthError,
+    excitation_order,
     excitation_rank,
     generate_pe_input,
     load_trajectory,
@@ -55,7 +59,7 @@ from .identify import (
     identify_replay,
     verdict_to_dict,
 )
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import Tolerance
 from .plant import (
     ContinuousStateSpace,
     StateSpace,
@@ -88,8 +92,22 @@ OFF_FILL, OFF_BOOT, OFF_TEST, OFF_ATTACK = 101, 202, 303, 404
 OFF_REPLAY_PE, OFF_REPLAY_FILL, OFF_SIM = 505, 606, 707
 
 
-def _excitation_order(m: int, q: int, n: int) -> int:
-    return (m + q) * n + 1
+class _Failure(Exception):
+    """A failed command: main() prints the message on stderr and returns code."""
+
+    def __init__(self, message: str, code: int = 1):
+        super().__init__(message)
+        self.code = code
+
+
+@contextlib.contextmanager
+def _failing(prefix: str, *errors: type, code: int = 1):
+    """Raise the given library errors as _Failure(f"{prefix}: {exc}", code).
+    Where these nest, the innermost that names an error handles it."""
+    try:
+        yield
+    except errors as exc:
+        raise _Failure(f"{prefix}: {exc}", code) from exc
 
 
 def excited_run(ss: StateSpace, n: int, columns: int, order: int, seed: int,
@@ -118,8 +136,7 @@ def benchmark_plant(output_scale: float = 1.0) -> StateSpace:
 
 
 def _demo_learn(ss: StateSpace, seed: int, tol: Tolerance, out: Path):
-    order = _excitation_order(ss.input_dim, BENCH_SENSORS - BENCH_MAX_ATTACKED,
-                              BENCH_ORDER)
+    order = excitation_order(ss.input_dim, BENCH_SENSORS - BENCH_MAX_ATTACKED, BENCH_ORDER)
     traj, pe_seed = excited_run(ss, BENCH_ORDER, BENCH_COLUMNS, order, seed,
                                 seed + OFF_FILL, tol)
     save_trajectory(traj, out / "offline.csv")
@@ -166,7 +183,7 @@ def demo_delay(ss: StateSpace, model, seed: int, tol: Tolerance):
 
 def demo_replay(ss: StateSpace, model, seed: int, tol: Tolerance):
     scenario = ReplayAttack({INJECTION_TARGET: REPLAY_CONSTANT})
-    order = _excitation_order(model.m, BENCH_SENSORS - BENCH_MAX_ATTACKED, model.n)
+    order = excitation_order(model.m, BENCH_SENSORS - BENCH_MAX_ATTACKED, model.n)
     clean, _ = excited_run(ss, model.n, BENCH_COLUMNS, order, seed + OFF_REPLAY_PE,
                            seed + OFF_REPLAY_FILL, tol)
     attacked = apply_attack(clean, scenario, max_attacked=BENCH_MAX_ATTACKED)
@@ -188,7 +205,9 @@ def _run_demo(attack: str, seed: int, tol: Tolerance, out: Path) -> int:
                           "replay": (demo_replay, 1.0)}[attack]
     ss = benchmark_plant(output_scale)
     # a demo reads no file, so every OSError is a failed write
-    try:
+    with _failing("cannot write demo output", OSError), \
+            _failing("learning failed", LearningError, code=2), \
+            _failing("excitation failed", ExcitationError, code=2):
         out.mkdir(parents=True, exist_ok=True)
         model = _demo_learn(ss, seed, tol, out)
         scenario, online, verdict, fields, expected, details = demo(ss, model, seed, tol)
@@ -196,15 +215,6 @@ def _run_demo(attack: str, seed: int, tol: Tolerance, out: Path) -> int:
         save_trajectory(online, out / "online.csv")
         write_json({"mode": attack, **fields, "verdict": verdict_to_dict(verdict)},
                    out / "verdict.json")
-    except OSError as exc:
-        print(f"cannot write demo output: {exc}", file=sys.stderr)
-        return 1
-    except LearningError as exc:
-        print(f"learning failed: {exc}")
-        return 2
-    except ExcitationError as exc:
-        print(f"excitation failed: {exc}")
-        return 2
     print(f"{attack} demo: {details} -> {'ok' if expected else 'UNEXPECTED'}")
     return 0 if expected else 2
 
@@ -214,65 +224,39 @@ def cmd_demo(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    try:
+    with _failing("cannot read trajectory", OSError, ValueError):
         traj = load_trajectory(args.trajectory)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read trajectory: {exc}", file=sys.stderr)
-        return 1
-    try:
+    with _failing("invalid configuration", ValueError), \
+            _failing("learning failed", LearningError, code=2), \
+            _failing("trajectory too short", TrajectoryLengthError):
         model = learn_model(traj, traj.output_dim, args.max_attacked, args.n, args.horizon,
                             args.tol)
-    except TrajectoryLengthError as exc:
-        print(f"trajectory too short: {exc}", file=sys.stderr)
-        return 1
-    except LearningError as exc:
-        print(f"learning failed: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 1
-    try:
+    with _failing("cannot write model", OSError):
         save_learned_model(model, args.out)
-    except OSError as exc:
-        print(f"cannot write model: {exc}", file=sys.stderr)
-        return 1
     print(f"learned {len(model.subsets)} subset predictors -> {args.out}")
     return 0
 
 
 def cmd_identify(args) -> int:
-    try:
+    with _failing("cannot read stream", OSError, ValueError):
         stream = load_trajectory(args.stream)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read stream: {exc}", file=sys.stderr)
-        return 1
-    try:
+    with _failing("precondition failed", OSError, ValueError, NoResponseError):
         if args.mode == "injection":
             verdict = identify_injection(load_learned_model(args.model), stream, args.tol)
         elif args.mode == "replay":
             verdict = identify_replay(stream, stream.output_dim, args.max_attacked, args.n,
                                       args.test_len, args.tol)
         else:
-            degrees = [int(r) for r in args.rel_deg.split(",")]
-            verdict = identify_delay(stream.y, degrees)
-    except (TrajectoryLengthError, ExcitationError, NoResponseError, ValueError,
-            OSError) as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 1
+            verdict = identify_delay(stream.y, [int(r) for r in args.rel_deg.split(",")])
     print(json.dumps(verdict_to_dict(verdict), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_check_pe(args) -> int:
-    try:
-        traj = load_trajectory(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
-        return 1
+    with _failing("cannot read input", OSError, ValueError):
+        u = load_trajectory(args.input).u
     if args.order < 1:
-        print(f"excitation order must be positive, got {args.order}", file=sys.stderr)
-        return 1
-    u = traj.u
+        raise _Failure(f"excitation order must be positive, got {args.order}")
     m, length = u.shape
     if length < args.order:
         print(f"fail: {length} samples cannot be exciting of order {args.order}")
@@ -286,40 +270,27 @@ def cmd_check_pe(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.length < 1:
-        print(f"length must be positive, got {args.length}", file=sys.stderr)
-        return 1
-    try:
+        raise _Failure(f"length must be positive, got {args.length}")
+    with _failing("cannot read plant model", OSError, ValueError):
         ss = load_state_space(args.model)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read plant model: {exc}", file=sys.stderr)
-        return 1
     rng = np.random.default_rng(_seed(args) + OFF_SIM)
     u = rng.uniform(-1.0, 1.0, (ss.input_dim, args.length))
     _, y = simulate(ss, np.zeros(ss.state_dim), u)
     traj = Trajectory(u, y)
     if args.scenario:
-        try:
-            scenario = load_scenario(args.scenario)
-            traj = apply_attack(traj, scenario, max_attacked=args.max_attacked)
-        except (OSError, ValueError) as exc:
-            print(f"cannot apply scenario: {exc}", file=sys.stderr)
-            return 1
-    try:
+        with _failing("cannot apply scenario", OSError, ValueError):
+            traj = apply_attack(traj, load_scenario(args.scenario),
+                                max_attacked=args.max_attacked)
+    with _failing("cannot write trajectory", OSError):
         save_trajectory(traj, args.out)
-    except OSError as exc:
-        print(f"cannot write trajectory: {exc}", file=sys.stderr)
-        return 1
     print(f"wrote {traj.length} samples -> {args.out}")
     return 0
 
 
 def _tolerance(args) -> Tolerance:
-    kwargs = {}
-    if getattr(args, "rank_tol", None) is not None:
-        kwargs["rank_rel"] = args.rank_tol
-    if getattr(args, "res_tol", None) is not None:
-        kwargs["residual"] = args.res_tol
-    return Tolerance(**kwargs) if kwargs else DEFAULT_TOL
+    given = {"rank_rel": getattr(args, "rank_tol", None),
+             "residual": getattr(args, "res_tol", None)}
+    return Tolerance(**{field: v for field, v in given.items() if v is not None})
 
 
 def _seed(args) -> int:
@@ -330,15 +301,22 @@ def _seed(args) -> int:
     try:
         return int(env)
     except ValueError as exc:
-        raise SystemExit(f"SENTINEL_SEED must be an integer, got {env!r}") from exc
+        raise _Failure(f"SENTINEL_SEED must be an integer, got {env!r}") from exc
 
 
-TOL_FLAGS = {"--rank-tol": "relative singular-value cutoff for rank decisions",
+TOL_FLAGS = {"--rank-tol": "scales the rank cutoff, rank_tol * max(rows, cols) * sigma_max",
              "--res-tol": "residual slack (absolute and relative) for verdicts"}
 
 
-# The tolerance flag each identify mode reads; main() rejects the other.
-IDENTIFY_TOL_FLAG = {"injection": "--res-tol", "replay": "--rank-tol", "delay": None}
+# Per identify mode: the tolerance flag it reads (main() rejects the other)
+# and the flags it requires.
+IDENTIFY_MODES = {"injection": ("--res-tol", ("--model",)),
+                  "replay": ("--rank-tol", ("--n", "--max-attacked", "--test-len")),
+                  "delay": (None, ("--rel-deg",))}
+
+
+def _given(args, flag: str) -> bool:
+    return getattr(args, flag[2:].replace("-", "_")) not in (None, "")
 
 
 def _add_tol_flags(parser, *flags) -> None:
@@ -408,28 +386,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    requires = ()
     if args.command == "identify":
+        reads, requires = IDENTIFY_MODES[args.mode]
         for flag in TOL_FLAGS:
-            given = getattr(args, flag[2:].replace("-", "_")) is not None
-            if given and flag != IDENTIFY_TOL_FLAG[args.mode]:
+            if flag != reads and _given(args, flag):
                 parser.error(f"identify {args.mode} does not take {flag}")
     try:
-        args.tol = _tolerance(args)
-    except ValueError as exc:
-        print(f"invalid tolerance: {exc}", file=sys.stderr)
-        return 1
-    if args.command == "identify":
-        if args.mode == "injection" and not args.model:
-            print("identify injection requires --model", file=sys.stderr)
-            return 1
-        if args.mode == "replay" and None in (args.n, args.max_attacked, args.test_len):
-            print("identify replay requires --n, --max-attacked and --test-len",
-                  file=sys.stderr)
-            return 1
-        if args.mode == "delay" and not args.rel_deg:
-            print("identify delay requires --rel-deg", file=sys.stderr)
-            return 1
-    return args.func(args)
+        with _failing("invalid tolerance", ValueError):
+            args.tol = _tolerance(args)
+        if not all(_given(args, flag) for flag in requires):
+            *rest, last = requires
+            listed = f"{', '.join(rest)} and {last}" if rest else last
+            raise _Failure(f"identify {args.mode} requires {listed}")
+        return args.func(args)
+    except _Failure as failure:
+        print(failure, file=sys.stderr)
+        return failure.code
 
 
 def entry() -> None:

@@ -121,6 +121,12 @@ def is_persistently_exciting(u, order: int, tol: Tolerance = DEFAULT_TOL) -> boo
     return length >= order and excitation_rank(u_arr, order, tol) == order * m
 
 
+def excitation_order(m: int, q: int, n: int) -> int:
+    """Order (m + q)n + 1 of persistent excitation that certifies the rank
+    of q-sensor subsets of an order-n plant with m inputs."""
+    return (m + q) * n + 1
+
+
 @dataclass(frozen=True)
 class ExcitationSignal:
     """A generated input with the seed that produced it."""

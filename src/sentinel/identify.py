@@ -25,6 +25,7 @@ from .datamat import (
     Trajectory,
     TrajectoryLengthError,
     build_subset_matrices,
+    excitation_order,
     is_persistently_exciting,
     trajectory_hankel,
 )
@@ -290,9 +291,8 @@ def identify_replay(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
     """
     if traj.output_dim != n_sensors:
         raise ValueError(f"trajectory has {traj.output_dim} outputs, expected {n_sensors}")
-    q = n_sensors - max_attacked
     m = traj.input_dim
-    order = (m + q) * n + 1
+    order = excitation_order(m, n_sensors - max_attacked, n)
     if t1 < (m + 1) * order:
         raise ExcitationError(
             f"test window t1={t1} shorter than ({m + 1}) * order = {(m + 1) * order}", order)

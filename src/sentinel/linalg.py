@@ -23,7 +23,8 @@ NONZERO_REL = 1e-2
 class Tolerance:
     """Numeric thresholds used across the package.
 
-    rank_rel: relative singular-value cutoff for rank decisions. Weakly
+    rank_rel: scale of the rank cutoff rank_rel * max(rows, cols) *
+        sigma_max (rank_cutoff), not a fraction of sigma_max. Weakly
         observable directions of the benchmark sit near 1e-7 of the top
         singular value while round-off noise sits near 1e-16, so the
         default separates the two by several decades on each side.

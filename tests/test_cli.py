@@ -128,20 +128,27 @@ class TestLearn:
         code = main(["learn", str(path), "--n", "6", "--max-attacked", "1",
                      "--horizon", "41", "--out", str(tmp_path / "m.json")])
         assert code == 2
-        assert "rank certificate failed" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("learning failed: ")
+        assert "rank certificate failed" in captured.err
 
-    def test_short_recording_is_usage_error(self, tmp_path):
+    def test_short_recording_is_usage_error(self, tmp_path, capsys):
         traj = Trajectory(np.zeros((1, 10)), np.zeros((3, 10)))
         path = tmp_path / "short.csv"
         save_trajectory(traj, path)
         code = main(["learn", str(path), "--n", "6", "--max-attacked", "1",
                      "--horizon", "41", "--out", str(tmp_path / "m.json")])
         assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("trajectory too short: ")
 
-    def test_missing_file(self, tmp_path):
+    def test_missing_file(self, tmp_path, capsys):
         code = main(["learn", str(tmp_path / "nope.csv"), "--n", "6",
                      "--max-attacked", "1", "--horizon", "41"])
         assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("cannot read trajectory: ")
 
     def test_non_positive_rank_tol_is_usage_error(self, injection_demo, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -149,8 +156,10 @@ class TestLearn:
                      "--max-attacked", "1", "--horizon", "41", "--out", str(out),
                      "--rank-tol", "-1"])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "rank_rel must be strictly positive" in err and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("invalid tolerance: ")
+        assert "rank_rel must be strictly positive" in captured.err
+        assert "Traceback" not in captured.err
         assert not out.exists()
 
 
@@ -215,7 +224,7 @@ class TestIdentify:
                      "--model", str(model)])
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert captured.out == "" and captured.err.startswith("precondition failed: ")
         assert message in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("content, message", [
@@ -232,7 +241,7 @@ class TestIdentify:
                      "--model", str(model)])
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert captured.out == "" and captured.err.startswith("precondition failed: ")
         assert message in captured.err and "Traceback" not in captured.err
 
     def test_non_positive_res_tol_is_usage_error(self, injection_demo, capsys):
@@ -280,8 +289,9 @@ class TestIdentify:
         out = request.getfixturevalue(f"{demo or 'injection'}_demo")
         assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest
 
-    def test_injection_requires_model(self, injection_demo):
+    def test_injection_requires_model(self, injection_demo, capsys):
         assert main(["identify", "injection", str(injection_demo / "online.csv")]) == 1
+        assert capsys.readouterr() == ("", "identify injection requires --model\n")
 
     def test_replay_stream(self, replay_demo, capsys):
         code = main(["identify", "replay", str(replay_demo / "online.csv"),
@@ -292,16 +302,21 @@ class TestIdentify:
         file_payload = json.loads((replay_demo / "verdict.json").read_text())
         assert payload == file_payload["verdict"]
 
-    def test_replay_missing_flags(self, replay_demo):
+    def test_replay_missing_flags(self, replay_demo, capsys):
         assert main(["identify", "replay", str(replay_demo / "online.csv")]) == 1
+        assert capsys.readouterr() == (
+            "", "identify replay requires --n, --max-attacked and --test-len\n")
 
-    def test_replay_non_exciting_stream(self, tmp_path):
+    def test_replay_non_exciting_stream(self, tmp_path, capsys):
         traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
         path = tmp_path / "flat.csv"
         save_trajectory(traj, path)
         code = main(["identify", "replay", str(path), "--n", "6",
                      "--max-attacked", "1", "--test-len", "41"])
         assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("precondition failed: ")
+        assert "not persistently exciting" in captured.err
 
     def test_delay_stream(self, tmp_path, capsys):
         assert main(["demo", "delay", "--seed", "3", "--out", str(tmp_path)]) == 0
@@ -312,8 +327,9 @@ class TestIdentify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["attack_free_sensors"] == [1, 3]
 
-    def test_delay_missing_flags(self, injection_demo):
+    def test_delay_missing_flags(self, injection_demo, capsys):
         assert main(["identify", "delay", str(injection_demo / "online.csv")]) == 1
+        assert capsys.readouterr() == ("", "identify delay requires --rel-deg\n")
 
 
 class TestCheckPE:
@@ -333,7 +349,7 @@ class TestCheckPE:
     @pytest.mark.parametrize("order", ["0", "-2"])
     def test_non_positive_order_is_usage_error(self, injection_demo, capsys, order):
         assert main(["check-pe", str(injection_demo / "offline.csv"), "--order", order]) == 1
-        assert "order must be positive" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"excitation order must be positive, got {order}\n")
 
     def test_order_one_nonzero_passes(self, tmp_path):
         traj = Trajectory(np.ones((1, 30)), np.zeros((2, 30)))
@@ -343,17 +359,19 @@ class TestCheckPE:
 
 
 class TestEmptyTrajectoryFile:
-    @pytest.mark.parametrize("argv", [
-        ["learn", "{csv}", "--n", "6", "--max-attacked", "1", "--horizon", "41",
-         "--out", "{dir}/m.json"],
-        ["identify", "delay", "{csv}", "--rel-deg", "1,2,1"],
-        ["check-pe", "{csv}", "--order", "19"],
+    @pytest.mark.parametrize("argv, what", [
+        (["learn", "{csv}", "--n", "6", "--max-attacked", "1", "--horizon", "41",
+          "--out", "{dir}/m.json"], "trajectory"),
+        (["identify", "delay", "{csv}", "--rel-deg", "1,2,1"], "stream"),
+        (["check-pe", "{csv}", "--order", "19"], "input"),
     ], ids=["learn", "identify", "check-pe"])
-    def test_exit_one_with_message(self, tmp_path, capsys, argv):
+    def test_exit_one_with_message(self, tmp_path, capsys, argv, what):
         path = tmp_path / "empty.csv"
         path.write_text("")
         assert main([a.format(csv=path, dir=tmp_path) for a in argv]) == 1
-        assert "trajectory file is empty" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot read {what}: trajectory file is empty")
 
 
 class TestMalformedTrajectoryFile:
@@ -449,16 +467,20 @@ class TestSimulate:
         save_state_space(benchmark_plant(), plant_path)
         assert main(["simulate", "--model", str(plant_path), "--length", length,
                      "--out", str(out)]) == 1
-        assert f"length must be positive, got {length}" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"length must be positive, got {length}\n")
         assert not out.exists()
 
-    def test_missing_plant(self, tmp_path):
+    def test_missing_plant(self, tmp_path, capsys):
         assert main(["simulate", "--model", str(tmp_path / "nope.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("cannot read plant model: ")
 
 
 class TestUnwritableOutput:
-    @pytest.mark.parametrize("command", ["learn", "simulate", "demo"])
-    def test_exit_one_with_message(self, injection_demo, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, message", [
+        ("learn", "cannot write model: "), ("simulate", "cannot write trajectory: "),
+        ("demo", "cannot write demo output: ")], ids=["learn", "simulate", "demo"])
+    def test_exit_one_with_message(self, injection_demo, tmp_path, capsys, command, message):
         missing = str(tmp_path / "missing" / "out")
         save_state_space(benchmark_plant(), tmp_path / "plant.json")
         (tmp_path / "file").write_text("")
@@ -468,8 +490,9 @@ class TestUnwritableOutput:
                              "--out", missing],
                 "demo": ["demo", "injection", "--out", str(tmp_path / "file")]}[command]
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "cannot write" in err and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message)
+        assert "Traceback" not in captured.err
 
 
 class TestToleranceFlags:
@@ -477,26 +500,31 @@ class TestToleranceFlags:
 
     @pytest.mark.parametrize("argv, extreme, before, after", [
         (["check-pe", "{inj}/offline.csv", "--order", "19"], ["--rank-tol", "0.5"],
-         (0, "pass"), (2, "fail")),
+         (0, "pass", ""), (2, "fail", "")),
         (["learn", "{inj}/offline.csv", "--n", "6", "--max-attacked", "1", "--horizon", "41",
-          "--out", "{tmp}/m.json"], ["--res-tol", "1e-30"], (0, "learned"), (2, "")),
+          "--out", "{tmp}/m.json"], ["--res-tol", "1e-30"], (0, "learned", ""),
+         (2, "", "learning failed: ")),
         (["identify", "replay", "{rep}/online.csv", "--n", "6", "--max-attacked", "1",
-          "--test-len", "41"], ["--rank-tol", "0.5"], (0, '"winners"'), (1, "")),
+          "--test-len", "41"], ["--rank-tol", "0.5"], (0, '"winners"', ""),
+         (1, "", "precondition failed: ")),
         (["identify", "injection", "{inj}/online.csv", "--model", "{inj}/model.json"],
-         ["--res-tol", "1e3"], (0, '"all_clear": false'), (0, '"all_clear": true')),
+         ["--res-tol", "1e3"], (0, '"all_clear": false', ""), (0, '"all_clear": true', "")),
         (["demo", "injection", "--seed", "7", "--out", "{tmp}/demo"], ["--res-tol", "1e-30"],
-         (0, "-> ok"), (2, "learning failed")),
+         (0, "-> ok", ""), (2, "", "learning failed: ")),
         *((["demo", attack, "--seed", "7", "--out", "{tmp}/demo"], ["--rank-tol", "0.5"],
-           (0, "-> ok"), (2, "excitation failed: no exciting input of order 19"))
+           (0, "-> ok", ""), (2, "", "excitation failed: no exciting input of order 19"))
           for attack in ("injection", "delay", "replay")),
     ], ids=["check-pe-rank", "learn-res", "identify-replay-rank", "identify-injection-res",
             "demo-res", "demo-injection-rank", "demo-delay-rank", "demo-replay-rank"])
     def test_extreme_value_changes_outcome(self, injection_demo, replay_demo, tmp_path, capsys,
                                            argv, extreme, before, after):
         argv = [a.format(inj=injection_demo, rep=replay_demo, tmp=tmp_path) for a in argv]
-        for extra, (code, text) in (([], before), (extreme, after)):
+        for extra, (code, out, err) in (([], before), (extreme, after)):
             assert main(argv + extra) == code
-            assert text in capsys.readouterr().out
+            captured = capsys.readouterr()
+            assert out in captured.out and err in captured.err
+            # a failure goes to stderr alone, a verdict to stdout alone
+            assert not (captured.out and captured.err)
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--model", "plant.json", "--rank-tol", "1e-9"],
@@ -573,14 +601,14 @@ class TestSeedPlumbing:
         assert second == simulate_bytes("flag2.csv", "--seed", "2")
         assert first != second
 
-    def test_bad_env_rejected_by_seeded_commands(self, monkeypatch, tmp_path):
+    def test_bad_env_rejected_by_seeded_commands(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("SENTINEL_SEED", "abc")
         plant_path = tmp_path / "plant.json"
         save_state_space(benchmark_plant(), plant_path)
         for argv in (["demo", "injection", "--out", str(tmp_path / "demo")],
                      ["simulate", "--model", str(plant_path), "--out", str(tmp_path / "r.csv")]):
-            with pytest.raises(SystemExit, match="SENTINEL_SEED must be an integer"):
-                main(argv)
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", "SENTINEL_SEED must be an integer, got 'abc'\n")
 
     @pytest.mark.parametrize("argv", [
         ["learn", "{inj}/offline.csv", "--n", "6", "--max-attacked", "1", "--horizon", "41",
