@@ -226,6 +226,11 @@ def cmd_demo(args) -> int:
 def cmd_learn(args) -> int:
     with _failing("cannot read trajectory", OSError, ValueError):
         traj = load_trajectory(args.trajectory)
+    # fail before learning, not after it; the file itself is written only
+    # once learning succeeds, so a failed learn leaves an existing model
+    folder = os.path.dirname(os.path.abspath(args.out))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise _Failure(f"cannot write model: {folder} is not a writable directory")
     with _failing("invalid configuration", ValueError), \
             _failing("learning failed", LearningError, code=2), \
             _failing("trajectory too short", TrajectoryLengthError):

@@ -17,6 +17,12 @@ have produced, which is what the replay test exploits.
 Certified data of every subset share one rank-(m(n+1) + n) column space,
 so one basis of it fixes every subset's predictor (predictors); a learned
 model stores that basis and derives its predictors from it.
+
+Every subset's data are row selections of one all-sensor Hankel, so one QR
+of it and one SVD of its factor serve every rank decision: learning and the
+replay test read each subset's rank from that factor's rank-rho part, rho
+being its rank above rounding level (_certificate), and learning takes the
+basis from the same singular vectors.
 """
 
 import base64
@@ -84,24 +90,52 @@ def _factor(mats: SubsetDataMatrices) -> np.ndarray:
     return np.linalg.qr(mats.hankel.T, mode="r").T
 
 
-def _certificate(mats: SubsetDataMatrices, factor: np.ndarray,
-                 tol: Tolerance) -> tuple[RankReport, ...]:
-    """One report per subset from the singular values alone of its regressor
-    rows of the factor, cut at rank_cutoff of the data matrix's shape,
-    (d + m) x T."""
-    sigma = np.linalg.svd(factor[mats.regressor], compute_uv=False)
+def _certificate(mats: SubsetDataMatrices, tol: Tolerance
+                 ) -> tuple[np.ndarray, tuple[RankReport, ...]]:
+    """(U, reports): the left singular vectors of R^T = U Sigma V^T, from one
+    thin SVD of the factor, and one report per subset.
+
+    A report counts the singular values of the subset's regressor rows
+    A_j R^T above rank_cutoff of the data matrix's shape, (d + m) x T. They
+    are read from the (d + m) x rho matrix (U_rho Sigma_rho)[regressor_j],
+    rho being the number of sigma_i(R^T) above the rounding level
+    l = max(W, T) eps sigma_1: A_j U_rho Sigma_rho V_rho^T has its singular
+    values plus zeros, and differs from A_j R^T by A_j times the tail of
+    R^T, of spectral norm at most delta = sigma_{rho+1}(R^T) <= l. By Weyl's
+    inequality each subset singular value, the zeros past rho included,
+    moves by at most delta, and so the cutoff tau sigma_max, with
+    tau = rank_rel max(d + m, T), by at most tau delta. With l added for
+    the rounding that separates the two computations, no count can change
+    if every computed value s and cutoff c satisfy
+    |s - c| > (1 + tau)(delta + l), and c does too, for the zeros past rho.
+    Where that fails, the values are those of the rows of R^T themselves,
+    as if rho were min(W, T). A zero factor has rho = 0 and every rank 0.
+    """
+    factor = _factor(mats)
+    u, s, _ = np.linalg.svd(factor, full_matrices=False)
     rows = mats.regressor.shape[1]
-    observed = (sigma > rank_cutoff(sigma, (rows, mats.columns), tol)).sum(axis=1)
+    shape = (rows, mats.columns)
+    level = max(mats.hankel.shape) * np.finfo(float).eps * s[0]
+    rho = np.count_nonzero(s > level)
+    delta = s[rho:rho + 1].sum()  # 0 where rho = min(W, T)
+    sigma = np.linalg.svd((u[:, :rho] * s[:rho])[mats.regressor], compute_uv=False)
+    cutoff = rank_cutoff(sigma, shape, tol)
+    margin = (1.0 + tol.rank_rel * max(shape)) * (delta + level)
+    if not ((np.abs(sigma - cutoff) > margin).all() and (cutoff > margin).all()):
+        sigma = np.linalg.svd(factor[mats.regressor], compute_uv=False)
+        cutoff = rank_cutoff(sigma, shape, tol)
+    observed = (sigma > cutoff).sum(axis=1)
     required = certifying_rank(rows - mats.target.shape[1], mats.order)
-    return tuple(RankReport(count, required, rows, count == required)
-                 for count in observed.tolist())
+    return u, tuple(RankReport(count, required, rows, count == required)
+                    for count in observed.tolist())
 
 
 def rank_condition(mats: SubsetDataMatrices,
                    tol: Tolerance = DEFAULT_TOL) -> tuple[RankReport, ...]:
     """Rank certificates of every subset's stacked data matrix, in position
-    order, from one QR of the Hankel and one batched SVD of the small factors."""
-    return _certificate(mats, _factor(mats), tol)
+    order, from one QR of the Hankel, one SVD of its factor and one batched
+    SVD of the subsets' rows of that factor's rank-rho part (_certificate)."""
+    return _certificate(mats, tol)[1]
 
 
 def predictors(basis: np.ndarray, regressor: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -137,12 +171,13 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
 
     The predictors are the minimum-norm fits of the stacked data: with the
     certifying rank they are exact on everything the plant can produce and
-    unique over informative recordings. One QR of the Hankel (_factor) and
-    the singular values of every subset's rows of R^T give the rank
-    reports. Data an n-state plant produced have rank r = m(n + 1) + n in
-    G and in every certified subset's rows of it, so once every subset
-    certifies, the top r left singular vectors of R^T are a basis of the
-    one column space they share, and predictors(basis, ...) gives every
+    unique over informative recordings. One QR of the Hankel (_factor),
+    one SVD of its factor R^T and one batched SVD of every subset's rows
+    of R^T's rank-rho part give the rank reports (_certificate). Data an
+    n-state plant produced have rank r = m(n + 1) + n in G and in every
+    certified subset's rows of it, so once every subset certifies, the
+    top r left singular vectors of that same SVD are a basis of the one
+    column space they share, and predictors(basis, ...) gives every
     lam[j]. The misfit is taken on the data themselves, in column blocks
     of about BLOCK_BYTES of S-stacked regressors.
     Raises one LearningError listing every subset whose certificate fails,
@@ -150,8 +185,7 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
     (or is not a number). A shared basis fits only data on which every
     subset certifies, so misfits are taken only then.
     """
-    factor = _factor(mats)
-    reports = _certificate(mats, factor, tol)
+    u, reports = _certificate(mats, tol)
     failures = [(subset, report,
                  f"rank certificate failed: data rank {report.observed} is "
                  f"{'above' if report.observed > report.required else 'below'} the "
@@ -160,7 +194,7 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
     if failures:
         raise LearningError(failures)
     n_subsets, width = mats.regressor.shape
-    basis = np.linalg.svd(factor, full_matrices=False)[0][:, :reports[0].required]
+    basis = u[:, :reports[0].required]
     lam = predictors(basis, mats.regressor, mats.target)
     residuals = np.zeros(n_subsets)
     block = max(1, BLOCK_BYTES // (n_subsets * width * 8))

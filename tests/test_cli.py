@@ -494,6 +494,31 @@ class TestUnwritableOutput:
         assert captured.out == "" and captured.err.startswith(message)
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("out", ["missing/m.json", "file/m.json"], ids=["missing", "file"])
+    def test_learn_fails_before_learning(self, injection_demo, tmp_path, capsys, monkeypatch,
+                                         out):
+        def learn_model(*args, **kwargs):
+            raise AssertionError("learn_model called")
+
+        monkeypatch.setattr(cli, "learn_model", learn_model)
+        (tmp_path / "file").write_text("")
+        assert main(["learn", str(injection_demo / "offline.csv"), "--n", "6",
+                     "--max-attacked", "1", "--horizon", "41",
+                     "--out", str(tmp_path / out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot write model: ")
+        assert str(tmp_path / out.split("/")[0]) in captured.err
+
+    def test_failed_learn_keeps_existing_model(self, injection_demo, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes((injection_demo / "model.json").read_bytes())
+        assert main(["learn", str(injection_demo / "offline.csv"), "--n", "6",
+                     "--max-attacked", "1", "--horizon", "41", "--res-tol", "1e-30",
+                     "--out", str(model)]) == 2
+        assert capsys.readouterr().err.startswith("learning failed: ")
+        assert model.read_bytes() == (injection_demo / "model.json").read_bytes()
+
 
 class TestToleranceFlags:
     """Each tolerance flag a subcommand accepts is read: an extreme value changes the outcome."""

@@ -19,6 +19,7 @@ from sentinel.datamat import (
 )
 from sentinel.ddmodel import (
     LearningError,
+    _factor,
     certifying_rank,
     learn_lambda,
     learn_model,
@@ -28,7 +29,7 @@ from sentinel.ddmodel import (
     rank_condition,
     save_learned_model,
 )
-from sentinel.linalg import DEFAULT_TOL, Tolerance, numerical_rank
+from sentinel.linalg import DEFAULT_TOL, Tolerance, numerical_rank, rank_cutoff
 from sentinel.plant import StateSpace, discretize_zoh, msd_benchmark, random_test_system, simulate
 
 from oracles import extended_state_space, gathered_stacks, rank_obsv_oracle, ss_to_arx
@@ -109,9 +110,12 @@ class TestRankCondition:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_reports_equal_per_subset_svd(self, wide, data):
-        # the ranks read off one QR of the all-sensor Hankel are those of each
-        # subset's own gathered stack, with fewer or more columns than the
-        # Hankel has rows W, on clean data and with one sensor pinned
+        # the ranks read off one QR and one SVD of the all-sensor Hankel are
+        # those of each subset's own gathered stack, with fewer or more columns
+        # than the Hankel has rows W, on clean data and with one sensor pinned,
+        # from cutoffs far above rounding level down to below it
+        tol = Tolerance(rank_rel=data.draw(st.sampled_from((1e-16, 1e-13, 1e-11, 1e-8, 1e-3)),
+                                           label="rank_rel"))
         n_sensors = data.draw(st.integers(2, 5), label="N")
         max_attacked = data.draw(st.integers(1, n_sensors - 1), label="M")
         n = data.draw(st.integers(1, 4), label="n")
@@ -126,8 +130,50 @@ class TestRankCondition:
         subsets = enumerate_subsets(n_sensors, max_attacked)
         for traj in (clean, apply_attack(clean, pinned, max_attacked=max_attacked)):
             mats = build_subset_matrices(traj, subsets, n, columns)
-            assert [report.observed for report in rank_condition(mats)] == [
-                numerical_rank(stacked) for stacked in gathered_stacks(mats)[0]]
+            assert [report.observed for report in rank_condition(mats, tol)] == [
+                numerical_rank(stacked, tol) for stacked in gathered_stacks(mats)[0]]
+
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
+    def test_cutoff_on_a_singular_value_falls_back(self, plant, monkeypatch):
+        # a cutoff placed on one subset's 6th singular value lies within
+        # rounding of it, which the truncated factor cannot resolve: the
+        # values are then taken from the subsets' rows of the whole factor
+        traj, n_sensors, max_attacked, columns = subset_run(plant)
+        mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
+                                     columns)
+        factor = _factor(mats)
+        sigma = np.linalg.svd(factor[mats.regressor], compute_uv=False)
+        shape = (mats.regressor.shape[1], mats.columns)
+        tol = Tolerance(rank_rel=sigma[-1, 5] / (max(shape) * sigma[-1, 0]))
+        operands = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kwargs: operands.append(a.shape) or svd(a, **kwargs))
+        reports = rank_condition(mats, tol)
+        monkeypatch.undo()
+        assert operands[-1] == (len(mats.subsets), *mats.regressor.shape[1:], factor.shape[1])
+        assert [report.observed for report in reports] == (
+            sigma > rank_cutoff(sigma, shape, tol)).sum(axis=1).tolist()
+
+    def test_cutoff_below_the_truncated_tail_falls_back(self):
+        # G's 14th singular value, 0.7 of the rounding level max(W, T) eps
+        # sigma_1, is cut from the factor; a cutoff between the subsets' share
+        # of it and the noise below still counts it, as the whole factor does
+        _, traj = excited_benchmark_run()
+        mats = build_subset_matrices(traj, enumerate_subsets(3, 1), 6, 41)
+        width, columns = mats.hankel.shape
+        rng = np.random.default_rng(0)
+        left = np.linalg.qr(rng.standard_normal((width, width)))[0]
+        right = np.linalg.qr(rng.standard_normal((columns, width)))[0]
+        level = max(width, columns) * np.finfo(float).eps
+        values = np.r_[np.ones(13), 0.7 * level, np.zeros(width - 14)]
+        mats = dataclasses.replace(mats, hankel=(left * values) @ right.T)
+        sigma = np.linalg.svd(_factor(mats)[mats.regressor], compute_uv=False)
+        shape = (mats.regressor.shape[1], columns)
+        tol = Tolerance(rank_rel=np.sqrt(sigma[:, 13].min() * sigma[:, 14].max())
+                        / (max(shape) * sigma[:, 0].max()))
+        assert (sigma > rank_cutoff(sigma, shape, tol)).sum(axis=1).tolist() == [14] * 3
+        assert [report.observed for report in rank_condition(mats, tol)] == [14] * 3
 
 
 class TestLearnLambda:
@@ -188,6 +234,29 @@ class TestLearnLambda:
             gap = np.max(np.abs((lam[j] - lam_p) @ stacked))
             assert gap <= (residuals[j] + misfit_p) * (1 + eps) + rounding
             assert reports[j].observed == numerical_rank(stacked)
+
+    def test_one_svd_of_the_factor_decides_every_rank(self, monkeypatch):
+        # learning factors the all-sensor Hankel's R^T once with vectors, takes
+        # the basis from it, and reads every subset rank from one batched
+        # values-only SVD of operands narrower than R^T
+        traj, n_sensors, max_attacked, columns = subset_run("random-10x4")
+        mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
+                                     columns)
+        factor = _factor(mats)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kwargs:
+                            calls.append((a.shape, kwargs)) or svd(a, **kwargs))
+        _, _, reports, basis = learn_lambda(mats)
+        monkeypatch.undo()
+        width = min(mats.hankel.shape)
+        assert calls[0] == ((mats.hankel.shape[0], width), {"full_matrices": False})
+        (shape, kwargs), = calls[1:]
+        assert kwargs == {"compute_uv": False}
+        assert shape[:2] == mats.regressor.shape and shape[2] < width
+        assert np.array_equal(basis, np.linalg.svd(factor, full_matrices=False)[0][
+            :, :reports[0].required])
+        assert reports == rank_condition(mats)
 
     def test_benchmark_fit_and_validation(self):
         ss, traj = excited_benchmark_run()
