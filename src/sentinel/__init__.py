@@ -64,6 +64,7 @@ from .ddmodel import (
     predict,
     predictors,
     rank_condition,
+    regressor_pinv,
     save_learned_model,
 )
 from .identify import (

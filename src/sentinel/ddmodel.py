@@ -15,8 +15,11 @@ the certifying value - in either direction - marks data the plant cannot
 have produced, which is what the replay test exploits.
 
 Certified data of every subset share one rank-(m(n+1) + n) column space,
-so one basis of it fixes every subset's predictor (predictors); a learned
-model stores that basis and derives its predictors from it.
+so one basis U of it fixes every subset's predictor U[target_j]
+pinv(U[regressor_j]); a learned model stores that basis and derives from
+it each predictor's two factors, U[target_j] and pinv(U[regressor_j])
+(regressor_pinv), which predict applies one after the other without
+forming the predictor.
 
 Every subset's data are row selections of one all-sensor Hankel, so one QR
 of it and one SVD of its factor serve every rank decision: learning and the
@@ -138,36 +141,52 @@ def rank_condition(mats: SubsetDataMatrices,
     return _certificate(mats, tol)[1]
 
 
-def predictors(basis: np.ndarray, regressor: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Every subset's one-step predictor U[target[j]] pinv(U[regressor[j]]),
-    S x d x (d + m), from a W x r basis U of the all-sensor Hankel's column
-    space and hankel_rows' S x (d + m) regressor and S x d target rows.
+def regressor_pinv(basis: np.ndarray, regressor: np.ndarray) -> np.ndarray:
+    """coef[j] = pinv(U[regressor[j]]) for every subset, S x r x (d + m),
+    from a W x r basis U of the all-sensor Hankel's column space and
+    hankel_rows' S x (d + m) regressor rows: the factor that, with lift[j] =
+    U[target[j]], makes subset j's one-step predictor lift[j] @ coef[j].
 
     If G = U C with C of full row rank, a U[regressor[j]] of full column
     rank gives G[target[j]] pinv(G[regressor[j]]) = U[target[j]]
     pinv(U[regressor[j]]): the minimum-norm fit of the subset's data,
     whichever basis of that column space U is. The pseudo-inverse is
-    R^-1 Q^T from one batched QR of the regressor rows and one batched
-    inverse of the r x r triangular factors. A subset whose R has a
-    diagonal entry within (d + m) eps of its largest, so that its rows of
-    U are numerically rank-deficient, gets a NaN predictor.
+    R^-1 Q^T from a batched QR of the regressor rows and a batched inverse
+    of the r x r triangular factors, taken over chunks of subsets of about
+    BLOCK_BYTES of gathered rows. A subset whose R has a diagonal entry
+    within (d + m) eps of its largest, so that its rows of U are
+    numerically rank-deficient, gets a NaN coef.
     """
-    q, r = np.linalg.qr(basis[regressor])
-    diagonal = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    deficient = (diagonal.min(axis=1)
-                 <= regressor.shape[1] * np.finfo(float).eps * diagonal.max(axis=1))
-    r[deficient] = np.eye(r.shape[1])
-    lam = basis[target] @ np.linalg.inv(r) @ np.swapaxes(q, 1, 2)
-    lam[deficient] = np.nan
-    return lam
+    n_subsets, width = regressor.shape
+    rank = basis.shape[1]
+    coef = np.empty((n_subsets, rank, width))
+    chunk = max(1, BLOCK_BYTES // (width * rank * 8))
+    for start in range(0, n_subsets, chunk):
+        q, r = np.linalg.qr(basis[regressor[start: start + chunk]])
+        diagonal = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        deficient = (diagonal.min(axis=1)
+                     <= width * np.finfo(float).eps * diagonal.max(axis=1))
+        r[deficient] = np.eye(rank)
+        part = coef[start: start + chunk]
+        np.matmul(np.linalg.inv(r), np.swapaxes(q, 1, 2), out=part)
+        part[deficient] = np.nan
+    return coef
+
+
+def predictors(basis: np.ndarray, regressor: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Every subset's predictor U[target[j]] pinv(U[regressor[j]]) as one
+    S x d x (d + m) stack, basis[target] @ regressor_pinv(basis, regressor);
+    a convenience for callers that want the predictors themselves."""
+    return basis[target] @ regressor_pinv(basis, regressor)
 
 
 def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
                  ) -> tuple[np.ndarray, tuple[float, ...], tuple[RankReport, ...], np.ndarray]:
-    """Fit every subset's one-step predictor: (lam, residuals, reports, basis).
+    """Fit every subset's one-step predictor: (coef, residuals, reports, basis).
 
-    lam[j] maps [u[k]; history[k]] of subsets[j] to history[k+1];
-    residuals[j] is its max-abs training misfit, reports[j] its certificate.
+    Subset j's predictor lam[j] = basis[target[j]] @ coef[j] maps
+    [u[k]; history[k]] of subsets[j] to history[k+1]; residuals[j] is its
+    max-abs training misfit, reports[j] its certificate.
 
     The predictors are the minimum-norm fits of the stacked data: with the
     certifying rank they are exact on everything the plant can produce and
@@ -177,9 +196,10 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
     n-state plant produced have rank r = m(n + 1) + n in G and in every
     certified subset's rows of it, so once every subset certifies, the
     top r left singular vectors of that same SVD are a basis of the one
-    column space they share, and predictors(basis, ...) gives every
-    lam[j]. The misfit is taken on the data themselves, in column blocks
-    of about BLOCK_BYTES of S-stacked regressors.
+    column space they share, and lam[j] = lift[j] @ coef[j] with lift =
+    basis[target] and coef = regressor_pinv(basis, regressor). The misfit
+    is taken on the data themselves with predict, in column blocks of about
+    BLOCK_BYTES of S-stacked regressors; no S x d x (d + m) lam is formed.
     Raises one LearningError listing every subset whose certificate fails,
     or else every subset whose training misfit exceeds the residual slack
     (or is not a number). A shared basis fits only data on which every
@@ -195,12 +215,12 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
         raise LearningError(failures)
     n_subsets, width = mats.regressor.shape
     basis = u[:, :reports[0].required]
-    lam = predictors(basis, mats.regressor, mats.target)
+    coef, lift = regressor_pinv(basis, mats.regressor), basis[mats.target]
     residuals = np.zeros(n_subsets)
     block = max(1, BLOCK_BYTES // (n_subsets * width * 8))
     for start in range(0, mats.columns, block):
         window = mats.hankel[:, start: start + block]
-        misfit = lam @ window[mats.regressor]
+        misfit = predict(coef, lift, window[mats.regressor])
         np.abs(np.subtract(window[mats.target], misfit, out=misfit), out=misfit)
         np.maximum(residuals, misfit.max(axis=(1, 2)), out=residuals)
     peaks = np.maximum(mats.hankel.max(axis=1), -mats.hankel.min(axis=1))
@@ -213,20 +233,33 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
                 if not residual <= slack]
     if failures:
         raise LearningError(failures)
-    return lam, tuple(residuals.tolist()), reports, basis
+    return coef, tuple(residuals.tolist()), reports, basis
 
 
-def predict(lam, regressor) -> np.ndarray:
-    """One-step prediction lam @ regressor for one predictor (d x (d+m)) and
-    regressor [u_k; history] (d + m), or a stack of S of each. Only shapes
-    are checked: DataDrivenModel derives its lambdas from a checked basis.
+def predict(coef, lift, regressor) -> np.ndarray:
+    """One-step prediction lift @ (coef @ regressor): the predictor lift @
+    coef applied through its two factors, coef (r x (d + m)) and lift
+    (d x r), to one regressor [u_k; history] of d + m entries or to a
+    (d + m) x B block of them; or a stack of S of each (S x r x (d + m),
+    S x d x r, and S x (d + m) or S x (d + m) x B). Gives d or d x B
+    entries per predictor. Only shapes are checked: DataDrivenModel
+    derives its factors from a checked basis.
     """
-    lam_arr = np.asarray(lam, dtype=float)
+    coef_arr = np.asarray(coef, dtype=float)
+    lift_arr = np.asarray(lift, dtype=float)
     x = np.asarray(regressor, dtype=float)
-    if lam_arr.ndim < 2 or lam_arr.shape[:-2] + lam_arr.shape[-1:] != x.shape:
-        raise ValueError(f"predictor of shape {lam_arr.shape} cannot take a regressor "
-                         f"of shape {x.shape}")
-    return np.matmul(lam_arr, x[..., None])[..., 0]
+    vector = x.ndim == coef_arr.ndim - 1
+    block = x[..., None] if vector else x
+    try:
+        # matmul checks the inner dimensions; stacks must match without broadcasting
+        if not (lift_arr.ndim == block.ndim == coef_arr.ndim > 1
+                and lift_arr.shape[:-2] == block.shape[:-2] == coef_arr.shape[:-2]):
+            raise ValueError
+        out = lift_arr @ (coef_arr @ block)
+    except ValueError:
+        raise ValueError(f"predictor factors of shapes {coef_arr.shape} and {lift_arr.shape} "
+                         f"cannot take a regressor of shape {x.shape}") from None
+    return out[..., 0] if vector else out
 
 
 @dataclass(frozen=True)
@@ -237,13 +270,17 @@ class DataDrivenModel:
     basis, W x r with W = (N + m)(n + 1) and r = m(n + 1) + n, spans the
     column space of the all-sensor Hankel the model was learned from; it
     is the model's one source of truth. subsets = enumerate_subsets(N, M),
-    regressor and target are their hankel_rows, and lam (S x d x (d + m),
-    d = (N - M + m) n) is derived from the basis on first use (a learned
-    model starts with the lam its learning derived). Position j of lam,
+    regressor and target are their hankel_rows, and subset j's predictor
+    U[target[j]] pinv(U[regressor[j]]) is held as its two factors: lift[j] =
+    U[target[j]] (lift is S x d x r, d = (N - M + m) n), gathered from the
+    basis when the model is built, and coef[j] = pinv(U[regressor[j]])
+    (coef is S x r x (d + m), regressor_pinv), derived on first use (a learned model
+    starts with the coef its learning derived). Position j of coef, lift,
     regressor, target, residuals and reports belongs to subsets[j]: its
-    predictor, Hankel rows, training misfit and rank certificate. A basis
-    that is not a finite W x r matrix, or residuals or reports not one per
-    subset, raise ValueError.
+    predictor's factors, Hankel rows, training misfit and rank
+    certificate. lam, the S x d x (d + m) stack lift @ coef, is built only
+    if asked for. A basis that is not a finite W x r matrix, or residuals
+    or reports not one per subset, raise ValueError.
     """
 
     basis: np.ndarray
@@ -258,8 +295,10 @@ class DataDrivenModel:
     subsets: tuple[SensorSubset, ...] = field(init=False)
     regressor: np.ndarray = field(init=False, repr=False)
     target: np.ndarray = field(init=False, repr=False)
-    # lam's store: a field, not a functools.cached_property, whose write into
-    # the instance __dict__ slows every attribute read of a monitor step
+    lift: np.ndarray = field(init=False, repr=False)
+    # the stores of coef and lam: fields, not functools.cached_property, whose
+    # write into the instance __dict__ slows every attribute read of a monitor step
+    _coef: Optional[np.ndarray] = field(init=False, default=None, repr=False)
     _lam: Optional[np.ndarray] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -275,21 +314,28 @@ class DataDrivenModel:
                              f"got shape {basis.shape}")
         regressor, target = hankel_rows(self.n_sensors, subsets, self.n, self.m)
         for name, value in (("basis", basis), ("subsets", subsets), ("regressor", regressor),
-                            ("target", target)):
+                            ("target", target), ("lift", basis[target])):
             object.__setattr__(self, name, value)
 
     @property
-    def lam(self) -> np.ndarray:
-        """predictors(basis, regressor, target), derived on first use. A basis
-        that is rank-deficient on a subset's regressor rows raises ValueError
-        naming the first such subset."""
-        if self._lam is None:
-            lam = predictors(self.basis, self.regressor, self.target)
-            finite = np.isfinite(lam).all(axis=(1, 2))
+    def coef(self) -> np.ndarray:
+        """regressor_pinv(basis, regressor), derived on first use. A basis that is rank-deficient on a subset's regressor rows
+        raises ValueError naming the first such subset."""
+        if self._coef is None:
+            coef = regressor_pinv(self.basis, self.regressor)
+            finite = np.isfinite(coef).all(axis=(1, 2))
             if not finite.all():
                 raise ValueError(f"subset id {self.subsets[finite.argmin()].id}: the basis "
                                  "is rank-deficient on its regressor rows")
-            object.__setattr__(self, "_lam", lam)
+            object.__setattr__(self, "_coef", coef)
+        return self._coef
+
+    @property
+    def lam(self) -> np.ndarray:
+        """The S x d x (d + m) predictor stack lift @ coef, as predictors()
+        gives it, built on first use; nothing in the package reads it."""
+        if self._lam is None:
+            object.__setattr__(self, "_lam", self.lift @ self.coef)
         return self._lam
 
 
@@ -303,12 +349,12 @@ def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
     if traj.output_dim != n_sensors:
         raise ValueError(f"trajectory has {traj.output_dim} outputs, expected {n_sensors}")
     mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), n, columns)
-    lam, residuals, reports, basis = learn_lambda(mats, tol)
+    coef, residuals, reports, basis = learn_lambda(mats, tol)
     model = DataDrivenModel(basis, residuals, reports, n, traj.input_dim, n_sensors,
                             max_attacked, columns, pe_seed)
-    # learn_lambda's lam is predictors of this basis and these rows, the value
-    # model.lam would derive on first use
-    object.__setattr__(model, "_lam", lam)
+    # learn_lambda's coef is regressor_pinv of this basis and these rows, the
+    # value model.coef would derive on first use
+    object.__setattr__(model, "_coef", coef)
     return model
 
 
@@ -317,7 +363,7 @@ def save_learned_model(model: DataDrivenModel, path) -> None:
     the residuals, residuals[j] being the training misfit of
     enumerate_subsets(N, M)[j]. The basis is base64 of its row-major
     little-endian float64 bytes, so a load gives it back bit for bit and
-    rebuilds the same predictors with the same numpy and BLAS."""
+    rebuilds the same predictor factors with the same numpy and BLAS."""
     payload = {
         "N": model.n_sensors,
         "M": model.max_attacked,
@@ -376,7 +422,7 @@ def load_learned_model(path) -> DataDrivenModel:
         raise ValueError(f"model file has no field {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"model file has a field of the wrong type: {exc}") from exc
-    model.lam  # derived now, so a basis rank-deficient on some subset fails the load
+    model.coef  # derived now, so a basis rank-deficient on some subset fails the load
     # learning saves left singular vectors, orthonormal to O(W eps) (Householder
     # SVD; measured at most 13 eps for W <= 77); the injection screen's c = U^T h
     # is the projection only for an orthonormal basis

@@ -121,14 +121,16 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     """Process one online sample pair (current input, newest measurement).
 
     y_new and u_k go into the newest sample's slots of the monitor column;
-    then, for each subset, the predictor advances [u_k; history] and the
-    score is the 2-norm of its difference from the observed next history.
+    then, for each subset, the predictor, applied through its two factors,
+    advances [u_k; history] and the score is the 2-norm of its difference
+    from the observed next history.
     Candidates within residual + residual * ||observed|| of the smallest
     score win. On all-clear the column drops its oldest sample, so the
     observed histories become the new state; otherwise the verdict is
     terminal and the monitor freezes. All subsets are scored at once: two
-    gathers, one stacked product, one dot product per row; an all-clear
-    verdict takes the monitor's precomputed winners and sensors.
+    gathers, one predict call (two stacked products), one dot product per
+    row; an all-clear verdict takes the monitor's precomputed winners and
+    sensors.
     """
     if mon.terminal:
         raise RuntimeError("monitor is terminal; no further steps accepted")
@@ -139,7 +141,7 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     outputs, inputs = n_sensors * model.n, n_sensors * (model.n + 1)
     column[outputs:inputs] = y_vec
     column[-m:] = u_vec
-    predicted = predict(model.lam, column[model.regressor])
+    predicted = predict(model.coef, model.lift, column[model.regressor])
     observed = column[model.target]
     diff = observed - predicted
     # row norms as one dot product per row: bit-equal to np.linalg.norm of a row
@@ -147,7 +149,7 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     norms = np.sqrt(observed[:, None, :] @ observed[:, :, None])[:, 0, 0]
     wins = residuals <= residuals.min() + (mon.tol.residual + mon.tol.residual * norms)
     scores = tuple(residuals.tolist())
-    if wins.all():
+    if np.count_nonzero(wins) == wins.size:  # wins.all(), without a reduction's set-up
         column[:outputs] = column[n_sensors:inputs]
         column[inputs:-m] = column[inputs + m:]
         mon.k += 1
@@ -222,48 +224,68 @@ def _residual_bounds(model: DataDrivenModel, traj: Trajectory):
 
     Column h of the depth-(n + 1) all-sensor Hankel holds one step; o =
     h[target_j] and x = h[regressor_j] are subset j's next history and
-    [u_k; history]. For the model's W x r basis U, any c and p = h - U c,
-    o - lam_j x = (U[target_j] - lam_j U[regressor_j]) c + p[target_j] -
-    lam_j p[regressor_j], so its norm is at most delta_j ||c|| +
-    ||p[target_j]|| + ||lam_j||_F ||p[regressor_j]||, with delta_j =
-    ||lam_j U[regressor_j] - U[target_j]||_F, whatever the basis. With
-    c = U^T h and an orthonormal U, data the plant can produce leave p and
-    delta_j at rounding level and a deviation from the plant shows in p;
-    another basis leaves p large, and little is cleared. The norms are 0/1
-    pick matrices times h * h and p * p.
+    [u_k; history]. Subset j's predictor is lam_j = L C, L = model.lift[j]
+    = U[target_j] and C = model.coef[j] its factors, U the model's W x r
+    basis. For any c and p = h - U c, o - lam_j x = (U[target_j] - lam_j
+    U[regressor_j]) c + p[target_j] - lam_j p[regressor_j], so its norm is
+    at most delta_j ||c|| + ||p[target_j]|| + ||lam_j||_F ||p[regressor_j]||,
+    with delta_j = ||lam_j U[regressor_j] - U[target_j]||_F = ||L (C
+    U[regressor_j] - I)||_F, whatever the basis. With c = U^T h and an
+    orthonormal U, data the plant can produce leave p and delta_j at
+    rounding level and a deviation from the plant shows in p; another
+    basis leaves p large, and little is cleared. The norms are 0/1 pick
+    matrices times h * h and p * p. No S x d x (d + m) array is formed:
+    delta_j takes the r x r C U[regressor_j] - I, and ||lam_j||_F the r x r
+    Gram matrices of the factors, ||lam_j||_F^2 = tr(C^T L^T L C) =
+    sum (L^T L) * (C C^T), entrywise.
 
-    D adds the rounding of p and delta_j. With u = eps / 2, g(k) = k u /
-    (1 - k u), A = ||lam_j||_F ||x|| + ||o|| and K = ||lam_j||_F
-    ||U[regressor_j]||_F + ||U[target_j]||_F: the bound holds for the
-    computed c itself; the computed p is within g(r + 1) (|U| |c| + |h|)
-    of h - U c entrywise, which moves the p terms by g(r + 1) (K ||c|| + A)
-    at most; the computed delta_j is within g(d + m + 1) K. D carries
-    e (2 K ||c|| + A), e = (d + m + r + 2) eps, for both, and
-    (3 + ||lam_j||_F + delta_j) sqrt(W 2^-1074) for what underflow can take
-    off the screen's norms and the step's score.
+    With u = eps / 2, g(k) = k u / (1 - k u) and kappa = ||L||_F ||C||_F:
+    the computed L^T L and C C^T are within g(d) |L|^T |L| and g(d + m)
+    |C| |C|^T of exact and the r^2-term sum adds g(r^2) of the sum of
+    |terms|, so the computed sum s is within g(r^2 + 2 d + m) of
+    sum (|L|^T |L|) * (|C| |C|^T) = || |L| |C| ||_F^2 <= kappa^2 of
+    ||lam_j||_F^2. D takes l = sqrt(s + (r^2 + 2 d + m) eps kappa^2), at
+    least ||lam_j||_F and at most kappa (1 + 1e-9), in its place.
 
-    b = 16 (d + m + 2) eps A. injection_step's o - lam_j x is within
-    g(d + m + 1) A of the exact, so its score exceeds the exact residual by
-    under b / 8 beyond the relative rounding of a norm. Each norm, product
-    and sum of non-negative terms here and in the slacks is within a
-    relative g(d (d + m) + W) < 1e-9 (d < 3000) of exact. So where
-    2 D + b <= slack, every score is under (slack - b) (1 + 1e-9) / 2 + b / 8,
-    within the step's slack, and as the smallest score is at least 0,
-    every subset wins.
+    D adds the rounding of p and delta_j. With A = kappa ||x|| + ||o|| and
+    K = kappa ||U[regressor_j]||_F + ||U[target_j]||_F: the bound holds for
+    the computed c itself; the computed p is within g(r + 1) (|U| |c| +
+    |h|) of h - U c entrywise, which moves the p terms by g(r + 1) (1 +
+    1e-9) (K ||c|| + A) at most; the computed C U[regressor_j] - I is within
+    g(d + m + 1) (|C| |U[regressor_j]| + I) of exact, and the product with
+    L adds g(r) |L| times its magnitude, so the computed delta_j is within
+    g(d + m + r + 1) K. D carries e (2 K ||c|| + A), e = (d + m + r + 2) eps,
+    for both, and (3 + l + delta_j) sqrt(W 2^-1074) for what underflow can
+    take off the screen's norms and the step's score.
+
+    b = 16 (d + m + r + 2) eps A. injection_step's predict computes C x
+    within g(d + m) |C| |x| and L (C x) within g(r) |L| |C x| more, and the
+    difference from o adds a relative u, so its o - L (C x) is within
+    g(d + m + r + 1) A of the exact o - lam_j x, and its score exceeds the
+    exact residual by under b / 8 beyond the relative rounding of a norm.
+    Each norm, product and sum of non-negative terms here and in the
+    slacks is within a relative g((d + m)^2 + W) < 1e-9 (d + m < 3000) of
+    exact. So where 2 D + b <= slack, every score is under (slack - b) (1 +
+    1e-9) / 2 + b / 8, within the step's slack, and as the smallest score
+    is at least 0, every subset wins.
     """
-    n, m, basis, lam = model.n, model.m, model.basis, model.lam
-    n_subsets, d = lam.shape[:2]
-    width, rank = basis.shape
+    n, m, basis, coef, lift = model.n, model.m, model.basis, model.coef, model.lift
+    n_subsets, d, rank = lift.shape
+    width = basis.shape[0]
     eps = np.finfo(float).eps
     picks = np.zeros((2, n_subsets, width))
     np.put_along_axis(picks[0], model.target, 1.0, axis=1)
     np.put_along_axis(picks[1], model.regressor, 1.0, axis=1)
-    lam_norms = np.sqrt(np.einsum("sij,sij->s", lam, lam))[:, None]
-    misfit = lam @ basis[model.regressor] - basis[model.target]
-    deltas = np.sqrt(np.einsum("sij,sij->s", misfit, misfit))[:, None]
     target_norms, regressor_norms = np.sqrt(picks @ np.einsum("ij,ij->i", basis, basis))[..., None]
+    # ||lift_j||_F is ||U[target_j]||_F
+    kappa = target_norms * np.sqrt(np.einsum("sij,sij->s", coef, coef))[:, None]
+    grams = np.swapaxes(lift, 1, 2) @ lift, coef @ np.swapaxes(coef, 1, 2)
+    lam_norms = np.sqrt(np.einsum("sij,sij->s", *grams)[:, None]
+                        + (rank * rank + 2 * d + m) * eps * kappa * kappa)
+    misfit = lift @ (coef @ basis[model.regressor] - np.eye(rank))
+    deltas = np.sqrt(np.einsum("sij,sij->s", misfit, misfit))[:, None]
     ulps = (d + m + rank + 2) * eps
-    slope = deltas + 2 * ulps * (lam_norms * regressor_norms + target_norms)
+    slope = deltas + 2 * ulps * (kappa * regressor_norms + target_norms)
     floor = (3 + lam_norms + deltas) * np.sqrt(width * np.finfo(float).smallest_subnormal)
     block = max(1, BLOCK_BYTES // ((width + n_subsets) * 8))
     last = traj.length - 1
@@ -273,10 +295,10 @@ def _residual_bounds(model: DataDrivenModel, traj: Trajectory):
         distance = window - basis @ coords
         observed, regressors = np.sqrt(picks @ (window * window))
         far_target, far_regressor = np.sqrt(picks @ (distance * distance))
-        scale = lam_norms * regressors + observed
+        scale = kappa * regressors + observed
         bound = (slope * np.sqrt(np.einsum("ic,ic->c", coords, coords)) + far_target
                  + lam_norms * far_regressor + ulps * scale + floor)
-        yield start, bound, 16 * (d + m + 2) * eps * scale, observed
+        yield start, bound, 16 * ulps * scale, observed
 
 
 def identify_replay(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,

@@ -252,9 +252,12 @@ def reference_injection_bootstrap(model: DataDrivenModel, u_history, y_history,
     return ReferenceMonitor(model, states, model.n, tol)
 
 
-def reference_injection_step(mon: ReferenceMonitor, u_k, y_new) -> IdentificationVerdict:
-    """The injection step subset by subset: lam @ [u_k; state] and a
-    hand-written shift of each subset's history."""
+def reference_injection_step(mon: ReferenceMonitor, u_k, y_new,
+                             lam=None) -> IdentificationVerdict:
+    """The injection step subset by subset: lift_j @ (coef_j @ [u_k; state])
+    with the model's two factors of each predictor, or lam[j] @ [u_k; state]
+    with a given S x d x (d + m) stack lam (the λ form), and a hand-written
+    shift of each subset's history."""
     if mon.terminal:
         raise RuntimeError("monitor is terminal; no further steps accepted")
     model = mon.model
@@ -264,10 +267,14 @@ def reference_injection_step(mon: ReferenceMonitor, u_k, y_new) -> Identificatio
     scores = []
     observed_states = {}
     slack = []
-    for subset, lam in zip(model.subsets, model.lam):
+    for j, subset in enumerate(model.subsets):
         q = len(subset.indices)
         state = mon.states[subset.id]
-        predicted = as_matrix(lam, "lam") @ np.concatenate([u_vec, state])
+        regressor = np.concatenate([u_vec, state])
+        if lam is None:
+            predicted = model.lift[j] @ (model.coef[j] @ regressor)
+        else:
+            predicted = as_matrix(lam[j], "lam") @ regressor
         observed = np.empty_like(state)
         # shift the output block and append the newest subset measurement
         observed[: (n - 1) * q] = state[q: n * q]

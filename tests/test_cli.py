@@ -267,7 +267,7 @@ class TestIdentify:
                                                      sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("name, digest", [
-        ("verdict.json", "4e35999c0a9a041a2fe51d6208801dc52b34b9495e6e49e6bcfd767b76277d13"),
+        ("verdict.json", "1c953b1eee7400dab68f07785d08afbd1211f1164b8f0405fb3edd82564da336"),
         ("online.csv", "c7855cb6dfbc1ffe690ca866fb68665ea6b4ec4a74810821e566655847ec388b"),
         ("delay/verdict.json",
          "a6b7b1c39ff241f806a2092a4d246caf35c12b83d7c293db234ddffadc91a1da"),

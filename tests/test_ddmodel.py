@@ -67,6 +67,14 @@ def subset_run(plant):
     return Trajectory(u, simulate(ss, np.zeros(6), u)[1]), 6, 2, 40
 
 
+def learned_lambda(mats, tol=DEFAULT_TOL):
+    """learn_lambda with its predictors as one S x d x (d + m) stack:
+    (lam, residuals, reports, basis), lam = basis[target] @ coef, the
+    stack predictors(basis, ...) gives."""
+    coef, residuals, reports, basis = learn_lambda(mats, tol)
+    return basis[mats.target] @ coef, residuals, reports, basis
+
+
 def generator_matrices(ss, subset_rows):
     """[input matrix | transition matrix] of the stacked-history companion
     form, the model-based route the learner is checked against."""
@@ -184,7 +192,7 @@ class TestLearnLambda:
         u = np.random.default_rng(0).uniform(-1, 1, (1, 12))
         _, y = simulate(ss, np.zeros(1), u)
         mats = build_subset_matrices(Trajectory(u, y), (SensorSubset(1, (1,)),), 1, 10)
-        (lam,), _, (report,), _ = learn_lambda(mats)
+        (lam,), _, (report,), _ = learned_lambda(mats)
         expected = np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.0]])
         np.testing.assert_allclose(lam, expected, atol=1e-8)
         np.testing.assert_allclose(lam, generator_matrices(ss, [0]), atol=1e-8)
@@ -213,24 +221,27 @@ class TestLearnLambda:
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
     def test_one_svd_matches_pinv_and_rank_condition(self, plant):
-        # lam and the per-subset pinv solution agree on the data: since
-        # (lam - lam_p) A = (lam A - B) - (lam_p A - B), the gap is at most
-        # the two training misfits. Each of the three computed products (lam A
-        # in learn_lambda, lam_p A and (lam - lam_p) A here) is within
-        # g(d + m) |.| |A| of the exact one, g(k) = k u / (1 - k u), and each
-        # subtraction adds a relative u, which the eps terms below cover.
+        # lam = lift coef and the per-subset pinv solution agree on the data:
+        # since (lam - lam_p) A = (lam A - B) - (lam_p A - B), the gap is at
+        # most the two training misfits. learn_lambda's lift (coef A) and the
+        # computed lam here are within g(d + m + r) |lift| |coef| |A| of the
+        # exact products, lam_p A and (lam - lam_p) A within g(d + m) |.| |A|,
+        # g(k) = k u / (1 - k u), and each subtraction adds a relative u,
+        # which the eps terms below cover.
         traj, n_sensors, max_attacked, columns = subset_run(plant)
         mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
-        lam, residuals, reports, _ = learn_lambda(mats)
+        coef, residuals, reports, basis = learn_lambda(mats)
+        lift = basis[mats.target]
+        lam = lift @ coef
         assert reports == rank_condition(mats)
         eps = np.finfo(float).eps
         for j, (stacked, target) in enumerate(zip(*gathered_stacks(mats))):
             pinv = np.linalg.pinv(stacked, rcond=DEFAULT_TOL.rank_rel * max(stacked.shape))
             lam_p = target @ pinv
             misfit_p = np.max(np.abs(target - lam_p @ stacked))
-            rounding = (stacked.shape[0] + 2) * eps * np.max(
-                (np.abs(lam[j]) + np.abs(lam_p)) @ np.abs(stacked))
+            rounding = (stacked.shape[0] + coef.shape[1] + 2) * eps * np.max(
+                (np.abs(lift[j]) @ np.abs(coef[j]) + np.abs(lam_p)) @ np.abs(stacked))
             gap = np.max(np.abs((lam[j] - lam_p) @ stacked))
             assert gap <= (residuals[j] + misfit_p) * (1 + eps) + rounding
             assert reports[j].observed == numerical_rank(stacked)
@@ -261,7 +272,7 @@ class TestLearnLambda:
     def test_benchmark_fit_and_validation(self):
         ss, traj = excited_benchmark_run()
         subset = SensorSubset(1, (1, 2))
-        (lam,), (residual,), _, _ = learn_lambda(build_subset_matrices(traj, (subset,), 6, 41))
+        (lam,), (residual,), _, _ = learned_lambda(build_subset_matrices(traj, (subset,), 6, 41))
         assert residual < 1e-9
         # fresh run from the same plant: one-step predictions stay exact
         u2 = np.random.default_rng(1234).uniform(-1, 1, (1, 47))
@@ -275,8 +286,8 @@ class TestLearnLambda:
         _, traj_a = excited_benchmark_run(seed=7)
         _, traj_b = excited_benchmark_run(seed=99)
         subset = SensorSubset(1, (1, 2))
-        lam_a = learn_lambda(build_subset_matrices(traj_a, (subset,), 6, 41))[0][0]
-        lam_b = learn_lambda(build_subset_matrices(traj_b, (subset,), 6, 41))[0][0]
+        lam_a = learned_lambda(build_subset_matrices(traj_a, (subset,), 6, 41))[0][0]
+        lam_b = learned_lambda(build_subset_matrices(traj_b, (subset,), 6, 41))[0][0]
         assert np.max(np.abs(lam_a - lam_b)) < 1e-8
 
     def test_single_sensor_subsets_match_generator(self):
@@ -290,7 +301,7 @@ class TestLearnLambda:
             u = rng.uniform(-1, 1, (1, n + columns))
             _, y = simulate(ss, np.zeros(n), u)
             mats = build_subset_matrices(Trajectory(u, y), enumerate_subsets(2, 1), n, columns)
-            for lam, subset in zip(learn_lambda(mats)[0], mats.subsets):
+            for lam, subset in zip(learned_lambda(mats)[0], mats.subsets):
                 gen = generator_matrices(ss, [subset.indices[0] - 1])
                 assert np.max(np.abs(lam - gen)) < 1e-8
 
@@ -306,8 +317,8 @@ class TestLearnLambda:
             u = rng.uniform(-1, 1, (1, n + columns))
             _, y = simulate(ss, np.zeros(n), u)
             subset = SensorSubset(1, (1, 2))
-            lam = learn_lambda(build_subset_matrices(Trajectory(u, y), (subset,), n,
-                                                     columns))[0][0]
+            lam = learned_lambda(build_subset_matrices(Trajectory(u, y), (subset,), n,
+                                                       columns))[0][0]
             gen = generator_matrices(ss, [0, 1])
             u2 = rng.uniform(-1, 1, (1, n + 20))
             _, y2 = simulate(ss, np.zeros(n), u2)
@@ -346,17 +357,19 @@ class TestLearningAtScale:
         mats = build_subset_matrices(Trajectory(traj.u, noisy),
                                      enumerate_subsets(n_sensors, max_attacked), 6, columns)
         tol = Tolerance(rank_rel=1e-8, residual=1e-3)
-        lam, residuals, reports, _ = learn_lambda(mats, tol)
+        coef, residuals, reports, basis = learn_lambda(mats, tol)
+        lift = basis[mats.target]
         regressors, targets = gathered_stacks(mats)
-        misfit = np.abs(targets - lam @ regressors).max(axis=(1, 2))
-        # both products are within g(d + m) |lam| |regressors| of the exact one
-        rounding = ((regressors.shape[1] + 2) * np.finfo(float).eps
-                    * np.max(np.abs(lam) @ np.abs(regressors), axis=(1, 2)))
+        misfit = np.abs(targets - lift @ (coef @ regressors)).max(axis=(1, 2))
+        # both evaluations of lift (coef x), one column at a time or in a block,
+        # are within g(d + m + r) |lift| |coef| |regressors| of the exact one
+        rounding = ((regressors.shape[1] + coef.shape[1] + 2) * np.finfo(float).eps
+                    * np.max(np.abs(lift) @ (np.abs(coef) @ np.abs(regressors)), axis=(1, 2)))
         column_bytes = len(mats.subsets) * regressors.shape[1] * 8
         for block in (1, 5, 16, columns - 1, columns):
             monkeypatch.setattr(ddmodel, "BLOCK_BYTES", block * column_bytes)
-            blocked_lam, blocked_residuals, blocked_reports, _ = learn_lambda(mats, tol)
-            assert blocked_lam.tobytes() == lam.tobytes() and blocked_reports == reports
+            blocked_coef, blocked_residuals, blocked_reports, _ = learn_lambda(mats, tol)
+            assert blocked_coef.tobytes() == coef.tobytes() and blocked_reports == reports
             assert np.all(np.abs(np.array(blocked_residuals) - misfit) <= 2 * rounding)
         assert np.all(np.abs(np.array(residuals) - misfit) <= 2 * rounding)
 
@@ -377,50 +390,80 @@ class TestLearningAtScale:
             tracemalloc.stop()
         # beside the Hankel: its two halves while it is assembled, or the copy
         # the QR factors, or one misfit block: the gathered regressors, at most
-        # BLOCK_BYTES, and two S x d blocks, each smaller (the new misfit and
-        # the last one, or the misfit and the gathered targets)
+        # BLOCK_BYTES, their r-row product, and two S x d blocks, each smaller
+        # (the new misfit and the last one, or the misfit and the gathered
+        # targets); with r = 13 and d = 30 the r-row product (0.42 BLOCK_BYTES)
+        # fits in the room the Hankel's second term leaves
         assert peak < 2 * mats.hankel.nbytes + 3 * BLOCK_BYTES
 
 
 class TestPredict:
     def test_zero_map(self):
-        np.testing.assert_array_equal(predict(np.zeros((4, 5)), np.ones(5)), np.zeros(4))
+        np.testing.assert_array_equal(predict(np.zeros((3, 5)), np.ones((4, 3)), np.ones(5)),
+                                      np.zeros(4))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            predict(np.zeros((4, 5)), np.ones(6))
+    @pytest.mark.parametrize("coef, lift, regressor", [
+        ((3, 5), (4, 3), (6,)),
+        ((3, 5), (4, 3), (6, 2)),
+        ((3, 5), (4, 2), (5,)),
+        ((3, 5), (3, 4, 3), (5,)),
+        ((5,), (4, 3), (5,)),
+        ((3, 5), (4, 3), (1, 5, 2)),
+        ((2, 3, 5), (3, 4, 3), (2, 5)),
+        ((2, 3, 5), (2, 4, 3), (5,)),
+        ((2, 3, 5), (2, 4, 3), (3, 5)),
+        ((2, 3, 5), (2, 4, 3), (2, 5, 2, 1)),
+    ], ids=["long-regressor", "long-block", "lift-rank", "lift-stacked", "coef-vector",
+            "block-stacked", "lift-count", "stack-unstacked", "regressor-count", "block-4d"])
+    def test_shape_mismatch(self, coef, lift, regressor):
+        with pytest.raises(ValueError, match="cannot take a regressor of shape"):
+            predict(np.zeros(coef), np.zeros(lift), np.zeros(regressor))
 
-    def test_stacked_predictors_match_one_at_a_time(self):
+    def test_stacked_factors_match_one_at_a_time(self):
         rng = np.random.default_rng(3)
-        lam, regressors = rng.standard_normal((5, 4, 6)), rng.standard_normal((5, 6))
-        stacked = predict(lam, regressors)
-        assert stacked.shape == (5, 4)
+        coef, lift = rng.standard_normal((5, 3, 6)), rng.standard_normal((5, 4, 3))
+        regressors, blocks = rng.standard_normal((5, 6)), rng.standard_normal((5, 6, 7))
+        stacked, blocked = predict(coef, lift, regressors), predict(coef, lift, blocks)
+        assert stacked.shape == (5, 4) and blocked.shape == (5, 4, 7)
         for j in range(5):
-            np.testing.assert_array_equal(stacked[j], predict(lam[j], regressors[j]))
-            np.testing.assert_array_equal(stacked[j], lam[j] @ regressors[j])
+            np.testing.assert_array_equal(stacked[j], predict(coef[j], lift[j], regressors[j]))
+            np.testing.assert_array_equal(stacked[j], lift[j] @ (coef[j] @ regressors[j]))
+            np.testing.assert_array_equal(blocked[j], predict(coef[j], lift[j], blocks[j]))
+            np.testing.assert_array_equal(blocked[j], lift[j] @ (coef[j] @ blocks[j]))
+            # a block is its columns taken one at a time, to rounding
+            np.testing.assert_allclose(blocked[j], np.stack(
+                [predict(coef[j], lift[j], column) for column in blocks[j].T], axis=1),
+                rtol=0, atol=1e-13)
+            np.testing.assert_allclose(stacked[j], (lift[j] @ coef[j]) @ regressors[j],
+                                       rtol=0, atol=1e-13)
         with pytest.raises(ValueError):
-            predict(lam, regressors[:4])
+            predict(coef, lift, regressors[:4])
         with pytest.raises(ValueError):
-            predict(lam, regressors[0])
+            predict(coef, lift, regressors[0])
 
     def test_prediction_tail_carries_input(self):
         # bottom input-block of a learned one-step prediction is u[k]
         ss, traj = excited_benchmark_run()
         subset = SensorSubset(1, (1, 2))
-        lam = learn_lambda(build_subset_matrices(traj, (subset,), 6, 41))[0][0]
+        mats = build_subset_matrices(traj, (subset,), 6, 41)
+        (coef,), _, _, basis = learn_lambda(mats)
         u2 = np.random.default_rng(5).uniform(-1, 1, (1, 20))
         _, y2 = simulate(ss, np.zeros(6), u2)
         (regressors,), _ = gathered_stacks(
             build_subset_matrices(Trajectory(u2, y2), (subset,), 6, 10))
-        out = predict(lam, regressors[:, 0])
-        np.testing.assert_allclose(out[-1:], regressors[:1, 0], atol=1e-9)
+        lift = basis[mats.target[0]]
+        np.testing.assert_allclose(predict(coef, lift, regressors[:, 0])[-1:],
+                                   regressors[:1, 0], atol=1e-9)
+        np.testing.assert_allclose(predict(coef, lift, regressors)[-1:], regressors[:1],
+                                   atol=1e-9)
 
 
 class TestLearnModel:
     def test_benchmark_model(self):
         _, traj = excited_benchmark_run()
         model = learn_model(traj, 3, 1, 6, 41, pe_seed=7)
-        assert model.lam.shape == (3, 18, 19) and len(model.residuals) == 3
+        assert model.coef.shape == (3, 13, 19) and model.lift.shape == (3, 18, 13)
+        assert len(model.residuals) == 3 and model._lam is None
         assert all(report.holds for report in model.reports)
         assert model.pe_seed == 7
 
@@ -518,23 +561,28 @@ class TestModelFile:
         assert (loaded.n_sensors, loaded.max_attacked) == (model.n_sensors, model.max_attacked)
         assert loaded.subsets == model.subsets
         np.testing.assert_array_equal(loaded.basis, model.basis)
-        np.testing.assert_array_equal(loaded.lam, model.lam)
+        np.testing.assert_array_equal(loaded.lift, model.lift)
+        np.testing.assert_array_equal(loaded.coef, model.coef)
         assert loaded.residuals == model.residuals
         assert loaded.reports == model.reports
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
-    def test_model_lambda_is_the_learned_lambda(self, plant):
-        # learning and the model derive lambda from the basis with one function
+    def test_model_factors_are_the_learned_factors(self, plant):
+        # learning and the model derive the factors from the basis with one function
         traj, n_sensors, max_attacked, columns = subset_run(plant)
         mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
-        lam, _, _, basis = learn_lambda(mats)
+        coef, _, _, basis = learn_lambda(mats)
         model = learn_model(traj, n_sensors, max_attacked, 6, columns)
         assert model.basis.tobytes() == np.ascontiguousarray(basis).tobytes()
         assert (model.regressor == mats.regressor).all() and (model.target == mats.target).all()
-        # learn_model hands learn_lambda's lam to the model; a copy derives its own
-        assert model.lam.tobytes() == lam.tobytes()
-        assert dataclasses.replace(model).lam.tobytes() == lam.tobytes()
+        # learn_model hands learn_lambda's coef to the model; a copy derives its own
+        assert model.coef.tobytes() == coef.tobytes()
+        assert dataclasses.replace(model).coef.tobytes() == coef.tobytes()
+        assert model.lift.tobytes() == basis[mats.target].tobytes()
+        # lambda, built only on demand, is the stack predictors() gives
+        assert model._lam is None
+        assert model.lam.tobytes() == predictors(basis, mats.regressor, mats.target).tobytes()
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -668,10 +716,11 @@ class TestModelFile:
         with pytest.raises(ValueError, match=r"basis must be a finite 28 x 13 matrix, "
                                              r"got shape \(28, 12\)"):
             dataclasses.replace(model, basis=model.basis[:, 1:])
-        # lam is derived on first use, so that is where a rank-deficient basis fails
+        # coef is derived on first use, so that is where a rank-deficient basis fails
         deficient = dataclasses.replace(model, basis=without_sensors(model.basis, (1, 3)))
-        with pytest.raises(ValueError, match="subset id 2: the basis is rank-deficient"):
-            deficient.lam
+        for derived in ("coef", "lam"):
+            with pytest.raises(ValueError, match="subset id 2: the basis is rank-deficient"):
+                getattr(deficient, derived)
 
     def test_in_memory_model_rejects_misaligned_tuples(self, models):
         model = models["benchmark"]

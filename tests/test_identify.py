@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from sentinel.datamat import (
     generate_pe_input,
     trajectory_hankel,
 )
-from sentinel import identify
+from sentinel import ddmodel, identify
 from sentinel.ddmodel import learn_model, load_learned_model, predict, save_learned_model
 from sentinel.identify import (
     InjectionMonitor,
@@ -249,26 +250,44 @@ class TestInjectionStep:
             assert (injection_step(monitor, [0.2], ss.C @ x)
                     == injection_step(fresh, [0.2], ss.C @ x))
 
-    def test_step_calls_module_predict_once(self, monkeypatch):
-        # perfbench's tracer wraps sentinel.identify.predict to time the stacked
-        # product; a step that bound predict elsewhere, or skipped it, would
-        # leave that span empty
-        ss, model = benchmark_model()
-        monitor, x = online_setup(ss, model)
-        u, y = closed_loop_stream(ss, x, 10, 5, attack_at=7)
-        calls = []
+    @pytest.mark.parametrize("name", ["benchmark", "random-10x4", "random-6x2"])
+    def test_step_calls_module_predict_once(self, monitored_plants, monkeypatch, name):
+        # perfbench's tracer wraps sentinel.identify.predict and takes the median
+        # of its spans over clean monitor steps: a clean step that bound predict
+        # elsewhere, or skipped it, would leave that metric without a sample
+        ss, model = monitored_plants[name]
+        calls, steps = [], []
 
         def counting_predict(*args):
             calls.append(args)
             return predict(*args)
 
+        def counting_step(*args):
+            before = len(calls)
+            verdict = step(*args)
+            steps.append(len(calls) - before)
+            return verdict
+
         monkeypatch.setattr(identify, "predict", counting_predict)
-        for k in range(u.shape[1]):
-            verdict = injection_step(monitor, u[:, k], y[:, k])
-            assert len(calls) == k + 1
-            if not verdict.all_clear:
-                break
-        assert verdict.k == 6 + 8 and monitor.terminal
+        u, y = monitor_stream(ss, model, 200, 5)
+        n = model.n
+        monitor = injection_bootstrap(model, u[:, :n], y[:, :n])
+        for k in range(n, u.shape[1]):
+            assert injection_step(monitor, u[:, k], y[:, k]).all_clear
+            assert len(calls) == k - n + 1
+        # identify_injection's handover loop: one predict per step and none in
+        # the screen, whether the screen hands over at the attack or (with a
+        # basis that is not orthonormal) at the first step
+        step = identify.injection_step
+        monkeypatch.setattr(identify, "injection_step", counting_step)
+        attacked = offset_stream(ss, model, 200, 5, model.n_sensors, n + 150, 0.9)
+        for basis in (model.basis, 2 * model.basis):
+            calls.clear()
+            steps.clear()
+            verdict = identify_injection(dataclasses.replace(model, basis=basis), attacked)
+            assert verdict.k == n + 151 and not verdict.all_clear
+            assert steps == [1] * len(steps) and len(calls) == len(steps)
+        assert len(steps) == 151
 
 
 def closed_loop_stream(ss, x, steps, seed, attack_at=None):
@@ -348,7 +367,7 @@ class TestBatchedMonitorMatchesReference:
         for start in (0, 10):
             if start:
                 run_injection(monitor, u[:, n:], y[:, n:])
-            assert monitor.model.regressor.shape == (len(model.subsets), model.lam.shape[2])
+            assert monitor.model.regressor.shape == (len(model.subsets), model.coef.shape[2])
             for j, subset in enumerate(model.subsets):
                 rows = [i - 1 for i in subset.indices]
                 window = slice(start, start + n)
@@ -410,6 +429,61 @@ class TestStepMatchesReferenceProperty:
         # all-clear steps advance the history as the reference does; the terminal one freezes it
         for j, subset in enumerate(model.subsets):
             assert np.array_equal(histories(batched)[j], reference.states[subset.id])
+
+
+class TestNoLambdaStack:
+    """Learning, the model file, the monitor and the screen hold each
+    predictor as its two factors and never form the S x d x (d + m) stack."""
+
+    def test_no_phase_allocates_a_lambda_stack(self, tmp_path):
+        # random (10, 4) plant, n = 6, m = 1: S = 210, d = 42, r = 13. With
+        # blocks of B = 4 KiB a phase holds at most the two factors, S r (d + m)
+        # and S d r floats, and one more S-stack of r x (d + m) working floats
+        # (the certificate's batched SVD operand, a chunk of the pseudo-inverse,
+        # the screen's gathered basis rows), the blocks and W-row matrices
+        # being small beside them: peak < 8 S (2 r (d + m) + d r) bytes, 2.8 MB,
+        # under the 3.0 MB of one S x d x (d + m) float64 stack
+        n, m, n_sensors, max_attacked = 6, 1, 10, 4
+        ss = random_test_system(np.random.default_rng(0), n, m, n_sensors,
+                                n_sensors - max_attacked)
+        order = (m + n_sensors - max_attacked) * n + 1
+        traj = excited_run(ss, n, (m + 1) * order, order, 0)
+        subsets, d, rank = 210, (n_sensors - max_attacked + m) * n, m * (n + 1) + n
+        bound = 8 * subsets * (2 * rank * (d + m) + d * rank)
+        assert bound < 8 * subsets * d * (d + m)
+        path = tmp_path / "model.json"
+        online = np.random.default_rng(9).uniform(-1, 1, (m, n + 200))
+        stream = Trajectory(online, simulate(ss, np.zeros(n), online)[1])
+        peaks = {}
+
+        def traced(phase, run):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = run()
+            peaks[phase] = tracemalloc.get_traced_memory()[1] - base
+            return result
+
+        def steps(model):
+            monitor = injection_bootstrap(model, stream.u[:, :n], stream.y[:, :n])
+            for k in range(n, n + 200):
+                assert injection_step(monitor, stream.u[:, k], stream.y[:, k]).all_clear
+
+        with mock.patch.object(ddmodel, "BLOCK_BYTES", 4096), \
+                mock.patch.object(identify, "BLOCK_BYTES", 4096):
+            tracemalloc.start()
+            try:
+                model = traced("learn", lambda: learn_model(traj, n_sensors, max_attacked, n,
+                                                            (m + 1) * order))
+                traced("save", lambda: save_learned_model(model, path))
+                loaded = traced("load", lambda: load_learned_model(path))
+                traced("steps", lambda: steps(loaded))
+                verdict = traced("identify", lambda: identify_injection(loaded, stream))
+            finally:
+                tracemalloc.stop()
+        assert len(model.subsets) == subsets and model.lift.shape == (subsets, d, rank)
+        assert verdict.all_clear and verdict.k == stream.length
+        assert max(peaks.values()) < bound, peaks
+        assert model._lam is None and loaded._lam is None
 
 
 class TestRunInjection:
@@ -594,6 +668,28 @@ class TestResidualBounds:
         # not vacuous: the bound clears every clean step and stops at the attack
         expected = onset if attack else traj.length - 1
         assert identify._screen_clear_steps(model, traj, DEFAULT_TOL) == expected
+
+    @pytest.mark.parametrize("name", ["benchmark", "random-10x4", "random-6x2"])
+    @pytest.mark.parametrize("attack", [False, True], ids=["clean", "attacked"])
+    def test_scores_within_a_eighth_of_b_of_the_lambda_form(self, monitored_plants, name,
+                                                            attack):
+        # the step applies each predictor as lift (coef x); the lambda form
+        # lam x, lam = lift @ coef, is within g(d + m + r + 1) A of the same
+        # exact residual, so the two scores differ by under b / 8 plus the
+        # rounding of the two norms
+        ss, model = monitored_plants[name]
+        n, d = model.n, model.lift.shape[1]
+        onset = n + 25
+        traj = offset_stream(ss, model, 40, 8, model.n_sensors if attack else None, onset, 0.9)
+        (_, _, rounding, _), = identify._residual_bounds(model, traj)
+        scores = self.step_scores(model, traj)
+        lam_scores = np.array([reference_injection_step(
+            reference_injection_bootstrap(model, traj.u[:, k - n:k], traj.y[:, k - n:k]),
+            traj.u[:, k], traj.y[:, k], lam=model.lam).scores
+            for k in range(n, traj.length - 1)]).T
+        norm_rounding = (d + 2) * np.finfo(float).eps * (scores + lam_scores)
+        assert (np.abs(scores - lam_scores) <= rounding / 8 + norm_rounding).all()
+        assert (scores[:, onset - n:].max(axis=0) > 0.5).all() == attack
 
     @pytest.mark.parametrize("factor", [0.8, 1.25])
     def test_clears_where_twice_the_bound_fits_the_slack(self, monitored_plants, factor):
