@@ -64,7 +64,6 @@ from .ddmodel import (
     predict,
     predictors,
     rank_condition,
-    regressor_pinv,
     save_learned_model,
 )
 from .identify import (

@@ -17,9 +17,9 @@ have produced, which is what the replay test exploits.
 Certified data of every subset share one rank-(m(n+1) + n) column space,
 so one basis U of it fixes every subset's predictor U[target_j]
 pinv(U[regressor_j]); a learned model stores that basis and derives from
-it each predictor's two factors, U[target_j] and pinv(U[regressor_j])
-(regressor_pinv), which predict applies one after the other without
-forming the predictor.
+it, once, each predictor's two factors, U[target_j] and
+pinv(U[regressor_j]) (_regressor_pinv), which predict applies one after
+the other without forming the predictor.
 
 Every subset's data are row selections of one all-sensor Hankel, so one QR
 of it and one SVD of its factor serve every rank decision: learning and the
@@ -31,7 +31,7 @@ basis from the same singular vectors.
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -121,11 +121,11 @@ def _certificate(mats: SubsetDataMatrices, tol: Tolerance
     level = max(mats.hankel.shape) * np.finfo(float).eps * s[0]
     rho = np.count_nonzero(s > level)
     delta = s[rho:rho + 1].sum()  # 0 where rho = min(W, T)
-    sigma = np.linalg.svd((u[:, :rho] * s[:rho])[mats.regressor], compute_uv=False)
+    sigma = _regressor_singular_values(u[:, :rho] * s[:rho], mats.regressor)
     cutoff = rank_cutoff(sigma, shape, tol)
     margin = (1.0 + tol.rank_rel * max(shape)) * (delta + level)
     if not ((np.abs(sigma - cutoff) > margin).all() and (cutoff > margin).all()):
-        sigma = np.linalg.svd(factor[mats.regressor], compute_uv=False)
+        sigma = _regressor_singular_values(factor, mats.regressor)
         cutoff = rank_cutoff(sigma, shape, tol)
     observed = (sigma > cutoff).sum(axis=1)
     required = certifying_rank(rows - mats.target.shape[1], mats.order)
@@ -141,7 +141,24 @@ def rank_condition(mats: SubsetDataMatrices,
     return _certificate(mats, tol)[1]
 
 
-def regressor_pinv(basis: np.ndarray, regressor: np.ndarray) -> np.ndarray:
+def _subset_chunks(regressor: np.ndarray, columns: int) -> list[slice]:
+    """Slices of consecutive subsets whose regressor rows of a matrix with
+    `columns` columns take about BLOCK_BYTES once gathered."""
+    n_subsets, width = regressor.shape
+    chunk = max(1, BLOCK_BYTES // max(1, width * columns * 8))
+    return [slice(start, start + chunk) for start in range(0, n_subsets, chunk)]
+
+
+def _regressor_singular_values(rows: np.ndarray, regressor: np.ndarray) -> np.ndarray:
+    """Singular values of rows[regressor[j]] for every subset j, S x
+    min(d + m, columns), from one batched SVD per _subset_chunks chunk;
+    LAPACK takes each matrix of a stack on its own, so they are the values
+    one SVD of the whole S-stack gives."""
+    return np.concatenate([np.linalg.svd(rows[regressor[part]], compute_uv=False)
+                           for part in _subset_chunks(regressor, rows.shape[1])])
+
+
+def _regressor_pinv(basis: np.ndarray, regressor: np.ndarray) -> np.ndarray:
     """coef[j] = pinv(U[regressor[j]]) for every subset, S x r x (d + m),
     from a W x r basis U of the all-sensor Hankel's column space and
     hankel_rows' S x (d + m) regressor rows: the factor that, with lift[j] =
@@ -152,32 +169,30 @@ def regressor_pinv(basis: np.ndarray, regressor: np.ndarray) -> np.ndarray:
     pinv(U[regressor[j]]): the minimum-norm fit of the subset's data,
     whichever basis of that column space U is. The pseudo-inverse is
     R^-1 Q^T from a batched QR of the regressor rows and a batched inverse
-    of the r x r triangular factors, taken over chunks of subsets of about
-    BLOCK_BYTES of gathered rows. A subset whose R has a diagonal entry
-    within (d + m) eps of its largest, so that its rows of U are
-    numerically rank-deficient, gets a NaN coef.
+    of the r x r triangular factors, taken over _subset_chunks. A subset
+    whose R has a diagonal entry within (d + m) eps of its largest, so that
+    its rows of U are numerically rank-deficient, gets a NaN coef.
     """
     n_subsets, width = regressor.shape
     rank = basis.shape[1]
     coef = np.empty((n_subsets, rank, width))
-    chunk = max(1, BLOCK_BYTES // (width * rank * 8))
-    for start in range(0, n_subsets, chunk):
-        q, r = np.linalg.qr(basis[regressor[start: start + chunk]])
+    for part in _subset_chunks(regressor, rank):
+        q, r = np.linalg.qr(basis[regressor[part]])
         diagonal = np.abs(np.diagonal(r, axis1=1, axis2=2))
         deficient = (diagonal.min(axis=1)
                      <= width * np.finfo(float).eps * diagonal.max(axis=1))
         r[deficient] = np.eye(rank)
-        part = coef[start: start + chunk]
-        np.matmul(np.linalg.inv(r), np.swapaxes(q, 1, 2), out=part)
-        part[deficient] = np.nan
+        block = coef[part]
+        np.matmul(np.linalg.inv(r), np.swapaxes(q, 1, 2), out=block)
+        block[deficient] = np.nan
     return coef
 
 
 def predictors(basis: np.ndarray, regressor: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Every subset's predictor U[target[j]] pinv(U[regressor[j]]) as one
-    S x d x (d + m) stack, basis[target] @ regressor_pinv(basis, regressor);
+    S x d x (d + m) stack, basis[target] @ _regressor_pinv(basis, regressor);
     a convenience for callers that want the predictors themselves."""
-    return basis[target] @ regressor_pinv(basis, regressor)
+    return basis[target] @ _regressor_pinv(basis, regressor)
 
 
 def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
@@ -197,7 +212,7 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
     certified subset's rows of it, so once every subset certifies, the
     top r left singular vectors of that same SVD are a basis of the one
     column space they share, and lam[j] = lift[j] @ coef[j] with lift =
-    basis[target] and coef = regressor_pinv(basis, regressor). The misfit
+    basis[target] and coef = _regressor_pinv(basis, regressor). The misfit
     is taken on the data themselves with predict, in column blocks of about
     BLOCK_BYTES of S-stacked regressors; no S x d x (d + m) lam is formed.
     Raises one LearningError listing every subset whose certificate fails,
@@ -215,7 +230,7 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
         raise LearningError(failures)
     n_subsets, width = mats.regressor.shape
     basis = u[:, :reports[0].required]
-    coef, lift = regressor_pinv(basis, mats.regressor), basis[mats.target]
+    coef, lift = _regressor_pinv(basis, mats.regressor), basis[mats.target]
     residuals = np.zeros(n_subsets)
     block = max(1, BLOCK_BYTES // (n_subsets * width * 8))
     for start in range(0, mats.columns, block):
@@ -271,16 +286,17 @@ class DataDrivenModel:
     column space of the all-sensor Hankel the model was learned from; it
     is the model's one source of truth. subsets = enumerate_subsets(N, M),
     regressor and target are their hankel_rows, and subset j's predictor
-    U[target[j]] pinv(U[regressor[j]]) is held as its two factors: lift[j] =
-    U[target[j]] (lift is S x d x r, d = (N - M + m) n), gathered from the
-    basis when the model is built, and coef[j] = pinv(U[regressor[j]])
-    (coef is S x r x (d + m), regressor_pinv), derived on first use (a learned model
-    starts with the coef its learning derived). Position j of coef, lift,
-    regressor, target, residuals and reports belongs to subsets[j]: its
-    predictor's factors, Hankel rows, training misfit and rank
-    certificate. lam, the S x d x (d + m) stack lift @ coef, is built only
-    if asked for. A basis that is not a finite W x r matrix, or residuals
-    or reports not one per subset, raise ValueError.
+    U[target[j]] pinv(U[regressor[j]]) is held as its two factors, both
+    derived when the model is built: lift[j] = U[target[j]] (lift is S x d
+    x r, d = (N - M + m) n) and coef[j] = pinv(U[regressor[j]]) (coef is S
+    x r x (d + m), _regressor_pinv, or learned_coef where learning, which
+    derived it from this basis already, hands it in). Position j of coef,
+    lift, regressor, target, residuals and reports belongs to subsets[j]:
+    its predictor's factors, Hankel rows, training misfit and rank
+    certificate. lam, the S x d x (d + m) stack lift @ coef, is built on
+    each read. A basis that is not a finite W x r matrix or is
+    rank-deficient on a subset's regressor rows, or residuals or reports
+    not one per subset, raise ValueError.
     """
 
     basis: np.ndarray
@@ -292,16 +308,14 @@ class DataDrivenModel:
     max_attacked: int
     columns: int
     pe_seed: Optional[int] = None
+    learned_coef: InitVar[Optional[np.ndarray]] = None
     subsets: tuple[SensorSubset, ...] = field(init=False)
     regressor: np.ndarray = field(init=False, repr=False)
     target: np.ndarray = field(init=False, repr=False)
     lift: np.ndarray = field(init=False, repr=False)
-    # the stores of coef and lam: fields, not functools.cached_property, whose
-    # write into the instance __dict__ slows every attribute read of a monitor step
-    _coef: Optional[np.ndarray] = field(init=False, default=None, repr=False)
-    _lam: Optional[np.ndarray] = field(init=False, default=None, repr=False)
+    coef: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, learned_coef):
         subsets = tuple(enumerate_subsets(self.n_sensors, self.max_attacked))
         if not len(self.residuals) == len(self.reports) == len(subsets):
             raise ValueError(f"N={self.n_sensors} and M={self.max_attacked} give "
@@ -313,30 +327,20 @@ class DataDrivenModel:
             raise ValueError(f"basis must be a finite {shape[0]} x {shape[1]} matrix, "
                              f"got shape {basis.shape}")
         regressor, target = hankel_rows(self.n_sensors, subsets, self.n, self.m)
+        coef = _regressor_pinv(basis, regressor) if learned_coef is None else learned_coef
+        finite = np.isfinite(coef).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"subset id {subsets[finite.argmin()].id}: the basis "
+                             "is rank-deficient on its regressor rows")
         for name, value in (("basis", basis), ("subsets", subsets), ("regressor", regressor),
-                            ("target", target), ("lift", basis[target])):
+                            ("target", target), ("lift", basis[target]), ("coef", coef)):
             object.__setattr__(self, name, value)
-
-    @property
-    def coef(self) -> np.ndarray:
-        """regressor_pinv(basis, regressor), derived on first use. A basis that is rank-deficient on a subset's regressor rows
-        raises ValueError naming the first such subset."""
-        if self._coef is None:
-            coef = regressor_pinv(self.basis, self.regressor)
-            finite = np.isfinite(coef).all(axis=(1, 2))
-            if not finite.all():
-                raise ValueError(f"subset id {self.subsets[finite.argmin()].id}: the basis "
-                                 "is rank-deficient on its regressor rows")
-            object.__setattr__(self, "_coef", coef)
-        return self._coef
 
     @property
     def lam(self) -> np.ndarray:
         """The S x d x (d + m) predictor stack lift @ coef, as predictors()
-        gives it, built on first use; nothing in the package reads it."""
-        if self._lam is None:
-            object.__setattr__(self, "_lam", self.lift @ self.coef)
-        return self._lam
+        gives it, built on each read; nothing in the package reads it."""
+        return self.lift @ self.coef
 
 
 def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
@@ -350,12 +354,8 @@ def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
         raise ValueError(f"trajectory has {traj.output_dim} outputs, expected {n_sensors}")
     mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), n, columns)
     coef, residuals, reports, basis = learn_lambda(mats, tol)
-    model = DataDrivenModel(basis, residuals, reports, n, traj.input_dim, n_sensors,
-                            max_attacked, columns, pe_seed)
-    # learn_lambda's coef is regressor_pinv of this basis and these rows, the
-    # value model.coef would derive on first use
-    object.__setattr__(model, "_coef", coef)
-    return model
+    return DataDrivenModel(basis, residuals, reports, n, traj.input_dim, n_sensors,
+                           max_attacked, columns, pe_seed, coef)
 
 
 def save_learned_model(model: DataDrivenModel, path) -> None:
@@ -422,7 +422,6 @@ def load_learned_model(path) -> DataDrivenModel:
         raise ValueError(f"model file has no field {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"model file has a field of the wrong type: {exc}") from exc
-    model.coef  # derived now, so a basis rank-deficient on some subset fails the load
     # learning saves left singular vectors, orthonormal to O(W eps) (Householder
     # SVD; measured at most 13 eps for W <= 77); the injection screen's c = U^T h
     # is the projection only for an orthonormal basis

@@ -228,34 +228,26 @@ def _residual_bounds(model: DataDrivenModel, traj: Trajectory):
     = U[target_j] and C = model.coef[j] its factors, U the model's W x r
     basis. For any c and p = h - U c, o - lam_j x = (U[target_j] - lam_j
     U[regressor_j]) c + p[target_j] - lam_j p[regressor_j], so its norm is
-    at most delta_j ||c|| + ||p[target_j]|| + ||lam_j||_F ||p[regressor_j]||,
+    at most delta_j ||c|| + ||p[target_j]|| + kappa_j ||p[regressor_j]||,
     with delta_j = ||lam_j U[regressor_j] - U[target_j]||_F = ||L (C
-    U[regressor_j] - I)||_F, whatever the basis. With c = U^T h and an
-    orthonormal U, data the plant can produce leave p and delta_j at
-    rounding level and a deviation from the plant shows in p; another
-    basis leaves p large, and little is cleared. The norms are 0/1 pick
-    matrices times h * h and p * p. No S x d x (d + m) array is formed:
-    delta_j takes the r x r C U[regressor_j] - I, and ||lam_j||_F the r x r
-    Gram matrices of the factors, ||lam_j||_F^2 = tr(C^T L^T L C) =
-    sum (L^T L) * (C C^T), entrywise.
+    U[regressor_j] - I)||_F, whatever the basis, and kappa_j = ||L||_F
+    ||C||_F >= ||lam_j||_F. With c = U^T h and an orthonormal U, data the
+    plant can produce leave p and delta_j at rounding level and a deviation
+    from the plant shows in p; another basis leaves p large, and little is
+    cleared. The norms are 0/1 pick matrices times h * h and p * p. No S x
+    d x (d + m) array is formed: delta_j takes the r x r C U[regressor_j] -
+    I, and kappa_j the factors' own norms.
 
-    With u = eps / 2, g(k) = k u / (1 - k u) and kappa = ||L||_F ||C||_F:
-    the computed L^T L and C C^T are within g(d) |L|^T |L| and g(d + m)
-    |C| |C|^T of exact and the r^2-term sum adds g(r^2) of the sum of
-    |terms|, so the computed sum s is within g(r^2 + 2 d + m) of
-    sum (|L|^T |L|) * (|C| |C|^T) = || |L| |C| ||_F^2 <= kappa^2 of
-    ||lam_j||_F^2. D takes l = sqrt(s + (r^2 + 2 d + m) eps kappa^2), at
-    least ||lam_j||_F and at most kappa (1 + 1e-9), in its place.
-
-    D adds the rounding of p and delta_j. With A = kappa ||x|| + ||o|| and
-    K = kappa ||U[regressor_j]||_F + ||U[target_j]||_F: the bound holds for
+    D adds the rounding of p and delta_j. With u = eps / 2, g(k) = k u /
+    (1 - k u), kappa = kappa_j, A = kappa ||x|| + ||o|| and K = kappa
+    ||U[regressor_j]||_F + ||U[target_j]||_F: the bound holds for
     the computed c itself; the computed p is within g(r + 1) (|U| |c| +
     |h|) of h - U c entrywise, which moves the p terms by g(r + 1) (1 +
     1e-9) (K ||c|| + A) at most; the computed C U[regressor_j] - I is within
     g(d + m + 1) (|C| |U[regressor_j]| + I) of exact, and the product with
     L adds g(r) |L| times its magnitude, so the computed delta_j is within
     g(d + m + r + 1) K. D carries e (2 K ||c|| + A), e = (d + m + r + 2) eps,
-    for both, and (3 + l + delta_j) sqrt(W 2^-1074) for what underflow can
+    for both, and (3 + kappa + delta_j) sqrt(W 2^-1074) for what underflow can
     take off the screen's norms and the step's score.
 
     b = 16 (d + m + r + 2) eps A. injection_step's predict computes C x
@@ -264,8 +256,8 @@ def _residual_bounds(model: DataDrivenModel, traj: Trajectory):
     g(d + m + r + 1) A of the exact o - lam_j x, and its score exceeds the
     exact residual by under b / 8 beyond the relative rounding of a norm.
     Each norm, product and sum of non-negative terms here and in the
-    slacks is within a relative g((d + m)^2 + W) < 1e-9 (d + m < 3000) of
-    exact. So where 2 D + b <= slack, every score is under (slack - b) (1 +
+    slacks, kappa_j among them, is within a relative g((d + m)^2 + W) <
+    1e-9 (d + m < 3000) of exact. So where 2 D + b <= slack, every score is under (slack - b) (1 +
     1e-9) / 2 + b / 8, within the step's slack, and as the smallest score
     is at least 0, every subset wins.
     """
@@ -279,14 +271,11 @@ def _residual_bounds(model: DataDrivenModel, traj: Trajectory):
     target_norms, regressor_norms = np.sqrt(picks @ np.einsum("ij,ij->i", basis, basis))[..., None]
     # ||lift_j||_F is ||U[target_j]||_F
     kappa = target_norms * np.sqrt(np.einsum("sij,sij->s", coef, coef))[:, None]
-    grams = np.swapaxes(lift, 1, 2) @ lift, coef @ np.swapaxes(coef, 1, 2)
-    lam_norms = np.sqrt(np.einsum("sij,sij->s", *grams)[:, None]
-                        + (rank * rank + 2 * d + m) * eps * kappa * kappa)
     misfit = lift @ (coef @ basis[model.regressor] - np.eye(rank))
     deltas = np.sqrt(np.einsum("sij,sij->s", misfit, misfit))[:, None]
     ulps = (d + m + rank + 2) * eps
     slope = deltas + 2 * ulps * (kappa * regressor_norms + target_norms)
-    floor = (3 + lam_norms + deltas) * np.sqrt(width * np.finfo(float).smallest_subnormal)
+    floor = (3 + kappa + deltas) * np.sqrt(width * np.finfo(float).smallest_subnormal)
     block = max(1, BLOCK_BYTES // ((width + n_subsets) * 8))
     last = traj.length - 1
     for start in range(n, last, block):
@@ -297,7 +286,7 @@ def _residual_bounds(model: DataDrivenModel, traj: Trajectory):
         far_target, far_regressor = np.sqrt(picks @ (distance * distance))
         scale = kappa * regressors + observed
         bound = (slope * np.sqrt(np.einsum("ic,ic->c", coords, coords)) + far_target
-                 + lam_norms * far_regressor + ulps * scale + floor)
+                 + kappa * far_regressor + ulps * scale + floor)
         yield start, bound, 16 * ulps * scale, observed
 
 

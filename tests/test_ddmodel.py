@@ -18,6 +18,7 @@ from sentinel.datamat import (
     hankel_rows,
 )
 from sentinel.ddmodel import (
+    DataDrivenModel,
     LearningError,
     _factor,
     certifying_rank,
@@ -162,6 +163,44 @@ class TestRankCondition:
         assert operands[-1] == (len(mats.subsets), *mats.regressor.shape[1:], factor.shape[1])
         assert [report.observed for report in reports] == (
             sigma > rank_cutoff(sigma, shape, tol)).sum(axis=1).tolist()
+
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
+    @pytest.mark.parametrize("fallback", [False, True], ids=["truncated", "fallback"])
+    def test_chunked_gathers_give_the_same_reports(self, plant, fallback, monkeypatch):
+        # the certificate gathers the subsets' rows in chunks of about
+        # BLOCK_BYTES; a batched SVD takes each matrix of a stack on its own,
+        # so chunks of one or a few subsets give the values of one call, bit
+        # for bit, on the rank-rho rows and on the fallback's rows of R^T
+        traj, n_sensors, max_attacked, columns = subset_run(plant)
+        mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
+                                     columns)
+        factor = _factor(mats)
+        sigma = np.linalg.svd(factor[mats.regressor], compute_uv=False)
+        tol = DEFAULT_TOL
+        if fallback:  # a cutoff on a singular value, as in the test above
+            shape = (mats.regressor.shape[1], mats.columns)
+            tol = Tolerance(rank_rel=sigma[-1, 5] / (max(shape) * sigma[-1, 0]))
+        expected = rank_condition(mats, tol)
+        width = mats.regressor.shape[1]
+        for block in (1, 3 * width * factor.shape[1] * 8):
+            operands = []
+            svd = np.linalg.svd
+            monkeypatch.setattr(ddmodel, "BLOCK_BYTES", block)
+            chunked = ddmodel._regressor_singular_values(factor, mats.regressor)
+            monkeypatch.setattr(np.linalg, "svd",
+                                lambda a, **kwargs: operands.append(a.shape) or svd(a, **kwargs))
+            reports = rank_condition(mats, tol)
+            monkeypatch.undo()
+            assert reports == expected
+            assert chunked.tobytes() == sigma.tobytes()
+            # one SVD of the factor, then chunks of one subset or of at most
+            # `block` bytes, the last of them from the whole factor on fallback
+            gathers = operands[1:]
+            assert all(count * rows * cols * 8 <= block or count == 1
+                       for count, rows, cols in gathers)
+            if block == 1:
+                assert len(gathers) == len(mats.subsets) * (2 if fallback else 1)
+            assert (gathers[-1][2] == factor.shape[1]) == fallback
 
     def test_cutoff_below_the_truncated_tail_falls_back(self):
         # G's 14th singular value, 0.7 of the rounding level max(W, T) eps
@@ -463,7 +502,10 @@ class TestLearnModel:
         _, traj = excited_benchmark_run()
         model = learn_model(traj, 3, 1, 6, 41, pe_seed=7)
         assert model.coef.shape == (3, 13, 19) and model.lift.shape == (3, 18, 13)
-        assert len(model.residuals) == 3 and model._lam is None
+        assert len(model.residuals) == 3
+        # both factors are attributes set at construction; no lambda stack is kept
+        assert {"coef", "lift"} <= vars(model).keys()
+        assert all(np.shape(value) != (3, 18, 19) for value in vars(model).values())
         assert all(report.holds for report in model.reports)
         assert model.pe_seed == 7
 
@@ -567,22 +609,39 @@ class TestModelFile:
         assert loaded.reports == model.reports
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
-    def test_model_factors_are_the_learned_factors(self, plant):
+    def test_model_factors_are_the_learned_factors(self, plant, monkeypatch):
         # learning and the model derive the factors from the basis with one function
         traj, n_sensors, max_attacked, columns = subset_run(plant)
         mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
         coef, _, _, basis = learn_lambda(mats)
+        calls = []
+        pinv = ddmodel._regressor_pinv
+        monkeypatch.setattr(ddmodel, "_regressor_pinv",
+                            lambda *args: calls.append(args) or pinv(*args))
         model = learn_model(traj, n_sensors, max_attacked, 6, columns)
         assert model.basis.tobytes() == np.ascontiguousarray(basis).tobytes()
         assert (model.regressor == mats.regressor).all() and (model.target == mats.target).all()
-        # learn_model hands learn_lambda's coef to the model; a copy derives its own
-        assert model.coef.tobytes() == coef.tobytes()
-        assert dataclasses.replace(model).coef.tobytes() == coef.tobytes()
+        # learn_model hands learn_lambda's coef to the model, which derives no
+        # second one; a copy derives its own
+        assert len(calls) == 1 and model.coef.tobytes() == coef.tobytes()
+        assert dataclasses.replace(model).coef.tobytes() == coef.tobytes() and len(calls) == 2
         assert model.lift.tobytes() == basis[mats.target].tobytes()
-        # lambda, built only on demand, is the stack predictors() gives
-        assert model._lam is None
+        # lambda, built on each read, is the stack predictors() gives
         assert model.lam.tobytes() == predictors(basis, mats.regressor, mats.target).tobytes()
+
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
+    def test_replaced_basis_derives_its_own_coef(self, models, plant):
+        # a model built from another basis of the column space, not orthonormal,
+        # holds the factors derived from that basis, not the learned ones
+        model = models[plant]
+        rank = model.basis.shape[1]
+        mixing = np.linalg.qr(np.random.default_rng(4).standard_normal((rank, rank)))[0]
+        basis = model.basis @ (mixing * np.geomspace(1, 1e2, rank))
+        moved = dataclasses.replace(model, basis=basis)
+        assert moved.coef.tobytes() == ddmodel._regressor_pinv(basis, model.regressor).tobytes()
+        assert moved.lift.tobytes() == basis[model.target].tobytes()
+        assert moved.coef.tobytes() != model.coef.tobytes()
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -716,11 +775,15 @@ class TestModelFile:
         with pytest.raises(ValueError, match=r"basis must be a finite 28 x 13 matrix, "
                                              r"got shape \(28, 12\)"):
             dataclasses.replace(model, basis=model.basis[:, 1:])
-        # coef is derived on first use, so that is where a rank-deficient basis fails
-        deficient = dataclasses.replace(model, basis=without_sensors(model.basis, (1, 3)))
-        for derived in ("coef", "lam"):
-            with pytest.raises(ValueError, match="subset id 2: the basis is rank-deficient"):
-                getattr(deficient, derived)
+        # coef is derived at construction, so that is where a rank-deficient basis
+        # fails, as does a handed-in coef that is not finite
+        with pytest.raises(ValueError, match="subset id 2: the basis is rank-deficient"):
+            dataclasses.replace(model, basis=without_sensors(model.basis, (1, 3)))
+        coef = model.coef.copy()
+        coef[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="subset id 2: the basis is rank-deficient"):
+            DataDrivenModel(model.basis, model.residuals, model.reports, model.n, model.m,
+                            model.n_sensors, model.max_attacked, model.columns, None, coef)
 
     def test_in_memory_model_rejects_misaligned_tuples(self, models):
         model = models["benchmark"]

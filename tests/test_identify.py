@@ -439,8 +439,8 @@ class TestNoLambdaStack:
         # random (10, 4) plant, n = 6, m = 1: S = 210, d = 42, r = 13. With
         # blocks of B = 4 KiB a phase holds at most the two factors, S r (d + m)
         # and S d r floats, and one more S-stack of r x (d + m) working floats
-        # (the certificate's batched SVD operand, a chunk of the pseudo-inverse,
-        # the screen's gathered basis rows), the blocks and W-row matrices
+        # (the screen's gathered basis rows), the blocks, the chunks of the
+        # certificate and the pseudo-inverse, and the W-row matrices
         # being small beside them: peak < 8 S (2 r (d + m) + d r) bytes, 2.8 MB,
         # under the 3.0 MB of one S x d x (d + m) float64 stack
         n, m, n_sensors, max_attacked = 6, 1, 10, 4
@@ -483,7 +483,9 @@ class TestNoLambdaStack:
         assert len(model.subsets) == subsets and model.lift.shape == (subsets, d, rank)
         assert verdict.all_clear and verdict.k == stream.length
         assert max(peaks.values()) < bound, peaks
-        assert model._lam is None and loaded._lam is None
+        # the models keep their two factors and no S x d x (d + m) stack
+        assert all(np.shape(value) != (subsets, d, d + m)
+                   for kept in (model, loaded) for value in vars(kept).values())
 
 
 class TestRunInjection:
@@ -598,6 +600,27 @@ class TestIdentifyInjection:
         else:
             assert not step.all_clear and ratio > 1
             assert verdict == step
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sub_slack_offset_enters_the_history_and_alarms_later(self, monitored_plants,
+                                                                  seed):
+        # a constant offset of 0.75 slack on one sensor from step n + 20 on:
+        # that step is all-clear, so the offset enters the accepted history,
+        # which is then no longer one the plant can produce, and a later step
+        # alarms, on every sensor of this plant; the accepted history is
+        # plant-consistent only to within the slack
+        ss, model = monitored_plants["random-10x4"]
+        n, at = model.n, model.n + 20
+        clean = offset_stream(ss, model, 60, seed)
+        probe = injection_bootstrap(model, clean.u[:, at - n: at], clean.y[:, at - n: at])
+        assert injection_step(probe, clean.u[:, at], clean.y[:, at]).all_clear
+        slack = DEFAULT_TOL.residual * (1 + np.linalg.norm(histories(probe), axis=1))
+        for sensor in range(1, model.n_sensors + 1):
+            holding = [s.id - 1 for s in model.subsets if sensor in s.indices]
+            traj = offset_stream(ss, model, 60, seed, sensor, at, 0.75 * slack[holding].min())
+            verdict = step_loop_verdict(model, traj)
+            assert not verdict.all_clear and verdict.k > at + 1
+            assert identify_injection(model, traj) == verdict
 
     @pytest.mark.parametrize("name", ["random-10x4", "random-5x2-m2"])
     def test_slack_under_the_rounding_bound_clears_nothing(self, monitored_plants, name):
