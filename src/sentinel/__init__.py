@@ -62,7 +62,6 @@ from .ddmodel import (
     learn_model,
     load_learned_model,
     predict,
-    predictors,
     rank_condition,
     save_learned_model,
 )

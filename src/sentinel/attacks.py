@@ -6,14 +6,13 @@ additive data injection from an onset time, per-channel time delays, and
 replay of constant recorded values.
 """
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .datamat import Trajectory, write_json
+from .datamat import Trajectory, read_json_object, write_json
 from .linalg import as_integer
 
 # magnitude range of seeded injection values
@@ -194,10 +193,7 @@ def load_scenario(path) -> AttackScenario:
     """Read a scenario file written by save_scenario. A missing or mistyped field
     (a string, bool or fraction where an integer belongs too) raises ValueError
     naming the type."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"scenario file holds a JSON {type(payload).__name__}, not an object")
+    payload = read_json_object(path, "scenario")
     kind = payload.get("type")
     try:
         if kind == "injection":

@@ -235,6 +235,19 @@ def write_json(payload, path) -> None:
         fh.write("\n")
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at path; a file holding any other JSON
+    value raises ValueError naming it ("<what> file holds a JSON list, not
+    an object")."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        kind = {list: "list", str: "string", bool: "boolean", type(None): "null"}
+        raise ValueError(f"{what} file holds a JSON {kind.get(type(payload), 'number')}, "
+                         "not an object")
+    return payload
+
+
 def save_trajectory(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV with header k,u_1..u_m,y_1..y_N: repr floats
     and CRLF line ends, the bytes csv.writer writes, so a load is bit-exact."""

@@ -29,7 +29,6 @@ basis from the same singular vectors.
 """
 
 import base64
-import json
 import math
 from dataclasses import InitVar, dataclass, field
 from typing import Optional
@@ -43,6 +42,7 @@ from .datamat import (
     Trajectory,
     build_subset_matrices,
     hankel_rows,
+    read_json_object,
     write_json,
 )
 from .linalg import DEFAULT_TOL, Tolerance, as_integer, rank_cutoff
@@ -188,13 +188,6 @@ def _regressor_pinv(basis: np.ndarray, regressor: np.ndarray) -> np.ndarray:
     return coef
 
 
-def predictors(basis: np.ndarray, regressor: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Every subset's predictor U[target[j]] pinv(U[regressor[j]]) as one
-    S x d x (d + m) stack, basis[target] @ _regressor_pinv(basis, regressor);
-    a convenience for callers that want the predictors themselves."""
-    return basis[target] @ _regressor_pinv(basis, regressor)
-
-
 def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
                  ) -> tuple[np.ndarray, tuple[float, ...], tuple[RankReport, ...], np.ndarray]:
     """Fit every subset's one-step predictor: (coef, residuals, reports, basis).
@@ -293,10 +286,10 @@ class DataDrivenModel:
     derived it from this basis already, hands it in). Position j of coef,
     lift, regressor, target, residuals and reports belongs to subsets[j]:
     its predictor's factors, Hankel rows, training misfit and rank
-    certificate. lam, the S x d x (d + m) stack lift @ coef, is built on
-    each read. A basis that is not a finite W x r matrix or is
-    rank-deficient on a subset's regressor rows, or residuals or reports
-    not one per subset, raise ValueError.
+    certificate; no S x d x (d + m) stack of predictors is formed. A basis
+    that is not a finite W x r matrix or is rank-deficient on a subset's
+    regressor rows, or residuals or reports not one per subset, raise
+    ValueError.
     """
 
     basis: np.ndarray
@@ -336,12 +329,6 @@ class DataDrivenModel:
                             ("target", target), ("lift", basis[target]), ("coef", coef)):
             object.__setattr__(self, name, value)
 
-    @property
-    def lam(self) -> np.ndarray:
-        """The S x d x (d + m) predictor stack lift @ coef, as predictors()
-        gives it, built on each read; nothing in the package reads it."""
-        return self.lift @ self.coef
-
 
 def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
                 columns: int, tol: Tolerance = DEFAULT_TOL,
@@ -378,17 +365,16 @@ def save_learned_model(model: DataDrivenModel, path) -> None:
 
 
 def load_learned_model(path) -> DataDrivenModel:
-    """Read a learned model written by save_learned_model. A missing or
-    mistyped field (a string, bool or fraction where an integer belongs),
-    a basis that is not base64 float64 of W x r, residuals that are not a
-    list of finite non-negative numbers, a T below 1, a file in an older
-    layout (one with a subsets list), a model that breaks
-    DataDrivenModel's conditions, or a basis with max |U^T U - I| above
-    10 W eps (checked after the rank) raise ValueError. Every saved subset
-    holds the certifying rank, so the load rebuilds the reports from n, m,
-    N, M."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Read a learned model written by save_learned_model. A file that holds no
+    JSON object, a missing or mistyped field (a string, bool or fraction
+    where an integer belongs), a basis that is not base64 float64 of W x r,
+    residuals that are not a list of finite non-negative numbers, a T below
+    1, a file in an older layout (one with a subsets list), a model that
+    breaks DataDrivenModel's conditions, or a basis with max |U^T U - I|
+    above 10 W eps (checked after the rank) raise ValueError. Every saved
+    subset holds the certifying rank, so the load rebuilds the reports from
+    n, m, N, M."""
+    payload = read_json_object(path, "model")
     try:
         if "subsets" in payload:
             raise ValueError("model file lists its subsets, an older format that is no longer "

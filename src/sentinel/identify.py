@@ -223,71 +223,71 @@ def _residual_bounds(model: DataDrivenModel, traj: Trajectory):
     b, ||o||), each S x B, for the B steps from start on.
 
     Column h of the depth-(n + 1) all-sensor Hankel holds one step; o =
-    h[target_j] and x = h[regressor_j] are subset j's next history and
-    [u_k; history]. Subset j's predictor is lam_j = L C, L = model.lift[j]
-    = U[target_j] and C = model.coef[j] its factors, U the model's W x r
+    h[target_j] and x = h[regressor_j] are subset j's next history and [u_k;
+    history]. Subset j's predictor is lam_j = L C, L = model.lift[j] =
+    U[target_j] and C = model.coef[j] its factors, U the model's W x r
     basis. For any c and p = h - U c, o - lam_j x = (U[target_j] - lam_j
-    U[regressor_j]) c + p[target_j] - lam_j p[regressor_j], so its norm is
-    at most delta_j ||c|| + ||p[target_j]|| + kappa_j ||p[regressor_j]||,
-    with delta_j = ||lam_j U[regressor_j] - U[target_j]||_F = ||L (C
-    U[regressor_j] - I)||_F, whatever the basis, and kappa_j = ||L||_F
-    ||C||_F >= ||lam_j||_F. With c = U^T h and an orthonormal U, data the
-    plant can produce leave p and delta_j at rounding level and a deviation
-    from the plant shows in p; another basis leaves p large, and little is
-    cleared. The norms are 0/1 pick matrices times h * h and p * p. No S x
-    d x (d + m) array is formed: delta_j takes the r x r C U[regressor_j] -
-    I, and kappa_j the factors' own norms.
+    U[regressor_j]) c + p[target_j] - lam_j p[regressor_j], and a row
+    selection of p is at most ||p||, so its norm is at most delta_j ||c|| +
+    (1 + kappa_j) ||p||, with delta_j = ||lam_j U[regressor_j] -
+    U[target_j]||_F = ||L (C U[regressor_j] - I)||_F, whatever the basis,
+    and kappa_j = ||L||_F ||C||_F >= ||lam_j||_F. With c = U^T h and an
+    orthonormal U, data the plant can produce leave p and delta_j at
+    rounding level and a deviation from the plant shows in p; another basis
+    leaves p large, and little is cleared. So a step takes three
+    whole-column norms, of h, p and c; only ||o||, for the slack, is per
+    subset, a 0/1 target pick matrix times h * h. No S x d x (d + m) array
+    is formed: delta_j takes the r x r C U[regressor_j] - I, and kappa_j the
+    factors' own norms.
 
-    D adds the rounding of p and delta_j. With u = eps / 2, g(k) = k u /
-    (1 - k u), kappa = kappa_j, A = kappa ||x|| + ||o|| and K = kappa
-    ||U[regressor_j]||_F + ||U[target_j]||_F: the bound holds for
-    the computed c itself; the computed p is within g(r + 1) (|U| |c| +
-    |h|) of h - U c entrywise, which moves the p terms by g(r + 1) (1 +
-    1e-9) (K ||c|| + A) at most; the computed C U[regressor_j] - I is within
-    g(d + m + 1) (|C| |U[regressor_j]| + I) of exact, and the product with
-    L adds g(r) |L| times its magnitude, so the computed delta_j is within
-    g(d + m + r + 1) K. D carries e (2 K ||c|| + A), e = (d + m + r + 2) eps,
-    for both, and (3 + kappa + delta_j) sqrt(W 2^-1074) for what underflow can
-    take off the screen's norms and the step's score.
+    D adds the rounding of p and delta_j. Let u = eps / 2, g(k) = k u / (1 -
+    k u) and kappa = kappa_j; ||x||, ||o|| <= ||h||, and the Frobenius norms
+    of U[regressor_j] and U[target_j] are at most ||U||_F. The bound holds
+    for the computed c itself; the computed p is within g(r + 1) (|U| |c| +
+    |h|) of h - U c entrywise, which moves the p term by g(r + 1) (1 + 1e-9)
+    (1 + kappa) (||U||_F ||c|| + ||h||) at most; the computed C
+    U[regressor_j] - I is within g(d + m + 1) (|C| |U[regressor_j]| + I) of
+    exact, and the product with L adds g(r) |L| times its magnitude, so the
+    computed delta_j is within g(d + m + r + 1) (1 + kappa) ||U||_F. D
+    carries e (1 + kappa) (2 ||U||_F ||c|| + ||h||), e = (d + m + r + 2)
+    eps, for both, and (3 + kappa + delta_j) sqrt(W 2^-1074) for what
+    underflow can take off the screen's norms and the step's score.
 
-    b = 16 (d + m + r + 2) eps A. injection_step's predict computes C x
-    within g(d + m) |C| |x| and L (C x) within g(r) |L| |C x| more, and the
-    difference from o adds a relative u, so its o - L (C x) is within
-    g(d + m + r + 1) A of the exact o - lam_j x, and its score exceeds the
-    exact residual by under b / 8 beyond the relative rounding of a norm.
-    Each norm, product and sum of non-negative terms here and in the
-    slacks, kappa_j among them, is within a relative g((d + m)^2 + W) <
-    1e-9 (d + m < 3000) of exact. So where 2 D + b <= slack, every score is under (slack - b) (1 +
-    1e-9) / 2 + b / 8, within the step's slack, and as the smallest score
-    is at least 0, every subset wins.
+    b = 16 e (1 + kappa) ||h||. injection_step's predict computes C x within
+    g(d + m) |C| |x| and L (C x) within g(r) |L| |C x| more, and the
+    difference from o adds a relative u, so its o - L (C x) is within g(d +
+    m + r + 1) (kappa ||x|| + ||o||) <= g(d + m + r + 1) (1 + kappa) ||h||
+    of the exact o - lam_j x, and its score exceeds the exact residual by
+    under b / 8 beyond the relative rounding of a norm. Each norm, product
+    and sum of non-negative terms here and in the slacks, kappa_j among
+    them, is within a relative g((d + m)^2 + W r) < 1e-9 (for (d + m)^2 + W
+    r < 9e6) of exact. So where 2 D + b <= slack, every score is under
+    (slack - b) (1 + 1e-9) / 2 + b / 8, within the step's slack, and as the
+    smallest score is at least 0, every subset wins.
     """
     n, m, basis, coef, lift = model.n, model.m, model.basis, model.coef, model.lift
     n_subsets, d, rank = lift.shape
     width = basis.shape[0]
     eps = np.finfo(float).eps
-    picks = np.zeros((2, n_subsets, width))
-    np.put_along_axis(picks[0], model.target, 1.0, axis=1)
-    np.put_along_axis(picks[1], model.regressor, 1.0, axis=1)
-    target_norms, regressor_norms = np.sqrt(picks @ np.einsum("ij,ij->i", basis, basis))[..., None]
-    # ||lift_j||_F is ||U[target_j]||_F
-    kappa = target_norms * np.sqrt(np.einsum("sij,sij->s", coef, coef))[:, None]
+    picks = np.zeros((n_subsets, width))
+    np.put_along_axis(picks, model.target, 1.0, axis=1)
+    gain = 1 + np.sqrt(np.einsum("sij,sij->s", lift, lift)
+                       * np.einsum("sij,sij->s", coef, coef))[:, None]  # 1 + kappa_j
     misfit = lift @ (coef @ basis[model.regressor] - np.eye(rank))
     deltas = np.sqrt(np.einsum("sij,sij->s", misfit, misfit))[:, None]
     ulps = (d + m + rank + 2) * eps
-    slope = deltas + 2 * ulps * (kappa * regressor_norms + target_norms)
-    floor = (3 + kappa + deltas) * np.sqrt(width * np.finfo(float).smallest_subnormal)
+    slope = deltas + 2 * ulps * gain * np.sqrt(np.einsum("ij,ij->", basis, basis))
+    floor = (2 + gain + deltas) * np.sqrt(width * np.finfo(float).smallest_subnormal)
     block = max(1, BLOCK_BYTES // ((width + n_subsets) * 8))
     last = traj.length - 1
     for start in range(n, last, block):
         window = trajectory_hankel(traj, start - n, n + 1, min(block, last - start))
         coords = basis.T @ window
         distance = window - basis @ coords
-        observed, regressors = np.sqrt(picks @ (window * window))
-        far_target, far_regressor = np.sqrt(picks @ (distance * distance))
-        scale = kappa * regressors + observed
-        bound = (slope * np.sqrt(np.einsum("ic,ic->c", coords, coords)) + far_target
-                 + kappa * far_regressor + ulps * scale + floor)
-        yield start, bound, 16 * ulps * scale, observed
+        column, far, near = (np.sqrt(np.einsum("ic,ic->c", a, a))
+                             for a in (window, distance, coords))
+        yield (start, slope * near + gain * (far + ulps * column) + floor,
+               16 * ulps * gain * column, np.sqrt(picks @ (window * window)))
 
 
 def identify_replay(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,

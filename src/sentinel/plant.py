@@ -9,12 +9,11 @@ of C.
 """
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datamat import write_json
+from .datamat import read_json_object, write_json
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -221,11 +220,10 @@ def save_state_space(ss: StateSpace, path) -> None:
 
 
 def load_state_space(path) -> StateSpace:
-    """Read a discrete-time model written by save_state_space. A missing or
-    mistyped field (a bool or fraction where an integer belongs too) raises
-    ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Read a discrete-time model written by save_state_space. A file that
+    holds no JSON object, or a missing or mistyped field (a bool or fraction
+    where an integer belongs too), raises ValueError."""
+    payload = read_json_object(path, "plant")
     try:
         ss = StateSpace(np.array(payload["A"], dtype=float),
                         np.array(payload["B"], dtype=float),

@@ -24,7 +24,10 @@ plant's (A, B, C), which the data-driven pipeline never sees.
   match entry and dtype;
 * gathered_stacks: every subset's stacked data and next histories as
   whole arrays, which the package never builds: it factors the all-sensor
-  Hankel once instead.
+  Hankel once instead;
+* predictors / model_lambda: every subset's predictor as one S x d x
+  (d + m) stack, from a basis or from a model's two factors, which the
+  package never forms: it applies each predictor through its factors.
 """
 
 import csv
@@ -35,7 +38,7 @@ import numpy as np
 
 from sentinel.attacks import SensorSubset
 from sentinel.datamat import SubsetDataMatrices, Trajectory, hankel
-from sentinel.ddmodel import DataDrivenModel
+from sentinel.ddmodel import DataDrivenModel, _regressor_pinv
 from sentinel.identify import IdentificationVerdict, _verdict
 from sentinel.linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, numerical_rank
 from sentinel.plant import StateSpace, is_controllable, is_observable
@@ -350,3 +353,14 @@ def gathered_stacks(mats: SubsetDataMatrices) -> tuple[np.ndarray, np.ndarray]:
     """Every subset's stacked data [u_now; history] (S x (d + m) x T) and its
     history one step later (S x d x T), gathered from the all-sensor Hankel."""
     return mats.hankel[mats.regressor], mats.hankel[mats.target]
+
+
+def predictors(basis: np.ndarray, regressor: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Every subset's predictor U[target[j]] pinv(U[regressor[j]]) as one
+    S x d x (d + m) stack, basis[target] @ _regressor_pinv(basis, regressor)."""
+    return basis[target] @ _regressor_pinv(basis, regressor)
+
+
+def model_lambda(model: DataDrivenModel) -> np.ndarray:
+    """The model's S x d x (d + m) predictor stack lift @ coef."""
+    return model.lift @ model.coef

@@ -39,7 +39,7 @@ from sentinel.datamat import (
     generate_pe_input,
     is_persistently_exciting,
 )
-from sentinel.ddmodel import learn_lambda, learn_model, predictors, rank_condition
+from sentinel.ddmodel import learn_lambda, learn_model, rank_condition
 from sentinel.identify import (
     first_response,
     identify_delay,
@@ -50,7 +50,7 @@ from sentinel.identify import (
 from sentinel.linalg import DEFAULT_TOL
 from sentinel.plant import StateSpace, random_test_system, relative_degree, simulate
 
-from oracles import extended_state_space, gathered_stacks, ss_to_arx
+from oracles import extended_state_space, gathered_stacks, predictors, ss_to_arx
 
 SEED = 7
 N_STATES = 6

@@ -230,8 +230,14 @@ class TestIdentify:
     @pytest.mark.parametrize("content, message", [
         (None, "No such file"),
         ('{"N": 3}', "model file has no field"),
-        ("[1, 2]", "model file has a field of the wrong type"),
-    ], ids=["missing", "missing-field", "list"])
+        ("[1, 2]", "model file holds a JSON list, not an object"),
+        ("[]", "model file holds a JSON list, not an object"),
+        ('["subsets"]', "model file holds a JSON list, not an object"),
+        ("123", "model file holds a JSON number, not an object"),
+        ("null", "model file holds a JSON null, not an object"),
+        ('"x"', "model file holds a JSON string, not an object"),
+    ], ids=["missing", "missing-field", "list", "empty-list", "subsets-list", "number", "null",
+            "string"])
     def test_unreadable_model_is_precondition_failure(self, injection_demo, tmp_path, capsys,
                                                       content, message):
         model = tmp_path / "model.json"
@@ -446,20 +452,30 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"cannot apply scenario: {message}" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("plant", [[1, 2], {"n": None}, {"n": 6.4}, {"m": True},
-                                       {"N": 3.5}],
-                             ids=["list", "null-n", "n-fraction", "m-bool", "N-fraction"])
+    @pytest.mark.parametrize("plant", [{"n": None}, {"n": 6.4}, {"m": True}, {"N": 3.5}],
+                             ids=["null-n", "n-fraction", "m-bool", "N-fraction"])
     def test_mistyped_plant_file(self, tmp_path, capsys, plant):
         plant_path = tmp_path / "plant.json"
         save_state_space(benchmark_plant(), plant_path)
         payload = json.loads(plant_path.read_text())
-        plant_path.write_text(json.dumps(plant if isinstance(plant, list)
-                                         else {**payload, **plant}))
+        plant_path.write_text(json.dumps({**payload, **plant}))
         assert main(["simulate", "--model", str(plant_path),
                      "--out", str(tmp_path / "run.csv")]) == 1
         err = capsys.readouterr().err
         assert "cannot read plant model: plant file has a field of the wrong type" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("content, kind", [
+        ("[1, 2]", "list"), ("[]", "list"), ("123", "number"), ("null", "null"),
+        ('"x"', "string"),
+    ], ids=["list", "empty-list", "number", "null", "string"])
+    def test_plant_file_not_an_object(self, tmp_path, capsys, content, kind):
+        plant_path, out = tmp_path / "plant.json", tmp_path / "run.csv"
+        plant_path.write_text(content)
+        assert main(["simulate", "--model", str(plant_path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"cannot read plant model: plant file holds a JSON {kind}, not an object\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("length", ["0", "-3"])
     def test_non_positive_length_is_usage_error(self, tmp_path, capsys, length):

@@ -26,14 +26,20 @@ from sentinel.ddmodel import (
     learn_model,
     load_learned_model,
     predict,
-    predictors,
     rank_condition,
     save_learned_model,
 )
 from sentinel.linalg import DEFAULT_TOL, Tolerance, numerical_rank, rank_cutoff
 from sentinel.plant import StateSpace, discretize_zoh, msd_benchmark, random_test_system, simulate
 
-from oracles import extended_state_space, gathered_stacks, rank_obsv_oracle, ss_to_arx
+from oracles import (
+    extended_state_space,
+    gathered_stacks,
+    model_lambda,
+    predictors,
+    rank_obsv_oracle,
+    ss_to_arx,
+)
 
 
 def benchmark_plant():
@@ -627,8 +633,9 @@ class TestModelFile:
         assert len(calls) == 1 and model.coef.tobytes() == coef.tobytes()
         assert dataclasses.replace(model).coef.tobytes() == coef.tobytes() and len(calls) == 2
         assert model.lift.tobytes() == basis[mats.target].tobytes()
-        # lambda, built on each read, is the stack predictors() gives
-        assert model.lam.tobytes() == predictors(basis, mats.regressor, mats.target).tobytes()
+        # the model's lambda, lift @ coef, is the stack predictors() gives
+        assert (model_lambda(model).tobytes()
+                == predictors(basis, mats.regressor, mats.target).tobytes())
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
     def test_replaced_basis_derives_its_own_coef(self, models, plant):
@@ -658,11 +665,12 @@ class TestModelFile:
         spread = np.geomspace(1, data.draw(st.floats(1, 1e3), label="cond"), rank)
         mixing = left @ np.diag(spread) @ right * data.draw(st.floats(1e-3, 1e3), label="scale")
         moved = dataclasses.replace(model, basis=model.basis @ mixing)
-        width = model.lam.shape[2]
+        lam = model_lambda(model)
+        width = lam.shape[2]
         bound = (width * np.finfo(float).eps * np.linalg.cond(mixing)
                  * np.linalg.cond(model.basis[model.regressor])
-                 * np.linalg.norm(model.lam, axis=(1, 2)))
-        assert (np.abs(moved.lam - model.lam).max(axis=(1, 2)) <= bound).all()
+                 * np.linalg.norm(lam, axis=(1, 2)))
+        assert (np.abs(model_lambda(moved) - lam).max(axis=(1, 2)) <= bound).all()
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
     def test_learned_basis_is_orthonormal_well_within_the_load_bound(self, models, plant):
@@ -793,6 +801,16 @@ class TestModelFile:
         with pytest.raises(ValueError, match="give 3 subsets, but the model holds 3 "
                                              "residuals and 2 reports"):
             dataclasses.replace(model, reports=model.reports[:2])
+
+    @pytest.mark.parametrize("content, kind", [
+        ("[]", "list"), ('["subsets"]', "list"), ("123", "number"), ("null", "null"),
+        ('"x"', "string"),
+    ], ids=["empty-list", "subsets-list", "number", "null", "string"])
+    def test_file_not_an_object_rejected(self, tmp_path, content, kind):
+        path = tmp_path / "model.json"
+        path.write_text(content)
+        with pytest.raises(ValueError, match=f"^model file holds a JSON {kind}, not an object$"):
+            load_learned_model(path)
 
     @pytest.mark.parametrize("columns", [-5, 0])
     def test_column_count_below_one_rejected(self, tmp_path, columns):

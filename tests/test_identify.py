@@ -1,6 +1,10 @@
+import contextlib
 import dataclasses
+import importlib.util
+import io
 import json
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     gathered_stacks,
+    model_lambda,
     reference_history,
     reference_injection_bootstrap,
     reference_injection_step,
@@ -21,9 +26,10 @@ from sentinel.datamat import (
     TrajectoryLengthError,
     build_subset_matrices,
     generate_pe_input,
+    load_trajectory,
     trajectory_hankel,
 )
-from sentinel import ddmodel, identify
+from sentinel import cli, ddmodel, identify
 from sentinel.ddmodel import learn_model, load_learned_model, predict, save_learned_model
 from sentinel.identify import (
     InjectionMonitor,
@@ -46,6 +52,9 @@ from sentinel.plant import (
     relative_degree,
     simulate,
 )
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def benchmark_plant(scale_c=1.0):
@@ -706,9 +715,10 @@ class TestResidualBounds:
         traj = offset_stream(ss, model, 40, 8, model.n_sensors if attack else None, onset, 0.9)
         (_, _, rounding, _), = identify._residual_bounds(model, traj)
         scores = self.step_scores(model, traj)
+        lam = model_lambda(model)
         lam_scores = np.array([reference_injection_step(
             reference_injection_bootstrap(model, traj.u[:, k - n:k], traj.y[:, k - n:k]),
-            traj.u[:, k], traj.y[:, k], lam=model.lam).scores
+            traj.u[:, k], traj.y[:, k], lam=lam).scores
             for k in range(n, traj.length - 1)]).T
         norm_rounding = (d + 2) * np.finfo(float).eps * (scores + lam_scores)
         assert (np.abs(scores - lam_scores) <= rounding / 8 + norm_rounding).all()
@@ -754,18 +764,45 @@ class TestResidualBounds:
             traj = offset_stream(ss, moved, 60, 12, sensor, moved.n + 30, 0.9)
             assert identify_injection(moved, traj) == step_loop_verdict(moved, traj)
 
-    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4"])
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-5x2-m2",
+                                       "random-6x2"])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2])
     def test_output_scales(self, monitored_plants, plant, scale):
         ss, model = monitored_plants[plant]
         ss = StateSpace(ss.A, ss.B, np.asarray(ss.C) * scale)
         order = (model.m + model.n_sensors - model.max_attacked) * model.n + 1
-        model = learn_model(excited_run(ss, model.n, 2 * order, order, 7), model.n_sensors,
-                            model.max_attacked, model.n, 2 * order)
+        columns = (model.m + 1) * order
+        model = learn_model(excited_run(ss, model.n, columns, order, 7), model.n_sensors,
+                            model.max_attacked, model.n, columns)
         clean = offset_stream(ss, model, 80, 13)
         assert identify._screen_clear_steps(model, clean, DEFAULT_TOL) == clean.length - 1
         for traj in (clean, offset_stream(ss, model, 80, 13, 1, model.n + 40, 0.5 * scale)):
             assert identify_injection(model, traj) == step_loop_verdict(model, traj)
+
+    @pytest.mark.parametrize("name, handover", [("msd-stream", 4981), ("wide-10x4", 181),
+                                                ("longrec-6x2", 981)])
+    def test_clears_every_clean_benchmark_step(self, tmp_path, name, handover):
+        # the benchmark's seed-1 inputs, model and stream, made as one of its
+        # rounds makes them: the injection adds zero at its onset, so the
+        # screen must clear every step up to onset + 1, the first attacked one
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        w = workloads.WORKLOADS[name]
+        files = workloads.set_up(w, 1, tmp_path)
+        model_path, stream = tmp_path / "model.json", tmp_path / "stream.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["learn", str(files["offline.csv"]), "--n", str(workloads.ORDER),
+                             "--max-attacked", str(w.max_attacked), "--horizon",
+                             str(w.columns), "--out", str(model_path)]) == 0
+            assert cli.main(["simulate", "--model", str(files["plant.json"]), "--scenario",
+                             str(files["scenario.json"]), "--length", str(w.stream_len),
+                             "--seed", "1", "--max-attacked", str(w.max_attacked),
+                             "--out", str(stream)]) == 0
+        onset = w.stream_len - workloads.ATTACK_LEAD
+        assert handover == onset + 1
+        assert identify._screen_clear_steps(load_learned_model(model_path),
+                                            load_trajectory(stream), DEFAULT_TOL) == handover
 
 
 class TestIdentifyReplay:

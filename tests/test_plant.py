@@ -327,6 +327,15 @@ class TestModelFile:
                                              "'1' is not an integer"):
             load_state_space(path)
 
+    @pytest.mark.parametrize("content, kind", [
+        ("[]", "list"), ("123", "number"), ("null", "null"), ('"x"', "string"),
+    ], ids=["empty-list", "number", "null", "string"])
+    def test_file_not_an_object_rejected(self, tmp_path, content, kind):
+        path = tmp_path / "plant.json"
+        path.write_text(content)
+        with pytest.raises(ValueError, match=f"^plant file holds a JSON {kind}, not an object$"):
+            load_state_space(path)
+
     def test_shape_mismatch_rejected(self, tmp_path):
         import json
         path = tmp_path / "bad.json"
