@@ -140,12 +140,9 @@ def apply_attack(traj: Trajectory, scenario: AttackScenario,
             raise ValueError(
                 f"onset {scenario.onset} outside recorded window "
                 f"[{traj.start_index}, {traj.start_index + traj.length - 1}]")
-        for col in range(traj.length):
-            k = traj.start_index + col
-            if k < scenario.onset:
-                continue
+        for k in range(scenario.onset, traj.start_index + traj.length):
             for sensor in scenario.targets:
-                y[sensor - 1, col] += scenario.signal(sensor, k)
+                y[sensor - 1, k - traj.start_index] += scenario.signal(sensor, k)
     elif isinstance(scenario, DelayAttack):
         if len(scenario.delays) != traj.output_dim:
             raise ValueError(

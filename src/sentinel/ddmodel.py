@@ -56,13 +56,16 @@ class RankReport:
     required: m(n+1) + n, the exactness-certifying rank.
     rows: m(n+1) + q*n, the row count (full row rank is unattainable for
         q >= 2; see module docstring).
-    holds: observed == required.
     """
 
     observed: int
     required: int
     rows: int
-    holds: bool
+
+    @property
+    def holds(self) -> bool:
+        """True when the data certify: observed == required."""
+        return self.observed == self.required
 
 
 class LearningError(RuntimeError):
@@ -129,8 +132,7 @@ def _certificate(mats: SubsetDataMatrices, tol: Tolerance
         cutoff = rank_cutoff(sigma, shape, tol)
     observed = (sigma > cutoff).sum(axis=1)
     required = certifying_rank(rows - mats.target.shape[1], mats.order)
-    return u, tuple(RankReport(count, required, rows, count == required)
-                    for count in observed.tolist())
+    return u, tuple(RankReport(count, required, rows) for count in observed.tolist())
 
 
 def rank_condition(mats: SubsetDataMatrices,
@@ -245,23 +247,22 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
 
 
 def predict(coef, lift, regressor) -> np.ndarray:
-    """One-step prediction lift @ (coef @ regressor): the predictor lift @
-    coef applied through its two factors, coef (r x (d + m)) and lift
-    (d x r), to one regressor [u_k; history] of d + m entries or to a
-    (d + m) x B block of them; or a stack of S of each (S x r x (d + m),
-    S x d x r, and S x (d + m) or S x (d + m) x B). Gives d or d x B
-    entries per predictor. Only shapes are checked: DataDrivenModel
-    derives its factors from a checked basis.
+    """One-step predictions lift[j] @ (coef[j] @ regressor[j]) of S
+    predictors, each applied through its two factors: coef S x r x (d + m),
+    lift S x d x r, and per predictor one regressor [u_k; history] of d + m
+    entries (S x (d + m)) or a (d + m) x B block of them (S x (d + m) x B).
+    Gives d or d x B entries per predictor. Only shapes are checked:
+    DataDrivenModel derives its factors from a checked basis.
     """
     coef_arr = np.asarray(coef, dtype=float)
     lift_arr = np.asarray(lift, dtype=float)
     x = np.asarray(regressor, dtype=float)
-    vector = x.ndim == coef_arr.ndim - 1
+    vector = x.ndim == 2
     block = x[..., None] if vector else x
     try:
         # matmul checks the inner dimensions; stacks must match without broadcasting
-        if not (lift_arr.ndim == block.ndim == coef_arr.ndim > 1
-                and lift_arr.shape[:-2] == block.shape[:-2] == coef_arr.shape[:-2]):
+        if not (lift_arr.ndim == block.ndim == coef_arr.ndim == 3
+                and lift_arr.shape[0] == block.shape[0] == coef_arr.shape[0]):
             raise ValueError
         out = lift_arr @ (coef_arr @ block)
     except ValueError:
@@ -400,7 +401,7 @@ def load_learned_model(path) -> DataDrivenModel:
             raise ValueError(f"model file field T is {columns}; it must be at least 1")
         pe_seed = payload.get("pe_seed")
         rows = m + (n_sensors - max_attacked + m) * n
-        reports = (RankReport(shape[1], shape[1], rows, True),) * len(residuals)
+        reports = (RankReport(shape[1], shape[1], rows),) * len(residuals)
         model = DataDrivenModel(basis, tuple(map(float, residuals)), reports, n, m, n_sensors,
                                 max_attacked, columns,
                                 None if pe_seed is None else as_integer(pe_seed))

@@ -9,8 +9,8 @@ Three detectors, one per attack shape:
 * delay: first-response timing of each sensor against its known
   input-to-output delay after an impulse from equilibrium.
 
-Verdicts share one shape: per-entry scores, the winner set, the union of
-winners' sensor indices, and an all-clear flag.
+Verdicts share one shape: per-entry scores and the winner set, from which
+the union of the winners' sensor indices and the all-clear flag derive.
 """
 
 from dataclasses import dataclass, field
@@ -43,8 +43,7 @@ class IdentificationVerdict:
 
     scores[j] is the score of candidate subsets[j] (a sensor subset, or a
     single sensor); winners holds the ids of the best-scoring candidates at
-    tolerance, attack_free_sensors the union of their sensor indices.
-    all_clear is True when every candidate wins, i.e. nothing looks attacked.
+    tolerance. attack_free_sensors and all_clear derive from them.
     """
 
     k: int
@@ -52,17 +51,23 @@ class IdentificationVerdict:
     subsets: tuple[SensorSubset, ...]
     scores: tuple[float, ...]
     winners: tuple[int, ...]
-    attack_free_sensors: tuple[int, ...]
-    all_clear: bool
+
+    @property
+    def attack_free_sensors(self) -> tuple[int, ...]:
+        """The sorted union of the winners' sensor indices."""
+        won = set(self.winners)
+        return tuple(sorted({i for s in self.subsets if s.id in won for i in s.indices}))
+
+    @property
+    def all_clear(self) -> bool:
+        """True when every candidate wins, i.e. nothing looks attacked."""
+        return len(self.winners) == len(self.subsets)
 
 
 def _verdict(k: int, mode: str, subsets, scores, wins) -> IdentificationVerdict:
     """Verdict over candidates in id order; wins[j] marks subsets[j] a winner."""
-    winners = [s for s, won in zip(subsets, wins) if won]
-    free = sorted({i for s in winners for i in s.indices})
     return IdentificationVerdict(k, mode, tuple(subsets), tuple(scores),
-                                 tuple(s.id for s in winners), tuple(free),
-                                 len(winners) == len(subsets))
+                                 tuple(s.id for s, won in zip(subsets, wins) if won))
 
 
 @dataclass
@@ -77,9 +82,8 @@ class InjectionMonitor:
     history. The monitor keeps its own copy of column and only advances on
     all-clear steps; the first non-clear verdict is terminal and freezes
     the history. The bootstrap window must be attack-free; behavior under
-    an attacked bootstrap is undefined. clear_winners and clear_sensors
-    (the winners and attack_free_sensors of every all-clear verdict) are
-    worked out when the monitor is built.
+    an attacked bootstrap is undefined. clear_winners, the winners of every
+    all-clear verdict, are worked out when the monitor is built.
     """
 
     model: DataDrivenModel
@@ -88,14 +92,12 @@ class InjectionMonitor:
     tol: Tolerance = field(default_factory=lambda: DEFAULT_TOL)
     terminal: bool = False
     clear_winners: tuple[int, ...] = field(init=False, repr=False)
-    clear_sensors: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        model, subsets = self.model, self.model.subsets
+        model = self.model
         width = (model.n_sensors + model.m) * (model.n + 1)
         self.column = as_vector(self.column, width, "column").copy()
-        self.clear_winners = tuple(s.id for s in subsets)
-        self.clear_sensors = tuple(sorted({i for s in subsets for i in s.indices}))
+        self.clear_winners = tuple(s.id for s in model.subsets)
 
 
 def injection_bootstrap(model: DataDrivenModel, u_history, y_history,
@@ -129,8 +131,7 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     observed histories become the new state; otherwise the verdict is
     terminal and the monitor freezes. All subsets are scored at once: two
     gathers, one predict call (two stacked products), one dot product per
-    row; an all-clear verdict takes the monitor's precomputed winners and
-    sensors.
+    row; an all-clear verdict takes the monitor's precomputed winners.
     """
     if mon.terminal:
         raise RuntimeError("monitor is terminal; no further steps accepted")
@@ -154,7 +155,7 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
         column[inputs:-m] = column[inputs + m:]
         mon.k += 1
         return IdentificationVerdict(mon.k, "injection", model.subsets, scores,
-                                     mon.clear_winners, mon.clear_sensors, True)
+                                     mon.clear_winners)
     mon.terminal = True
     return _verdict(mon.k + 1, "injection", model.subsets, scores, wins.tolist())
 

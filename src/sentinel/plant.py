@@ -149,34 +149,31 @@ def relative_degree(ss: StateSpace, sensor: int):
     return None if first is None else first + 1
 
 
+def _krylov_full_rank(a, start, name: str, right: bool, tol: Tolerance) -> bool:
+    """True iff the n-deep Krylov matrix of A from `start` has rank n:
+    [S, A S, ..., A^{n-1} S] side by side when right, else S, S A, ...,
+    S A^{n-1} stacked."""
+    a_mat = as_matrix(a, "A")
+    block = as_matrix(start, name)
+    n = a_mat.shape[0]
+    if block.shape[0 if right else 1] != n:
+        raise ValueError(f"{name} {'row' if right else 'column'} count must equal "
+                         "the state dimension")
+    blocks = []
+    for _ in range(n):
+        blocks.append(block)
+        block = a_mat @ block if right else block @ a_mat
+    return numerical_rank((np.hstack if right else np.vstack)(blocks), tol) == n
+
+
 def is_observable(a, c_sub, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the stacked n-deep observability matrix of (A, C_sub) has rank n."""
-    a_mat = as_matrix(a, "A")
-    c_mat = as_matrix(c_sub, "C_sub")
-    if c_mat.shape[1] != a_mat.shape[0]:
-        raise ValueError("C_sub column count must equal the state dimension")
-    n = a_mat.shape[0]
-    blocks = []
-    row = c_mat
-    for _ in range(n):
-        blocks.append(row)
-        row = row @ a_mat
-    return numerical_rank(np.vstack(blocks), tol) == n
+    return _krylov_full_rank(a, c_sub, "C_sub", False, tol)
 
 
 def is_controllable(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff [B, AB, ..., A^{n-1}B] has rank n."""
-    a_mat = as_matrix(a, "A")
-    b_mat = as_matrix(b, "B")
-    if b_mat.shape[0] != a_mat.shape[0]:
-        raise ValueError("B row count must equal the state dimension")
-    n = a_mat.shape[0]
-    blocks = []
-    col = b_mat
-    for _ in range(n):
-        blocks.append(col)
-        col = a_mat @ col
-    return numerical_rank(np.hstack(blocks), tol) == n
+    return _krylov_full_rank(a, b, "B", True, tol)
 
 
 def msd_benchmark() -> ContinuousStateSpace:
@@ -230,7 +227,7 @@ def load_state_space(path) -> StateSpace:
                         np.array(payload["C"], dtype=float))
         for key, value in (("n", ss.state_dim), ("m", ss.input_dim), ("N", ss.sensor_count)):
             if as_integer(payload[key]) != value:
-                raise ValueError(f"model file field {key}={payload[key]} disagrees "
+                raise ValueError(f"plant file field {key}={payload[key]} disagrees "
                                  f"with matrix shapes ({value})")
     except KeyError as exc:
         raise ValueError(f"plant file has no field {exc}") from exc

@@ -109,6 +109,11 @@ class TestDelay:
         silenced = apply_attack(traj, DelayAttack((0, 64, 0)))
         np.testing.assert_array_equal(silenced.y[1], np.zeros(64))
 
+    def test_one_delay_per_sensor(self):
+        _, traj = benchmark_run()
+        with pytest.raises(ValueError, match=r"^need one delay per sensor \(3\), got 2$"):
+            apply_attack(traj, DelayAttack((0, 1)))
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             DelayAttack((0, -1))

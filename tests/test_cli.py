@@ -275,6 +275,12 @@ class TestIdentify:
     @pytest.mark.parametrize("name, digest", [
         ("verdict.json", "1c953b1eee7400dab68f07785d08afbd1211f1164b8f0405fb3edd82564da336"),
         ("online.csv", "c7855cb6dfbc1ffe690ca866fb68665ea6b4ec4a74810821e566655847ec388b"),
+        ("model.json", "a935b0155be44164569f10b1cc7723239f98948bed747ede8c94cbdab754a83f"),
+        ("offline.csv", "bb62bdcc27c6f1cb8136d5ae85c95d5be1ad34986aa8cd7e3298c94e11c3b06e"),
+        ("delay/model.json",
+         "8c58b13b91300bee7e15193d4137697e470ea1f17bc65d01f6ede3fc5389d714"),
+        ("delay/offline.csv",
+         "dab75dc2dbf2567f9e438ec663792547251a8058f8fcebe66a45d21c6ad76513"),
         ("delay/verdict.json",
          "a6b7b1c39ff241f806a2092a4d246caf35c12b83d7c293db234ddffadc91a1da"),
         ("delay/online.csv", "fc83c283cb4bb5c051fd92c457e4e0a83fbc50b01efbcefdfdfa21bc138e30ae"),
@@ -290,7 +296,8 @@ class TestIdentify:
     def test_injection_demo_bytes(self, request, name, digest):
         # sha256 of the seed-7 demo files: the injection demo's as the
         # per-sample step loop wrote them, the delay and replay demos' (named
-        # "<demo>/<file>") as the per-demo functions wrote them
+        # "<demo>/<file>") as the per-demo functions wrote them; each model.json
+        # and offline.csv pin the learned model's bytes and the recording behind it
         demo, _, file = name.rpartition("/")
         out = request.getfixturevalue(f"{demo or 'injection'}_demo")
         assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest
@@ -351,6 +358,12 @@ class TestCheckPE:
         save_trajectory(traj, path)
         assert main(["check-pe", str(path), "--order", "2"]) == 2
         assert "fail" in capsys.readouterr().out
+
+    def test_recording_shorter_than_order_fails(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        save_trajectory(Trajectory(np.ones((1, 3)), np.zeros((2, 3))), path)
+        assert main(["check-pe", str(path), "--order", "5"]) == 2
+        assert capsys.readouterr() == ("fail: 3 samples cannot be exciting of order 5\n", "")
 
     @pytest.mark.parametrize("order", ["0", "-2"])
     def test_non_positive_order_is_usage_error(self, injection_demo, capsys, order):
@@ -475,6 +488,15 @@ class TestSimulate:
         assert main(["simulate", "--model", str(plant_path), "--out", str(out)]) == 1
         assert capsys.readouterr() == (
             "", f"cannot read plant model: plant file holds a JSON {kind}, not an object\n")
+        assert not out.exists()
+
+    def test_plant_fields_disagree_with_matrices(self, tmp_path, capsys):
+        plant_path, out = tmp_path / "plant.json", tmp_path / "run.csv"
+        plant_path.write_text(json.dumps(
+            {"n": 2, "m": 1, "N": 1, "A": [[0.5]], "B": [[1.0]], "C": [[1.0]]}))
+        assert main(["simulate", "--model", str(plant_path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "cannot read plant model: plant file field n=2 "
+                                           "disagrees with matrix shapes (1)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("length", ["0", "-3"])

@@ -20,6 +20,7 @@ from sentinel.datamat import (
 from sentinel.ddmodel import (
     DataDrivenModel,
     LearningError,
+    RankReport,
     _factor,
     certifying_rank,
     learn_lambda,
@@ -100,6 +101,16 @@ class TestRankCondition:
             assert report.rows == 19
             assert report.observed == 13
             assert report.holds
+
+    def test_holds_derives_from_the_counts(self):
+        assert [f.name for f in dataclasses.fields(RankReport)] == ["observed", "required",
+                                                                    "rows"]
+        assert RankReport(13, 13, 19).holds and not RankReport(12, 13, 19).holds
+        assert not RankReport(14, 13, 19).holds
+        with pytest.raises(TypeError):
+            RankReport(13, 13, 19, True)
+        with pytest.raises(AttributeError):
+            RankReport(13, 13, 19).holds = False
 
     def test_zero_input_fails(self):
         traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
@@ -444,8 +455,8 @@ class TestLearningAtScale:
 
 class TestPredict:
     def test_zero_map(self):
-        np.testing.assert_array_equal(predict(np.zeros((3, 5)), np.ones((4, 3)), np.ones(5)),
-                                      np.zeros(4))
+        np.testing.assert_array_equal(
+            predict(np.zeros((1, 3, 5)), np.ones((1, 4, 3)), np.ones((1, 5))), np.zeros((1, 4)))
 
     @pytest.mark.parametrize("coef, lift, regressor", [
         ((3, 5), (4, 3), (6,)),
@@ -458,8 +469,11 @@ class TestPredict:
         ((2, 3, 5), (2, 4, 3), (5,)),
         ((2, 3, 5), (2, 4, 3), (3, 5)),
         ((2, 3, 5), (2, 4, 3), (2, 5, 2, 1)),
+        ((3, 5), (4, 3), (5,)),
+        ((3, 5), (4, 3), (5, 2)),
     ], ids=["long-regressor", "long-block", "lift-rank", "lift-stacked", "coef-vector",
-            "block-stacked", "lift-count", "stack-unstacked", "regressor-count", "block-4d"])
+            "block-stacked", "lift-count", "stack-unstacked", "regressor-count", "block-4d",
+            "unstacked", "unstacked-block"])
     def test_shape_mismatch(self, coef, lift, regressor):
         with pytest.raises(ValueError, match="cannot take a regressor of shape"):
             predict(np.zeros(coef), np.zeros(lift), np.zeros(regressor))
@@ -471,14 +485,16 @@ class TestPredict:
         stacked, blocked = predict(coef, lift, regressors), predict(coef, lift, blocks)
         assert stacked.shape == (5, 4) and blocked.shape == (5, 4, 7)
         for j in range(5):
-            np.testing.assert_array_equal(stacked[j], predict(coef[j], lift[j], regressors[j]))
+            one = slice(j, j + 1)
+            np.testing.assert_array_equal(stacked[j],
+                                          predict(coef[one], lift[one], regressors[one])[0])
             np.testing.assert_array_equal(stacked[j], lift[j] @ (coef[j] @ regressors[j]))
-            np.testing.assert_array_equal(blocked[j], predict(coef[j], lift[j], blocks[j]))
+            np.testing.assert_array_equal(blocked[j], predict(coef[one], lift[one], blocks[one])[0])
             np.testing.assert_array_equal(blocked[j], lift[j] @ (coef[j] @ blocks[j]))
             # a block is its columns taken one at a time, to rounding
             np.testing.assert_allclose(blocked[j], np.stack(
-                [predict(coef[j], lift[j], column) for column in blocks[j].T], axis=1),
-                rtol=0, atol=1e-13)
+                [predict(coef[one], lift[one], column[None])[0] for column in blocks[j].T],
+                axis=1), rtol=0, atol=1e-13)
             np.testing.assert_allclose(stacked[j], (lift[j] @ coef[j]) @ regressors[j],
                                        rtol=0, atol=1e-13)
         with pytest.raises(ValueError):
@@ -497,10 +513,10 @@ class TestPredict:
         (regressors,), _ = gathered_stacks(
             build_subset_matrices(Trajectory(u2, y2), (subset,), 6, 10))
         lift = basis[mats.target[0]]
-        np.testing.assert_allclose(predict(coef, lift, regressors[:, 0])[-1:],
+        np.testing.assert_allclose(predict(coef[None], lift[None], regressors[None, :, 0])[0, -1:],
                                    regressors[:1, 0], atol=1e-9)
-        np.testing.assert_allclose(predict(coef, lift, regressors)[-1:], regressors[:1],
-                                   atol=1e-9)
+        np.testing.assert_allclose(predict(coef[None], lift[None], regressors[None])[0, -1:],
+                                   regressors[:1], atol=1e-9)
 
 
 class TestLearnModel:

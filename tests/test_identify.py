@@ -19,7 +19,7 @@ from oracles import (
     reference_injection_step,
 )
 
-from sentinel.attacks import DelayAttack, ReplayAttack, apply_attack
+from sentinel.attacks import DelayAttack, ReplayAttack, SensorSubset, apply_attack
 from sentinel.datamat import (
     ExcitationError,
     Trajectory,
@@ -32,6 +32,7 @@ from sentinel.datamat import (
 from sentinel import cli, ddmodel, identify
 from sentinel.ddmodel import learn_model, load_learned_model, predict, save_learned_model
 from sentinel.identify import (
+    IdentificationVerdict,
     InjectionMonitor,
     NoResponseError,
     first_response,
@@ -858,6 +859,12 @@ class TestIdentifyReplay:
         with pytest.raises(ExcitationError):
             identify_replay(traj, 3, 1, 6, 30)
 
+    def test_short_trajectory_rejected(self):
+        traj = excited_run(benchmark_plant(), 6, 41, 19, 21)
+        with pytest.raises(TrajectoryLengthError) as err:
+            identify_replay(Trajectory(traj.u[:, :46], traj.y[:, :46]), 3, 1, 6, 41)
+        assert (err.value.length, err.value.required) == (46, 47)
+
     @pytest.mark.parametrize("n_sensors, max_attacked", [(4, 2), (2, 1)])
     def test_sensor_count_mismatch_rejected(self, n_sensors, max_attacked):
         traj = excited_run(benchmark_plant(), 6, 41, 19, 21)
@@ -952,6 +959,34 @@ class TestIdentifyDelay:
             identify_delay(y[:, :2], [1, 2, 1])
 
 
+class TestVerdictFields:
+    SUBSETS = (SensorSubset(1, (1, 2)), SensorSubset(2, (1, 3)), SensorSubset(3, (2, 3)))
+
+    def test_only_decisions_are_stored(self):
+        assert [f.name for f in dataclasses.fields(IdentificationVerdict)] == [
+            "k", "mode", "subsets", "scores", "winners"]
+        for name in ("attack_free_sensors", "all_clear"):
+            with pytest.raises(TypeError):
+                IdentificationVerdict(1, "replay", self.SUBSETS, (13.0,) * 3, (1,),
+                                      **{name: ()})
+
+    @pytest.mark.parametrize("winners, sensors, all_clear", [
+        ((1,), (1, 2), False), ((1, 2), (1, 2, 3), False), ((1, 2, 3), (1, 2, 3), True),
+        ((), (), False)])
+    def test_sensors_and_all_clear_derive_from_winners(self, winners, sensors, all_clear):
+        verdict = IdentificationVerdict(1, "replay", self.SUBSETS, (13.0,) * 3, winners)
+        assert (verdict.attack_free_sensors, verdict.all_clear) == (sensors, all_clear)
+        for name in ("attack_free_sensors", "all_clear"):
+            with pytest.raises(AttributeError):
+                setattr(verdict, name, ())
+
+    def test_monitor_keeps_only_the_clear_winners(self):
+        _, model = benchmark_model()
+        monitor, _ = online_setup(benchmark_plant(), model)
+        assert monitor.clear_winners == (1, 2, 3)
+        assert not hasattr(monitor, "clear_sensors")
+
+
 class TestVerdictSerialization:
     def test_injection_dict(self):
         ss, model = benchmark_model()
@@ -963,6 +998,13 @@ class TestVerdictSerialization:
         assert payload["winners"] == [1, 2, 3]
         assert {entry["id"] for entry in payload["per_subset"]} == {1, 2, 3}
         assert all("residual" in entry for entry in payload["per_subset"])
+
+    def test_non_finite_injection_score_is_null(self):
+        subsets = (SensorSubset(1, (1, 2)), SensorSubset(2, (1, 3)))
+        payload = verdict_to_dict(IdentificationVerdict(
+            9, "injection", subsets, (float("inf"), 0.5), (2,)))
+        assert [entry["residual"] for entry in payload["per_subset"]] == [None, 0.5]
+        assert '"residual": null' in json.dumps(payload)
 
     def test_replay_dict_uses_integer_ranks(self):
         ss = benchmark_plant()

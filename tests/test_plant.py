@@ -173,6 +173,13 @@ class TestStructuralChecks:
         ss = benchmark_dt()
         assert is_controllable(ss.A, ss.B)
 
+    def test_mismatched_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="^C_sub column count must equal the state "
+                                             "dimension$"):
+            is_observable(np.eye(2), [[1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="^B row count must equal the state dimension$"):
+            is_controllable(np.eye(2), np.ones((3, 1)))
+
 
 class TestBenchmarkBuilder:
     def test_parameter_entries(self):
@@ -341,7 +348,15 @@ class TestModelFile:
         path = tmp_path / "bad.json"
         payload = {"n": 2, "m": 1, "N": 1, "A": [[0.5]], "B": [[1.0]], "C": [[1.0]]}
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^plant file field n=2 disagrees with matrix "
+                                             r"shapes \(1\)$"):
+            load_state_space(path)
+
+    def test_missing_matrix_rejected(self, tmp_path):
+        import json
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 1, "m": 1, "N": 1, "B": [[1.0]], "C": [[1.0]]}))
+        with pytest.raises(ValueError, match="^plant file has no field 'A'$"):
             load_state_space(path)
 
 
