@@ -13,11 +13,13 @@ that seed so every file a command writes is byte-reproducible:
     +606  replay prefix/tail samples
     +707  input for the `simulate` command
 
-Exit codes: 0 success (demos: the expected verdict), 1 usage or
-precondition failure, 2 mathematical failure (rank certificate, learning,
-or an unexpected demo verdict). A failing command raises _Failure, and
-main() alone prints it on stderr and returns its code; verdicts, including
-an unexpected one, go to stdout.
+Exit codes: 0 success (demos: the expected verdict), 1 precondition
+failure (bad input, or a flag value out of range), 2 usage error (a flag
+missing, unknown or not read by the subcommand or mode: the parser exits)
+or mathematical failure (rank certificate, learning, or an unexpected demo
+verdict). A failing command raises _Failure, and main() alone prints it on
+stderr and returns its code; verdicts, including an unexpected one, go to
+stdout.
 """
 
 import argparse
@@ -313,19 +315,8 @@ TOL_FLAGS = {"--rank-tol": "scales the rank cutoff, rank_tol * max(rows, cols) *
              "--res-tol": "residual slack (absolute and relative) for verdicts"}
 
 
-# Per identify mode: the tolerance flag it reads (main() rejects the other)
-# and the flags it requires.
-IDENTIFY_MODES = {"injection": ("--res-tol", ("--model",)),
-                  "replay": ("--rank-tol", ("--n", "--max-attacked", "--test-len")),
-                  "delay": (None, ("--rel-deg",))}
-
-
-def _given(args, flag: str) -> bool:
-    return getattr(args, flag[2:].replace("-", "_")) not in (None, "")
-
-
 def _add_tol_flags(parser, *flags) -> None:
-    """Add the given tolerance flags; each subcommand takes only those it reads."""
+    """Add the given tolerance flags; each subcommand or mode takes only those it reads."""
     for flag in flags:
         parser.add_argument(flag, type=float, default=None, help=TOL_FLAGS[flag])
 
@@ -358,17 +349,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.set_defaults(func=cmd_learn)
 
     p_id = sub.add_parser("identify", help="run an identifier over a recorded stream")
-    p_id.add_argument("mode", choices=["injection", "replay", "delay"])
-    p_id.add_argument("stream", help="online recording (CSV)")
-    p_id.add_argument("--model", help="learned model JSON (injection mode)")
-    p_id.add_argument("--n", type=int, default=None, help="plant order (replay mode)")
-    p_id.add_argument("--max-attacked", type=int, default=None)
-    p_id.add_argument("--test-len", type=int, default=None,
-                      help="test window length (replay mode)")
-    p_id.add_argument("--rel-deg", default=None,
-                      help="comma-separated per-sensor delays, e.g. 1,2,1 (delay mode)")
-    _add_tol_flags(p_id, "--rank-tol", "--res-tol")
     p_id.set_defaults(func=cmd_identify)
+    modes = p_id.add_subparsers(dest="mode", required=True)
+    p_inj = modes.add_parser("injection", help="residual monitor against a learned model")
+    p_rep = modes.add_parser("replay", help="rank certificate over an excited test window")
+    p_del = modes.add_parser("delay", help="first responses against relative degrees")
+    for p_mode in (p_inj, p_rep, p_del):
+        p_mode.add_argument("stream", help="online recording (CSV)")
+    p_inj.add_argument("--model", required=True, help="learned model JSON")
+    _add_tol_flags(p_inj, "--res-tol")
+    p_rep.add_argument("--n", type=int, required=True, help="plant order")
+    p_rep.add_argument("--max-attacked", type=int, required=True, help="attack budget M")
+    p_rep.add_argument("--test-len", type=int, required=True, help="test window length")
+    _add_tol_flags(p_rep, "--rank-tol")
+    p_del.add_argument("--rel-deg", required=True,
+                       help="comma-separated per-sensor delays, e.g. 1,2,1")
 
     p_pe = sub.add_parser("check-pe", help="certify persistency of excitation")
     p_pe.add_argument("input", help="recording (CSV); the input columns are checked")
@@ -389,21 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    requires = ()
-    if args.command == "identify":
-        reads, requires = IDENTIFY_MODES[args.mode]
-        for flag in TOL_FLAGS:
-            if flag != reads and _given(args, flag):
-                parser.error(f"identify {args.mode} does not take {flag}")
+    args = build_parser().parse_args(argv)
     try:
         with _failing("invalid tolerance", ValueError):
             args.tol = _tolerance(args)
-        if not all(_given(args, flag) for flag in requires):
-            *rest, last = requires
-            listed = f"{', '.join(rest)} and {last}" if rest else last
-            raise _Failure(f"identify {args.mode} requires {listed}")
         return args.func(args)
     except _Failure as failure:
         print(failure, file=sys.stderr)

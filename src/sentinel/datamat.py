@@ -25,11 +25,18 @@ if TYPE_CHECKING:
 # seeded draws generate_pe_input makes before giving up
 PE_MAX_ATTEMPTS = 16
 
-# Bytes of the arrays over a block of Hankel columns (an S-stacked product in
-# learning's training misfit, (W + S)-row columns in the injection screen),
-# the unit in which both walk long recordings, so their memory stays bounded
-# however many columns there are.
+# Bytes of the arrays over one block (see blocks): subsets' gathered rows in
+# the rank certificate and pseudo-inverses, S-stacked products in the training
+# misfit, (W + S)-row columns in the injection screen; so memory stays bounded
+# however many columns or subsets there are.
 BLOCK_BYTES = 8 << 20
+
+
+def blocks(start: int, stop: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices covering start .. stop - 1, each of as many items
+    of item_bytes bytes as take about BLOCK_BYTES (at least one item)."""
+    step = max(1, BLOCK_BYTES // max(1, item_bytes))
+    return [slice(first, min(first + step, stop)) for first in range(start, stop, step)]
 
 
 class WindowError(ValueError):
@@ -248,11 +255,14 @@ def read_json_object(path, what: str) -> dict:
     return payload
 
 
+def _trajectory_header(m: int, p: int) -> list[str]:
+    return ["k"] + [f"u_{i}" for i in range(1, m + 1)] + [f"y_{i}" for i in range(1, p + 1)]
+
+
 def save_trajectory(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV with header k,u_1..u_m,y_1..y_N: repr floats
     and CRLF line ends, the bytes csv.writer writes, so a load is bit-exact."""
-    m, p = traj.input_dim, traj.output_dim
-    header = ["k"] + [f"u_{i}" for i in range(1, m + 1)] + [f"y_{i}" for i in range(1, p + 1)]
+    header = _trajectory_header(traj.input_dim, traj.output_dim)
     rows = np.vstack([traj.u, traj.y]).T.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
@@ -272,15 +282,16 @@ def _check_field_counts(lines, fields: int) -> None:
 
 
 def load_trajectory(path) -> Trajectory:
-    """Read a trajectory written by save_trajectory. A row without exactly the
-    header's fields, or a k that is not a consecutive int64, raises ValueError."""
+    """Read a trajectory written by save_trajectory. A header other than
+    k,u_1..u_m,y_1..y_N (m, N >= 1), a row without exactly the header's
+    fields, or a k that is not a consecutive int64 raises ValueError."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError("trajectory file is empty")
         m = sum(1 for name in header if name.startswith("u_"))
-        p = sum(1 for name in header if name.startswith("y_"))
-        if header[:1] != ["k"] or m == 0 or p == 0 or len(header) != 1 + m + p:
+        p = len(header) - 1 - m
+        if m == 0 or p < 1 or header != _trajectory_header(m, p):
             raise ValueError(f"unrecognized trajectory header {header}")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # header only: "no samples" below

@@ -37,9 +37,9 @@ import numpy as np
 
 from .attacks import SensorSubset, enumerate_subsets
 from .datamat import (
-    BLOCK_BYTES,
     SubsetDataMatrices,
     Trajectory,
+    blocks,
     build_subset_matrices,
     hankel_rows,
     read_json_object,
@@ -143,21 +143,14 @@ def rank_condition(mats: SubsetDataMatrices,
     return _certificate(mats, tol)[1]
 
 
-def _subset_chunks(regressor: np.ndarray, columns: int) -> list[slice]:
-    """Slices of consecutive subsets whose regressor rows of a matrix with
-    `columns` columns take about BLOCK_BYTES once gathered."""
-    n_subsets, width = regressor.shape
-    chunk = max(1, BLOCK_BYTES // max(1, width * columns * 8))
-    return [slice(start, start + chunk) for start in range(0, n_subsets, chunk)]
-
-
 def _regressor_singular_values(rows: np.ndarray, regressor: np.ndarray) -> np.ndarray:
     """Singular values of rows[regressor[j]] for every subset j, S x
-    min(d + m, columns), from one batched SVD per _subset_chunks chunk;
+    min(d + m, columns), from one batched SVD per block of subsets (blocks);
     LAPACK takes each matrix of a stack on its own, so they are the values
     one SVD of the whole S-stack gives."""
+    n_subsets, width = regressor.shape
     return np.concatenate([np.linalg.svd(rows[regressor[part]], compute_uv=False)
-                           for part in _subset_chunks(regressor, rows.shape[1])])
+                           for part in blocks(0, n_subsets, width * rows.shape[1] * 8)])
 
 
 def _regressor_pinv(basis: np.ndarray, regressor: np.ndarray) -> np.ndarray:
@@ -171,14 +164,14 @@ def _regressor_pinv(basis: np.ndarray, regressor: np.ndarray) -> np.ndarray:
     pinv(U[regressor[j]]): the minimum-norm fit of the subset's data,
     whichever basis of that column space U is. The pseudo-inverse is
     R^-1 Q^T from a batched QR of the regressor rows and a batched inverse
-    of the r x r triangular factors, taken over _subset_chunks. A subset
+    of the r x r triangular factors, taken over blocks of subsets. A subset
     whose R has a diagonal entry within (d + m) eps of its largest, so that
     its rows of U are numerically rank-deficient, gets a NaN coef.
     """
     n_subsets, width = regressor.shape
     rank = basis.shape[1]
     coef = np.empty((n_subsets, rank, width))
-    for part in _subset_chunks(regressor, rank):
+    for part in blocks(0, n_subsets, width * rank * 8):
         q, r = np.linalg.qr(basis[regressor[part]])
         diagonal = np.abs(np.diagonal(r, axis1=1, axis2=2))
         deficient = (diagonal.min(axis=1)
@@ -227,9 +220,8 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
     basis = u[:, :reports[0].required]
     coef, lift = _regressor_pinv(basis, mats.regressor), basis[mats.target]
     residuals = np.zeros(n_subsets)
-    block = max(1, BLOCK_BYTES // (n_subsets * width * 8))
-    for start in range(0, mats.columns, block):
-        window = mats.hankel[:, start: start + block]
+    for part in blocks(0, mats.columns, n_subsets * width * 8):
+        window = mats.hankel[:, part]
         misfit = predict(coef, lift, window[mats.regressor])
         np.abs(np.subtract(window[mats.target], misfit, out=misfit), out=misfit)
         np.maximum(residuals, misfit.max(axis=(1, 2)), out=residuals)

@@ -20,10 +20,10 @@ import numpy as np
 
 from .attacks import SensorSubset, enumerate_subsets
 from .datamat import (
-    BLOCK_BYTES,
     ExcitationError,
     Trajectory,
     TrajectoryLengthError,
+    blocks,
     build_subset_matrices,
     excitation_order,
     is_persistently_exciting,
@@ -279,15 +279,13 @@ def _residual_bounds(model: DataDrivenModel, traj: Trajectory):
     ulps = (d + m + rank + 2) * eps
     slope = deltas + 2 * ulps * gain * np.sqrt(np.einsum("ij,ij->", basis, basis))
     floor = (2 + gain + deltas) * np.sqrt(width * np.finfo(float).smallest_subnormal)
-    block = max(1, BLOCK_BYTES // ((width + n_subsets) * 8))
-    last = traj.length - 1
-    for start in range(n, last, block):
-        window = trajectory_hankel(traj, start - n, n + 1, min(block, last - start))
+    for part in blocks(n, traj.length - 1, (width + n_subsets) * 8):
+        window = trajectory_hankel(traj, part.start - n, n + 1, part.stop - part.start)
         coords = basis.T @ window
         distance = window - basis @ coords
         column, far, near = (np.sqrt(np.einsum("ic,ic->c", a, a))
                              for a in (window, distance, coords))
-        yield (start, slope * near + gain * (far + ulps * column) + floor,
+        yield (part.start, slope * near + gain * (far + ulps * column) + floor,
                16 * ulps * gain * column, np.sqrt(picks @ (window * window)))
 
 

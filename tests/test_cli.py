@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,12 @@ from sentinel.datamat import Trajectory, load_trajectory, save_trajectory
 from sentinel.ddmodel import load_learned_model
 from sentinel.identify import injection_bootstrap, injection_step, verdict_to_dict
 from sentinel.plant import save_state_space, simulate
+
+
+# every flag each identify mode requires, with a value
+MODE_FLAGS = {"injection": [["--model", "m.json"]],
+              "replay": [["--n", "6"], ["--max-attacked", "1"], ["--test-len", "41"]],
+              "delay": [["--rel-deg", "1,2,1"]]}
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +149,16 @@ class TestLearn:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("trajectory too short: ")
+
+    def test_out_of_order_header(self, tmp_path, capsys):
+        # the u_1 column after y_1 was read as sensor 1, and y_1 as the input
+        path = tmp_path / "swapped.csv"
+        path.write_text("k,y_1,u_1,y_2\n0,1.0,2.0,3.0\n")
+        code = main(["learn", str(path), "--n", "6", "--max-attacked", "1",
+                     "--horizon", "41", "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr() == ("", "cannot read trajectory: unrecognized trajectory "
+                                           "header ['k', 'y_1', 'u_1', 'y_2']\n")
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["learn", str(tmp_path / "nope.csv"), "--n", "6",
@@ -303,8 +320,8 @@ class TestIdentify:
         assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest
 
     def test_injection_requires_model(self, injection_demo, capsys):
-        assert main(["identify", "injection", str(injection_demo / "online.csv")]) == 1
-        assert capsys.readouterr() == ("", "identify injection requires --model\n")
+        self.assert_usage_error(["identify", "injection", str(injection_demo / "online.csv")],
+                                capsys, "the following arguments are required: --model")
 
     def test_replay_stream(self, replay_demo, capsys):
         code = main(["identify", "replay", str(replay_demo / "online.csv"),
@@ -316,9 +333,9 @@ class TestIdentify:
         assert payload == file_payload["verdict"]
 
     def test_replay_missing_flags(self, replay_demo, capsys):
-        assert main(["identify", "replay", str(replay_demo / "online.csv")]) == 1
-        assert capsys.readouterr() == (
-            "", "identify replay requires --n, --max-attacked and --test-len\n")
+        self.assert_usage_error(
+            ["identify", "replay", str(replay_demo / "online.csv")], capsys,
+            "the following arguments are required: --n, --max-attacked, --test-len")
 
     def test_replay_non_exciting_stream(self, tmp_path, capsys):
         traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
@@ -341,8 +358,35 @@ class TestIdentify:
         assert payload["attack_free_sensors"] == [1, 3]
 
     def test_delay_missing_flags(self, injection_demo, capsys):
-        assert main(["identify", "delay", str(injection_demo / "online.csv")]) == 1
-        assert capsys.readouterr() == ("", "identify delay requires --rel-deg\n")
+        self.assert_usage_error(["identify", "delay", str(injection_demo / "online.csv")],
+                                capsys, "the following arguments are required: --rel-deg")
+
+    @pytest.mark.parametrize("mode, foreign", [
+        pytest.param(mode, flag, id=f"{mode}{flag[0]}") for mode in MODE_FLAGS
+        for other, flags in MODE_FLAGS.items() if other != mode for flag in flags])
+    def test_flag_of_another_mode_is_rejected(self, capsys, mode, foreign):
+        # the mode's own flags are all given, so only the foreign one is wrong
+        own = [a for flag in MODE_FLAGS[mode] for a in flag]
+        self.assert_usage_error(["identify", mode, "run.csv", *own, *foreign], capsys,
+                                f"unrecognized arguments: {' '.join(foreign)}")
+
+    @pytest.mark.parametrize("mode, tol", [("injection", "--res-tol"),
+                                           ("replay", "--rank-tol"), ("delay", None)])
+    def test_mode_help_lists_only_its_flags(self, capsys, mode, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["identify", mode, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+        assert listed == {flag for flag, _ in MODE_FLAGS[mode]} | ({tol} - {None})
+
+    @staticmethod
+    def assert_usage_error(argv, capsys, message):
+        """The parser rejects argv: exit 2, nothing on stdout, message on stderr."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.rstrip("\n").endswith(message)
 
 
 class TestCheckPE:

@@ -255,10 +255,16 @@ class TestTrajectoryFile:
         loaded = load_trajectory(path)
         assert loaded.start_index == 4
 
-    def test_bad_header_rejected(self, tmp_path):
+    @pytest.mark.parametrize("header", ["time,u_1,y_1", "k,y_1,u_1,y_2", "k,u_1,y_2,y_1",
+                                        "k,u_1,y_1,y_1"],
+                             ids=["time", "input-after-sensor", "sensors-swapped",
+                                  "sensor-repeated"])
+    def test_bad_header_rejected(self, tmp_path, header):
+        # a header other than k,u_1..u_m,y_1..y_N would load its columns as
+        # the wrong signals
         path = tmp_path / "bad.csv"
-        path.write_text("time,u_1,y_1\n0,1.0,2.0\n")
-        with pytest.raises(ValueError):
+        path.write_text(f"{header}\n0{',1.0' * header.count(',')}\n")
+        with pytest.raises(ValueError, match=r"unrecognized trajectory header \["):
             load_trajectory(path)
 
     def test_empty_file_rejected(self, tmp_path):

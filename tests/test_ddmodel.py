@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentinel import ddmodel
+from sentinel import datamat, ddmodel
 from sentinel.attacks import ReplayAttack, SensorSubset, apply_attack, enumerate_subsets
 from sentinel.datamat import (
     BLOCK_BYTES,
@@ -202,7 +202,7 @@ class TestRankCondition:
         for block in (1, 3 * width * factor.shape[1] * 8):
             operands = []
             svd = np.linalg.svd
-            monkeypatch.setattr(ddmodel, "BLOCK_BYTES", block)
+            monkeypatch.setattr(datamat, "BLOCK_BYTES", block)
             chunked = ddmodel._regressor_singular_values(factor, mats.regressor)
             monkeypatch.setattr(np.linalg, "svd",
                                 lambda a, **kwargs: operands.append(a.shape) or svd(a, **kwargs))
@@ -423,7 +423,7 @@ class TestLearningAtScale:
                     * np.max(np.abs(lift) @ (np.abs(coef) @ np.abs(regressors)), axis=(1, 2)))
         column_bytes = len(mats.subsets) * regressors.shape[1] * 8
         for block in (1, 5, 16, columns - 1, columns):
-            monkeypatch.setattr(ddmodel, "BLOCK_BYTES", block * column_bytes)
+            monkeypatch.setattr(datamat, "BLOCK_BYTES", block * column_bytes)
             blocked_coef, blocked_residuals, blocked_reports, _ = learn_lambda(mats, tol)
             assert blocked_coef.tobytes() == coef.tobytes() and blocked_reports == reports
             assert np.all(np.abs(np.array(blocked_residuals) - misfit) <= 2 * rounding)

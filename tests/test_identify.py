@@ -29,7 +29,7 @@ from sentinel.datamat import (
     load_trajectory,
     trajectory_hankel,
 )
-from sentinel import cli, ddmodel, identify
+from sentinel import cli, datamat, identify
 from sentinel.ddmodel import learn_model, load_learned_model, predict, save_learned_model
 from sentinel.identify import (
     IdentificationVerdict,
@@ -478,8 +478,7 @@ class TestNoLambdaStack:
             for k in range(n, n + 200):
                 assert injection_step(monitor, stream.u[:, k], stream.y[:, k]).all_clear
 
-        with mock.patch.object(ddmodel, "BLOCK_BYTES", 4096), \
-                mock.patch.object(identify, "BLOCK_BYTES", 4096):
+        with mock.patch.object(datamat, "BLOCK_BYTES", 4096):
             tracemalloc.start()
             try:
                 model = traced("learn", lambda: learn_model(traj, n_sensors, max_attacked, n,
@@ -551,11 +550,11 @@ class TestIdentifyInjection:
 
     def block_sizes(self, model):
         """Screen block sizes in steps: small ones, then the BLOCK_BYTES default."""
-        return [1, 5, 16, identify.BLOCK_BYTES // self.column_bytes(model)]
+        return [1, 5, 16, datamat.BLOCK_BYTES // self.column_bytes(model)]
 
     def screened(self, model, traj, block, tol=DEFAULT_TOL):
         """identify_injection with screen blocks of `block` steps."""
-        with mock.patch.object(identify, "BLOCK_BYTES", block * self.column_bytes(model)):
+        with mock.patch.object(datamat, "BLOCK_BYTES", block * self.column_bytes(model)):
             return identify_injection(model, traj, tol)
 
     @settings(max_examples=100, deadline=None)

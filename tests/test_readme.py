@@ -1,15 +1,16 @@
-"""The README's library example runs as written and prints its verdict, and
-its model-file format names the fields a save writes."""
+"""The README's library example runs as written and prints its verdict, its
+CLI commands parse, and its model-file format names the fields a save writes."""
 
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import sentinel
-from sentinel.cli import main
+from sentinel.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -32,3 +33,12 @@ def test_model_file_bullet_names_the_saved_fields(tmp_path):
     assert main(["demo", "injection", "--seed", "7", "--out", str(tmp_path)]) == 0
     saved = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
     assert sorted(re.findall(r'"(\w+)"', bullet.group(1))) == sorted(saved)
+
+
+def test_cli_commands_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("sentinel ")]
+    assert len(commands) >= 9
+    for argv in commands:
+        build_parser().parse_args(argv)  # a usage error raises SystemExit
