@@ -15,9 +15,9 @@ that seed so every file a command writes is byte-reproducible:
 
 Exit codes: 0 success (demos: the expected verdict), 1 precondition
 failure (bad input, or a flag value out of range), 2 usage error (a flag
-missing, unknown or not read by the subcommand or mode: the parser exits)
-or mathematical failure (rank certificate, learning, or an unexpected demo
-verdict). A failing command raises _Failure, and main() alone prints it on
+missing, malformed, unknown or not read by the subcommand or mode: the
+parser exits) or mathematical failure (rank certificate, learning, or an
+unexpected demo verdict). A failing command raises _Failure, and main() alone prints it on
 stderr and returns its code; verdicts, including an unexpected one, go to
 stdout.
 """
@@ -254,7 +254,7 @@ def cmd_identify(args) -> int:
             verdict = identify_replay(stream, stream.output_dim, args.max_attacked, args.n,
                                       args.test_len, args.tol)
         else:
-            verdict = identify_delay(stream.y, [int(r) for r in args.rel_deg.split(",")])
+            verdict = identify_delay(stream.y, args.rel_deg)
     print(json.dumps(verdict_to_dict(verdict), indent=2, sort_keys=True))
     return 0
 
@@ -321,6 +321,24 @@ def _add_tol_flags(parser, *flags) -> None:
         parser.add_argument(flag, type=float, default=None, help=TOL_FLAGS[flag])
 
 
+def _integers(text: str) -> list[int]:
+    """A comma-separated list of integers, such as --rel-deg 1,2,1."""
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+
+
+class _Subparser(argparse.ArgumentParser):
+    """A sub-parser that rejects the flags it does not read, with its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process (about 1 ms) and only read after."""
@@ -328,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sentinel",
         description="Identify attack-free sensors of an LTI plant from data.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
 
     p_demo = sub.add_parser("demo", help="run a benchmark attack scenario end to end")
     p_demo.add_argument("attack", choices=["injection", "delay", "replay"])
@@ -362,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--max-attacked", type=int, required=True, help="attack budget M")
     p_rep.add_argument("--test-len", type=int, required=True, help="test window length")
     _add_tol_flags(p_rep, "--rank-tol")
-    p_del.add_argument("--rel-deg", required=True,
+    p_del.add_argument("--rel-deg", type=_integers, required=True,
                        help="comma-separated per-sensor delays, e.g. 1,2,1")
 
     p_pe = sub.add_parser("check-pe", help="certify persistency of excitation")

@@ -29,7 +29,6 @@ basis from the same singular vectors.
 """
 
 import base64
-import math
 from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
@@ -265,8 +264,8 @@ def predict(coef, lift, regressor) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DataDrivenModel:
-    """Per-subset predictors derived from one shared data basis, plus the
-    learning metadata.
+    """Per-subset predictors derived from one shared data basis and the
+    model's shape (N, M, n, m, T, pe_seed); nothing per subset is stored.
 
     basis, W x r with W = (N + m)(n + 1) and r = m(n + 1) + n, spans the
     column space of the all-sensor Hankel the model was learned from; it
@@ -277,17 +276,13 @@ class DataDrivenModel:
     x r, d = (N - M + m) n) and coef[j] = pinv(U[regressor[j]]) (coef is S
     x r x (d + m), _regressor_pinv, or learned_coef where learning, which
     derived it from this basis already, hands it in). Position j of coef,
-    lift, regressor, target, residuals and reports belongs to subsets[j]:
-    its predictor's factors, Hankel rows, training misfit and rank
-    certificate; no S x d x (d + m) stack of predictors is formed. A basis
-    that is not a finite W x r matrix or is rank-deficient on a subset's
-    regressor rows, or residuals or reports not one per subset, raise
+    lift, regressor, target and reports belongs to subsets[j]; no S x d x
+    (d + m) stack of predictors is formed. A basis that is not a finite
+    W x r matrix or is rank-deficient on a subset's regressor rows raises
     ValueError.
     """
 
     basis: np.ndarray
-    residuals: tuple[float, ...]
-    reports: tuple[RankReport, ...]
     n: int
     m: int
     n_sensors: int
@@ -303,10 +298,6 @@ class DataDrivenModel:
 
     def __post_init__(self, learned_coef):
         subsets = tuple(enumerate_subsets(self.n_sensors, self.max_attacked))
-        if not len(self.residuals) == len(self.reports) == len(subsets):
-            raise ValueError(f"N={self.n_sensors} and M={self.max_attacked} give "
-                             f"{len(subsets)} subsets, but the model holds "
-                             f"{len(self.residuals)} residuals and {len(self.reports)} reports")
         shape = ((self.n_sensors + self.m) * (self.n + 1), certifying_rank(self.m, self.n))
         basis = np.ascontiguousarray(self.basis, dtype=float)
         if basis.shape != shape or not np.isfinite(basis).all():
@@ -322,6 +313,12 @@ class DataDrivenModel:
                             ("target", target), ("lift", basis[target]), ("coef", coef)):
             object.__setattr__(self, name, value)
 
+    @property
+    def reports(self) -> tuple[RankReport, ...]:
+        """S copies of RankReport(r, r, d + m): every subset of a learned model certifies."""
+        rank = self.basis.shape[1]
+        return (RankReport(rank, rank, self.regressor.shape[1]),) * len(self.subsets)
+
 
 def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
                 columns: int, tol: Tolerance = DEFAULT_TOL,
@@ -333,17 +330,15 @@ def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
     if traj.output_dim != n_sensors:
         raise ValueError(f"trajectory has {traj.output_dim} outputs, expected {n_sensors}")
     mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), n, columns)
-    coef, residuals, reports, basis = learn_lambda(mats, tol)
-    return DataDrivenModel(basis, residuals, reports, n, traj.input_dim, n_sensors,
-                           max_attacked, columns, pe_seed, coef)
+    coef, _, _, basis = learn_lambda(mats, tol)
+    return DataDrivenModel(basis, n, traj.input_dim, n_sensors, max_attacked, columns, pe_seed,
+                           coef)
 
 
 def save_learned_model(model: DataDrivenModel, path) -> None:
-    """Write a learned model as JSON: N, M, n, m, T, pe_seed, the basis and
-    the residuals, residuals[j] being the training misfit of
-    enumerate_subsets(N, M)[j]. The basis is base64 of its row-major
-    little-endian float64 bytes, so a load gives it back bit for bit and
-    rebuilds the same predictor factors with the same numpy and BLAS."""
+    """Write a learned model as JSON: N, M, n, m, T, pe_seed and the basis, as
+    base64 of its row-major little-endian float64 bytes, so a load gives it
+    back bit for bit and rebuilds the same factors with the same numpy and BLAS."""
     payload = {
         "N": model.n_sensors,
         "M": model.max_attacked,
@@ -352,21 +347,18 @@ def save_learned_model(model: DataDrivenModel, path) -> None:
         "T": model.columns,
         "pe_seed": model.pe_seed,
         "basis": base64.b64encode(model.basis.astype("<f8").tobytes()).decode("ascii"),
-        "residuals": list(model.residuals),
     }
     write_json(payload, path)
 
 
 def load_learned_model(path) -> DataDrivenModel:
-    """Read a learned model written by save_learned_model. A file that holds no
-    JSON object, a missing or mistyped field (a string, bool or fraction
+    """Read a learned model written by save_learned_model; other keys, such
+    as the residuals list earlier files hold, are ignored. A file that holds
+    no JSON object, a missing or mistyped field (a string, bool or fraction
     where an integer belongs), a basis that is not base64 float64 of W x r,
-    residuals that are not a list of finite non-negative numbers, a T below
-    1, a file in an older layout (one with a subsets list), a model that
-    breaks DataDrivenModel's conditions, or a basis with max |U^T U - I|
-    above 10 W eps (checked after the rank) raise ValueError. Every saved
-    subset holds the certifying rank, so the load rebuilds the reports from
-    n, m, N, M."""
+    a T below 1, a file in an older layout (one with a subsets list), a
+    model that breaks DataDrivenModel's conditions, or a basis with max
+    |U^T U - I| above 10 W eps (checked after the rank) raise ValueError."""
     payload = read_json_object(path, "model")
     try:
         if "subsets" in payload:
@@ -380,22 +372,11 @@ def load_learned_model(path) -> DataDrivenModel:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"model file field basis is not a {shape[0]} x {shape[1]} "
                              "matrix of base64 float64") from exc
-        residuals = payload["residuals"]
-        if type(residuals) is not list:
-            raise ValueError(f"model file field residuals is not a list: {residuals!r}")
-        bad = [(j, value) for j, value in enumerate(residuals)
-               if type(value) not in (int, float) or not 0.0 <= value < math.inf]
-        if bad:
-            raise ValueError(f"model file field residuals[{bad[0][0]}] is {bad[0][1]!r}, not "
-                             "a finite non-negative number")
         columns = as_integer(payload["T"])
         if columns < 1:
             raise ValueError(f"model file field T is {columns}; it must be at least 1")
         pe_seed = payload.get("pe_seed")
-        rows = m + (n_sensors - max_attacked + m) * n
-        reports = (RankReport(shape[1], shape[1], rows),) * len(residuals)
-        model = DataDrivenModel(basis, tuple(map(float, residuals)), reports, n, m, n_sensors,
-                                max_attacked, columns,
+        model = DataDrivenModel(basis, n, m, n_sensors, max_attacked, columns,
                                 None if pe_seed is None else as_integer(pe_seed))
     except KeyError as exc:
         raise ValueError(f"model file has no field {exc}") from exc

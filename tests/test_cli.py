@@ -6,11 +6,17 @@ import re
 import numpy as np
 import pytest
 
-from sentinel.attacks import seeded_injection_signal
+from sentinel.attacks import enumerate_subsets, seeded_injection_signal
 from sentinel import cli
 from sentinel.cli import benchmark_plant, main
-from sentinel.datamat import Trajectory, load_trajectory, save_trajectory
-from sentinel.ddmodel import load_learned_model
+from sentinel.datamat import (
+    Trajectory,
+    build_subset_matrices,
+    load_trajectory,
+    save_trajectory,
+    write_json,
+)
+from sentinel.ddmodel import learn_lambda, load_learned_model
 from sentinel.identify import injection_bootstrap, injection_step, verdict_to_dict
 from sentinel.plant import save_state_space, simulate
 
@@ -125,8 +131,20 @@ class TestLearn:
         code = main(["learn", str(injection_demo / "offline.csv"), "--n", "6",
                      "--max-attacked", "1", "--horizon", "41", "--out", str(out)])
         assert code == 0
+        # the demo learned from the same recording; learn records no excitation seed
         payload = json.loads(out.read_text())
-        assert len(payload["residuals"]) == 3
+        demo = json.loads((injection_demo / "model.json").read_text())
+        assert payload == dict(demo, pe_seed=None)
+
+    def test_flag_it_does_not_read_is_rejected_with_its_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", "run.csv", "--n", "6", "--max-attacked", "1", "--horizon", "41",
+                  "--model", "m.json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: sentinel learn [-h] ")
+        assert captured.err.endswith(
+            "\nsentinel learn: error: unrecognized arguments: --model m.json\n")
 
     def test_zero_input_recording_fails_rank(self, tmp_path, capsys):
         traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
@@ -198,8 +216,6 @@ class TestIdentify:
         ("non-orthonormal", "model file field basis is not orthonormal"),
         ("lambda-format", "an older format that is no longer read: re-learn the model"),
         ("records-format", "an older format that is no longer read: re-learn the model"),
-        ("residuals-not-list", "model file field residuals is not a list"),
-        ("wrong-length", "N=3 and M=1 give 3 subsets, but the model holds 2 residuals"),
     ])
     def test_inconsistent_model_is_precondition_failure(self, injection_demo, tmp_path,
                                                         capsys, tamper, message):
@@ -225,16 +241,11 @@ class TestIdentify:
             basis[:, -1] *= 2.0
             payload["basis"] = base64.b64encode(basis.tobytes()).decode()
         elif tamper == "lambda-format":
-            del payload["basis"], payload["residuals"]
+            del payload["basis"]
             lam = base64.b64encode(np.zeros((18, 19)).tobytes()).decode()
             payload["subsets"] = [dict(entry, **{"lambda": lam}) for entry in records]
-        elif tamper == "records-format":
-            del payload["residuals"]
+        else:  # records-format
             payload["subsets"] = records
-        elif tamper == "residuals-not-list":
-            payload["residuals"] = 0.0
-        else:
-            payload["residuals"].pop()
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload))
         code = main(["identify", "injection", str(injection_demo / "online.csv"),
@@ -243,6 +254,29 @@ class TestIdentify:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("precondition failed: ")
         assert message in captured.err and "Traceback" not in captured.err
+
+    def test_file_with_training_residuals_still_loads(self, injection_demo, tmp_path, capsys):
+        # files written before the model stopped storing anything per subset
+        # also held each subset's training misfit; a load ignores the key
+        path = injection_demo / "model.json"
+        payload = json.loads(path.read_text())
+        mats = build_subset_matrices(load_trajectory(injection_demo / "offline.csv"),
+                                     enumerate_subsets(3, 1), 6, 41)
+        payload["residuals"] = list(learn_lambda(mats)[1])
+        older = tmp_path / "model.json"
+        write_json(payload, older)
+        # the seed-7 demo's model.json as that format wrote it
+        assert hashlib.sha256(older.read_bytes()).hexdigest() == (
+            "a935b0155be44164569f10b1cc7723239f98948bed747ede8c94cbdab754a83f")
+        new, old = load_learned_model(path), load_learned_model(older)
+        for name in ("basis", "coef", "lift"):
+            assert getattr(old, name).tobytes() == getattr(new, name).tobytes()
+        outputs = []
+        for model in (path, older):
+            assert main(["identify", "injection", str(injection_demo / "online.csv"),
+                         "--model", str(model)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("content, message", [
         (None, "No such file"),
@@ -292,10 +326,10 @@ class TestIdentify:
     @pytest.mark.parametrize("name, digest", [
         ("verdict.json", "1c953b1eee7400dab68f07785d08afbd1211f1164b8f0405fb3edd82564da336"),
         ("online.csv", "c7855cb6dfbc1ffe690ca866fb68665ea6b4ec4a74810821e566655847ec388b"),
-        ("model.json", "a935b0155be44164569f10b1cc7723239f98948bed747ede8c94cbdab754a83f"),
+        ("model.json", "dbc0fc58b4ada1bb230653dc226ea06039da4ebf99f9766bbe8015eb2560357f"),
         ("offline.csv", "bb62bdcc27c6f1cb8136d5ae85c95d5be1ad34986aa8cd7e3298c94e11c3b06e"),
         ("delay/model.json",
-         "8c58b13b91300bee7e15193d4137697e470ea1f17bc65d01f6ede3fc5389d714"),
+         "5ed1088ace9d1f005eee058f8721e25486ffb5710699775ad30ac1c5d962d202"),
         ("delay/offline.csv",
          "dab75dc2dbf2567f9e438ec663792547251a8058f8fcebe66a45d21c6ad76513"),
         ("delay/verdict.json",
@@ -357,6 +391,22 @@ class TestIdentify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["attack_free_sensors"] == [1, 3]
 
+    @pytest.mark.parametrize("rel_deg", ["x", "1,,2", "1.5,2,1", ""])
+    def test_malformed_rel_deg_is_usage_error(self, capsys, rel_deg):
+        self.assert_usage_error(["identify", "delay", "run.csv", "--rel-deg", rel_deg], capsys,
+                                "argument --rel-deg: not a comma-separated list of integers: "
+                                f"{rel_deg!r}")
+
+    @pytest.mark.parametrize("rel_deg, message", [
+        ("1,0,1", "relative degrees must be positive integers, got [1, 0, 1]"),
+        ("1,2", "need one relative degree per sensor (3), got 2"),
+    ])
+    def test_out_of_range_rel_deg_is_precondition_failure(self, delay_demo, capsys, rel_deg,
+                                                          message):
+        assert main(["identify", "delay", str(delay_demo / "online.csv"),
+                     "--rel-deg", rel_deg]) == 1
+        assert capsys.readouterr() == ("", f"precondition failed: {message}\n")
+
     def test_delay_missing_flags(self, injection_demo, capsys):
         self.assert_usage_error(["identify", "delay", str(injection_demo / "online.csv")],
                                 capsys, "the following arguments are required: --rel-deg")
@@ -367,8 +417,11 @@ class TestIdentify:
     def test_flag_of_another_mode_is_rejected(self, capsys, mode, foreign):
         # the mode's own flags are all given, so only the foreign one is wrong
         own = [a for flag in MODE_FLAGS[mode] for a in flag]
-        self.assert_usage_error(["identify", mode, "run.csv", *own, *foreign], capsys,
-                                f"unrecognized arguments: {' '.join(foreign)}")
+        err = self.assert_usage_error(["identify", mode, "run.csv", *own, *foreign], capsys,
+                                      f"unrecognized arguments: {' '.join(foreign)}")
+        # the mode's parser rejects it, with the mode's usage line
+        assert err.startswith(f"usage: sentinel identify {mode} [-h] ")
+        assert f"\nsentinel identify {mode}: error: unrecognized" in err
 
     @pytest.mark.parametrize("mode, tol", [("injection", "--res-tol"),
                                            ("replay", "--rank-tol"), ("delay", None)])
@@ -380,13 +433,15 @@ class TestIdentify:
         assert listed == {flag for flag, _ in MODE_FLAGS[mode]} | ({tol} - {None})
 
     @staticmethod
-    def assert_usage_error(argv, capsys, message):
-        """The parser rejects argv: exit 2, nothing on stdout, message on stderr."""
+    def assert_usage_error(argv, capsys, message) -> str:
+        """The parser rejects argv: exit 2, nothing on stdout, message on stderr,
+        which is returned."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.rstrip("\n").endswith(message)
+        return captured.err
 
 
 class TestCheckPE:

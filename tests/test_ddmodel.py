@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import inspect
 import json
 import tracemalloc
 
@@ -524,11 +525,12 @@ class TestLearnModel:
         _, traj = excited_benchmark_run()
         model = learn_model(traj, 3, 1, 6, 41, pe_seed=7)
         assert model.coef.shape == (3, 13, 19) and model.lift.shape == (3, 18, 13)
-        assert len(model.residuals) == 3
-        # both factors are attributes set at construction; no lambda stack is kept
+        # both factors are attributes set at construction; no lambda stack is kept,
+        # and nothing per subset is stored: the reports derive from the shape
         assert {"coef", "lift"} <= vars(model).keys()
+        assert {"residuals", "reports"}.isdisjoint(vars(model))
         assert all(np.shape(value) != (3, 18, 19) for value in vars(model).values())
-        assert all(report.holds for report in model.reports)
+        assert model.reports == (RankReport(13, 13, 19),) * 3
         assert model.pe_seed == 7
 
     def test_zero_input_error_lists_every_subset_below_rank(self):
@@ -582,7 +584,6 @@ SUBSET_RECORDS = [
 def to_records_format(payload):
     """Rewrite a benchmark model file in the older layout with one rank and
     residual record per subset next to the basis."""
-    del payload["residuals"]
     payload["subsets"] = SUBSET_RECORDS
 
 
@@ -627,7 +628,6 @@ class TestModelFile:
         np.testing.assert_array_equal(loaded.basis, model.basis)
         np.testing.assert_array_equal(loaded.lift, model.lift)
         np.testing.assert_array_equal(loaded.coef, model.coef)
-        assert loaded.residuals == model.residuals
         assert loaded.reports == model.reports
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
@@ -704,14 +704,14 @@ class TestModelFile:
         save_learned_model(load_learned_model(first), second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_file_holds_eight_fields_under_24_kb(self, tmp_path):
-        # one W x r basis and one residual per subset; the 210 base64 lambdas
-        # took 4.1 MB, the per-subset records on top of the basis 49 kB
+    def test_file_holds_seven_fields_under_12_kb(self, tmp_path):
+        # one W x r basis and nothing per subset; the 210 base64 lambdas took
+        # 4.1 MB, the per-subset records on top of the basis 49 kB
         path = tmp_path / "model.json"
         save_learned_model(learned("random-10x4"), path)
         assert set(json.loads(path.read_text())) == {"N", "M", "n", "m", "T", "pe_seed",
-                                                     "basis", "residuals"}
-        assert path.stat().st_size < 24 * 1024
+                                                     "basis"}
+        assert path.stat().st_size < 12 * 1024
 
     @pytest.mark.parametrize("tamper, message", [
         (lambda payload: recode_basis(payload, lambda basis: basis.ravel()[:-1]),
@@ -721,10 +721,6 @@ class TestModelFile:
         (lambda payload: recode_basis(
             payload, lambda basis: np.concatenate([[np.nan], basis.ravel()[1:]])),
          "basis must be a finite 28 x 13 matrix"),
-        (lambda payload: payload["residuals"].pop(),
-         "give 3 subsets, but the model holds 2 residuals and 2 reports"),
-        (lambda payload: payload["residuals"].append(0.0),
-         "give 3 subsets, but the model holds 4 residuals and 4 reports"),
         (lambda payload: recode_basis(payload, lambda basis: basis[:, :-1]),
          "field basis is not a 28 x 13 matrix"),
         (lambda payload: payload.update(basis=payload["basis"][:-1]),
@@ -743,27 +739,9 @@ class TestModelFile:
         (to_records_format, "model file lists its subsets, an older format that is no longer "
                             "read: re-learn the model"),
         (lambda payload: payload.pop("basis"), "model file has no field 'basis'"),
-        (lambda payload: payload.pop("residuals"), "model file has no field 'residuals'"),
-        (lambda payload: payload.update(residuals={"1": 0.0}),
-         r"model file field residuals is not a list: \{'1': 0.0\}"),
-        (lambda payload: payload["residuals"].__setitem__(0, float("nan")),
-         r"model file field residuals\[0\] is nan, not a finite non-negative number"),
-        (lambda payload: payload["residuals"].__setitem__(2, -1e-12),
-         r"model file field residuals\[2\] is -1e-12, not a finite non-negative number"),
-        (lambda payload: payload["residuals"].__setitem__(1, float("inf")),
-         r"model file field residuals\[1\] is inf, not a finite"),
-        (lambda payload: payload["residuals"].__setitem__(1, True),
-         r"model file field residuals\[1\] is True, not a finite"),
-        (lambda payload: payload["residuals"].__setitem__(2, "1e-12"),
-         r"model file field residuals\[2\] is '1e-12', not a finite"),
-        (lambda payload: payload["residuals"].__setitem__(0, None),
-         r"model file field residuals\[0\] is None, not a finite"),
-    ], ids=["short-basis", "missing-row", "nan", "missing-subset", "extra-residual",
-            "missing-column", "truncated", "not-base64", "nested-lists", "rank-deficient",
-            "scaled-basis",
-            "lambda-format", "records-format", "no-basis", "no-residuals", "residuals-not-list",
-            "nan-residual", "negative-residual", "infinite-residual", "bool-residual",
-            "string-residual", "null-residual"])
+    ], ids=["short-basis", "missing-row", "nan", "missing-column", "truncated", "not-base64",
+            "nested-lists", "rank-deficient", "scaled-basis", "lambda-format", "records-format",
+            "no-basis"])
     def test_inconsistent_file_rejected(self, tmp_path, tamper, message):
         _, traj = excited_benchmark_run()
         path = tmp_path / "model.json"
@@ -806,17 +784,29 @@ class TestModelFile:
         coef = model.coef.copy()
         coef[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="subset id 2: the basis is rank-deficient"):
-            DataDrivenModel(model.basis, model.residuals, model.reports, model.n, model.m,
-                            model.n_sensors, model.max_attacked, model.columns, None, coef)
+            DataDrivenModel(model.basis, model.n, model.m, model.n_sensors,
+                            model.max_attacked, model.columns, None, coef)
 
-    def test_in_memory_model_rejects_misaligned_tuples(self, models):
+    @pytest.mark.parametrize("name", ["residuals", "reports"])
+    def test_model_takes_no_per_subset_argument(self, models, name):
+        # a model is its basis and its shape: nothing per subset is handed in
         model = models["benchmark"]
-        with pytest.raises(ValueError, match="N=3 and M=1 give 3 subsets, but the model "
-                                             "holds 1 residuals and 3 reports"):
-            dataclasses.replace(model, residuals=model.residuals[:1])
-        with pytest.raises(ValueError, match="give 3 subsets, but the model holds 3 "
-                                             "residuals and 2 reports"):
-            dataclasses.replace(model, reports=model.reports[:2])
+        value = (0.0,) * len(model.subsets) if name == "residuals" else model.reports
+        assert list(inspect.signature(DataDrivenModel).parameters) == [
+            "basis", "n", "m", "n_sensors", "max_attacked", "columns", "pe_seed", "learned_coef"]
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            DataDrivenModel(model.basis, model.n, model.m, model.n_sensors,
+                            model.max_attacked, model.columns, **{name: value})
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            dataclasses.replace(model, **{name: value})
+
+    @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
+    def test_derived_reports_are_the_learned_reports(self, models, plant):
+        traj, n_sensors, max_attacked, columns = subset_run(plant)
+        mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
+                                     columns)
+        _, _, reports, _ = learn_lambda(mats)
+        assert models[plant].reports == reports
 
     @pytest.mark.parametrize("content, kind", [
         ("[]", "list"), ('["subsets"]', "list"), ("123", "number"), ("null", "null"),
