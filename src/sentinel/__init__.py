@@ -1,8 +1,10 @@
 """Data-driven identification of attack-free sensors for networked LTI plants.
 
-The package learns one-step predictors of stacked input/output histories
-from attack-free recordings and uses them online to certify which sensors
-of a plant remain trustworthy under data-injection, replay and
+The package certifies every sensor subset's one-step predictor of stacked
+input/output histories from an attack-free recording and learns the one
+data basis they share. Online it decodes every sensor's deviation from the
+plant with that basis, and with rank and timing tests it certifies which
+sensors of a plant remain trustworthy under data-injection, replay and
 network-delay attacks on the sensor channels.
 """
 

@@ -3,8 +3,9 @@
 Conventions: signals are 2-D arrays whose columns are time steps, oldest
 first. A sensor subset's history holds its previous n outputs, time-major,
 followed by the previous n inputs, each block oldest first. Every subset's
-data matrices, and the injection monitor's state, are row selections of
-one depth-(n + 1) all-sensor block-Hankel (hankel_rows).
+data matrices are row selections of one depth-(n + 1) all-sensor
+block-Hankel (hankel_rows), and the injection monitor's state is one of
+its columns.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ if TYPE_CHECKING:
 PE_MAX_ATTEMPTS = 16
 
 # Bytes of the arrays over one block (see blocks): subsets' gathered rows in
-# the rank certificate and pseudo-inverses, S-stacked products in the training
-# misfit, (W + S)-row columns in the injection screen; so memory stays bounded
-# however many columns or subsets there are.
+# the rank certificate, W-row Hankel columns in the training misfit and the
+# injection screen; so memory stays bounded however many columns or subsets
+# there are.
 BLOCK_BYTES = 8 << 20
 
 

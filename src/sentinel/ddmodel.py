@@ -14,12 +14,13 @@ controllable plant and an observable subset). Observed rank differing from
 the certifying value - in either direction - marks data the plant cannot
 have produced, which is what the replay test exploits.
 
-Certified data of every subset share one rank-(m(n+1) + n) column space,
-so one basis U of it fixes every subset's predictor U[target_j]
-pinv(U[regressor_j]); a learned model stores that basis and derives from
-it, once, each predictor's two factors, U[target_j] and
-pinv(U[regressor_j]) (_regressor_pinv), which predict applies one after
-the other without forming the predictor.
+Certified data of every subset share one rank-(m(n + 1) + n) column space,
+so one basis U of it is the whole learned model. With a trusted history
+only the N newest output slots of a Hankel column h can deviate from the
+plant, h = h0 + E a with h0 in span(U), so one N x W decoder K = pinv(P E),
+P = I - U U^T, reads every sensor's deviation a = K h (the parity-space
+residual of Chow & Willsky 1984); predict applies it. Subset j's one-step
+predictor U[target_j] pinv(U[regressor_j]) is never formed.
 
 Every subset's data are row selections of one all-sensor Hankel, so one QR
 of it and one SVD of its factor serve every rank decision: learning and the
@@ -29,7 +30,7 @@ basis from the same singular vectors.
 """
 
 import base64
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,7 +41,6 @@ from .datamat import (
     Trajectory,
     blocks,
     build_subset_matrices,
-    hankel_rows,
     read_json_object,
     write_json,
 )
@@ -79,6 +79,10 @@ class LearningError(RuntimeError):
         self.subset, self.report = self.failures[0][:2]
         super().__init__("\n".join(
             f"subset {subset.indices}: {reason}" for subset, _, reason in self.failures))
+
+
+class _BasisError(ValueError):
+    """A basis no model can hold; a load names it as the model file's field."""
 
 
 def certifying_rank(m: int, n: int) -> int:
@@ -152,60 +156,48 @@ def _regressor_singular_values(rows: np.ndarray, regressor: np.ndarray) -> np.nd
                            for part in blocks(0, n_subsets, width * rows.shape[1] * 8)])
 
 
-def _regressor_pinv(basis: np.ndarray, regressor: np.ndarray) -> np.ndarray:
-    """coef[j] = pinv(U[regressor[j]]) for every subset, S x r x (d + m),
-    from a W x r basis U of the all-sensor Hankel's column space and
-    hankel_rows' S x (d + m) regressor rows: the factor that, with lift[j] =
-    U[target[j]], makes subset j's one-step predictor lift[j] @ coef[j].
-
-    If G = U C with C of full row rank, a U[regressor[j]] of full column
-    rank gives G[target[j]] pinv(G[regressor[j]]) = U[target[j]]
-    pinv(U[regressor[j]]): the minimum-norm fit of the subset's data,
-    whichever basis of that column space U is. The pseudo-inverse is
-    R^-1 Q^T from a batched QR of the regressor rows and a batched inverse
-    of the r x r triangular factors, taken over blocks of subsets. A subset
-    whose R has a diagonal entry within (d + m) eps of its largest, so that
-    its rows of U are numerically rank-deficient, gets a NaN coef.
-    """
-    n_subsets, width = regressor.shape
-    rank = basis.shape[1]
-    coef = np.empty((n_subsets, rank, width))
-    for part in blocks(0, n_subsets, width * rank * 8):
-        q, r = np.linalg.qr(basis[regressor[part]])
-        diagonal = np.abs(np.diagonal(r, axis1=1, axis2=2))
-        deficient = (diagonal.min(axis=1)
-                     <= width * np.finfo(float).eps * diagonal.max(axis=1))
-        r[deficient] = np.eye(rank)
-        block = coef[part]
-        np.matmul(np.linalg.inv(r), np.swapaxes(q, 1, 2), out=block)
-        block[deficient] = np.nan
-    return coef
+def _decoder(basis: np.ndarray, n_sensors: int, n: int) -> np.ndarray:
+    """K = pinv(P E), N x W, for an orthonormal W x r basis U of a
+    depth-(n + 1) all-sensor Hankel's column space: P = I - U U^T, and E
+    holds the identity's columns at the newest output rows N n .. N(n + 1) - 1
+    (trajectory_hankel's layout). K h is the deviation of h's newest outputs
+    from the plant when h's history and inputs are the plant's. A basis with
+    sigma_min(P E) at most W eps, at rounding level (||P E|| <= 1), leaves
+    those outputs undetermined and raises ValueError."""
+    newest = slice(n_sensors * n, n_sensors * (n + 1))
+    complement = basis @ -basis[newest].T
+    complement[newest] += np.eye(n_sensors)
+    left, sigma, right = np.linalg.svd(complement, full_matrices=False)
+    bound = basis.shape[0] * np.finfo(float).eps
+    if not sigma[-1] > bound:
+        raise _BasisError(f"basis leaves the newest outputs undetermined: sigma_min(P E) is "
+                          f"{sigma[-1]:.3g}, at most W eps = {bound:.3g}")
+    decoder = (right.T / sigma) @ left.T
+    # the left singular vectors leave rounding along span(U), which 1 / sigma
+    # amplifies; K = pinv(P E) P, applied once more, takes it out
+    return decoder - (decoder @ basis) @ basis.T
 
 
 def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
-                 ) -> tuple[np.ndarray, tuple[float, ...], tuple[RankReport, ...], np.ndarray]:
-    """Fit every subset's one-step predictor: (coef, residuals, reports, basis).
+                 ) -> tuple[np.ndarray, tuple[RankReport, ...], tuple[float, ...]]:
+    """Certify every subset and fit the model's basis: (basis, reports,
+    misfits).
 
-    Subset j's predictor lam[j] = basis[target[j]] @ coef[j] maps
-    [u[k]; history[k]] of subsets[j] to history[k+1]; residuals[j] is its
-    max-abs training misfit, reports[j] its certificate.
-
-    The predictors are the minimum-norm fits of the stacked data: with the
-    certifying rank they are exact on everything the plant can produce and
-    unique over informative recordings. One QR of the Hankel (_factor),
-    one SVD of its factor R^T and one batched SVD of every subset's rows
-    of R^T's rank-rho part give the rank reports (_certificate). Data an
-    n-state plant produced have rank r = m(n + 1) + n in G and in every
-    certified subset's rows of it, so once every subset certifies, the
-    top r left singular vectors of that same SVD are a basis of the one
-    column space they share, and lam[j] = lift[j] @ coef[j] with lift =
-    basis[target] and coef = _regressor_pinv(basis, regressor). The misfit
-    is taken on the data themselves with predict, in column blocks of about
-    BLOCK_BYTES of S-stacked regressors; no S x d x (d + m) lam is formed.
-    Raises one LearningError listing every subset whose certificate fails,
-    or else every subset whose training misfit exceeds the residual slack
-    (or is not a number). A shared basis fits only data on which every
-    subset certifies, so misfits are taken only then.
+    One QR of the Hankel (_factor), one SVD of its factor R^T and one
+    batched SVD of every subset's rows of R^T's rank-rho part give the rank
+    reports (_certificate). Data an n-state plant produced have rank r =
+    m(n + 1) + n in G and in every certified subset's rows of it, so once
+    every subset certifies, the top r left singular vectors of that same
+    SVD are a basis of the one column space they share; subset j's
+    predictor is basis[target[j]] pinv(basis[regressor[j]]), the
+    minimum-norm fit of its data, exact on everything the plant can
+    produce. misfits[i] is sensor i + 1's training misfit, max |(K G)_i|
+    over the columns, K the basis' _decoder, taken in column blocks of
+    about BLOCK_BYTES. Raises one LearningError listing every subset whose
+    certificate fails, or else every subset holding a sensor whose misfit
+    exceeds its slack tol.residual (1 + the sensor's largest |sample|), or
+    is not a number. A shared basis fits only data on which every subset
+    certifies, so misfits are taken only then.
     """
     u, reports = _certificate(mats, tol)
     failures = [(subset, report,
@@ -215,71 +207,58 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
                 for subset, report in zip(mats.subsets, reports) if not report.holds]
     if failures:
         raise LearningError(failures)
-    n_subsets, width = mats.regressor.shape
     basis = u[:, :reports[0].required]
-    coef, lift = _regressor_pinv(basis, mats.regressor), basis[mats.target]
-    residuals = np.zeros(n_subsets)
-    for part in blocks(0, mats.columns, n_subsets * width * 8):
-        window = mats.hankel[:, part]
-        misfit = predict(coef, lift, window[mats.regressor])
-        np.abs(np.subtract(window[mats.target], misfit, out=misfit), out=misfit)
-        np.maximum(residuals, misfit.max(axis=(1, 2)), out=residuals)
-    peaks = np.maximum(mats.hankel.max(axis=1), -mats.hankel.min(axis=1))
-    slacks = tol.residual * (1.0 + peaks[mats.target].max(axis=1))
-    failures = [(subset, report,
-                 f"data rank {report.observed} meets the certifying rank, but the training "
-                 f"misfit {residual:.3g} exceeds the slack {slack:.3g}")
-                for subset, report, residual, slack in zip(mats.subsets, reports, residuals,
-                                                           slacks)
-                if not residual <= slack]
+    width = mats.hankel.shape[0]
+    n_sensors = width // (mats.order + 1) - (mats.regressor.shape[1] - mats.target.shape[1])
+    decoder = _decoder(basis, n_sensors, mats.order)
+    misfits = np.zeros(n_sensors)
+    for part in blocks(0, mats.columns, width * 8):
+        np.maximum(misfits, np.abs(decoder @ mats.hankel[:, part]).max(axis=1), out=misfits)
+    outputs = mats.hankel[:n_sensors * (mats.order + 1)]
+    peaks = np.maximum(outputs.max(axis=1), -outputs.min(axis=1)).reshape(-1, n_sensors)
+    slacks = tol.residual * (1.0 + peaks.max(axis=0))
+    failing = ~(misfits <= slacks)
+    failures = []
+    for subset, report in zip(mats.subsets, reports):
+        sensor = next((i for i in subset.indices if failing[i - 1]), None)
+        if sensor is not None:
+            failures.append((subset, report,
+                             f"data rank {report.observed} meets the certifying rank, but the "
+                             f"training misfit {misfits[sensor - 1]:.3g} exceeds the slack "
+                             f"{slacks[sensor - 1]:.3g}"))
     if failures:
         raise LearningError(failures)
-    return coef, tuple(residuals.tolist()), reports, basis
+    return basis, reports, tuple(misfits.tolist())
 
 
-def predict(coef, lift, regressor) -> np.ndarray:
-    """One-step predictions lift[j] @ (coef[j] @ regressor[j]) of S
-    predictors, each applied through its two factors: coef S x r x (d + m),
-    lift S x d x r, and per predictor one regressor [u_k; history] of d + m
-    entries (S x (d + m)) or a (d + m) x B block of them (S x (d + m) x B).
-    Gives d or d x B entries per predictor. Only shapes are checked:
-    DataDrivenModel derives its factors from a checked basis.
+def predict(decoder, column) -> np.ndarray:
+    """Every sensor's deviation a = K h from the plant: decoder K is N x W,
+    column h one Hankel column (W entries, gives N) or a W x B block of them
+    (gives N x B). Only shapes are checked: DataDrivenModel derives K from a
+    checked basis.
     """
-    coef_arr = np.asarray(coef, dtype=float)
-    lift_arr = np.asarray(lift, dtype=float)
-    x = np.asarray(regressor, dtype=float)
-    vector = x.ndim == 2
-    block = x[..., None] if vector else x
-    try:
-        # matmul checks the inner dimensions; stacks must match without broadcasting
-        if not (lift_arr.ndim == block.ndim == coef_arr.ndim == 3
-                and lift_arr.shape[0] == block.shape[0] == coef_arr.shape[0]):
-            raise ValueError
-        out = lift_arr @ (coef_arr @ block)
-    except ValueError:
-        raise ValueError(f"predictor factors of shapes {coef_arr.shape} and {lift_arr.shape} "
-                         f"cannot take a regressor of shape {x.shape}") from None
-    return out[..., 0] if vector else out
+    k_arr = np.asarray(decoder, dtype=float)
+    h_arr = np.asarray(column, dtype=float)
+    if k_arr.ndim != 2 or h_arr.ndim not in (1, 2) or h_arr.shape[0] != k_arr.shape[1]:
+        raise ValueError(f"a decoder of shape {k_arr.shape} cannot take a column of shape "
+                         f"{h_arr.shape}")
+    return k_arr @ h_arr
 
 
 @dataclass(frozen=True)
 class DataDrivenModel:
-    """Per-subset predictors derived from one shared data basis and the
-    model's shape (N, M, n, m, T, pe_seed); nothing per subset is stored.
+    """A learned model: one data basis and the model's shape (N, M, n, m, T,
+    pe_seed); nothing per subset is stored.
 
-    basis, W x r with W = (N + m)(n + 1) and r = m(n + 1) + n, spans the
-    column space of the all-sensor Hankel the model was learned from; it
-    is the model's one source of truth. subsets = enumerate_subsets(N, M),
-    regressor and target are their hankel_rows, and subset j's predictor
-    U[target[j]] pinv(U[regressor[j]]) is held as its two factors, both
-    derived when the model is built: lift[j] = U[target[j]] (lift is S x d
-    x r, d = (N - M + m) n) and coef[j] = pinv(U[regressor[j]]) (coef is S
-    x r x (d + m), _regressor_pinv, or learned_coef where learning, which
-    derived it from this basis already, hands it in). Position j of coef,
-    lift, regressor, target and reports belongs to subsets[j]; no S x d x
-    (d + m) stack of predictors is formed. A basis that is not a finite
-    W x r matrix or is rank-deficient on a subset's regressor rows raises
-    ValueError.
+    basis, W x r with W = (N + m)(n + 1) and r = m(n + 1) + n, is an
+    orthonormal basis of the column space of the all-sensor Hankel the
+    model was learned from; it is the model's one source of truth. subsets
+    = enumerate_subsets(N, M), and decoder = _decoder(basis, N, n), N x W,
+    is derived from the basis when the model is built. A basis that is not
+    a finite W x r matrix, is not orthonormal (max |U^T U - I| above 10 W
+    eps; learning saves singular vectors, measured at most 13 eps for W <=
+    77) or leaves the newest outputs undetermined (_decoder) raises
+    ValueError: the decoder is a projection only for an orthonormal basis.
     """
 
     basis: np.ndarray
@@ -289,35 +268,31 @@ class DataDrivenModel:
     max_attacked: int
     columns: int
     pe_seed: Optional[int] = None
-    learned_coef: InitVar[Optional[np.ndarray]] = None
     subsets: tuple[SensorSubset, ...] = field(init=False)
-    regressor: np.ndarray = field(init=False, repr=False)
-    target: np.ndarray = field(init=False, repr=False)
-    lift: np.ndarray = field(init=False, repr=False)
-    coef: np.ndarray = field(init=False, repr=False)
+    decoder: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, learned_coef):
+    def __post_init__(self):
         subsets = tuple(enumerate_subsets(self.n_sensors, self.max_attacked))
         shape = ((self.n_sensors + self.m) * (self.n + 1), certifying_rank(self.m, self.n))
         basis = np.ascontiguousarray(self.basis, dtype=float)
         if basis.shape != shape or not np.isfinite(basis).all():
-            raise ValueError(f"basis must be a finite {shape[0]} x {shape[1]} matrix, "
-                             f"got shape {basis.shape}")
-        regressor, target = hankel_rows(self.n_sensors, subsets, self.n, self.m)
-        coef = _regressor_pinv(basis, regressor) if learned_coef is None else learned_coef
-        finite = np.isfinite(coef).all(axis=(1, 2))
-        if not finite.all():
-            raise ValueError(f"subset id {subsets[finite.argmin()].id}: the basis "
-                             "is rank-deficient on its regressor rows")
-        for name, value in (("basis", basis), ("subsets", subsets), ("regressor", regressor),
-                            ("target", target), ("lift", basis[target]), ("coef", coef)):
+            raise _BasisError(f"basis must be a finite {shape[0]} x {shape[1]} matrix, "
+                              f"got shape {basis.shape}")
+        bound = 10 * shape[0] * np.finfo(float).eps
+        error = np.abs(basis.T @ basis - np.eye(shape[1])).max()
+        if not error <= bound:
+            raise _BasisError(f"basis is not orthonormal: max |U^T U - I| is {error:.3g}, "
+                              f"above 10 W eps = {bound:.3g}")
+        for name, value in (("basis", basis), ("subsets", subsets),
+                            ("decoder", _decoder(basis, self.n_sensors, self.n))):
             object.__setattr__(self, name, value)
 
     @property
     def reports(self) -> tuple[RankReport, ...]:
         """S copies of RankReport(r, r, d + m): every subset of a learned model certifies."""
         rank = self.basis.shape[1]
-        return (RankReport(rank, rank, self.regressor.shape[1]),) * len(self.subsets)
+        rows = self.m * (self.n + 1) + (self.n_sensors - self.max_attacked) * self.n
+        return (RankReport(rank, rank, rows),) * len(self.subsets)
 
 
 def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
@@ -330,15 +305,14 @@ def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
     if traj.output_dim != n_sensors:
         raise ValueError(f"trajectory has {traj.output_dim} outputs, expected {n_sensors}")
     mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), n, columns)
-    coef, _, _, basis = learn_lambda(mats, tol)
-    return DataDrivenModel(basis, n, traj.input_dim, n_sensors, max_attacked, columns, pe_seed,
-                           coef)
+    basis, _, _ = learn_lambda(mats, tol)
+    return DataDrivenModel(basis, n, traj.input_dim, n_sensors, max_attacked, columns, pe_seed)
 
 
 def save_learned_model(model: DataDrivenModel, path) -> None:
     """Write a learned model as JSON: N, M, n, m, T, pe_seed and the basis, as
     base64 of its row-major little-endian float64 bytes, so a load gives it
-    back bit for bit and rebuilds the same factors with the same numpy and BLAS."""
+    back bit for bit and rebuilds the same decoder with the same numpy and BLAS."""
     payload = {
         "N": model.n_sensors,
         "M": model.max_attacked,
@@ -356,9 +330,10 @@ def load_learned_model(path) -> DataDrivenModel:
     as the residuals list earlier files hold, are ignored. A file that holds
     no JSON object, a missing or mistyped field (a string, bool or fraction
     where an integer belongs), a basis that is not base64 float64 of W x r,
-    a T below 1, a file in an older layout (one with a subsets list), a
-    model that breaks DataDrivenModel's conditions, or a basis with max
-    |U^T U - I| above 10 W eps (checked after the rank) raise ValueError."""
+    a T below 1, a file in an older layout (one with a subsets list), or a
+    model that breaks DataDrivenModel's conditions raise ValueError; a
+    basis DataDrivenModel rejects is named as the file's field ("model file
+    field basis is not orthonormal: ...")."""
     payload = read_json_object(path, "model")
     try:
         if "subsets" in payload:
@@ -382,12 +357,6 @@ def load_learned_model(path) -> DataDrivenModel:
         raise ValueError(f"model file has no field {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"model file has a field of the wrong type: {exc}") from exc
-    # learning saves left singular vectors, orthonormal to O(W eps) (Householder
-    # SVD; measured at most 13 eps for W <= 77); the injection screen's c = U^T h
-    # is the projection only for an orthonormal basis
-    bound = 10 * shape[0] * np.finfo(float).eps
-    error = np.abs(basis.T @ basis - np.eye(shape[1])).max()
-    if not error <= bound:
-        raise ValueError(f"model file field basis is not orthonormal: max |U^T U - I| is "
-                         f"{error:.3g}, above 10 W eps = {bound:.3g}")
+    except _BasisError as exc:
+        raise ValueError(f"model file field {exc}") from exc
     return model

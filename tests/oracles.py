@@ -14,8 +14,9 @@ plant's (A, B, C), which the data-driven pipeline never sees.
   signals, the vector every monitor and data-matrix layout must reproduce;
 * ReferenceMonitor / reference_injection_bootstrap /
   reference_injection_step: the injection monitor written one subset at a
-  time, which the package's batched step must match bit for bit. It needs
-  no plant, only the learned model;
+  time with each subset's predictor (the λ form), whose decisions the
+  package's decode must match, and its scores to rounding. It needs no
+  plant, only the learned model;
 * reference_save_trajectory / reference_simulate: the row-at-a-time CSV
   writer and column-at-a-time simulation loop, which the package's
   whole-array versions must match byte for byte;
@@ -26,8 +27,8 @@ plant's (A, B, C), which the data-driven pipeline never sees.
   whole arrays, which the package never builds: it factors the all-sensor
   Hankel once instead;
 * predictors / model_lambda: every subset's predictor as one S x d x
-  (d + m) stack, from a basis or from a model's two factors, which the
-  package never forms: it applies each predictor through its factors.
+  (d + m) stack, from a basis or from a model's basis, which the package
+  never forms: it decodes every sensor's deviation with one N x W matrix.
 """
 
 import csv
@@ -37,8 +38,8 @@ from typing import Optional
 import numpy as np
 
 from sentinel.attacks import SensorSubset
-from sentinel.datamat import SubsetDataMatrices, Trajectory, hankel
-from sentinel.ddmodel import DataDrivenModel, _regressor_pinv
+from sentinel.datamat import SubsetDataMatrices, Trajectory, hankel, hankel_rows
+from sentinel.ddmodel import DataDrivenModel
 from sentinel.identify import IdentificationVerdict, _verdict
 from sentinel.linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, numerical_rank
 from sentinel.plant import StateSpace, is_controllable, is_observable
@@ -234,11 +235,13 @@ def reference_history(z_hist, u_hist) -> np.ndarray:
 
 @dataclass
 class ReferenceMonitor:
-    """Per-subset injection monitor state: one stacked history per subset id."""
+    """Per-subset injection monitor state: one stacked history per subset id,
+    and the model's predictors as an S x d x (d + m) stack."""
 
     model: DataDrivenModel
     states: dict
     k: int
+    lam: np.ndarray
     tol: Tolerance = field(default_factory=lambda: DEFAULT_TOL)
     terminal: bool = False
 
@@ -252,47 +255,50 @@ def reference_injection_bootstrap(model: DataDrivenModel, u_history, y_history,
     for subset in model.subsets:
         z_hist = y_hist[[i - 1 for i in subset.indices], :]
         states[subset.id] = reference_history(z_hist, u_hist)
-    return ReferenceMonitor(model, states, model.n, tol)
+    return ReferenceMonitor(model, states, model.n, model_lambda(model), tol)
 
 
-def reference_injection_step(mon: ReferenceMonitor, u_k, y_new,
-                             lam=None) -> IdentificationVerdict:
-    """The injection step subset by subset: lift_j @ (coef_j @ [u_k; state])
-    with the model's two factors of each predictor, or lam[j] @ [u_k; state]
-    with a given S x d x (d + m) stack lam (the λ form), and a hand-written
-    shift of each subset's history."""
+def reference_injection_step(mon: ReferenceMonitor, u_k, y_new) -> IdentificationVerdict:
+    """The injection step subset by subset in the λ form: lam[j] @ [u_k;
+    state] predicts subset j's next history, and the newest-output entries of
+    its residual are its sensors' deviations. A sensor is named when its
+    deviation in the first subset holding it exceeds tol.residual (1 + ||its
+    samples in that subset's next history||); subset j scores the norm of
+    its own deviations and wins when it holds no named sensor. On all-clear
+    each subset's next history takes its own predicted newest outputs (the
+    re-anchoring) in a hand-written shift."""
     if mon.terminal:
         raise RuntimeError("monitor is terminal; no further steps accepted")
     model = mon.model
     u_vec = as_vector(u_k, model.m, "u_k")
     y_vec = as_vector(y_new, model.n_sensors, "y_new")
     n, m = model.n, model.m
-    scores = []
-    observed_states = {}
-    slack = []
+    scores, named, seen, observed_states = [], set(), set(), {}
     for j, subset in enumerate(model.subsets):
         q = len(subset.indices)
         state = mon.states[subset.id]
-        regressor = np.concatenate([u_vec, state])
-        if lam is None:
-            predicted = model.lift[j] @ (model.coef[j] @ regressor)
-        else:
-            predicted = as_matrix(lam[j], "lam") @ regressor
+        predicted = mon.lam[j] @ np.concatenate([u_vec, state])
         observed = np.empty_like(state)
         # shift the output block and append the newest subset measurement
         observed[: (n - 1) * q] = state[q: n * q]
         observed[(n - 1) * q: n * q] = y_vec[[i - 1 for i in subset.indices]]
         observed[n * q: n * q + (n - 1) * m] = state[n * q + m:]
         observed[n * q + (n - 1) * m:] = u_vec
-        residual = float(np.linalg.norm(observed - predicted))
-        scores.append(residual)
+        newest = slice((n - 1) * q, n * q)
+        deviation = observed[newest] - predicted[newest]
+        scores.append(float(np.linalg.norm(deviation)))
+        for position, sensor in enumerate(subset.indices):
+            if sensor not in seen:
+                seen.add(sensor)
+                samples = observed[position: n * q: q]
+                slack = mon.tol.residual + mon.tol.residual * float(np.linalg.norm(samples))
+                if not abs(deviation[position]) <= slack:
+                    named.add(sensor)
+        observed[newest] = predicted[newest]
         observed_states[subset.id] = observed
-        slack.append(mon.tol.residual + mon.tol.residual * float(
-            np.linalg.norm(observed)))
-    best = min(scores)
-    wins = [score <= best + s for score, s in zip(scores, slack)]
+    wins = [named.isdisjoint(subset.indices) for subset in model.subsets]
     verdict = _verdict(mon.k + 1, "injection", model.subsets, scores, wins)
-    if verdict.all_clear:
+    if not named:
         mon.states = observed_states
         mon.k += 1
     else:
@@ -357,10 +363,20 @@ def gathered_stacks(mats: SubsetDataMatrices) -> tuple[np.ndarray, np.ndarray]:
 
 def predictors(basis: np.ndarray, regressor: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Every subset's predictor U[target[j]] pinv(U[regressor[j]]) as one
-    S x d x (d + m) stack, basis[target] @ _regressor_pinv(basis, regressor)."""
-    return basis[target] @ _regressor_pinv(basis, regressor)
+    S x d x (d + m) stack, from a W x r basis U of the all-sensor Hankel's
+    column space and hankel_rows' regressor and target rows.
+
+    If G = U C with C of full row rank, a U[regressor[j]] of full column
+    rank gives G[target[j]] pinv(G[regressor[j]]) = U[target[j]]
+    pinv(U[regressor[j]]): the minimum-norm fit of the subset's data,
+    whichever basis of that column space U is. The pseudo-inverse is
+    R^-1 Q^T from a batched QR of the regressor rows.
+    """
+    q, r = np.linalg.qr(basis[regressor])
+    return basis[target] @ (np.linalg.inv(r) @ np.swapaxes(q, 1, 2))
 
 
 def model_lambda(model: DataDrivenModel) -> np.ndarray:
-    """The model's S x d x (d + m) predictor stack lift @ coef."""
-    return model.lift @ model.coef
+    """The model's S x d x (d + m) predictor stack, from its basis."""
+    return predictors(model.basis, *hankel_rows(model.n_sensors, model.subsets, model.n,
+                                                model.m))

@@ -240,7 +240,7 @@ def test_criterion_05_representation_exactness():
         val = Trajectory(val_u, val_y)
         for subset in enumerate_subsets(n_sensors, 1):
             train = build_subset_matrices(traj, (subset,), n, columns)
-            lam = predictors(learn_lambda(train)[3], train.regressor, train.target)[0]
+            lam = predictors(learn_lambda(train)[0], train.regressor, train.target)[0]
             mats = build_subset_matrices(val, (subset,), n, 40)
             (regressors,), (targets,) = gathered_stacks(mats)
             rel = np.max(np.abs(lam @ regressors - targets)) / (1.0 + np.max(np.abs(targets)))

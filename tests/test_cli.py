@@ -6,17 +6,17 @@ import re
 import numpy as np
 import pytest
 
-from sentinel.attacks import enumerate_subsets, seeded_injection_signal
+from sentinel.attacks import seeded_injection_signal
 from sentinel import cli
 from sentinel.cli import benchmark_plant, main
 from sentinel.datamat import (
     Trajectory,
-    build_subset_matrices,
     load_trajectory,
     save_trajectory,
+    trajectory_hankel,
     write_json,
 )
-from sentinel.ddmodel import learn_lambda, load_learned_model
+from sentinel.ddmodel import load_learned_model
 from sentinel.identify import injection_bootstrap, injection_step, verdict_to_dict
 from sentinel.plant import save_state_space, simulate
 
@@ -212,7 +212,7 @@ class TestIdentify:
         ("nan", "basis must be a finite 28 x 13 matrix"),
         ("not-base64", "model file field basis is not a 28 x 13 matrix"),
         ("wrong-shape", "model file field basis is not a 28 x 13 matrix"),
-        ("rank-deficient", "subset id 1: the basis is rank-deficient"),
+        ("newest-output", "model file field basis leaves the newest outputs undetermined"),
         ("non-orthonormal", "model file field basis is not orthonormal"),
         ("lambda-format", "an older format that is no longer read: re-learn the model"),
         ("records-format", "an older format that is no longer read: re-learn the model"),
@@ -234,8 +234,10 @@ class TestIdentify:
             payload["basis"] = "not base64!"
         elif tamper == "wrong-shape":
             payload["basis"] = base64.b64encode(basis[:, :-1].tobytes()).decode()
-        elif tamper == "rank-deficient":
-            basis[:, -1] = basis[:, 0]
+        elif tamper == "newest-output":
+            # an orthonormal basis that holds sensor 1's newest-output unit vector
+            basis[:, 0] = np.eye(28)[18]
+            basis = np.linalg.qr(basis)[0]
             payload["basis"] = base64.b64encode(basis.tobytes()).decode()
         elif tamper == "non-orthonormal":
             basis[:, -1] *= 2.0
@@ -260,16 +262,16 @@ class TestIdentify:
         # also held each subset's training misfit; a load ignores the key
         path = injection_demo / "model.json"
         payload = json.loads(path.read_text())
-        mats = build_subset_matrices(load_trajectory(injection_demo / "offline.csv"),
-                                     enumerate_subsets(3, 1), 6, 41)
-        payload["residuals"] = list(learn_lambda(mats)[1])
+        # the seed-7 demo's per-subset training misfits as that format stored them
+        payload["residuals"] = [4.440892098500626e-16, 6.661338147750939e-16,
+                                6.661338147750939e-16]
         older = tmp_path / "model.json"
         write_json(payload, older)
         # the seed-7 demo's model.json as that format wrote it
         assert hashlib.sha256(older.read_bytes()).hexdigest() == (
             "a935b0155be44164569f10b1cc7723239f98948bed747ede8c94cbdab754a83f")
         new, old = load_learned_model(path), load_learned_model(older)
-        for name in ("basis", "coef", "lift"):
+        for name in ("basis", "decoder"):
             assert getattr(old, name).tobytes() == getattr(new, name).tobytes()
         outputs = []
         for model in (path, older):
@@ -311,20 +313,31 @@ class TestIdentify:
         assert "Traceback" not in captured.err
 
     def test_injection_stdout_equals_step_loop(self, injection_demo, capsys):
+        # the step loop re-anchors the history the screen hands over as
+        # recorded, so the residuals agree to rounding: within 4 sqrt(q) beta
+        # of the verdict's step, beta = W eps max ||K_i|| ||h|| (the screen's)
         stream = load_trajectory(injection_demo / "online.csv")
         model = load_learned_model(injection_demo / "model.json")
         monitor = injection_bootstrap(model, stream.u[:, :6], stream.y[:, :6])
         for k in range(6, stream.length):
-            expected = injection_step(monitor, stream.u[:, k], stream.y[:, k])
-            if not expected.all_clear:
+            expected = verdict_to_dict(injection_step(monitor, stream.u[:, k], stream.y[:, k]))
+            if not expected["all_clear"]:
                 break
         assert main(["identify", "injection", str(injection_demo / "online.csv"),
                      "--model", str(injection_demo / "model.json")]) == 0
-        assert capsys.readouterr().out == json.dumps(verdict_to_dict(expected), indent=2,
-                                                     sort_keys=True) + "\n"
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        residuals = [[entry.pop("residual") for entry in verdict["per_subset"]]
+                     for verdict in (payload, expected)]
+        column = trajectory_hankel(stream, payload["k"] - 7, 7, 1)[:, 0]
+        beta = 28 * np.finfo(float).eps * np.linalg.norm(model.decoder, axis=1).max() * (
+            np.linalg.norm(column))
+        assert payload == expected
+        assert np.allclose(*residuals, rtol=0, atol=4 * np.sqrt(2) * beta)
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("name, digest", [
-        ("verdict.json", "1c953b1eee7400dab68f07785d08afbd1211f1164b8f0405fb3edd82564da336"),
+        ("verdict.json", "46f0c30c203f94a5c8dfa978c179be031a8f53dbe56e22c4819889a1c4fc1638"),
         ("online.csv", "c7855cb6dfbc1ffe690ca866fb68665ea6b4ec4a74810821e566655847ec388b"),
         ("model.json", "dbc0fc58b4ada1bb230653dc226ea06039da4ebf99f9766bbe8015eb2560357f"),
         ("offline.csv", "bb62bdcc27c6f1cb8136d5ae85c95d5be1ad34986aa8cd7e3298c94e11c3b06e"),
