@@ -142,8 +142,7 @@ def _demo_learn(ss: StateSpace, seed: int, tol: Tolerance, out: Path):
     traj, pe_seed = excited_run(ss, BENCH_ORDER, BENCH_COLUMNS, order, seed,
                                 seed + OFF_FILL, tol)
     save_trajectory(traj, out / "offline.csv")
-    model = learn_model(traj, BENCH_SENSORS, BENCH_MAX_ATTACKED, BENCH_ORDER,
-                        BENCH_COLUMNS, tol, pe_seed)
+    model = learn_model(traj, BENCH_MAX_ATTACKED, BENCH_ORDER, BENCH_COLUMNS, tol, pe_seed)
     save_learned_model(model, out / "model.json")
     return model
 
@@ -189,9 +188,8 @@ def demo_replay(ss: StateSpace, model, seed: int, tol: Tolerance):
     clean, _ = excited_run(ss, model.n, BENCH_COLUMNS, order, seed + OFF_REPLAY_PE,
                            seed + OFF_REPLAY_FILL, tol)
     attacked = apply_attack(clean, scenario, max_attacked=BENCH_MAX_ATTACKED)
-    verdict = identify_replay(attacked, BENCH_SENSORS, BENCH_MAX_ATTACKED,
-                              model.n, BENCH_COLUMNS, tol)
-    ranks = {s.id: int(rank) for s, rank in zip(verdict.subsets, verdict.scores)}
+    verdict = identify_replay(attacked, BENCH_MAX_ATTACKED, model.n, BENCH_COLUMNS, tol)
+    ranks = {s.id: rank for s, rank in zip(verdict.subsets, verdict.scores)}
     return (scenario, attacked, verdict, {}, verdict.winners == (1,),
             f"ranks={ranks} winners={verdict.winners} "
             f"attack_free={verdict.attack_free_sensors}")
@@ -236,8 +234,7 @@ def cmd_learn(args) -> int:
     with _failing("invalid configuration", ValueError), \
             _failing("learning failed", LearningError, code=2), \
             _failing("trajectory too short", TrajectoryLengthError):
-        model = learn_model(traj, traj.output_dim, args.max_attacked, args.n, args.horizon,
-                            args.tol)
+        model = learn_model(traj, args.max_attacked, args.n, args.horizon, args.tol)
     with _failing("cannot write model", OSError):
         save_learned_model(model, args.out)
     print(f"learned {len(model.subsets)} subset predictors -> {args.out}")
@@ -251,8 +248,7 @@ def cmd_identify(args) -> int:
         if args.mode == "injection":
             verdict = identify_injection(load_learned_model(args.model), stream, args.tol)
         elif args.mode == "replay":
-            verdict = identify_replay(stream, stream.output_dim, args.max_attacked, args.n,
-                                      args.test_len, args.tol)
+            verdict = identify_replay(stream, args.max_attacked, args.n, args.test_len, args.tol)
         else:
             verdict = identify_delay(stream.y, args.rel_deg)
     print(json.dumps(verdict_to_dict(verdict), indent=2, sort_keys=True))

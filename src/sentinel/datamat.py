@@ -175,9 +175,9 @@ class SubsetDataMatrices:
 
     hankel: the all-sensor Hankel G of depth n + 1 (trajectory_hankel),
         W x T with W = (N + m)(n + 1); column c holds samples c .. c + n.
-    regressor, target: S x (d + m) and S x d rows of G (hankel_rows).
-        G[regressor[j]] is subsets[j]'s stacked data [u_now; history] at
-        times n .. n + T - 1 and G[target[j]] its history one step later.
+    regressor: S x (d + m) rows of G (hankel_rows); G[regressor[j]] is
+        subsets[j]'s stacked data [u_now; history] at times n .. n + T - 1.
+    input_dim: the input count m.
     Every subset's data are row selections of G, so one factorization of
     G serves them all; the S gathered stacks are never built.
     """
@@ -185,12 +185,12 @@ class SubsetDataMatrices:
     subsets: tuple[SensorSubset, ...]
     hankel: np.ndarray
     regressor: np.ndarray
-    target: np.ndarray
     order: int
     columns: int
+    input_dim: int
 
     def __post_init__(self):
-        for arr in (self.hankel, self.regressor, self.target):
+        for arr in (self.hankel, self.regressor):
             arr.setflags(write=False)
 
 
@@ -200,17 +200,15 @@ def trajectory_hankel(traj: Trajectory, start: int, depth: int, cols: int) -> np
     return np.vstack([hankel(traj.y, start, depth, cols), hankel(traj.u, start, depth, cols)])
 
 
-def hankel_rows(n_sensors: int, subsets, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """S x (d + m) regressor and S x d target rows of the depth-(n + 1)
-    trajectory_hankel. regressor[j] picks input sample n, then subsets[j]'s
-    history: its sensors' samples 0 .. n - 1, time-major, then the inputs'
-    samples 0 .. n - 1. target[j] picks the same history one sample later."""
+def hankel_rows(n_sensors: int, subsets, n: int, m: int) -> np.ndarray:
+    """S x (d + m) regressor rows of the depth-(n + 1) trajectory_hankel:
+    row j picks input sample n, then subsets[j]'s history: its sensors'
+    samples 0 .. n - 1, time-major, then the inputs' samples 0 .. n - 1."""
     sensors = np.array([s.indices for s in subsets]) - 1
     count, q = sensors.shape
-    outputs = (n_sensors * np.arange(n + 1)[:, None] + sensors[:, None, :]).reshape(count, -1)
+    outputs = (n_sensors * np.arange(n)[:, None] + sensors[:, None, :]).reshape(count, -1)
     inputs = np.broadcast_to(n_sensors * (n + 1) + np.arange((n + 1) * m), (count, (n + 1) * m))
-    return (np.concatenate([inputs[:, n * m:], outputs[:, :q * n], inputs[:, :n * m]], axis=1),
-            np.concatenate([outputs[:, q:], inputs[:, m:]], axis=1))
+    return np.concatenate([inputs[:, n * m:], outputs, inputs[:, :n * m]], axis=1)
 
 
 def build_subset_matrices(traj: Trajectory, subsets, n: int,
@@ -231,9 +229,9 @@ def build_subset_matrices(traj: Trajectory, subsets, n: int,
         raise ValueError("no sensor subsets given")
     if any(i > traj.output_dim for s in subsets for i in s.indices):
         raise ValueError(f"a subset names a sensor beyond the {traj.output_dim} recorded")
-    regressor, target = hankel_rows(traj.output_dim, subsets, n, traj.input_dim)
     return SubsetDataMatrices(subsets, trajectory_hankel(traj, 0, n + 1, columns),
-                              regressor, target, n, columns)
+                              hankel_rows(traj.output_dim, subsets, n, traj.input_dim),
+                              n, columns, traj.input_dim)
 
 
 def write_json(payload, path) -> None:

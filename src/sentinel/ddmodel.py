@@ -134,7 +134,7 @@ def _certificate(mats: SubsetDataMatrices, tol: Tolerance
         sigma = _regressor_singular_values(factor, mats.regressor)
         cutoff = rank_cutoff(sigma, shape, tol)
     observed = (sigma > cutoff).sum(axis=1)
-    required = certifying_rank(rows - mats.target.shape[1], mats.order)
+    required = certifying_rank(mats.input_dim, mats.order)
     return u, tuple(RankReport(count, required, rows) for count in observed.tolist())
 
 
@@ -179,9 +179,8 @@ def _decoder(basis: np.ndarray, n_sensors: int, n: int) -> np.ndarray:
 
 
 def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
-                 ) -> tuple[np.ndarray, tuple[RankReport, ...], tuple[float, ...]]:
-    """Certify every subset and fit the model's basis: (basis, reports,
-    misfits).
+                 ) -> tuple[np.ndarray, tuple[RankReport, ...]]:
+    """Certify every subset and take the model's basis: (basis, reports).
 
     One QR of the Hankel (_factor), one SVD of its factor R^T and one
     batched SVD of every subset's rows of R^T's rank-rho part give the rank
@@ -189,15 +188,10 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
     m(n + 1) + n in G and in every certified subset's rows of it, so once
     every subset certifies, the top r left singular vectors of that same
     SVD are a basis of the one column space they share; subset j's
-    predictor is basis[target[j]] pinv(basis[regressor[j]]), the
-    minimum-norm fit of its data, exact on everything the plant can
-    produce. misfits[i] is sensor i + 1's training misfit, max |(K G)_i|
-    over the columns, K the basis' _decoder, taken in column blocks of
-    about BLOCK_BYTES. Raises one LearningError listing every subset whose
-    certificate fails, or else every subset holding a sensor whose misfit
-    exceeds its slack tol.residual (1 + the sensor's largest |sample|), or
-    is not a number. A shared basis fits only data on which every subset
-    certifies, so misfits are taken only then.
+    predictor, the basis' rows of its next history times
+    pinv(basis[regressor[j]]), is the minimum-norm fit of its data, exact
+    on everything the plant can produce. Raises one LearningError listing
+    every subset whose certificate fails; learn_model checks the fit.
     """
     u, reports = _certificate(mats, tol)
     failures = [(subset, report,
@@ -207,28 +201,7 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
                 for subset, report in zip(mats.subsets, reports) if not report.holds]
     if failures:
         raise LearningError(failures)
-    basis = u[:, :reports[0].required]
-    width = mats.hankel.shape[0]
-    n_sensors = width // (mats.order + 1) - (mats.regressor.shape[1] - mats.target.shape[1])
-    decoder = _decoder(basis, n_sensors, mats.order)
-    misfits = np.zeros(n_sensors)
-    for part in blocks(0, mats.columns, width * 8):
-        np.maximum(misfits, np.abs(decoder @ mats.hankel[:, part]).max(axis=1), out=misfits)
-    outputs = mats.hankel[:n_sensors * (mats.order + 1)]
-    peaks = np.maximum(outputs.max(axis=1), -outputs.min(axis=1)).reshape(-1, n_sensors)
-    slacks = tol.residual * (1.0 + peaks.max(axis=0))
-    failing = ~(misfits <= slacks)
-    failures = []
-    for subset, report in zip(mats.subsets, reports):
-        sensor = next((i for i in subset.indices if failing[i - 1]), None)
-        if sensor is not None:
-            failures.append((subset, report,
-                             f"data rank {report.observed} meets the certifying rank, but the "
-                             f"training misfit {misfits[sensor - 1]:.3g} exceeds the slack "
-                             f"{slacks[sensor - 1]:.3g}"))
-    if failures:
-        raise LearningError(failures)
-    return basis, reports, tuple(misfits.tolist())
+    return u[:, :reports[0].required], reports
 
 
 def predict(decoder, column) -> np.ndarray:
@@ -294,19 +267,51 @@ class DataDrivenModel:
         rows = self.m * (self.n + 1) + (self.n_sensors - self.max_attacked) * self.n
         return (RankReport(rank, rank, rows),) * len(self.subsets)
 
+    def slacks(self, columns: np.ndarray, tol: Tolerance) -> np.ndarray:
+        """Every sensor's slack s_i = tol.residual (1 + ||its samples at times
+        1 .. n||) in one Hankel column (gives N) or in each of a W x B block
+        (gives N x B): a decode |a_i| above s_i names sensor i."""
+        n_sensors = self.n_sensors
+        recent = columns[n_sensors:n_sensors * (self.n + 1)].reshape(
+            self.n, n_sensors, *columns.shape[1:])
+        return tol.residual + tol.residual * np.sqrt((recent * recent).sum(axis=0))
 
-def learn_model(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
-                columns: int, tol: Tolerance = DEFAULT_TOL,
-                pe_seed: Optional[int] = None) -> DataDrivenModel:
-    """Learn predictors for every cardinality-(N - M) subset from one recording.
 
-    One LearningError lists every subset that fails.
+def learn_model(traj: Trajectory, max_attacked: int, n: int, columns: int,
+                tol: Tolerance = DEFAULT_TOL, pe_seed: Optional[int] = None) -> DataDrivenModel:
+    """Learn the model of every cardinality-(N - M) subset from one
+    recording, N its output count.
+
+    learn_lambda certifies every subset and gives the basis, from which the
+    model derives its decoder K once. The model is kept only if at every
+    training column h each sensor's decode |(K h)_i| stays within that
+    column's slack s_i (DataDrivenModel.slacks), the rule by which the
+    monitor names a sensor; the columns are decoded in blocks of about
+    BLOCK_BYTES. One LearningError lists every subset that fails: its
+    certificate, or else a sensor it holds whose largest |(K h)_i| / s_i
+    exceeds 1 or is not a number.
     """
-    if traj.output_dim != n_sensors:
-        raise ValueError(f"trajectory has {traj.output_dim} outputs, expected {n_sensors}")
-    mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), n, columns)
-    basis, _, _ = learn_lambda(mats, tol)
-    return DataDrivenModel(basis, n, traj.input_dim, n_sensors, max_attacked, columns, pe_seed)
+    mats = build_subset_matrices(traj, enumerate_subsets(traj.output_dim, max_attacked), n,
+                                 columns)
+    basis, reports = learn_lambda(mats, tol)
+    model = DataDrivenModel(basis, n, traj.input_dim, traj.output_dim, max_attacked, columns,
+                            pe_seed)
+    ratios = np.zeros(model.n_sensors)
+    for part in blocks(0, columns, mats.hankel.shape[0] * 8):
+        window = mats.hankel[:, part]
+        ratio = np.abs(model.decoder @ window) / model.slacks(window, tol)
+        np.maximum(ratios, ratio.max(axis=1), out=ratios)
+    failures = []
+    for subset, report in zip(model.subsets, reports):
+        sensor = next((i for i in subset.indices if not ratios[i - 1] <= 1.0), None)
+        if sensor is not None:
+            failures.append((subset, report,
+                             f"data rank {report.observed} meets the certifying rank, but the "
+                             f"training misfit of sensor {sensor} reaches "
+                             f"{ratios[sensor - 1]:.3g} times its slack"))
+    if failures:
+        raise LearningError(failures)
+    return model
 
 
 def save_learned_model(model: DataDrivenModel, path) -> None:

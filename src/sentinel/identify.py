@@ -43,7 +43,8 @@ class IdentificationVerdict:
     """Outcome of one identification step or batch test.
 
     scores[j] is the score of candidate subsets[j] (a sensor subset, or a
-    single sensor); winners holds the ids of the best-scoring candidates at
+    single sensor): an int for a replay rank or a finite delay offset, else
+    a float; winners holds the ids of the best-scoring candidates at
     tolerance. attack_free_sensors and all_clear derive from them.
     """
 
@@ -123,15 +124,6 @@ def injection_bootstrap(model: DataDrivenModel, u_history, y_history,
                                                    u_hist.T.reshape(-1), np.zeros(m)]), n, tol)
 
 
-def _slacks(model: DataDrivenModel, columns: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Every sensor's slack tol.residual (1 + ||its samples at times 1 .. n||)
-    in one Hankel column (gives N) or in each of a W x B block (gives N x B)."""
-    n_sensors = model.n_sensors
-    recent = columns[n_sensors:n_sensors * (model.n + 1)].reshape(
-        model.n, n_sensors, *columns.shape[1:])
-    return tol.residual + tol.residual * np.sqrt((recent * recent).sum(axis=0))
-
-
 def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     """Process one online sample pair (current input, newest measurement).
 
@@ -158,7 +150,7 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     column[outputs:inputs] = y_vec
     column[-m:] = u_vec
     deviation = predict(model.decoder, column)
-    named = ~(np.abs(deviation) <= _slacks(model, column, mon.tol))
+    named = ~(np.abs(deviation) <= model.slacks(column, mon.tol))
     scores = tuple(np.sqrt(mon.members @ (deviation * deviation)).tolist())
     if not named.any():
         column[outputs:inputs] -= deviation
@@ -222,7 +214,8 @@ def _screen_clear_steps(model: DataDrivenModel, traj: Trajectory, tol: Tolerance
     The screen decodes a = K h of the stream's Hankel columns h in blocks of
     about BLOCK_BYTES, K the model's decoder. It clears a step while every
     |a_i| <= beta_i = W eps ||K_i|| ||h|| (K_i row i of K) and 16 beta_i <=
-    s_i, the step's slack (_slacks). beta_i bounds what a column the plant
+    s_i, the step's slack (DataDrivenModel.slacks, by which learning checks
+    its training columns too). beta_i bounds what a column the plant
     produced decodes to: the decode's rounding, gamma_W (|K| |h|)_i <= (W
     eps / 2) ||K_i|| ||h|| to first order, plus |(K P h)_i| <= ||K_i|| ||P
     h||, P h the column's distance from the learned basis (at most 9.5 eps
@@ -240,26 +233,25 @@ def _screen_clear_steps(model: DataDrivenModel, traj: Trajectory, tol: Tolerance
     for part in blocks(n, traj.length - 1, width * 8):
         window = trajectory_hankel(traj, part.start - n, n + 1, part.stop - part.start)
         bound = gain[:, None] * np.sqrt(np.einsum("wb,wb->b", window, window))
-        slack = _slacks(model, window, tol)
+        slack = model.slacks(window, tol)
         unclear = ~((np.abs(decoder @ window) <= bound) & (16 * bound <= slack)).all(axis=0)
         if unclear.any():
             return part.start + int(unclear.argmax())
     return traj.length - 1
 
 
-def identify_replay(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
-                    t1: int, tol: Tolerance = DEFAULT_TOL) -> IdentificationVerdict:
+def identify_replay(traj: Trajectory, max_attacked: int, n: int, t1: int,
+                    tol: Tolerance = DEFAULT_TOL) -> IdentificationVerdict:
     """Rank-certificate test over a fresh excited window, no model needed.
 
     The input window u[n .. n+t1-1] must be persistently exciting of order
-    (m + q)n + 1 with t1 >= (m + 1) * order, q = N - M. Replayed-constant
-    rows collapse a subset's history Hankel (or add directions the plant
-    cannot produce), so exactly the attack-free subsets report the
-    certifying rank; those are the winners.
+    (m + q)n + 1 with t1 >= (m + 1) * order, q = N - M, N the recording's
+    output count. Replayed-constant rows collapse a subset's history Hankel
+    (or add directions the plant cannot produce), so exactly the
+    attack-free subsets report the certifying rank; those are the winners,
+    and each subset scores its observed rank.
     """
-    if traj.output_dim != n_sensors:
-        raise ValueError(f"trajectory has {traj.output_dim} outputs, expected {n_sensors}")
-    m = traj.input_dim
+    n_sensors, m = traj.output_dim, traj.input_dim
     order = excitation_order(m, n_sensors - max_attacked, n)
     if t1 < (m + 1) * order:
         raise ExcitationError(
@@ -273,7 +265,7 @@ def identify_replay(traj: Trajectory, n_sensors: int, max_attacked: int, n: int,
     subsets = enumerate_subsets(n_sensors, max_attacked)
     reports = rank_condition(build_subset_matrices(traj, subsets, n, t1), tol)
     return _verdict(traj.start_index, "replay", subsets,
-                    [float(r.observed) for r in reports], [r.holds for r in reports])
+                    [r.observed for r in reports], [r.holds for r in reports])
 
 
 def first_response(signal) -> Optional[int]:
@@ -293,9 +285,10 @@ def identify_delay(y_impulse, rel_degrees) -> IdentificationVerdict:
 
     y_impulse is N x T (T at least the largest expected delay); entry j-1
     of rel_degrees is sensor j's known input-to-output delay. Each
-    sensor's score is (first nonzero sample index) - (its delay); undelayed
-    sensors score 0, so the argmin set is exactly the attack-free sensors
-    when at least one sensor is honest.
+    sensor's score is the int (first nonzero sample index) - (its delay),
+    or inf for a sensor that stays silent; undelayed sensors score 0, so
+    the argmin set is exactly the attack-free sensors when at least one
+    sensor is honest.
     """
     y_arr = as_matrix(y_impulse, "y_impulse")
     n_sensors = y_arr.shape[0]
@@ -311,28 +304,21 @@ def identify_delay(y_impulse, rel_degrees) -> IdentificationVerdict:
     timings = [first_response(y_arr[j]) for j in range(n_sensors)]
     if all(t is None for t in timings):
         raise NoResponseError("no sensor responded to the impulse")
-    slacks = [np.inf if t is None else float(t - r) for t, r in zip(timings, rel_degrees)]
+    slacks = [np.inf if t is None else int(t - r) for t, r in zip(timings, rel_degrees)]
     sensors = [SensorSubset(j, (j,)) for j in range(1, n_sensors + 1)]
     best = min(slacks)
     return _verdict(0, "delay", sensors, slacks, [s == best for s in slacks])
 
 
 def verdict_to_dict(verdict: IdentificationVerdict) -> dict:
-    """JSON-ready form of a verdict."""
+    """JSON-ready form of a verdict; a non-finite score is written as null."""
     key = {"injection": "residual", "replay": "rank", "delay": "slack"}[verdict.mode]
-    per_subset = []
-    for subset, value in zip(verdict.subsets, verdict.scores):
-        if verdict.mode == "replay":
-            value = int(value)
-        elif verdict.mode == "delay" and np.isfinite(value):
-            value = int(value)
-        elif not np.isfinite(value):
-            value = None
-        per_subset.append({"id": subset.id, "indices": list(subset.indices), key: value})
     return {
         "k": verdict.k,
         "mode": verdict.mode,
-        "per_subset": per_subset,
+        "per_subset": [{"id": subset.id, "indices": list(subset.indices),
+                        key: value if np.isfinite(value) else None}
+                       for subset, value in zip(verdict.subsets, verdict.scores)],
         "winners": list(verdict.winners),
         "attack_free_sensors": list(verdict.attack_free_sensors),
         "all_clear": verdict.all_clear,

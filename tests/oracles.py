@@ -21,8 +21,9 @@ plant's (A, B, C), which the data-driven pipeline never sees.
   writer and column-at-a-time simulation loop, which the package's
   whole-array versions must match byte for byte;
 * reference_hankel_rows: the subset-at-a-time regressor and target rows
-  of the all-sensor Hankel, which the package's broadcast hankel_rows must
-  match entry and dtype;
+  of the all-sensor Hankel; the package's broadcast hankel_rows must match
+  its regressor rows entry and dtype, and the package never selects the
+  target rows (target_rows gives those of a SubsetDataMatrices);
 * gathered_stacks: every subset's stacked data and next histories as
   whole arrays, which the package never builds: it factors the all-sensor
   Hankel once instead;
@@ -38,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from sentinel.attacks import SensorSubset
-from sentinel.datamat import SubsetDataMatrices, Trajectory, hankel, hankel_rows
+from sentinel.datamat import SubsetDataMatrices, Trajectory, hankel
 from sentinel.ddmodel import DataDrivenModel
 from sentinel.identify import IdentificationVerdict, _verdict
 from sentinel.linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, numerical_rank
@@ -355,16 +356,23 @@ def reference_hankel_rows(n_sensors: int, subsets, n: int,
     return np.array(regressor), np.array(target)
 
 
+def target_rows(mats: SubsetDataMatrices) -> np.ndarray:
+    """S x d rows of mats' Hankel that hold each subset's history one step
+    after its regressor rows (reference_hankel_rows)."""
+    n_sensors = mats.hankel.shape[0] // (mats.order + 1) - mats.input_dim
+    return reference_hankel_rows(n_sensors, mats.subsets, mats.order, mats.input_dim)[1]
+
+
 def gathered_stacks(mats: SubsetDataMatrices) -> tuple[np.ndarray, np.ndarray]:
     """Every subset's stacked data [u_now; history] (S x (d + m) x T) and its
     history one step later (S x d x T), gathered from the all-sensor Hankel."""
-    return mats.hankel[mats.regressor], mats.hankel[mats.target]
+    return mats.hankel[mats.regressor], mats.hankel[target_rows(mats)]
 
 
 def predictors(basis: np.ndarray, regressor: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Every subset's predictor U[target[j]] pinv(U[regressor[j]]) as one
     S x d x (d + m) stack, from a W x r basis U of the all-sensor Hankel's
-    column space and hankel_rows' regressor and target rows.
+    column space and reference_hankel_rows' regressor and target rows.
 
     If G = U C with C of full row rank, a U[regressor[j]] of full column
     rank gives G[target[j]] pinv(G[regressor[j]]) = U[target[j]]
@@ -378,5 +386,5 @@ def predictors(basis: np.ndarray, regressor: np.ndarray, target: np.ndarray) -> 
 
 def model_lambda(model: DataDrivenModel) -> np.ndarray:
     """The model's S x d x (d + m) predictor stack, from its basis."""
-    return predictors(model.basis, *hankel_rows(model.n_sensors, model.subsets, model.n,
-                                                model.m))
+    return predictors(model.basis, *reference_hankel_rows(model.n_sensors, model.subsets,
+                                                          model.n, model.m))

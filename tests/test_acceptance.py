@@ -50,7 +50,7 @@ from sentinel.identify import (
 from sentinel.linalg import DEFAULT_TOL
 from sentinel.plant import StateSpace, random_test_system, relative_degree, simulate
 
-from oracles import extended_state_space, gathered_stacks, predictors, ss_to_arx
+from oracles import extended_state_space, gathered_stacks, predictors, ss_to_arx, target_rows
 
 SEED = 7
 N_STATES = 6
@@ -75,7 +75,7 @@ def _benchmark_model(seed=SEED, scale_c=1.0):
     ss = benchmark_plant(scale_c)
     traj, pe_seed = excited_run(ss, N_STATES, COLUMNS, EXC_ORDER, seed,
                                 seed + 101, DEFAULT_TOL)
-    return ss, learn_model(traj, 3, 1, N_STATES, COLUMNS, pe_seed=pe_seed), traj
+    return ss, learn_model(traj, 1, N_STATES, COLUMNS, pe_seed=pe_seed), traj
 
 
 def _attainable_rank(ss, indices) -> int:
@@ -204,7 +204,7 @@ def test_criterion_04_replay_reproduction():
     traj, _ = excited_run(ss, N_STATES, COLUMNS, EXC_ORDER, SEED + 505,
                           SEED + 606, DEFAULT_TOL)
     attacked = apply_attack(traj, ReplayAttack({3: 0.01}), max_attacked=1)
-    verdict = identify_replay(attacked, 3, 1, N_STATES, COLUMNS)
+    verdict = identify_replay(attacked, 1, N_STATES, COLUMNS)
     ranks = {s.indices: int(rank) for s, rank in zip(verdict.subsets, verdict.scores)}
     attainable = {s: _attainable_rank(ss, s) for s in ranks}
     elapsed = time.perf_counter() - t0
@@ -240,7 +240,7 @@ def test_criterion_05_representation_exactness():
         val = Trajectory(val_u, val_y)
         for subset in enumerate_subsets(n_sensors, 1):
             train = build_subset_matrices(traj, (subset,), n, columns)
-            lam = predictors(learn_lambda(train)[0], train.regressor, train.target)[0]
+            lam = predictors(learn_lambda(train)[0], train.regressor, target_rows(train))[0]
             mats = build_subset_matrices(val, (subset,), n, 40)
             (regressors,), (targets,) = gathered_stacks(mats)
             rel = np.max(np.abs(lam @ regressors - targets)) / (1.0 + np.max(np.abs(targets)))

@@ -16,7 +16,6 @@ from sentinel.datamat import (
     Trajectory,
     build_subset_matrices,
     generate_pe_input,
-    hankel_rows,
 )
 from sentinel.ddmodel import (
     DataDrivenModel,
@@ -32,6 +31,7 @@ from sentinel.ddmodel import (
     rank_condition,
     save_learned_model,
 )
+from sentinel.identify import identify_injection
 from sentinel.linalg import DEFAULT_TOL, Tolerance, numerical_rank, rank_cutoff
 from sentinel.plant import StateSpace, discretize_zoh, msd_benchmark, random_test_system, simulate
 
@@ -41,7 +41,9 @@ from oracles import (
     model_lambda,
     predictors,
     rank_obsv_oracle,
+    reference_hankel_rows,
     ss_to_arx,
+    target_rows,
 )
 
 
@@ -79,9 +81,9 @@ def subset_run(plant):
 
 def learned_lambda(mats, tol=DEFAULT_TOL):
     """learn_lambda with every subset's predictor as one S x d x (d + m)
-    stack, the one predictors(basis, ...) gives: (lam, reports, misfits)."""
-    basis, reports, misfits = learn_lambda(mats, tol)
-    return predictors(basis, mats.regressor, mats.target), reports, misfits
+    stack, the one predictors(basis, ...) gives: (lam, reports)."""
+    basis, reports = learn_lambda(mats, tol)
+    return predictors(basis, mats.regressor, target_rows(mats)), reports
 
 
 # output noise levels of the learning contract (TestLearnModel)
@@ -253,7 +255,7 @@ class TestLearnLambda:
         u = np.random.default_rng(0).uniform(-1, 1, (1, 12))
         _, y = simulate(ss, np.zeros(1), u)
         mats = build_subset_matrices(Trajectory(u, y), (SensorSubset(1, (1,)),), 1, 10)
-        (lam,), (report,), _ = learned_lambda(mats)
+        (lam,), (report,) = learned_lambda(mats)
         expected = np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.0]])
         np.testing.assert_allclose(lam, expected, atol=1e-8)
         np.testing.assert_allclose(lam, generator_matrices(ss, [0]), atol=1e-8)
@@ -290,7 +292,7 @@ class TestLearnLambda:
         traj, n_sensors, max_attacked, columns = subset_run(plant)
         mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
-        lam, reports, _ = learned_lambda(mats)
+        lam, reports = learned_lambda(mats)
         assert reports == rank_condition(mats)
         eps = np.finfo(float).eps
         for j, (stacked, target) in enumerate(zip(*gathered_stacks(mats))):
@@ -306,9 +308,8 @@ class TestLearnLambda:
 
     def test_one_svd_of_the_factor_decides_every_rank(self, monkeypatch):
         # learning factors the all-sensor Hankel's R^T once with vectors, takes
-        # the basis from it, reads every subset rank from one batched
-        # values-only SVD of operands narrower than R^T, and takes the misfit's
-        # decoder from one SVD of the W x N matrix P E
+        # the basis from it, and reads every subset rank from one batched
+        # values-only SVD of operands narrower than R^T
         traj, n_sensors, max_attacked, columns = subset_run("random-10x4")
         mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
@@ -317,12 +318,11 @@ class TestLearnLambda:
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kwargs:
                             calls.append((a.shape, kwargs)) or svd(a, **kwargs))
-        basis, reports, _ = learn_lambda(mats)
+        basis, reports = learn_lambda(mats)
         monkeypatch.undo()
         width = min(mats.hankel.shape)
         assert calls[0] == ((mats.hankel.shape[0], width), {"full_matrices": False})
-        (shape, kwargs), decoder = calls[1:]
-        assert decoder == ((mats.hankel.shape[0], n_sensors), {"full_matrices": False})
+        ((shape, kwargs),) = calls[1:]
         assert kwargs == {"compute_uv": False}
         assert shape[:2] == mats.regressor.shape and shape[2] < width
         assert np.array_equal(basis, np.linalg.svd(factor, full_matrices=False)[0][
@@ -332,8 +332,10 @@ class TestLearnLambda:
     def test_benchmark_fit_and_validation(self):
         ss, traj = excited_benchmark_run()
         subset = SensorSubset(1, (1, 2))
-        (lam,), _, misfits = learned_lambda(build_subset_matrices(traj, (subset,), 6, 41))
-        assert len(misfits) == 3 and max(misfits) < 1e-9
+        mats = build_subset_matrices(traj, (subset,), 6, 41)
+        (lam,), _ = learned_lambda(mats)
+        (stacked,), (following,) = gathered_stacks(mats)
+        assert np.max(np.abs(lam @ stacked - following)) < 1e-9
         # fresh run from the same plant: one-step predictions stay exact
         u2 = np.random.default_rng(1234).uniform(-1, 1, (1, 47))
         _, y2 = simulate(ss, np.zeros(6), u2)
@@ -409,29 +411,37 @@ class TestLearningAtScale:
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
     def test_misfit_blocks_cover_every_column(self, plant, monkeypatch):
-        # 1e-9 noise on every output makes each column's misfit differ far
-        # above rounding, so a block that skipped or repeated columns would
-        # move the largest one; rank_rel 1e-8 still cuts the noise directions
+        # learn_model decodes the training columns in blocks of about
+        # BLOCK_BYTES, each against its own slacks: the blocks hold every
+        # column once, in order, and learning fails just when the largest
+        # |a_i| / s_i over all columns exceeds 1. 1e-9 noise on every output
+        # makes each column's ratio differ far above rounding; rank_rel 1e-8
+        # still cuts the noise directions, and the slack's residual leaves the
+        # basis alone, so the ratios scale as 1 / residual
         traj, n_sensors, max_attacked, columns = subset_run(plant)
-        noisy = traj.y + 1e-9 * np.random.default_rng(3).standard_normal(traj.y.shape)
-        mats = build_subset_matrices(Trajectory(traj.u, noisy),
-                                     enumerate_subsets(n_sensors, max_attacked), 6, columns)
-        tol = Tolerance(rank_rel=1e-8, residual=1e-3)
-        basis, reports, misfits = learn_lambda(mats, tol)
-        decoder = _decoder(basis, n_sensors, 6)
-        misfit = np.abs(decoder @ mats.hankel).max(axis=1)
-        assert misfit.shape == (n_sensors,) and misfit.min() > 1e-10
-        # both evaluations of K G, one block of columns or another, are within
-        # g(W) |K| |G| of the exact one
-        width = mats.hankel.shape[0]
-        rounding = ((width + 2) * np.finfo(float).eps
-                    * np.max(np.abs(decoder) @ np.abs(mats.hankel), axis=1))
+        noisy = Trajectory(traj.u, traj.y + 1e-9 * np.random.default_rng(3).standard_normal(
+            traj.y.shape))
+        hankel = build_subset_matrices(noisy, enumerate_subsets(n_sensors, max_attacked), 6,
+                                       columns).hankel
+        model = learn_model(noisy, max_attacked, 6, columns,
+                            Tolerance(rank_rel=1e-8, residual=1e-3))
+        unit = Tolerance(rank_rel=1e-8, residual=1.0)
+        worst = (np.abs(model.decoder @ hankel) / model.slacks(hankel, unit)).max()
+        width = hankel.shape[0]
+        slacks = DataDrivenModel.slacks
         for block in (1, 5, 16, columns - 1, columns):
+            windows = []
             monkeypatch.setattr(datamat, "BLOCK_BYTES", block * width * 8)
-            blocked_basis, blocked_reports, blocked_misfits = learn_lambda(mats, tol)
-            assert blocked_basis.tobytes() == basis.tobytes() and blocked_reports == reports
-            assert np.all(np.abs(np.array(blocked_misfits) - misfit) <= 2 * rounding)
-        assert np.all(np.abs(np.array(misfits) - misfit) <= 2 * rounding)
+            monkeypatch.setattr(DataDrivenModel, "slacks", lambda self, window, tol:
+                                windows.append(window) or slacks(self, window, tol))
+            above = Tolerance(rank_rel=1e-8, residual=worst * (1 + 1e-6))
+            assert learn_model(noisy, max_attacked, 6, columns, above).basis.tobytes() == (
+                model.basis.tobytes())
+            assert len(windows) == -(-columns // block)
+            assert np.array_equal(np.hstack(windows), hankel)
+            below = Tolerance(rank_rel=1e-8, residual=worst * (1 - 1e-6))
+            with pytest.raises(LearningError, match="but the training misfit"):
+                learn_model(noisy, max_attacked, 6, columns, below)
 
     def test_learning_memory_is_bounded(self):
         # 6 sensors, M = 2, n = 6, T = 10,000: each S-stack of the data is about
@@ -443,15 +453,15 @@ class TestLearningAtScale:
         traj = Trajectory(u, simulate(ss, np.zeros(6), u)[1])
         tracemalloc.start()
         try:
-            mats = build_subset_matrices(traj, enumerate_subsets(6, 2), 6, columns)
-            learn_lambda(mats)
+            learn_model(traj, 2, 6, columns)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # beside the Hankel: its two halves while it is assembled, or the copy
-        # the QR factors; a misfit block of the decode is N rows of the Hankel's
-        # W, under BLOCK_BYTES
-        assert peak < 2 * mats.hankel.nbytes + 3 * BLOCK_BYTES
+        # the QR factors; a block of the training fit decodes N rows and takes
+        # the slacks of N n rows of the Hankel's W, each under BLOCK_BYTES
+        hankel_bytes = (6 + 1) * (6 + 1) * columns * 8
+        assert peak < 2 * hankel_bytes + 3 * BLOCK_BYTES
 
 
 class TestPredict:
@@ -503,7 +513,7 @@ class TestPredict:
 class TestLearnModel:
     def test_benchmark_model(self):
         _, traj = excited_benchmark_run()
-        model = learn_model(traj, 3, 1, 6, 41, pe_seed=7)
+        model = learn_model(traj, 1, 6, 41, pe_seed=7)
         assert model.basis.shape == (28, 13) and model.decoder.shape == (3, 28)
         # the basis and the decoder, set at construction, are the only arrays;
         # no lambda stack is kept, and nothing per subset is stored: the
@@ -518,7 +528,7 @@ class TestLearnModel:
     def test_zero_input_error_lists_every_subset_below_rank(self):
         traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
         with pytest.raises(LearningError) as err:
-            learn_model(traj, 3, 1, 6, 41)
+            learn_model(traj, 1, 6, 41)
         assert [s.indices for s, _, _ in err.value.failures] == [(1, 2), (1, 3), (2, 3)]
         assert err.value.subset.indices == (1, 2) and err.value.report.observed == 0
         assert str(err.value).count("data rank 0 is below the certifying rank 13") == 3
@@ -527,7 +537,7 @@ class TestLearnModel:
         _, traj = excited_benchmark_run()
         noise = 1e-8 * np.random.default_rng(0).standard_normal(traj.y.shape)
         with pytest.raises(LearningError) as err:
-            learn_model(Trajectory(traj.u, traj.y + noise), 3, 1, 6, 41)
+            learn_model(Trajectory(traj.u, traj.y + noise), 1, 6, 41)
         assert err.value.report.observed == 19
         for subset, report, _ in err.value.failures:
             assert report.observed > report.required == 13
@@ -546,10 +556,11 @@ class TestLearnModel:
         noise = sigma * np.random.default_rng(3).standard_normal(traj.y.shape)
         noisy = Trajectory(traj.u, traj.y + noise)
         if outcome == "pass":
-            assert learn_model(noisy, 3, 1, 6, columns).columns == columns
+            model = learn_model(noisy, 1, 6, columns)
+            assert model.columns == columns and identify_injection(model, noisy).all_clear
             return
         with pytest.raises(LearningError) as err:
-            learn_model(noisy, 3, 1, 6, columns)
+            learn_model(noisy, 1, 6, columns)
         expected = {"rank": "rank certificate failed: data rank 1",
                     "misfit": "meets the certifying rank, but the training misfit"}[outcome]
         assert all(expected in line for line in str(err.value).splitlines())
@@ -557,14 +568,37 @@ class TestLearnModel:
     def test_misfit_error_says_rank_holds(self):
         _, traj = excited_benchmark_run()
         with pytest.raises(LearningError) as err:
-            learn_model(traj, 3, 1, 6, 41, tol=Tolerance(residual=1e-30))
+            learn_model(traj, 1, 6, 41, tol=Tolerance(residual=1e-30))
         assert len(err.value.failures) == 3 and err.value.report.holds
         assert str(err.value).count("meets the certifying rank, but the training misfit") == 3
 
-    def test_sensor_count_mismatch(self):
+    def test_model_that_alarms_on_its_training_columns_is_rejected(self):
+        # noise that lifts one training column's decode of sensor 2 just
+        # above that column's slack, the rule the monitor names a sensor by:
+        # a model learned from it would name sensor 2 attacked on this
+        # attack-free recording, so learning refuses it
+        u = np.hstack([np.zeros((1, 6)), generate_pe_input(1, 1000, 19, 2).u,
+                       np.zeros((1, 1))])
+        y = simulate(benchmark_plant(), np.zeros(6), u)[1]
+        noisy = Trajectory(u, y + 3e-10 * np.random.default_rng(102).standard_normal(y.shape))
+        with pytest.raises(LearningError) as err:
+            learn_model(noisy, 1, 6, 1000)
+        assert [subset.indices for subset, _, _ in err.value.failures] == [(1, 2), (2, 3)]
+        assert str(err.value).count("meets the certifying rank, but the training misfit of "
+                                    "sensor 2 reaches 1.") == 2
+
+    def test_one_learn_derives_one_decoder(self, monkeypatch):
+        # learning builds its matrices and certifies once, and checks the
+        # training fit with the decoder of the model it returns
         _, traj = excited_benchmark_run()
-        with pytest.raises(ValueError):
-            learn_model(traj, 4, 1, 6, 41)
+        calls = dict.fromkeys(("build_subset_matrices", "learn_lambda", "_decoder"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _function=getattr(ddmodel, name), **kwargs):
+                calls[_name] += 1
+                return _function(*args, **kwargs)
+            monkeypatch.setattr(ddmodel, name, counted)
+        learn_model(traj, 1, 6, 41)
+        assert calls == {"build_subset_matrices": 1, "learn_lambda": 1, "_decoder": 1}
 
 
 def recode_basis(payload, edit):
@@ -593,7 +627,7 @@ def to_lambda_format(payload):
     """Rewrite a benchmark model file in the older format: one base64 lambda
     per subset and no basis."""
     basis = np.frombuffer(base64.b64decode(payload.pop("basis")), "<f8").reshape(28, 13)
-    lam = predictors(basis, *hankel_rows(3, enumerate_subsets(3, 1), 6, 1))
+    lam = predictors(basis, *reference_hankel_rows(3, enumerate_subsets(3, 1), 6, 1))
     to_records_format(payload)
     payload["subsets"] = [dict(entry, **{"lambda": base64.b64encode(matrix.tobytes()).decode()})
                           for entry, matrix in zip(SUBSET_RECORDS, lam)]
@@ -611,7 +645,7 @@ def with_newest_output(basis, sensor=1, n_sensors=3, n=6):
 def learned(plant):
     """The model learned from subset_run(plant)."""
     traj, n_sensors, max_attacked, columns = subset_run(plant)
-    return learn_model(traj, n_sensors, max_attacked, 6, columns, pe_seed=7)
+    return learn_model(traj, max_attacked, 6, columns, pe_seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -640,13 +674,13 @@ class TestModelFile:
         traj, n_sensors, max_attacked, columns = subset_run(plant)
         mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
-        basis, _, _ = learn_lambda(mats)
-        model = learn_model(traj, n_sensors, max_attacked, 6, columns)
+        basis, _ = learn_lambda(mats)
+        model = learn_model(traj, max_attacked, 6, columns)
         assert model.basis.tobytes() == np.ascontiguousarray(basis).tobytes()
         assert model.decoder.tobytes() == _decoder(basis, n_sensors, 6).tobytes()
         assert dataclasses.replace(model).decoder.tobytes() == model.decoder.tobytes()
         assert (model_lambda(model).tobytes()
-                == predictors(basis, mats.regressor, mats.target).tobytes())
+                == predictors(basis, mats.regressor, target_rows(mats)).tobytes())
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -662,7 +696,8 @@ class TestModelFile:
         left, right = (np.linalg.qr(rng.standard_normal((rank, rank)))[0] for _ in range(2))
         spread = np.geomspace(1, data.draw(st.floats(1, 1e3), label="cond"), rank)
         mixing = left @ np.diag(spread) @ right * data.draw(st.floats(1e-3, 1e3), label="scale")
-        regressor, target = hankel_rows(model.n_sensors, model.subsets, model.n, model.m)
+        regressor, target = reference_hankel_rows(model.n_sensors, model.subsets, model.n,
+                                                  model.m)
         lam = model_lambda(model)
         width = lam.shape[2]
         bound = (width * np.finfo(float).eps * np.linalg.cond(mixing)
@@ -729,7 +764,7 @@ class TestModelFile:
     def test_inconsistent_file_rejected(self, tmp_path, tamper, message):
         _, traj = excited_benchmark_run()
         path = tmp_path / "model.json"
-        save_learned_model(learn_model(traj, 3, 1, 6, 41), path)
+        save_learned_model(learn_model(traj, 1, 6, 41), path)
         payload = json.loads(path.read_text())
         tamper(payload)
         path.write_text(json.dumps(payload))
@@ -744,7 +779,7 @@ class TestModelFile:
     def test_non_integral_integer_field_rejected(self, tmp_path, field, value):
         _, traj = excited_benchmark_run()
         path = tmp_path / "model.json"
-        save_learned_model(learn_model(traj, 3, 1, 6, 41, pe_seed=7), path)
+        save_learned_model(learn_model(traj, 1, 6, 41, pe_seed=7), path)
         payload = json.loads(path.read_text())
         payload[field] = value
         path.write_text(json.dumps(payload))
@@ -812,7 +847,7 @@ class TestModelFile:
         traj, n_sensors, max_attacked, columns = subset_run(plant)
         mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
-        _, reports, _ = learn_lambda(mats)
+        _, reports = learn_lambda(mats)
         assert models[plant].reports == reports
 
     @pytest.mark.parametrize("content, kind", [
@@ -829,7 +864,7 @@ class TestModelFile:
     def test_column_count_below_one_rejected(self, tmp_path, columns):
         _, traj = excited_benchmark_run()
         path = tmp_path / "model.json"
-        save_learned_model(learn_model(traj, 3, 1, 6, 41), path)
+        save_learned_model(learn_model(traj, 1, 6, 41), path)
         payload = json.loads(path.read_text())
         payload["T"] = columns
         path.write_text(json.dumps(payload))
@@ -839,7 +874,7 @@ class TestModelFile:
 
     def test_predictor_lookup(self):
         _, traj = excited_benchmark_run()
-        model = learn_model(traj, 3, 1, 6, 41)
+        model = learn_model(traj, 1, 6, 41)
         assert model.subsets == tuple(enumerate_subsets(3, 1))
 
 

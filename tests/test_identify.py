@@ -18,7 +18,13 @@ from oracles import (
     reference_injection_step,
 )
 
-from sentinel.attacks import DelayAttack, ReplayAttack, SensorSubset, apply_attack
+from sentinel.attacks import (
+    DelayAttack,
+    ReplayAttack,
+    SensorSubset,
+    apply_attack,
+    enumerate_subsets,
+)
 from sentinel.datamat import (
     ExcitationError,
     Trajectory,
@@ -76,13 +82,13 @@ def excited_run(ss, n, columns, order, seed):
 def benchmark_model(seed=7):
     ss = benchmark_plant()
     traj = excited_run(ss, 6, 41, 19, seed)
-    return ss, learn_model(traj, 3, 1, 6, 41, pe_seed=seed)
+    return ss, learn_model(traj, 1, 6, 41, pe_seed=seed)
 
 
 def histories(monitor):
     """Every subset's stacked history in the monitor column, S x d."""
     model = monitor.model
-    regressor, _ = hankel_rows(model.n_sensors, model.subsets, model.n, model.m)
+    regressor = hankel_rows(model.n_sensors, model.subsets, model.n, model.m)
     return monitor.column[regressor][:, model.m:]
 
 
@@ -121,7 +127,7 @@ class TestInjectionBootstrap:
         ss = StateSpace([[0.5]], [[1.0]], [[1.0]])
         u = np.random.default_rng(0).uniform(-1, 1, (1, 10))
         _, y = simulate(ss, np.zeros(1), u)
-        model = learn_model(Trajectory(u, y), 1, 0, 1, 8)
+        model = learn_model(Trajectory(u, y), 0, 1, 8)
         monitor = injection_bootstrap(model, [[3.0]], [[4.0]])
         np.testing.assert_array_equal(histories(monitor)[0], [4.0, 3.0])
         assert monitor.k == 1
@@ -355,7 +361,7 @@ def plant_and_model(n_sensors, max_attacked, seed, n=6, m=1):
                             n_sensors - max_attacked)
     order = (m + n_sensors - max_attacked) * n + 1
     traj = excited_run(ss, n, (m + 1) * order, order, seed)
-    return ss, learn_model(traj, n_sensors, max_attacked, n, (m + 1) * order)
+    return ss, learn_model(traj, max_attacked, n, (m + 1) * order)
 
 
 @pytest.fixture(scope="module")
@@ -412,7 +418,7 @@ def step_both(monitor, reference, u_k, y_k):
     column = monitor.column.copy()
     column[newest_rows(monitor.model)] = y_k
     column[-monitor.model.m:] = u_k
-    slack = identify._slacks(monitor.model, column, monitor.tol)
+    slack = monitor.model.slacks(column, monitor.tol)
     rounding = bounds.max() + (monitor.model.n + 2) * np.finfo(float).eps * slack
     if (np.abs(np.abs(monitor.model.decoder @ column) - slack) <= rounding).any():
         return None
@@ -570,7 +576,7 @@ class TestNoLambdaStack:
         with mock.patch.object(datamat, "BLOCK_BYTES", 4096):
             tracemalloc.start()
             try:
-                model = traced("learn", lambda: learn_model(traj, n_sensors, max_attacked, n,
+                model = traced("learn", lambda: learn_model(traj, max_attacked, n,
                                                             (m + 1) * order))
                 traced("save", lambda: save_learned_model(model, path))
                 loaded = traced("load", lambda: load_learned_model(path))
@@ -679,7 +685,7 @@ class TestIdentifyInjection:
         clean = offset_stream(ss, model, 40, 5)
         column = trajectory_hankel(clean, at - n, n + 1, 1)[:, 0]
         # the offset moves the slack by under 1e-9 of itself
-        slack = identify._slacks(model, column, DEFAULT_TOL)[2]
+        slack = model.slacks(column, DEFAULT_TOL)[2]
         traj = offset_stream(ss, model, 40, 5, 3, at, factor * slack)
         assert identify._screen_clear_steps(model, traj, DEFAULT_TOL) == at
         monitor = InjectionMonitor(model, trajectory_hankel(traj, at - n, n + 1, 1)[:, 0], at)
@@ -773,8 +779,8 @@ class TestScreen:
         ss = StateSpace(ss.A, ss.B, np.asarray(ss.C) * scale)
         order = (model.m + model.n_sensors - model.max_attacked) * model.n + 1
         columns = (model.m + 1) * order
-        model = learn_model(excited_run(ss, model.n, columns, order, 7), model.n_sensors,
-                            model.max_attacked, model.n, columns)
+        model = learn_model(excited_run(ss, model.n, columns, order, 7), model.max_attacked,
+                            model.n, columns)
         clean = offset_stream(ss, model, 80, 13)
         assert identify._screen_clear_steps(model, clean, DEFAULT_TOL) == clean.length - 1
         for traj in (clean, offset_stream(ss, model, 80, 13, 1, model.n + 40, 0.5 * scale)):
@@ -811,7 +817,7 @@ class TestIdentifyReplay:
     def test_clean_window_all_winners(self):
         ss = benchmark_plant()
         traj = excited_run(ss, 6, 41, 19, 21)
-        verdict = identify_replay(traj, 3, 1, 6, 41)
+        verdict = identify_replay(traj, 1, 6, 41)
         assert verdict.all_clear
         assert verdict.winners == (1, 2, 3)
         assert all(s == 13 for s in verdict.scores)
@@ -820,7 +826,7 @@ class TestIdentifyReplay:
         ss = benchmark_plant()
         traj = excited_run(ss, 6, 41, 19, 21)
         attacked = apply_attack(traj, ReplayAttack({3: 0.01}))
-        verdict = identify_replay(attacked, 3, 1, 6, 41)
+        verdict = identify_replay(attacked, 1, 6, 41)
         assert not verdict.all_clear
         assert verdict.winners == (1,)
         assert verdict.attack_free_sensors == (1, 2)
@@ -839,7 +845,7 @@ class TestIdentifyReplay:
                 traj = excited_run(ss, 6, 41, 19, 300 + trial)
                 trial += 1
                 attacked = apply_attack(traj, ReplayAttack({sensor: constant}))
-                verdict = identify_replay(attacked, 3, 1, 6, 41)
+                verdict = identify_replay(attacked, 1, 6, 41)
                 for subset, score in zip(verdict.subsets, verdict.scores):
                     if sensor in subset.indices:
                         assert score != 13, (sensor, constant, subset)
@@ -851,26 +857,33 @@ class TestIdentifyReplay:
         u = np.zeros((1, 48))
         _, y = simulate(ss, np.zeros(6), u)
         with pytest.raises(ExcitationError) as err:
-            identify_replay(Trajectory(u, y), 3, 1, 6, 41)
+            identify_replay(Trajectory(u, y), 1, 6, 41)
         assert err.value.order == 19
 
     def test_short_window_rejected(self):
         ss = benchmark_plant()
         traj = excited_run(ss, 6, 41, 19, 21)
         with pytest.raises(ExcitationError):
-            identify_replay(traj, 3, 1, 6, 30)
+            identify_replay(traj, 1, 6, 30)
 
     def test_short_trajectory_rejected(self):
         traj = excited_run(benchmark_plant(), 6, 41, 19, 21)
         with pytest.raises(TrajectoryLengthError) as err:
-            identify_replay(Trajectory(traj.u[:, :46], traj.y[:, :46]), 3, 1, 6, 41)
+            identify_replay(Trajectory(traj.u[:, :46], traj.y[:, :46]), 1, 6, 41)
         assert (err.value.length, err.value.required) == (46, 47)
 
     @pytest.mark.parametrize("n_sensors, max_attacked", [(4, 2), (2, 1)])
-    def test_sensor_count_mismatch_rejected(self, n_sensors, max_attacked):
-        traj = excited_run(benchmark_plant(), 6, 41, 19, 21)
-        with pytest.raises(ValueError, match=f"3 outputs, expected {n_sensors}"):
-            identify_replay(traj, n_sensors, max_attacked, 6, 41)
+    def test_sensor_count_is_the_recording_output_count(self, n_sensors, max_attacked):
+        # the subsets come from the recording's own output count: an
+        # attack-free window of a plant with N outputs certifies every one of
+        # the N-choose-(N - M) subsets
+        ss = random_test_system(np.random.default_rng(5), 6, 1, n_sensors,
+                                n_sensors - max_attacked)
+        order = (1 + n_sensors - max_attacked) * 6 + 1
+        verdict = identify_replay(excited_run(ss, 6, 2 * order, order, 5), max_attacked, 6,
+                                  2 * order)
+        assert verdict.subsets == tuple(enumerate_subsets(n_sensors, max_attacked))
+        assert verdict.all_clear and verdict.winners == tuple(s.id for s in verdict.subsets)
 
 
 class TestFirstResponse:
@@ -1010,13 +1023,15 @@ class TestVerdictSerialization:
     def test_replay_dict_uses_integer_ranks(self):
         ss = benchmark_plant()
         traj = excited_run(ss, 6, 41, 19, 21)
-        payload = verdict_to_dict(identify_replay(traj, 3, 1, 6, 41))
-        assert all(entry["rank"] == 13 for entry in payload["per_subset"])
+        payload = verdict_to_dict(identify_replay(traj, 1, 6, 41))
+        assert all(type(entry["rank"]) is int and entry["rank"] == 13
+                   for entry in payload["per_subset"])
 
     def test_delay_dict(self):
         y, degrees = TestIdentifyDelay().delayed_impulse((0, 5, 0))
         payload = verdict_to_dict(identify_delay(y, degrees))
         slacks = {entry["id"]: entry["slack"] for entry in payload["per_subset"]}
         assert slacks == {1: 0, 2: 5, 3: 0}
+        assert all(type(slack) is int for slack in slacks.values())
         assert [entry["indices"] for entry in payload["per_subset"]] == [[1], [2], [3]]
         assert payload["attack_free_sensors"] == [1, 3]
