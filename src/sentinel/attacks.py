@@ -6,6 +6,7 @@ additive data injection from an onset time, per-channel time delays, and
 replay of constant recorded values.
 """
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Union
@@ -186,10 +187,20 @@ def _sensor_key(key: str) -> int:
     return int(key)
 
 
+def _replay_constant(key: str, value) -> float:
+    """A replay constant: a finite JSON number (an int or a float that a float
+    holds, not a bool or a string), else ValueError naming its key."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"replay scenario constant {key!r} is {value!r}; it must be a finite "
+                         "number")
+    return float(value)
+
+
 def load_scenario(path) -> AttackScenario:
     """Read a scenario file written by save_scenario. A missing or mistyped field
     (a string, bool or fraction where an integer belongs too) raises ValueError
-    naming the type."""
+    naming the type, as does a replay constant that is not a finite number."""
     payload = read_json_object(path, "scenario")
     kind = payload.get("type")
     try:
@@ -203,7 +214,8 @@ def load_scenario(path) -> AttackScenario:
         if kind == "replay":
             # JSON object keys are strings, so the sensor numbers are read as decimals
             constants = payload["constants"]
-            return ReplayAttack({_sensor_key(k): float(v) for k, v in constants.items()})
+            return ReplayAttack({_sensor_key(k): _replay_constant(k, v)
+                                 for k, v in constants.items()})
     except KeyError as exc:
         raise ValueError(f"{kind} scenario has no field {exc}") from exc
     except (TypeError, AttributeError) as exc:

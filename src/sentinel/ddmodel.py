@@ -334,17 +334,21 @@ def load_learned_model(path) -> DataDrivenModel:
     """Read a learned model written by save_learned_model; other keys, such
     as the residuals list earlier files hold, are ignored. A file that holds
     no JSON object, a missing or mistyped field (a string, bool or fraction
-    where an integer belongs), a basis that is not base64 float64 of W x r,
-    a T below 1, a file in an older layout (one with a subsets list), or a
-    model that breaks DataDrivenModel's conditions raise ValueError; a
-    basis DataDrivenModel rejects is named as the file's field ("model file
-    field basis is not orthonormal: ...")."""
+    where an integer belongs), an n, m or T below 1, a basis that is not
+    base64 float64 of W x r, a file in an older layout (one with a subsets
+    list), or a model that breaks DataDrivenModel's conditions raise
+    ValueError; a basis DataDrivenModel rejects is named as the file's field
+    ("model file field basis is not orthonormal: ...")."""
     payload = read_json_object(path, "model")
     try:
         if "subsets" in payload:
             raise ValueError("model file lists its subsets, an older format that is no longer "
                              "read: re-learn the model")
-        n, m, n_sensors, max_attacked = (as_integer(payload[key]) for key in ("n", "m", "N", "M"))
+        n, m, n_sensors, max_attacked, columns = (as_integer(payload[key])
+                                                  for key in ("n", "m", "N", "M", "T"))
+        for key, value in (("n", n), ("m", m), ("T", columns)):
+            if value < 1:
+                raise ValueError(f"model file field {key} is {value}; it must be at least 1")
         shape = ((n_sensors + m) * (n + 1), certifying_rank(m, n))
         try:
             basis = np.frombuffer(base64.b64decode(payload["basis"], validate=True),
@@ -352,9 +356,6 @@ def load_learned_model(path) -> DataDrivenModel:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"model file field basis is not a {shape[0]} x {shape[1]} "
                              "matrix of base64 float64") from exc
-        columns = as_integer(payload["T"])
-        if columns < 1:
-            raise ValueError(f"model file field T is {columns}; it must be at least 1")
         pe_seed = payload.get("pe_seed")
         model = DataDrivenModel(basis, n, m, n_sensors, max_attacked, columns,
                                 None if pe_seed is None else as_integer(pe_seed))

@@ -3,8 +3,8 @@
 Three detectors, one per attack shape:
 
 * injection: every sensor's deviation from the plant, decoded from the
-  newest sample with the learned model, advanced in a moving-horizon loop
-  while no sensor deviates;
+  newest sample with the learned model, in a moving-horizon loop that
+  re-anchors each sample on the plant;
 * replay: per-subset rank certificates over a freshly excited test window
   (no learned model needed);
 * delay: first-response timing of each sensor against its known
@@ -79,20 +79,19 @@ class InjectionMonitor:
     column is a column of the depth-(n + 1) all-sensor Hankel, laid out as
     trajectory_hankel(traj, k - n, n + 1, 1)[:, 0]; its oldest n samples
     are the history, and each step writes y_k and u_k into its newest
-    sample. The monitor keeps its own copy of column and only advances on
-    all-clear steps, whose newest outputs it re-anchors on the plant; the
-    first non-clear verdict is terminal and freezes the history. The
-    bootstrap window must be attack-free; behavior under an attacked
-    bootstrap is undefined. members (S x N, 1 where subset j holds sensor
-    i + 1, else 0) and clear_winners, the winners of every all-clear
-    verdict, are worked out when the monitor is built.
+    sample. The monitor keeps its own copy of column and advances on every
+    step, alarm or not, re-anchoring its newest outputs on the plant, so
+    its history stays one the plant can produce. The bootstrap window must
+    be attack-free; behavior under an attacked bootstrap is undefined.
+    members (S x N, 1 where subset j holds sensor i + 1, else 0) and
+    clear_winners, the winners of every all-clear verdict, are worked out
+    when the monitor is built.
     """
 
     model: DataDrivenModel
     column: np.ndarray
     k: int
     tol: Tolerance = field(default_factory=lambda: DEFAULT_TOL)
-    terminal: bool = False
     members: np.ndarray = field(init=False, repr=False)
     clear_winners: tuple[int, ...] = field(init=False, repr=False)
 
@@ -134,14 +133,13 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     ||a[S_j]||, and the winners are the subsets that hold no named sensor.
     With at most M named sensors the winners' union is exactly the unnamed
     sensors; with more than M no subset wins: winners and
-    attack_free_sensors are empty and the verdict is not all-clear. When no
-    sensor is named, the newest outputs are re-anchored on the plant, y - a,
-    and the column drops its oldest sample, so the history stays one the
-    plant can produce; otherwise the verdict is terminal and the monitor
-    freezes. An all-clear verdict takes the monitor's precomputed winners.
+    attack_free_sensors are empty and the verdict is not all-clear. On
+    every step, alarm or not, the newest outputs are then re-anchored on the
+    plant, y - a, and the column drops its oldest sample, so the history
+    stays one the plant can produce and the next step decodes only its own
+    sample's deviation. An all-clear verdict takes the monitor's
+    precomputed winners.
     """
-    if mon.terminal:
-        raise RuntimeError("monitor is terminal; no further steps accepted")
     model = mon.model
     u_vec = as_vector(u_k, model.m, "u_k")
     y_vec = as_vector(y_new, model.n_sensors, "y_new")
@@ -152,16 +150,14 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     deviation = predict(model.decoder, column)
     named = ~(np.abs(deviation) <= model.slacks(column, mon.tol))
     scores = tuple(np.sqrt(mon.members @ (deviation * deviation)).tolist())
+    column[outputs:inputs] -= deviation
+    column[:outputs] = column[n_sensors:inputs]
+    column[inputs:-m] = column[inputs + m:]
+    mon.k += 1
     if not named.any():
-        column[outputs:inputs] -= deviation
-        column[:outputs] = column[n_sensors:inputs]
-        column[inputs:-m] = column[inputs + m:]
-        mon.k += 1
         return IdentificationVerdict(mon.k, "injection", model.subsets, scores,
                                      mon.clear_winners)
-    mon.terminal = True
-    return _verdict(mon.k + 1, "injection", model.subsets, scores,
-                    (mon.members @ named == 0).tolist())
+    return _verdict(mon.k, "injection", model.subsets, scores, (mon.members @ named == 0).tolist())
 
 
 def run_injection(mon: InjectionMonitor, u, y) -> IdentificationVerdict:
@@ -191,7 +187,8 @@ def identify_injection(model: DataDrivenModel, traj: Trajectory,
     (_screen_clear_steps); at the first step k the screen could not clear,
     a monitor is built on Hankel column k - n of the stream, whose oldest n
     samples are the history the step loop holds there to rounding (it
-    re-anchors them on the plant), and run_injection finishes the stream.
+    re-anchors every step on the plant), and run_injection goes on from
+    there to the first alarm, or to the stream's end.
     The verdict's k, winners and all_clear are the step loop's, and its
     scores are equal to rounding. k counts samples from the stream's first
     column, as with a bootstrap at k = n.
@@ -249,7 +246,9 @@ def identify_replay(traj: Trajectory, max_attacked: int, n: int, t1: int,
     output count. Replayed-constant rows collapse a subset's history Hankel
     (or add directions the plant cannot produce), so exactly the
     attack-free subsets report the certifying rank; those are the winners,
-    and each subset scores its observed rank.
+    and each subset scores its observed rank. A delayed sensor reads
+    samples that depend on inputs before the window, so the subsets holding
+    it exceed the certifying rank: the test names delayed sensors too.
     """
     n_sensors, m = traj.output_dim, traj.input_dim
     order = excitation_order(m, n_sensors - max_attacked, n)

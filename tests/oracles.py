@@ -244,7 +244,6 @@ class ReferenceMonitor:
     k: int
     lam: np.ndarray
     tol: Tolerance = field(default_factory=lambda: DEFAULT_TOL)
-    terminal: bool = False
 
 
 def reference_injection_bootstrap(model: DataDrivenModel, u_history, y_history,
@@ -265,11 +264,9 @@ def reference_injection_step(mon: ReferenceMonitor, u_k, y_new) -> Identificatio
     its residual are its sensors' deviations. A sensor is named when its
     deviation in the first subset holding it exceeds tol.residual (1 + ||its
     samples in that subset's next history||); subset j scores the norm of
-    its own deviations and wins when it holds no named sensor. On all-clear
-    each subset's next history takes its own predicted newest outputs (the
-    re-anchoring) in a hand-written shift."""
-    if mon.terminal:
-        raise RuntimeError("monitor is terminal; no further steps accepted")
+    its own deviations and wins when it holds no named sensor. On every
+    step, alarm or not, each subset's next history takes its own predicted
+    newest outputs (the re-anchoring) in a hand-written shift."""
     model = mon.model
     u_vec = as_vector(u_k, model.m, "u_k")
     y_vec = as_vector(y_new, model.n_sensors, "y_new")
@@ -297,14 +294,10 @@ def reference_injection_step(mon: ReferenceMonitor, u_k, y_new) -> Identificatio
                     named.add(sensor)
         observed[newest] = predicted[newest]
         observed_states[subset.id] = observed
+    mon.states = observed_states
+    mon.k += 1
     wins = [named.isdisjoint(subset.indices) for subset in model.subsets]
-    verdict = _verdict(mon.k + 1, "injection", model.subsets, scores, wins)
-    if not named:
-        mon.states = observed_states
-        mon.k += 1
-    else:
-        mon.terminal = True
-    return verdict
+    return _verdict(mon.k, "injection", model.subsets, scores, wins)
 
 
 def reference_save_trajectory(traj: Trajectory, path) -> None:

@@ -239,11 +239,22 @@ class TestScenarioFiles:
                                              "wrong type: .* is not an integer"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("value", ["0.01", True, float("inf"), float("nan"), 10**400],
+                             ids=["string", "bool", "infinity", "nan", "beyond-float"])
+    def test_replay_constant_must_be_a_finite_number(self, tmp_path, value):
+        # json writes inf and nan as Infinity and NaN, which json.load reads back
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"type": "replay", "constants": {"3": value}}))
+        with pytest.raises(ValueError, match=r"replay scenario constant '3' is .*; it must be "
+                                             "a finite number"):
+            load_scenario(path)
+
     def test_constants_keys_are_decimal_sensor_numbers(self, tmp_path):
         # JSON object keys are always strings, so these alone are read as decimals
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"type": "replay", "constants": {"3": 0.01, "12": -2.0}}))
+        path.write_text(json.dumps({"type": "replay", "constants": {"3": 0.01, "12": -2}}))
         assert load_scenario(path).constants == {3: 0.01, 12: -2.0}
+        assert type(load_scenario(path).constants[12]) is float
 
     def test_integral_floats_accepted(self, tmp_path):
         path = tmp_path / "scenario.json"

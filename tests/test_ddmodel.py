@@ -872,6 +872,25 @@ class TestModelFile:
                                              "at least 1"):
             load_learned_model(path)
 
+    @pytest.mark.parametrize("field, value", [("n", 0), ("m", 0), ("n", -1)])
+    def test_order_and_input_count_below_one_rejected(self, tmp_path, field, value):
+        # N = 3, M = 1 with an orthonormal basis of the shape the fields give,
+        # clear of the newest output rows, which would load if n or m were not checked
+        _, traj = excited_benchmark_run()
+        path = tmp_path / "model.json"
+        save_learned_model(learn_model(traj, 1, 6, 41), path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        n, m = payload["n"], payload["m"]
+        if n >= 0:
+            width, rank = (3 + m) * (n + 1), m * (n + 1) + n
+            basis = np.eye(width)[:, width - rank:] if n == 0 else np.eye(width)[:, :rank]
+            payload["basis"] = base64.b64encode(basis.astype("<f8").tobytes()).decode("ascii")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"model file field {field} is {value}; it must be "
+                                             "at least 1"):
+            load_learned_model(path)
+
     def test_predictor_lookup(self):
         _, traj = excited_benchmark_run()
         model = learn_model(traj, 1, 6, 41)

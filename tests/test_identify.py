@@ -165,7 +165,7 @@ class TestInjectionBootstrap:
             assert verdict == injection_step(booted, u[:, k], y[:, k])
             if not verdict.all_clear:
                 break
-        assert (direct.k, direct.terminal) == (booted.k, booted.terminal)
+        assert direct.k == booted.k
         assert verdict.all_clear != attack
         assert np.array_equal(direct.column, booted.column)
 
@@ -228,7 +228,8 @@ class TestInjectionStep:
             injection_step(monitor, u_k, ss.C @ x)
             x = ss.A @ x + ss.B @ u_k
         delta = 0.8
-        y_k = ss.C @ x
+        plant_y = ss.C @ x
+        y_k = plant_y.copy()
         y_k[2] += delta
         verdict = injection_step(monitor, rng.uniform(-1, 1, 1), y_k)
         assert not verdict.all_clear
@@ -238,7 +239,13 @@ class TestInjectionStep:
         assert by_id[1] < 1e-8
         assert by_id[2] >= delta * (1 - 1e-6)
         assert by_id[3] >= delta * (1 - 1e-6)
-        assert monitor.terminal
+        # the alarm step re-anchors too: delta leaves the history, which ends
+        # in the plant's own outputs
+        n, n_sensors = model.n, model.n_sensors
+        newest_history = monitor.column[n_sensors * (n - 1): n_sensors * n]
+        bound = 4 * decode_bound(model, monitor.column).max()
+        np.testing.assert_allclose(newest_history, plant_y, rtol=0, atol=bound)
+        assert monitor.k == 12
 
     def test_zero_attack_sample_is_invisible(self):
         ss, model = benchmark_model()
@@ -247,16 +254,6 @@ class TestInjectionStep:
         y_k[2] += 0.0
         verdict = injection_step(monitor, [0.3], y_k)
         assert verdict.all_clear
-
-    def test_terminal_monitor_rejects_steps(self):
-        ss, model = benchmark_model()
-        monitor, x = online_setup(ss, model)
-        y_k = ss.C @ x
-        y_k[0] += 1.0
-        verdict = injection_step(monitor, [0.1], y_k)
-        assert not verdict.all_clear
-        with pytest.raises(RuntimeError):
-            injection_step(monitor, [0.1], ss.C @ x)
 
     def test_soundness_over_random_attacks(self):
         # any nonzero corruption of one sensor puts its delta into every
@@ -299,7 +296,7 @@ class TestInjectionStep:
             column = monitor.column.copy()
             with pytest.raises(ValueError, match=channel):
                 injection_step(monitor, u_k, y_k)
-            assert not monitor.terminal and monitor.k == 6
+            assert monitor.k == 6
             np.testing.assert_array_equal(monitor.column, column)
             # nothing of the rejected sample stays: a clean one scores as on a fresh monitor
             fresh, _ = online_setup(ss, model)
@@ -325,11 +322,16 @@ class TestInjectionStep:
             return verdict
 
         monkeypatch.setattr(identify, "predict", counting_predict)
-        u, y = monitor_stream(ss, model, 200, 5)
+        u, y = monitor_stream(ss, model, 210, 5)
         n = model.n
         monitor = injection_bootstrap(model, u[:, :n], y[:, :n])
-        for k in range(n, u.shape[1]):
+        for k in range(n, n + 200):
             assert injection_step(monitor, u[:, k], y[:, k]).all_clear
+            assert len(calls) == k - n + 1
+        # an alarm step and the steps after it, alarms or not, decode once each too
+        y[0, n + 200: n + 205] += 0.9
+        for k in range(n + 200, n + 210):
+            assert injection_step(monitor, u[:, k], y[:, k]).all_clear == (k >= n + 205)
             assert len(calls) == k - n + 1
         # identify_injection's handover loop: one predict per step and none in
         # the screen, whether the screen hands over at the attack or (with a
@@ -427,12 +429,70 @@ def step_both(monitor, reference, u_k, y_k):
     assert (verdict.k, verdict.mode, verdict.subsets, verdict.winners) == (
         expected.k, expected.mode, expected.subsets, expected.winners)
     assert (np.abs(np.subtract(verdict.scores, expected.scores)) <= bounds).all()
-    assert (monitor.k, monitor.terminal) == (reference.k, reference.terminal)
-    # all-clear steps advance (and re-anchor) the history as the reference
-    # does; the terminal one freezes it
+    assert monitor.k == reference.k
+    # every step, the alarm step included, advances (and re-anchors) the
+    # history as the reference does
     for j, subset in enumerate(monitor.model.subsets):
         assert (np.abs(histories(monitor)[j] - reference.states[subset.id]) <= bounds[j]).all()
     return verdict
+
+
+class TestContinuedMonitoring:
+    """The monitor re-anchors every step, alarm or not, so each step decodes
+    only its own sample's deviation: as attacks start and stop, every
+    verdict names exactly the sensors attacked in that sample."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_named_sensors_follow_attack_windows(self, monitored_plants, data):
+        ss, model = monitored_plants[data.draw(st.sampled_from(sorted(monitored_plants)),
+                                               label="plant")]
+        n, n_sensors = model.n, model.n_sensors
+        length = data.draw(st.integers(1, 300), label="steps")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        u = rng.uniform(-1, 1, (model.m, n + length))
+        _, y = simulate(ss, np.zeros(ss.state_dim), u)
+        # windows that start, stop and overlap, each offset by ±uniform(0.5, 1)
+        # per sample; a window that would put more than M sensors under
+        # attack at once is left out
+        windows = data.draw(st.lists(st.tuples(st.integers(1, n_sensors),
+                                               st.integers(0, length - 1),
+                                               st.integers(1, 150)), max_size=8),
+                            label="windows (sensor, start, length)")
+        offsets = np.zeros((n_sensors, length))
+        for sensor, start, span in windows:
+            stop = min(start + span, length)
+            trial = offsets.copy()
+            trial[sensor - 1, start:stop] = (rng.choice([-1.0, 1.0])
+                                             * rng.uniform(0.5, 1.0, stop - start))
+            if ((trial != 0).sum(axis=0) <= model.max_attacked).all():
+                offsets = trial
+        y[:, n:] += offsets
+        monitor = injection_bootstrap(model, u[:, :n], y[:, :n])
+        for k in range(length):
+            verdict = injection_step(monitor, u[:, n + k], y[:, n + k])
+            assert verdict.k == n + k + 1
+            unattacked = tuple(int(i) + 1 for i in np.flatnonzero(offsets[:, k] == 0))
+            if len(unattacked) == n_sensors:
+                assert verdict.all_clear, k
+            else:
+                assert verdict.attack_free_sensors == unattacked, k
+
+    @pytest.mark.parametrize("name", ["benchmark", "random-10x4", "random-6x2",
+                                      "random-5x2-m2"])
+    def test_clean_continuation_after_an_alarm(self, monitored_plants, name):
+        # one offset sample at the 21st step, then 5,000 clean steps: the
+        # alarm leaves no trace in the history, and no later step alarms
+        ss, model = monitored_plants[name]
+        traj, n = offset_stream(ss, model, 5021, 37), model.n
+        y = traj.y.copy()
+        y[0, n + 20] += 0.9
+        monitor = injection_bootstrap(model, traj.u[:, :n], y[:, :n])
+        alarm = run_injection(monitor, traj.u[:, n:], y[:, n:])
+        assert alarm.k == n + 21
+        assert alarm.attack_free_sensors == tuple(range(2, model.n_sensors + 1))
+        verdict = run_injection(monitor, traj.u[:, n + 21:], y[:, n + 21:])
+        assert verdict.all_clear and verdict.k == n + 5021
 
 
 class TestBatchedMonitorMatchesReference:
@@ -504,7 +564,8 @@ class TestBatchedMonitorMatchesReference:
 
 class TestStepMatchesReferenceProperty:
     """The decoding step against the per-subset λ-form reference over drawn
-    plants, attacks and tolerances, step by step up to the terminal one."""
+    plants, attacks and tolerances, step by step up to the first alarm and
+    one step past it."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -534,9 +595,8 @@ class TestStepMatchesReferenceProperty:
             verdict = step_both(batched, reference, u[:, k], y[:, k])
             if verdict is None or not verdict.all_clear:
                 break
-        if batched.terminal:
-            with pytest.raises(RuntimeError):
-                injection_step(batched, u[:, -1], y[:, -1])
+        if verdict is not None and not verdict.all_clear:
+            step_both(batched, reference, u[:, -1], y[:, -1])
 
 
 class TestNoLambdaStack:
@@ -605,16 +665,19 @@ class TestRunInjection:
         looped, _ = online_setup(ss, model)
         verdict = run_injection(looped, u, y)
         assert verdict == expected
-        assert looped.k == explicit.k and looped.terminal == explicit.terminal
+        assert looped.k == explicit.k
+        assert np.array_equal(looped.column, explicit.column)
         assert verdict.all_clear == (attack_at is None)
 
     def test_mismatched_lengths_rejected(self):
         ss, model = benchmark_model()
         monitor, x = online_setup(ss, model)
         u, y = closed_loop_stream(ss, x, 5, 5)
+        column = monitor.column.copy()
         with pytest.raises(ValueError):
             run_injection(monitor, u[:, :4], y)
-        assert monitor.k == 6 and not monitor.terminal
+        assert monitor.k == 6
+        assert np.array_equal(monitor.column, column)
 
 
 def step_loop_verdict(model, traj, tol=DEFAULT_TOL):
@@ -859,6 +922,21 @@ class TestIdentifyReplay:
         with pytest.raises(ExcitationError) as err:
             identify_replay(Trajectory(u, y), 1, 6, 41)
         assert err.value.order == 19
+
+    @pytest.mark.parametrize("tau", [1, 2, 3, 5])
+    @pytest.mark.parametrize("sensor", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_delayed_sensor_is_named(self, seed, sensor, tau):
+        # a sensor delayed by tau reads C_i x(k - tau), which depends on
+        # inputs before the window: every subset holding it gains rank above
+        # the certifying 13, as a replayed constant moves it, so the same
+        # test names delayed sensors too (replay demo's excited window)
+        ss = benchmark_plant()
+        traj, _ = cli.excited_run(ss, 6, 41, 19, seed + cli.OFF_REPLAY_PE,
+                                  seed + cli.OFF_REPLAY_FILL, DEFAULT_TOL)
+        delays = tuple(tau if i == sensor else 0 for i in (1, 2, 3))
+        verdict = identify_replay(apply_attack(traj, DelayAttack(delays)), 1, 6, 41)
+        assert verdict.attack_free_sensors == tuple(i for i in (1, 2, 3) if i != sensor)
 
     def test_short_window_rejected(self):
         ss = benchmark_plant()
