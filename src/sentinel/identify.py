@@ -139,6 +139,13 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     stays one the plant can produce and the next step decodes only its own
     sample's deviation. An all-clear verdict takes the monitor's
     precomputed winners.
+
+    A step whose every |a_i| is at most tol.residual is cleared without
+    computing the slacks: each s_i is tol.residual plus a term that is
+    never negative, so it is at least that floor, and no sensor can be
+    named. The test is exact, not a second rule: a NaN decode fails it and
+    takes the full rule, and a NaN slack needs a NaN in the column, which
+    the decode carries into every a_i.
     """
     model = mon.model
     u_vec = as_vector(u_k, model.m, "u_k")
@@ -148,13 +155,16 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     column[outputs:inputs] = y_vec
     column[-m:] = u_vec
     deviation = predict(model.decoder, column)
-    named = ~(np.abs(deviation) <= model.slacks(column, mon.tol))
+    magnitude = np.abs(deviation)
+    named = None
+    if np.count_nonzero(magnitude <= mon.tol.residual) != n_sensors:
+        named = ~(magnitude <= model.slacks(column, mon.tol))
     scores = tuple(np.sqrt(mon.members @ (deviation * deviation)).tolist())
     column[outputs:inputs] -= deviation
     column[:outputs] = column[n_sensors:inputs]
     column[inputs:-m] = column[inputs + m:]
     mon.k += 1
-    if not named.any():
+    if named is None or not np.count_nonzero(named):
         return IdentificationVerdict(mon.k, "injection", model.subsets, scores,
                                      mon.clear_winners)
     return _verdict(mon.k, "injection", model.subsets, scores, (mon.members @ named == 0).tolist())

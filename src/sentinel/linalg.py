@@ -1,7 +1,7 @@
 """Dense real-matrix primitives shared by every other module.
 
 All functions are pure and operate on float64 numpy arrays; inputs are
-validated to be finite 2-D matrices. Rank and residual decisions are
+validated to be finite real 2-D matrices. Rank and residual decisions are
 driven by a single Tolerance record so the whole pipeline can be re-tuned
 from one place; the nonzero test of the delay detector is fixed by
 NONZERO_ABS and NONZERO_REL.
@@ -45,25 +45,41 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def _as_real(a, name: str) -> np.ndarray:
+    """`a` as a float64 array; a complex one is rejected, as a cast to
+    float would drop its imaginary part."""
+    arr = np.asarray(a)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got complex dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
+def _check_finite(arr: np.ndarray, name: str) -> None:
+    # counting the finite entries costs less per call than an .all()
+    # reduction and, unlike a test on a sum or a sum of squares, cannot overflow
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
+        raise ValueError(f"{name} contains non-finite entries")
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return `a` as a finite float64 2-D array."""
-    m = np.asarray(a, dtype=float)
+    """Validate and return `a` as a finite real float64 2-D array."""
+    m = _as_real(a, name)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if m.size == 0:
         raise ValueError(f"{name} must be nonempty")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    _check_finite(m, name)
     return m
 
 
 def as_vector(a, dim: int, name: str = "vector") -> np.ndarray:
-    """Validate and return `a` as a finite float64 1-D array of length dim."""
-    v = np.asarray(a, dtype=float).reshape(-1)
+    """Validate and return `a` as a finite real float64 1-D array of length
+    dim; any shape holding dim entries, (dim, 1) or (1, dim) say, is
+    flattened."""
+    v = _as_real(a, name).reshape(-1)
     if v.shape[0] != dim:
         raise ValueError(f"{name} must have length {dim}, got {v.shape[0]}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    _check_finite(v, name)
     return v
 
 

@@ -226,6 +226,10 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(np.ones((1, 3)), np.ones((2, 4)))
 
+    def test_complex_input_rejected(self):
+        with pytest.raises(ValueError, match="y must be real"):
+            Trajectory(np.ones((1, 3)), np.ones((2, 3)) + 1j)
+
     def test_immutable_payload(self):
         traj = Trajectory(np.ones((1, 3)), np.ones((2, 3)))
         with pytest.raises(ValueError):

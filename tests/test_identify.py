@@ -36,7 +36,13 @@ from sentinel.datamat import (
     trajectory_hankel,
 )
 from sentinel import cli, datamat, identify
-from sentinel.ddmodel import learn_model, load_learned_model, predict, save_learned_model
+from sentinel.ddmodel import (
+    DataDrivenModel,
+    learn_model,
+    load_learned_model,
+    predict,
+    save_learned_model,
+)
 from sentinel.identify import (
     IdentificationVerdict,
     InjectionMonitor,
@@ -151,6 +157,8 @@ class TestInjectionBootstrap:
             injection_bootstrap(model, np.zeros((1, 5)), np.zeros((3, 6)))
         with pytest.raises(ValueError):
             injection_bootstrap(model, np.zeros((1, 6)), np.zeros((2, 6)))
+        with pytest.raises(ValueError, match="y_history must be real"):
+            injection_bootstrap(model, np.zeros((1, 6)), np.zeros((3, 6), dtype=complex))
 
     @pytest.mark.parametrize("attack", [False, True], ids=["clean", "attacked"])
     def test_directly_built_monitor_equals_bootstrapped(self, monitored_plants, attack):
@@ -302,6 +310,19 @@ class TestInjectionStep:
             fresh, _ = online_setup(ss, model)
             assert (injection_step(monitor, [0.2], ss.C @ x)
                     == injection_step(fresh, [0.2], ss.C @ x))
+
+    @pytest.mark.parametrize("channel", ["u_k", "y_new"])
+    def test_complex_sample_rejected_without_advancing(self, channel):
+        # a cast to float would drop the imaginary part and decode the rest
+        ss, model = benchmark_model()
+        monitor, x = online_setup(ss, model)
+        column = monitor.column.copy()
+        sample = {"u_k": np.array([0.2]), "y_new": ss.C @ x}
+        sample[channel] = sample[channel] + 1j
+        with pytest.raises(ValueError, match=f"^{channel} must be real"):
+            injection_step(monitor, sample["u_k"], sample["y_new"])
+        assert monitor.k == 6
+        np.testing.assert_array_equal(monitor.column, column)
 
     @pytest.mark.parametrize("name", ["benchmark", "random-10x4", "random-6x2"])
     def test_step_calls_module_predict_once(self, monitored_plants, monkeypatch, name):
@@ -493,6 +514,118 @@ class TestContinuedMonitoring:
         assert alarm.attack_free_sensors == tuple(range(2, model.n_sensors + 1))
         verdict = run_injection(monitor, traj.u[:, n + 21:], y[:, n + 21:])
         assert verdict.all_clear and verdict.k == n + 5021
+
+
+def full_rule(monitor, u_k, y_k):
+    """The (k, winners, all_clear) of the step that takes (u_k, y_k) by the
+    full rule alone, without the floor test: sensor i is named when its
+    decode |a_i| is not within its slack from model.slacks."""
+    model = monitor.model
+    column = monitor.column.copy()
+    column[newest_rows(model)] = y_k
+    column[-model.m:] = u_k
+    named = ~(np.abs(predict(model.decoder, column)) <= model.slacks(column, monitor.tol))
+    winners = tuple(s.id for s in model.subsets
+                    if not any(named[i - 1] for i in s.indices))
+    return monitor.k + 1, winners, not named.any()
+
+
+ALL_PLANTS = ["benchmark", "random-10x4", "random-6x2", "random-5x2-m2"]
+
+
+class TestFloorClear:
+    """A step whose every |a_i| is within tol.residual clears without the
+    slacks; that floor test decides no step differently from the full rule."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_named_set_equals_full_rule(self, monitored_plants, data):
+        ss, model = monitored_plants[data.draw(st.sampled_from(ALL_PLANTS), label="plant")]
+        tol = Tolerance(residual=data.draw(st.sampled_from([DEFAULT_TOL.residual, 1e-6]),
+                                           label="residual"))
+        n, floor = model.n, tol.residual
+        traj = offset_stream(ss, model, data.draw(st.integers(1, 6), label="steps"),
+                             data.draw(st.integers(0, 2**16), label="seed"))
+        monitor = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n], tol)
+        for k in range(n, traj.length):
+            u_k, y_k = traj.u[:, k], traj.y[:, k].copy()
+            column = monitor.column.copy()
+            column[newest_rows(model)] = y_k
+            slack = model.slacks(column, tol)
+            # offsets at and around the floor and the clean sample's slack,
+            # one ulp either side of each included
+            for sensor in data.draw(st.sets(st.integers(1, model.n_sensors)), label="sensors"):
+                base = data.draw(st.sampled_from([floor, slack[sensor - 1]]), label="base")
+                factor = data.draw(st.one_of(
+                    st.sampled_from([1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]),
+                    st.floats(0.0, 3.0)), label="factor")
+                y_k[sensor - 1] += data.draw(st.sampled_from([1.0, -1.0]), label="sign") * (
+                    factor * base)
+            expected = full_rule(monitor, u_k, y_k)
+            verdict = injection_step(monitor, u_k, y_k)
+            assert (verdict.k, verdict.winners, verdict.all_clear) == expected
+
+    @pytest.mark.parametrize("name", ALL_PLANTS)
+    def test_only_a_step_above_the_floor_takes_the_slacks(self, monitored_plants, monkeypatch,
+                                                         name):
+        ss, model = monitored_plants[name]
+        calls = {"predict": 0, "slacks": 0}
+        slacks = DataDrivenModel.slacks
+
+        def counting_predict(*args):
+            calls["predict"] += 1
+            return predict(*args)
+
+        def counting_slacks(self, *args):
+            calls["slacks"] += 1
+            return slacks(self, *args)
+
+        monkeypatch.setattr(identify, "predict", counting_predict)
+        monkeypatch.setattr(DataDrivenModel, "slacks", counting_slacks)
+        traj, n = offset_stream(ss, model, 23, 5), model.n
+        monitor = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n])
+
+        def step(y_k, clear):
+            before = dict(calls)
+            assert injection_step(monitor, traj.u[:, monitor.k], y_k).all_clear == clear
+            return calls["predict"] - before["predict"], calls["slacks"] - before["slacks"]
+
+        for _ in range(20):
+            assert step(traj.y[:, monitor.k], True) == (1, 0)
+        # an alarm takes the slacks once
+        y_k = traj.y[:, monitor.k] + 0.9
+        assert step(y_k, False) == (1, 1)
+        # so does an offset between the floor and the slack, which clears
+        y_k = traj.y[:, monitor.k].copy()
+        column = monitor.column.copy()
+        column[newest_rows(model)] = y_k
+        y_k[0] += (DEFAULT_TOL.residual + slacks(model, column, DEFAULT_TOL)[0]) / 2
+        assert step(y_k, True) == (1, 1)
+        assert step(traj.y[:, monitor.k], True) == (1, 0)
+
+    # The verdicts of the full rule alone, recorded as constants. One sample
+    # whose sensor 1 reads +-1e308 overflows sensor 1's slack and the scores:
+    # that step names more than M sensors and scores NaN. The decodes near
+    # 1e290 it re-anchors into the history overflow every later slack, so the
+    # steps after it clear with NaN scores, except that on random-10x4 the
+    # next step names sensor 1 and the subsets without it, ids 127-210, win.
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("name", ALL_PLANTS)
+    def test_overflowing_sample_keeps_the_full_rule_verdicts(self, monitored_plants, name, sign):
+        ss, model = monitored_plants[name]
+        traj, n = offset_stream(ss, model, 10, 3), model.n
+        y = traj.y.copy()
+        y[0, n + 3] = sign * 1e308
+        monitor = injection_bootstrap(model, traj.u[:, :n], y[:, :n])
+        every = tuple(s.id for s in model.subsets)
+        next_winners = tuple(range(127, 211)) if name == "random-10x4" else every
+        expected = [(every, False)] * 3 + [((), True), (next_winners, True)] + [(every, True)] * 5
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, (winners, nan_scores) in enumerate(expected):
+                verdict = injection_step(monitor, traj.u[:, n + j], y[:, n + j])
+                assert verdict.k == n + j + 1 and verdict.winners == winners, j
+                scores = np.array(verdict.scores)
+                assert (np.isnan(scores).all() if nan_scores else np.isfinite(scores).all()), j
 
 
 class TestBatchedMonitorMatchesReference:

@@ -5,6 +5,8 @@ from sentinel.linalg import (
     NONZERO_ABS,
     Tolerance,
     as_integer,
+    as_matrix,
+    as_vector,
     first_nonzero,
     matrix_exponential,
     numerical_rank,
@@ -38,6 +40,58 @@ class TestTolerance:
         for value in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 Tolerance(**{field: value})
+
+
+class TestAsVectorAndMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected_at_every_position(self, bad):
+        for position in range(4):
+            v = np.arange(4.0)
+            v[position] = bad
+            with pytest.raises(ValueError, match="^v contains non-finite entries$"):
+                as_vector(v, 4, "v")
+            m = np.arange(8.0).reshape(2, 4)
+            m.flat[2 * position + 1] = bad
+            with pytest.raises(ValueError, match="^m contains non-finite entries$"):
+                as_matrix(m, "m")
+
+    def test_largest_finite_values_accepted(self):
+        # a finiteness test built on a sum or on squares would overflow here
+        huge = [1e308, -1e308, 1e308, np.finfo(float).max]
+        np.testing.assert_array_equal(as_vector(huge, 4), huge)
+        np.testing.assert_array_equal(as_matrix([huge, huge[::-1]]), [huge, huge[::-1]])
+
+    def test_shape_errors_have_their_own_messages(self):
+        with pytest.raises(ValueError, match="^v must have length 3, got 2$"):
+            as_vector([1.0, 2.0], 3, "v")
+        with pytest.raises(ValueError, match="^v must have length 3, got 0$"):
+            as_vector([], 3, "v")
+        with pytest.raises(ValueError, match=r"^m must be 2-D, got shape \(3,\)$"):
+            as_matrix([1.0, 2.0, 3.0], "m")
+        with pytest.raises(ValueError, match=r"^m must be 2-D, got shape \(1, 1, 2\)$"):
+            as_matrix([[[1.0, 2.0]]], "m")
+        with pytest.raises(ValueError, match="^m must be nonempty$"):
+            as_matrix(np.zeros((0, 3)), "m")
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 1), (1, 3)])
+    def test_vector_accepts_any_shape_of_dim_entries(self, shape):
+        v = as_vector(np.array([1.0, -2.0, 3.5]).reshape(shape), 3)
+        assert v.shape == (3,) and v.dtype == np.float64
+        np.testing.assert_array_equal(v, [1.0, -2.0, 3.5])
+
+    def test_real_inputs_of_other_types_become_float64(self):
+        assert as_vector([1, 2, 3], 3).dtype == np.float64
+        np.testing.assert_array_equal(as_vector(np.array([1, 2], dtype=np.float32), 2), [1, 2])
+        assert as_matrix([[True, False]]).dtype == np.float64
+
+    @pytest.mark.parametrize("values", [np.array([1 + 2j, 2, 3]), [1 + 2j, 2, 3],
+                                        np.array([1, 2, 3], dtype=np.complex64)])
+    def test_complex_input_rejected(self, values):
+        # a cast to float would keep [1, 2, 3] and drop the imaginary part
+        with pytest.raises(ValueError, match="^v must be real, got complex dtype"):
+            as_vector(values, 3, "v")
+        with pytest.raises(ValueError, match="^m must be real, got complex dtype"):
+            as_matrix(np.asarray(values).reshape(1, 3), "m")
 
 
 class TestAsInteger:

@@ -112,6 +112,16 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(ss, [0.0], np.ones((2, 3)))
 
+    def test_complex_input_rejected(self):
+        # a cast to float would drop the imaginary parts and simulate on
+        with pytest.raises(ValueError, match="A must be real"):
+            StateSpace([[0.5 + 1j]], [[1.0]], [[1.0]])
+        ss = StateSpace([[0.5]], [[1.0]], [[1.0]])
+        with pytest.raises(ValueError, match="u must be real"):
+            simulate(ss, [0.0], np.array([[1.0, 2j]]))
+        with pytest.raises(ValueError, match="x0 must be real"):
+            simulate(ss, np.array([1j]), [[1.0]])
+
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_column_loop_bit_for_bit(self, seed):
         rng = np.random.default_rng(seed)
