@@ -411,6 +411,16 @@ def newest_rows(model):
     return slice(model.n_sensors * model.n, model.n_sensors * (model.n + 1))
 
 
+def step_column(monitor, u_k, y_k):
+    """A copy of the monitor's column with (u_k, y_k) written into its
+    newest sample, the column the step that takes them decodes."""
+    model = monitor.model
+    column = monitor.column.copy()
+    column[newest_rows(model)] = y_k
+    column[-model.m:] = u_k
+    return column
+
+
 def score_bounds(monitor, reference, u_k, y_k):
     """Per subset, a bound on the gap between injection_step's score and the
     λ-form reference's at the step that takes (u_k, y_k). Both are within
@@ -421,9 +431,7 @@ def score_bounds(monitor, reference, u_k, y_k):
     kind. Four times the decode's beta plus the λ term holds the sum (the
     largest gap was 0.05 of one such sum on the test plants' streams)."""
     model = monitor.model
-    column = monitor.column.copy()
-    column[newest_rows(model)] = y_k
-    column[-model.m:] = u_k
+    column = step_column(monitor, u_k, y_k)
     lam = reference.lam
     regressors = np.array([np.concatenate([u_k, reference.states[s.id]])
                            for s in model.subsets])
@@ -438,9 +446,7 @@ def step_both(monitor, reference, u_k, y_k):
     rounding level allows it) is decided by rounding, differently by either
     side: it is not taken, and None is returned."""
     bounds = score_bounds(monitor, reference, u_k, y_k)
-    column = monitor.column.copy()
-    column[newest_rows(monitor.model)] = y_k
-    column[-monitor.model.m:] = u_k
+    column = step_column(monitor, u_k, y_k)
     slack = monitor.model.slacks(column, monitor.tol)
     rounding = bounds.max() + (monitor.model.n + 2) * np.finfo(float).eps * slack
     if (np.abs(np.abs(monitor.model.decoder @ column) - slack) <= rounding).any():
@@ -521,9 +527,7 @@ def full_rule(monitor, u_k, y_k):
     full rule alone, without the floor test: sensor i is named when its
     decode |a_i| is not within its slack from model.slacks."""
     model = monitor.model
-    column = monitor.column.copy()
-    column[newest_rows(model)] = y_k
-    column[-model.m:] = u_k
+    column = step_column(monitor, u_k, y_k)
     named = ~(np.abs(predict(model.decoder, column)) <= model.slacks(column, monitor.tol))
     winners = tuple(s.id for s in model.subsets
                     if not any(named[i - 1] for i in s.indices))
@@ -549,9 +553,7 @@ class TestFloorClear:
         monitor = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n], tol)
         for k in range(n, traj.length):
             u_k, y_k = traj.u[:, k], traj.y[:, k].copy()
-            column = monitor.column.copy()
-            column[newest_rows(model)] = y_k
-            slack = model.slacks(column, tol)
+            slack = model.slacks(step_column(monitor, u_k, y_k), tol)
             # offsets at and around the floor and the clean sample's slack,
             # one ulp either side of each included
             for sensor in data.draw(st.sets(st.integers(1, model.n_sensors)), label="sensors"):
@@ -597,8 +599,7 @@ class TestFloorClear:
         assert step(y_k, False) == (1, 1)
         # so does an offset between the floor and the slack, which clears
         y_k = traj.y[:, monitor.k].copy()
-        column = monitor.column.copy()
-        column[newest_rows(model)] = y_k
+        column = step_column(monitor, traj.u[:, monitor.k], y_k)
         y_k[0] += (DEFAULT_TOL.residual + slacks(model, column, DEFAULT_TOL)[0]) / 2
         assert step(y_k, True) == (1, 1)
         assert step(traj.y[:, monitor.k], True) == (1, 0)
