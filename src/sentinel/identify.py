@@ -12,9 +12,12 @@ Three detectors, one per attack shape:
 
 Verdicts share one shape: per-entry scores and the winner set, from which
 the union of the winners' sensor indices and the all-clear flag derive.
+An injection verdict derives its scores from the step's decode when they
+are first read, so a step pays nothing per subset.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -46,13 +49,28 @@ class IdentificationVerdict:
     single sensor): an int for a replay rank or a finite delay offset, else
     a float; winners holds the ids of the best-scoring candidates at
     tolerance. attack_free_sensors and all_clear derive from them.
+
+    A replay or delay verdict stores its scores as values. An injection
+    verdict stores the step's decode a as values, one entry per sensor, and
+    the model's read-only S x N membership matrix as members; its scores,
+    ||a[S_j]|| = sqrt(members @ a^2)_j, are computed when first read.
+    members is not compared: equal subsets hold equal members.
     """
 
     k: int
     mode: str
     subsets: tuple[SensorSubset, ...]
-    scores: tuple[float, ...]
+    values: tuple[float, ...]
     winners: tuple[int, ...]
+    members: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def scores(self) -> tuple[float, ...]:
+        """values, or for an injection verdict sqrt(members @ a^2), a = values."""
+        if self.members is None:
+            return self.values
+        decode = np.array(self.values)
+        return tuple(np.sqrt(self.members @ (decode * decode)).tolist())
 
     @property
     def attack_free_sensors(self) -> tuple[int, ...]:
@@ -66,10 +84,10 @@ class IdentificationVerdict:
         return len(self.winners) == len(self.subsets)
 
 
-def _verdict(k: int, mode: str, subsets, scores, wins) -> IdentificationVerdict:
+def _verdict(k: int, mode: str, subsets, values, wins, members=None) -> IdentificationVerdict:
     """Verdict over candidates in id order; wins[j] marks subsets[j] a winner."""
-    return IdentificationVerdict(k, mode, tuple(subsets), tuple(scores),
-                                 tuple(s.id for s, won in zip(subsets, wins) if won))
+    return IdentificationVerdict(k, mode, tuple(subsets), tuple(values),
+                                 tuple(s.id for s, won in zip(subsets, wins) if won), members)
 
 
 @dataclass
@@ -83,7 +101,6 @@ class InjectionMonitor:
     step, alarm or not, re-anchoring its newest outputs on the plant, so
     its history stays one the plant can produce. The bootstrap window must
     be attack-free; behavior under an attacked bootstrap is undefined.
-    members (S x N, 1 where subset j holds sensor i + 1, else 0) and
     clear_winners, the winners of every all-clear verdict, are worked out
     when the monitor is built.
     """
@@ -92,15 +109,12 @@ class InjectionMonitor:
     column: np.ndarray
     k: int
     tol: Tolerance = field(default_factory=lambda: DEFAULT_TOL)
-    members: np.ndarray = field(init=False, repr=False)
     clear_winners: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         model = self.model
         width = (model.n_sensors + model.m) * (model.n + 1)
         self.column = as_vector(self.column, width, "column").copy()
-        self.members = np.array([[i in s.indices for i in range(1, model.n_sensors + 1)]
-                                 for s in model.subsets], dtype=float)
         self.clear_winners = tuple(s.id for s in model.subsets)
 
 
@@ -129,23 +143,25 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     y_new and u_k go into the newest sample's slots of the monitor column,
     and one predict call decodes every sensor's deviation a from the plant.
     Sensor i is named when |a_i| exceeds its slack s_i = tol.residual (1 +
-    ||sensor i's samples at times 1 .. n of the column||). Subset j scores
-    ||a[S_j]||, and the winners are the subsets that hold no named sensor.
-    With at most M named sensors the winners' union is exactly the unnamed
-    sensors; with more than M no subset wins: winners and
-    attack_free_sensors are empty and the verdict is not all-clear. On
-    every step, alarm or not, the newest outputs are then re-anchored on the
-    plant, y - a, and the column drops its oldest sample, so the history
-    stays one the plant can produce and the next step decodes only its own
-    sample's deviation. An all-clear verdict takes the monitor's
+    ||sensor i's samples at times 1 .. n of the column||), and the winners
+    are the subsets that hold no named sensor. With at most M named sensors
+    the winners' union is exactly the unnamed sensors; with more than M no
+    subset wins: winners and attack_free_sensors are empty and the verdict
+    is not all-clear. On every step, alarm or not, the newest outputs are
+    then re-anchored on the plant, y - a, and the column drops its oldest
+    sample, so the history stays one the plant can produce and the next
+    step decodes only its own sample's deviation. The verdict keeps a, and
+    subset j's score ||a[S_j]|| is computed only when read
+    (IdentificationVerdict); an all-clear verdict takes the monitor's
     precomputed winners.
 
     A step whose every |a_i| is at most tol.residual is cleared without
     computing the slacks: each s_i is tol.residual plus a term that is
     never negative, so it is at least that floor, and no sensor can be
     named. The test is exact, not a second rule: a NaN decode fails it and
-    takes the full rule, and a NaN slack needs a NaN in the column, which
-    the decode carries into every a_i.
+    takes the full rule. There a slack or the sum of the squared decodes
+    that is not finite (a sample so large that the step or its scores
+    overflow) raises ValueError, and k and the history stay as they were.
     """
     model = mon.model
     u_vec = as_vector(u_k, model.m, "u_k")
@@ -158,16 +174,23 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     magnitude = np.abs(deviation)
     named = None
     if np.count_nonzero(magnitude <= mon.tol.residual) != n_sensors:
-        named = ~(magnitude <= model.slacks(column, mon.tol))
-    scores = tuple(np.sqrt(mon.members @ (deviation * deviation)).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            slack = model.slacks(column, mon.tol)
+            energy = deviation @ deviation
+        if not (np.isfinite(energy) and np.isfinite(slack).all()):
+            raise ValueError("the sample (u_k, y_new) overflows the injection step: a slack "
+                             "or the scores are not finite")
+        named = ~(magnitude <= slack)
     column[outputs:inputs] -= deviation
     column[:outputs] = column[n_sensors:inputs]
     column[inputs:-m] = column[inputs + m:]
     mon.k += 1
+    decode = tuple(deviation.tolist())
     if named is None or not np.count_nonzero(named):
-        return IdentificationVerdict(mon.k, "injection", model.subsets, scores,
-                                     mon.clear_winners)
-    return _verdict(mon.k, "injection", model.subsets, scores, (mon.members @ named == 0).tolist())
+        return IdentificationVerdict(mon.k, "injection", model.subsets, decode,
+                                     mon.clear_winners, model.members)
+    return _verdict(mon.k, "injection", model.subsets, decode,
+                    (model.members @ named == 0).tolist(), model.members)
 
 
 def run_injection(mon: InjectionMonitor, u, y) -> IdentificationVerdict:
@@ -232,16 +255,20 @@ def _screen_clear_steps(model: DataDrivenModel, traj: Trajectory, tol: Tolerance
     there; with its own rounding the step's |a_i| stays under 2 beta_i, an
     eighth of s_i, so it clears too, its history the recorded one to
     rounding. A slack under 16 beta_i clears nothing; at the first step past
-    beta, a deviation however small, the step loop takes over.
+    beta, a deviation however small, the step loop takes over. So it does
+    at a column whose slack overflows: there the step loop rejects the
+    sample (injection_step).
     """
     n, width = model.n, model.basis.shape[0]
     decoder = model.decoder
     gain = width * np.finfo(float).eps * np.sqrt(np.einsum("iw,iw->i", decoder, decoder))
     for part in blocks(n, traj.length - 1, width * 8):
         window = trajectory_hankel(traj, part.start - n, n + 1, part.stop - part.start)
-        bound = gain[:, None] * np.sqrt(np.einsum("wb,wb->b", window, window))
-        slack = model.slacks(window, tol)
-        unclear = ~((np.abs(decoder @ window) <= bound) & (16 * bound <= slack)).all(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = gain[:, None] * np.sqrt(np.einsum("wb,wb->b", window, window))
+            slack = model.slacks(window, tol)
+            clear = (np.abs(decoder @ window) <= bound) & (16 * bound <= slack)
+        unclear = ~(clear & np.isfinite(slack)).all(axis=0)
         if unclear.any():
             return part.start + int(unclear.argmax())
     return traj.length - 1

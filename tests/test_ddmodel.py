@@ -515,11 +515,12 @@ class TestLearnModel:
         _, traj = excited_benchmark_run()
         model = learn_model(traj, 1, 6, 41, pe_seed=7)
         assert model.basis.shape == (28, 13) and model.decoder.shape == (3, 28)
-        # the basis and the decoder, set at construction, are the only arrays;
-        # no lambda stack is kept, and nothing per subset is stored: the
-        # reports derive from the shape
+        # the basis, the decoder and the subsets' 0/1 membership matrix, set
+        # at construction, are the only arrays; no lambda stack is kept, and
+        # nothing per subset is learned: the reports derive from the shape
         assert {name for name, value in vars(model).items()
-                if isinstance(value, np.ndarray)} == {"basis", "decoder"}
+                if isinstance(value, np.ndarray)} == {"basis", "members", "decoder"}
+        assert np.array_equal(model.members, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
         assert {"residuals", "reports", "regressor", "target"}.isdisjoint(vars(model))
         assert all(np.shape(value) != (3, 18, 19) for value in vars(model).values())
         assert model.reports == (RankReport(13, 13, 19),) * 3
