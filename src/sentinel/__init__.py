@@ -48,7 +48,6 @@ from .attacks import (
     DelayAttack,
     InjectionAttack,
     ReplayAttack,
-    SensorSubset,
     apply_attack,
     enumerate_subsets,
     load_scenario,

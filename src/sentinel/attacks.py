@@ -25,30 +25,15 @@ class AttackBudgetError(ValueError):
     """A scenario touches more sensors than the configured budget allows."""
 
 
-@dataclass(frozen=True)
-class SensorSubset:
-    """A sorted set of sensor indices with its 1-based lexicographic id."""
-
-    id: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if not idx:
-            raise ValueError("a sensor subset cannot be empty")
-        if any(i < 1 for i in idx) or list(idx) != sorted(set(idx)):
-            raise ValueError(f"subset indices must be strictly increasing and >= 1, got {idx}")
-        object.__setattr__(self, "indices", idx)
-
-
-def enumerate_subsets(n_sensors: int, max_attacked: int) -> list[SensorSubset]:
-    """All cardinality-(N - M) sensor subsets in lexicographic order, ids 1-based."""
+def enumerate_subsets(n_sensors: int, max_attacked: int) -> tuple[tuple[int, ...], ...]:
+    """All cardinality-(N - M) sensor subsets in lexicographic order, each a
+    sorted tuple of 1-based sensor indices; a subset's id is its 1-based
+    position."""
     size = n_sensors - max_attacked
     if not 0 < size <= n_sensors:
         raise ValueError(
             f"need 0 < N - M <= N, got N={n_sensors}, M={max_attacked}")
-    combos = combinations(range(1, n_sensors + 1), size)
-    return [SensorSubset(j + 1, combo) for j, combo in enumerate(combos)]
+    return tuple(combinations(range(1, n_sensors + 1), size))
 
 
 @dataclass(frozen=True)

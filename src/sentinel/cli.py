@@ -1,6 +1,6 @@
 """Command-line front end: benchmark demos, learning, identification, I/O.
 
-All randomness derives from one seed (flag --seed, else the SENTINEL_SEED
+All randomness derives from one seed >= 0 (flag --seed, else the SENTINEL_SEED
 environment variable, else 7). Distinct uses draw from fixed offsets of
 that seed so every file a command writes is byte-reproducible:
 
@@ -189,7 +189,7 @@ def demo_replay(ss: StateSpace, model, seed: int, tol: Tolerance):
                            seed + OFF_REPLAY_FILL, tol)
     attacked = apply_attack(clean, scenario, max_attacked=BENCH_MAX_ATTACKED)
     verdict = identify_replay(attacked, BENCH_MAX_ATTACKED, model.n, BENCH_COLUMNS, tol)
-    ranks = {s.id: rank for s, rank in zip(verdict.subsets, verdict.scores)}
+    ranks = dict(enumerate(verdict.scores, 1))
     return (scenario, attacked, verdict, {}, verdict.winners == (1,),
             f"ranks={ranks} winners={verdict.winners} "
             f"attack_free={verdict.attack_free_sensors}")
@@ -297,14 +297,18 @@ def _tolerance(args) -> Tolerance:
 
 
 def _seed(args) -> int:
-    """--seed, else SENTINEL_SEED read as the command runs, else DEFAULT_SEED."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SENTINEL_SEED", str(DEFAULT_SEED))
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise _Failure(f"SENTINEL_SEED must be an integer, got {env!r}") from exc
+    """--seed, else SENTINEL_SEED read as the command runs, else DEFAULT_SEED;
+    numpy takes no negative seed, so one fails the command."""
+    source, seed = "--seed", args.seed
+    if seed is None:
+        source, env = "SENTINEL_SEED", os.environ.get("SENTINEL_SEED", str(DEFAULT_SEED))
+        try:
+            seed = int(env)
+        except ValueError as exc:
+            raise _Failure(f"SENTINEL_SEED must be an integer, got {env!r}") from exc
+    if seed < 0:
+        raise _Failure(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 TOL_FLAGS = {"--rank-tol": "scales the rank cutoff, rank_tol * max(rows, cols) * sigma_max",

@@ -8,20 +8,14 @@ block-Hankel (hankel_rows), and the injection monitor's state is one of
 its columns.
 """
 
-from __future__ import annotations
-
 import csv
 import json
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, numerical_rank
-
-if TYPE_CHECKING:
-    from .attacks import SensorSubset
 
 # seeded draws generate_pe_input makes before giving up
 PE_MAX_ATTEMPTS = 16
@@ -182,7 +176,7 @@ class SubsetDataMatrices:
     G serves them all; the S gathered stacks are never built.
     """
 
-    subsets: tuple[SensorSubset, ...]
+    subsets: tuple[tuple[int, ...], ...]
     hankel: np.ndarray
     regressor: np.ndarray
     order: int
@@ -204,7 +198,7 @@ def hankel_rows(n_sensors: int, subsets, n: int, m: int) -> np.ndarray:
     """S x (d + m) regressor rows of the depth-(n + 1) trajectory_hankel:
     row j picks input sample n, then subsets[j]'s history: its sensors'
     samples 0 .. n - 1, time-major, then the inputs' samples 0 .. n - 1."""
-    sensors = np.array([s.indices for s in subsets]) - 1
+    sensors = np.array(subsets) - 1
     count, q = sensors.shape
     outputs = (n_sensors * np.arange(n)[:, None] + sensors[:, None, :]).reshape(count, -1)
     inputs = np.broadcast_to(n_sensors * (n + 1) + np.arange((n + 1) * m), (count, (n + 1) * m))
@@ -216,21 +210,33 @@ def build_subset_matrices(traj: Trajectory, subsets, n: int,
     """Assemble the all-sensor Hankel and the hankel_rows of every subset
     with `columns` snapshots.
 
-    Requires n + columns recorded samples so that both the current and the
-    shifted history matrices come from one recording.
+    Each subset is a tuple of strictly increasing 1-based sensor indices, at
+    most the recording's output count, and all hold the same number of
+    sensors. Requires n + columns recorded samples so that both the current
+    and the shifted history matrices come from one recording.
     """
     if n < 1 or columns < 1:
         raise ValueError(f"order and columns must be positive, got {n}, {columns}")
     required = n + columns
     if traj.length < required:
         raise TrajectoryLengthError(traj.length, required)
-    subsets = tuple(subsets)
+    subsets = tuple(map(tuple, subsets))
     if not subsets:
         raise ValueError("no sensor subsets given")
-    if any(i > traj.output_dim for s in subsets for i in s.indices):
+    if len({len(s) for s in subsets}) != 1:
+        raise ValueError("sensor subsets must all hold the same number of sensors")
+    index = np.array(subsets)
+    if index.size == 0 or index.dtype.kind not in "iu":
+        raise ValueError(f"a sensor subset must be a non-empty tuple of integers, "
+                         f"got {subsets[0]}")
+    ordered = (index[:, 0] >= 1) & (index[:, 1:] > index[:, :-1]).all(axis=1)
+    if not ordered.all():
+        raise ValueError(f"subset indices must be strictly increasing and >= 1, "
+                         f"got {subsets[np.argmin(ordered)]}")
+    if index[:, -1].max() > traj.output_dim:
         raise ValueError(f"a subset names a sensor beyond the {traj.output_dim} recorded")
     return SubsetDataMatrices(subsets, trajectory_hankel(traj, 0, n + 1, columns),
-                              hankel_rows(traj.output_dim, subsets, n, traj.input_dim),
+                              hankel_rows(traj.output_dim, index, n, traj.input_dim),
                               n, columns, traj.input_dim)
 
 

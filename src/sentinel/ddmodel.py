@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attacks import SensorSubset, enumerate_subsets
+from .attacks import enumerate_subsets
 from .datamat import (
     SubsetDataMatrices,
     Trajectory,
@@ -78,7 +78,7 @@ class LearningError(RuntimeError):
         self.failures = tuple(failures)
         self.subset, self.report = self.failures[0][:2]
         super().__init__("\n".join(
-            f"subset {subset.indices}: {reason}" for subset, _, reason in self.failures))
+            f"subset {subset}: {reason}" for subset, _, reason in self.failures))
 
 
 class _BasisError(ValueError):
@@ -243,12 +243,12 @@ class DataDrivenModel:
     max_attacked: int
     columns: int
     pe_seed: Optional[int] = None
-    subsets: tuple[SensorSubset, ...] = field(init=False)
+    subsets: tuple[tuple[int, ...], ...] = field(init=False)
     members: np.ndarray = field(init=False, repr=False)
     decoder: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        subsets = tuple(enumerate_subsets(self.n_sensors, self.max_attacked))
+        subsets = enumerate_subsets(self.n_sensors, self.max_attacked)
         shape = ((self.n_sensors + self.m) * (self.n + 1), certifying_rank(self.m, self.n))
         basis = np.ascontiguousarray(self.basis, dtype=float)
         if basis.shape != shape or not np.isfinite(basis).all():
@@ -259,7 +259,7 @@ class DataDrivenModel:
         if not error <= bound:
             raise _BasisError(f"basis is not orthonormal: max |U^T U - I| is {error:.3g}, "
                               f"above 10 W eps = {bound:.3g}")
-        sensors = np.array([s.indices for s in subsets]) - 1
+        sensors = np.array(subsets) - 1
         members = np.zeros((len(subsets), self.n_sensors))
         np.put_along_axis(members, sensors, 1.0, axis=1)
         members.flags.writeable = False
@@ -310,7 +310,7 @@ def learn_model(traj: Trajectory, max_attacked: int, n: int, columns: int,
         np.maximum(ratios, ratio.max(axis=1), out=ratios)
     failures = []
     for subset, report in zip(model.subsets, reports):
-        sensor = next((i for i in subset.indices if not ratios[i - 1] <= 1.0), None)
+        sensor = next((i for i in subset if not ratios[i - 1] <= 1.0), None)
         if sensor is not None:
             failures.append((subset, report,
                              f"data rank {report.observed} meets the certifying rank, but the "

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attacks import SensorSubset, enumerate_subsets
+from .attacks import enumerate_subsets
 from .datamat import (
     ExcitationError,
     Trajectory,
@@ -46,8 +46,9 @@ class IdentificationVerdict:
     """Outcome of one identification step or batch test.
 
     scores[j] is the score of candidate subsets[j] (a sensor subset, or a
-    single sensor): an int for a replay rank or a finite delay offset, else
-    a float; winners holds the ids of the best-scoring candidates at
+    single sensor, as a tuple of 1-based sensor indices): an int for a
+    replay rank or a finite delay offset, else a float; winners holds the
+    ids, 1-based positions in subsets, of the best-scoring candidates at
     tolerance. attack_free_sensors and all_clear derive from them.
 
     A replay or delay verdict stores its scores as values. An injection
@@ -59,7 +60,7 @@ class IdentificationVerdict:
 
     k: int
     mode: str
-    subsets: tuple[SensorSubset, ...]
+    subsets: tuple[tuple[int, ...], ...]
     values: tuple[float, ...]
     winners: tuple[int, ...]
     members: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
@@ -75,8 +76,7 @@ class IdentificationVerdict:
     @property
     def attack_free_sensors(self) -> tuple[int, ...]:
         """The sorted union of the winners' sensor indices."""
-        won = set(self.winners)
-        return tuple(sorted({i for s in self.subsets if s.id in won for i in s.indices}))
+        return tuple(sorted({i for j in self.winners for i in self.subsets[j - 1]}))
 
     @property
     def all_clear(self) -> bool:
@@ -87,7 +87,7 @@ class IdentificationVerdict:
 def _verdict(k: int, mode: str, subsets, values, wins, members=None) -> IdentificationVerdict:
     """Verdict over candidates in id order; wins[j] marks subsets[j] a winner."""
     return IdentificationVerdict(k, mode, tuple(subsets), tuple(values),
-                                 tuple(s.id for s, won in zip(subsets, wins) if won), members)
+                                 tuple(j for j, won in enumerate(wins, 1) if won), members)
 
 
 @dataclass
@@ -115,7 +115,7 @@ class InjectionMonitor:
         model = self.model
         width = (model.n_sensors + model.m) * (model.n + 1)
         self.column = as_vector(self.column, width, "column").copy()
-        self.clear_winners = tuple(s.id for s in model.subsets)
+        self.clear_winners = tuple(range(1, len(model.subsets) + 1))
 
 
 def injection_bootstrap(model: DataDrivenModel, u_history, y_history,
@@ -288,6 +288,7 @@ def identify_replay(traj: Trajectory, max_attacked: int, n: int, t1: int,
     it exceed the certifying rank: the test names delayed sensors too.
     """
     n_sensors, m = traj.output_dim, traj.input_dim
+    subsets = enumerate_subsets(n_sensors, max_attacked)
     order = excitation_order(m, n_sensors - max_attacked, n)
     if t1 < (m + 1) * order:
         raise ExcitationError(
@@ -298,7 +299,6 @@ def identify_replay(traj: Trajectory, max_attacked: int, n: int, t1: int,
     if not is_persistently_exciting(window, order, tol):
         raise ExcitationError(
             f"test input window is not persistently exciting of order {order}", order)
-    subsets = enumerate_subsets(n_sensors, max_attacked)
     reports = rank_condition(build_subset_matrices(traj, subsets, n, t1), tol)
     return _verdict(traj.start_index, "replay", subsets,
                     [r.observed for r in reports], [r.holds for r in reports])
@@ -341,7 +341,7 @@ def identify_delay(y_impulse, rel_degrees) -> IdentificationVerdict:
     if all(t is None for t in timings):
         raise NoResponseError("no sensor responded to the impulse")
     slacks = [np.inf if t is None else int(t - r) for t, r in zip(timings, rel_degrees)]
-    sensors = [SensorSubset(j, (j,)) for j in range(1, n_sensors + 1)]
+    sensors = [(j,) for j in range(1, n_sensors + 1)]
     best = min(slacks)
     return _verdict(0, "delay", sensors, slacks, [s == best for s in slacks])
 
@@ -352,9 +352,9 @@ def verdict_to_dict(verdict: IdentificationVerdict) -> dict:
     return {
         "k": verdict.k,
         "mode": verdict.mode,
-        "per_subset": [{"id": subset.id, "indices": list(subset.indices),
+        "per_subset": [{"id": j, "indices": list(verdict.subsets[j - 1]),
                         key: value if np.isfinite(value) else None}
-                       for subset, value in zip(verdict.subsets, verdict.scores)],
+                       for j, value in enumerate(verdict.scores, 1)],
         "winners": list(verdict.winners),
         "attack_free_sensors": list(verdict.attack_free_sensors),
         "all_clear": verdict.all_clear,

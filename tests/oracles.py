@@ -38,7 +38,6 @@ from typing import Optional
 
 import numpy as np
 
-from sentinel.attacks import SensorSubset
 from sentinel.datamat import SubsetDataMatrices, Trajectory, hankel
 from sentinel.ddmodel import DataDrivenModel
 from sentinel.identify import IdentificationVerdict, _verdict
@@ -187,7 +186,7 @@ class RankOracleReport:
     bound_holds: bool
 
 
-def rank_obsv_oracle(ss: StateSpace, subset: SensorSubset, n: int, traj: Trajectory,
+def rank_obsv_oracle(ss: StateSpace, subset: tuple[int, ...], n: int, traj: Trajectory,
                      columns: Optional[int] = None,
                      tol: Tolerance = DEFAULT_TOL) -> RankOracleReport:
     """Build the observability/Toeplitz factors of the depth-n output Hankel
@@ -197,7 +196,7 @@ def rank_obsv_oracle(ss: StateSpace, subset: SensorSubset, n: int, traj: Traject
     C_sub A^{i-l-1} B for l < i and zero otherwise (first block row and
     last block column are zero).
     """
-    rows = [i - 1 for i in subset.indices]
+    rows = [i - 1 for i in subset]
     c_sub = ss.C[rows, :]
     q = len(rows)
     if columns is None:
@@ -252,9 +251,9 @@ def reference_injection_bootstrap(model: DataDrivenModel, u_history, y_history,
     u_hist = as_matrix(u_history, "u_history")
     y_hist = as_matrix(y_history, "y_history")
     states = {}
-    for subset in model.subsets:
-        z_hist = y_hist[[i - 1 for i in subset.indices], :]
-        states[subset.id] = reference_history(z_hist, u_hist)
+    for j, subset in enumerate(model.subsets, 1):
+        z_hist = y_hist[[i - 1 for i in subset], :]
+        states[j] = reference_history(z_hist, u_hist)
     return ReferenceMonitor(model, states, model.n, model_lambda(model), tol)
 
 
@@ -273,19 +272,19 @@ def reference_injection_step(mon: ReferenceMonitor, u_k, y_new) -> Identificatio
     n, m = model.n, model.m
     scores, named, seen, observed_states = [], set(), set(), {}
     for j, subset in enumerate(model.subsets):
-        q = len(subset.indices)
-        state = mon.states[subset.id]
+        q = len(subset)
+        state = mon.states[j + 1]
         predicted = mon.lam[j] @ np.concatenate([u_vec, state])
         observed = np.empty_like(state)
         # shift the output block and append the newest subset measurement
         observed[: (n - 1) * q] = state[q: n * q]
-        observed[(n - 1) * q: n * q] = y_vec[[i - 1 for i in subset.indices]]
+        observed[(n - 1) * q: n * q] = y_vec[[i - 1 for i in subset]]
         observed[n * q: n * q + (n - 1) * m] = state[n * q + m:]
         observed[n * q + (n - 1) * m:] = u_vec
         newest = slice((n - 1) * q, n * q)
         deviation = observed[newest] - predicted[newest]
         scores.append(float(np.linalg.norm(deviation)))
-        for position, sensor in enumerate(subset.indices):
+        for position, sensor in enumerate(subset):
             if sensor not in seen:
                 seen.add(sensor)
                 samples = observed[position: n * q: q]
@@ -293,10 +292,10 @@ def reference_injection_step(mon: ReferenceMonitor, u_k, y_new) -> Identificatio
                 if not abs(deviation[position]) <= slack:
                     named.add(sensor)
         observed[newest] = predicted[newest]
-        observed_states[subset.id] = observed
+        observed_states[j + 1] = observed
     mon.states = observed_states
     mon.k += 1
-    wins = [named.isdisjoint(subset.indices) for subset in model.subsets]
+    wins = [named.isdisjoint(subset) for subset in model.subsets]
     return _verdict(mon.k, "injection", model.subsets, scores, wins)
 
 
@@ -341,7 +340,7 @@ def reference_hankel_rows(n_sensors: int, subsets, n: int,
     N (n + 1) + t m + k - 1."""
     regressor, target = [], []
     for subset in subsets:
-        sensors = np.array(subset.indices) - 1
+        sensors = np.array(subset) - 1
         outputs = [n_sensors * t + sensors for t in range(n + 1)]
         inputs = [n_sensors * (n + 1) + t * m + np.arange(m) for t in range(n + 1)]
         regressor.append(np.concatenate([inputs[n]] + outputs[:n] + inputs[:n]))

@@ -105,7 +105,7 @@ def test_criterion_01_injection_reproduction():
     ss, model, traj = _benchmark_model()
     # the ranks the recording the model learned from reaches, measured again
     reports = rank_condition(build_subset_matrices(traj, model.subsets, N_STATES, COLUMNS))
-    observed = {s.indices: r.observed for s, r in zip(model.subsets, reports)}
+    observed = {s: r.observed for s, r in zip(model.subsets, reports)}
     attainable = {s: _attainable_rank(ss, s) for s in observed}
 
     onset = N_STATES + 10
@@ -135,7 +135,7 @@ def test_criterion_01_injection_reproduction():
             break
     u_rec = np.hstack(u_all)
     y_rec = np.hstack(y_all)
-    scores = {s.indices: score for s, score in zip(verdict.subsets, verdict.scores)}
+    scores = {s: score for s, score in zip(verdict.subsets, verdict.scores)}
     window = slice(detect_k - N_STATES + 1, detect_k + 1)
     # subset {1, 2}'s next history: its outputs, time-major, then the inputs
     clean_state = np.concatenate([y_rec[[0, 1], window].T.reshape(-1),
@@ -205,7 +205,7 @@ def test_criterion_04_replay_reproduction():
                           SEED + 606, DEFAULT_TOL)
     attacked = apply_attack(traj, ReplayAttack({3: 0.01}), max_attacked=1)
     verdict = identify_replay(attacked, 1, N_STATES, COLUMNS)
-    ranks = {s.indices: int(rank) for s, rank in zip(verdict.subsets, verdict.scores)}
+    ranks = {s: int(rank) for s, rank in zip(verdict.subsets, verdict.scores)}
     attainable = {s: _attainable_rank(ss, s) for s in ranks}
     elapsed = time.perf_counter() - t0
     checks = {
@@ -246,13 +246,13 @@ def test_criterion_05_representation_exactness():
             rel = np.max(np.abs(lam @ regressors - targets)) / (1.0 + np.max(np.abs(targets)))
             worst_prediction = max(worst_prediction, float(rel))
             sub_ss = StateSpace(ss.A, ss.B,
-                                np.asarray(ss.C)[[s - 1 for s in subset.indices]])
+                                np.asarray(ss.C)[[s - 1 for s in subset]])
             ext = extended_state_space(ss_to_arx(sub_ss))
             generator = np.hstack([ext.B_ext, ext.A_ext])
             scale = 1.0 + float(np.max(np.abs(generator)))
             # orthonormal basis of the regressor subspace the data span
             regressor = gathered_stacks(train)[0][0]
-            basis = np.linalg.svd(regressor)[0][:, :_attainable_rank(ss, subset.indices)]
+            basis = np.linalg.svd(regressor)[0][:, :_attainable_rank(ss, subset)]
             gap = float(np.max(np.abs((lam - generator) @ basis))) / scale
             worst_subspace_by_q[q] = max(worst_subspace_by_q.get(q, 0.0), gap)
             if q == 1:
@@ -283,7 +283,7 @@ def test_criterion_06_lag_recursion_oracle():
         u = rng.uniform(-1, 1, (1, n + 60))
         for subset in enumerate_subsets(n_sensors, 1):
             sub_ss = StateSpace(ss.A, ss.B,
-                                np.asarray(ss.C)[[s - 1 for s in subset.indices]])
+                                np.asarray(ss.C)[[s - 1 for s in subset]])
             arx = ss_to_arx(sub_ss)
             _, z = simulate(sub_ss, np.zeros(n), u)
             scale = 1.0 + np.max(np.abs(z))
@@ -328,11 +328,11 @@ def test_criterion_07_unobservable_subset_rank_deficiency():
         traj = Trajectory(u, y)
         for subset in enumerate_subsets(3, 1):
             report = rank_condition(build_subset_matrices(traj, (subset,), n, columns))[0]
-            good = (report.observed == _attainable_rank(ss, subset.indices)
-                    and report.holds == (subset.indices != (1, 2)))
+            good = (report.observed == _attainable_rank(ss, subset)
+                    and report.holds == (subset != (1, 2)))
             if not good:
                 all_good = False
-                detail = (i, subset.indices, report)
+                detail = (i, subset, report)
     checks = {
         "every subset observes the attainable rank m(n+1) + rank(O_s) (4 "
         "for the unobservable pair, 5 otherwise), so the unobservable pair "

@@ -8,7 +8,6 @@ from sentinel.attacks import (
     DelayAttack,
     InjectionAttack,
     ReplayAttack,
-    SensorSubset,
     apply_attack,
     enumerate_subsets,
     load_scenario,
@@ -26,25 +25,13 @@ def benchmark_run(seed=7, length=30):
     return ss, Trajectory(u, y)
 
 
-class TestSensorSubset:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SensorSubset(1, ())
-        with pytest.raises(ValueError):
-            SensorSubset(1, (2, 1))
-        with pytest.raises(ValueError):
-            SensorSubset(1, (0, 1))
-
-
 class TestEnumerateSubsets:
     def test_three_choose_two(self):
-        subs = enumerate_subsets(3, 1)
-        assert [s.indices for s in subs] == [(1, 2), (1, 3), (2, 3)]
-        assert [s.id for s in subs] == [1, 2, 3]
+        # a tuple of index tuples; a subset's id is its 1-based position
+        assert enumerate_subsets(3, 1) == ((1, 2), (1, 3), (2, 3))
 
     def test_zero_budget_single_subset(self):
-        subs = enumerate_subsets(4, 0)
-        assert len(subs) == 1 and subs[0].indices == (1, 2, 3, 4)
+        assert enumerate_subsets(4, 0) == ((1, 2, 3, 4),)
 
     def test_binomial_count(self):
         assert len(enumerate_subsets(4, 2)) == 6

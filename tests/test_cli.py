@@ -384,6 +384,14 @@ class TestIdentify:
             ["identify", "replay", str(replay_demo / "online.csv")], capsys,
             "the following arguments are required: --n, --max-attacked, --test-len")
 
+    @pytest.mark.parametrize("budget", ["3", "5", "-1"])
+    def test_replay_budget_checked_first(self, replay_demo, capsys, budget):
+        code = main(["identify", "replay", str(replay_demo / "online.csv"),
+                     "--n", "6", "--max-attacked", budget, "--test-len", "41"])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"precondition failed: need 0 < N - M <= N, got N=3, M={budget}\n")
+
     def test_replay_non_exciting_stream(self, tmp_path, capsys):
         traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
         path = tmp_path / "flat.csv"
@@ -784,6 +792,36 @@ class TestSeedPlumbing:
                      ["simulate", "--model", str(plant_path), "--out", str(tmp_path / "r.csv")]):
             assert main(argv) == 1
             assert capsys.readouterr() == ("", "SENTINEL_SEED must be an integer, got 'abc'\n")
+
+    @pytest.mark.parametrize("command, env, flag, message", [
+        ("demo", None, "-5", "--seed must be non-negative, got -5"),
+        ("demo", "-900", None, "SENTINEL_SEED must be non-negative, got -900"),
+        ("demo", "7", "-1", "--seed must be non-negative, got -1"),
+        ("simulate", None, "-800", "--seed must be non-negative, got -800"),
+        ("simulate", None, "-707", "--seed must be non-negative, got -707"),
+        ("simulate", "-900", None, "SENTINEL_SEED must be non-negative, got -900"),
+        ("simulate", "-1", None, "SENTINEL_SEED must be non-negative, got -1"),
+    ])
+    def test_negative_seed_rejected(self, monkeypatch, tmp_path, capsys, command, env, flag,
+                                    message):
+        """numpy takes no negative seed, and simulate's +707 offset must not
+        let -707 .. -1 through: exit 1 with one stderr line, write nothing."""
+        if env is None:
+            monkeypatch.delenv("SENTINEL_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SENTINEL_SEED", env)
+        plant_path = tmp_path / "plant.json"
+        save_state_space(benchmark_plant(), plant_path)
+        out = tmp_path / "out"
+        argv = {"demo": ["demo", "injection", "--out", str(out)],
+                "simulate": ["simulate", "--model", str(plant_path), "--out", str(out)]}[command]
+        assert main(argv + (["--seed", flag] if flag else [])) == 1
+        assert capsys.readouterr() == ("", message + "\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plant.json"]
+
+    def test_seed_zero_accepted(self, monkeypatch, tmp_path):
+        runs = [("0", []), ("5", ["--seed", "0"])]
+        assert self.demo_seeds(monkeypatch, tmp_path, runs) == [0, 0]
 
     @pytest.mark.parametrize("argv", [
         ["learn", "{inj}/offline.csv", "--n", "6", "--max-attacked", "1", "--horizon", "41",

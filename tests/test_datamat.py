@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sentinel.attacks import SensorSubset, enumerate_subsets
+from sentinel.attacks import enumerate_subsets
 from sentinel.datamat import (
     ExcitationError,
     Trajectory,
@@ -135,7 +135,7 @@ class TestGeneratePEInput:
 class TestBuildSubsetMatrices:
     def test_tiny_example_unrolled(self):
         traj = Trajectory([[10.0, 11.0, 12.0]], [[1.0, 2.0, 3.0]])
-        subset = SensorSubset(1, (1,))
+        subset = (1,)
         mats = build_subset_matrices(traj, (subset,), 1, 2)
         assert mats.subsets == (subset,)
         regressors, targets = gathered_stacks(mats)
@@ -159,12 +159,32 @@ class TestBuildSubsetMatrices:
     def test_too_short_raises_with_minimum(self):
         traj = Trajectory([[1.0, 2.0]], [[1.0, 2.0]])
         with pytest.raises(TrajectoryLengthError) as err:
-            build_subset_matrices(traj, (SensorSubset(1, (1,)),), 1, 2)
+            build_subset_matrices(traj, ((1,),), 1, 2)
         assert err.value.required == 3
 
     def test_no_subsets_rejected(self):
         with pytest.raises(ValueError, match="no sensor subsets"):
             build_subset_matrices(benchmark_run(), (), 6, 41)
+
+    @pytest.mark.parametrize("subsets, message", [
+        (((),), "non-empty tuple of integers"),
+        (((2, 1),), r"strictly increasing and >= 1, got \(2, 1\)"),
+        (((0, 1),), r"strictly increasing and >= 1, got \(0, 1\)"),
+        (((1, 1),), r"strictly increasing and >= 1, got \(1, 1\)"),
+        (((1, 2), (3, 2)), r"strictly increasing and >= 1, got \(3, 2\)"),
+        (((1, 2), (1,)), "same number of sensors"),
+        (((1,), (1, 2, 3)), "same number of sensors"),
+        (((1.0, 2.0),), "non-empty tuple of integers"),
+    ])
+    def test_malformed_subset_rejected(self, subsets, message):
+        with pytest.raises(ValueError, match=message):
+            build_subset_matrices(benchmark_run(), subsets, 6, 41)
+
+    def test_subsets_are_kept_as_tuples(self):
+        mats = build_subset_matrices(benchmark_run(), [[1, 3], (2, 3)], 6, 41)
+        assert mats.subsets == ((1, 3), (2, 3))
+        np.testing.assert_array_equal(mats.regressor,
+                                      hankel_rows(3, ((1, 3), (2, 3)), 6, 1))
 
     def test_sensor_beyond_recording_rejected(self):
         traj = benchmark_run()
@@ -177,7 +197,7 @@ class TestBuildSubsetMatrices:
         subsets = enumerate_subsets(3, 1)
         regressors, targets = gathered_stacks(build_subset_matrices(traj, subsets, n, 10))
         for j, subset in enumerate(subsets):
-            z = traj.y[[i - 1 for i in subset.indices], :]
+            z = traj.y[[i - 1 for i in subset], :]
             for col in range(3):
                 expected = reference_history(z[:, col: col + n], traj.u[:, col: col + n])
                 np.testing.assert_array_equal(regressors[j, 1:, col], expected)
@@ -199,7 +219,7 @@ class TestHankelRows:
             target = reference_hankel_rows(4, subsets, n, m)[1]
             assert regressor.shape == (6, m + (2 + m) * n) and target.shape == (6, (2 + m) * n)
             for j, subset in enumerate(subsets):
-                z = traj.y[[i - 1 for i in subset.indices]]
+                z = traj.y[[i - 1 for i in subset]]
                 for c in range(cols):
                     history = reference_history(z[:, c: c + n], traj.u[:, c: c + n])
                     np.testing.assert_array_equal(hankel_all[regressor[j], c],

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentinel import datamat, ddmodel
-from sentinel.attacks import ReplayAttack, SensorSubset, apply_attack, enumerate_subsets
+from sentinel.attacks import ReplayAttack, apply_attack, enumerate_subsets
 from sentinel.datamat import (
     BLOCK_BYTES,
     Trajectory,
@@ -122,7 +122,7 @@ class TestRankCondition:
     def test_zero_input_fails(self):
         traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
         (report,) = rank_condition(
-            build_subset_matrices(traj, (SensorSubset(1, (1, 2)),), 6, 41))
+            build_subset_matrices(traj, ((1, 2),), 6, 41))
         assert report.observed == 0 and not report.holds
 
     def test_replay_attacked_fails_per_subset(self):
@@ -132,7 +132,7 @@ class TestRankCondition:
         observed = {}
         for j, report in enumerate(rank_condition(mats)):
             assert report.observed == numerical_rank(gathered_stacks(mats)[0][j])
-            observed[mats.subsets[j].indices] = (report.observed, report.holds)
+            observed[mats.subsets[j]] = (report.observed, report.holds)
         assert observed[(1, 2)] == (13, True)
         # constant rows both collapse directions and add one the plant
         # cannot produce, so attacked subsets miss 13 from either side
@@ -254,7 +254,7 @@ class TestLearnLambda:
         ss = StateSpace([[0.5]], [[1.0]], [[1.0]])
         u = np.random.default_rng(0).uniform(-1, 1, (1, 12))
         _, y = simulate(ss, np.zeros(1), u)
-        mats = build_subset_matrices(Trajectory(u, y), (SensorSubset(1, (1,)),), 1, 10)
+        mats = build_subset_matrices(Trajectory(u, y), ((1,),), 1, 10)
         (lam,), (report,) = learned_lambda(mats)
         expected = np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.0]])
         np.testing.assert_allclose(lam, expected, atol=1e-8)
@@ -276,11 +276,11 @@ class TestLearnLambda:
 
     def test_rank_failure_embeds_report(self):
         traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
-        mats = build_subset_matrices(traj, (SensorSubset(1, (1, 2)),), 6, 41)
+        mats = build_subset_matrices(traj, ((1, 2),), 6, 41)
         with pytest.raises(LearningError) as err:
             learn_lambda(mats)
         assert err.value.report.observed == 0
-        assert err.value.subset.indices == (1, 2)
+        assert err.value.subset == (1, 2)
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
     def test_one_svd_matches_pinv_and_rank_condition(self, plant):
@@ -331,7 +331,7 @@ class TestLearnLambda:
 
     def test_benchmark_fit_and_validation(self):
         ss, traj = excited_benchmark_run()
-        subset = SensorSubset(1, (1, 2))
+        subset = (1, 2)
         mats = build_subset_matrices(traj, (subset,), 6, 41)
         (lam,), _ = learned_lambda(mats)
         (stacked,), (following,) = gathered_stacks(mats)
@@ -347,7 +347,7 @@ class TestLearnLambda:
     def test_relearning_gives_same_predictor(self):
         _, traj_a = excited_benchmark_run(seed=7)
         _, traj_b = excited_benchmark_run(seed=99)
-        subset = SensorSubset(1, (1, 2))
+        subset = (1, 2)
         lam_a = learned_lambda(build_subset_matrices(traj_a, (subset,), 6, 41))[0][0]
         lam_b = learned_lambda(build_subset_matrices(traj_b, (subset,), 6, 41))[0][0]
         assert np.max(np.abs(lam_a - lam_b)) < 1e-8
@@ -364,7 +364,7 @@ class TestLearnLambda:
             _, y = simulate(ss, np.zeros(n), u)
             mats = build_subset_matrices(Trajectory(u, y), enumerate_subsets(2, 1), n, columns)
             for lam, subset in zip(learned_lambda(mats)[0], mats.subsets):
-                gen = generator_matrices(ss, [subset.indices[0] - 1])
+                gen = generator_matrices(ss, [subset[0] - 1])
                 assert np.max(np.abs(lam - gen)) < 1e-8
 
     def test_multi_sensor_subsets_match_generator_on_regressors(self):
@@ -378,7 +378,7 @@ class TestLearnLambda:
             columns = 2 * ((1 + 2) * n + 1) + 4
             u = rng.uniform(-1, 1, (1, n + columns))
             _, y = simulate(ss, np.zeros(n), u)
-            subset = SensorSubset(1, (1, 2))
+            subset = (1, 2)
             lam = learned_lambda(build_subset_matrices(Trajectory(u, y), (subset,), n,
                                                        columns))[0][0]
             gen = generator_matrices(ss, [0, 1])
@@ -524,15 +524,17 @@ class TestLearnModel:
         assert {"residuals", "reports", "regressor", "target"}.isdisjoint(vars(model))
         assert all(np.shape(value) != (3, 18, 19) for value in vars(model).values())
         assert model.reports == (RankReport(13, 13, 19),) * 3
+        assert model.subsets == ((1, 2), (1, 3), (2, 3))
         assert model.pe_seed == 7
 
     def test_zero_input_error_lists_every_subset_below_rank(self):
         traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
         with pytest.raises(LearningError) as err:
             learn_model(traj, 1, 6, 41)
-        assert [s.indices for s, _, _ in err.value.failures] == [(1, 2), (1, 3), (2, 3)]
-        assert err.value.subset.indices == (1, 2) and err.value.report.observed == 0
+        assert [s for s, _, _ in err.value.failures] == [(1, 2), (1, 3), (2, 3)]
+        assert err.value.subset == (1, 2) and err.value.report.observed == 0
         assert str(err.value).count("data rank 0 is below the certifying rank 13") == 3
+        assert str(err.value).startswith("subset (1, 2): rank certificate failed: data rank 0 ")
 
     def test_output_noise_error_says_rank_is_above(self):
         _, traj = excited_benchmark_run()
@@ -542,7 +544,7 @@ class TestLearnModel:
         assert err.value.report.observed == 19
         for subset, report, _ in err.value.failures:
             assert report.observed > report.required == 13
-            assert f"subset {subset.indices}: rank certificate failed: data rank " \
+            assert f"subset {subset}: rank certificate failed: data rank " \
                 f"{report.observed} is above the certifying rank 13" in str(err.value)
 
     @pytest.mark.parametrize("columns, sigma, outcome", [
@@ -584,7 +586,7 @@ class TestLearnModel:
         noisy = Trajectory(u, y + 3e-10 * np.random.default_rng(102).standard_normal(y.shape))
         with pytest.raises(LearningError) as err:
             learn_model(noisy, 1, 6, 1000)
-        assert [subset.indices for subset, _, _ in err.value.failures] == [(1, 2), (2, 3)]
+        assert [subset for subset, _, _ in err.value.failures] == [(1, 2), (2, 3)]
         assert str(err.value).count("meets the certifying rank, but the training misfit of "
                                     "sensor 2 reaches 1.") == 2
 
@@ -901,7 +903,7 @@ class TestModelFile:
 class TestRankOracle:
     def test_benchmark_observability_factor(self):
         ss, traj = excited_benchmark_run()
-        report = rank_obsv_oracle(ss, SensorSubset(1, (1, 2)), 6, traj, columns=41)
+        report = rank_obsv_oracle(ss, (1, 2), 6, traj, columns=41)
         assert report.rank_obs == 6
         assert report.bound_holds
 
@@ -916,7 +918,7 @@ class TestRankOracle:
         u = rng.uniform(-1, 1, (1, 30))
         _, y = simulate(ss, np.zeros(2), u)
         traj = Trajectory(u, y)
-        report = rank_obsv_oracle(ss, SensorSubset(1, (1, 2)), 2, traj)
+        report = rank_obsv_oracle(ss, (1, 2), 2, traj)
         n, q = 2, 2
         assert report.rank_obs < n
         assert report.observed_rank < n * q
@@ -926,7 +928,7 @@ class TestRankOracle:
         ss = StateSpace([[0.5]], [[1.0]], [[1.0], [2.0]])
         u = np.random.default_rng(3).uniform(-1, 1, (1, 10))
         _, y = simulate(ss, np.zeros(1), u)
-        report = rank_obsv_oracle(ss, SensorSubset(1, (1, 2)), 1, Trajectory(u, y))
+        report = rank_obsv_oracle(ss, (1, 2), 1, Trajectory(u, y))
         assert np.all(report.toeplitz == 0.0)
         assert report.rank_toeplitz == 0
 

@@ -23,7 +23,6 @@ from oracles import (
 from sentinel.attacks import (
     DelayAttack,
     ReplayAttack,
-    SensorSubset,
     apply_attack,
     enumerate_subsets,
 )
@@ -245,7 +244,7 @@ class TestInjectionStep:
         assert not verdict.all_clear
         assert verdict.winners == (1,)
         assert verdict.attack_free_sensors == (1, 2)
-        by_id = {s.id: score for s, score in zip(verdict.subsets, verdict.scores)}
+        by_id = dict(enumerate(verdict.scores, 1))
         assert by_id[1] < 1e-8
         assert by_id[2] >= delta * (1 - 1e-6)
         assert by_id[3] >= delta * (1 - 1e-6)
@@ -278,7 +277,7 @@ class TestInjectionStep:
             y_k[sensor - 1] += delta
             verdict = injection_step(monitor, rng.uniform(-1, 1, 1), y_k)
             for subset, score in zip(verdict.subsets, verdict.scores):
-                if sensor in subset.indices:
+                if sensor in subset:
                     assert score >= abs(delta) * (1 - 1e-6)
                 else:
                     assert score < 1e-8
@@ -437,7 +436,7 @@ def score_bounds(monitor, reference, u_k, y_k):
     model = monitor.model
     column = step_column(monitor, u_k, y_k)
     lam = reference.lam
-    states = np.array([reference.states[s.id] for s in model.subsets])
+    states = np.array([reference.states[j] for j, _ in enumerate(model.subsets, 1)])
     regressors = np.hstack([np.broadcast_to(u_k, (len(states), model.m)), states])
     drift = (np.linalg.norm(lam, ord=2, axis=(1, 2))
              * np.linalg.norm(histories(monitor) - states, axis=1))
@@ -465,8 +464,8 @@ def step_both(monitor, reference, u_k, y_k):
     assert monitor.k == reference.k
     # every step, the alarm step included, advances (and re-anchors) the
     # history as the reference does
-    for j, subset in enumerate(monitor.model.subsets):
-        assert (np.abs(histories(monitor)[j] - reference.states[subset.id]) <= bounds[j]).all()
+    for j, history in enumerate(histories(monitor), 1):
+        assert (np.abs(history - reference.states[j]) <= bounds[j - 1]).all()
     return verdict
 
 
@@ -535,8 +534,8 @@ def full_rule(monitor, u_k, y_k):
     model = monitor.model
     column = step_column(monitor, u_k, y_k)
     named = ~(np.abs(predict(model.decoder, column)) <= model.slacks(column, monitor.tol))
-    winners = tuple(s.id for s in model.subsets
-                    if not any(named[i - 1] for i in s.indices))
+    winners = tuple(j for j, s in enumerate(model.subsets, 1)
+                    if not any(named[i - 1] for i in s))
     return monitor.k + 1, winners, not named.any()
 
 
@@ -693,7 +692,7 @@ class TestBatchedMonitorMatchesReference:
             assert histories(monitor).shape == (len(model.subsets), (model.n_sensors
                                                                     - model.max_attacked + 1) * n)
             for j, subset in enumerate(model.subsets):
-                rows = [i - 1 for i in subset.indices]
+                rows = [i - 1 for i in subset]
                 window = slice(start, start + n)
                 np.testing.assert_allclose(histories(monitor)[j],
                                            reference_history(y[rows, window], u[:, window]),
@@ -936,7 +935,7 @@ class TestIdentifyInjection:
         assert identify._screen_clear_steps(model, traj, DEFAULT_TOL) == at
         monitor = InjectionMonitor(model, trajectory_hankel(traj, at - n, n + 1, 1)[:, 0], at)
         step = injection_step(monitor, traj.u[:, at], traj.y[:, at])
-        holding = [s.id - 1 for s in model.subsets if 3 in s.indices]
+        holding = [j - 1 for j, s in enumerate(model.subsets, 1) if 3 in s]
         ratio = np.array(step.scores)[holding] / slack
         np.testing.assert_allclose(ratio, factor, rtol=1e-6)
         verdict = identify_injection(model, traj)
@@ -967,7 +966,7 @@ class TestIdentifyInjection:
             assert injection_step(probe, clean.u[:, at], clean.y[:, at]).all_clear
             slack = DEFAULT_TOL.residual * (1 + np.linalg.norm(histories(probe), axis=1))
             for sensor in range(1, model.n_sensors + 1):
-                holding = [s.id - 1 for s in model.subsets if sensor in s.indices]
+                holding = [j - 1 for j, s in enumerate(model.subsets, 1) if sensor in s]
                 traj = offset_stream(ss, model, 60, seed, sensor, at,
                                      factor * slack[holding].min())
                 verdict = step_loop_verdict(model, traj)
@@ -1076,7 +1075,7 @@ class TestIdentifyReplay:
         assert not verdict.all_clear
         assert verdict.winners == (1,)
         assert verdict.attack_free_sensors == (1, 2)
-        by_id = {s.id: int(score) for s, score in zip(verdict.subsets, verdict.scores)}
+        by_id = {j: int(score) for j, score in enumerate(verdict.scores, 1)}
         assert by_id[1] == 13
         assert by_id[2] != 13 and by_id[3] != 13
 
@@ -1093,10 +1092,19 @@ class TestIdentifyReplay:
                 attacked = apply_attack(traj, ReplayAttack({sensor: constant}))
                 verdict = identify_replay(attacked, 1, 6, 41)
                 for subset, score in zip(verdict.subsets, verdict.scores):
-                    if sensor in subset.indices:
+                    if sensor in subset:
                         assert score != 13, (sensor, constant, subset)
                     else:
                         assert score == 13, (sensor, constant, subset)
+
+    @pytest.mark.parametrize("max_attacked", [3, 5, -1])
+    def test_budget_checked_first(self, max_attacked):
+        # an impossible budget M names itself before the window's excitation
+        # checks, which would read a negative order or depth from it
+        traj = excited_run(benchmark_plant(), 6, 41, 19, 21)
+        with pytest.raises(ValueError,
+                           match=rf"^need 0 < N - M <= N, got N=3, M={max_attacked}$"):
+            identify_replay(traj, max_attacked, 6, 41)
 
     def test_non_exciting_input_rejected(self):
         ss = benchmark_plant()
@@ -1143,8 +1151,9 @@ class TestIdentifyReplay:
         order = (1 + n_sensors - max_attacked) * 6 + 1
         verdict = identify_replay(excited_run(ss, 6, 2 * order, order, 5), max_attacked, 6,
                                   2 * order)
-        assert verdict.subsets == tuple(enumerate_subsets(n_sensors, max_attacked))
-        assert verdict.all_clear and verdict.winners == tuple(s.id for s in verdict.subsets)
+        assert verdict.subsets == enumerate_subsets(n_sensors, max_attacked)
+        assert verdict.all_clear and verdict.winners == tuple(
+            j for j, _ in enumerate(verdict.subsets, 1))
 
 
 class TestFirstResponse:
@@ -1190,14 +1199,14 @@ class TestIdentifyDelay:
         verdict = identify_delay(y, degrees)
         assert verdict.winners == (1, 3)
         assert verdict.attack_free_sensors == (1, 3)
-        by_id = {s.id: score for s, score in zip(verdict.subsets, verdict.scores)}
+        by_id = dict(enumerate(verdict.scores, 1))
         assert (by_id[1], by_id[2], by_id[3]) == (0.0, 5.0, 0.0)
 
     def test_delay_on_first_sensor(self):
         y, degrees = self.delayed_impulse((1, 0, 0))
         verdict = identify_delay(y, degrees)
         assert verdict.winners == (2, 3)
-        by_id = {s.id: score for s, score in zip(verdict.subsets, verdict.scores)}
+        by_id = dict(enumerate(verdict.scores, 1))
         assert by_id[1] == 1.0
 
     def test_impulse_scale_invariance(self):
@@ -1235,7 +1244,7 @@ class TestIdentifyDelay:
 
 
 class TestVerdictFields:
-    SUBSETS = (SensorSubset(1, (1, 2)), SensorSubset(2, (1, 3)), SensorSubset(3, (2, 3)))
+    SUBSETS = ((1, 2), (1, 3), (2, 3))
 
     def test_only_decisions_are_stored(self):
         # values holds the scores, or an injection step's decode with members
@@ -1263,10 +1272,19 @@ class TestVerdictFields:
         assert not hasattr(monitor, "clear_sensors")
         assert not hasattr(monitor, "members")
 
+    def test_injection_verdicts_share_the_model_subsets(self):
+        # one tuple of index tuples, built once per model; ids are positions
+        ss, model = benchmark_model()
+        monitor, x = online_setup(ss, model)
+        u_k = np.array([0.3])
+        verdict = injection_step(monitor, u_k, ss.C @ x)
+        assert verdict.subsets is model.subsets == ((1, 2), (1, 3), (2, 3))
+        assert verdict.winners == monitor.clear_winners == (1, 2, 3)
+
 
 def loop_members(model):
     """The S x N membership matrix, built from the subsets one entry at a time."""
-    return np.array([[i in s.indices for i in range(1, model.n_sensors + 1)]
+    return np.array([[i in s for i in range(1, model.n_sensors + 1)]
                      for s in model.subsets], dtype=float)
 
 
@@ -1354,7 +1372,7 @@ class TestVerdictSerialization:
         assert all("residual" in entry for entry in payload["per_subset"])
 
     def test_non_finite_injection_score_is_null(self):
-        subsets = (SensorSubset(1, (1, 2)), SensorSubset(2, (1, 3)))
+        subsets = ((1, 2), (1, 3))
         payload = verdict_to_dict(IdentificationVerdict(
             9, "injection", subsets, (float("inf"), 0.5), (2,)))
         assert [entry["residual"] for entry in payload["per_subset"]] == [None, 0.5]
