@@ -57,7 +57,6 @@ from .attacks import (
 from .ddmodel import (
     DataDrivenModel,
     LearningError,
-    RankReport,
     certifying_rank,
     learn_lambda,
     learn_model,

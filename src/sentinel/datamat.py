@@ -171,7 +171,8 @@ class SubsetDataMatrices:
         W x T with W = (N + m)(n + 1); column c holds samples c .. c + n.
     regressor: S x (d + m) rows of G (hankel_rows); G[regressor[j]] is
         subsets[j]'s stacked data [u_now; history] at times n .. n + T - 1.
-    input_dim: the input count m.
+    order: the plant order n; input_dim: the input count m. T is
+        hankel.shape[1].
     Every subset's data are row selections of G, so one factorization of
     G serves them all; the S gathered stacks are never built.
     """
@@ -180,7 +181,6 @@ class SubsetDataMatrices:
     hankel: np.ndarray
     regressor: np.ndarray
     order: int
-    columns: int
     input_dim: int
 
     def __post_init__(self):
@@ -237,7 +237,7 @@ def build_subset_matrices(traj: Trajectory, subsets, n: int,
         raise ValueError(f"a subset names a sensor beyond the {traj.output_dim} recorded")
     return SubsetDataMatrices(subsets, trajectory_hankel(traj, 0, n + 1, columns),
                               hankel_rows(traj.output_dim, index, n, traj.input_dim),
-                              n, columns, traj.input_dim)
+                              n, traj.input_dim)
 
 
 def write_json(payload, path) -> None:

@@ -47,36 +47,16 @@ from .datamat import (
 from .linalg import DEFAULT_TOL, Tolerance, as_integer, rank_cutoff
 
 
-@dataclass(frozen=True)
-class RankReport:
-    """Rank certificate for one subset's stacked data matrix.
-
-    observed: numerical rank of [current inputs; histories].
-    required: m(n+1) + n, the exactness-certifying rank.
-    rows: m(n+1) + q*n, the row count (full row rank is unattainable for
-        q >= 2; see module docstring).
-    """
-
-    observed: int
-    required: int
-    rows: int
-
-    @property
-    def holds(self) -> bool:
-        """True when the data certify: observed == required."""
-        return self.observed == self.required
-
-
 class LearningError(RuntimeError):
     """Raised when data does not certify an exact predictor.
 
-    failures holds one (subset, report, reason) triple per failing subset;
-    subset and report name the first of them.
+    failures holds one (subset, rank, reason) triple per failing subset,
+    rank being its observed data rank; subset and rank name the first of them.
     """
 
     def __init__(self, failures):
         self.failures = tuple(failures)
-        self.subset, self.report = self.failures[0][:2]
+        self.subset, self.rank = self.failures[0][:2]
         super().__init__("\n".join(
             f"subset {subset}: {reason}" for subset, _, reason in self.failures))
 
@@ -100,11 +80,11 @@ def _factor(mats: SubsetDataMatrices) -> np.ndarray:
 
 
 def _certificate(mats: SubsetDataMatrices, tol: Tolerance
-                 ) -> tuple[np.ndarray, tuple[RankReport, ...]]:
-    """(U, reports): the left singular vectors of R^T = U Sigma V^T, from one
-    thin SVD of the factor, and one report per subset.
+                 ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(U, ranks): the left singular vectors of R^T = U Sigma V^T, from one
+    thin SVD of the factor, and every subset's observed rank, in position order.
 
-    A report counts the singular values of the subset's regressor rows
+    A rank counts the singular values of the subset's regressor rows
     A_j R^T above rank_cutoff of the data matrix's shape, (d + m) x T. They
     are read from the (d + m) x rho matrix (U_rho Sigma_rho)[regressor_j],
     rho being the number of sigma_i(R^T) above the rounding level
@@ -122,8 +102,7 @@ def _certificate(mats: SubsetDataMatrices, tol: Tolerance
     """
     factor = _factor(mats)
     u, s, _ = np.linalg.svd(factor, full_matrices=False)
-    rows = mats.regressor.shape[1]
-    shape = (rows, mats.columns)
+    shape = (mats.regressor.shape[1], mats.hankel.shape[1])
     level = max(mats.hankel.shape) * np.finfo(float).eps * s[0]
     rho = np.count_nonzero(s > level)
     delta = s[rho:rho + 1].sum()  # 0 where rho = min(W, T)
@@ -133,16 +112,14 @@ def _certificate(mats: SubsetDataMatrices, tol: Tolerance
     if not ((np.abs(sigma - cutoff) > margin).all() and (cutoff > margin).all()):
         sigma = _regressor_singular_values(factor, mats.regressor)
         cutoff = rank_cutoff(sigma, shape, tol)
-    observed = (sigma > cutoff).sum(axis=1)
-    required = certifying_rank(mats.input_dim, mats.order)
-    return u, tuple(RankReport(count, required, rows) for count in observed.tolist())
+    return u, tuple((sigma > cutoff).sum(axis=1).tolist())
 
 
-def rank_condition(mats: SubsetDataMatrices,
-                   tol: Tolerance = DEFAULT_TOL) -> tuple[RankReport, ...]:
-    """Rank certificates of every subset's stacked data matrix, in position
-    order, from one QR of the Hankel, one SVD of its factor and one batched
-    SVD of the subsets' rows of that factor's rank-rho part (_certificate)."""
+def rank_condition(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:
+    """Observed rank of every subset's stacked data matrix, as ints in
+    position order, from one QR of the Hankel, one SVD of its factor and one
+    batched SVD of the subsets' rows of that factor's rank-rho part
+    (_certificate). A subset certifies when its rank is certifying_rank(m, n)."""
     return _certificate(mats, tol)[1]
 
 
@@ -178,14 +155,13 @@ def _decoder(basis: np.ndarray, n_sensors: int, n: int) -> np.ndarray:
     return decoder - (decoder @ basis) @ basis.T
 
 
-def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
-                 ) -> tuple[np.ndarray, tuple[RankReport, ...]]:
-    """Certify every subset and take the model's basis: (basis, reports).
+def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Certify every subset and return the model's basis.
 
     One QR of the Hankel (_factor), one SVD of its factor R^T and one
-    batched SVD of every subset's rows of R^T's rank-rho part give the rank
-    reports (_certificate). Data an n-state plant produced have rank r =
-    m(n + 1) + n in G and in every certified subset's rows of it, so once
+    batched SVD of every subset's rows of R^T's rank-rho part give every
+    subset's rank (_certificate). Data an n-state plant produced have rank
+    r = m(n + 1) + n in G and in every certified subset's rows of it, so once
     every subset certifies, the top r left singular vectors of that same
     SVD are a basis of the one column space they share; subset j's
     predictor, the basis' rows of its next history times
@@ -193,15 +169,16 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL
     on everything the plant can produce. Raises one LearningError listing
     every subset whose certificate fails; learn_model checks the fit.
     """
-    u, reports = _certificate(mats, tol)
-    failures = [(subset, report,
-                 f"rank certificate failed: data rank {report.observed} is "
-                 f"{'above' if report.observed > report.required else 'below'} the "
-                 f"certifying rank {report.required} (stacked rows: {report.rows})")
-                for subset, report in zip(mats.subsets, reports) if not report.holds]
+    u, ranks = _certificate(mats, tol)
+    required = certifying_rank(mats.input_dim, mats.order)
+    failures = [(subset, rank,
+                 f"rank certificate failed: data rank {rank} is "
+                 f"{'above' if rank > required else 'below'} the certifying rank {required} "
+                 f"(stacked rows: {mats.regressor.shape[1]})")
+                for subset, rank in zip(mats.subsets, ranks) if rank != required]
     if failures:
         raise LearningError(failures)
-    return u[:, :reports[0].required], reports
+    return u[:, :required]
 
 
 def predict(decoder, column) -> np.ndarray:
@@ -267,13 +244,6 @@ class DataDrivenModel:
                             ("decoder", _decoder(basis, self.n_sensors, self.n))):
             object.__setattr__(self, name, value)
 
-    @property
-    def reports(self) -> tuple[RankReport, ...]:
-        """S copies of RankReport(r, r, d + m): every subset of a learned model certifies."""
-        rank = self.basis.shape[1]
-        rows = self.m * (self.n + 1) + (self.n_sensors - self.max_attacked) * self.n
-        return (RankReport(rank, rank, rows),) * len(self.subsets)
-
     def slacks(self, columns: np.ndarray, tol: Tolerance) -> np.ndarray:
         """Every sensor's slack s_i = tol.residual (1 + ||its samples at times
         1 .. n||) in one Hankel column (gives N) or in each of a W x B block
@@ -300,7 +270,7 @@ def learn_model(traj: Trajectory, max_attacked: int, n: int, columns: int,
     """
     mats = build_subset_matrices(traj, enumerate_subsets(traj.output_dim, max_attacked), n,
                                  columns)
-    basis, reports = learn_lambda(mats, tol)
+    basis = learn_lambda(mats, tol)
     model = DataDrivenModel(basis, n, traj.input_dim, traj.output_dim, max_attacked, columns,
                             pe_seed)
     ratios = np.zeros(model.n_sensors)
@@ -308,12 +278,13 @@ def learn_model(traj: Trajectory, max_attacked: int, n: int, columns: int,
         window = mats.hankel[:, part]
         ratio = np.abs(model.decoder @ window) / model.slacks(window, tol)
         np.maximum(ratios, ratio.max(axis=1), out=ratios)
+    rank = basis.shape[1]
     failures = []
-    for subset, report in zip(model.subsets, reports):
+    for subset in model.subsets:
         sensor = next((i for i in subset if not ratios[i - 1] <= 1.0), None)
         if sensor is not None:
-            failures.append((subset, report,
-                             f"data rank {report.observed} meets the certifying rank, but the "
+            failures.append((subset, rank,
+                             f"data rank {rank} meets the certifying rank, but the "
                              f"training misfit of sensor {sensor} reaches "
                              f"{ratios[sensor - 1]:.3g} times its slack"))
     if failures:

@@ -33,7 +33,7 @@ from .datamat import (
     is_persistently_exciting,
     trajectory_hankel,
 )
-from .ddmodel import DataDrivenModel, predict, rank_condition
+from .ddmodel import DataDrivenModel, certifying_rank, predict, rank_condition
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, first_nonzero
 
 
@@ -282,13 +282,16 @@ def identify_replay(traj: Trajectory, max_attacked: int, n: int, t1: int,
     (m + q)n + 1 with t1 >= (m + 1) * order, q = N - M, N the recording's
     output count. Replayed-constant rows collapse a subset's history Hankel
     (or add directions the plant cannot produce), so exactly the
-    attack-free subsets report the certifying rank; those are the winners,
-    and each subset scores its observed rank. A delayed sensor reads
-    samples that depend on inputs before the window, so the subsets holding
-    it exceed the certifying rank: the test names delayed sensors too.
+    attack-free subsets reach the certifying rank m(n + 1) + n; those are
+    the winners, and each subset scores its observed rank. A delayed sensor
+    reads samples that depend on inputs before the window, so the subsets
+    holding it exceed the certifying rank: the test names delayed sensors
+    too. An order n below 1 raises ValueError before any window is read.
     """
     n_sensors, m = traj.output_dim, traj.input_dim
     subsets = enumerate_subsets(n_sensors, max_attacked)
+    if n < 1:
+        raise ValueError(f"order and columns must be positive, got {n}, {t1}")
     order = excitation_order(m, n_sensors - max_attacked, n)
     if t1 < (m + 1) * order:
         raise ExcitationError(
@@ -299,9 +302,10 @@ def identify_replay(traj: Trajectory, max_attacked: int, n: int, t1: int,
     if not is_persistently_exciting(window, order, tol):
         raise ExcitationError(
             f"test input window is not persistently exciting of order {order}", order)
-    reports = rank_condition(build_subset_matrices(traj, subsets, n, t1), tol)
-    return _verdict(traj.start_index, "replay", subsets,
-                    [r.observed for r in reports], [r.holds for r in reports])
+    ranks = rank_condition(build_subset_matrices(traj, subsets, n, t1), tol)
+    required = certifying_rank(m, n)
+    return _verdict(traj.start_index, "replay", subsets, ranks,
+                    [rank == required for rank in ranks])
 
 
 def first_response(signal) -> Optional[int]:

@@ -39,7 +39,7 @@ from sentinel.datamat import (
     generate_pe_input,
     is_persistently_exciting,
 )
-from sentinel.ddmodel import learn_lambda, learn_model, rank_condition
+from sentinel.ddmodel import certifying_rank, learn_lambda, learn_model, rank_condition
 from sentinel.identify import (
     first_response,
     identify_delay,
@@ -104,8 +104,8 @@ def test_criterion_01_injection_reproduction():
     t0 = time.perf_counter()
     ss, model, traj = _benchmark_model()
     # the ranks the recording the model learned from reaches, measured again
-    reports = rank_condition(build_subset_matrices(traj, model.subsets, N_STATES, COLUMNS))
-    observed = {s: r.observed for s, r in zip(model.subsets, reports)}
+    ranks = rank_condition(build_subset_matrices(traj, model.subsets, N_STATES, COLUMNS))
+    observed = dict(zip(model.subsets, ranks))
     attainable = {s: _attainable_rank(ss, s) for s in observed}
 
     onset = N_STATES + 10
@@ -145,7 +145,7 @@ def test_criterion_01_injection_reproduction():
 
     checks = {
         "rank certificate holds for all 3 subsets":
-            all(r.holds for r in reports),
+            all(rank == certifying_rank(1, N_STATES) for rank in ranks),
         "attack sample at onset is zero (undetectable step)":
             signal(3, onset) == 0.0,
         "winners are exactly the subset {1,2}": verdict.winners == (1,),
@@ -240,7 +240,7 @@ def test_criterion_05_representation_exactness():
         val = Trajectory(val_u, val_y)
         for subset in enumerate_subsets(n_sensors, 1):
             train = build_subset_matrices(traj, (subset,), n, columns)
-            lam = predictors(learn_lambda(train)[0], train.regressor, target_rows(train))[0]
+            lam = predictors(learn_lambda(train), train.regressor, target_rows(train))[0]
             mats = build_subset_matrices(val, (subset,), n, 40)
             (regressors,), (targets,) = gathered_stacks(mats)
             rel = np.max(np.abs(lam @ regressors - targets)) / (1.0 + np.max(np.abs(targets)))
@@ -327,12 +327,12 @@ def test_criterion_07_unobservable_subset_rank_deficiency():
         _, y = simulate(ss, np.zeros(n), u)
         traj = Trajectory(u, y)
         for subset in enumerate_subsets(3, 1):
-            report = rank_condition(build_subset_matrices(traj, (subset,), n, columns))[0]
-            good = (report.observed == _attainable_rank(ss, subset)
-                    and report.holds == (subset != (1, 2)))
+            (rank,) = rank_condition(build_subset_matrices(traj, (subset,), n, columns))
+            good = (rank == _attainable_rank(ss, subset)
+                    and (rank == certifying_rank(1, n)) == (subset != (1, 2)))
             if not good:
                 all_good = False
-                detail = (i, subset, report)
+                detail = (i, subset, rank)
     checks = {
         "every subset observes the attainable rank m(n+1) + rank(O_s) (4 "
         "for the unobservable pair, 5 otherwise), so the unobservable pair "

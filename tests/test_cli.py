@@ -392,6 +392,14 @@ class TestIdentify:
         assert capsys.readouterr() == (
             "", f"precondition failed: need 0 < N - M <= N, got N=3, M={budget}\n")
 
+    @pytest.mark.parametrize("order", ["0", "-1", "-6"])
+    def test_replay_order_checked_first(self, replay_demo, capsys, order):
+        code = main(["identify", "replay", str(replay_demo / "online.csv"),
+                     "--n", order, "--max-attacked", "1", "--test-len", "38"])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"precondition failed: order and columns must be positive, got {order}, 38\n")
+
     def test_replay_non_exciting_stream(self, tmp_path, capsys):
         traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
         path = tmp_path / "flat.csv"

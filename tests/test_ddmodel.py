@@ -20,7 +20,6 @@ from sentinel.datamat import (
 from sentinel.ddmodel import (
     DataDrivenModel,
     LearningError,
-    RankReport,
     _decoder,
     _factor,
     certifying_rank,
@@ -81,9 +80,8 @@ def subset_run(plant):
 
 def learned_lambda(mats, tol=DEFAULT_TOL):
     """learn_lambda with every subset's predictor as one S x d x (d + m)
-    stack, the one predictors(basis, ...) gives: (lam, reports)."""
-    basis, reports = learn_lambda(mats, tol)
-    return predictors(basis, mats.regressor, target_rows(mats)), reports
+    stack, the one predictors(basis, ...) gives."""
+    return predictors(learn_lambda(mats, tol), mats.regressor, target_rows(mats))
 
 
 # output noise levels of the learning contract (TestLearnModel)
@@ -101,38 +99,26 @@ def generator_matrices(ss, subset_rows):
 class TestRankCondition:
     def test_benchmark_clean_holds_at_certifying_rank(self):
         _, traj = excited_benchmark_run()
-        reports = rank_condition(build_subset_matrices(traj, enumerate_subsets(3, 1), 6, 41))
-        assert len(reports) == 3
-        for report in reports:
-            assert report.required == certifying_rank(1, 6) == 13
-            assert report.rows == 19
-            assert report.observed == 13
-            assert report.holds
-
-    def test_holds_derives_from_the_counts(self):
-        assert [f.name for f in dataclasses.fields(RankReport)] == ["observed", "required",
-                                                                    "rows"]
-        assert RankReport(13, 13, 19).holds and not RankReport(12, 13, 19).holds
-        assert not RankReport(14, 13, 19).holds
-        with pytest.raises(TypeError):
-            RankReport(13, 13, 19, True)
-        with pytest.raises(AttributeError):
-            RankReport(13, 13, 19).holds = False
+        mats = build_subset_matrices(traj, enumerate_subsets(3, 1), 6, 41)
+        ranks = rank_condition(mats)
+        assert mats.regressor.shape[1] == 19
+        assert ranks == (certifying_rank(1, 6),) * 3 == (13,) * 3
+        assert all(type(rank) is int for rank in ranks)
 
     def test_zero_input_fails(self):
         traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
-        (report,) = rank_condition(
+        (rank,) = rank_condition(
             build_subset_matrices(traj, ((1, 2),), 6, 41))
-        assert report.observed == 0 and not report.holds
+        assert rank == 0 != certifying_rank(1, 6)
 
     def test_replay_attacked_fails_per_subset(self):
         _, traj = excited_benchmark_run()
         attacked = apply_attack(traj, ReplayAttack({3: 0.01}))
         mats = build_subset_matrices(attacked, enumerate_subsets(3, 1), 6, 41)
         observed = {}
-        for j, report in enumerate(rank_condition(mats)):
-            assert report.observed == numerical_rank(gathered_stacks(mats)[0][j])
-            observed[mats.subsets[j]] = (report.observed, report.holds)
+        for j, rank in enumerate(rank_condition(mats)):
+            assert rank == numerical_rank(gathered_stacks(mats)[0][j])
+            observed[mats.subsets[j]] = (rank, rank == certifying_rank(1, 6))
         assert observed[(1, 2)] == (13, True)
         # constant rows both collapse directions and add one the plant
         # cannot produce, so attacked subsets miss 13 from either side
@@ -142,7 +128,7 @@ class TestRankCondition:
     @pytest.mark.parametrize("wide", [False, True], ids=["T<W", "T>=W"])
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.data())
-    def test_reports_equal_per_subset_svd(self, wide, data):
+    def test_ranks_equal_per_subset_svd(self, wide, data):
         # the ranks read off one QR and one SVD of the all-sensor Hankel are
         # those of each subset's own gathered stack, with fewer or more columns
         # than the Hankel has rows W, on clean data and with one sensor pinned,
@@ -163,7 +149,7 @@ class TestRankCondition:
         subsets = enumerate_subsets(n_sensors, max_attacked)
         for traj in (clean, apply_attack(clean, pinned, max_attacked=max_attacked)):
             mats = build_subset_matrices(traj, subsets, n, columns)
-            assert [report.observed for report in rank_condition(mats, tol)] == [
+            assert list(rank_condition(mats, tol)) == [
                 numerical_rank(stacked, tol) for stacked in gathered_stacks(mats)[0]]
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
@@ -176,21 +162,21 @@ class TestRankCondition:
                                      columns)
         factor = _factor(mats)
         sigma = np.linalg.svd(factor[mats.regressor], compute_uv=False)
-        shape = (mats.regressor.shape[1], mats.columns)
+        shape = (mats.regressor.shape[1], columns)
         tol = Tolerance(rank_rel=sigma[-1, 5] / (max(shape) * sigma[-1, 0]))
         operands = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
                             lambda a, **kwargs: operands.append(a.shape) or svd(a, **kwargs))
-        reports = rank_condition(mats, tol)
+        ranks = rank_condition(mats, tol)
         monkeypatch.undo()
         assert operands[-1] == (len(mats.subsets), *mats.regressor.shape[1:], factor.shape[1])
-        assert [report.observed for report in reports] == (
+        assert list(ranks) == (
             sigma > rank_cutoff(sigma, shape, tol)).sum(axis=1).tolist()
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
     @pytest.mark.parametrize("fallback", [False, True], ids=["truncated", "fallback"])
-    def test_chunked_gathers_give_the_same_reports(self, plant, fallback, monkeypatch):
+    def test_chunked_gathers_give_the_same_ranks(self, plant, fallback, monkeypatch):
         # the certificate gathers the subsets' rows in chunks of about
         # BLOCK_BYTES; a batched SVD takes each matrix of a stack on its own,
         # so chunks of one or a few subsets give the values of one call, bit
@@ -202,7 +188,7 @@ class TestRankCondition:
         sigma = np.linalg.svd(factor[mats.regressor], compute_uv=False)
         tol = DEFAULT_TOL
         if fallback:  # a cutoff on a singular value, as in the test above
-            shape = (mats.regressor.shape[1], mats.columns)
+            shape = (mats.regressor.shape[1], columns)
             tol = Tolerance(rank_rel=sigma[-1, 5] / (max(shape) * sigma[-1, 0]))
         expected = rank_condition(mats, tol)
         width = mats.regressor.shape[1]
@@ -213,9 +199,9 @@ class TestRankCondition:
             chunked = ddmodel._regressor_singular_values(factor, mats.regressor)
             monkeypatch.setattr(np.linalg, "svd",
                                 lambda a, **kwargs: operands.append(a.shape) or svd(a, **kwargs))
-            reports = rank_condition(mats, tol)
+            ranks = rank_condition(mats, tol)
             monkeypatch.undo()
-            assert reports == expected
+            assert ranks == expected
             assert chunked.tobytes() == sigma.tobytes()
             # one SVD of the factor, then chunks of one subset or of at most
             # `block` bytes, the last of them from the whole factor on fallback
@@ -244,7 +230,7 @@ class TestRankCondition:
         tol = Tolerance(rank_rel=np.sqrt(sigma[:, 13].min() * sigma[:, 14].max())
                         / (max(shape) * sigma[:, 0].max()))
         assert (sigma > rank_cutoff(sigma, shape, tol)).sum(axis=1).tolist() == [14] * 3
-        assert [report.observed for report in rank_condition(mats, tol)] == [14] * 3
+        assert rank_condition(mats, tol) == (14,) * 3
 
 
 class TestLearnLambda:
@@ -255,11 +241,11 @@ class TestLearnLambda:
         u = np.random.default_rng(0).uniform(-1, 1, (1, 12))
         _, y = simulate(ss, np.zeros(1), u)
         mats = build_subset_matrices(Trajectory(u, y), ((1,),), 1, 10)
-        (lam,), (report,) = learned_lambda(mats)
+        (lam,) = learned_lambda(mats)
         expected = np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.0]])
         np.testing.assert_allclose(lam, expected, atol=1e-8)
         np.testing.assert_allclose(lam, generator_matrices(ss, [0]), atol=1e-8)
-        assert report.holds and report.observed == 3
+        assert rank_condition(mats) == (certifying_rank(1, 1),) == (3,)
 
     def test_generator_recovery_from_full_rank_data(self):
         # columns drawn freely in history space (not one plant run) make the
@@ -274,12 +260,12 @@ class TestLearnLambda:
         lam = targets @ np.linalg.pinv(regressors)
         assert np.max(np.abs(lam - gen)) < 1e-8
 
-    def test_rank_failure_embeds_report(self):
+    def test_rank_failure_embeds_rank(self):
         traj = Trajectory(np.zeros((1, 48)), np.zeros((3, 48)))
         mats = build_subset_matrices(traj, ((1, 2),), 6, 41)
         with pytest.raises(LearningError) as err:
             learn_lambda(mats)
-        assert err.value.report.observed == 0
+        assert err.value.rank == 0
         assert err.value.subset == (1, 2)
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
@@ -292,8 +278,8 @@ class TestLearnLambda:
         traj, n_sensors, max_attacked, columns = subset_run(plant)
         mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
-        lam, reports = learned_lambda(mats)
-        assert reports == rank_condition(mats)
+        lam = learned_lambda(mats)
+        assert rank_condition(mats) == (certifying_rank(1, 6),) * len(mats.subsets)
         eps = np.finfo(float).eps
         for j, (stacked, target) in enumerate(zip(*gathered_stacks(mats))):
             pinv = np.linalg.pinv(stacked, rcond=DEFAULT_TOL.rank_rel * max(stacked.shape))
@@ -304,7 +290,7 @@ class TestLearnLambda:
                 (np.abs(lam[j]) + np.abs(lam_p)) @ np.abs(stacked))
             gap = np.max(np.abs((lam[j] - lam_p) @ stacked))
             assert gap <= (misfit + misfit_p) * (1 + eps) + rounding
-            assert reports[j].observed == numerical_rank(stacked)
+            assert numerical_rank(stacked) == certifying_rank(1, 6)
 
     def test_one_svd_of_the_factor_decides_every_rank(self, monkeypatch):
         # learning factors the all-sensor Hankel's R^T once with vectors, takes
@@ -318,7 +304,7 @@ class TestLearnLambda:
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kwargs:
                             calls.append((a.shape, kwargs)) or svd(a, **kwargs))
-        basis, reports = learn_lambda(mats)
+        basis = learn_lambda(mats)
         monkeypatch.undo()
         width = min(mats.hankel.shape)
         assert calls[0] == ((mats.hankel.shape[0], width), {"full_matrices": False})
@@ -326,14 +312,14 @@ class TestLearnLambda:
         assert kwargs == {"compute_uv": False}
         assert shape[:2] == mats.regressor.shape and shape[2] < width
         assert np.array_equal(basis, np.linalg.svd(factor, full_matrices=False)[0][
-            :, :reports[0].required])
-        assert reports == rank_condition(mats)
+            :, :certifying_rank(1, 6)])
+        assert rank_condition(mats) == (certifying_rank(1, 6),) * len(mats.subsets)
 
     def test_benchmark_fit_and_validation(self):
         ss, traj = excited_benchmark_run()
         subset = (1, 2)
         mats = build_subset_matrices(traj, (subset,), 6, 41)
-        (lam,), _ = learned_lambda(mats)
+        (lam,) = learned_lambda(mats)
         (stacked,), (following,) = gathered_stacks(mats)
         assert np.max(np.abs(lam @ stacked - following)) < 1e-9
         # fresh run from the same plant: one-step predictions stay exact
@@ -348,8 +334,8 @@ class TestLearnLambda:
         _, traj_a = excited_benchmark_run(seed=7)
         _, traj_b = excited_benchmark_run(seed=99)
         subset = (1, 2)
-        lam_a = learned_lambda(build_subset_matrices(traj_a, (subset,), 6, 41))[0][0]
-        lam_b = learned_lambda(build_subset_matrices(traj_b, (subset,), 6, 41))[0][0]
+        lam_a = learned_lambda(build_subset_matrices(traj_a, (subset,), 6, 41))[0]
+        lam_b = learned_lambda(build_subset_matrices(traj_b, (subset,), 6, 41))[0]
         assert np.max(np.abs(lam_a - lam_b)) < 1e-8
 
     def test_single_sensor_subsets_match_generator(self):
@@ -363,7 +349,7 @@ class TestLearnLambda:
             u = rng.uniform(-1, 1, (1, n + columns))
             _, y = simulate(ss, np.zeros(n), u)
             mats = build_subset_matrices(Trajectory(u, y), enumerate_subsets(2, 1), n, columns)
-            for lam, subset in zip(learned_lambda(mats)[0], mats.subsets):
+            for lam, subset in zip(learned_lambda(mats), mats.subsets):
                 gen = generator_matrices(ss, [subset[0] - 1])
                 assert np.max(np.abs(lam - gen)) < 1e-8
 
@@ -380,7 +366,7 @@ class TestLearnLambda:
             _, y = simulate(ss, np.zeros(n), u)
             subset = (1, 2)
             lam = learned_lambda(build_subset_matrices(Trajectory(u, y), (subset,), n,
-                                                       columns))[0][0]
+                                                       columns))[0]
             gen = generator_matrices(ss, [0, 1])
             u2 = rng.uniform(-1, 1, (1, n + 20))
             _, y2 = simulate(ss, np.zeros(n), u2)
@@ -400,14 +386,14 @@ class TestLearningAtScale:
         attacked = apply_attack(traj, ReplayAttack({2: 0.01}), max_attacked=max_attacked)
         mats = build_subset_matrices(attacked, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
-        reports = rank_condition(mats)
+        ranks = rank_condition(mats)
         with pytest.raises(LearningError) as err:
             learn_lambda(mats)
         failures = err.value.failures
         assert 0 < len(failures) < len(mats.subsets)
         positions = [mats.subsets.index(subset) for subset, _, _ in failures]
         assert positions == sorted(positions)
-        assert [report for _, report, _ in failures] == [reports[j] for j in positions]
+        assert [rank for _, rank, _ in failures] == [ranks[j] for j in positions]
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
     def test_misfit_blocks_cover_every_column(self, plant, monkeypatch):
@@ -517,13 +503,15 @@ class TestLearnModel:
         assert model.basis.shape == (28, 13) and model.decoder.shape == (3, 28)
         # the basis, the decoder and the subsets' 0/1 membership matrix, set
         # at construction, are the only arrays; no lambda stack is kept, and
-        # nothing per subset is learned: the reports derive from the shape
+        # nothing per subset is learned
         assert {name for name, value in vars(model).items()
                 if isinstance(value, np.ndarray)} == {"basis", "members", "decoder"}
         assert np.array_equal(model.members, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
         assert {"residuals", "reports", "regressor", "target"}.isdisjoint(vars(model))
         assert all(np.shape(value) != (3, 18, 19) for value in vars(model).values())
-        assert model.reports == (RankReport(13, 13, 19),) * 3
+        assert not hasattr(model, "reports")
+        mats = build_subset_matrices(traj, model.subsets, 6, 41)
+        assert rank_condition(mats) == (model.basis.shape[1],) * 3
         assert model.subsets == ((1, 2), (1, 3), (2, 3))
         assert model.pe_seed == 7
 
@@ -532,7 +520,7 @@ class TestLearnModel:
         with pytest.raises(LearningError) as err:
             learn_model(traj, 1, 6, 41)
         assert [s for s, _, _ in err.value.failures] == [(1, 2), (1, 3), (2, 3)]
-        assert err.value.subset == (1, 2) and err.value.report.observed == 0
+        assert err.value.subset == (1, 2) and err.value.rank == 0
         assert str(err.value).count("data rank 0 is below the certifying rank 13") == 3
         assert str(err.value).startswith("subset (1, 2): rank certificate failed: data rank 0 ")
 
@@ -541,11 +529,11 @@ class TestLearnModel:
         noise = 1e-8 * np.random.default_rng(0).standard_normal(traj.y.shape)
         with pytest.raises(LearningError) as err:
             learn_model(Trajectory(traj.u, traj.y + noise), 1, 6, 41)
-        assert err.value.report.observed == 19
-        for subset, report, _ in err.value.failures:
-            assert report.observed > report.required == 13
+        assert err.value.rank == 19
+        for subset, rank, _ in err.value.failures:
+            assert rank > certifying_rank(1, 6) == 13
             assert f"subset {subset}: rank certificate failed: data rank " \
-                f"{report.observed} is above the certifying rank 13" in str(err.value)
+                f"{rank} is above the certifying rank 13" in str(err.value)
 
     @pytest.mark.parametrize("columns, sigma, outcome", [
         *zip([41] * 8, NOISE, ["pass"] * 4 + ["rank"] * 4),
@@ -572,8 +560,37 @@ class TestLearnModel:
         _, traj = excited_benchmark_run()
         with pytest.raises(LearningError) as err:
             learn_model(traj, 1, 6, 41, tol=Tolerance(residual=1e-30))
-        assert len(err.value.failures) == 3 and err.value.report.holds
+        assert len(err.value.failures) == 3 and err.value.rank == certifying_rank(1, 6)
         assert str(err.value).count("meets the certifying rank, but the training misfit") == 3
+
+    @pytest.mark.parametrize("case, rank, reasons", [
+        ("zero-input", 0, ["rank certificate failed: data rank 0 is below the certifying "
+                           "rank 13 (stacked rows: 19)"] * 3),
+        ("noise-1e-8", 19, ["rank certificate failed: data rank 19 is above the certifying "
+                            "rank 13 (stacked rows: 19)"] * 3),
+        ("misfit", 13, [f"data rank 13 meets the certifying rank, but the training misfit of "
+                        f"sensor {sensor} reaches {ratio} times its slack"
+                        for sensor, ratio in ((1, "4.24e+13"), (1, "4.24e+13"),
+                                              (2, "8.22e+13"))]),
+    ])
+    def test_error_is_pinned(self, case, rank, reasons):
+        # the whole error, as sentinel learn prints it, of a learn below the
+        # certifying rank, one above it and one that fails the misfit check:
+        # the (subset, rank, reason) failures and the message they make
+        _, traj = excited_benchmark_run()
+        noise = 1e-8 * np.random.default_rng(0).standard_normal(traj.y.shape)
+        learn = {"zero-input": lambda: learn_model(
+                     Trajectory(np.zeros((1, 48)), np.zeros((3, 48))), 1, 6, 41),
+                 "noise-1e-8": lambda: learn_model(Trajectory(traj.u, traj.y + noise), 1, 6, 41),
+                 "misfit": lambda: learn_model(traj, 1, 6, 41, tol=Tolerance(residual=1e-30))}
+        with pytest.raises(LearningError) as err:
+            learn[case]()
+        subsets = ((1, 2), (1, 3), (2, 3))
+        assert err.value.failures == tuple(zip(subsets, (rank,) * 3, reasons))
+        assert all(type(entry[1]) is int for entry in err.value.failures)
+        assert (err.value.subset, err.value.rank) == ((1, 2), rank)
+        assert str(err.value) == "\n".join(
+            f"subset {subset}: {reason}" for subset, reason in zip(subsets, reasons))
 
     def test_model_that_alarms_on_its_training_columns_is_rejected(self):
         # noise that lifts one training column's decode of sensor 2 just
@@ -668,7 +685,6 @@ class TestModelFile:
         assert loaded.subsets == model.subsets
         np.testing.assert_array_equal(loaded.basis, model.basis)
         np.testing.assert_array_equal(loaded.decoder, model.decoder)
-        assert loaded.reports == model.reports
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
     def test_model_decoder_is_derived_from_the_learned_basis(self, plant):
@@ -677,7 +693,7 @@ class TestModelFile:
         traj, n_sensors, max_attacked, columns = subset_run(plant)
         mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
-        basis, _ = learn_lambda(mats)
+        basis = learn_lambda(mats)
         model = learn_model(traj, max_attacked, 6, columns)
         assert model.basis.tobytes() == np.ascontiguousarray(basis).tobytes()
         assert model.decoder.tobytes() == _decoder(basis, n_sensors, 6).tobytes()
@@ -836,7 +852,7 @@ class TestModelFile:
     def test_model_takes_no_per_subset_argument(self, models, name):
         # a model is its basis and its shape: nothing per subset is handed in
         model = models["benchmark"]
-        value = (0.0,) * len(model.subsets) if name == "residuals" else model.reports
+        value = (0.0 if name == "residuals" else 13,) * len(model.subsets)
         assert list(inspect.signature(DataDrivenModel).parameters) == [
             "basis", "n", "m", "n_sensors", "max_attacked", "columns", "pe_seed"]
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
@@ -846,12 +862,14 @@ class TestModelFile:
             dataclasses.replace(model, **{name: value})
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
-    def test_derived_reports_are_the_learned_reports(self, models, plant):
+    def test_model_rank_is_every_subset_rank(self, models, plant):
+        # a learned model exists only when every subset certifies: each
+        # subset's rank is the basis' column count
         traj, n_sensors, max_attacked, columns = subset_run(plant)
         mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
-        _, reports = learn_lambda(mats)
-        assert models[plant].reports == reports
+        model = models[plant]
+        assert rank_condition(mats) == (model.basis.shape[1],) * len(model.subsets)
 
     @pytest.mark.parametrize("content, kind", [
         ("[]", "list"), ('["subsets"]', "list"), ("123", "number"), ("null", "null"),

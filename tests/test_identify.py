@@ -1106,6 +1106,17 @@ class TestIdentifyReplay:
                            match=rf"^need 0 < N - M <= N, got N=3, M={max_attacked}$"):
             identify_replay(traj, max_attacked, 6, 41)
 
+    @pytest.mark.parametrize("n", [0, -1, -6])
+    def test_order_checked_after_the_budget(self, n):
+        # an order below 1 names itself before the excitation checks, which
+        # would slice an empty or negative input window from it
+        traj = excited_run(benchmark_plant(), 6, 41, 19, 21)
+        with pytest.raises(ValueError,
+                           match=rf"^order and columns must be positive, got {n}, 38$"):
+            identify_replay(traj, 1, n, 38)
+        with pytest.raises(ValueError, match=r"^need 0 < N - M <= N, got N=3, M=3$"):
+            identify_replay(traj, 3, n, 38)
+
     def test_non_exciting_input_rejected(self):
         ss = benchmark_plant()
         u = np.zeros((1, 48))
