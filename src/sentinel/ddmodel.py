@@ -26,7 +26,10 @@ Every subset's data are row selections of one all-sensor Hankel, so one QR
 of it and one SVD of its factor serve every rank decision: learning and the
 replay test read each subset's rank from that factor's rank-rho part, rho
 being its rank above rounding level (_certificate), and learning takes the
-basis from the same singular vectors.
+basis from the same singular vectors. Where rho is the certifying rank, the
+N single-sensor row sets of that part settle first every subset holding a
+sensor that certifies alone (adding rows lowers no singular value), so a
+generic learn takes N small SVDs instead of one per subset.
 """
 
 import base64
@@ -41,6 +44,7 @@ from .datamat import (
     Trajectory,
     blocks,
     build_subset_matrices,
+    hankel_rows,
     read_json_object,
     write_json,
 )
@@ -97,8 +101,20 @@ def _certificate(mats: SubsetDataMatrices, tol: Tolerance
     the rounding that separates the two computations, no count can change
     if every computed value s and cutoff c satisfy
     |s - c| > (1 + tau)(delta + l), and c does too, for the zeros past rho.
-    Where that fails, the values are those of the rows of R^T themselves,
-    as if rho were min(W, T). A zero factor has rho = 0 and every rank 0.
+
+    Where rho is the certifying rank r, one batched SVD of the N r x rho
+    single-sensor row sets (U_rho Sigma_rho)[hankel_rows of (i,)] settles
+    most subsets first. A subset's rows hold those of each of its sensors,
+    and adding rows lowers no singular value (interlacing), while no
+    subset's sigma_max exceeds sigma_1(R^T). So where sensor i's sigma_r
+    exceeds tau sigma_1(R^T) plus the margin and its own cutoff
+    tau sigma_1 exceeds the margin, every subset holding sensor i passes
+    the check above with its r values, all it has on rho = r columns: its
+    rank is r. Only the subsets holding no such sensor, and every subset
+    where rho != r, take the batched SVD of their own rows and the check.
+    Where the check fails, their values are those of the rows of R^T
+    themselves, as if rho were min(W, T). A zero factor has rho = 0 and
+    every rank 0.
     """
     factor = _factor(mats)
     u, s, _ = np.linalg.svd(factor, full_matrices=False)
@@ -106,28 +122,44 @@ def _certificate(mats: SubsetDataMatrices, tol: Tolerance
     level = max(mats.hankel.shape) * np.finfo(float).eps * s[0]
     rho = np.count_nonzero(s > level)
     delta = s[rho:rho + 1].sum()  # 0 where rho = min(W, T)
-    sigma = _regressor_singular_values(u[:, :rho] * s[:rho], mats.regressor)
-    cutoff = rank_cutoff(sigma, shape, tol)
     margin = (1.0 + tol.rank_rel * max(shape)) * (delta + level)
-    if not ((np.abs(sigma - cutoff) > margin).all() and (cutoff > margin).all()):
-        sigma = _regressor_singular_values(factor, mats.regressor)
+    rows = u[:, :rho] * s[:rho]
+    ranks = np.full(len(mats.subsets), rho)  # a covered subset's rank, r = rho
+    uncovered = np.arange(len(mats.subsets))
+    n, m = mats.order, mats.input_dim
+    if rho == certifying_rank(m, n):
+        n_sensors = mats.hankel.shape[0] // (n + 1) - m
+        single = _regressor_singular_values(
+            rows, hankel_rows(n_sensors, np.arange(1, n_sensors + 1)[:, None], n, m))
+        certified = ((single[:, -1] > rank_cutoff(s, shape, tol) + margin)
+                     & (rank_cutoff(single, shape, tol)[:, 0] > margin))
+        uncovered = np.flatnonzero(~certified[np.array(mats.subsets) - 1].any(axis=1))
+    if uncovered.size:
+        regressor = mats.regressor[uncovered]
+        sigma = _regressor_singular_values(rows, regressor)
         cutoff = rank_cutoff(sigma, shape, tol)
-    return u, tuple((sigma > cutoff).sum(axis=1).tolist())
+        if not ((np.abs(sigma - cutoff) > margin).all() and (cutoff > margin).all()):
+            sigma = _regressor_singular_values(factor, regressor)
+            cutoff = rank_cutoff(sigma, shape, tol)
+        ranks[uncovered] = (sigma > cutoff).sum(axis=1)
+    return u, tuple(ranks.tolist())
 
 
 def rank_condition(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:
     """Observed rank of every subset's stacked data matrix, as ints in
-    position order, from one QR of the Hankel, one SVD of its factor and one
-    batched SVD of the subsets' rows of that factor's rank-rho part
-    (_certificate). A subset certifies when its rank is certifying_rank(m, n)."""
+    position order, from one QR of the Hankel, one SVD of its factor and
+    batched SVDs of row sets of that factor's rank-rho part: the sensors'
+    own where rho is the certifying rank, then the subsets' that no
+    certified sensor covers (_certificate). A subset certifies when its rank
+    is certifying_rank(m, n)."""
     return _certificate(mats, tol)[1]
 
 
 def _regressor_singular_values(rows: np.ndarray, regressor: np.ndarray) -> np.ndarray:
-    """Singular values of rows[regressor[j]] for every subset j, S x
-    min(d + m, columns), from one batched SVD per block of subsets (blocks);
-    LAPACK takes each matrix of a stack on its own, so they are the values
-    one SVD of the whole S-stack gives."""
+    """Singular values of rows[regressor[j]] for every row set j (a subset's
+    or a sensor's), S x min(width, columns), from one batched SVD per block
+    of row sets (blocks); LAPACK takes each matrix of a stack on its own, so
+    they are the values one SVD of the whole S-stack gives."""
     n_subsets, width = regressor.shape
     return np.concatenate([np.linalg.svd(rows[regressor[part]], compute_uv=False)
                            for part in blocks(0, n_subsets, width * rows.shape[1] * 8)])
@@ -158,10 +190,13 @@ def _decoder(basis: np.ndarray, n_sensors: int, n: int) -> np.ndarray:
 def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Certify every subset and return the model's basis.
 
-    One QR of the Hankel (_factor), one SVD of its factor R^T and one
-    batched SVD of every subset's rows of R^T's rank-rho part give every
-    subset's rank (_certificate). Data an n-state plant produced have rank
-    r = m(n + 1) + n in G and in every certified subset's rows of it, so once
+    One QR of the Hankel (_factor), one SVD of its factor R^T and batched
+    SVDs of rows of R^T's rank-rho part give every subset's rank
+    (_certificate): where rho is the certifying rank r = m(n + 1) + n, one
+    SVD of the N single-sensor r x r row sets settles every subset holding a
+    sensor that certifies alone, and only the others, or every subset where
+    rho != r, take an SVD of their own rows. Data an n-state plant produced
+    have rank r in G and in every certified subset's rows of it, so once
     every subset certifies, the top r left singular vectors of that same
     SVD are a basis of the one column space they share; subset j's
     predictor, the basis' rows of its next history times
@@ -278,6 +313,8 @@ def learn_model(traj: Trajectory, max_attacked: int, n: int, columns: int,
         window = mats.hankel[:, part]
         ratio = np.abs(model.decoder @ window) / model.slacks(window, tol)
         np.maximum(ratios, ratio.max(axis=1), out=ratios)
+    if (ratios <= 1.0).all():  # not so for a NaN ratio, which fails like one above 1
+        return model
     rank = basis.shape[1]
     failures = []
     for subset in model.subsets:
@@ -287,9 +324,7 @@ def learn_model(traj: Trajectory, max_attacked: int, n: int, columns: int,
                              f"data rank {rank} meets the certifying rank, but the "
                              f"training misfit of sensor {sensor} reaches "
                              f"{ratios[sensor - 1]:.3g} times its slack"))
-    if failures:
-        raise LearningError(failures)
-    return model
+    raise LearningError(failures)  # every sensor is in some subset, so failures is not empty
 
 
 def save_learned_model(model: DataDrivenModel, path) -> None:

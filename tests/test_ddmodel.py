@@ -126,31 +126,61 @@ class TestRankCondition:
         assert observed[(2, 3)][0] != 13 and not observed[(2, 3)][1]
 
     @pytest.mark.parametrize("wide", [False, True], ids=["T<W", "T>=W"])
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_ranks_equal_per_subset_svd(self, wide, data):
         # the ranks read off one QR and one SVD of the all-sensor Hankel are
         # those of each subset's own gathered stack, with fewer or more columns
         # than the Hankel has rows W, on clean data and with one sensor pinned,
-        # from cutoffs far above rounding level down to below it
+        # from cutoffs far above rounding level down to below it; output noise
+        # lifts the factor's rank rho above r, which skips the single-sensor
+        # pass, and single-sensor subsets (M = N - 1) of a plant observable
+        # only from larger ones leave subsets no certified sensor covers
         tol = Tolerance(rank_rel=data.draw(st.sampled_from((1e-16, 1e-13, 1e-11, 1e-8, 1e-3)),
                                            label="rank_rel"))
         n_sensors = data.draw(st.integers(2, 5), label="N")
-        max_attacked = data.draw(st.integers(1, n_sensors - 1), label="M")
+        max_attacked = data.draw(st.integers(1, n_sensors - 1) | st.just(n_sensors - 1),
+                                 label="M")
+        observable = data.draw(st.integers(n_sensors - max_attacked, n_sensors),
+                               label="observable from")
         n = data.draw(st.integers(1, 4), label="n")
+        sigma = data.draw(st.sampled_from(NOISE), label="noise")
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-        ss = random_test_system(rng, n, 1, n_sensors, n_sensors - max_attacked)
+        ss = random_test_system(rng, n, 1, n_sensors, observable)
         width = (n_sensors + 1) * (n + 1)
         columns = data.draw(st.integers(width, 2 * width) if wide else
                             st.integers(1, width - 1), label="T")
         u = rng.uniform(-1, 1, (1, n + columns))
-        clean = Trajectory(u, simulate(ss, np.zeros(n), u)[1])
+        y = simulate(ss, np.zeros(n), u)[1]
+        clean = Trajectory(u, y + sigma * rng.standard_normal(y.shape))
         pinned = ReplayAttack({data.draw(st.integers(1, n_sensors), label="pinned"): 0.01})
         subsets = enumerate_subsets(n_sensors, max_attacked)
         for traj in (clean, apply_attack(clean, pinned, max_attacked=max_attacked)):
             mats = build_subset_matrices(traj, subsets, n, columns)
             assert list(rank_condition(mats, tol)) == [
                 numerical_rank(stacked, tol) for stacked in gathered_stacks(mats)[0]]
+
+    def test_unobservable_single_sensor_takes_the_subset_path(self, monkeypatch):
+        # the benchmark's sensor 1 sees 4 of its 6 states, so it does not
+        # certify alone, and at budget M = 2 subset (1,) holds no certified
+        # sensor: after the three single-sensor row sets its rank comes from
+        # its own rows, and learning names it with the same text as before
+        _, traj = excited_benchmark_run()
+        mats = build_subset_matrices(traj, enumerate_subsets(3, 2), 6, 41)
+        operands = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kwargs: operands.append(a.shape) or svd(a, **kwargs))
+        with pytest.raises(LearningError) as err:
+            learn_lambda(mats)
+        monkeypatch.undo()
+        assert operands[1:] == [(3, 13, 13), (1, 13, 13)]
+        reason = ("rank certificate failed: data rank 11 is below the certifying rank 13 "
+                  "(stacked rows: 13)")
+        assert err.value.failures == (((1,), 11, reason),)
+        assert str(err.value) == f"subset (1,): {reason}"
+        assert list(rank_condition(mats)) == [11, 13, 13] == [
+            numerical_rank(stacked) for stacked in gathered_stacks(mats)[0]]
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
     def test_cutoff_on_a_singular_value_falls_back(self, plant, monkeypatch):
@@ -203,13 +233,17 @@ class TestRankCondition:
             monkeypatch.undo()
             assert ranks == expected
             assert chunked.tobytes() == sigma.tobytes()
-            # one SVD of the factor, then chunks of one subset or of at most
-            # `block` bytes, the last of them from the whole factor on fallback
+            # one SVD of the factor, then chunks of one matrix or of at most
+            # `block` bytes: the N single-sensor r x r row sets (rho = r), then
+            # the subsets no certified sensor covers, none of them here without
+            # fallback and all of them with it, the last from the whole factor
             gathers = operands[1:]
             assert all(count * rows * cols * 8 <= block or count == 1
                        for count, rows, cols in gathers)
             if block == 1:
-                assert len(gathers) == len(mats.subsets) * (2 if fallback else 1)
+                rank = certifying_rank(1, 6)
+                assert gathers[:n_sensors] == [(1, rank, rank)] * n_sensors
+                assert len(gathers) == n_sensors + (2 * len(mats.subsets) if fallback else 0)
             assert (gathers[-1][2] == factor.shape[1]) == fallback
 
     def test_cutoff_below_the_truncated_tail_falls_back(self):
@@ -294,8 +328,9 @@ class TestLearnLambda:
 
     def test_one_svd_of_the_factor_decides_every_rank(self, monkeypatch):
         # learning factors the all-sensor Hankel's R^T once with vectors, takes
-        # the basis from it, and reads every subset rank from one batched
-        # values-only SVD of operands narrower than R^T
+        # the basis from it, and settles every subset rank from one batched
+        # values-only SVD of the N single-sensor r x rho row sets of its
+        # rank-rho part: every sensor certifies, so no subset's rows are taken
         traj, n_sensors, max_attacked, columns = subset_run("random-10x4")
         mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
@@ -310,7 +345,8 @@ class TestLearnLambda:
         assert calls[0] == ((mats.hankel.shape[0], width), {"full_matrices": False})
         ((shape, kwargs),) = calls[1:]
         assert kwargs == {"compute_uv": False}
-        assert shape[:2] == mats.regressor.shape and shape[2] < width
+        assert shape == (n_sensors, certifying_rank(1, 6), certifying_rank(1, 6)) and (
+            shape[2] < width)
         assert np.array_equal(basis, np.linalg.svd(factor, full_matrices=False)[0][
             :, :certifying_rank(1, 6)])
         assert rank_condition(mats) == (certifying_rank(1, 6),) * len(mats.subsets)
@@ -563,6 +599,24 @@ class TestLearnModel:
         assert len(err.value.failures) == 3 and err.value.rank == certifying_rank(1, 6)
         assert str(err.value).count("meets the certifying rank, but the training misfit") == 3
 
+    def test_a_misfit_that_is_not_a_number_fails(self, monkeypatch):
+        # a NaN ratio is not within the slack: it fails every subset that
+        # holds its sensor, as a ratio above 1 does
+        _, traj = excited_benchmark_run()
+        slacks = DataDrivenModel.slacks
+
+        def nan_for_sensor_2(self, columns, tol):
+            values = slacks(self, columns, tol)
+            values[1] = np.nan
+            return values
+
+        monkeypatch.setattr(DataDrivenModel, "slacks", nan_for_sensor_2)
+        with pytest.raises(LearningError) as err:
+            learn_model(traj, 1, 6, 41)
+        reason = ("data rank 13 meets the certifying rank, but the training misfit of sensor 2 "
+                  "reaches nan times its slack")
+        assert err.value.failures == (((1, 2), 13, reason), ((2, 3), 13, reason))
+
     @pytest.mark.parametrize("case, rank, reasons", [
         ("zero-input", 0, ["rank certificate failed: data rank 0 is below the certifying "
                            "rank 13 (stacked rows: 19)"] * 3),
@@ -619,6 +673,22 @@ class TestLearnModel:
             monkeypatch.setattr(ddmodel, name, counted)
         learn_model(traj, 1, 6, 41)
         assert calls == {"build_subset_matrices": 1, "learn_lambda": 1, "_decoder": 1}
+
+    def test_a_generic_learn_takes_n_plus_one_certificate_svds(self, monkeypatch):
+        # a random (10, 4) learn: the SVD of R^T, one stack of the N
+        # single-sensor r x r row sets, and the decoder's SVD; no S-stack
+        traj, n_sensors, max_attacked, columns = subset_run("random-10x4")
+        operands = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kwargs: operands.append(a.shape) or svd(a, **kwargs))
+        model = learn_model(traj, max_attacked, 6, columns)
+        monkeypatch.undo()
+        width = (n_sensors + 1) * 7
+        rank = certifying_rank(1, 6)
+        assert len(model.subsets) == 210
+        assert operands == [(width, min(width, columns)), (n_sensors, rank, rank),
+                            (width, n_sensors)]
 
 
 def recode_basis(payload, edit):
