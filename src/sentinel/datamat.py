@@ -12,6 +12,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -167,25 +168,35 @@ def generate_pe_input(m: int, length: int, order: int, seed: int,
 class SubsetDataMatrices:
     """Data matrices of every sensor subset built from a single recording.
 
+    index: the subsets as one S x q integer array, row j = subsets[j].
     hankel: the all-sensor Hankel G of depth n + 1 (trajectory_hankel),
         W x T with W = (N + m)(n + 1); column c holds samples c .. c + n.
-    regressor: S x (d + m) rows of G (hankel_rows); G[regressor[j]] is
-        subsets[j]'s stacked data [u_now; history] at times n .. n + T - 1.
     order: the plant order n; input_dim: the input count m. T is
         hankel.shape[1].
+    regressor: S x (d + m) rows of G (hankel_rows), read-only and built on
+        first read; G[regressor[j]] is subsets[j]'s stacked data [u_now;
+        history] at times n .. n + T - 1.
     Every subset's data are row selections of G, so one factorization of
     G serves them all; the S gathered stacks are never built.
     """
 
     subsets: tuple[tuple[int, ...], ...]
+    index: np.ndarray
     hankel: np.ndarray
-    regressor: np.ndarray
     order: int
     input_dim: int
 
     def __post_init__(self):
-        for arr in (self.hankel, self.regressor):
+        for arr in (self.index, self.hankel):
             arr.setflags(write=False)
+
+    @cached_property
+    def regressor(self) -> np.ndarray:
+        """hankel_rows of every subset, in position order."""
+        n_sensors = self.hankel.shape[0] // (self.order + 1) - self.input_dim
+        rows = hankel_rows(n_sensors, self.index, self.order, self.input_dim)
+        rows.setflags(write=False)
+        return rows
 
 
 def trajectory_hankel(traj: Trajectory, start: int, depth: int, cols: int) -> np.ndarray:
@@ -207,8 +218,8 @@ def hankel_rows(n_sensors: int, subsets, n: int, m: int) -> np.ndarray:
 
 def build_subset_matrices(traj: Trajectory, subsets, n: int,
                           columns: int) -> SubsetDataMatrices:
-    """Assemble the all-sensor Hankel and the hankel_rows of every subset
-    with `columns` snapshots.
+    """Assemble the all-sensor Hankel of every subset's data with `columns`
+    snapshots; the subsets' hankel_rows are built when first read.
 
     Each subset is a tuple of strictly increasing 1-based sensor indices, at
     most the recording's output count, and all hold the same number of
@@ -235,9 +246,8 @@ def build_subset_matrices(traj: Trajectory, subsets, n: int,
                          f"got {subsets[np.argmin(ordered)]}")
     if index[:, -1].max() > traj.output_dim:
         raise ValueError(f"a subset names a sensor beyond the {traj.output_dim} recorded")
-    return SubsetDataMatrices(subsets, trajectory_hankel(traj, 0, n + 1, columns),
-                              hankel_rows(traj.output_dim, index, n, traj.input_dim),
-                              n, traj.input_dim)
+    return SubsetDataMatrices(subsets, index, trajectory_hankel(traj, 0, n + 1, columns), n,
+                              traj.input_dim)
 
 
 def write_json(payload, path) -> None:

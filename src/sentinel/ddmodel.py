@@ -111,14 +111,15 @@ def _certificate(mats: SubsetDataMatrices, tol: Tolerance
     tau sigma_1 exceeds the margin, every subset holding sensor i passes
     the check above with its r values, all it has on rho = r columns: its
     rank is r. Only the subsets holding no such sensor, and every subset
-    where rho != r, take the batched SVD of their own rows and the check.
+    where rho != r, take the batched SVD of their own rows and the check;
+    their hankel_rows are built for them alone.
     Where the check fails, their values are those of the rows of R^T
     themselves, as if rho were min(W, T). A zero factor has rho = 0 and
     every rank 0.
     """
     factor = _factor(mats)
     u, s, _ = np.linalg.svd(factor, full_matrices=False)
-    shape = (mats.regressor.shape[1], mats.hankel.shape[1])
+    shape = (_stacked_rows(mats), mats.hankel.shape[1])
     level = max(mats.hankel.shape) * np.finfo(float).eps * s[0]
     rho = np.count_nonzero(s > level)
     delta = s[rho:rho + 1].sum()  # 0 where rho = min(W, T)
@@ -127,15 +128,15 @@ def _certificate(mats: SubsetDataMatrices, tol: Tolerance
     ranks = np.full(len(mats.subsets), rho)  # a covered subset's rank, r = rho
     uncovered = np.arange(len(mats.subsets))
     n, m = mats.order, mats.input_dim
+    n_sensors = mats.hankel.shape[0] // (n + 1) - m
     if rho == certifying_rank(m, n):
-        n_sensors = mats.hankel.shape[0] // (n + 1) - m
         single = _regressor_singular_values(
             rows, hankel_rows(n_sensors, np.arange(1, n_sensors + 1)[:, None], n, m))
         certified = ((single[:, -1] > rank_cutoff(s, shape, tol) + margin)
                      & (rank_cutoff(single, shape, tol)[:, 0] > margin))
-        uncovered = np.flatnonzero(~certified[np.array(mats.subsets) - 1].any(axis=1))
+        uncovered = np.flatnonzero(~certified[mats.index - 1].any(axis=1))
     if uncovered.size:
-        regressor = mats.regressor[uncovered]
+        regressor = hankel_rows(n_sensors, mats.index[uncovered], n, m)
         sigma = _regressor_singular_values(rows, regressor)
         cutoff = rank_cutoff(sigma, shape, tol)
         if not ((np.abs(sigma - cutoff) > margin).all() and (cutoff > margin).all()):
@@ -143,6 +144,11 @@ def _certificate(mats: SubsetDataMatrices, tol: Tolerance
             cutoff = rank_cutoff(sigma, shape, tol)
         ranks[uncovered] = (sigma > cutoff).sum(axis=1)
     return u, tuple(ranks.tolist())
+
+
+def _stacked_rows(mats: SubsetDataMatrices) -> int:
+    """Rows of a subset's stacked data matrix, d + m = m(n + 1) + q n."""
+    return mats.input_dim * (mats.order + 1) + mats.index.shape[1] * mats.order
 
 
 def rank_condition(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:
@@ -209,7 +215,7 @@ def learn_lambda(mats: SubsetDataMatrices, tol: Tolerance = DEFAULT_TOL) -> np.n
     failures = [(subset, rank,
                  f"rank certificate failed: data rank {rank} is "
                  f"{'above' if rank > required else 'below'} the certifying rank {required} "
-                 f"(stacked rows: {mats.regressor.shape[1]})")
+                 f"(stacked rows: {_stacked_rows(mats)})")
                 for subset, rank in zip(mats.subsets, ranks) if rank != required]
     if failures:
         raise LearningError(failures)

@@ -13,9 +13,11 @@ Three detectors, one per attack shape:
 Verdicts share one shape: per-entry scores and the winner set, from which
 the union of the winners' sensor indices and the all-clear flag derive.
 An injection verdict derives its scores from the step's decode when they
-are first read, so a step pays nothing per subset.
+are first read, so a step pays nothing per subset, and its JSON form holds
+one record per sensor, not per subset.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -55,7 +57,10 @@ class IdentificationVerdict:
     verdict stores the step's decode a as values, one entry per sensor, and
     the model's read-only S x N membership matrix as members; its scores,
     ||a[S_j]|| = sqrt(members @ a^2)_j, are computed when first read.
-    members is not compared: equal subsets hold equal members.
+    members is not compared: equal subsets hold equal members. slacks holds
+    every sensor's slack s_i where the step's full rule computed them, and
+    is None where the step cleared every |a_i| at the floor tol.residual
+    without them (injection_step), and for replay and delay.
     """
 
     k: int
@@ -64,6 +69,7 @@ class IdentificationVerdict:
     values: tuple[float, ...]
     winners: tuple[int, ...]
     members: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    slacks: Optional[tuple[float, ...]] = None
 
     @cached_property
     def scores(self) -> tuple[float, ...]:
@@ -84,10 +90,10 @@ class IdentificationVerdict:
         return len(self.winners) == len(self.subsets)
 
 
-def _verdict(k: int, mode: str, subsets, values, wins, members=None) -> IdentificationVerdict:
+def _verdict(k: int, mode: str, subsets, values, wins) -> IdentificationVerdict:
     """Verdict over candidates in id order; wins[j] marks subsets[j] a winner."""
     return IdentificationVerdict(k, mode, tuple(subsets), tuple(values),
-                                 tuple(j for j, won in enumerate(wins, 1) if won), members)
+                                 tuple(j for j, won in enumerate(wins, 1) if won))
 
 
 @dataclass
@@ -151,9 +157,9 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     then re-anchored on the plant, y - a, and the column drops its oldest
     sample, so the history stays one the plant can produce and the next
     step decodes only its own sample's deviation. The verdict keeps a, and
-    subset j's score ||a[S_j]|| is computed only when read
-    (IdentificationVerdict); an all-clear verdict takes the monitor's
-    precomputed winners.
+    the slacks where the full rule below computed them; subset j's score
+    ||a[S_j]|| is computed only when read (IdentificationVerdict); an
+    all-clear verdict takes the monitor's precomputed winners.
 
     A step whose every |a_i| is at most tol.residual is cleared without
     computing the slacks: each s_i is tol.residual plus a term that is
@@ -172,7 +178,7 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     column[-m:] = u_vec
     deviation = predict(model.decoder, column)
     magnitude = np.abs(deviation)
-    named = None
+    named = slacks = None
     if np.count_nonzero(magnitude <= mon.tol.residual) != n_sensors:
         with np.errstate(over="ignore", invalid="ignore"):
             slack = model.slacks(column, mon.tol)
@@ -181,16 +187,16 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
             raise ValueError("the sample (u_k, y_new) overflows the injection step: a slack "
                              "or the scores are not finite")
         named = ~(magnitude <= slack)
+        slacks = tuple(slack.tolist())
     column[outputs:inputs] -= deviation
     column[:outputs] = column[n_sensors:inputs]
     column[inputs:-m] = column[inputs + m:]
     mon.k += 1
-    decode = tuple(deviation.tolist())
-    if named is None or not np.count_nonzero(named):
-        return IdentificationVerdict(mon.k, "injection", model.subsets, decode,
-                                     mon.clear_winners, model.members)
-    return _verdict(mon.k, "injection", model.subsets, decode,
-                    (model.members @ named == 0).tolist(), model.members)
+    winners = mon.clear_winners
+    if named is not None and np.count_nonzero(named):
+        winners = tuple((np.flatnonzero(model.members @ named == 0) + 1).tolist())
+    return IdentificationVerdict(mon.k, "injection", model.subsets, tuple(deviation.tolist()),
+                                 winners, model.members, slacks)
 
 
 def run_injection(mon: InjectionMonitor, u, y) -> IdentificationVerdict:
@@ -350,15 +356,36 @@ def identify_delay(y_impulse, rel_degrees) -> IdentificationVerdict:
     return _verdict(0, "delay", sensors, slacks, [s == best for s in slacks])
 
 
+def _finite(value):
+    """value, or None (JSON null) where it is not finite."""
+    return value if value is not None and math.isfinite(value) else None
+
+
 def verdict_to_dict(verdict: IdentificationVerdict) -> dict:
-    """JSON-ready form of a verdict; a non-finite score is written as null."""
-    key = {"injection": "residual", "replay": "rank", "delay": "slack"}[verdict.mode]
+    """JSON-ready form of a verdict; a non-finite number is written as null.
+
+    An injection verdict holds one per_sensor record per sensor i: its
+    decode a_i, its slack s_i and whether the step named it, not |a_i| <=
+    s_i. A step that cleared every |a_i| at the floor computed no slacks:
+    there every slack is null and no sensor is named. A replay or delay
+    verdict holds one per_subset record per candidate: its id, its sensor
+    indices and its score, a rank or a timing offset.
+    """
+    if verdict.mode == "injection":
+        slacks = verdict.slacks or (None,) * len(verdict.values)
+        records = {"per_sensor": [
+            {"sensor": i, "decode": _finite(a), "slack": _finite(s),
+             "named": s is not None and not abs(a) <= s}
+            for i, (a, s) in enumerate(zip(verdict.values, slacks), 1)]}
+    else:
+        key = {"replay": "rank", "delay": "slack"}[verdict.mode]
+        records = {"per_subset": [{"id": j, "indices": list(verdict.subsets[j - 1]),
+                                   key: _finite(value)}
+                                  for j, value in enumerate(verdict.scores, 1)]}
     return {
         "k": verdict.k,
         "mode": verdict.mode,
-        "per_subset": [{"id": j, "indices": list(verdict.subsets[j - 1]),
-                        key: value if np.isfinite(value) else None}
-                       for j, value in enumerate(verdict.scores, 1)],
+        **records,
         "winners": list(verdict.winners),
         "attack_free_sensors": list(verdict.attack_free_sensors),
         "all_clear": verdict.all_clear,

@@ -314,8 +314,10 @@ class TestIdentify:
 
     def test_injection_stdout_equals_step_loop(self, injection_demo, capsys):
         # the step loop re-anchors the history the screen hands over as
-        # recorded, so the residuals agree to rounding: within 4 sqrt(q) beta
-        # of the verdict's step, beta = W eps max ||K_i|| ||h|| (the screen's)
+        # recorded, so the decodes agree to rounding: within 4 beta of the
+        # verdict's step, beta = W eps max ||K_i|| ||h|| (the screen's); a
+        # slack, res (1 + a norm of that history), moves by at most the
+        # history's own gap relative to it, a few beta
         stream = load_trajectory(injection_demo / "online.csv")
         model = load_learned_model(injection_demo / "model.json")
         monitor = injection_bootstrap(model, stream.u[:, :6], stream.y[:, :6])
@@ -327,17 +329,18 @@ class TestIdentify:
                      "--model", str(injection_demo / "model.json")]) == 0
         out = capsys.readouterr().out
         payload = json.loads(out)
-        residuals = [[entry.pop("residual") for entry in verdict["per_subset"]]
-                     for verdict in (payload, expected)]
+        decodes, slacks = ([[entry.pop(key) for entry in verdict["per_sensor"]]
+                            for verdict in (payload, expected)] for key in ("decode", "slack"))
         column = trajectory_hankel(stream, payload["k"] - 7, 7, 1)[:, 0]
         beta = 28 * np.finfo(float).eps * np.linalg.norm(model.decoder, axis=1).max() * (
             np.linalg.norm(column))
         assert payload == expected
-        assert np.allclose(*residuals, rtol=0, atol=4 * np.sqrt(2) * beta)
+        assert np.allclose(*decodes, rtol=0, atol=4 * beta)
+        assert np.allclose(*slacks, rtol=4 * beta, atol=0)
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("name, digest", [
-        ("verdict.json", "46f0c30c203f94a5c8dfa978c179be031a8f53dbe56e22c4819889a1c4fc1638"),
+        ("verdict.json", "430d7bb65b275afbdd249eb525df43483bd4ecdb493991aebd607ee2dd5abcdb"),
         ("online.csv", "c7855cb6dfbc1ffe690ca866fb68665ea6b4ec4a74810821e566655847ec388b"),
         ("model.json", "dbc0fc58b4ada1bb230653dc226ea06039da4ebf99f9766bbe8015eb2560357f"),
         ("offline.csv", "bb62bdcc27c6f1cb8136d5ae85c95d5be1ad34986aa8cd7e3298c94e11c3b06e"),

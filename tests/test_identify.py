@@ -542,6 +542,31 @@ def full_rule(monitor, u_k, y_k):
 ALL_PLANTS = ["benchmark", "random-10x4", "random-6x2", "random-5x2-m2"]
 
 
+def drawn_steps(data, monitored_plants):
+    """A drawn plant's model, a monitor at a drawn floor tol.residual and
+    its samples (u_k, y_k), some sensors offset at and around the floor and
+    the clean sample's slack, one ulp either side of each included. Each
+    sample is drawn against the monitor as the previous ones left it."""
+    ss, model = monitored_plants[data.draw(st.sampled_from(ALL_PLANTS), label="plant")]
+    tol = Tolerance(residual=data.draw(st.sampled_from([DEFAULT_TOL.residual, 1e-6]),
+                                       label="residual"))
+    n, floor = model.n, tol.residual
+    traj = offset_stream(ss, model, data.draw(st.integers(1, 6), label="steps"),
+                         data.draw(st.integers(0, 2**16), label="seed"))
+    monitor = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n], tol)
+    for k in range(n, traj.length):
+        u_k, y_k = traj.u[:, k], traj.y[:, k].copy()
+        slack = model.slacks(step_column(monitor, u_k, y_k), tol)
+        for sensor in data.draw(st.sets(st.integers(1, model.n_sensors)), label="sensors"):
+            base = data.draw(st.sampled_from([floor, slack[sensor - 1]]), label="base")
+            factor = data.draw(st.one_of(
+                st.sampled_from([1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]),
+                st.floats(0.0, 3.0)), label="factor")
+            y_k[sensor - 1] += data.draw(st.sampled_from([1.0, -1.0]), label="sign") * (
+                factor * base)
+        yield monitor, u_k, y_k
+
+
 class TestFloorClear:
     """A step whose every |a_i| is within tol.residual clears without the
     slacks; that floor test decides no step differently from the full rule."""
@@ -549,28 +574,29 @@ class TestFloorClear:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_named_set_equals_full_rule(self, monitored_plants, data):
-        ss, model = monitored_plants[data.draw(st.sampled_from(ALL_PLANTS), label="plant")]
-        tol = Tolerance(residual=data.draw(st.sampled_from([DEFAULT_TOL.residual, 1e-6]),
-                                           label="residual"))
-        n, floor = model.n, tol.residual
-        traj = offset_stream(ss, model, data.draw(st.integers(1, 6), label="steps"),
-                             data.draw(st.integers(0, 2**16), label="seed"))
-        monitor = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n], tol)
-        for k in range(n, traj.length):
-            u_k, y_k = traj.u[:, k], traj.y[:, k].copy()
-            slack = model.slacks(step_column(monitor, u_k, y_k), tol)
-            # offsets at and around the floor and the clean sample's slack,
-            # one ulp either side of each included
-            for sensor in data.draw(st.sets(st.integers(1, model.n_sensors)), label="sensors"):
-                base = data.draw(st.sampled_from([floor, slack[sensor - 1]]), label="base")
-                factor = data.draw(st.one_of(
-                    st.sampled_from([1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]),
-                    st.floats(0.0, 3.0)), label="factor")
-                y_k[sensor - 1] += data.draw(st.sampled_from([1.0, -1.0]), label="sign") * (
-                    factor * base)
+        for monitor, u_k, y_k in drawn_steps(data, monitored_plants):
             expected = full_rule(monitor, u_k, y_k)
             verdict = injection_step(monitor, u_k, y_k)
             assert (verdict.k, verdict.winners, verdict.all_clear) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_per_sensor_records_hold_the_step_rule(self, monitored_plants, data):
+        # each sensor's record holds its decode, the slack model.slacks gives
+        # on the step's column and named = not |a_i| <= s_i; the slacks are
+        # null exactly where every |a_i| is within the floor
+        for monitor, u_k, y_k in drawn_steps(data, monitored_plants):
+            model, floor = monitor.model, monitor.tol.residual
+            slack = model.slacks(step_column(monitor, u_k, y_k), monitor.tol).tolist()
+            records = verdict_to_dict(injection_step(monitor, u_k, y_k))["per_sensor"]
+            decode = [record["decode"] for record in records]
+            assert [record["sensor"] for record in records] == list(
+                range(1, model.n_sensors + 1))
+            cleared = all(abs(a) <= floor for a in decode)
+            assert [record["slack"] for record in records] == (
+                [None] * model.n_sensors if cleared else slack)
+            assert [record["named"] for record in records] == [
+                not abs(a) <= s for a, s in zip(decode, slack)]
 
     @pytest.mark.parametrize("name", ALL_PLANTS)
     def test_only_a_step_above_the_floor_takes_the_slacks(self, monitored_plants, monkeypatch,
@@ -1260,7 +1286,7 @@ class TestVerdictFields:
     def test_only_decisions_are_stored(self):
         # values holds the scores, or an injection step's decode with members
         assert [f.name for f in dataclasses.fields(IdentificationVerdict)] == [
-            "k", "mode", "subsets", "values", "winners", "members"]
+            "k", "mode", "subsets", "values", "winners", "members", "slacks"]
         for name in ("attack_free_sensors", "all_clear"):
             with pytest.raises(TypeError):
                 IdentificationVerdict(1, "replay", self.SUBSETS, (13.0,) * 3, (1,),
@@ -1379,15 +1405,45 @@ class TestVerdictSerialization:
         assert payload["mode"] == "injection"
         assert payload["all_clear"] is True
         assert payload["winners"] == [1, 2, 3]
-        assert {entry["id"] for entry in payload["per_subset"]} == {1, 2, 3}
-        assert all("residual" in entry for entry in payload["per_subset"])
+        assert "per_subset" not in payload
+        assert [entry["sensor"] for entry in payload["per_sensor"]] == [1, 2, 3]
+        assert all(sorted(entry) == ["decode", "named", "sensor", "slack"]
+                   for entry in payload["per_sensor"])
 
-    def test_non_finite_injection_score_is_null(self):
-        subsets = ((1, 2), (1, 3))
+    @pytest.mark.parametrize("name", ["random-10x4", "random-6x2"])
+    def test_injection_dict_does_not_grow_with_the_subsets(self, monitored_plants, name):
+        # one basis and one sample at two budgets M: the same decode and
+        # slacks, N records, and the same JSON but for the winners' ids
+        ss, base = monitored_plants[name]
+        traj, n = offset_stream(ss, base, 4, 6, sensor=2, at=base.n + 3, amplitude=0.9), base.n
+        payloads = []
+        for budget in (1, base.max_attacked):
+            model = dataclasses.replace(base, max_attacked=budget)
+            monitor = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n])
+            verdict = run_injection(monitor, traj.u[:, n:], traj.y[:, n:])
+            assert not verdict.all_clear and verdict.slacks is not None
+            payload = verdict_to_dict(verdict)
+            assert "per_subset" not in payload
+            assert len(payload["per_sensor"]) == model.n_sensors
+            payload.pop("winners")
+            payloads.append(json.dumps(payload, indent=2, sort_keys=True))
+        assert len(enumerate_subsets(base.n_sensors, 1)) != len(base.subsets)
+        assert payloads[0] == payloads[1]
+
+    def test_non_finite_injection_decode_is_null(self):
+        subsets = ((1, 2), (1, 3), (2, 3))
         payload = verdict_to_dict(IdentificationVerdict(
-            9, "injection", subsets, (float("inf"), 0.5), (2,)))
-        assert [entry["residual"] for entry in payload["per_subset"]] == [None, 0.5]
-        assert '"residual": null' in json.dumps(payload)
+            9, "injection", subsets, (float("inf"), 0.5, float("nan")), (), slacks=(1.0,) * 3))
+        assert [entry["decode"] for entry in payload["per_sensor"]] == [None, 0.5, None]
+        assert [entry["named"] for entry in payload["per_sensor"]] == [True, False, True]
+        assert '"decode": null' in json.dumps(payload)
+
+    def test_floor_cleared_step_writes_null_slacks(self):
+        payload = verdict_to_dict(IdentificationVerdict(
+            9, "injection", ((1, 2), (1, 3), (2, 3)), (1e-18, -1e-17, 0.0), (1, 2, 3)))
+        assert [entry["slack"] for entry in payload["per_sensor"]] == [None] * 3
+        assert not any(entry["named"] for entry in payload["per_sensor"])
+        assert '"slack": null' in json.dumps(payload)
 
     def test_replay_dict_uses_integer_ranks(self):
         ss = benchmark_plant()
@@ -1404,3 +1460,11 @@ class TestVerdictSerialization:
         assert all(type(slack) is int for slack in slacks.values())
         assert [entry["indices"] for entry in payload["per_subset"]] == [[1], [2], [3]]
         assert payload["attack_free_sensors"] == [1, 3]
+
+    def test_silent_delay_sensor_is_null(self):
+        y, degrees = TestIdentifyDelay().delayed_impulse((0, 0, 0))
+        y = y.copy()
+        y[1] = 0.0
+        text = json.dumps(verdict_to_dict(identify_delay(y, degrees)), indent=2, sort_keys=True)
+        assert [entry["slack"] for entry in json.loads(text)["per_subset"]] == [0, None, 0]
+        assert '"slack": null' in text and "Infinity" not in text

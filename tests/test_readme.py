@@ -16,7 +16,9 @@ import pytest
 
 import sentinel
 from sentinel.cli import build_parser, main
+from sentinel.datamat import load_trajectory
 from sentinel.ddmodel import load_learned_model
+from sentinel.identify import IdentificationVerdict, identify_injection, verdict_to_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -58,6 +60,22 @@ def test_model_file_bullet_names_the_saved_fields(demo_dir):
                        README.read_text(encoding="utf-8"), re.DOTALL)
     saved = json.loads((demo_dir / "model.json").read_text(encoding="utf-8"))
     assert sorted(re.findall(r'"(\w+)"', bullet.group(1))) == sorted(saved)
+
+
+@pytest.mark.parametrize("mode", ["injection", "replay", "delay"])
+def test_verdict_bullet_names_the_written_keys(demo_dir, mode):
+    span = re.search(rf"^  \* {mode}: `\{{(.*?)\}}`", README.read_text(encoding="utf-8"),
+                     re.DOTALL | re.MULTILINE)
+    if mode == "injection":
+        verdict = identify_injection(load_learned_model(demo_dir / "model.json"),
+                                     load_trajectory(demo_dir / "online.csv"))
+    else:
+        verdict = IdentificationVerdict(0, mode, ((1,), (2,)), (13, 12), (1,))
+    payload = verdict_to_dict(verdict)
+    records = [value[0] for value in payload.values() if isinstance(value, list)
+               and value and isinstance(value[0], dict)]
+    assert len(records) == 1
+    assert sorted(re.findall(r'"(\w+)"', span.group(1))) == sorted([*payload, *records[0]])
 
 
 def test_model_attributes_exist(demo_dir):
