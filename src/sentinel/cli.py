@@ -189,7 +189,7 @@ def demo_replay(ss: StateSpace, model, seed: int, tol: Tolerance):
                            seed + OFF_REPLAY_FILL, tol)
     attacked = apply_attack(clean, scenario, max_attacked=BENCH_MAX_ATTACKED)
     verdict = identify_replay(attacked, BENCH_MAX_ATTACKED, model.n, BENCH_COLUMNS, tol)
-    ranks = dict(enumerate(verdict.scores, 1))
+    ranks = dict(enumerate(verdict.values, 1))
     return (scenario, attacked, verdict, {}, verdict.winners == (1,),
             f"ranks={ranks} winners={verdict.winners} "
             f"attack_free={verdict.attack_free_sensors}")
@@ -237,7 +237,7 @@ def cmd_learn(args) -> int:
         model = learn_model(traj, args.max_attacked, args.n, args.horizon, args.tol)
     with _failing("cannot write model", OSError):
         save_learned_model(model, args.out)
-    print(f"learned {len(model.subsets)} subset predictors -> {args.out}")
+    print(f"learned a model of {len(model.subsets)} sensor subsets -> {args.out}")
     return 0
 
 
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tol_flags(p_demo, "--rank-tol", "--res-tol")
     p_demo.set_defaults(func=cmd_demo)
 
-    p_learn = sub.add_parser("learn", help="learn subset predictors from a recording")
+    p_learn = sub.add_parser("learn", help="learn the data basis and decoder from a recording")
     p_learn.add_argument("trajectory", help="attack-free recording (CSV)")
     p_learn.add_argument("--n", type=int, required=True, help="plant order")
     p_learn.add_argument("--max-attacked", type=int, required=True,

@@ -12,7 +12,6 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -173,11 +172,10 @@ class SubsetDataMatrices:
         W x T with W = (N + m)(n + 1); column c holds samples c .. c + n.
     order: the plant order n; input_dim: the input count m. T is
         hankel.shape[1].
-    regressor: S x (d + m) rows of G (hankel_rows), read-only and built on
-        first read; G[regressor[j]] is subsets[j]'s stacked data [u_now;
-        history] at times n .. n + T - 1.
-    Every subset's data are row selections of G, so one factorization of
-    G serves them all; the S gathered stacks are never built.
+    Every subset's data are row selections of G (hankel_rows of its index
+    row: G[rows] is its stacked data [u_now; history] at times
+    n .. n + T - 1), so one factorization of G serves them all; the S
+    gathered stacks are never built.
     """
 
     subsets: tuple[tuple[int, ...], ...]
@@ -189,14 +187,6 @@ class SubsetDataMatrices:
     def __post_init__(self):
         for arr in (self.index, self.hankel):
             arr.setflags(write=False)
-
-    @cached_property
-    def regressor(self) -> np.ndarray:
-        """hankel_rows of every subset, in position order."""
-        n_sensors = self.hankel.shape[0] // (self.order + 1) - self.input_dim
-        rows = hankel_rows(n_sensors, self.index, self.order, self.input_dim)
-        rows.setflags(write=False)
-        return rows
 
 
 def trajectory_hankel(traj: Trajectory, start: int, depth: int, cols: int) -> np.ndarray:
@@ -219,7 +209,7 @@ def hankel_rows(n_sensors: int, subsets, n: int, m: int) -> np.ndarray:
 def build_subset_matrices(traj: Trajectory, subsets, n: int,
                           columns: int) -> SubsetDataMatrices:
     """Assemble the all-sensor Hankel of every subset's data with `columns`
-    snapshots; the subsets' hankel_rows are built when first read.
+    snapshots, and the subsets' S x q index array.
 
     Each subset is a tuple of strictly increasing 1-based sensor indices, at
     most the recording's output count, and all hold the same number of

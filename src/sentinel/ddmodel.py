@@ -244,14 +244,12 @@ class DataDrivenModel:
     basis, W x r with W = (N + m)(n + 1) and r = m(n + 1) + n, is an
     orthonormal basis of the column space of the all-sensor Hankel the
     model was learned from; it is the model's one source of truth. subsets
-    = enumerate_subsets(N, M), their read-only S x N membership matrix
-    members (1 where subset j holds sensor i + 1, else 0) and decoder =
-    _decoder(basis, N, n), N x W, are derived when the model is built. A
-    basis that is not a finite W x r matrix, is not orthonormal (max
-    |U^T U - I| above 10 W eps; learning saves singular vectors, measured
-    at most 13 eps for W <= 77) or leaves the newest outputs undetermined
-    (_decoder) raises ValueError: the decoder is a projection only for an
-    orthonormal basis.
+    = enumerate_subsets(N, M) and decoder = _decoder(basis, N, n), N x W,
+    are derived when the model is built. A basis that is not a finite W x r
+    matrix, is not orthonormal (max |U^T U - I| above 10 W eps; learning
+    saves singular vectors, measured at most 13 eps for W <= 77) or leaves
+    the newest outputs undetermined (_decoder) raises ValueError: the
+    decoder is a projection only for an orthonormal basis.
     """
 
     basis: np.ndarray
@@ -262,7 +260,6 @@ class DataDrivenModel:
     columns: int
     pe_seed: Optional[int] = None
     subsets: tuple[tuple[int, ...], ...] = field(init=False)
-    members: np.ndarray = field(init=False, repr=False)
     decoder: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -277,11 +274,7 @@ class DataDrivenModel:
         if not error <= bound:
             raise _BasisError(f"basis is not orthonormal: max |U^T U - I| is {error:.3g}, "
                               f"above 10 W eps = {bound:.3g}")
-        sensors = np.array(subsets) - 1
-        members = np.zeros((len(subsets), self.n_sensors))
-        np.put_along_axis(members, sensors, 1.0, axis=1)
-        members.flags.writeable = False
-        for name, value in (("basis", basis), ("subsets", subsets), ("members", members),
+        for name, value in (("basis", basis), ("subsets", subsets),
                             ("decoder", _decoder(basis, self.n_sensors, self.n))):
             object.__setattr__(self, name, value)
 

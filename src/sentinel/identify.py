@@ -10,16 +10,16 @@ Three detectors, one per attack shape:
 * delay: first-response timing of each sensor against its known
   input-to-output delay after an impulse from equilibrium.
 
-Verdicts share one shape: per-entry scores and the winner set, from which
-the union of the winners' sensor indices and the all-clear flag derive.
-An injection verdict derives its scores from the step's decode when they
-are first read, so a step pays nothing per subset, and its JSON form holds
-one record per sensor, not per subset.
+Verdicts share one shape: one tuple of per-entry values (a replay rank or
+a delay offset per candidate, or an injection step's decode per sensor)
+and the winner set, from which the union of the winners' sensor indices
+and the all-clear flag derive. A clean injection step builds nothing per
+subset, and an injection verdict's JSON form holds one record per sensor,
+not per subset.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -47,20 +47,18 @@ class NoResponseError(RuntimeError):
 class IdentificationVerdict:
     """Outcome of one identification step or batch test.
 
-    scores[j] is the score of candidate subsets[j] (a sensor subset, or a
-    single sensor, as a tuple of 1-based sensor indices): an int for a
-    replay rank or a finite delay offset, else a float; winners holds the
-    ids, 1-based positions in subsets, of the best-scoring candidates at
-    tolerance. attack_free_sensors and all_clear derive from them.
+    subsets are the candidates (sensor subsets, or single sensors, as tuples
+    of 1-based sensor indices); winners holds the ids, 1-based positions in
+    subsets, of the candidates that pass the test. attack_free_sensors and
+    all_clear derive from them.
 
-    A replay or delay verdict stores its scores as values. An injection
-    verdict stores the step's decode a as values, one entry per sensor, and
-    the model's read-only S x N membership matrix as members; its scores,
-    ||a[S_j]|| = sqrt(members @ a^2)_j, are computed when first read.
-    members is not compared: equal subsets hold equal members. slacks holds
-    every sensor's slack s_i where the step's full rule computed them, and
-    is None where the step cleared every |a_i| at the floor tol.residual
-    without them (injection_step), and for replay and delay.
+    values holds one entry per candidate for replay and delay, values[j]
+    the score of subsets[j]: an int for a replay rank or a finite delay
+    offset, else a float. An injection verdict's values are the step's
+    decode a, one entry per sensor. slacks holds every sensor's slack s_i
+    where the step's full rule computed them, and is None where the step
+    cleared every |a_i| at the floor tol.residual without them
+    (injection_step), and for replay and delay.
     """
 
     k: int
@@ -68,16 +66,7 @@ class IdentificationVerdict:
     subsets: tuple[tuple[int, ...], ...]
     values: tuple[float, ...]
     winners: tuple[int, ...]
-    members: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
     slacks: Optional[tuple[float, ...]] = None
-
-    @cached_property
-    def scores(self) -> tuple[float, ...]:
-        """values, or for an injection verdict sqrt(members @ a^2), a = values."""
-        if self.members is None:
-            return self.values
-        decode = np.array(self.values)
-        return tuple(np.sqrt(self.members @ (decode * decode)).tolist())
 
     @property
     def attack_free_sensors(self) -> tuple[int, ...]:
@@ -157,17 +146,16 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     then re-anchored on the plant, y - a, and the column drops its oldest
     sample, so the history stays one the plant can produce and the next
     step decodes only its own sample's deviation. The verdict keeps a, and
-    the slacks where the full rule below computed them; subset j's score
-    ||a[S_j]|| is computed only when read (IdentificationVerdict); an
-    all-clear verdict takes the monitor's precomputed winners.
+    the slacks where the full rule below computed them; an all-clear
+    verdict takes the monitor's precomputed winners.
 
     A step whose every |a_i| is at most tol.residual is cleared without
     computing the slacks: each s_i is tol.residual plus a term that is
     never negative, so it is at least that floor, and no sensor can be
     named. The test is exact, not a second rule: a NaN decode fails it and
     takes the full rule. There a slack or the sum of the squared decodes
-    that is not finite (a sample so large that the step or its scores
-    overflow) raises ValueError, and k and the history stay as they were.
+    that is not finite (a sample so large that the step overflows) raises
+    ValueError, and k and the history stay as they were.
     """
     model = mon.model
     u_vec = as_vector(u_k, model.m, "u_k")
@@ -185,7 +173,7 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
             energy = deviation @ deviation
         if not (np.isfinite(energy) and np.isfinite(slack).all()):
             raise ValueError("the sample (u_k, y_new) overflows the injection step: a slack "
-                             "or the scores are not finite")
+                             "or the sum of the squared decodes is not finite")
         named = ~(magnitude <= slack)
         slacks = tuple(slack.tolist())
     column[outputs:inputs] -= deviation
@@ -194,9 +182,10 @@ def injection_step(mon: InjectionMonitor, u_k, y_new) -> IdentificationVerdict:
     mon.k += 1
     winners = mon.clear_winners
     if named is not None and np.count_nonzero(named):
-        winners = tuple((np.flatnonzero(model.members @ named == 0) + 1).tolist())
+        flagged = set((np.flatnonzero(named) + 1).tolist())
+        winners = tuple(j for j, s in enumerate(model.subsets, 1) if flagged.isdisjoint(s))
     return IdentificationVerdict(mon.k, "injection", model.subsets, tuple(deviation.tolist()),
-                                 winners, model.members, slacks)
+                                 winners, slacks)
 
 
 def run_injection(mon: InjectionMonitor, u, y) -> IdentificationVerdict:
@@ -229,7 +218,7 @@ def identify_injection(model: DataDrivenModel, traj: Trajectory,
     re-anchors every step on the plant), and run_injection goes on from
     there to the first alarm, or to the stream's end.
     The verdict's k, winners and all_clear are the step loop's, and its
-    scores are equal to rounding. k counts samples from the stream's first
+    decode is equal to rounding. k counts samples from the stream's first
     column, as with a bootstrap at k = n.
     """
     n = model.n
@@ -381,7 +370,7 @@ def verdict_to_dict(verdict: IdentificationVerdict) -> dict:
         key = {"replay": "rank", "delay": "slack"}[verdict.mode]
         records = {"per_subset": [{"id": j, "indices": list(verdict.subsets[j - 1]),
                                    key: _finite(value)}
-                                  for j, value in enumerate(verdict.scores, 1)]}
+                                  for j, value in enumerate(verdict.values, 1)]}
     return {
         "k": verdict.k,
         "mode": verdict.mode,

@@ -22,8 +22,10 @@ plant's (A, B, C), which the data-driven pipeline never sees.
   whole-array versions must match byte for byte;
 * reference_hankel_rows: the subset-at-a-time regressor and target rows
   of the all-sensor Hankel; the package's broadcast hankel_rows must match
-  its regressor rows entry and dtype, and the package never selects the
-  target rows (target_rows gives those of a SubsetDataMatrices);
+  its regressor rows entry and dtype; regressor_rows and target_rows give
+  every subset's rows of a SubsetDataMatrices, which the package selects
+  only for the subsets its certificate does not cover, and never the
+  target rows;
 * gathered_stacks: every subset's stacked data and next histories as
   whole arrays, which the package never builds: it factors the all-sensor
   Hankel once instead;
@@ -38,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from sentinel.datamat import SubsetDataMatrices, Trajectory, hankel
+from sentinel.datamat import SubsetDataMatrices, Trajectory, hankel, hankel_rows
 from sentinel.ddmodel import DataDrivenModel
 from sentinel.identify import IdentificationVerdict, _verdict
 from sentinel.linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, numerical_rank
@@ -348,6 +350,13 @@ def reference_hankel_rows(n_sensors: int, subsets, n: int,
     return np.array(regressor), np.array(target)
 
 
+def regressor_rows(mats: SubsetDataMatrices) -> np.ndarray:
+    """S x (d + m) rows of mats' Hankel that hold each subset's stacked data
+    [u_now; history], in position order (hankel_rows)."""
+    n_sensors = mats.hankel.shape[0] // (mats.order + 1) - mats.input_dim
+    return hankel_rows(n_sensors, mats.index, mats.order, mats.input_dim)
+
+
 def target_rows(mats: SubsetDataMatrices) -> np.ndarray:
     """S x d rows of mats' Hankel that hold each subset's history one step
     after its regressor rows (reference_hankel_rows)."""
@@ -358,7 +367,7 @@ def target_rows(mats: SubsetDataMatrices) -> np.ndarray:
 def gathered_stacks(mats: SubsetDataMatrices) -> tuple[np.ndarray, np.ndarray]:
     """Every subset's stacked data [u_now; history] (S x (d + m) x T) and its
     history one step later (S x d x T), gathered from the all-sensor Hankel."""
-    return mats.hankel[mats.regressor], mats.hankel[target_rows(mats)]
+    return mats.hankel[regressor_rows(mats)], mats.hankel[target_rows(mats)]
 
 
 def predictors(basis: np.ndarray, regressor: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -50,7 +50,14 @@ from sentinel.identify import (
 from sentinel.linalg import DEFAULT_TOL
 from sentinel.plant import StateSpace, random_test_system, relative_degree, simulate
 
-from oracles import extended_state_space, gathered_stacks, predictors, ss_to_arx, target_rows
+from oracles import (
+    extended_state_space,
+    gathered_stacks,
+    predictors,
+    regressor_rows,
+    ss_to_arx,
+    target_rows,
+)
 
 SEED = 7
 N_STATES = 6
@@ -135,7 +142,10 @@ def test_criterion_01_injection_reproduction():
             break
     u_rec = np.hstack(u_all)
     y_rec = np.hstack(y_all)
-    scores = {s: score for s, score in zip(verdict.subsets, verdict.scores)}
+    # each subset's residual ||a[S_j]||, from the step's decode a
+    decode = np.array(verdict.values)
+    scores = {s: float(np.sqrt((decode[[i - 1 for i in s]] ** 2).sum()))
+              for s in verdict.subsets}
     window = slice(detect_k - N_STATES + 1, detect_k + 1)
     # subset {1, 2}'s next history: its outputs, time-major, then the inputs
     clean_state = np.concatenate([y_rec[[0, 1], window].T.reshape(-1),
@@ -186,7 +196,7 @@ def test_criterion_03_delay_reproduction():
     attacked = apply_attack(Trajectory(u, y), DelayAttack((0, 5, 0)), max_attacked=1)
     timings = tuple(first_response(attacked.y[j]) for j in range(3))
     verdict = identify_delay(attacked.y, degrees)
-    slacks = tuple(int(s) for s in verdict.scores)
+    slacks = tuple(int(s) for s in verdict.values)
     elapsed = time.perf_counter() - t0
     checks = {
         "first responses are exactly (1, 7, 1)": timings == (1, 7, 1),
@@ -205,7 +215,7 @@ def test_criterion_04_replay_reproduction():
                           SEED + 606, DEFAULT_TOL)
     attacked = apply_attack(traj, ReplayAttack({3: 0.01}), max_attacked=1)
     verdict = identify_replay(attacked, 1, N_STATES, COLUMNS)
-    ranks = {s: int(rank) for s, rank in zip(verdict.subsets, verdict.scores)}
+    ranks = {s: int(rank) for s, rank in zip(verdict.subsets, verdict.values)}
     attainable = {s: _attainable_rank(ss, s) for s in ranks}
     elapsed = time.perf_counter() - t0
     checks = {
@@ -240,7 +250,7 @@ def test_criterion_05_representation_exactness():
         val = Trajectory(val_u, val_y)
         for subset in enumerate_subsets(n_sensors, 1):
             train = build_subset_matrices(traj, (subset,), n, columns)
-            lam = predictors(learn_lambda(train), train.regressor, target_rows(train))[0]
+            lam = predictors(learn_lambda(train), regressor_rows(train), target_rows(train))[0]
             mats = build_subset_matrices(val, (subset,), n, 40)
             (regressors,), (targets,) = gathered_stacks(mats)
             rel = np.max(np.abs(lam @ regressors - targets)) / (1.0 + np.max(np.abs(targets)))

@@ -27,6 +27,7 @@ from oracles import (
     reference_hankel_rows,
     reference_history,
     reference_save_trajectory,
+    regressor_rows,
 )
 
 # subnormal, signed-zero and extreme float64 values a round trip must keep
@@ -152,7 +153,7 @@ class TestBuildSubsetMatrices:
         traj = benchmark_run()
         mats = build_subset_matrices(traj, enumerate_subsets(3, 1), 6, 41)
         assert mats.hankel.shape == ((3 + 1) * (6 + 1), 41)
-        assert mats.regressor.shape == (3, 1 + 18) and mats.input_dim == 1
+        assert regressor_rows(mats).shape == (3, 1 + 18) and mats.input_dim == 1
         regressors, targets = gathered_stacks(mats)
         np.testing.assert_array_equal(regressors[:, 0], np.broadcast_to(traj.u[:, 6:47], (3, 41)))
 
@@ -183,7 +184,8 @@ class TestBuildSubsetMatrices:
     def test_subsets_are_kept_as_tuples(self):
         mats = build_subset_matrices(benchmark_run(), [[1, 3], (2, 3)], 6, 41)
         assert mats.subsets == ((1, 3), (2, 3))
-        np.testing.assert_array_equal(mats.regressor,
+        np.testing.assert_array_equal(mats.index, [[1, 3], [2, 3]])
+        np.testing.assert_array_equal(regressor_rows(mats),
                                       hankel_rows(3, ((1, 3), (2, 3)), 6, 1))
 
     def test_sensor_beyond_recording_rejected(self):

@@ -41,6 +41,7 @@ from oracles import (
     predictors,
     rank_obsv_oracle,
     reference_hankel_rows,
+    regressor_rows,
     ss_to_arx,
     target_rows,
 )
@@ -81,7 +82,7 @@ def subset_run(plant):
 def learned_lambda(mats, tol=DEFAULT_TOL):
     """learn_lambda with every subset's predictor as one S x d x (d + m)
     stack, the one predictors(basis, ...) gives."""
-    return predictors(learn_lambda(mats, tol), mats.regressor, target_rows(mats))
+    return predictors(learn_lambda(mats, tol), regressor_rows(mats), target_rows(mats))
 
 
 # output noise levels of the learning contract (TestLearnModel)
@@ -101,7 +102,7 @@ class TestRankCondition:
         _, traj = excited_benchmark_run()
         mats = build_subset_matrices(traj, enumerate_subsets(3, 1), 6, 41)
         ranks = rank_condition(mats)
-        assert mats.regressor.shape[1] == 19
+        assert regressor_rows(mats).shape[1] == 19
         assert ranks == (certifying_rank(1, 6),) * 3 == (13,) * 3
         assert all(type(rank) is int for rank in ranks)
 
@@ -190,9 +191,9 @@ class TestRankCondition:
         traj, n_sensors, max_attacked, columns = subset_run(plant)
         mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
-        factor = _factor(mats)
-        sigma = np.linalg.svd(factor[mats.regressor], compute_uv=False)
-        shape = (mats.regressor.shape[1], columns)
+        factor, regressor = _factor(mats), regressor_rows(mats)
+        sigma = np.linalg.svd(factor[regressor], compute_uv=False)
+        shape = (regressor.shape[1], columns)
         tol = Tolerance(rank_rel=sigma[-1, 5] / (max(shape) * sigma[-1, 0]))
         operands = []
         svd = np.linalg.svd
@@ -200,7 +201,7 @@ class TestRankCondition:
                             lambda a, **kwargs: operands.append(a.shape) or svd(a, **kwargs))
         ranks = rank_condition(mats, tol)
         monkeypatch.undo()
-        assert operands[-1] == (len(mats.subsets), *mats.regressor.shape[1:], factor.shape[1])
+        assert operands[-1] == (len(mats.subsets), *regressor.shape[1:], factor.shape[1])
         assert list(ranks) == (
             sigma > rank_cutoff(sigma, shape, tol)).sum(axis=1).tolist()
 
@@ -214,19 +215,19 @@ class TestRankCondition:
         traj, n_sensors, max_attacked, columns = subset_run(plant)
         mats = build_subset_matrices(traj, enumerate_subsets(n_sensors, max_attacked), 6,
                                      columns)
-        factor = _factor(mats)
-        sigma = np.linalg.svd(factor[mats.regressor], compute_uv=False)
+        factor, regressor = _factor(mats), regressor_rows(mats)
+        sigma = np.linalg.svd(factor[regressor], compute_uv=False)
         tol = DEFAULT_TOL
         if fallback:  # a cutoff on a singular value, as in the test above
-            shape = (mats.regressor.shape[1], columns)
+            shape = (regressor.shape[1], columns)
             tol = Tolerance(rank_rel=sigma[-1, 5] / (max(shape) * sigma[-1, 0]))
         expected = rank_condition(mats, tol)
-        width = mats.regressor.shape[1]
+        width = regressor.shape[1]
         for block in (1, 3 * width * factor.shape[1] * 8):
             operands = []
             svd = np.linalg.svd
             monkeypatch.setattr(datamat, "BLOCK_BYTES", block)
-            chunked = ddmodel._regressor_singular_values(factor, mats.regressor)
+            chunked = ddmodel._regressor_singular_values(factor, regressor)
             monkeypatch.setattr(np.linalg, "svd",
                                 lambda a, **kwargs: operands.append(a.shape) or svd(a, **kwargs))
             ranks = rank_condition(mats, tol)
@@ -259,8 +260,9 @@ class TestRankCondition:
         level = max(width, columns) * np.finfo(float).eps
         values = np.r_[np.ones(13), 0.7 * level, np.zeros(width - 14)]
         mats = dataclasses.replace(mats, hankel=(left * values) @ right.T)
-        sigma = np.linalg.svd(_factor(mats)[mats.regressor], compute_uv=False)
-        shape = (mats.regressor.shape[1], columns)
+        regressor = regressor_rows(mats)
+        sigma = np.linalg.svd(_factor(mats)[regressor], compute_uv=False)
+        shape = (regressor.shape[1], columns)
         tol = Tolerance(rank_rel=np.sqrt(sigma[:, 13].min() * sigma[:, 14].max())
                         / (max(shape) * sigma[:, 0].max()))
         assert (sigma > rank_cutoff(sigma, shape, tol)).sum(axis=1).tolist() == [14] * 3
@@ -537,13 +539,13 @@ class TestLearnModel:
         _, traj = excited_benchmark_run()
         model = learn_model(traj, 1, 6, 41, pe_seed=7)
         assert model.basis.shape == (28, 13) and model.decoder.shape == (3, 28)
-        # the basis, the decoder and the subsets' 0/1 membership matrix, set
-        # at construction, are the only arrays; no lambda stack is kept, and
-        # nothing per subset is learned
+        # the basis and the decoder, set at construction, are the only
+        # arrays; no lambda stack or membership matrix is kept, and nothing
+        # per subset is learned
         assert {name for name, value in vars(model).items()
-                if isinstance(value, np.ndarray)} == {"basis", "members", "decoder"}
-        assert np.array_equal(model.members, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-        assert {"residuals", "reports", "regressor", "target"}.isdisjoint(vars(model))
+                if isinstance(value, np.ndarray)} == {"basis", "decoder"}
+        assert {"residuals", "reports", "regressor", "target", "members"}.isdisjoint(
+            vars(model))
         assert all(np.shape(value) != (3, 18, 19) for value in vars(model).values())
         assert not hasattr(model, "reports")
         mats = build_subset_matrices(traj, model.subsets, 6, 41)
@@ -769,7 +771,7 @@ class TestModelFile:
         assert model.decoder.tobytes() == _decoder(basis, n_sensors, 6).tobytes()
         assert dataclasses.replace(model).decoder.tobytes() == model.decoder.tobytes()
         assert (model_lambda(model).tobytes()
-                == predictors(basis, mats.regressor, target_rows(mats)).tobytes())
+                == predictors(basis, regressor_rows(mats), target_rows(mats)).tobytes())
 
     @pytest.mark.parametrize("plant", ["benchmark", "random-10x4", "random-6x2"])
     @settings(max_examples=10, deadline=None, derandomize=True)

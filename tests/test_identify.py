@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import math
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -107,6 +108,32 @@ def decode_bound(model, column):
             * np.linalg.norm(column))
 
 
+def loop_members(model):
+    """The S x N membership matrix, built from the subsets one entry at a time."""
+    return np.array([[i in s for i in range(1, model.n_sensors + 1)]
+                     for s in model.subsets], dtype=float)
+
+
+def decode_norms(model, decode):
+    """Every subset's residual ||a[S_j]||, tuple(sqrt(members @ (a * a))), of
+    a decode a (an injection verdict's values)."""
+    decode = np.asarray(decode)
+    return tuple(np.sqrt(loop_members(model) @ (decode * decode)).tolist())
+
+
+def loop_winners(model, named):
+    """The ids of the subsets that hold none of the named sensors, from the
+    membership matrix."""
+    flags = np.isin(np.arange(1, model.n_sensors + 1), named)
+    return tuple((np.flatnonzero(loop_members(model) @ flags == 0) + 1).tolist())
+
+
+def named_sensors(verdict):
+    """The sensors an injection step named: |a_i| above its slack s_i."""
+    return [i for i, (a, s) in enumerate(zip(verdict.values, verdict.slacks), 1)
+            if not abs(a) <= s]
+
+
 def assert_same_verdict(verdict, expected, model, traj):
     """identify_injection's verdict against the step loop's: the same
     decisions. The screen hands the step loop's history over as recorded,
@@ -119,7 +146,8 @@ def assert_same_verdict(verdict, expected, model, traj):
     assert type(verdict.k) is int
     column = trajectory_hankel(traj, verdict.k - 1 - model.n, model.n + 1, 1)[:, 0]
     bound = 4 * np.sqrt(model.n_sensors - model.max_attacked) * decode_bound(model, column).max()
-    assert np.abs(np.subtract(verdict.scores, expected.scores)).max() <= bound
+    assert np.abs(np.subtract(decode_norms(model, verdict.values),
+                              decode_norms(model, expected.values))).max() <= bound
 
 
 def online_setup(ss, model, seed=11):
@@ -207,7 +235,7 @@ class TestInjectionStep:
             assert verdict.all_clear
             assert verdict.winners == (1, 2, 3)
             assert verdict.attack_free_sensors == (1, 2, 3)
-            for score in verdict.scores:
+            for score in decode_norms(model, verdict.values):
                 assert score < 1e-8
 
     @pytest.mark.parametrize("name", ["benchmark", "random-10x4", "random-6x2"])
@@ -244,7 +272,7 @@ class TestInjectionStep:
         assert not verdict.all_clear
         assert verdict.winners == (1,)
         assert verdict.attack_free_sensors == (1, 2)
-        by_id = dict(enumerate(verdict.scores, 1))
+        by_id = dict(enumerate(decode_norms(model, verdict.values), 1))
         assert by_id[1] < 1e-8
         assert by_id[2] >= delta * (1 - 1e-6)
         assert by_id[3] >= delta * (1 - 1e-6)
@@ -276,7 +304,7 @@ class TestInjectionStep:
             y_k = ss.C @ x
             y_k[sensor - 1] += delta
             verdict = injection_step(monitor, rng.uniform(-1, 1, 1), y_k)
-            for subset, score in zip(verdict.subsets, verdict.scores):
+            for subset, score in zip(verdict.subsets, decode_norms(model, verdict.values)):
                 if sensor in subset:
                     assert score >= abs(delta) * (1 - 1e-6)
                 else:
@@ -460,7 +488,8 @@ def step_both(monitor, reference, u_k, y_k):
     expected = reference_injection_step(reference, u_k, y_k)
     assert (verdict.k, verdict.mode, verdict.subsets, verdict.winners) == (
         expected.k, expected.mode, expected.subsets, expected.winners)
-    assert (np.abs(np.subtract(verdict.scores, expected.scores)) <= bounds).all()
+    scores = decode_norms(monitor.model, verdict.values)
+    assert (np.abs(np.subtract(scores, expected.values)) <= bounds).all()
     assert monitor.k == reference.k
     # every step, the alarm step included, advances (and re-anchors) the
     # history as the reference does
@@ -669,7 +698,7 @@ class TestFloorClear:
             verdict = injection_step(monitor, traj.u[:, j], traj.y[:, j])
             assert verdict == injection_step(untouched, traj.u[:, j], traj.y[:, j])
             assert verdict.all_clear and verdict.k == j + 1
-            assert np.isfinite(verdict.scores).all()
+            assert np.isfinite(decode_norms(model, verdict.values)).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert identify._screen_clear_steps(model, Trajectory(u, y), DEFAULT_TOL) == n + 3
@@ -962,7 +991,7 @@ class TestIdentifyInjection:
         monitor = InjectionMonitor(model, trajectory_hankel(traj, at - n, n + 1, 1)[:, 0], at)
         step = injection_step(monitor, traj.u[:, at], traj.y[:, at])
         holding = [j - 1 for j, s in enumerate(model.subsets, 1) if 3 in s]
-        ratio = np.array(step.scores)[holding] / slack
+        ratio = np.array(decode_norms(model, step.values))[holding] / slack
         np.testing.assert_allclose(ratio, factor, rtol=1e-6)
         verdict = identify_injection(model, traj)
         assert_same_verdict(verdict, step_loop_verdict(model, traj), model, traj)
@@ -1091,7 +1120,7 @@ class TestIdentifyReplay:
         verdict = identify_replay(traj, 1, 6, 41)
         assert verdict.all_clear
         assert verdict.winners == (1, 2, 3)
-        assert all(s == 13 for s in verdict.scores)
+        assert all(s == 13 for s in verdict.values)
 
     def test_benchmark_replay_attack(self):
         ss = benchmark_plant()
@@ -1101,7 +1130,7 @@ class TestIdentifyReplay:
         assert not verdict.all_clear
         assert verdict.winners == (1,)
         assert verdict.attack_free_sensors == (1, 2)
-        by_id = {j: int(score) for j, score in enumerate(verdict.scores, 1)}
+        by_id = {j: int(score) for j, score in enumerate(verdict.values, 1)}
         assert by_id[1] == 13
         assert by_id[2] != 13 and by_id[3] != 13
 
@@ -1117,7 +1146,7 @@ class TestIdentifyReplay:
                 trial += 1
                 attacked = apply_attack(traj, ReplayAttack({sensor: constant}))
                 verdict = identify_replay(attacked, 1, 6, 41)
-                for subset, score in zip(verdict.subsets, verdict.scores):
+                for subset, score in zip(verdict.subsets, verdict.values):
                     if sensor in subset:
                         assert score != 13, (sensor, constant, subset)
                     else:
@@ -1227,7 +1256,7 @@ class TestIdentifyDelay:
         verdict = identify_delay(y, degrees)
         assert verdict.all_clear
         assert verdict.winners == (1, 2, 3)
-        assert all(s == 0 for s in verdict.scores)
+        assert all(s == 0 for s in verdict.values)
 
     def test_benchmark_delay_on_sensor_two(self):
         y, degrees = self.delayed_impulse((0, 5, 0))
@@ -1236,14 +1265,14 @@ class TestIdentifyDelay:
         verdict = identify_delay(y, degrees)
         assert verdict.winners == (1, 3)
         assert verdict.attack_free_sensors == (1, 3)
-        by_id = dict(enumerate(verdict.scores, 1))
+        by_id = dict(enumerate(verdict.values, 1))
         assert (by_id[1], by_id[2], by_id[3]) == (0.0, 5.0, 0.0)
 
     def test_delay_on_first_sensor(self):
         y, degrees = self.delayed_impulse((1, 0, 0))
         verdict = identify_delay(y, degrees)
         assert verdict.winners == (2, 3)
-        by_id = dict(enumerate(verdict.scores, 1))
+        by_id = dict(enumerate(verdict.values, 1))
         assert by_id[1] == 1.0
 
     def test_impulse_scale_invariance(self):
@@ -1284,9 +1313,10 @@ class TestVerdictFields:
     SUBSETS = ((1, 2), (1, 3), (2, 3))
 
     def test_only_decisions_are_stored(self):
-        # values holds the scores, or an injection step's decode with members
+        # values holds the scores, or an injection step's decode
         assert [f.name for f in dataclasses.fields(IdentificationVerdict)] == [
-            "k", "mode", "subsets", "values", "winners", "members", "slacks"]
+            "k", "mode", "subsets", "values", "winners", "slacks"]
+        assert not hasattr(IdentificationVerdict, "scores")
         for name in ("attack_free_sensors", "all_clear"):
             with pytest.raises(TypeError):
                 IdentificationVerdict(1, "replay", self.SUBSETS, (13.0,) * 3, (1,),
@@ -1319,23 +1349,12 @@ class TestVerdictFields:
         assert verdict.winners == monitor.clear_winners == (1, 2, 3)
 
 
-def loop_members(model):
-    """The S x N membership matrix, built from the subsets one entry at a time."""
-    return np.array([[i in s for i in range(1, model.n_sensors + 1)]
-                     for s in model.subsets], dtype=float)
-
-
-def decode_norms(model, decode):
-    """tuple(sqrt(members @ (a * a))) of a decode a."""
-    return tuple(np.sqrt(loop_members(model) @ (decode * decode)).tolist())
-
-
-class TestLazyScores:
-    """An injection verdict keeps the step's decode and the model's
-    membership matrix, and computes its scores when first read."""
+class TestStepVerdictSize:
+    """An injection verdict keeps the step's decode, N entries, and nothing
+    per subset but its winner ids."""
 
     @pytest.mark.parametrize("name", ALL_PLANTS)
-    def test_scores_are_the_decode_norms(self, monitored_plants, name):
+    def test_values_are_the_decode(self, monitored_plants, name):
         ss, model = monitored_plants[name]
         traj, n = offset_stream(ss, model, 30, 8, 1, model.n + 20, 0.9), model.n
         monitor = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n])
@@ -1346,22 +1365,11 @@ class TestLazyScores:
             assert verdict.all_clear == (k < n + 20)
             alarms += not verdict.all_clear
             assert verdict.values == tuple(decode.tolist())
-            assert verdict.members is model.members
-            assert verdict.scores == decode_norms(model, decode)
+            if not verdict.all_clear:
+                assert verdict.winners == loop_winners(model, named_sensors(verdict))
         assert alarms == 10
 
-    def test_membership_matrix_is_built_once_per_model(self, monitored_plants):
-        ss, model = monitored_plants["random-10x4"]
-        assert np.array_equal(model.members, loop_members(model))
-        assert model.members.dtype == float
-        assert not model.members.flags.writeable
-        traj, n = offset_stream(ss, model, 3, 1), model.n
-        first = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n])
-        second = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n])
-        for monitor in (first, second):
-            assert injection_step(monitor, traj.u[:, n], traj.y[:, n]).members is model.members
-
-    def test_clear_step_computes_no_scores(self, monitored_plants):
+    def test_clear_step_builds_nothing_per_subset(self, monitored_plants):
         # S = 210: a step that builds the S scores (an array of S * 8 = 1680
         # bytes and an S-tuple of floats) peaks at 6.8-9.3 kB here
         ss, model = monitored_plants["random-10x4"]
@@ -1379,21 +1387,59 @@ class TestLazyScores:
             tracemalloc.stop()
         assert max(peaks) < len(model.subsets) * 8, peaks
         for verdict in verdicts:
-            assert verdict.all_clear and "scores" not in vars(verdict)
-            assert verdict.scores == decode_norms(model, np.array(verdict.values))
-            assert "scores" in vars(verdict)
+            assert verdict.all_clear and len(verdict.values) == model.n_sensors
+            assert verdict.winners is monitor.clear_winners
 
-    def test_equal_whether_or_not_the_scores_were_read(self, monitored_plants):
+    def test_two_monitors_give_equal_verdicts(self, monitored_plants):
         ss, model = monitored_plants["random-6x2"]
         traj, n = offset_stream(ss, model, 12, 4, 2, model.n + 10, 0.9), model.n
-        read = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n])
-        unread = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n])
+        first = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n])
+        second = injection_bootstrap(model, traj.u[:, :n], traj.y[:, :n])
         for k in range(n, traj.length):
-            verdict = injection_step(read, traj.u[:, k], traj.y[:, k])
-            assert verdict.scores
-            other = injection_step(unread, traj.u[:, k], traj.y[:, k])
+            verdict = injection_step(first, traj.u[:, k], traj.y[:, k])
+            other = injection_step(second, traj.u[:, k], traj.y[:, k])
             assert verdict == other and hash(verdict) == hash(other)
         assert not verdict.all_clear
+
+
+@pytest.fixture(scope="module")
+def plant_20x5():
+    """A seeded 6-state, 1-input plant with N = 20 sensors and its model at
+    M = 5 (S = 15,504), built directly: random_test_system would check the
+    observability of all C(20, 15) subsets first; learning certifies them."""
+    rng = np.random.default_rng(2005)
+    a = rng.uniform(-1, 1, (6, 6))
+    a *= 0.9 / np.abs(np.linalg.eigvals(a)).max()
+    ss = StateSpace(a, rng.uniform(-1, 1, (6, 1)), rng.uniform(-1, 1, (20, 6)))
+    order = (1 + 15) * 6 + 1
+    traj = excited_run(ss, 6, 2 * order, order, 2005)
+    return ss, learn_model(traj, 5, 6, 2 * order)
+
+
+class TestScale20x5:
+    """At (N, M) = (20, 5) an injection verdict holds N decodes and the
+    winner ids, and the step finds the alarm winners from the subsets."""
+
+    def test_alarm_winners_match_the_membership_matrix(self, plant_20x5):
+        ss, model = plant_20x5
+        assert len(model.subsets) == 15_504
+        traj = offset_stream(ss, model, 12, 3)
+        y = traj.y.copy()
+        y[[3, 16], model.n + 10] += 0.9  # sensors 4 and 17, one sample
+        verdict = step_loop_verdict(model, Trajectory(traj.u, y))
+        assert verdict.k == model.n + 11
+        named = named_sensors(verdict)
+        assert named == [4, 17]
+        assert verdict.winners == loop_winners(model, named)
+        assert len(verdict.winners) == math.comb(18, 15)
+        assert verdict.attack_free_sensors == tuple(i for i in range(1, 21) if i not in named)
+
+    def test_all_clear_json_stays_small(self, plant_20x5):
+        ss, model = plant_20x5
+        verdict = step_loop_verdict(model, offset_stream(ss, model, 5, 4))
+        assert verdict.all_clear and len(verdict.values) == 20
+        # nearly all of it the S winner ids, one line each
+        assert len(json.dumps(verdict_to_dict(verdict), indent=2)) < 200_000
 
 
 class TestVerdictSerialization:

@@ -1,8 +1,10 @@
 """The README's library example runs as written and prints its verdict, its
 CLI commands parse, its model-file format names the fields a save writes,
-and every name its prose puts in backticks exists."""
+its verdict description lists the verdict's fields, and every name its
+prose puts in backticks exists."""
 
 import builtins
+import dataclasses
 import json
 import os
 import pkgutil
@@ -76,6 +78,13 @@ def test_verdict_bullet_names_the_written_keys(demo_dir, mode):
                and value and isinstance(value[0], dict)]
     assert len(records) == 1
     assert sorted(re.findall(r'"(\w+)"', span.group(1))) == sorted([*payload, *records[0]])
+
+
+def test_verdict_fields_are_the_dataclass_fields():
+    listed = re.search(r"stores only what was decided, `\((.*?)\)`",
+                       README.read_text(encoding="utf-8"), re.DOTALL)
+    assert re.split(r",\s*", listed.group(1)) == [
+        f.name for f in dataclasses.fields(IdentificationVerdict)]
 
 
 def test_model_attributes_exist(demo_dir):
